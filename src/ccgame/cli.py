@@ -149,7 +149,9 @@ def cmd_rollout(args):
     vs = validate_scenario(load_scenario(args.scenario))
     problem = assemble_problem(vs, nominal_inputs=nominal)
 
+    t0 = time.perf_counter()
     batch = simulate.rollout(problem, policy, args.seed, args.samples)
+    rollout_seconds = time.perf_counter() - t0
     stats = simulate.evaluate_safety(batch, problem)
     stats_path = os.path.join(outdir, "stats.csv")
     simulate.write_stats_csv(stats_path, [stats])
@@ -160,7 +162,10 @@ def cmd_rollout(args):
     write_manifest(outdir, "rollout",
                    {"samples": args.samples, "seed": args.seed,
                     "policy": args.policy},
-                   args.scenario, scenario_hash, outputs)
+                   args.scenario, scenario_hash, outputs,
+                   extra={"rollout_seconds": rollout_seconds,
+                          "samples_per_s": batch.samples / rollout_seconds,
+                          "travel_flagged": stats.travel_flagged})
     print(f"rollout: {stats.samples} samples, violation rate {stats.rate:.4f} "
           f"(wilson [{stats.wilson_lo:.4f}, {stats.wilson_hi:.4f}]), "
           f"mean cost {stats.cost_mean:.3f}")

@@ -169,6 +169,7 @@ class DualSolveReport:
     iterates: np.ndarray | None = None
     lambda_bar_at: dict = field(default_factory=dict)
     map: AffineGradientMap | None = None
+    tol_feas: float = DualAscentOptions.tol_feas   # the tolerance the run used
 
     def to_dict(self):
         return {
@@ -187,7 +188,7 @@ class DualSolveReport:
             # mean slow averaging or an instance without a strictly feasible
             # policy, which cannot be distinguished at runtime
             "residual_above_tolerance": bool(
-                self.feasibility_residual > DualAscentOptions().tol_feas),
+                self.feasibility_residual > self.tol_feas),
         }
 
 
@@ -291,7 +292,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         solve_seconds=time.perf_counter() - t_start,
         records=records,
         iterates=(np.array(iterates) if iterates else None),
-        lambda_bar_at=lambda_bar_at, map=gmap,
+        lambda_bar_at=lambda_bar_at, map=gmap, tol_feas=options.tol_feas,
     )
 
 

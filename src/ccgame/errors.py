@@ -87,6 +87,10 @@ class FactorizationFailure(CCGameError):
         )
 
 
+class AllSeedsFailed(CCGameError, RuntimeError):
+    """Every seeded episode of a batch failed; no statistics can be formed."""
+
+
 class FingerprintMismatch(CCGameError):
     def __init__(self, expected, found):
         self.expected = expected

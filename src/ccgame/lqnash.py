@@ -154,14 +154,27 @@ def backward_recursion(problem: GameProblem, conset=None, lam=None):
             RiccatiState(P=P, zeta=zeta, F=F))
 
 
+def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
+    """Step states x (S, n_x): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
+
+    u (S, N, n_u) is grouped by agent as B_t is, also for a central plan's K_t
+    that stacks all inputs.  Products are stacked matmuls, one BLAS call per
+    row of x, so row s does not depend on S."""
+    u = -(K_t @ x[:, None, :, None])[..., 0] - alpha_t
+    u = u.reshape(len(x), B_t.shape[0], -1)
+    x_next = (A_t @ x[:, :, None])[..., 0] + np.einsum("iab,sib->sa", B_t, u)
+    if L_t is not None:
+        x_next += (L_t @ z_t[:, :, None])[..., 0]
+    return u, x_next
+
+
 def integrate_expected(dyn, policy: FeedbackPolicy):
     """Mean closed-loop trajectory (T+1, n_x): the zero-noise integration."""
-    T, n_x = dyn.T, dyn.n_x
-    xs = np.zeros((T + 1, n_x))
+    xs = np.zeros((dyn.T + 1, dyn.n_x))
     xs[0] = dyn.x0
-    for t in range(T):
-        u = policy.inputs_at(t, xs[t])
-        xs[t + 1] = dyn.A[t] @ xs[t] + np.einsum("iab,ib->a", dyn.B[t], u)
+    for t in range(dyn.T):
+        _, xs[t + 1:t + 2] = closed_loop_step(dyn.A[t], dyn.B[t], policy.K[t],
+                                              policy.alpha[t], xs[t:t + 1])
     return xs
 
 

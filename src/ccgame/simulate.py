@@ -2,7 +2,7 @@
 
 Noise is drawn from counter-based Philox streams keyed by (seed, sample
 index), so sample s is bit-identical no matter how many samples are run or
-how work is scheduled.  Safety is judged on realized states against the
+how they are batched.  Safety is judged on realized states against the
 original quadratic/box predicates, never the affine surrogates.
 """
 
@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lqnash, uncertainty
 from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
-from .errors import FactorizationFailure
+from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
 from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
 
 WILSON_Z = 1.959963984540054   # inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
+ROLLOUT_CHUNK = 256    # samples advanced together; bounds the batch temporaries
 
 
 def noise_factors(W):
@@ -38,18 +38,16 @@ def noise_factors(W):
     return out
 
 
-def sample_noise(seed, sample_index, T, n_x):
-    """Standard-normal draws (T, n_x) from the sample's own Philox stream."""
+def noise_stream(seed, sample_index):
+    """The sample's own counter-based generator, Philox keyed by (seed, s)."""
     key = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index) & 0xFFFFFFFFFFFFFFFF]
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal((T, n_x))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def max_threads():
-    try:
-        return max(1, int(os.environ.get("CCGAME_THREADS", "1")))
-    except ValueError:
-        return 1
+def _positive(name, value):
+    if int(value) < 1:
+        raise DomainError(f"{name} must be at least 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,8 @@ class RolloutBatch:
 
 def realized_costs(problem: GameProblem, states, inputs):
     """Per-sample per-player cost of realized trajectories (solver coords)."""
-    S = states.shape[0]
-    T, N = problem.T, problem.N
-    costs = np.zeros((S, N))
-    for i in range(N):
+    costs = np.zeros((states.shape[0], problem.N))
+    for i in range(problem.N):
         err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
         costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
         u = inputs[:, :, i, :]
@@ -88,36 +84,30 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed, samples,
             method="lqg_game") -> RolloutBatch:
     """S independent seeded rollouts of the feedback policy under the noise model.
 
-    The recursion runs sample by sample with the same expressions as
-    integrate_expected, so sample s is bit-identical regardless of batch size
-    and the zero-noise limit reproduces the expected trajectory exactly.
+    Sample s draws from its own Philox stream keyed by (seed, s), and samples
+    advance ROLLOUT_CHUNK at a time through lqnash.closed_loop_step, the step
+    integrate_expected takes.  So sample s is bit-identical for any number of
+    samples, and zero noise reproduces the expected trajectory exactly.
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    S = int(samples)
+    S = _positive("samples", samples)
     factors = noise_factors(dyn.W)
 
-    states = np.zeros((S, T + 1, n_x))
-    inputs = np.zeros((S, T, N, n_u))
-
-    def run_sample(s):
-        z = sample_noise(seed, s, T, n_x)
-        x = dyn.x0
-        states[s, 0] = x
+    states = np.empty((S, T + 1, n_x))
+    states[:, 0] = dyn.x0
+    inputs = np.empty((S, T, N, n_u))
+    z = np.empty((min(S, ROLLOUT_CHUNK), T, n_x))
+    for lo in range(0, S, ROLLOUT_CHUNK):
+        hi = min(S, lo + ROLLOUT_CHUNK)
+        for k in range(hi - lo):
+            noise_stream(seed, lo + k).standard_normal(out=z[k])
+        x = states[lo:hi, 0]
         for t in range(T):
-            u = policy.inputs_at(t, x)
-            inputs[s, t] = u
-            x = dyn.A[t] @ x + np.einsum("iab,ib->a", dyn.B[t], u) + factors[t] @ z[t]
-            states[s, t + 1] = x
-
-    workers = max_threads()
-    if workers > 1 and S > 1:
-        # samples write disjoint slices; ordering cannot affect the result
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_sample, range(S)))
-    else:
-        for s in range(S):
-            run_sample(s)
+            inputs[lo:hi, t], x = lqnash.closed_loop_step(
+                dyn.A[t], dyn.B[t], policy.K[t], policy.alpha[t], x,
+                factors[t], z[:hi - lo, t])
+            states[lo:hi, t + 1] = x
     costs = realized_costs(problem, states, inputs)
     return RolloutBatch(states=states, inputs=inputs, costs=costs,
                         seed=int(seed), method=method)
@@ -265,9 +255,8 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
     B = np.transpose(dyn.B, (0, 2, 1, 3)).reshape(T, 1, n_x, N * n_u)
     R = np.zeros((1, T, N * n_u, N * n_u))
-    for t in range(T):
-        for i in range(N):
-            R[0, t, i * n_u:(i + 1) * n_u, i * n_u:(i + 1) * n_u] = problem.R[i, t]
+    for i in range(N):
+        R[0, :, i * n_u:(i + 1) * n_u, i * n_u:(i + 1) * n_u] = problem.R[i]
     Q = problem.Q.sum(axis=0, keepdims=True)
     ref = np.zeros((1, T + 1, n_x))
     for t in range(1, T + 1):
@@ -312,13 +301,15 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     failure is recorded with its step index.
     """
     options = options or DualAscentOptions(k_max=500)
-    T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    factors = noise_factors(problem.dyn.W)
-    z = sample_noise(seed, sample_index, T, n_x)
+    replan_every = _positive("replan_every", replan_every)
+    dyn = problem.dyn
+    T, N, n_x = problem.T, problem.N, problem.n_x
+    factors = noise_factors(dyn.W)
+    z = noise_stream(seed, sample_index).standard_normal((T, n_x))
 
     states = np.zeros((T + 1, n_x))
-    inputs = np.zeros((T, N, n_u))
-    states[0] = problem.dyn.x0
+    inputs = np.zeros((T, N, problem.n_u))
+    states[0] = dyn.x0
     plan = None
     plan_offset = 0
     failures = []
@@ -334,16 +325,14 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
                 plan_offset = t
                 replans += 1
                 solve_seconds += report.solve_seconds
-            except Exception as exc:   # noqa: BLE001 - recorded and survived
+            except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
                 failures.append((t, f"{type(exc).__name__}: {exc}"))
                 if plan is None:
                     raise
-        u_flat = plan.inputs_at(t - plan_offset, states[t])[0]
-        u = u_flat.reshape(N, n_u)
-        inputs[t] = u
-        states[t + 1] = (problem.dyn.A[t] @ states[t]
-                         + np.einsum("iab,ib->a", problem.dyn.B[t], u)
-                         + factors[t] @ z[t])
+        u, x = lqnash.closed_loop_step(
+            dyn.A[t], dyn.B[t], plan.K[t - plan_offset], plan.alpha[t - plan_offset],
+            states[t:t + 1], factors[t], z[t:t + 1])
+        inputs[t], states[t + 1] = u[0], x[0]
     return MpcRun(states=states, inputs=inputs, failures=failures,
                   replans=replans, solve_seconds=solve_seconds)
 
@@ -353,44 +342,31 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, seconds/step).
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
-    and MPC statistics are paired across sample indices.
+    and MPC statistics are paired across sample indices.  A CCGameError or
+    LinAlgError ends only its own episode; if every episode ends so, raises
+    AllSeedsFailed.
     """
-    S = int(samples)
-    runs = [None] * S
-
-    def one(s):
-        try:
-            return central_mpc_run(problem, seed, s, replan_every, options)
-        except Exception as exc:   # noqa: BLE001 - per-seed failure, recorded
-            return (0, f"{type(exc).__name__}: {exc}")
-
-    workers = max_threads()
-    if workers > 1 and S > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for s, run in enumerate(pool.map(one, range(S))):
-                runs[s] = run
-    else:
-        for s in range(S):
-            runs[s] = one(s)
-
-    failures = []
+    S = _positive("samples", samples)
+    replan_every = _positive("replan_every", replan_every)
     good = []
-    for s, r in enumerate(runs):
-        if isinstance(r, tuple):
-            failures.append((s, r[0], r[1]))
-        else:
-            good.append((s, r))
-            failures.extend((s, step, msg) for step, msg in r.failures)
+    failures = []
+    for s in range(S):
+        try:
+            run = central_mpc_run(problem, seed, s, replan_every, options)
+        except (CCGameError, np.linalg.LinAlgError) as exc:   # per-seed failure, recorded
+            failures.append((s, 0, f"{type(exc).__name__}: {exc}"))
+            continue
+        good.append(run)
+        failures.extend((s, step, msg) for step, msg in run.failures)
     if not good:
-        raise RuntimeError(f"all {S} MPC seeds failed; first: {failures[0][2]}")
-    states = np.stack([r.states for _, r in good])
-    inputs = np.stack([r.inputs for _, r in good])
+        raise AllSeedsFailed(f"all {S} MPC seeds failed; first: {failures[0][2]}")
+    states = np.stack([r.states for r in good])
+    inputs = np.stack([r.inputs for r in good])
     costs = realized_costs(problem, states, inputs)
     batch = RolloutBatch(states=states, inputs=inputs, costs=costs,
                          seed=int(seed), method="central_mpc")
-    total_replans = sum(r.replans for _, r in good)
-    sec_per_step = (sum(r.solve_seconds for _, r in good) / total_replans
-                    if total_replans else 0.0)
+    # every completed episode planned at least once, at t = 0
+    sec_per_step = sum(r.solve_seconds for r in good) / sum(r.replans for r in good)
     return batch, failures, sec_per_step
 
 

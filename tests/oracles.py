@@ -221,6 +221,45 @@ def lqr_oracle(A_seq, B_seq, Q_seq, R_seq, W_seq, x0):
 
 
 # ---------------------------------------------------------------------------
+# Sample-by-sample Monte Carlo rollout
+
+
+def loop_rollout(problem, K, alpha, seed, samples):
+    """Reference rollout that steps one sample at a time.
+
+    Sample s draws (T, n_x) standard normals from Philox keyed by (seed, s),
+    shapes them with an eigen factor of each W_t and runs
+    x+ = (A x + sum_i B^i u^i) + L z under u = -K x - alpha.  Returns
+    (states (S, T+1, n_x), inputs (S, T, N, n_u), costs (S, N)).
+    """
+    dyn = problem.dyn
+    T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
+    factors = np.zeros_like(dyn.W)
+    for t in range(T):
+        vals, vecs = np.linalg.eigh((dyn.W[t] + dyn.W[t].T) / 2.0)
+        factors[t] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    states = np.zeros((samples, T + 1, n_x))
+    inputs = np.zeros((samples, T, N, n_u))
+    for s in range(samples):
+        rng = np.random.Generator(np.random.Philox(key=[seed, s]))
+        z = rng.standard_normal((T, n_x))
+        x = dyn.x0
+        states[s, 0] = x
+        for t in range(T):
+            u = -K[t] @ x - alpha[t]
+            inputs[s, t] = u
+            x = dyn.A[t] @ x + np.einsum("iab,ib->a", dyn.B[t], u) + factors[t] @ z[t]
+            states[s, t + 1] = x
+    costs = np.zeros((samples, N))
+    for i in range(N):
+        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
+        u = inputs[:, :, i, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
+    return states, inputs, costs
+
+
+# ---------------------------------------------------------------------------
 # Finite differences
 
 

@@ -133,6 +133,28 @@ class TestRollout:
             widths[n] = float(row["wilson_hi"]) - float(row["wilson_lo"])
         assert widths[10_000] < widths[100] / 5
 
+    def test_manifest_reports_throughput_and_travel_flags(self, tiny_active, tmp_path):
+        policy = self._solve(tiny_active, tmp_path)
+        rc = main(["rollout", "--scenario", tiny_active, "--policy", policy,
+                   "--samples", "40", "--seed", "7", "--out", str(tmp_path / "r")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["rollout_seconds"] > 0.0
+        assert manifest["samples_per_s"] == pytest.approx(40 / manifest["rollout_seconds"])
+        # the bound at 0.4 holds every sample away from the goal at 1.0
+        assert manifest["travel_flagged"] == 40
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_one(self, tiny_active, tmp_path, capsys,
+                                          samples):
+        policy = self._solve(tiny_active, tmp_path)
+        capsys.readouterr()
+        rc = main(["rollout", "--scenario", tiny_active, "--policy", policy,
+                   "--samples", samples, "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: samples")
+
     def test_fingerprint_mismatch_exits_one(self, tiny_active, tiny_inactive,
                                             tmp_path, capsys):
         policy = self._solve(tiny_active, tmp_path)
@@ -190,6 +212,14 @@ class TestMpc:
         assert rc == 0
         row = read_stats(tmp_path / "m" / "stats.csv")[0]
         assert row["method"] == "central_mpc"
+
+    @pytest.mark.parametrize("option", [["--samples", "0"], ["--replan-every", "0"]])
+    def test_nonpositive_counts_exit_one(self, tiny_active, tmp_path, capsys, option):
+        rc = main(["mpc", "--scenario", tiny_active, "--iters", "100",
+                   "--out", str(tmp_path / "m")] + option)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError")
 
     def test_seed_failures_exit_two(self, tiny_active, tmp_path, monkeypatch):
         import ccgame.cli as cli_mod

@@ -119,6 +119,14 @@ class TestRunDualAscent:
         assert mini_report.complementarity < 5e-3
         assert mini_report.eta == pytest.approx(0.5 / mini_report.lipschitz)
 
+    def test_report_flags_residual_against_the_run_tolerance(self, mini_prep):
+        # 1000 iterations leave a residual between the default 1e-6 and 1e-2
+        report = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000, tol_feas=1e-2))
+        assert 1e-6 < report.feasibility_residual <= 1e-2
+        assert report.to_dict()["residual_above_tolerance"] is False
+        strict = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000))
+        assert strict.to_dict()["residual_above_tolerance"] is True
+
     def test_step_size_unavailable_on_uncontrollable_violation(self):
         from ccgame.model import BoxSpec
         con = BoxSpec(x_min=np.array([np.nan, np.nan]),

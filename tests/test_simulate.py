@@ -5,14 +5,15 @@ import pytest
 
 from ccgame import simulate
 from ccgame.dualascent import DualAscentOptions
-from ccgame.errors import FactorizationFailure
+from ccgame.errors import AllSeedsFailed, FactorizationFailure, SingularStageSystem
 from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected
 from ccgame.model import (BoxSpec, LtvGameDynamics, Scenario, assemble_problem,
                           validate_scenario)
 from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
 from ccgame.uncertainty import propagate_covariance
-from conftest import make_ltv_scenario, scalar_single_agent_instance
+from conftest import make_ltv_scenario, random_small_scenario, scalar_single_agent_instance
+from oracles import loop_rollout
 
 
 def zero_noise(problem):
@@ -27,14 +28,40 @@ def mini_problem(mini_scenario_module=None):
     return assemble_problem(validate_scenario(make_intersection_mini()))
 
 
+@pytest.fixture(scope="module")
+def loop_reference(mini_problem):
+    """Per scenario: problem, policy and the sample loop's first 600 samples."""
+    ltv = assemble_problem(validate_scenario(
+        random_small_scenario(np.random.default_rng(3), N=3, with_rows=False)))
+    out = {}
+    for name, problem in (("intersection-mini", mini_problem), ("ltv-3-agent", ltv)):
+        policy, _ = backward_recursion(problem)
+        ref = loop_rollout(problem, np.asarray(policy.K), np.asarray(policy.alpha),
+                           seed=21, samples=600)
+        out[name] = (problem, policy, ref)
+    return out
+
+
 class TestRollout:
     def test_zero_noise_reproduces_expected_trajectory(self, mini_problem):
         problem = zero_noise(mini_problem)
         policy, _ = backward_recursion(problem)
-        batch = rollout(problem, policy, seed=1, samples=3)
+        batch = rollout(problem, policy, seed=1, samples=257)
         expected = integrate_expected(problem.dyn, policy)
-        for s in range(3):
+        for s in range(257):
             assert np.array_equal(batch.states[s], expected)
+
+    @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent"])
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
+    def test_batched_rollout_matches_sample_loop(self, loop_reference, scenario,
+                                                 samples):
+        # the sizes straddle the rollout chunk, so any sample's bits that
+        # depended on where its chunk starts or how full it is would show
+        problem, policy, (states, inputs, costs) = loop_reference[scenario]
+        batch = rollout(problem, policy, seed=21, samples=samples)
+        assert np.array_equal(batch.states, states[:samples])
+        assert np.array_equal(batch.inputs, inputs[:samples])
+        assert np.array_equal(batch.costs, costs[:samples])
 
     def test_counter_based_streams_are_batch_invariant(self, mini_problem):
         policy, _ = backward_recursion(mini_problem)
@@ -202,7 +229,7 @@ class TestCentralMpc:
         def flaky(prepared, options=None, **kw):
             calls["n"] += 1
             if calls["n"] > 3:
-                raise RuntimeError("injected replan failure")
+                raise SingularStageSystem(0, 0.0)
             return real(prepared, options, **kw)
 
         monkeypatch.setattr(sim, "run_dual_ascent", flaky)
@@ -213,16 +240,37 @@ class TestCentralMpc:
         assert all(step >= 3 for _, step, _ in failures)
         assert batch.states.shape[0] == 1  # stale plan drove to the end
 
-    def test_thread_cap_env_var_preserves_determinism(self, monkeypatch,
-                                                      mini_problem):
-        policy, _ = backward_recursion(mini_problem)
-        serial = rollout(mini_problem, policy, seed=21, samples=8)
-        monkeypatch.setenv("CCGAME_THREADS", "4")
-        threaded = rollout(mini_problem, policy, seed=21, samples=8)
-        assert np.array_equal(serial.states, threaded.states)
+    def test_programming_errors_propagate(self, monkeypatch, mini_problem):
+        import ccgame.simulate as sim
+        real = sim.run_dual_ascent
+        calls = {"n": 0}
+
+        def broken(prepared, options=None, **kw):
+            calls["n"] += 1
+            if calls["n"] > 3:
+                raise TypeError("injected programming error")
+            return real(prepared, options, **kw)
+
+        monkeypatch.setattr(sim, "run_dual_ascent", broken)
+        with pytest.raises(TypeError, match="injected"):
+            central_mpc(mini_problem, seed=5, samples=1,
+                        options=DualAscentOptions(k_max=100))
+
+    def test_all_seeds_failed_is_a_runtime_error(self, monkeypatch, mini_problem):
+        import ccgame.simulate as sim
+
+        def singular(prepared, options=None, **kw):
+            raise SingularStageSystem(0, 0.0)
+
+        monkeypatch.setattr(sim, "run_dual_ascent", singular)
+        with pytest.raises(AllSeedsFailed) as info:
+            central_mpc(mini_problem, seed=5, samples=2)
+        assert isinstance(info.value, RuntimeError)
+        assert "SingularStageSystem" in str(info.value)
+
+    def test_repeated_runs_identical(self, mini_problem):
         b, f, _ = central_mpc(mini_problem, seed=21, samples=2,
                               options=DualAscentOptions(k_max=100))
-        monkeypatch.delenv("CCGAME_THREADS")
         b2, f2, _ = central_mpc(mini_problem, seed=21, samples=2,
                                 options=DualAscentOptions(k_max=100))
         assert not f and not f2
