@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, lqnash, simulate
 from .dualascent import DualAscentOptions, solve_scenario
-from .errors import CCGameError, FingerprintMismatch, ScenarioValidationError
+from .errors import (CCGameError, DomainError, FingerprintMismatch,
+                     ScenarioValidationError)
 from .model import (assemble_problem, file_fingerprint, load_scenario,
                     validate_scenario)
 
@@ -74,16 +75,21 @@ def _print_errors(exc):
 
 
 def _eta(value):
-    return value if value == "auto" else float(value)
+    if value == "auto":
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise DomainError(f"eta: expected 'auto' or a float, got {value!r}") from None
 
 
 def cmd_solve(args):
+    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     outdir = args.out or "runs/solve"
     os.makedirs(outdir, exist_ok=True)
     scenario = load_scenario(args.scenario)
     vs = validate_scenario(scenario)
     scenario_hash = file_fingerprint(args.scenario)
-    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
 
     trace_rows = []
     writer = trace_rows.append if args.trace else None
@@ -173,12 +179,12 @@ def cmd_rollout(args):
 
 
 def cmd_mpc(args):
+    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     outdir = args.out or "runs/mpc"
     os.makedirs(outdir, exist_ok=True)
     scenario_hash = file_fingerprint(args.scenario)
     vs = validate_scenario(load_scenario(args.scenario))
     problem = assemble_problem(vs)
-    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     batch, failures, sec_per_step = simulate.central_mpc(
         problem, args.seed, args.samples, replan_every=args.replan_every,
         options=options)

@@ -4,22 +4,23 @@ The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory, and it is affine in lam: probing the solver at lam = 0 and at
 each unit vector recovers the exact map g(lam) = Ltilde' lam + ctilde, whose
 spectral norm gives the Lipschitz constant used for the constant step size
-eta = h / L.  Because the map is exact (stage gains do not depend on lam),
-the ascent loop can iterate on it directly instead of re-solving the game at
-every iterate; both paths produce identical iterate sequences and the final
-report is always computed from a real equilibrium solve at the averaged
-multiplier.
+eta = STEP_FRACTION / L.  Because the map is exact (stage gains do not
+depend on lam), the ascent loop iterates on it directly instead of
+re-solving the game at every iterate; the final report is always computed
+from a real equilibrium solve at the averaged multiplier.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lqnash, uncertainty
-from .errors import StepSizeUnavailable
+from .errors import DomainError, StepSizeUnavailable
 from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 
 
@@ -50,7 +51,7 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
     if np.any(problem.nominal_states != 0.0):
         reference = problem.nominal_states
     else:
-        policy0, _ = lqnash.backward_recursion(problem)
+        policy0 = lqnash.backward_recursion(problem)
         reference = lqnash.integrate_expected(problem.dyn, policy0)
     conset = uncertainty.assemble_constraints(problem, cov, reference)
     return PreparedGame(problem=problem, cov=cov, conset=conset,
@@ -74,14 +75,18 @@ class AffineGradientMap:
         return self.Ltilde.T @ lam + self.ctilde
 
     def dual_value(self, i, lam):
-        """Quadratic model of D^i, exact given an exact map."""
+        """Quadratic model of D^i: dual0[i] + ctilde'lam + lam'G lam / 2.
+
+        Its gradient is ctilde + (G + G')lam / 2, which equals g(lam) only when
+        G is symmetric, as on the bundled scenarios.  With coupled costs G is
+        not symmetric and this is only a model of D^i."""
         lam = np.asarray(lam)
         return float(self.dual0[i] + self.ctilde @ lam
                      + 0.5 * lam @ (self.Ltilde.T @ lam))
 
 
 def _solve_at(prepared: PreparedGame, lam):
-    policy, _ = lqnash.backward_recursion(prepared.problem, prepared.conset, lam)
+    policy = lqnash.backward_recursion(prepared.problem, prepared.conset, lam)
     traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
     return policy, traj, prepared.conset.evaluate(traj)
 
@@ -92,7 +97,7 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     one batched coefficient sweep instead of M+1 separate solves."""
     M = prepared.M
     N = prepared.problem.N
-    policy0, _, g0 = _solve_at(prepared, np.zeros(M))
+    policy0 = _solve_at(prepared, np.zeros(M))[0]
     dual0 = np.array([lqnash.evaluate_cost(prepared.problem, policy0, i)
                       for i in range(N)])
     if M == 0:
@@ -124,7 +129,7 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
         policy, _, _ = _solve_at(prepared, lam)
         return lqnash.evaluate_lagrangian(prepared.problem, policy, i,
                                           lam, prepared.conset)
-    base_policy, _, _ = _solve_at(prepared, np.asarray(others_from, dtype=float))
+    base_policy = _solve_at(prepared, np.asarray(others_from, dtype=float))[0]
     K_i, a_i = lqnash.best_response(prepared.problem, base_policy, i,
                                     lam, prepared.conset)
     combined = base_policy.replace_player(i, K_i, a_i)
@@ -136,18 +141,26 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
 # Algorithm driver
 
 
+STEP_FRACTION = 0.5        # eta = STEP_FRACTION / L when eta is "auto"
+CONSECUTIVE = 10           # iterations within tolerance before stopping
+STORE_ITERATES_CAP = 4096  # runs up to this many iterations keep the iterates
+
+
 @dataclass
 class DualAscentOptions:
     k_max: int = 2000
-    eta: object = "auto"            # "auto" -> h / L, or explicit float
-    h: float = 0.5
+    eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
     tol_feas: float = 1e-6
     tol_slack: float = 1e-6
-    consecutive: int = 10
-    gradient_mode: str = "affine"   # "affine" | "solve"
-    record_every: int = 0           # 0 -> ~1000 records over the run
-    store_iterates_cap: int = 4096
     average_checkpoints: tuple = ()
+
+    def __post_init__(self):
+        if not self.k_max >= 1:
+            raise DomainError(f"k_max: need at least 1 iteration, got {self.k_max}")
+        if self.eta != "auto" and not (isinstance(self.eta, numbers.Real)
+                                       and math.isfinite(self.eta) and self.eta > 0):
+            raise DomainError(
+                f"eta: expected 'auto' or a finite float > 0, got {self.eta!r}")
 
 
 @dataclass
@@ -163,9 +176,7 @@ class DualSolveReport:
     iterations: int
     termination: str
     dual_values: np.ndarray
-    gradient_mode: str
     solve_seconds: float
-    records: list = field(default_factory=list)
     iterates: np.ndarray | None = None
     lambda_bar_at: dict = field(default_factory=dict)
     map: AffineGradientMap | None = None
@@ -181,7 +192,6 @@ class DualSolveReport:
             "iterations": self.iterations,
             "termination": self.termination,
             "dual_values": self.dual_values.tolist(),
-            "gradient_mode": self.gradient_mode,
             "solve_seconds": self.solve_seconds,
             "constraints": self.g_final.shape[0],
             # flagged, not interpreted: residual stalled above tolerance can
@@ -198,7 +208,7 @@ def _resolve_eta(options, gmap, M):
     if M == 0:
         return 1.0
     if gmap.L > 1e-14:
-        return options.h / gmap.L
+        return STEP_FRACTION / gmap.L
     if np.max(gmap.ctilde) > 0:
         raise StepSizeUnavailable(
             "Lipschitz constant is zero but a constraint row is violated; "
@@ -214,21 +224,17 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     M = prepared.M
     N = prepared.problem.N
 
-    gmap = None
-    if options.gradient_mode == "affine" or options.eta == "auto":
-        gmap = estimate_affine_map(prepared)
+    gmap = estimate_affine_map(prepared)
     eta = _resolve_eta(options, gmap, M)
 
     k_max = int(options.k_max)
-    record_every = options.record_every or max(1, k_max // 1000)
     checkpoints = set(int(k) for k in options.average_checkpoints)
-    store_iterates = M > 0 and k_max <= options.store_iterates_cap
+    store_iterates = M > 0 and k_max <= STORE_ITERATES_CAP
 
     lam = np.zeros(M)
     lam_sum = np.zeros(M)
     g_sum = np.zeros(M)
     iterates = [] if store_iterates else None
-    records = []
     lambda_bar_at = {}
     streak = 0
     k_done = 0
@@ -239,10 +245,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
             k_done = l
             termination = "tolerance_reached"
             break
-        if options.gradient_mode == "affine":
-            g = gmap.gradient(lam)
-        else:
-            _, _, g = _solve_at(prepared, lam)
+        g = gmap.gradient(lam)
         if iterates is not None:
             iterates.append(lam.copy())
         lam_sum += lam
@@ -256,27 +259,22 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         g_bar = g_sum / l
         viol = float(max(np.max(g_bar), 0.0))
         comp = float(abs((lam_sum / l) @ g_bar))
-        if l % record_every == 0 or l == 1:
-            d1 = gmap.dual_value(0, lam) if gmap is not None else float("nan")
-            records.append({"iter": l, "max_violation": viol,
-                            "complementarity": comp, "dual_value_p1": d1})
         if trace_writer is not None:
-            d1 = gmap.dual_value(0, lam) if gmap is not None else float("nan")
             trace_writer({"iter": l, "max_violation": viol,
-                          "complementarity": comp, "dual_value_p1": d1,
-                          "eta": eta})
+                          "complementarity": comp,
+                          "dual_value_p1": gmap.dual_value(0, lam), "eta": eta})
 
         if options.tol_feas > 0:
             if viol <= options.tol_feas and comp <= options.tol_slack:
                 streak += 1
-                if streak >= options.consecutive:
+                if streak >= CONSECUTIVE:
                     termination = "tolerance_reached"
                     break
             else:
                 streak = 0
         lam = dual_step(lam, eta, g)
 
-    lam_bar = lam_sum / k_done if (M > 0 and k_done > 0) else np.zeros(M)
+    lam_bar = lam_sum / k_done
     policy, traj, g_final = _solve_at(prepared, lam_bar)
     duals = np.array([lqnash.evaluate_lagrangian(prepared.problem, policy, i,
                                                  lam_bar, prepared.conset)
@@ -286,11 +284,9 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     return DualSolveReport(
         lambda_bar=lam_bar, policy=policy, mean_traj=traj, g_final=g_final,
         feasibility_residual=residual, complementarity=comp, eta=eta,
-        lipschitz=(gmap.L if gmap is not None else float("nan")),
+        lipschitz=gmap.L,
         iterations=k_done, termination=termination, dual_values=duals,
-        gradient_mode=options.gradient_mode,
         solve_seconds=time.perf_counter() - t_start,
-        records=records,
         iterates=(np.array(iterates) if iterates else None),
         lambda_bar_at=lambda_bar_at, map=gmap, tol_feas=options.tol_feas,
     )

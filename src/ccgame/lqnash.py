@@ -11,6 +11,15 @@ Value-function convention: ``V^i_t(x) = x' P^i_t x + 2 zeta^i_t' x + const``,
 so the per-stage linear coefficient entering the zeta recursion is half the
 gradient of the stage cost's linear part (the multiplier contributes
 ``0.5 * l_t lam`` and a goal reference contributes ``-Q^i_t r^i_t``).
+
+One private sweep, ``_riccati_sweep``, builds and solves every stage system.
+Its linear term has m columns and zeta carries one column per column, so
+the gains are solved once and the affine terms for all columns at once:
+``backward_recursion`` runs it with the one column ``s_t`` at a given lam,
+and ``affine_response`` with M + 1 columns (``0.5 l_t`` per multiplier and
+``-Q r``), from which the exact map lam -> g follows by one forward pass.
+``best_response`` keeps its own single-player sweep as an independent
+reference for the coupled solve.
 """
 
 from __future__ import annotations
@@ -56,20 +65,22 @@ class FeedbackPolicy:
         return FeedbackPolicy(K=K, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class RiccatiState:
-    P: np.ndarray        # (T+1, N, n_x, n_x)
-    zeta: np.ndarray     # (T+1, N, n_x)
-    F: np.ndarray        # (T, n_x, n_x) closed-loop A - sum_j B^j K^j
-
-    def __post_init__(self):
-        for name in ("P", "zeta", "F"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+def _check_rcond(S, t):
+    """Raise SingularStageSystem when the stage system S is near-singular."""
+    sv = np.linalg.svd(S, compute_uv=False)
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise SingularStageSystem(t, rcond)
 
 
-def _stage_matrix(P_next, B, R, t):
-    """Joint block system over players; raises on near-singularity."""
-    N, _, n_u = B.shape
+def _stage_solve(P_next, zeta_next, A, B, R, t=0):
+    """All players' gains and affine terms at one stage from the joint solve.
+
+    P_next: (N, n_x, n_x); zeta_next: (N, n_x, m); A: (n_x, n_x);
+    B: (N, n_x, n_u); R: (N, n_u, n_u).  Returns K (N, n_u, n_x) and
+    a (N, n_u, m), one affine term per column of zeta_next.
+    """
+    N, n_x, n_u = B.shape
     S = np.zeros((N * n_u, N * n_u))
     for i in range(N):
         BtP = B[i].T @ P_next[i]
@@ -78,24 +89,46 @@ def _stage_matrix(P_next, B, R, t):
             if i == j:
                 blk = blk + R[i]
             S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
-    sv = np.linalg.svd(S, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < RCOND_MIN:
-        raise SingularStageSystem(t, rcond)
-    return S
+    _check_rcond(S, t)
+    YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
+    Ya = np.concatenate([B[i].T @ zeta_next[i] for i in range(N)], axis=0)
+    sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
+    return (sol[:, :n_x].reshape(N, n_u, n_x),
+            sol[:, n_x:].reshape(N, n_u, -1))
 
 
-def solve_stage_gains(P_next, A, B, R, t=0):
-    """All players' gains at one stage from the joint block solve.
+def _riccati_sweep(problem: GameProblem, linear_term):
+    """Coupled Riccati sweep t = T-1..0 with an m-column linear term.
 
-    P_next: (N, n_x, n_x); A: (n_x, n_x); B: (N, n_x, n_u); R: (N, n_u, n_u).
-    Returns K: (N, n_u, n_x).
+    ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
+    stage t; zeta carries one column per column of it, and only the current
+    zeta is kept.  Returns K (T, N, n_u, n_x), a (T, N, n_u, m), the closed
+    loop F (T, n_x, n_x) and P (T+1, N, n_x, n_x).
     """
-    N, _, n_u = B.shape
-    S = _stage_matrix(P_next, B, R, t)
-    Y = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
-    K = np.linalg.solve(S, Y)
-    return K.reshape(N, n_u, -1)
+    dyn = problem.dyn
+    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
+    zeta = linear_term(T)
+    P = np.zeros((T + 1, N, n_x, n_x))
+    P[T] = problem.Q[:, T]
+    K = np.zeros((T, N, n_u, n_x))
+    a = np.zeros((T, N, n_u, zeta.shape[2]))
+    F = np.zeros((T, n_x, n_x))
+
+    for t in range(T - 1, -1, -1):
+        A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
+        K[t], a[t] = _stage_solve(P[t + 1], zeta, A, B, R, t)
+        F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
+        Ba = np.einsum("iab,ibm->am", B, a[t])
+        s = linear_term(t)
+        zeta_new = np.zeros_like(zeta)
+        for i in range(N):
+            Pn = (F[t].T @ P[t + 1, i] @ F[t]
+                  + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t])
+            P[t, i] = (Pn + Pn.T) / 2.0
+            zeta_new[i] = (F[t].T @ (zeta[i] - P[t + 1, i] @ Ba)
+                           + K[t, i].T @ R[i] @ a[t, i] + s[i])
+        zeta = zeta_new
+    return K, a, F, P
 
 
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
@@ -112,46 +145,14 @@ def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
 
 
 def backward_recursion(problem: GameProblem, conset=None, lam=None):
-    """Backward sweep t = T-1..0 producing the feedback NE policy.
+    """Feedback NE policy at multiplier lam: the sweep with one linear column.
 
-    Returns (FeedbackPolicy, RiccatiState).  With lam = 0 (or no constraint
-    set) and zero references the affine terms vanish and the policy is the
-    unconstrained LQ-game equilibrium.
+    With lam = 0 (or no constraint set) and zero references the affine terms
+    vanish and the policy is the unconstrained LQ-game equilibrium.
     """
-    dyn = problem.dyn
-    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
     s = stage_linear_terms(problem, conset, lam)
-
-    P = np.zeros((T + 1, N, n_x, n_x))
-    zeta = np.zeros((T + 1, N, n_x))
-    F = np.zeros((T, n_x, n_x))
-    K = np.zeros((T, N, n_u, n_x))
-    alpha = np.zeros((T, N, n_u))
-
-    for i in range(N):
-        P[T, i] = problem.Q[i, T]
-        zeta[T, i] = s[i, T]
-
-    for t in range(T - 1, -1, -1):
-        A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-        S = _stage_matrix(P[t + 1], B, R, t)
-        YK = np.concatenate([B[i].T @ P[t + 1, i] @ A for i in range(N)], axis=0)
-        Ya = np.concatenate([B[i].T @ zeta[t + 1, i] for i in range(N)])
-        sol = np.linalg.solve(S, np.concatenate([YK, Ya[:, None]], axis=1))
-        K[t] = sol[:, :n_x].reshape(N, n_u, n_x)
-        alpha[t] = sol[:, n_x].reshape(N, n_u)
-
-        F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
-        Ba = np.einsum("iab,ib->a", B, alpha[t])
-        for i in range(N):
-            Pn = (F[t].T @ P[t + 1, i] @ F[t]
-                  + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t])
-            P[t, i] = (Pn + Pn.T) / 2.0
-            zeta[t, i] = (F[t].T @ (zeta[t + 1, i] - P[t + 1, i] @ Ba)
-                          + K[t, i].T @ R[i] @ alpha[t, i] + s[i, t])
-
-    return (FeedbackPolicy(K=K, alpha=alpha),
-            RiccatiState(P=P, zeta=zeta, F=F))
+    K, a, _, _ = _riccati_sweep(problem, lambda t: s[:, t, :, None])
+    return FeedbackPolicy(K=K, alpha=a[..., 0])
 
 
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
@@ -252,10 +253,7 @@ def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
         drift = -sum((B[j] @ policy.alpha[t, j] for j in others), np.zeros(n_x))
         Bi, R = B[i], problem.R[i, t]
         S = R + Bi.T @ P @ Bi
-        sv = np.linalg.svd(S, compute_uv=False)
-        rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if rcond < RCOND_MIN:
-            raise SingularStageSystem(t, rcond)
+        _check_rcond(S, t)
         K_i[t] = np.linalg.solve(S, Bi.T @ P @ Atil)
         a_i[t] = np.linalg.solve(S, Bi.T @ (P @ drift + zeta))
         F = Atil - Bi @ K_i[t]
@@ -267,51 +265,28 @@ def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
 
 
 def affine_response(problem: GameProblem, conset):
-    """Exact affine map lam -> g at the equilibrium, in one batched sweep.
+    """Exact affine map lam -> g at the equilibrium, from one sweep.
 
     The stage gains do not depend on lam, and zeta (hence alpha and the mean
-    trajectory) is affine in it, so propagating matrix-valued coefficients
-    reproduces exactly what M+1 unit-probe solves would measure.  Returns
-    (G, ctilde) with g(lam) = G @ lam + ctilde, G of shape (M, M).
+    trajectory) is affine in it, so a sweep whose linear term has M+1 columns
+    (0.5 l_t for the multipliers, -Q r for the constant) reproduces exactly
+    what M+1 unit-probe solves would measure.  Returns (G, ctilde) with
+    g(lam) = G @ lam + ctilde, G of shape (M, M).
     """
     dyn = problem.dyn
-    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
+    N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
     ref_lin = np.stack([np.einsum("tab,tb->ta", problem.Q[i], problem.ref[i])
                         for i in range(N)])
 
-    # zeta^i_t = Z[i] @ lam + z[i]; columns 0..M-1 carry Z, column M carries z
-    C = np.zeros((N, n_x, M + 1))
-    for i in range(N):
-        C[i, :, :M] = 0.5 * conset.l_block(T)
-        C[i, :, M] = -ref_lin[i, T]
-    K = np.zeros((T, N, n_u, n_x))
-    aC = np.zeros((T, N, n_u, M + 1))
-    F = np.zeros((T, n_x, n_x))
-    P = np.stack([problem.Q[i, T] for i in range(N)])
+    def linear_term(t):
+        C = np.zeros((N, n_x, M + 1))
+        if t >= 1:
+            C[:, :, :M] = 0.5 * conset.l_block(t)
+            C[:, :, M] = -ref_lin[:, t]
+        return C
 
-    for t in range(T - 1, -1, -1):
-        A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-        S = _stage_matrix(P, B, R, t)
-        YK = np.concatenate([B[i].T @ P[i] @ A for i in range(N)], axis=0)
-        Ya = np.concatenate([B[i].T @ C[i] for i in range(N)], axis=0)
-        sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
-        K[t] = sol[:, :n_x].reshape(N, n_u, n_x)
-        aC[t] = sol[:, n_x:].reshape(N, n_u, M + 1)
-
-        F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
-        BaC = np.einsum("iab,ibm->am", B, aC[t])
-        P_new = np.zeros_like(P)
-        C_new = np.zeros_like(C)
-        for i in range(N):
-            Pn = F[t].T @ P[i] @ F[t] + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t]
-            P_new[i] = (Pn + Pn.T) / 2.0
-            C_new[i] = (F[t].T @ (C[i] - P[i] @ BaC)
-                        + K[t, i].T @ R[i] @ aC[t, i])
-            if t >= 1:
-                C_new[i, :, :M] += 0.5 * conset.l_block(t)
-                C_new[i, :, M] += -ref_lin[i, t]
-        P, C = P_new, C_new
+    _, aC, F, _ = _riccati_sweep(problem, linear_term)
 
     # forward sweep of the affine mean trajectory
     X = np.zeros((n_x, M + 1))

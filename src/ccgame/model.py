@@ -395,7 +395,6 @@ class GameProblem:
     dt: float
     risk_epsilon: float
     rng_seed: int
-    fingerprint: str = ""
 
     def __post_init__(self):
         for name in ("Q", "R", "ref", "nominal_states", "nominal_inputs"):
@@ -518,7 +517,6 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
         nominal_inputs=nominal_inputs_abs,
         state_dims=tuple(s.state_dims),
         dt=s.dt, risk_epsilon=s.risk_epsilon, rng_seed=s.rng_seed,
-        fingerprint=scenario_fingerprint(s),
     )
 
 
@@ -782,39 +780,3 @@ def load_scenario(path) -> Scenario:
 def file_fingerprint(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def scenario_fingerprint(s: Scenario) -> str:
-    """Content hash of a scenario (canonical JSON of its numeric payload)."""
-    def conv(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(type(o).__name__)
-
-    payload = {
-        "agents": s.num_agents, "horizon": s.horizon, "dt": s.dt,
-        "risk_epsilon": s.risk_epsilon, "seed": s.rng_seed,
-        "state_dims": list(s.state_dims),
-        "dynamics": _dynamics_payload(s.dynamics),
-        "costs": [{"Q": c.Q, "R": c.R, "ref": c.ref} for c in s.costs],
-        "constraints": [_constraint_payload(c) for c in s.constraints],
-    }
-    blob = json.dumps(payload, sort_keys=True, default=conv, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _dynamics_payload(dyn):
-    if isinstance(dyn, LtvGameDynamics):
-        return {"type": "ltv", "A": dyn.A, "B": dyn.B, "W": dyn.W, "x0": dyn.x0}
-    return {"type": "unicycle", "initial_states": dyn.initial_states,
-            "nominal_inputs": dyn.nominal_inputs, "W": dyn.W}
-
-
-def _constraint_payload(c):
-    if c.kind == "box":
-        return {"type": "box", "x_min": c.x_min, "x_max": c.x_max,
-                "active_times": c.active_times}
-    return {"type": "collision", "pair": list(c.pair), "radius": c.radius,
-            "C": c.C, "active_times": c.active_times}

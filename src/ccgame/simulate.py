@@ -245,7 +245,6 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
         nominal_inputs=problem.nominal_inputs[tau:],
         state_dims=problem.state_dims, dt=problem.dt,
         risk_epsilon=problem.risk_epsilon, rng_seed=problem.rng_seed,
-        fingerprint=problem.fingerprint,
     )
 
 
@@ -269,13 +268,12 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
         nominal_inputs=problem.nominal_inputs.reshape(T, 1, N * n_u),
         state_dims=problem.state_dims, dt=problem.dt,
         risk_epsilon=problem.risk_epsilon, rng_seed=problem.rng_seed,
-        fingerprint=problem.fingerprint,
     )
 
 
 def _prepare_subgame(problem_agg: GameProblem) -> PreparedGame:
     cov = uncertainty.propagate_covariance(problem_agg.dyn)
-    policy0, _ = lqnash.backward_recursion(problem_agg)
+    policy0 = lqnash.backward_recursion(problem_agg)
     dev = lqnash.integrate_expected(problem_agg.dyn, policy0)
     reference = problem_agg.nominal_states + dev
     conset = uncertainty.assemble_constraints(problem_agg, cov, reference)

@@ -127,6 +127,40 @@ def double_integrator_instance(T=3, dt=0.5, bound=0.5, goal=1.0):
         [np.array([goal, 0.0])], [con], dt=dt)
 
 
+def coupled_two_agent_scenario(T=4):
+    """Cross-coupled dynamics and a cross-weighted cost; no constraints."""
+    A = np.array([[0.9, 0.3], [-0.2, 1.0]])
+    B1 = np.array([[1.0], [0.0]])
+    B2 = np.array([[0.0], [1.0]])
+    dyn = LtvGameDynamics(
+        A=np.repeat(A[None], T, axis=0),
+        B=np.repeat(np.stack([B1, B2])[None], T, axis=0),
+        W=np.repeat((1e-4 * np.eye(2))[None], T, axis=0),
+        x0=np.array([1.0, -0.5]))
+    Q1 = np.array([[2.0, 0.3], [0.3, 0.4]])
+    Q2 = np.array([[0.1, 0.0], [0.0, 1.5]])
+    costs = (
+        CostSpec(Q=np.repeat(Q1[None], T, axis=0),
+                 R=np.repeat(np.array([[1.0]])[None], T, axis=0),
+                 ref=np.repeat(np.array([0.5, 0.0])[None], T, axis=0)),
+        CostSpec(Q=np.repeat(Q2[None], T, axis=0),
+                 R=np.repeat(np.array([[0.8]])[None], T, axis=0),
+                 ref=np.repeat(np.array([0.0, -0.3])[None], T, axis=0)),
+    )
+    return Scenario(num_agents=2, horizon=T, dt=0.1, dynamics=dyn, costs=costs,
+                    constraints=(), risk_epsilon=0.05, rng_seed=3,
+                    state_dims=(1, 1))
+
+
+def coupled_constrained_instance(T=6):
+    """The cross-coupled game with a box row x_0 <= 0.3, x_1 >= -0.2 at
+    t = 2..T; its dual map G is not symmetric (M = 10 at T = 6)."""
+    s = coupled_two_agent_scenario(T)
+    box = BoxSpec(x_min=np.array([np.nan, -0.2]), x_max=np.array([0.3, np.nan]),
+                  active_times=tuple(range(2, T + 1)))
+    return Scenario(**{**s.__dict__, "constraints": (box,)})
+
+
 # ---------------------------------------------------------------------------
 # Session-scoped heavy artifacts shared across test modules
 

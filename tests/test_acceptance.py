@@ -18,8 +18,8 @@ from ccgame.lqnash import (backward_recursion, best_response, evaluate_cost,
                            evaluate_lagrangian, integrate_expected)
 from ccgame.model import validate_scenario
 from ccgame.uncertainty import conservativeness_probe
-from conftest import (double_integrator_instance, scalar_single_agent_instance,
-                      scalar_two_agent_instance)
+from conftest import (coupled_constrained_instance, double_integrator_instance,
+                      scalar_single_agent_instance, scalar_two_agent_instance)
 from oracles import dense_kkt_single_row, lqr_oracle
 
 
@@ -80,7 +80,9 @@ def test_criterion_01_dual_gradient_identity(acceptance_preps):
 def test_criterion_02_gradient_affinity(acceptance_preps):
     worst = 0.0
     rng = np.random.default_rng(202)
-    for prep in acceptance_preps:
+    # the coupled-cost game adds a non-symmetric map
+    coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+    for prep in acceptance_preps + [coupled]:
         if prep.M == 0:
             continue
         lam1 = rng.uniform(0.0, 1.5, prep.M)
@@ -169,7 +171,7 @@ def test_criterion_06_lqr_degeneracy():
         [np.diag([1.5, 0.4])], [np.array([[0.8]])], [np.zeros(2)], [])
     prep = prepare_game(validate_scenario(s))
     assert prep.M == 0
-    policy, _ = backward_recursion(prep.problem)
+    policy = backward_recursion(prep.problem)
     Ks, cost = lqr_oracle(prep.problem.dyn.A, prep.problem.dyn.B[:, 0],
                           prep.problem.Q[0, 1:], prep.problem.R[0],
                           prep.problem.dyn.W, prep.problem.dyn.x0)

@@ -60,6 +60,18 @@ class TestSolve:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--iters", "0"], ["--iters", "-5"],
+                                        ["--eta", "-1"], ["--eta", "nan"],
+                                        ["--eta", "0"], ["--eta", "foo"]])
+    def test_bad_ascent_options_exit_one(self, tiny_active, tmp_path, capsys,
+                                         option):
+        rc = main(["solve", "--scenario", tiny_active,
+                   "--out", str(tmp_path / "o")] + option)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError")
+        assert "Traceback" not in err
+
     def test_relinearize_rounds_run(self, tmp_path):
         src = scenarios.bundled_path("intersection-mini")
         out = tmp_path / "relin"
@@ -213,7 +225,8 @@ class TestMpc:
         row = read_stats(tmp_path / "m" / "stats.csv")[0]
         assert row["method"] == "central_mpc"
 
-    @pytest.mark.parametrize("option", [["--samples", "0"], ["--replan-every", "0"]])
+    @pytest.mark.parametrize("option", [["--samples", "0"], ["--replan-every", "0"],
+                                        ["--iters", "0"]])
     def test_nonpositive_counts_exit_one(self, tiny_active, tmp_path, capsys, option):
         rc = main(["mpc", "--scenario", tiny_active, "--iters", "100",
                    "--out", str(tmp_path / "m")] + option)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,12 @@ from hypothesis import strategies as st
 from ccgame.dualascent import (DualAscentOptions, dual_function, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, _solve_at)
-from ccgame.errors import StepSizeUnavailable
+from ccgame.errors import DomainError, StepSizeUnavailable
 from ccgame.lqnash import backward_recursion, evaluate_cost
 from ccgame.model import Scenario, validate_scenario
-from conftest import (double_integrator_instance, make_ltv_scenario,
-                      random_small_scenario, scalar_single_agent_instance,
-                      scalar_two_agent_instance)
+from conftest import (coupled_constrained_instance, double_integrator_instance,
+                      make_ltv_scenario, random_small_scenario,
+                      scalar_single_agent_instance, scalar_two_agent_instance)
 from oracles import dense_kkt_single_row
 
 
@@ -58,6 +60,18 @@ class TestAffineMap:
             scale = np.max(np.abs(expected)) + 1.0
             assert np.max(np.abs(g - expected)) / scale < 1e-8
 
+    def test_coupled_cost_map_is_asymmetric_and_matches_solves(self):
+        prep = prepare_game(validate_scenario(coupled_constrained_instance()))
+        assert prep.M == 10
+        gmap = estimate_affine_map(prep)
+        G = gmap.Ltilde.T
+        assert np.linalg.norm(G - G.T) / np.linalg.norm(G) > 1e-2
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            lam = rng.uniform(0.0, 1.5, prep.M)
+            _, _, g = _solve_at(prep, lam)
+            assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
+
 
 class TestDualStep:
     def test_projection_cases(self):
@@ -84,7 +98,7 @@ class TestRunDualAscent:
         assert rep.termination == "tolerance_reached"
         assert rep.iterations < 500
         assert np.array_equal(rep.lambda_bar, np.zeros(1))
-        policy0, _ = backward_recursion(prep.problem)
+        policy0 = backward_recursion(prep.problem)
         assert np.allclose(rep.policy.K, policy0.K, atol=1e-14)
         assert np.allclose(rep.policy.alpha, policy0.alpha, atol=1e-14)
 
@@ -106,12 +120,12 @@ class TestRunDualAscent:
         assert abs(rep.lambda_bar[0] - lam_star[0]) < 1e-3
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
-    def test_gradient_modes_produce_identical_iterates(self, mini_prep):
-        opts = dict(k_max=40, tol_feas=0.0)
-        ra = run_dual_ascent(mini_prep, DualAscentOptions(gradient_mode="affine", **opts))
-        rs = run_dual_ascent(mini_prep, DualAscentOptions(gradient_mode="solve", **opts))
-        assert np.max(np.abs(ra.iterates - rs.iterates)) < 1e-10
-        assert np.max(np.abs(ra.lambda_bar - rs.lambda_bar)) < 1e-12
+    def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
+        rep = run_dual_ascent(mini_prep, DualAscentOptions(k_max=40, tol_feas=0.0))
+        assert rep.iterates.shape == (40, mini_prep.M)
+        for lam in rep.iterates:
+            _, _, g = _solve_at(mini_prep, lam)
+            assert np.max(np.abs(rep.map.gradient(lam) - g)) < 1e-10
 
     def test_mini_residual_magnitude(self, mini_report):
         # measured, order 2.6e-4 at k=20000; assert with headroom
@@ -141,10 +155,25 @@ class TestRunDualAscent:
             run_dual_ascent(prep, DualAscentOptions(k_max=50))
 
 
+class TestOptions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-3, 5),
+           st.one_of(st.just("auto"), st.floats(), st.integers(-2, 2),
+                     st.text(max_size=4)))
+    def test_construction_accepts_exactly_the_valid_options(self, k_max, eta):
+        valid_eta = eta == "auto" or (not isinstance(eta, str)
+                                      and math.isfinite(eta) and eta > 0)
+        if k_max >= 1 and valid_eta:
+            assert DualAscentOptions(k_max=k_max, eta=eta).eta == eta
+        else:
+            with pytest.raises(DomainError):
+                DualAscentOptions(k_max=k_max, eta=eta)
+
+
 class TestDualFunction:
     def test_zero_multiplier_is_unconstrained_cost(self):
         prep = prepare_game(validate_scenario(double_integrator_instance()))
-        policy0, _ = backward_recursion(prep.problem)
+        policy0 = backward_recursion(prep.problem)
         for i in range(prep.problem.N):
             assert dual_function(prep, np.zeros(prep.M), i) == pytest.approx(
                 evaluate_cost(prep.problem, policy0, i), abs=1e-12)
@@ -198,7 +227,7 @@ def test_unconstrained_run_returns_plain_equilibrium():
     assert rep.lambda_bar.shape == (0,)
     assert rep.feasibility_residual == 0.0
     assert rep.termination == "tolerance_reached"
-    policy0, _ = backward_recursion(prep.problem)
+    policy0 = backward_recursion(prep.problem)
     assert np.array_equal(rep.policy.K, policy0.K)
 
 

@@ -3,40 +3,22 @@ import pytest
 
 from ccgame import simulate
 from ccgame.errors import SingularStageSystem
-from ccgame.lqnash import (backward_recursion, best_response, evaluate_cost,
-                           evaluate_lagrangian, integrate_expected, mean_inputs,
-                           policy_from_dict, policy_to_dict, solve_stage_gains)
-from ccgame.model import (CostSpec, LtvGameDynamics, Scenario, assemble_problem,
-                          validate_scenario)
+from ccgame.lqnash import (_riccati_sweep, _stage_solve, backward_recursion,
+                           best_response, evaluate_cost, evaluate_lagrangian,
+                           integrate_expected, mean_inputs, policy_from_dict,
+                           policy_to_dict, stage_linear_terms)
+from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
-from conftest import (double_integrator_instance, make_ltv_scenario,
+from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
+                      double_integrator_instance, make_ltv_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
 from oracles import dense_best_response, dense_game_inputs, lqr_oracle
 
 
-def coupled_two_agent_scenario(T=4):
-    """Cross-coupled dynamics and a cross-weighted cost; no constraints."""
-    A = np.array([[0.9, 0.3], [-0.2, 1.0]])
-    B1 = np.array([[1.0], [0.0]])
-    B2 = np.array([[0.0], [1.0]])
-    dyn = LtvGameDynamics(
-        A=np.repeat(A[None], T, axis=0),
-        B=np.repeat(np.stack([B1, B2])[None], T, axis=0),
-        W=np.repeat((1e-4 * np.eye(2))[None], T, axis=0),
-        x0=np.array([1.0, -0.5]))
-    Q1 = np.array([[2.0, 0.3], [0.3, 0.4]])
-    Q2 = np.array([[0.1, 0.0], [0.0, 1.5]])
-    costs = (
-        CostSpec(Q=np.repeat(Q1[None], T, axis=0),
-                 R=np.repeat(np.array([[1.0]])[None], T, axis=0),
-                 ref=np.repeat(np.array([0.5, 0.0])[None], T, axis=0)),
-        CostSpec(Q=np.repeat(Q2[None], T, axis=0),
-                 R=np.repeat(np.array([[0.8]])[None], T, axis=0),
-                 ref=np.repeat(np.array([0.0, -0.3])[None], T, axis=0)),
-    )
-    return Scenario(num_agents=2, horizon=T, dt=0.1, dynamics=dyn, costs=costs,
-                    constraints=(), risk_epsilon=0.05, rng_seed=3,
-                    state_dims=(1, 1))
+def riccati_matrices(problem):
+    """P (T+1, N, n_x, n_x) of the coupled sweep; P does not depend on lam."""
+    N, n_x = problem.N, problem.n_x
+    return _riccati_sweep(problem, lambda t: np.zeros((N, n_x, 1)))[3]
 
 
 class TestStageGains:
@@ -47,7 +29,7 @@ class TestStageGains:
         B = rng.normal(size=(1, n, m))
         R = np.eye(m)[None] * 1.5
         P = np.eye(n)[None] * 2.0
-        K = solve_stage_gains(P, A, B, R)
+        K, _ = _stage_solve(P, np.zeros((1, n, 1)), A, B, R)
         expected = np.linalg.solve(R[0] + B[0].T @ P[0] @ B[0],
                                    B[0].T @ P[0] @ A)
         assert np.allclose(K[0], expected, atol=1e-12)
@@ -57,7 +39,7 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.ones((2, 1, 1))
         R = np.ones((2, 1, 1))
-        K = solve_stage_gains(P, A, B, R)
+        K, _ = _stage_solve(P, np.zeros((2, 1, 1)), A, B, R)
         assert K[0, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
         assert K[1, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
 
@@ -66,7 +48,7 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.stack([np.array([[1.0]]), np.array([[0.0]])])
         R = np.ones((2, 1, 1))
-        K = solve_stage_gains(P, A, B, R)
+        K, _ = _stage_solve(P, np.zeros((2, 1, 1)), A, B, R)
         assert K[1, 0, 0] == 0.0
         assert K[0, 0, 0] == pytest.approx(0.5)   # (R + B'PB)^-1 B'PA
 
@@ -76,7 +58,7 @@ class TestStageGains:
         B = np.ones((1, 1, 1))
         R = np.zeros((1, 1, 1))
         with pytest.raises(SingularStageSystem):
-            solve_stage_gains(P, A, B, R, t=7)
+            _stage_solve(P, np.zeros((1, 1, 1)), A, B, R, t=7)
 
 
 class TestBackwardRecursion:
@@ -86,9 +68,8 @@ class TestBackwardRecursion:
         zero_ref = np.zeros_like(problem.ref)
         from dataclasses import replace
         problem = replace(problem, ref=zero_ref)
-        policy, ric = backward_recursion(problem)
+        policy = backward_recursion(problem)
         assert np.array_equal(policy.alpha, np.zeros_like(policy.alpha))
-        assert np.array_equal(ric.zeta, np.zeros_like(ric.zeta))
 
     def test_single_player_matches_textbook_riccati(self):
         T = 6
@@ -98,7 +79,7 @@ class TestBackwardRecursion:
             [np.diag([1.0, 0.2])], [np.array([[0.7]])],
             [np.zeros(2)], [])
         problem = assemble_problem(validate_scenario(s))
-        policy, ric = backward_recursion(problem)
+        policy = backward_recursion(problem)
         Ks, cost = lqr_oracle(problem.dyn.A, problem.dyn.B[:, 0],
                               problem.Q[0, 1:], problem.R[0], problem.dyn.W,
                               problem.dyn.x0)
@@ -109,7 +90,7 @@ class TestBackwardRecursion:
         s = scalar_single_agent_instance()
         prep = prepare_game(validate_scenario(s))
         lam = np.array([0.7])
-        policy, _ = backward_recursion(prep.problem, prep.conset, lam)
+        policy = backward_recursion(prep.problem, prep.conset, lam)
         us, _, traj = dense_game_inputs(prep.problem, prep.conset.lmat,
                                         prep.conset.c, lam)
         mean_u = mean_inputs(prep.problem.dyn, policy)
@@ -118,18 +99,18 @@ class TestBackwardRecursion:
                            atol=1e-10)
 
     def test_riccati_matrices_symmetric_and_psd(self, mini_prep):
-        _, ric = backward_recursion(mini_prep.problem)
-        assert np.max(np.abs(ric.P - np.transpose(ric.P, (0, 1, 3, 2)))) < 1e-12
-        for t in range(ric.P.shape[0]):
-            for i in range(ric.P.shape[1]):
-                assert np.linalg.eigvalsh(ric.P[t, i])[0] > -1e-9
+        P = riccati_matrices(mini_prep.problem)
+        assert np.max(np.abs(P - np.transpose(P, (0, 1, 3, 2)))) < 1e-12
+        for t in range(P.shape[0]):
+            for i in range(P.shape[1]):
+                assert np.linalg.eigvalsh(P[t, i])[0] > -1e-9
 
 
 class TestIntegrateExpected:
     def test_zero_everything_stays_at_origin(self):
         s = scalar_single_agent_instance(goal=0.0)
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         traj = integrate_expected(problem.dyn, policy)
         assert np.array_equal(traj, np.zeros_like(traj))
 
@@ -146,7 +127,7 @@ class TestIntegrateExpected:
     def test_unconstrained_ne_matches_best_response_iteration(self):
         s = coupled_two_agent_scenario(T=5)
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         # fixed-point iteration over best_response from a cold start
         from ccgame.lqnash import FeedbackPolicy
         cur = FeedbackPolicy(K=np.zeros_like(policy.K),
@@ -168,7 +149,7 @@ class TestEvaluateCost:
         dyn0 = LtvGameDynamics(A=problem.dyn.A, B=problem.dyn.B,
                                W=np.zeros_like(problem.dyn.W), x0=problem.dyn.x0)
         problem0 = replace(problem, dyn=dyn0)
-        policy, _ = backward_recursion(problem0)
+        policy = backward_recursion(problem0)
         traj = integrate_expected(problem0.dyn, policy)
         us = mean_inputs(problem0.dyn, policy, traj)
         for i in range(2):
@@ -187,7 +168,7 @@ class TestEvaluateCost:
             [1], T, [np.array([[0.8]])], [np.array([[1.0]])], [0.0], [1.0],
             [np.array([[1.0]])], [np.array([[1.0]])], [np.array([0.0])], [])
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         exact = evaluate_cost(problem, policy, 0)
         batch = simulate.rollout(problem, policy, seed=5, samples=100_000)
         mc = batch.costs[:, 0]
@@ -197,7 +178,7 @@ class TestEvaluateCost:
     def test_noise_only_adds_cost(self):
         s = coupled_two_agent_scenario()
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         from dataclasses import replace
         noiseless = replace(problem, dyn=LtvGameDynamics(
             A=problem.dyn.A, B=problem.dyn.B, W=np.zeros_like(problem.dyn.W),
@@ -209,7 +190,7 @@ class TestEvaluateCost:
 
 class TestEvaluateLagrangian:
     def test_zero_multiplier_equals_cost(self, mini_prep):
-        policy, _ = backward_recursion(mini_prep.problem)
+        policy = backward_recursion(mini_prep.problem)
         for i in range(2):
             assert evaluate_lagrangian(
                 mini_prep.problem, policy, i, np.zeros(mini_prep.M),
@@ -219,7 +200,7 @@ class TestEvaluateLagrangian:
     def test_known_slack_arithmetic(self):
         s = scalar_single_agent_instance(T=3, bound=0.4)
         prep = prepare_game(validate_scenario(s))
-        policy, _ = backward_recursion(prep.problem)
+        policy = backward_recursion(prep.problem)
         traj = integrate_expected(prep.problem.dyn, policy)
         g = prep.conset.evaluate(traj)
         lam = np.array([2.0])
@@ -233,7 +214,7 @@ class TestBestResponse:
         s = double_integrator_instance()
         prep = prepare_game(validate_scenario(s))
         lam = np.array([0.5])
-        policy, _ = backward_recursion(prep.problem, prep.conset, lam)
+        policy = backward_recursion(prep.problem, prep.conset, lam)
         Ki, ai = best_response(prep.problem, policy, 0, lam, prep.conset)
         assert np.allclose(Ki, policy.K[:, 0], atol=1e-12)
         assert np.allclose(ai, policy.alpha[:, 0], atol=1e-12)
@@ -254,7 +235,7 @@ class TestBestResponse:
     def test_perturbed_rival_improvement_matches_dense_oracle(self):
         s = coupled_two_agent_scenario(T=4)
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         rng = np.random.default_rng(8)
         K = np.array(policy.K)
         alpha = np.array(policy.alpha)
@@ -278,7 +259,11 @@ class TestBestResponse:
 
 class TestValueFunctionIdentity:
     def _lagrangian_via_value(self, problem, conset, lam, i):
-        """Accumulate V_0(x_0) plus all constants alongside the recursion."""
+        """Accumulate V_0(x_0) plus all constants alongside the recursion.
+
+        P comes from the sweep; zeta is rebuilt here from the returned gains:
+        zeta_t = F_t' (zeta_{t+1} - P_{t+1} B alpha_t) + K_t' R alpha_t + s_t.
+        """
         dyn = problem.dyn
         T = problem.T
         const = 0.0
@@ -286,17 +271,22 @@ class TestValueFunctionIdentity:
             const += float(problem.ref[i, t] @ problem.Q[i, t] @ problem.ref[i, t])
         if conset is not None and lam is not None and conset.M:
             const += float(np.asarray(lam) @ conset.c)
-        policy, ric = backward_recursion(problem, conset, lam)
+        policy = backward_recursion(problem, conset, lam)
+        P = riccati_matrices(problem)
+        s = stage_linear_terms(problem, conset, lam)[i]
+        zeta = s[T]
         c_acc = 0.0
         for t in range(T - 1, -1, -1):
             Ba = np.einsum("iab,ib->a", dyn.B[t], policy.alpha[t])
-            Pn, zn = ric.P[t + 1, i], ric.zeta[t + 1, i]
+            Pn = P[t + 1, i]
             c_acc += float(np.trace(Pn @ dyn.W[t]))
-            c_acc += float(Ba @ Pn @ Ba) - 2 * float(zn @ Ba)
-            a_i = policy.alpha[t, i]
+            c_acc += float(Ba @ Pn @ Ba) - 2 * float(zeta @ Ba)
+            a_i, K_i = policy.alpha[t, i], policy.K[t, i]
             c_acc += float(a_i @ problem.R[i, t] @ a_i)
+            F = dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], policy.K[t])
+            zeta = F.T @ (zeta - Pn @ Ba) + K_i.T @ problem.R[i, t] @ a_i + s[t]
         x0 = dyn.x0
-        return (float(x0 @ ric.P[0, i] @ x0) + 2 * float(ric.zeta[0, i] @ x0)
+        return (float(x0 @ P[0, i] @ x0) + 2 * float(zeta @ x0)
                 + c_acc + const)
 
     def test_trajectory_evaluation_equals_value_function(self):
@@ -306,8 +296,11 @@ class TestValueFunctionIdentity:
         cases.append((problem, None, None))
         prep = prepare_game(validate_scenario(scalar_two_agent_instance()))
         cases.append((prep.problem, prep.conset, np.array([0.8])))
+        prep = prepare_game(validate_scenario(coupled_constrained_instance()))
+        lam = np.random.default_rng(6).uniform(0.0, 1.5, prep.M)
+        cases.append((prep.problem, prep.conset, lam))
         for problem, conset, lam in cases:
-            policy, _ = backward_recursion(problem, conset, lam)
+            policy = backward_recursion(problem, conset, lam)
             for i in range(problem.N):
                 direct = evaluate_lagrangian(problem, policy, i, lam, conset)
                 via_value = self._lagrangian_via_value(problem, conset, lam, i)
@@ -321,7 +314,7 @@ class TestAlphaLinearity:
         lam2 = rng.uniform(0, 1.5, mini_prep.M)
 
         def alpha_at(lam):
-            policy, _ = backward_recursion(mini_prep.problem, mini_prep.conset, lam)
+            policy = backward_recursion(mini_prep.problem, mini_prep.conset, lam)
             return policy.alpha
 
         lhs = alpha_at(lam1 + lam2) + alpha_at(np.zeros(mini_prep.M))

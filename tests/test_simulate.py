@@ -35,7 +35,7 @@ def loop_reference(mini_problem):
         random_small_scenario(np.random.default_rng(3), N=3, with_rows=False)))
     out = {}
     for name, problem in (("intersection-mini", mini_problem), ("ltv-3-agent", ltv)):
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         ref = loop_rollout(problem, np.asarray(policy.K), np.asarray(policy.alpha),
                            seed=21, samples=600)
         out[name] = (problem, policy, ref)
@@ -45,7 +45,7 @@ def loop_reference(mini_problem):
 class TestRollout:
     def test_zero_noise_reproduces_expected_trajectory(self, mini_problem):
         problem = zero_noise(mini_problem)
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         batch = rollout(problem, policy, seed=1, samples=257)
         expected = integrate_expected(problem.dyn, policy)
         for s in range(257):
@@ -64,14 +64,14 @@ class TestRollout:
         assert np.array_equal(batch.costs, costs[:samples])
 
     def test_counter_based_streams_are_batch_invariant(self, mini_problem):
-        policy, _ = backward_recursion(mini_problem)
+        policy = backward_recursion(mini_problem)
         b1 = rollout(mini_problem, policy, seed=9, samples=1)
         b2 = rollout(mini_problem, policy, seed=9, samples=2)
         assert np.array_equal(b1.states[0], b2.states[0])
         assert np.array_equal(b1.inputs[0], b2.inputs[0])
 
     def test_bit_identical_reproducibility(self, mini_problem):
-        policy, _ = backward_recursion(mini_problem)
+        policy = backward_recursion(mini_problem)
         b1 = rollout(mini_problem, policy, seed=123, samples=16)
         b2 = rollout(mini_problem, policy, seed=123, samples=16)
         assert np.array_equal(b1.states, b2.states)
@@ -195,7 +195,7 @@ class TestCentralMpc:
             [np.array([0.2, 0.0]), np.array([0.0, 0.3])], [])
         problem = zero_noise(assemble_problem(validate_scenario(s)))
         agg = simulate.aggregate_problem(problem)
-        policy, _ = backward_recursion(agg)
+        policy = backward_recursion(agg)
         optimum = integrate_expected(agg.dyn, policy)
         batch, failures, _ = central_mpc(problem, seed=0, samples=1)
         assert not failures
@@ -205,7 +205,7 @@ class TestCentralMpc:
         s = scalar_single_agent_instance(T=4, bound=50.0)  # inactive bound
         s = Scenario(**{**s.__dict__, "constraints": ()})
         problem = assemble_problem(validate_scenario(s))
-        policy, _ = backward_recursion(problem)
+        policy = backward_recursion(problem)
         game = rollout(problem, policy, seed=11, samples=4)
         mpc_batch, failures, _ = central_mpc(problem, seed=11, samples=4)
         assert not failures
@@ -284,8 +284,7 @@ class TestCentralMpc:
         from ccgame.scenarios import make_intersection_mini
         prep = prepare_game(validate_scenario(make_intersection_mini()))
         rep = run_dual_ascent(prep, DAO(k_max=20000, tol_feas=0.0))
-        policy, _ = backward_recursion(prep.problem, prep.conset,
-                                       1.5 * rep.lambda_bar)
+        policy = backward_recursion(prep.problem, prep.conset, 1.5 * rep.lambda_bar)
         traj = integrate_expected(prep.problem.dyn, policy)
         g = prep.conset.evaluate(traj)
         assert np.max(g) < 0.0        # strictly inside the affine set
