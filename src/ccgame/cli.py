@@ -2,8 +2,8 @@
 
 Every command writes its artifacts plus a run manifest into --out.  Exit
 codes: 0 success, 1 invalid input or solver failure, 2 completed with
-warnings (solve hit max iterations with residuals above tolerance, or some
-MPC seed failed).
+warnings (solve ended with residuals above tolerance, or some MPC seed
+failed).
 """
 
 from __future__ import annotations
@@ -83,8 +83,12 @@ def _eta(value):
         raise DomainError(f"eta: expected 'auto' or a float, got {value!r}") from None
 
 
+def _options(args):
+    return DualAscentOptions(method=args.method, k_max=args.iters, eta=_eta(args.eta))
+
+
 def cmd_solve(args):
-    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
+    options = _options(args)
     outdir = args.out or "runs/solve"
     os.makedirs(outdir, exist_ok=True)
     scenario = load_scenario(args.scenario)
@@ -123,11 +127,12 @@ def cmd_solve(args):
         outputs.append("trace.csv")
 
     write_manifest(outdir, "solve",
-                   {"iters": args.iters, "eta": args.eta,
+                   {"method": args.method, "iters": args.iters, "eta": args.eta,
                     "relinearize": args.relinearize, "trace": args.trace},
                    args.scenario, scenario_hash, outputs,
                    extra={"solve_seconds": wall})
-    print(f"solved: {report.iterations} iteration(s), "
+    print(f"solved: {report.iterations} iteration(s), {report.pivots} pivot(s), "
+          f"termination {report.termination}, "
           f"feasibility residual {report.feasibility_residual:.3e}, "
           f"complementarity {report.complementarity:.3e}, "
           f"eta {report.eta:.3e}, L {report.lipschitz:.3e}")
@@ -179,7 +184,7 @@ def cmd_rollout(args):
 
 
 def cmd_mpc(args):
-    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
+    options = _options(args)
     outdir = args.out or "runs/mpc"
     os.makedirs(outdir, exist_ok=True)
     scenario_hash = file_fingerprint(args.scenario)
@@ -193,7 +198,8 @@ def cmd_mpc(args):
     simulate.write_stats_csv(stats_path, [stats])
     write_manifest(outdir, "mpc",
                    {"samples": args.samples, "seed": args.seed,
-                    "replan_every": args.replan_every, "iters": args.iters},
+                    "replan_every": args.replan_every, "method": args.method,
+                    "iters": args.iters},
                    args.scenario, scenario_hash, ["stats.csv"],
                    extra={"comp_seconds_per_step": sec_per_step,
                           "failures": [{"sample": s, "step": t, "error": m}
@@ -261,7 +267,9 @@ def build_parser():
 
     s = sub.add_parser("solve", help="compute the feedback GNE policy")
     s.add_argument("--scenario", required=True)
-    s.add_argument("--iters", type=int, default=2000)
+    s.add_argument("--method", default="lcp", metavar="{lcp,ascent}")
+    s.add_argument("--iters", type=int, default=2000,
+                   help="ascent iterations (method ascent, or lcp's fallback)")
     s.add_argument("--eta", default="auto")
     s.add_argument("--relinearize", type=int, default=0,
                    help="outer relinearization rounds (unicycle scenarios)")
@@ -283,6 +291,7 @@ def build_parser():
     m.add_argument("--samples", type=int, default=100)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--replan-every", type=int, default=1)
+    m.add_argument("--method", default="lcp", metavar="{lcp,ascent}")
     m.add_argument("--iters", type=int, default=500)
     m.add_argument("--eta", default="auto")
     m.add_argument("--out", default=None)

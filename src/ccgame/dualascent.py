@@ -1,13 +1,27 @@
-"""Projected dual ascent over feedback-NE solves of the multiplier game.
+"""Shared-multiplier solve of the reformulated game: Lemke's pivot or dual ascent.
 
 The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory, and it is affine in lam: probing the solver at lam = 0 and at
-each unit vector recovers the exact map g(lam) = Ltilde' lam + ctilde, whose
-spectral norm gives the Lipschitz constant used for the constant step size
-eta = STEP_FRACTION / L.  Because the map is exact (stage gains do not
-depend on lam), the ascent loop iterates on it directly instead of
-re-solving the game at every iterate; the final report is always computed
-from a real equilibrium solve at the averaged multiplier.
+each unit vector recovers the exact map g(lam) = G lam + ctilde (stored as
+Ltilde = G').  Because the map is exact (stage gains do not depend on lam),
+both methods work on it directly instead of re-solving the game at every
+step, and the final report is always computed from a real equilibrium
+solve at the returned multiplier.
+
+The fixed point the paper's ascent approaches is the linear complementarity
+problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
+every player makes its solution Rosen's normalized equilibrium (J. B. Rosen,
+"Existence and uniqueness of equilibrium points for concave n-person
+games", Econometrica 33, 1965).  The default method solves the LCP exactly
+with Lemke's complementary pivot (C. E. Lemke, "Bimatrix equilibrium points
+and mathematical programming", Management Science 11, 1965; R. W. Cottle,
+J.-S. Pang and R. E. Stone, "The Linear Complementarity Problem", 1992):
+when -G has a positive semidefinite symmetric part (a monotone LCP, as on
+every game measured so far) the pivot ends either at a solution or on a
+secondary ray, which proves that no lam >= 0 gives g <= 0.  On a ray, and
+under method "ascent", the paper's projected dual ascent runs instead,
+with the constant step eta = STEP_FRACTION / L from the spectral norm L of
+G, and returns the averaged multiplier.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lqnash, uncertainty
-from .errors import DomainError, StepSizeUnavailable
+from .errors import DomainError, PivotCapReached, StepSizeUnavailable
 from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 
 
@@ -64,12 +78,14 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
 @dataclass(frozen=True)
 class AffineGradientMap:
-    """g(lam) = Ltilde' lam + ctilde; L = ||Ltilde||_2; dual0[i] = D^i(0)."""
+    """g(lam) = Ltilde' lam + ctilde; L = ||Ltilde||_2; dual0[i] = D^i(0);
+    asymmetry = ||G - G'||_F / ||G||_F with G = Ltilde'."""
 
     Ltilde: np.ndarray
     ctilde: np.ndarray
     L: float
     dual0: np.ndarray
+    asymmetry: float = 0.0
 
     def gradient(self, lam):
         return self.Ltilde.T @ lam + self.ctilde
@@ -91,6 +107,20 @@ def _solve_at(prepared: PreparedGame, lam):
     return policy, traj, prepared.conset.evaluate(traj)
 
 
+SYMMETRY_TOL = 1e-12       # ||G - G'||_F / ||G||_F below which eigvalsh(G) gives L
+
+
+def _spectral_norm(G):
+    """(||G||_2, ||G - G'||_F / ||G||_F) from symmetric eigenvalues, no SVD."""
+    norm = float(np.linalg.norm(G))
+    skew = float(np.linalg.norm(G - G.T))
+    if skew <= SYMMETRY_TOL * norm:
+        L = float(np.max(np.abs(np.linalg.eigvalsh(G))))
+    else:
+        L = math.sqrt(max(float(np.linalg.eigvalsh(G.T @ G)[-1]), 0.0))
+    return L, (skew / norm if norm > 0.0 else 0.0)
+
+
 def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     """Recover (Ltilde, ctilde): c is g at lam = 0, column m of Ltilde' is
     g at the m-th unit multiplier minus c.  Exact by affinity; computed with
@@ -104,8 +134,80 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
         return AffineGradientMap(Ltilde=np.zeros((0, 0)), ctilde=np.zeros(0),
                                  L=0.0, dual0=dual0)
     G, ctilde = lqnash.affine_response(prepared.problem, prepared.conset)
-    L = float(np.linalg.svd(G, compute_uv=False)[0])
-    return AffineGradientMap(Ltilde=G.T, ctilde=ctilde, L=L, dual0=dual0)
+    L, asymmetry = _spectral_norm(G)
+    return AffineGradientMap(Ltilde=G.T, ctilde=ctilde, L=L, dual0=dual0,
+                             asymmetry=asymmetry)
+
+
+PIVOT_TOL = 1e-11          # direction entries below this (relative) never block
+TIE_TOL = 1e-12            # ratios within this (relative) of the minimum tie
+PIVOTS_PER_ROW = 10        # default pivot cap is PIVOTS_PER_ROW * (M + 1)
+
+
+def solve_lcp(G, ctilde, max_pivots=None):
+    """Lemke's complementary pivot for lam >= 0, g = G lam + ctilde <= 0,
+    lam'g = 0.  Returns (lam, pivots); lam is None on a secondary ray.
+
+    In the standard form w = q + Mz, w'z = 0 this is z = lam, w = -g,
+    q = -ctilde and M = -G, augmented with the covering vector 1 and the
+    artificial z0 (w + G z - 1 z0 = q).  The basis is the identity except
+    for the columns of the k basic z's and z0, so the pivot is done in
+    revised form: B^-1 v needs only the k x k solve on the rows whose w has
+    left the basis, and memory stays O(M k).  Ratio-test ties go to z0
+    first, then to the lowest row index.  Raises PivotCapReached after
+    ``max_pivots`` pivots (default PIVOTS_PER_ROW * (M + 1)).
+    """
+    q = -np.asarray(ctilde, dtype=float)
+    M = q.shape[0]
+    lam = np.zeros(M)
+    if M == 0 or q.min() >= 0.0:
+        return lam, 0
+    cap = PIVOTS_PER_ROW * (M + 1) if max_pivots is None else int(max_pivots)
+    z0_column = -np.ones(M)
+    # pivot 1: z0 enters at -min q and the w of the most violated row leaves
+    leaving = int(np.argmin(q))
+    basic = [M]             # basic z's by row index; M stands for z0
+    left = [leaving]        # rows whose w is not basic
+    enter_z = True          # the complement of the leaving variable enters
+    for pivot in range(2, cap + 1):
+        A = np.column_stack([G[:, j] if j < M else z0_column for j in basic])
+        if enter_z:
+            a = G[:, leaving]
+        else:
+            a = np.zeros(M)
+            a[leaving] = 1.0
+        xd = np.linalg.solve(A[left], np.column_stack([q[left], a[left]]))
+        x_w, d_w = (np.column_stack([q, a]) - A @ xd).T
+        x_z, d_z = xd.T
+        w_basic = np.ones(M, dtype=bool)
+        w_basic[left] = False
+        tol = PIVOT_TOL * max(1.0, np.max(np.abs(d_z)), np.max(np.abs(d_w)))
+        zs = np.flatnonzero(d_z > tol)
+        ws = np.flatnonzero(w_basic & (d_w > tol))
+        if zs.size + ws.size == 0:
+            return None, pivot
+        ratio = np.concatenate([np.maximum(x_z[zs], 0.0) / d_z[zs],
+                                np.maximum(x_w[ws], 0.0) / d_w[ws]])
+        rows = np.concatenate([np.asarray(basic)[zs], ws])
+        tied = ratio <= ratio.min() + TIE_TOL * (1.0 + ratio.min())
+        # z0 has row index M: flip it to -1 so that it wins every tie
+        pick = np.flatnonzero(tied)[np.argmin(np.where(rows[tied] == M, -1, rows[tied]))]
+        if enter_z:
+            basic.append(leaving)
+        else:
+            left.remove(leaving)
+        leaving = int(rows[pick])
+        enter_z = pick >= zs.size
+        if enter_z:                     # a w left: its z enters next
+            left.append(leaving)
+            continue
+        basic.remove(leaving)
+        if leaving == M:                # z0 left: the basis is complementary
+            if basic:
+                A = np.column_stack([G[:, j] for j in basic])
+                lam[basic] = np.maximum(np.linalg.solve(A[left], q[left]), 0.0)
+            return lam, pivot
+    raise PivotCapReached(cap)
 
 
 def dual_step(lam, eta, g):
@@ -146,15 +248,22 @@ CONSECUTIVE = 10           # iterations within tolerance before stopping
 STORE_ITERATES_CAP = 4096  # runs up to this many iterations keep the iterates
 
 
+METHODS = ("lcp", "ascent")
+
+
 @dataclass
 class DualAscentOptions:
-    k_max: int = 2000
+    method: str = "lcp"             # "lcp": Lemke's pivot; "ascent": the paper's
+    k_max: int = 2000               # ascent budget (also the fallback's on a ray)
     eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
     tol_feas: float = 1e-6
     tol_slack: float = 1e-6
     average_checkpoints: tuple = ()
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise DomainError(f"method: expected one of {', '.join(METHODS)}, "
+                              f"got {self.method!r}")
         if not self.k_max >= 1:
             raise DomainError(f"k_max: need at least 1 iteration, got {self.k_max}")
         if self.eta != "auto" and not (isinstance(self.eta, numbers.Real)
@@ -181,14 +290,21 @@ class DualSolveReport:
     lambda_bar_at: dict = field(default_factory=dict)
     map: AffineGradientMap | None = None
     tol_feas: float = DualAscentOptions.tol_feas   # the tolerance the run used
+    method: str = DualAscentOptions.method
+    pivots: int = 0
+    natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
 
     def to_dict(self):
         return {
             "lambda_bar": self.lambda_bar.tolist(),
             "feasibility_residual": self.feasibility_residual,
             "complementarity": self.complementarity,
+            "natural_residual": self.natural_residual,
+            "method": self.method,
+            "pivots": self.pivots,
             "eta": self.eta,
             "lipschitz": self.lipschitz,
+            "asymmetry": self.map.asymmetry if self.map is not None else 0.0,
             "iterations": self.iterations,
             "termination": self.termination,
             "dual_values": self.dual_values.tolist(),
@@ -216,17 +332,10 @@ def _resolve_eta(options, gmap, M):
     return 1.0
 
 
-def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
-                    trace_writer=None) -> DualSolveReport:
-    """Projected dual ascent with averaged multiplier and a final real solve."""
-    options = options or DualAscentOptions()
-    t_start = time.perf_counter()
-    M = prepared.M
-    N = prepared.problem.N
-
-    gmap = estimate_affine_map(prepared)
-    eta = _resolve_eta(options, gmap, M)
-
+def _ascent(gmap, eta, options, trace_writer):
+    """Averaged projected ascent on the map; returns (lam_bar, iterations,
+    termination, iterates, lambda_bar_at)."""
+    M = gmap.ctilde.shape[0]
     k_max = int(options.k_max)
     checkpoints = set(int(k) for k in options.average_checkpoints)
     store_iterates = M > 0 and k_max <= STORE_ITERATES_CAP
@@ -274,27 +383,64 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
                 streak = 0
         lam = dual_step(lam, eta, g)
 
-    lam_bar = lam_sum / k_done
+    return (lam_sum / k_done, k_done, termination,
+            np.array(iterates) if iterates else None, lambda_bar_at)
+
+
+def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
+                    trace_writer=None) -> DualSolveReport:
+    """Solve for the shared multiplier by ``options.method``, then solve the
+    equilibrium at it.
+
+    "lcp" pivots to the exact LCP solution (termination "lcp_solved").  On a
+    secondary ray it runs the ascent with the options' k_max and eta and
+    records termination "lcp_infeasible"; under "ascent" it runs only the
+    ascent.  The ascent returns the averaged multiplier.
+    """
+    options = options or DualAscentOptions()
+    t_start = time.perf_counter()
+    M = prepared.M
+    N = prepared.problem.N
+
+    gmap = estimate_affine_map(prepared)
+    eta = _resolve_eta(options, gmap, M)   # the ascent's step, reported by both methods
+
+    lam_bar, pivots = (solve_lcp(gmap.Ltilde.T, gmap.ctilde)
+                       if options.method == "lcp" else (None, 0))
+    termination, iterations, iterates, lambda_bar_at = "lcp_solved", 0, None, {}
+    if lam_bar is None:
+        lam_bar, iterations, termination, iterates, lambda_bar_at = _ascent(
+            gmap, eta, options, trace_writer)
+        if options.method == "lcp":
+            termination = "lcp_infeasible"
+
     policy, traj, g_final = _solve_at(prepared, lam_bar)
     duals = np.array([lqnash.evaluate_lagrangian(prepared.problem, policy, i,
                                                  lam_bar, prepared.conset)
                       for i in range(N)])
     residual = float(max(np.max(g_final), 0.0)) if M else 0.0
     comp = float(abs(lam_bar @ g_final)) if M else 0.0
+    natural = (float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final))))
+               if M else 0.0)
+    if trace_writer is not None and termination == "lcp_solved":
+        trace_writer({"iter": pivots, "max_violation": residual,
+                      "complementarity": comp,
+                      "dual_value_p1": gmap.dual_value(0, lam_bar), "eta": eta})
     return DualSolveReport(
         lambda_bar=lam_bar, policy=policy, mean_traj=traj, g_final=g_final,
         feasibility_residual=residual, complementarity=comp, eta=eta,
         lipschitz=gmap.L,
-        iterations=k_done, termination=termination, dual_values=duals,
+        iterations=iterations, termination=termination, dual_values=duals,
         solve_seconds=time.perf_counter() - t_start,
-        iterates=(np.array(iterates) if iterates else None),
-        lambda_bar_at=lambda_bar_at, map=gmap, tol_feas=options.tol_feas,
+        iterates=iterates, lambda_bar_at=lambda_bar_at, map=gmap,
+        tol_feas=options.tol_feas, method=options.method, pivots=pivots,
+        natural_residual=natural,
     )
 
 
 def solve_scenario(scenario, options: DualAscentOptions | None = None,
                    relinearize=0, trace_writer=None):
-    """Full pipeline: prepare, dual ascent, optional outer relinearization.
+    """Full pipeline: prepare, multiplier solve, optional outer relinearization.
 
     Relinearization re-solves around the previous solution's mean inputs and
     applies only to unicycle scenarios.  Returns (PreparedGame, DualSolveReport)

@@ -3,7 +3,7 @@
 Everything here is deliberately implemented without touching the package's
 solver path: dense prediction-matrix algebra, direct KKT linear solves, a
 textbook Riccati recursion, a series-based normal CDF with bisection
-inversion, and finite-difference Jacobians.
+inversion, finite-difference Jacobians and a bare averaged projected ascent.
 """
 
 import math
@@ -277,3 +277,21 @@ def numeric_jacobians(step_fn, state, u, dt, h=1e-6):
         e[q] = h
         B[:, q] = (step_fn(state, u + e, dt) - step_fn(state, u - e, dt)) / (2 * h)
     return A, B
+
+
+# ---------------------------------------------------------------------------
+# Averaged projected ascent on an affine dual map
+
+
+def averaged_ascent(G, c, eta, iterations):
+    """Mean of the iterates lam <- max(0, lam + eta (G lam + c)) from lam = 0.
+
+    ``eta`` may be a vector: on a block-diagonal G each block then runs its
+    own ascent, so one loop serves several games at once.
+    """
+    lam = np.zeros(c.shape[0])
+    total = np.zeros(c.shape[0])
+    for _ in range(int(iterations)):
+        total += lam
+        lam = np.maximum(0.0, lam + eta * (G @ lam + c))
+    return total / int(iterations)

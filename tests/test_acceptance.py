@@ -102,7 +102,7 @@ def test_criterion_03_convergence_rate(mini_prep):
     t0 = time.perf_counter()
     ks = (10, 100, 1000, 10000)
     rep = run_dual_ascent(mini_prep, DualAscentOptions(
-        k_max=100_000, tol_feas=0.0, average_checkpoints=ks))
+        method="ascent", k_max=100_000, tol_feas=0.0, average_checkpoints=ks))
     assert rep.eta == pytest.approx(0.5 / rep.lipschitz)
     # gap of the concave potential with gradient g (the function the
     # constant-step analysis controls); its map is validated by criteria 1-2

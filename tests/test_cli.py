@@ -48,10 +48,27 @@ class TestSolve:
         assert header == "iter,max_violation,complementarity,dual_value_p1,eta"
 
     def test_active_scenario_under_iterated_exits_two(self, tiny_active, tmp_path):
-        rc = main(["solve", "--scenario", tiny_active, "--iters", "200",
-                   "--out", str(tmp_path / "run")])
+        rc = main(["solve", "--scenario", tiny_active, "--method", "ascent",
+                   "--iters", "200", "--out", str(tmp_path / "run")])
         assert rc == 2
         assert (tmp_path / "run" / "policy.json").exists()
+
+    def test_active_scenario_solves_exactly_by_default(self, tiny_active, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["solve", "--scenario", tiny_active, "--out", str(out), "--trace"])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["method"] == "lcp"
+        assert report["termination"] == "lcp_solved"
+        assert report["lambda_bar"][0] > 0.0
+        for key in ("feasibility_residual", "complementarity", "natural_residual"):
+            assert report[key] <= 1e-10, key
+        assert report["asymmetry"] == 0.0
+        with open(out / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["iter"]) for r in rows] == [report["pivots"]]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["options"]["method"] == "lcp"
 
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -62,7 +79,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("option", [["--iters", "0"], ["--iters", "-5"],
                                         ["--eta", "-1"], ["--eta", "nan"],
-                                        ["--eta", "0"], ["--eta", "foo"]])
+                                        ["--eta", "0"], ["--eta", "foo"],
+                                        ["--method", "newton"]])
     def test_bad_ascent_options_exit_one(self, tiny_active, tmp_path, capsys,
                                          option):
         rc = main(["solve", "--scenario", tiny_active,
@@ -233,6 +251,17 @@ class TestMpc:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError")
+
+    def test_method_is_validated_and_recorded(self, tiny_active, tmp_path, capsys):
+        rc = main(["mpc", "--scenario", tiny_active, "--method", "Lcp",
+                   "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: DomainError")
+        rc = main(["mpc", "--scenario", tiny_active, "--samples", "2",
+                   "--method", "ascent", "--iters", "100", "--out", str(tmp_path / "m")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["options"]["method"] == "ascent"
 
     def test_seed_failures_exit_two(self, tiny_active, tmp_path, monkeypatch):
         import ccgame.cli as cli_mod

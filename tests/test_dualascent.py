@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 
 from ccgame.dualascent import (DualAscentOptions, dual_function, dual_step,
                                estimate_affine_map, prepare_game,
-                               run_dual_ascent, _solve_at)
-from ccgame.errors import DomainError, StepSizeUnavailable
+                               run_dual_ascent, solve_lcp, _solve_at)
+from ccgame.errors import DomainError, PivotCapReached, StepSizeUnavailable
 from ccgame.lqnash import backward_recursion, evaluate_cost
 from ccgame.model import Scenario, validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import dense_kkt_single_row
+from oracles import averaged_ascent, dense_kkt_single_row
+
+# the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
+# solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
+FEASIBLE_SEEDS = (3, 4, 5, 7, 8, 9, 10, 12, 15, 16, 17)
 
 
 class TestAffineMap:
@@ -73,6 +78,18 @@ class TestAffineMap:
             assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
 
 
+    def test_lipschitz_is_the_spectral_norm(self, mini_prep):
+        coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+        for prep, symmetric in ((mini_prep, True), (coupled, False)):
+            gmap = estimate_affine_map(prep)
+            G = gmap.Ltilde.T
+            asymmetry = np.linalg.norm(G - G.T) / np.linalg.norm(G)
+            assert (asymmetry <= 1e-12) == symmetric
+            assert gmap.asymmetry == pytest.approx(asymmetry, rel=1e-12)
+            assert gmap.L == pytest.approx(np.linalg.svd(G, compute_uv=False)[0],
+                                           rel=1e-12)
+
+
 class TestDualStep:
     def test_projection_cases(self):
         assert np.array_equal(dual_step(np.zeros(2), 0.5, np.array([-1.0, -2.0])),
@@ -94,7 +111,7 @@ class TestRunDualAscent:
         # wide bound: the unconstrained equilibrium already satisfies it
         s = scalar_single_agent_instance(bound=10.0)
         prep = prepare_game(validate_scenario(s))
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=500))
+        rep = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=500))
         assert rep.termination == "tolerance_reached"
         assert rep.iterations < 500
         assert np.array_equal(rep.lambda_bar, np.zeros(1))
@@ -104,7 +121,8 @@ class TestRunDualAscent:
 
     def test_lambda_bar_is_average_and_iterates_nonnegative(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=300, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=300,
+                                                      tol_feas=0.0))
         assert rep.iterates is not None
         assert np.all(rep.iterates >= 0.0)
         avg = rep.iterates.mean(axis=0)
@@ -121,24 +139,29 @@ class TestRunDualAscent:
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
-        rep = run_dual_ascent(mini_prep, DualAscentOptions(k_max=40, tol_feas=0.0))
+        rep = run_dual_ascent(mini_prep, DualAscentOptions(method="ascent", k_max=40,
+                                                           tol_feas=0.0))
         assert rep.iterates.shape == (40, mini_prep.M)
         for lam in rep.iterates:
             _, _, g = _solve_at(mini_prep, lam)
             assert np.max(np.abs(rep.map.gradient(lam) - g)) < 1e-10
 
     def test_mini_residual_magnitude(self, mini_report):
-        # measured, order 2.6e-4 at k=20000; assert with headroom
-        assert mini_report.feasibility_residual < 2e-3
-        assert mini_report.complementarity < 5e-3
+        # the pivot is exact: measured 0.0 on all three residuals
+        assert mini_report.termination == "lcp_solved"
+        assert mini_report.feasibility_residual <= 1e-10
+        assert mini_report.complementarity <= 1e-10
+        assert mini_report.natural_residual <= 1e-10
         assert mini_report.eta == pytest.approx(0.5 / mini_report.lipschitz)
 
     def test_report_flags_residual_against_the_run_tolerance(self, mini_prep):
         # 1000 iterations leave a residual between the default 1e-6 and 1e-2
-        report = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000, tol_feas=1e-2))
+        report = run_dual_ascent(mini_prep, DualAscentOptions(
+            method="ascent", k_max=1000, tol_feas=1e-2))
         assert 1e-6 < report.feasibility_residual <= 1e-2
         assert report.to_dict()["residual_above_tolerance"] is False
-        strict = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000))
+        strict = run_dual_ascent(mini_prep, DualAscentOptions(method="ascent",
+                                                              k_max=1000))
         assert strict.to_dict()["residual_above_tolerance"] is True
 
     def test_step_size_unavailable_on_uncontrollable_violation(self):
@@ -153,6 +176,88 @@ class TestRunDualAscent:
         prep = prepare_game(validate_scenario(s))
         with pytest.raises(StepSizeUnavailable):
             run_dual_ascent(prep, DualAscentOptions(k_max=50))
+
+
+def _natural_residual(lam, g):
+    return float(np.max(np.abs(lam - np.maximum(0.0, lam + g)), initial=0.0))
+
+
+class TestLcp:
+    def test_agrees_with_a_long_ascent_on_g_and_trajectory(self):
+        games = [coupled_constrained_instance()] + [
+            random_small_scenario(np.random.default_rng(k)) for k in FEASIBLE_SEEDS]
+        preps = [prepare_game(validate_scenario(s)) for s in games]
+        reports = [run_dual_ascent(prep) for prep in preps]
+        for rep in reports:
+            assert rep.termination == "lcp_solved"
+            assert rep.natural_residual <= 1e-10
+            assert np.all(rep.lambda_bar >= 0.0)
+        # the ascent is separable across a block-diagonal map, so one
+        # 200k-step loop runs every game with its own step 0.5 / L
+        sizes = [prep.M for prep in preps]
+        G = np.zeros((sum(sizes), sum(sizes)))
+        offsets = np.cumsum([0] + sizes)
+        for rep, lo, hi in zip(reports, offsets, offsets[1:]):
+            G[lo:hi, lo:hi] = rep.map.Ltilde.T
+        c = np.concatenate([rep.map.ctilde for rep in reports])
+        eta = np.repeat([0.5 / rep.lipschitz for rep in reports], sizes)
+        lam_ascent = averaged_ascent(G, c, eta, 200_000)
+        for prep, rep, lo, hi in zip(preps, reports, offsets, offsets[1:]):
+            # lam is not unique on a rank-deficient G, so compare what it
+            # determines, up to the ascent's own natural residual
+            _, traj, g = _solve_at(prep, lam_ascent[lo:hi])
+            tol = 4.0 * _natural_residual(lam_ascent[lo:hi], g) + 1e-12
+            assert np.max(np.abs(rep.g_final - g)) <= tol
+            assert np.max(np.abs(rep.mean_traj - traj)) <= tol
+
+    @pytest.mark.parametrize("seed", (2, 6))
+    def test_ray_falls_back_to_the_ascent(self, seed):
+        prep = prepare_game(validate_scenario(
+            random_small_scenario(np.random.default_rng(seed))))
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=3000, eta=0.05))
+        ref = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=3000,
+                                                      eta=0.05))
+        assert rep.termination == "lcp_infeasible"
+        assert rep.pivots > 0
+        assert ref.termination == "max_iterations"
+        assert rep.iterations == ref.iterations == 3000
+        assert np.array_equal(rep.lambda_bar, ref.lambda_bar)
+        assert np.array_equal(rep.policy.alpha, ref.policy.alpha)
+        assert rep.feasibility_residual == ref.feasibility_residual > 1e-2
+
+    def test_duplicated_rows_tie_to_the_lower_index(self):
+        prep = prepare_game(validate_scenario(coupled_constrained_instance()))
+        cs = prep.conset
+        doubled = dataclasses.replace(prep, conset=dataclasses.replace(
+            cs, lmat=np.hstack([cs.lmat, cs.lmat]), c=np.concatenate([cs.c, cs.c]),
+            rows=cs.rows * 2))
+        rep = run_dual_ascent(prep)
+        rep2 = run_dual_ascent(doubled)
+        M = prep.M
+        assert rep2.termination == "lcp_solved"
+        assert rep2.natural_residual <= 1e-10
+        # every tie between a row and its copy went to the first copy
+        assert np.all(rep2.lambda_bar[M:] == 0.0)
+        assert np.max(np.abs(rep2.lambda_bar[:M] - rep.lambda_bar)) <= 1e-12
+        assert np.max(np.abs(rep2.mean_traj - rep.mean_traj)) <= 1e-12
+        G, c = rep2.map.Ltilde.T, rep2.map.ctilde
+        with pytest.raises(PivotCapReached):
+            solve_lcp(G, c, max_pivots=rep2.pivots - 1)
+        lam, pivots = solve_lcp(G, c, max_pivots=rep2.pivots)
+        assert pivots == rep2.pivots
+        assert np.array_equal(lam, rep2.lambda_bar)
+
+    def test_artificial_variable_wins_a_ratio_tie(self):
+        # after z0 enters, z0 and w_1 block at the same ratio 1; z0 leaving
+        # ends at the solution in 2 pivots, w_1 leaving would take a third
+        lam, pivots = solve_lcp(-np.eye(2), np.array([1.0, 0.0]))
+        assert pivots == 2
+        assert np.array_equal(lam, [1.0, 0.0])
+
+    def test_feasible_start_needs_no_pivot(self):
+        lam, pivots = solve_lcp(-np.eye(3), np.array([-1.0, 0.0, -2.0]))
+        assert pivots == 0
+        assert np.array_equal(lam, np.zeros(3))
 
 
 class TestOptions:
@@ -223,12 +328,14 @@ def test_unconstrained_run_returns_plain_equilibrium():
     s = Scenario(**{**s.__dict__, "constraints": ()})
     prep = prepare_game(validate_scenario(s))
     assert prep.M == 0
-    rep = run_dual_ascent(prep, DualAscentOptions(k_max=100))
-    assert rep.lambda_bar.shape == (0,)
-    assert rep.feasibility_residual == 0.0
-    assert rep.termination == "tolerance_reached"
     policy0 = backward_recursion(prep.problem)
-    assert np.array_equal(rep.policy.K, policy0.K)
+    for method, termination in (("ascent", "tolerance_reached"),
+                                ("lcp", "lcp_solved")):
+        rep = run_dual_ascent(prep, DualAscentOptions(method=method, k_max=100))
+        assert rep.lambda_bar.shape == (0,)
+        assert rep.feasibility_residual == 0.0
+        assert rep.termination == termination
+        assert np.array_equal(rep.policy.K, policy0.K)
 
 
 def test_random_scenarios_solve_cleanly(random_scenarios):
