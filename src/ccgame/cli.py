@@ -83,12 +83,8 @@ def _eta(value):
         raise DomainError(f"eta: expected 'auto' or a float, got {value!r}") from None
 
 
-def _options(args):
-    return DualAscentOptions(method=args.method, k_max=args.iters, eta=_eta(args.eta))
-
-
 def cmd_solve(args):
-    options = _options(args)
+    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     outdir = args.out or "runs/solve"
     os.makedirs(outdir, exist_ok=True)
     scenario = load_scenario(args.scenario)
@@ -127,7 +123,7 @@ def cmd_solve(args):
         outputs.append("trace.csv")
 
     write_manifest(outdir, "solve",
-                   {"method": args.method, "iters": args.iters, "eta": args.eta,
+                   {"iters": args.iters, "eta": args.eta,
                     "relinearize": args.relinearize, "trace": args.trace},
                    args.scenario, scenario_hash, outputs,
                    extra={"solve_seconds": wall})
@@ -184,7 +180,7 @@ def cmd_rollout(args):
 
 
 def cmd_mpc(args):
-    options = _options(args)
+    options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     outdir = args.out or "runs/mpc"
     os.makedirs(outdir, exist_ok=True)
     scenario_hash = file_fingerprint(args.scenario)
@@ -198,8 +194,7 @@ def cmd_mpc(args):
     simulate.write_stats_csv(stats_path, [stats])
     write_manifest(outdir, "mpc",
                    {"samples": args.samples, "seed": args.seed,
-                    "replan_every": args.replan_every, "method": args.method,
-                    "iters": args.iters},
+                    "replan_every": args.replan_every, "iters": args.iters},
                    args.scenario, scenario_hash, ["stats.csv"],
                    extra={"comp_seconds_per_step": sec_per_step,
                           "failures": [{"sample": s, "step": t, "error": m}
@@ -267,9 +262,8 @@ def build_parser():
 
     s = sub.add_parser("solve", help="compute the feedback GNE policy")
     s.add_argument("--scenario", required=True)
-    s.add_argument("--method", default="lcp", metavar="{lcp,ascent}")
     s.add_argument("--iters", type=int, default=2000,
-                   help="ascent iterations (method ascent, or lcp's fallback)")
+                   help="iterations of the ascent the pivot falls back to")
     s.add_argument("--eta", default="auto")
     s.add_argument("--relinearize", type=int, default=0,
                    help="outer relinearization rounds (unicycle scenarios)")
@@ -291,7 +285,6 @@ def build_parser():
     m.add_argument("--samples", type=int, default=100)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--replan-every", type=int, default=1)
-    m.add_argument("--method", default="lcp", metavar="{lcp,ascent}")
     m.add_argument("--iters", type=int, default=500)
     m.add_argument("--eta", default="auto")
     m.add_argument("--out", default=None)

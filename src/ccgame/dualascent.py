@@ -1,10 +1,11 @@
-"""Shared-multiplier solve of the reformulated game: Lemke's pivot or dual ascent.
+"""Shared-multiplier solve of the reformulated game: Lemke's pivot, with the
+paper's dual ascent as its fallback.
 
 The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory, and it is affine in lam: probing the solver at lam = 0 and at
 each unit vector recovers the exact map g(lam) = G lam + ctilde (stored as
 Ltilde = G').  Because the map is exact (stage gains do not depend on lam),
-both methods work on it directly instead of re-solving the game at every
+the solve works on it directly instead of re-solving the game at every
 step, and the final report is always computed from a real equilibrium
 solve at the returned multiplier.
 
@@ -12,16 +13,17 @@ The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
 every player makes its solution Rosen's normalized equilibrium (J. B. Rosen,
 "Existence and uniqueness of equilibrium points for concave n-person
-games", Econometrica 33, 1965).  The default method solves the LCP exactly
-with Lemke's complementary pivot (C. E. Lemke, "Bimatrix equilibrium points
-and mathematical programming", Management Science 11, 1965; R. W. Cottle,
+games", Econometrica 33, 1965).  The LCP is solved exactly with Lemke's
+complementary pivot (C. E. Lemke, "Bimatrix equilibrium points and
+mathematical programming", Management Science 11, 1965; R. W. Cottle,
 J.-S. Pang and R. E. Stone, "The Linear Complementarity Problem", 1992):
 when -G has a positive semidefinite symmetric part (a monotone LCP, as on
 every game measured so far) the pivot ends either at a solution or on a
-secondary ray, which proves that no lam >= 0 gives g <= 0.  On a ray, and
-under method "ascent", the paper's projected dual ascent runs instead,
-with the constant step eta = STEP_FRACTION / L from the spectral norm L of
-G, and returns the averaged multiplier.
+secondary ray, which proves that no lam >= 0 gives g <= 0.  When the pivot
+ends without a solution (a ray, its pivot cap, or a singular basis), the
+paper's projected dual ascent runs instead, with the constant step
+eta = STEP_FRACTION / L from the spectral norm L of G, and returns the
+averaged multiplier.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lqnash, uncertainty
-from .errors import DomainError, PivotCapReached, StepSizeUnavailable
+from .errors import DomainError, StepSizeUnavailable
 from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 
 
@@ -141,12 +143,16 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
 
 PIVOT_TOL = 1e-11          # direction entries below this (relative) never block
 TIE_TOL = 1e-12            # ratios within this (relative) of the minimum tie
-PIVOTS_PER_ROW = 10        # default pivot cap is PIVOTS_PER_ROW * (M + 1)
+PIVOTS_PER_ROW = 10        # the pivot cap is PIVOTS_PER_ROW * (M + 1)
 
 
-def solve_lcp(G, ctilde, max_pivots=None):
+def solve_lcp(G, ctilde):
     """Lemke's complementary pivot for lam >= 0, g = G lam + ctilde <= 0,
-    lam'g = 0.  Returns (lam, pivots); lam is None on a secondary ray.
+    lam'g = 0.  Returns (lam, pivots, termination): termination is
+    "lcp_solved", or lam is None and termination names why the pivot
+    stopped: "lcp_infeasible" (a secondary ray), "lcp_pivot_cap" (no end in
+    PIVOTS_PER_ROW * (M + 1) pivots, as when degenerate ties cycle) or
+    "lcp_singular_basis" (a basis numpy could not factor).
 
     In the standard form w = q + Mz, w'z = 0 this is z = lam, w = -g,
     q = -ctilde and M = -G, augmented with the covering vector 1 and the
@@ -154,60 +160,64 @@ def solve_lcp(G, ctilde, max_pivots=None):
     for the columns of the k basic z's and z0, so the pivot is done in
     revised form: B^-1 v needs only the k x k solve on the rows whose w has
     left the basis, and memory stays O(M k).  Ratio-test ties go to z0
-    first, then to the lowest row index.  Raises PivotCapReached after
-    ``max_pivots`` pivots (default PIVOTS_PER_ROW * (M + 1)).
+    first, then to the lowest row index.
     """
     q = -np.asarray(ctilde, dtype=float)
     M = q.shape[0]
     lam = np.zeros(M)
     if M == 0 or q.min() >= 0.0:
-        return lam, 0
-    cap = PIVOTS_PER_ROW * (M + 1) if max_pivots is None else int(max_pivots)
+        return lam, 0, "lcp_solved"
+    cap = PIVOTS_PER_ROW * (M + 1)
     z0_column = -np.ones(M)
     # pivot 1: z0 enters at -min q and the w of the most violated row leaves
     leaving = int(np.argmin(q))
     basic = [M]             # basic z's by row index; M stands for z0
     left = [leaving]        # rows whose w is not basic
     enter_z = True          # the complement of the leaving variable enters
-    for pivot in range(2, cap + 1):
-        A = np.column_stack([G[:, j] if j < M else z0_column for j in basic])
-        if enter_z:
-            a = G[:, leaving]
-        else:
-            a = np.zeros(M)
-            a[leaving] = 1.0
-        xd = np.linalg.solve(A[left], np.column_stack([q[left], a[left]]))
-        x_w, d_w = (np.column_stack([q, a]) - A @ xd).T
-        x_z, d_z = xd.T
-        w_basic = np.ones(M, dtype=bool)
-        w_basic[left] = False
-        tol = PIVOT_TOL * max(1.0, np.max(np.abs(d_z)), np.max(np.abs(d_w)))
-        zs = np.flatnonzero(d_z > tol)
-        ws = np.flatnonzero(w_basic & (d_w > tol))
-        if zs.size + ws.size == 0:
-            return None, pivot
-        ratio = np.concatenate([np.maximum(x_z[zs], 0.0) / d_z[zs],
-                                np.maximum(x_w[ws], 0.0) / d_w[ws]])
-        rows = np.concatenate([np.asarray(basic)[zs], ws])
-        tied = ratio <= ratio.min() + TIE_TOL * (1.0 + ratio.min())
-        # z0 has row index M: flip it to -1 so that it wins every tie
-        pick = np.flatnonzero(tied)[np.argmin(np.where(rows[tied] == M, -1, rows[tied]))]
-        if enter_z:
-            basic.append(leaving)
-        else:
-            left.remove(leaving)
-        leaving = int(rows[pick])
-        enter_z = pick >= zs.size
-        if enter_z:                     # a w left: its z enters next
-            left.append(leaving)
-            continue
-        basic.remove(leaving)
-        if leaving == M:                # z0 left: the basis is complementary
-            if basic:
-                A = np.column_stack([G[:, j] for j in basic])
-                lam[basic] = np.maximum(np.linalg.solve(A[left], q[left]), 0.0)
-            return lam, pivot
-    raise PivotCapReached(cap)
+    pivot = 1
+    try:
+        for pivot in range(2, cap + 1):
+            A = np.column_stack([G[:, j] if j < M else z0_column for j in basic])
+            if enter_z:
+                a = G[:, leaving]
+            else:
+                a = np.zeros(M)
+                a[leaving] = 1.0
+            xd = np.linalg.solve(A[left], np.column_stack([q[left], a[left]]))
+            x_w, d_w = (np.column_stack([q, a]) - A @ xd).T
+            x_z, d_z = xd.T
+            w_basic = np.ones(M, dtype=bool)
+            w_basic[left] = False
+            tol = PIVOT_TOL * max(1.0, np.max(np.abs(d_z)), np.max(np.abs(d_w)))
+            zs = np.flatnonzero(d_z > tol)
+            ws = np.flatnonzero(w_basic & (d_w > tol))
+            if zs.size + ws.size == 0:
+                return None, pivot, "lcp_infeasible"
+            ratio = np.concatenate([np.maximum(x_z[zs], 0.0) / d_z[zs],
+                                    np.maximum(x_w[ws], 0.0) / d_w[ws]])
+            rows = np.concatenate([np.asarray(basic)[zs], ws])
+            tied = ratio <= ratio.min() + TIE_TOL * (1.0 + ratio.min())
+            # z0 has row index M: flip it to -1 so that it wins every tie
+            pick = np.flatnonzero(tied)[np.argmin(np.where(rows[tied] == M, -1,
+                                                           rows[tied]))]
+            if enter_z:
+                basic.append(leaving)
+            else:
+                left.remove(leaving)
+            leaving = int(rows[pick])
+            enter_z = pick >= zs.size
+            if enter_z:                     # a w left: its z enters next
+                left.append(leaving)
+                continue
+            basic.remove(leaving)
+            if leaving == M:                # z0 left: the basis is complementary
+                if basic:
+                    A = np.column_stack([G[:, j] for j in basic])
+                    lam[basic] = np.maximum(np.linalg.solve(A[left], q[left]), 0.0)
+                return lam, pivot, "lcp_solved"
+    except np.linalg.LinAlgError:
+        return None, pivot, "lcp_singular_basis"
+    return None, pivot, "lcp_pivot_cap"
 
 
 def dual_step(lam, eta, g):
@@ -248,22 +258,15 @@ CONSECUTIVE = 10           # iterations within tolerance before stopping
 STORE_ITERATES_CAP = 4096  # runs up to this many iterations keep the iterates
 
 
-METHODS = ("lcp", "ascent")
-
-
 @dataclass
 class DualAscentOptions:
-    method: str = "lcp"             # "lcp": Lemke's pivot; "ascent": the paper's
-    k_max: int = 2000               # ascent budget (also the fallback's on a ray)
+    k_max: int = 2000               # budget of the ascent the pivot falls back to
     eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
     tol_feas: float = 1e-6
     tol_slack: float = 1e-6
     average_checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"method: expected one of {', '.join(METHODS)}, "
-                              f"got {self.method!r}")
         if not self.k_max >= 1:
             raise DomainError(f"k_max: need at least 1 iteration, got {self.k_max}")
         if self.eta != "auto" and not (isinstance(self.eta, numbers.Real)
@@ -290,7 +293,6 @@ class DualSolveReport:
     lambda_bar_at: dict = field(default_factory=dict)
     map: AffineGradientMap | None = None
     tol_feas: float = DualAscentOptions.tol_feas   # the tolerance the run used
-    method: str = DualAscentOptions.method
     pivots: int = 0
     natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
 
@@ -300,7 +302,6 @@ class DualSolveReport:
             "feasibility_residual": self.feasibility_residual,
             "complementarity": self.complementarity,
             "natural_residual": self.natural_residual,
-            "method": self.method,
             "pivots": self.pivots,
             "eta": self.eta,
             "lipschitz": self.lipschitz,
@@ -332,13 +333,13 @@ def _resolve_eta(options, gmap, M):
     return 1.0
 
 
-def _ascent(gmap, eta, options, trace_writer):
-    """Averaged projected ascent on the map; returns (lam_bar, iterations,
-    termination, iterates, lambda_bar_at)."""
+def _ascent(gmap, eta, options, trace_writer=None):
+    """Averaged projected ascent on a map with M >= 1 rows; returns (lam_bar,
+    iterations, termination, iterates, lambda_bar_at)."""
     M = gmap.ctilde.shape[0]
     k_max = int(options.k_max)
     checkpoints = set(int(k) for k in options.average_checkpoints)
-    store_iterates = M > 0 and k_max <= STORE_ITERATES_CAP
+    store_iterates = k_max <= STORE_ITERATES_CAP
 
     lam = np.zeros(M)
     lam_sum = np.zeros(M)
@@ -350,10 +351,6 @@ def _ascent(gmap, eta, options, trace_writer):
     termination = "max_iterations"
 
     for l in range(1, k_max + 1):
-        if M == 0:
-            k_done = l
-            termination = "tolerance_reached"
-            break
         g = gmap.gradient(lam)
         if iterates is not None:
             iterates.append(lam.copy())
@@ -389,13 +386,12 @@ def _ascent(gmap, eta, options, trace_writer):
 
 def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
                     trace_writer=None) -> DualSolveReport:
-    """Solve for the shared multiplier by ``options.method``, then solve the
-    equilibrium at it.
+    """Solve for the shared multiplier, then solve the equilibrium at it.
 
-    "lcp" pivots to the exact LCP solution (termination "lcp_solved").  On a
-    secondary ray it runs the ascent with the options' k_max and eta and
-    records termination "lcp_infeasible"; under "ascent" it runs only the
-    ascent.  The ascent returns the averaged multiplier.
+    Lemke's pivot gives the exact LCP solution (termination "lcp_solved").
+    When it stops without one, the averaged ascent runs with the options'
+    k_max and eta, and the termination is the pivot's reason (see
+    ``solve_lcp``).
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
@@ -403,16 +399,13 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     N = prepared.problem.N
 
     gmap = estimate_affine_map(prepared)
-    eta = _resolve_eta(options, gmap, M)   # the ascent's step, reported by both methods
+    eta = _resolve_eta(options, gmap, M)   # the fallback's step, always reported
 
-    lam_bar, pivots = (solve_lcp(gmap.Ltilde.T, gmap.ctilde)
-                       if options.method == "lcp" else (None, 0))
-    termination, iterations, iterates, lambda_bar_at = "lcp_solved", 0, None, {}
+    lam_bar, pivots, termination = solve_lcp(gmap.Ltilde.T, gmap.ctilde)
+    iterations, iterates, lambda_bar_at = 0, None, {}
     if lam_bar is None:
-        lam_bar, iterations, termination, iterates, lambda_bar_at = _ascent(
+        lam_bar, iterations, _, iterates, lambda_bar_at = _ascent(
             gmap, eta, options, trace_writer)
-        if options.method == "lcp":
-            termination = "lcp_infeasible"
 
     policy, traj, g_final = _solve_at(prepared, lam_bar)
     duals = np.array([lqnash.evaluate_lagrangian(prepared.problem, policy, i,
@@ -433,7 +426,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         iterations=iterations, termination=termination, dual_values=duals,
         solve_seconds=time.perf_counter() - t_start,
         iterates=iterates, lambda_bar_at=lambda_bar_at, map=gmap,
-        tol_feas=options.tol_feas, method=options.method, pivots=pivots,
+        tol_feas=options.tol_feas, pivots=pivots,
         natural_residual=natural,
     )
 

@@ -78,15 +78,6 @@ class StepSizeUnavailable(CCGameError):
     constraint row is violated and cannot be influenced by the duals."""
 
 
-class PivotCapReached(CCGameError):
-    def __init__(self, pivots):
-        self.pivots = pivots
-        super().__init__(
-            f"complementary pivot found neither a solution nor a ray in "
-            f"{pivots} pivots (degenerate cycling)"
-        )
-
-
 class FactorizationFailure(CCGameError):
     def __init__(self, t, eigenvalue):
         self.t = t

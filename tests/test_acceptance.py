@@ -12,8 +12,9 @@ import pytest
 
 from ccgame import scenarios, simulate
 from ccgame.cli import main as cli_main
-from ccgame.dualascent import (DualAscentOptions, prepare_game,
-                               run_dual_ascent, _solve_at)
+from ccgame.dualascent import (DualAscentOptions, estimate_affine_map,
+                               prepare_game, run_dual_ascent, _ascent,
+                               _resolve_eta, _solve_at)
 from ccgame.lqnash import (backward_recursion, best_response, evaluate_cost,
                            evaluate_lagrangian, integrate_expected)
 from ccgame.model import validate_scenario
@@ -101,14 +102,17 @@ def test_criterion_02_gradient_affinity(acceptance_preps):
 def test_criterion_03_convergence_rate(mini_prep):
     t0 = time.perf_counter()
     ks = (10, 100, 1000, 10000)
-    rep = run_dual_ascent(mini_prep, DualAscentOptions(
-        method="ascent", k_max=100_000, tol_feas=0.0, average_checkpoints=ks))
-    assert rep.eta == pytest.approx(0.5 / rep.lipschitz)
+    # the paper's ascent itself, not the pivot that replaces it by default
+    options = DualAscentOptions(k_max=100_000, tol_feas=0.0, average_checkpoints=ks)
+    gmap = estimate_affine_map(mini_prep)
+    eta = _resolve_eta(options, gmap, mini_prep.M)
+    assert eta == pytest.approx(0.5 / gmap.L)
+    lam_bar, _, _, _, lambda_bar_at = _ascent(gmap, eta, options)
     # gap of the concave potential with gradient g (the function the
     # constant-step analysis controls); its map is validated by criteria 1-2
-    F = lambda lam: rep.map.dual_value(0, lam)
-    f_star = F(rep.lambda_bar)
-    gaps = np.array([f_star - F(rep.lambda_bar_at[k]) for k in ks])
+    F = lambda lam: gmap.dual_value(0, lam)
+    f_star = F(lam_bar)
+    gaps = np.array([f_star - F(lambda_bar_at[k]) for k in ks])
     assert np.all(gaps > 0)
     slope = np.polyfit(np.log10(ks), np.log10(gaps), 1)[0]
     elapsed = time.perf_counter() - t0

@@ -7,13 +7,21 @@ import pytest
 from ccgame import scenarios
 from ccgame.cli import main
 from ccgame.model import Scenario, save_scenario
-from conftest import scalar_single_agent_instance
+from conftest import random_small_scenario, scalar_single_agent_instance
 
 
 @pytest.fixture()
 def tiny_active(tmp_path):
     path = tmp_path / "active.json"
     save_scenario(scalar_single_agent_instance(T=3, bound=0.4), path)
+    return str(path)
+
+
+@pytest.fixture()
+def infeasible(tmp_path):
+    # no lam >= 0 gives g <= 0: the pivot ends on a ray and the ascent runs
+    path = tmp_path / "infeasible.json"
+    save_scenario(random_small_scenario(np.random.default_rng(2)), path)
     return str(path)
 
 
@@ -47,18 +55,20 @@ class TestSolve:
             header = fh.readline().strip()
         assert header == "iter,max_violation,complementarity,dual_value_p1,eta"
 
-    def test_active_scenario_under_iterated_exits_two(self, tiny_active, tmp_path):
-        rc = main(["solve", "--scenario", tiny_active, "--method", "ascent",
-                   "--iters", "200", "--out", str(tmp_path / "run")])
+    def test_active_scenario_under_iterated_exits_two(self, infeasible, tmp_path):
+        rc = main(["solve", "--scenario", infeasible, "--iters", "200",
+                   "--out", str(tmp_path / "run")])
         assert rc == 2
         assert (tmp_path / "run" / "policy.json").exists()
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["termination"] == "lcp_infeasible"
+        assert report["iterations"] == 200
 
     def test_active_scenario_solves_exactly_by_default(self, tiny_active, tmp_path):
         out = tmp_path / "run"
         rc = main(["solve", "--scenario", tiny_active, "--out", str(out), "--trace"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["method"] == "lcp"
         assert report["termination"] == "lcp_solved"
         assert report["lambda_bar"][0] > 0.0
         for key in ("feasibility_residual", "complementarity", "natural_residual"):
@@ -67,8 +77,6 @@ class TestSolve:
         with open(out / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["iter"]) for r in rows] == [report["pivots"]]
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["options"]["method"] == "lcp"
 
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -79,8 +87,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("option", [["--iters", "0"], ["--iters", "-5"],
                                         ["--eta", "-1"], ["--eta", "nan"],
-                                        ["--eta", "0"], ["--eta", "foo"],
-                                        ["--method", "newton"]])
+                                        ["--eta", "0"], ["--eta", "foo"]])
     def test_bad_ascent_options_exit_one(self, tiny_active, tmp_path, capsys,
                                          option):
         rc = main(["solve", "--scenario", tiny_active,
@@ -251,17 +258,6 @@ class TestMpc:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError")
-
-    def test_method_is_validated_and_recorded(self, tiny_active, tmp_path, capsys):
-        rc = main(["mpc", "--scenario", tiny_active, "--method", "Lcp",
-                   "--out", str(tmp_path / "bad")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: DomainError")
-        rc = main(["mpc", "--scenario", tiny_active, "--samples", "2",
-                   "--method", "ascent", "--iters", "100", "--out", str(tmp_path / "m")])
-        assert rc == 0
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["options"]["method"] == "ascent"
 
     def test_seed_failures_exit_two(self, tiny_active, tmp_path, monkeypatch):
         import ccgame.cli as cli_mod

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccgame import dualascent
 from ccgame.dualascent import (DualAscentOptions, dual_function, dual_step,
                                estimate_affine_map, prepare_game,
-                               run_dual_ascent, solve_lcp, _solve_at)
-from ccgame.errors import DomainError, PivotCapReached, StepSizeUnavailable
+                               run_dual_ascent, solve_lcp, _ascent, _solve_at)
+from ccgame.errors import DomainError, StepSizeUnavailable
 from ccgame.lqnash import backward_recursion, evaluate_cost
 from ccgame.model import Scenario, validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
@@ -111,22 +112,29 @@ class TestRunDualAscent:
         # wide bound: the unconstrained equilibrium already satisfies it
         s = scalar_single_agent_instance(bound=10.0)
         prep = prepare_game(validate_scenario(s))
-        rep = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=500))
-        assert rep.termination == "tolerance_reached"
-        assert rep.iterations < 500
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=500))
+        assert rep.termination == "lcp_solved"
+        assert rep.pivots == rep.iterations == 0
         assert np.array_equal(rep.lambda_bar, np.zeros(1))
         policy0 = backward_recursion(prep.problem)
         assert np.allclose(rep.policy.K, policy0.K, atol=1e-14)
         assert np.allclose(rep.policy.alpha, policy0.alpha, atol=1e-14)
+        # the fallback ascent stops at zero too
+        lam_bar, iterations, termination, _, _ = _ascent(
+            rep.map, rep.eta, DualAscentOptions(k_max=500))
+        assert termination == "tolerance_reached"
+        assert iterations < 500
+        assert np.array_equal(lam_bar, np.zeros(1))
 
     def test_lambda_bar_is_average_and_iterates_nonnegative(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
-        rep = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=300,
-                                                      tol_feas=0.0))
-        assert rep.iterates is not None
-        assert np.all(rep.iterates >= 0.0)
-        avg = rep.iterates.mean(axis=0)
-        assert np.max(np.abs(avg - rep.lambda_bar)) < 1e-12
+        gmap = estimate_affine_map(prep)
+        lam_bar, _, _, iterates, _ = _ascent(
+            gmap, 0.5 / gmap.L, DualAscentOptions(k_max=300, tol_feas=0.0))
+        assert iterates.shape == (300, 1)
+        assert np.all(iterates >= 0.0)
+        avg = iterates.mean(axis=0)
+        assert np.max(np.abs(avg - lam_bar)) < 1e-12
 
     def test_scalar_instance_converges_to_kkt(self):
         s = scalar_single_agent_instance()
@@ -139,12 +147,13 @@ class TestRunDualAscent:
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
-        rep = run_dual_ascent(mini_prep, DualAscentOptions(method="ascent", k_max=40,
-                                                           tol_feas=0.0))
-        assert rep.iterates.shape == (40, mini_prep.M)
-        for lam in rep.iterates:
+        gmap = estimate_affine_map(mini_prep)
+        _, _, _, iterates, _ = _ascent(gmap, 0.5 / gmap.L,
+                                       DualAscentOptions(k_max=40, tol_feas=0.0))
+        assert iterates.shape == (40, mini_prep.M)
+        for lam in iterates:
             _, _, g = _solve_at(mini_prep, lam)
-            assert np.max(np.abs(rep.map.gradient(lam) - g)) < 1e-10
+            assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
 
     def test_mini_residual_magnitude(self, mini_report):
         # the pivot is exact: measured 0.0 on all three residuals
@@ -154,14 +163,17 @@ class TestRunDualAscent:
         assert mini_report.natural_residual <= 1e-10
         assert mini_report.eta == pytest.approx(0.5 / mini_report.lipschitz)
 
-    def test_report_flags_residual_against_the_run_tolerance(self, mini_prep):
-        # 1000 iterations leave a residual between the default 1e-6 and 1e-2
-        report = run_dual_ascent(mini_prep, DualAscentOptions(
-            method="ascent", k_max=1000, tol_feas=1e-2))
+    def test_report_flags_residual_against_the_run_tolerance(self, mini_prep,
+                                                             monkeypatch):
+        # a zero pivot cap forces the fallback: 1000 ascent iterations leave a
+        # residual between the default 1e-6 and 1e-2
+        monkeypatch.setattr(dualascent, "PIVOTS_PER_ROW", 0)
+        report = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000,
+                                                              tol_feas=1e-2))
+        assert report.termination == "lcp_pivot_cap"
         assert 1e-6 < report.feasibility_residual <= 1e-2
         assert report.to_dict()["residual_above_tolerance"] is False
-        strict = run_dual_ascent(mini_prep, DualAscentOptions(method="ascent",
-                                                              k_max=1000))
+        strict = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000))
         assert strict.to_dict()["residual_above_tolerance"] is True
 
     def test_step_size_unavailable_on_uncontrollable_violation(self):
@@ -214,16 +226,16 @@ class TestLcp:
     def test_ray_falls_back_to_the_ascent(self, seed):
         prep = prepare_game(validate_scenario(
             random_small_scenario(np.random.default_rng(seed))))
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=3000, eta=0.05))
-        ref = run_dual_ascent(prep, DualAscentOptions(method="ascent", k_max=3000,
-                                                      eta=0.05))
+        options = DualAscentOptions(k_max=3000, eta=0.05)
+        rep = run_dual_ascent(prep, options)
+        lam_bar, iterations, termination, _, _ = _ascent(rep.map, 0.05, options)
         assert rep.termination == "lcp_infeasible"
         assert rep.pivots > 0
-        assert ref.termination == "max_iterations"
-        assert rep.iterations == ref.iterations == 3000
-        assert np.array_equal(rep.lambda_bar, ref.lambda_bar)
-        assert np.array_equal(rep.policy.alpha, ref.policy.alpha)
-        assert rep.feasibility_residual == ref.feasibility_residual > 1e-2
+        assert termination == "max_iterations"
+        assert rep.iterations == iterations == 3000
+        assert np.array_equal(rep.lambda_bar, lam_bar)
+        assert np.array_equal(rep.policy.alpha, _solve_at(prep, lam_bar)[0].alpha)
+        assert rep.feasibility_residual > 1e-2
 
     def test_duplicated_rows_tie_to_the_lower_index(self):
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))
@@ -240,23 +252,38 @@ class TestLcp:
         assert np.all(rep2.lambda_bar[M:] == 0.0)
         assert np.max(np.abs(rep2.lambda_bar[:M] - rep.lambda_bar)) <= 1e-12
         assert np.max(np.abs(rep2.mean_traj - rep.mean_traj)) <= 1e-12
-        G, c = rep2.map.Ltilde.T, rep2.map.ctilde
-        with pytest.raises(PivotCapReached):
-            solve_lcp(G, c, max_pivots=rep2.pivots - 1)
-        lam, pivots = solve_lcp(G, c, max_pivots=rep2.pivots)
-        assert pivots == rep2.pivots
-        assert np.array_equal(lam, rep2.lambda_bar)
+
+    def test_pivot_cap_falls_back_to_the_ascent(self, monkeypatch):
+        prep = prepare_game(validate_scenario(coupled_constrained_instance()))
+        assert run_dual_ascent(prep).pivots == 11
+        monkeypatch.setattr(dualascent, "PIVOTS_PER_ROW", 0)
+        options = DualAscentOptions(k_max=500)
+        rep = run_dual_ascent(prep, options)
+        lam_bar, iterations, _, _, _ = _ascent(rep.map, rep.eta, options)
+        assert rep.termination == "lcp_pivot_cap"
+        assert rep.iterations == iterations
+        assert np.array_equal(rep.lambda_bar, lam_bar)
+
+    def test_singular_basis_is_returned_not_raised(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        lam, pivots, termination = solve_lcp(-np.eye(2), np.array([1.0, 0.5]))
+        assert lam is None
+        assert pivots == 2
+        assert termination == "lcp_singular_basis"
 
     def test_artificial_variable_wins_a_ratio_tie(self):
         # after z0 enters, z0 and w_1 block at the same ratio 1; z0 leaving
         # ends at the solution in 2 pivots, w_1 leaving would take a third
-        lam, pivots = solve_lcp(-np.eye(2), np.array([1.0, 0.0]))
-        assert pivots == 2
+        lam, pivots, termination = solve_lcp(-np.eye(2), np.array([1.0, 0.0]))
+        assert (pivots, termination) == (2, "lcp_solved")
         assert np.array_equal(lam, [1.0, 0.0])
 
     def test_feasible_start_needs_no_pivot(self):
-        lam, pivots = solve_lcp(-np.eye(3), np.array([-1.0, 0.0, -2.0]))
-        assert pivots == 0
+        lam, pivots, termination = solve_lcp(-np.eye(3), np.array([-1.0, 0.0, -2.0]))
+        assert (pivots, termination) == (0, "lcp_solved")
         assert np.array_equal(lam, np.zeros(3))
 
 
@@ -329,13 +356,11 @@ def test_unconstrained_run_returns_plain_equilibrium():
     prep = prepare_game(validate_scenario(s))
     assert prep.M == 0
     policy0 = backward_recursion(prep.problem)
-    for method, termination in (("ascent", "tolerance_reached"),
-                                ("lcp", "lcp_solved")):
-        rep = run_dual_ascent(prep, DualAscentOptions(method=method, k_max=100))
-        assert rep.lambda_bar.shape == (0,)
-        assert rep.feasibility_residual == 0.0
-        assert rep.termination == termination
-        assert np.array_equal(rep.policy.K, policy0.K)
+    rep = run_dual_ascent(prep, DualAscentOptions(k_max=100))
+    assert rep.lambda_bar.shape == (0,)
+    assert rep.feasibility_residual == 0.0
+    assert rep.termination == "lcp_solved"
+    assert np.array_equal(rep.policy.K, policy0.K)
 
 
 def test_random_scenarios_solve_cleanly(random_scenarios):

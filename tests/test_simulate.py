@@ -240,6 +240,16 @@ class TestCentralMpc:
         assert all(step >= 3 for _, step, _ in failures)
         assert batch.states.shape[0] == 1  # stale plan drove to the end
 
+    def test_pivot_without_a_solution_is_not_a_replan_failure(self, monkeypatch,
+                                                              mini_problem):
+        # a zero pivot cap sends every replan to the fallback ascent
+        import ccgame.dualascent as da
+        monkeypatch.setattr(da, "PIVOTS_PER_ROW", 0)
+        batch, failures, _ = central_mpc(mini_problem, seed=5, samples=1,
+                                         options=DualAscentOptions(k_max=100))
+        assert not failures
+        assert np.isfinite(batch.costs).all()
+
     def test_programming_errors_propagate(self, monkeypatch, mini_problem):
         import ccgame.simulate as sim
         real = sim.run_dual_ascent
