@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, lqnash, simulate
 from .dualascent import DualAscentOptions, solve_scenario
 from .errors import (CCGameError, DomainError, FingerprintMismatch,
-                     ScenarioValidationError)
+                     ScenarioValidationError, SchemaError)
 from .model import (assemble_problem, file_fingerprint, load_scenario,
                     validate_scenario)
 
@@ -140,9 +140,12 @@ def cmd_solve(args):
 def _load_policy(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    policy, fingerprint = lqnash.policy_from_dict(doc)
-    nominal = doc.get("nominal_inputs")
-    nominal = None if nominal is None else np.asarray(nominal, dtype=float)
+    try:
+        policy, fingerprint = lqnash.policy_from_dict(doc)
+        nominal = doc.get("nominal_inputs")
+        nominal = None if nominal is None else np.asarray(nominal, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed policy ({type(exc).__name__}: {exc})") from exc
     return policy, fingerprint, nominal
 
 
@@ -155,6 +158,10 @@ def cmd_rollout(args):
         raise FingerprintMismatch(fingerprint, scenario_hash)
     vs = validate_scenario(load_scenario(args.scenario))
     problem = assemble_problem(vs, nominal_inputs=nominal)
+    T, N, n_u, n_x = problem.T, problem.N, problem.n_u, problem.n_x
+    if policy.K.shape != (T, N, n_u, n_x) or policy.alpha.shape != (T, N, n_u):
+        raise SchemaError(f"{args.policy}: K {policy.K.shape} and alpha {policy.alpha.shape} "
+                          f"do not fit T={T}, N={N}, n_u={n_u}, n_x={n_x}")
 
     t0 = time.perf_counter()
     batch = simulate.rollout(problem, policy, args.seed, args.samples)

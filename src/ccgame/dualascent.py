@@ -6,8 +6,9 @@ trajectory, and it is affine in lam: probing the solver at lam = 0 and at
 each unit vector recovers the exact map g(lam) = G lam + ctilde (stored as
 Ltilde = G').  Because the map is exact (stage gains do not depend on lam),
 the solve works on it directly instead of re-solving the game at every
-step, and the final report is always computed from a real equilibrium
-solve at the returned multiplier.
+step.  One Riccati sweep gives the map and, in its constant column, the
+lam = 0 policy the dual values start from; a second, the final
+equilibrium solve at the returned multiplier, gives the report.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class AffineGradientMap:
     ctilde: np.ndarray
     L: float
     dual0: np.ndarray
-    asymmetry: float = 0.0
+    asymmetry: float
 
     def gradient(self, lam):
         return self.Ltilde.T @ lam + self.ctilde
@@ -113,7 +114,10 @@ SYMMETRY_TOL = 1e-12       # ||G - G'||_F / ||G||_F below which eigvalsh(G) give
 
 
 def _spectral_norm(G):
-    """(||G||_2, ||G - G'||_F / ||G||_F) from symmetric eigenvalues, no SVD."""
+    """(||G||_2, ||G - G'||_F / ||G||_F) from symmetric eigenvalues, no SVD;
+    (0.0, 0.0) for an empty G."""
+    if G.size == 0:
+        return 0.0, 0.0
     norm = float(np.linalg.norm(G))
     skew = float(np.linalg.norm(G - G.T))
     if skew <= SYMMETRY_TOL * norm:
@@ -126,16 +130,12 @@ def _spectral_norm(G):
 def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     """Recover (Ltilde, ctilde): c is g at lam = 0, column m of Ltilde' is
     g at the m-th unit multiplier minus c.  Exact by affinity; computed with
-    one batched coefficient sweep instead of M+1 separate solves."""
-    M = prepared.M
-    N = prepared.problem.N
-    policy0 = _solve_at(prepared, np.zeros(M))[0]
-    dual0 = np.array([lqnash.evaluate_cost(prepared.problem, policy0, i)
-                      for i in range(N)])
-    if M == 0:
-        return AffineGradientMap(Ltilde=np.zeros((0, 0)), ctilde=np.zeros(0),
-                                 L=0.0, dual0=dual0)
-    G, ctilde = lqnash.affine_response(prepared.problem, prepared.conset)
+    one batched coefficient sweep instead of M+1 separate solves, which also
+    gives the lam = 0 policy that dual0 is evaluated at."""
+    problem = prepared.problem
+    G, ctilde, policy0 = lqnash.affine_response(problem, prepared.conset)
+    dual0 = np.array([lqnash.evaluate_cost(problem, policy0, i)
+                      for i in range(problem.N)])
     L, asymmetry = _spectral_norm(G)
     return AffineGradientMap(Ltilde=G.T, ctilde=ctilde, L=L, dual0=dual0,
                              asymmetry=asymmetry)
@@ -255,7 +255,6 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
 
 STEP_FRACTION = 0.5        # eta = STEP_FRACTION / L when eta is "auto"
 CONSECUTIVE = 10           # iterations within tolerance before stopping
-STORE_ITERATES_CAP = 4096  # runs up to this many iterations keep the iterates
 
 
 @dataclass
@@ -264,7 +263,6 @@ class DualAscentOptions:
     eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
     tol_feas: float = 1e-6
     tol_slack: float = 1e-6
-    average_checkpoints: tuple = ()
 
     def __post_init__(self):
         if not self.k_max >= 1:
@@ -289,9 +287,7 @@ class DualSolveReport:
     termination: str
     dual_values: np.ndarray
     solve_seconds: float
-    iterates: np.ndarray | None = None
-    lambda_bar_at: dict = field(default_factory=dict)
-    map: AffineGradientMap | None = None
+    map: AffineGradientMap
     tol_feas: float = DualAscentOptions.tol_feas   # the tolerance the run used
     pivots: int = 0
     natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
@@ -305,7 +301,7 @@ class DualSolveReport:
             "pivots": self.pivots,
             "eta": self.eta,
             "lipschitz": self.lipschitz,
-            "asymmetry": self.map.asymmetry if self.map is not None else 0.0,
+            "asymmetry": self.map.asymmetry,
             "iterations": self.iterations,
             "termination": self.termination,
             "dual_values": self.dual_values.tolist(),
@@ -319,14 +315,12 @@ class DualSolveReport:
         }
 
 
-def _resolve_eta(options, gmap, M):
+def _resolve_eta(options, gmap):
     if options.eta != "auto":
         return float(options.eta)
-    if M == 0:
-        return 1.0
     if gmap.L > 1e-14:
         return STEP_FRACTION / gmap.L
-    if np.max(gmap.ctilde) > 0:
+    if np.max(gmap.ctilde, initial=0.0) > 0:
         raise StepSizeUnavailable(
             "Lipschitz constant is zero but a constraint row is violated; "
             "the duals cannot influence the trajectory")
@@ -335,30 +329,17 @@ def _resolve_eta(options, gmap, M):
 
 def _ascent(gmap, eta, options, trace_writer=None):
     """Averaged projected ascent on a map with M >= 1 rows; returns (lam_bar,
-    iterations, termination, iterates, lambda_bar_at)."""
-    M = gmap.ctilde.shape[0]
-    k_max = int(options.k_max)
-    checkpoints = set(int(k) for k in options.average_checkpoints)
-    store_iterates = k_max <= STORE_ITERATES_CAP
-
-    lam = np.zeros(M)
-    lam_sum = np.zeros(M)
-    g_sum = np.zeros(M)
-    iterates = [] if store_iterates else None
-    lambda_bar_at = {}
+    iterations, termination)."""
+    lam = np.zeros_like(gmap.ctilde)
+    lam_sum = np.zeros_like(gmap.ctilde)
+    g_sum = np.zeros_like(gmap.ctilde)
     streak = 0
-    k_done = 0
     termination = "max_iterations"
 
-    for l in range(1, k_max + 1):
+    for l in range(1, int(options.k_max) + 1):
         g = gmap.gradient(lam)
-        if iterates is not None:
-            iterates.append(lam.copy())
         lam_sum += lam
         g_sum += g
-        k_done = l
-        if l in checkpoints:
-            lambda_bar_at[l] = lam_sum / l
 
         # by affinity, the running mean of the g's equals g at the running
         # averaged multiplier, which is what the final policy is solved at
@@ -380,8 +361,7 @@ def _ascent(gmap, eta, options, trace_writer=None):
                 streak = 0
         lam = dual_step(lam, eta, g)
 
-    return (lam_sum / k_done, k_done, termination,
-            np.array(iterates) if iterates else None, lambda_bar_at)
+    return lam_sum / l, l, termination
 
 
 def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
@@ -395,26 +375,22 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
-    M = prepared.M
-    N = prepared.problem.N
-
     gmap = estimate_affine_map(prepared)
-    eta = _resolve_eta(options, gmap, M)   # the fallback's step, always reported
+    eta = _resolve_eta(options, gmap)   # the fallback's step, always reported
 
     lam_bar, pivots, termination = solve_lcp(gmap.Ltilde.T, gmap.ctilde)
-    iterations, iterates, lambda_bar_at = 0, None, {}
+    iterations = 0
     if lam_bar is None:
-        lam_bar, iterations, _, iterates, lambda_bar_at = _ascent(
-            gmap, eta, options, trace_writer)
+        lam_bar, iterations, _ = _ascent(gmap, eta, options, trace_writer)
 
     policy, traj, g_final = _solve_at(prepared, lam_bar)
     duals = np.array([lqnash.evaluate_lagrangian(prepared.problem, policy, i,
                                                  lam_bar, prepared.conset)
-                      for i in range(N)])
-    residual = float(max(np.max(g_final), 0.0)) if M else 0.0
-    comp = float(abs(lam_bar @ g_final)) if M else 0.0
-    natural = (float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final))))
-               if M else 0.0)
+                      for i in range(prepared.problem.N)])
+    residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
+    comp = float(abs(lam_bar @ g_final))
+    natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),
+                           initial=0.0))
     if trace_writer is not None and termination == "lcp_solved":
         trace_writer({"iter": pivots, "max_violation": residual,
                       "complementarity": comp,
@@ -425,8 +401,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         lipschitz=gmap.L,
         iterations=iterations, termination=termination, dual_values=duals,
         solve_seconds=time.perf_counter() - t_start,
-        iterates=iterates, lambda_bar_at=lambda_bar_at, map=gmap,
-        tol_feas=options.tol_feas, pivots=pivots,
+        map=gmap, tol_feas=options.tol_feas, pivots=pivots,
         natural_residual=natural,
     )
 
@@ -439,10 +414,11 @@ def solve_scenario(scenario, options: DualAscentOptions | None = None,
     applies only to unicycle scenarios.  Returns (PreparedGame, DualSolveReport)
     from the final round.
     """
+    if not relinearize >= 0:
+        raise DomainError(f"relinearize: need 0 or more rounds, got {relinearize}")
     vs = validate_scenario(scenario)
     nominal_inputs = None
-    rounds = max(0, int(relinearize)) + 1
-    prepared = report = None
+    rounds = int(relinearize) + 1
     for rnd in range(rounds):
         prepared = prepare_game(vs, nominal_inputs=nominal_inputs)
         report = run_dual_ascent(prepared, options,

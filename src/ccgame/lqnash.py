@@ -17,7 +17,8 @@ Its linear term has m columns and zeta carries one column per column, so
 the gains are solved once and the affine terms for all columns at once:
 ``backward_recursion`` runs it with the one column ``s_t`` at a given lam,
 and ``affine_response`` with M + 1 columns (``0.5 l_t`` per multiplier and
-``-Q r``), from which the exact map lam -> g follows by one forward pass.
+``-Q r``), from which the exact map lam -> g follows by one forward pass;
+its constant column is the lam = 0 policy, so no separate solve is needed.
 ``best_response`` keeps its own single-player sweep as an independent
 reference for the coupled solve.
 """
@@ -270,8 +271,10 @@ def affine_response(problem: GameProblem, conset):
     The stage gains do not depend on lam, and zeta (hence alpha and the mean
     trajectory) is affine in it, so a sweep whose linear term has M+1 columns
     (0.5 l_t for the multipliers, -Q r for the constant) reproduces exactly
-    what M+1 unit-probe solves would measure.  Returns (G, ctilde) with
-    g(lam) = G @ lam + ctilde, G of shape (M, M).
+    what M+1 unit-probe solves would measure.  Returns (G, ctilde, policy0)
+    with g(lam) = G @ lam + ctilde, G of shape (M, M), and policy0 the
+    equilibrium at lam = 0, whose affine term is the constant column.  With
+    M = 0 the linear term is the one column -Q r.
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
@@ -286,7 +289,7 @@ def affine_response(problem: GameProblem, conset):
             C[:, :, M] = -ref_lin[:, t]
         return C
 
-    _, aC, F, _ = _riccati_sweep(problem, linear_term)
+    K, aC, F, _ = _riccati_sweep(problem, linear_term)
 
     # forward sweep of the affine mean trajectory
     X = np.zeros((n_x, M + 1))
@@ -299,7 +302,7 @@ def affine_response(problem: GameProblem, conset):
     gmap = conset.lmat.T @ xstack
     G = gmap[:, :M]
     ctilde = gmap[:, M] + conset.c
-    return G, ctilde
+    return G, ctilde, FeedbackPolicy(K=K, alpha=aC[..., M])
 
 
 # ---------------------------------------------------------------------------

@@ -497,10 +497,12 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
             nominal_inputs = s.dynamics.nominal_inputs
         if nominal_inputs is None:
             nominal_inputs = default_nominal_inputs(s)
+        nominal_inputs = np.asarray(nominal_inputs, dtype=float)
+        if nominal_inputs.shape != (N, T, 2):
+            raise DimensionMismatch("nominal_inputs", (N, T, 2), nominal_inputs.shape)
         spec = linearize.UnicycleSpec(
             initial_states=s.dynamics.initial_states,
-            nominal_inputs=np.asarray(nominal_inputs, dtype=float),
-            dt=s.dt,
+            nominal_inputs=nominal_inputs, dt=s.dt,
         )
         nominal = linearize.nominal_rollout(spec)
         dyn = linearize.linearize_unicycle(spec, nominal, W=s.dynamics.W)
@@ -699,6 +701,15 @@ def _parse_constraint(d, k, state_dims):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """Parse a scenario document; a value that does not parse raises SchemaError."""
+    try:
+        return _parse_scenario(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"scenario: malformed document "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_scenario(doc):
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
     _reject_unknown(doc, SCENARIO_KEYS | {"state_dims"}, "scenario")

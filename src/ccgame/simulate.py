@@ -80,8 +80,8 @@ def realized_costs(problem: GameProblem, states, inputs):
     return costs
 
 
-def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed, samples,
-            method="lqg_game") -> RolloutBatch:
+def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
+            samples) -> RolloutBatch:
     """S independent seeded rollouts of the feedback policy under the noise model.
 
     Sample s draws from its own Philox stream keyed by (seed, s), and samples
@@ -109,8 +109,7 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed, samples,
                 factors[t], z[:hi - lo, t])
             states[lo:hi, t + 1] = x
     costs = realized_costs(problem, states, inputs)
-    return RolloutBatch(states=states, inputs=inputs, costs=costs,
-                        seed=int(seed), method=method)
+    return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +295,15 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
 
     Replans every ``replan_every`` steps over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
-    failure is recorded with its step index.
+    failure is recorded with its step index.  The problem is aggregated
+    once; each replan slices the aggregate at its time and state.
     """
     options = options or DualAscentOptions(k_max=500)
     replan_every = _positive("replan_every", replan_every)
     dyn = problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
     factors = noise_factors(dyn.W)
+    agg = aggregate_problem(problem)
     z = noise_stream(seed, sample_index).standard_normal((T, n_x))
 
     states = np.zeros((T + 1, n_x))
@@ -316,8 +317,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     for t in range(T):
         if t % replan_every == 0 or plan is None:
             try:
-                sub = aggregate_problem(slice_problem(problem, t, states[t]))
-                prepared = _prepare_subgame(sub)
+                prepared = _prepare_subgame(slice_problem(agg, t, states[t]))
                 report = run_dual_ascent(prepared, options)
                 plan = report.policy
                 plan_offset = t

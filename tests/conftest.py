@@ -191,6 +191,21 @@ def intersection_report(intersection_prep):
                            DualAscentOptions(k_max=20000, tol_feas=0.0))
 
 
+@pytest.fixture()
+def sweep_calls(monkeypatch):
+    """A list that grows by one entry per lqnash._riccati_sweep call."""
+    from ccgame import lqnash
+    calls = []
+    real = lqnash._riccati_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lqnash, "_riccati_sweep", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def random_scenarios():
     rng = np.random.default_rng(20240625)

@@ -103,11 +103,14 @@ def test_criterion_03_convergence_rate(mini_prep):
     t0 = time.perf_counter()
     ks = (10, 100, 1000, 10000)
     # the paper's ascent itself, not the pivot that replaces it by default
-    options = DualAscentOptions(k_max=100_000, tol_feas=0.0, average_checkpoints=ks)
+    options = DualAscentOptions(k_max=100_000, tol_feas=0.0)
     gmap = estimate_affine_map(mini_prep)
-    eta = _resolve_eta(options, gmap, mini_prep.M)
+    eta = _resolve_eta(options, gmap)
     assert eta == pytest.approx(0.5 / gmap.L)
-    lam_bar, _, _, _, lambda_bar_at = _ascent(gmap, eta, options)
+    lam_bar = _ascent(gmap, eta, options)[0]
+    # the average of the first k iterates is a run with budget k
+    lambda_bar_at = {k: _ascent(gmap, eta, DualAscentOptions(k_max=k, tol_feas=0.0))[0]
+                     for k in ks}
     # gap of the concave potential with gradient g (the function the
     # constant-step analysis controls); its map is validated by criteria 1-2
     F = lambda lam: gmap.dual_value(0, lam)

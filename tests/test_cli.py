@@ -97,6 +97,29 @@ class TestSolve:
         assert err.startswith("error: DomainError")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(agents="two"),
+        lambda d: d["costs"][0].update(R="x"),
+        lambda d: next(c for c in d["constraints"]
+                       if c["type"] == "collision").update(pair=[7, 0]),
+    ], ids=["agents", "R", "pair"])
+    def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit):
+        doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError")
+        assert "Traceback" not in err
+
+    def test_negative_relinearize_exits_one(self, tiny_active, tmp_path, capsys):
+        rc = main(["solve", "--scenario", tiny_active, "--relinearize", "-3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: DomainError: relinearize")
+
     def test_relinearize_rounds_run(self, tmp_path):
         src = scenarios.bundled_path("intersection-mini")
         out = tmp_path / "relin"
@@ -191,6 +214,27 @@ class TestRollout:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: samples")
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: d.pop("K"), "SchemaError"),
+        (lambda d: d.update(alpha=d["alpha"][:-1]), "SchemaError"),
+        (lambda d: d.update(nominal_inputs=[a[:-1] for a in d["nominal_inputs"]]),
+         "DimensionMismatch"),
+    ], ids=["no-K", "short-alpha", "short-nominal"])
+    def test_malformed_policy_exits_one(self, tmp_path, capsys, edit, error):
+        src = str(scenarios.bundled_path("intersection-mini"))
+        path = tmp_path / "s" / "policy.json"
+        main(["solve", "--scenario", src, "--out", str(path.parent)])
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["rollout", "--scenario", src, "--policy", str(path),
+                   "--samples", "5", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert "Traceback" not in err
 
     def test_fingerprint_mismatch_exits_one(self, tiny_active, tiny_inactive,
                                             tmp_path, capsys):

@@ -11,7 +11,7 @@ from ccgame.dualascent import (DualAscentOptions, dual_function, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, solve_lcp, _ascent, _solve_at)
 from ccgame.errors import DomainError, StepSizeUnavailable
-from ccgame.lqnash import backward_recursion, evaluate_cost
+from ccgame.lqnash import affine_response, backward_recursion, evaluate_cost
 from ccgame.model import Scenario, validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
@@ -21,6 +21,16 @@ from oracles import averaged_ascent, dense_kkt_single_row
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
 FEASIBLE_SEEDS = (3, 4, 5, 7, 8, 9, 10, 12, 15, 16, 17)
+
+
+def _iterates(gmap, eta, k):
+    """The first k projected ascent iterates from lam = 0, by dual_step."""
+    lam = np.zeros(gmap.ctilde.shape[0])
+    out = []
+    for _ in range(k):
+        out.append(lam)
+        lam = dual_step(lam, eta, gmap.gradient(lam))
+    return np.array(out)
 
 
 class TestAffineMap:
@@ -79,6 +89,15 @@ class TestAffineMap:
             assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
 
 
+    def test_constant_column_is_the_zero_multiplier_policy(self, mini_prep):
+        unconstrained = scalar_single_agent_instance()
+        unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
+        for prep in (mini_prep, prepare_game(validate_scenario(unconstrained))):
+            _, _, policy0 = affine_response(prep.problem, prep.conset)
+            solved = _solve_at(prep, np.zeros(prep.M))[0]
+            assert np.array_equal(policy0.K, solved.K)
+            assert np.max(np.abs(policy0.alpha - solved.alpha)) <= 1e-14
+
     def test_lipschitz_is_the_spectral_norm(self, mini_prep):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
         for prep, symmetric in ((mini_prep, True), (coupled, False)):
@@ -89,6 +108,22 @@ class TestAffineMap:
             assert gmap.asymmetry == pytest.approx(asymmetry, rel=1e-12)
             assert gmap.L == pytest.approx(np.linalg.svd(G, compute_uv=False)[0],
                                            rel=1e-12)
+
+
+class TestSweepCount:
+    def test_solve_sweeps_twice(self, mini_prep, sweep_calls):
+        # the map's sweep and the final solve's
+        unconstrained = scalar_single_agent_instance()
+        unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
+        ray = random_small_scenario(np.random.default_rng(2))
+        preps = [mini_prep] + [prepare_game(validate_scenario(s))
+                               for s in (unconstrained, ray)]
+        assert preps[1].M == 0
+        for prep in preps:
+            sweep_calls.clear()
+            rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
+            assert len(sweep_calls) == 2, rep.termination
+        assert rep.termination == "lcp_infeasible"
 
 
 class TestDualStep:
@@ -120,7 +155,7 @@ class TestRunDualAscent:
         assert np.allclose(rep.policy.K, policy0.K, atol=1e-14)
         assert np.allclose(rep.policy.alpha, policy0.alpha, atol=1e-14)
         # the fallback ascent stops at zero too
-        lam_bar, iterations, termination, _, _ = _ascent(
+        lam_bar, iterations, termination = _ascent(
             rep.map, rep.eta, DualAscentOptions(k_max=500))
         assert termination == "tolerance_reached"
         assert iterations < 500
@@ -129,12 +164,13 @@ class TestRunDualAscent:
     def test_lambda_bar_is_average_and_iterates_nonnegative(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
         gmap = estimate_affine_map(prep)
-        lam_bar, _, _, iterates, _ = _ascent(
-            gmap, 0.5 / gmap.L, DualAscentOptions(k_max=300, tol_feas=0.0))
-        assert iterates.shape == (300, 1)
+        eta = 0.5 / gmap.L
+        lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=300, tol_feas=0.0))
+        iterates = _iterates(gmap, eta, 300)
         assert np.all(iterates >= 0.0)
-        avg = iterates.mean(axis=0)
-        assert np.max(np.abs(avg - lam_bar)) < 1e-12
+        G = gmap.Ltilde.T
+        assert np.max(np.abs(averaged_ascent(G, gmap.ctilde, eta, 300) - lam_bar)) < 1e-12
+        assert np.max(np.abs(iterates.mean(axis=0) - lam_bar)) < 1e-12
 
     def test_scalar_instance_converges_to_kkt(self):
         s = scalar_single_agent_instance()
@@ -148,9 +184,11 @@ class TestRunDualAscent:
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
         gmap = estimate_affine_map(mini_prep)
-        _, _, _, iterates, _ = _ascent(gmap, 0.5 / gmap.L,
-                                       DualAscentOptions(k_max=40, tol_feas=0.0))
-        assert iterates.shape == (40, mini_prep.M)
+        eta = 0.5 / gmap.L
+        iterates = _iterates(gmap, eta, 40)
+        lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=40, tol_feas=0.0))
+        assert np.max(np.abs(averaged_ascent(gmap.Ltilde.T, gmap.ctilde, eta, 40)
+                             - lam_bar)) < 1e-12
         for lam in iterates:
             _, _, g = _solve_at(mini_prep, lam)
             assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
@@ -228,7 +266,7 @@ class TestLcp:
             random_small_scenario(np.random.default_rng(seed))))
         options = DualAscentOptions(k_max=3000, eta=0.05)
         rep = run_dual_ascent(prep, options)
-        lam_bar, iterations, termination, _, _ = _ascent(rep.map, 0.05, options)
+        lam_bar, iterations, termination = _ascent(rep.map, 0.05, options)
         assert rep.termination == "lcp_infeasible"
         assert rep.pivots > 0
         assert termination == "max_iterations"
@@ -259,7 +297,7 @@ class TestLcp:
         monkeypatch.setattr(dualascent, "PIVOTS_PER_ROW", 0)
         options = DualAscentOptions(k_max=500)
         rep = run_dual_ascent(prep, options)
-        lam_bar, iterations, _, _, _ = _ascent(rep.map, rep.eta, options)
+        lam_bar, iterations, _ = _ascent(rep.map, rep.eta, options)
         assert rep.termination == "lcp_pivot_cap"
         assert rep.iterations == iterations
         assert np.array_equal(rep.lambda_bar, lam_bar)

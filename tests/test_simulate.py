@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,18 @@ def zero_noise(problem):
     dyn = problem.dyn
     return replace(problem, dyn=LtvGameDynamics(
         A=dyn.A, B=dyn.B, W=np.zeros_like(dyn.W), x0=dyn.x0))
+
+
+def _fields_equal(a, b):
+    """Recursive field equality of dataclasses; arrays bit for bit, NaN == NaN."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _fields_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_fields_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +315,23 @@ class TestCentralMpc:
         eps = prep.problem.risk_epsilon
         slack = stats.wilson_hi - stats.rate
         assert stats.rate <= eps + slack
+
+    def test_slicing_the_aggregate_equals_aggregating_the_slice(self, mini_problem):
+        agg = simulate.aggregate_problem(mini_problem)
+        rng = np.random.default_rng(1)
+        for tau in range(mini_problem.T):
+            x = rng.normal(size=mini_problem.n_x)
+            once = simulate.slice_problem(agg, tau, x)
+            per_replan = simulate.aggregate_problem(
+                simulate.slice_problem(mini_problem, tau, x))
+            assert _fields_equal(once, per_replan), tau
+
+    def test_replan_sweeps_three_times(self, mini_problem, sweep_calls):
+        # the reference policy, the map and the final solve
+        run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
+        assert not run.failures
+        assert run.replans == -(-mini_problem.T // 4)
+        assert len(sweep_calls) == 3 * run.replans
 
     def test_aggregation_preserves_cost_structure(self, mini_problem):
         agg = simulate.aggregate_problem(mini_problem)
