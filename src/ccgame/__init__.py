@@ -19,7 +19,6 @@ from .model import (  # noqa: F401
     Scenario,
     UnicycleDynamicsSpec,
     ValidatedScenario,
-    assemble_dynamics,
     assemble_problem,
     load_scenario,
     save_scenario,

@@ -3,12 +3,12 @@ paper's dual ascent as its fallback.
 
 The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory, and it is affine in lam: probing the solver at lam = 0 and at
-each unit vector recovers the exact map g(lam) = G lam + ctilde (stored as
-Ltilde = G').  Because the map is exact (stage gains do not depend on lam),
-the solve works on it directly instead of re-solving the game at every
-step.  One Riccati sweep gives the map and, in its constant column, the
-lam = 0 policy the dual values start from; a second, the final
-equilibrium solve at the returned multiplier, gives the report.
+each unit vector recovers the exact map g(lam) = G lam + ctilde.  Because
+the map is exact (stage gains do not depend on lam), the solve works on it
+directly instead of re-solving the game at every step.  One Riccati sweep
+gives the map and, in its constant column, the lam = 0 policy the dual
+values start from; a second, the final equilibrium solve at the returned
+multiplier, gives the report.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -81,17 +81,17 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
 @dataclass(frozen=True)
 class AffineGradientMap:
-    """g(lam) = Ltilde' lam + ctilde; L = ||Ltilde||_2; dual0[i] = D^i(0);
-    asymmetry = ||G - G'||_F / ||G||_F with G = Ltilde'."""
+    """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0);
+    asymmetry = ||G - G'||_F / ||G||_F."""
 
-    Ltilde: np.ndarray
+    G: np.ndarray
     ctilde: np.ndarray
     L: float
     dual0: np.ndarray
     asymmetry: float
 
     def gradient(self, lam):
-        return self.Ltilde.T @ lam + self.ctilde
+        return self.G @ lam + self.ctilde
 
     def dual_value(self, i, lam):
         """Quadratic model of D^i: dual0[i] + ctilde'lam + lam'G lam / 2.
@@ -101,7 +101,7 @@ class AffineGradientMap:
         not symmetric and this is only a model of D^i."""
         lam = np.asarray(lam)
         return float(self.dual0[i] + self.ctilde @ lam
-                     + 0.5 * lam @ (self.Ltilde.T @ lam))
+                     + 0.5 * lam @ (self.G @ lam))
 
 
 def _solve_at(prepared: PreparedGame, lam):
@@ -128,8 +128,8 @@ def _spectral_norm(G):
 
 
 def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
-    """Recover (Ltilde, ctilde): c is g at lam = 0, column m of Ltilde' is
-    g at the m-th unit multiplier minus c.  Exact by affinity; computed with
+    """Recover (G, ctilde): ctilde is g at lam = 0, column m of G is
+    g at the m-th unit multiplier minus ctilde.  Exact by affinity; computed with
     one batched coefficient sweep instead of M+1 separate solves, which also
     gives the lam = 0 policy that dual0 is evaluated at."""
     problem = prepared.problem
@@ -137,7 +137,7 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     dual0 = np.array([lqnash.evaluate_cost(problem, policy0, i)
                       for i in range(problem.N)])
     L, asymmetry = _spectral_norm(G)
-    return AffineGradientMap(Ltilde=G.T, ctilde=ctilde, L=L, dual0=dual0,
+    return AffineGradientMap(G=G, ctilde=ctilde, L=L, dual0=dual0,
                              asymmetry=asymmetry)
 
 
@@ -223,30 +223,6 @@ def solve_lcp(G, ctilde):
 def dual_step(lam, eta, g):
     """One projected ascent step: max(0, lam + eta * g) componentwise."""
     return np.maximum(0.0, np.asarray(lam) + eta * np.asarray(g))
-
-
-def dual_function(prepared: PreparedGame, lam, i, others_from=None):
-    """Player i's dual value D^i(lam; gamma^{-i}).
-
-    By default the rivals play their equilibrium policies for this same lam
-    (the value the ascent algorithm sees).  Passing ``others_from`` freezes
-    the rivals at the equilibrium for that base multiplier while player i
-    best-responds under ``lam``; the gradient identity grad D^i = g holds
-    for this frozen-rival function, whose difference quotients are the ones
-    the envelope argument bounds.  Differentiating the fully coupled default
-    would add rival-sensitivity terms through the shared constraint.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if others_from is None:
-        policy, _, _ = _solve_at(prepared, lam)
-        return lqnash.evaluate_lagrangian(prepared.problem, policy, i,
-                                          lam, prepared.conset)
-    base_policy = _solve_at(prepared, np.asarray(others_from, dtype=float))[0]
-    K_i, a_i = lqnash.best_response(prepared.problem, base_policy, i,
-                                    lam, prepared.conset)
-    combined = base_policy.replace_player(i, K_i, a_i)
-    return lqnash.evaluate_lagrangian(prepared.problem, combined, i,
-                                      lam, prepared.conset)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +354,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     gmap = estimate_affine_map(prepared)
     eta = _resolve_eta(options, gmap)   # the fallback's step, always reported
 
-    lam_bar, pivots, termination = solve_lcp(gmap.Ltilde.T, gmap.ctilde)
+    lam_bar, pivots, termination = solve_lcp(gmap.G, gmap.ctilde)
     iterations = 0
     if lam_bar is None:
         lam_bar, iterations, _ = _ascent(gmap, eta, options, trace_writer)
@@ -421,9 +397,12 @@ def solve_scenario(scenario, options: DualAscentOptions | None = None,
     rounds = int(relinearize) + 1
     for rnd in range(rounds):
         prepared = prepare_game(vs, nominal_inputs=nominal_inputs)
+        # only unicycle scenarios (with a nominal) relinearize; the trace
+        # records the round that ends the loop
+        last = rnd == rounds - 1 or not np.any(prepared.problem.nominal_states != 0.0)
         report = run_dual_ascent(prepared, options,
-                                 trace_writer=trace_writer if rnd == rounds - 1 else None)
-        if rnd == rounds - 1 or not np.any(prepared.problem.nominal_states != 0.0):
+                                 trace_writer=trace_writer if last else None)
+        if last:
             break
         dev_inputs = lqnash.mean_inputs(prepared.problem.dyn, report.policy,
                                         report.mean_traj)

@@ -19,8 +19,8 @@ the gains are solved once and the affine terms for all columns at once:
 and ``affine_response`` with M + 1 columns (``0.5 l_t`` per multiplier and
 ``-Q r``), from which the exact map lam -> g follows by one forward pass;
 its constant column is the lam = 0 policy, so no separate solve is needed.
-``best_response`` keeps its own single-player sweep as an independent
-reference for the coupled solve.
+The tests keep a single-player best-response sweep (``tests/oracles.py``)
+as an independent reference for the coupled solve.
 """
 
 from __future__ import annotations
@@ -229,40 +229,6 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, i,
         return cost
     g = conset.evaluate(integrate_expected(problem.dyn, policy))
     return cost + float(np.asarray(lam) @ g)
-
-
-def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
-                  lam=None, conset=None):
-    """Player i's optimal linear policy against the other players' policies.
-
-    Absorbs the others' feedback into drift dynamics and runs the
-    single-player affine-LQR backward sweep on the same Lagrangian.
-    Returns (K_i, alpha_i) with shapes (T, n_u, n_x), (T, n_u).
-    """
-    dyn = problem.dyn
-    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
-    s = stage_linear_terms(problem, conset, lam)[i]
-
-    P = problem.Q[i, T].copy()
-    zeta = s[T].copy()
-    K_i = np.zeros((T, n_u, n_x))
-    a_i = np.zeros((T, n_u))
-    for t in range(T - 1, -1, -1):
-        A, B = dyn.A[t], dyn.B[t]
-        others = [j for j in range(N) if j != i]
-        Atil = A - sum(B[j] @ policy.K[t, j] for j in others) if others else A
-        drift = -sum((B[j] @ policy.alpha[t, j] for j in others), np.zeros(n_x))
-        Bi, R = B[i], problem.R[i, t]
-        S = R + Bi.T @ P @ Bi
-        _check_rcond(S, t)
-        K_i[t] = np.linalg.solve(S, Bi.T @ P @ Atil)
-        a_i[t] = np.linalg.solve(S, Bi.T @ (P @ drift + zeta))
-        F = Atil - Bi @ K_i[t]
-        delta = drift - Bi @ a_i[t]
-        Pn = F.T @ P @ F + K_i[t].T @ R @ K_i[t] + problem.Q[i, t]
-        zeta = F.T @ (zeta + P @ delta) + K_i[t].T @ R @ a_i[t] + s[t]
-        P = (Pn + Pn.T) / 2.0
-    return K_i, a_i
 
 
 def affine_response(problem: GameProblem, conset):

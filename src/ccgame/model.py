@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -435,15 +435,6 @@ class GameProblem:
         return np.asarray(states) + self.nominal_states
 
 
-def assemble_dynamics(vs) -> LtvGameDynamics:
-    """Concrete LTV dynamics for a validated scenario (linearizing if needed)."""
-    vs = validate_scenario(vs)
-    s = vs.scenario
-    if isinstance(s.dynamics, LtvGameDynamics):
-        return s.dynamics
-    return assemble_problem(vs).dyn
-
-
 def default_nominal_inputs(s: Scenario) -> np.ndarray:
     """Deterministic nominal: turn-then-cruise straight line toward each goal.
 
@@ -471,7 +462,9 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
     """Build the solver-ready problem, linearizing unicycle dynamics if needed.
 
     ``nominal_inputs`` (N, T, 2) overrides the scenario/default nominal and is
-    used by the outer relinearization loop.
+    used by the outer relinearization loop.  Every constraint of the problem
+    carries its active steps as an explicit sorted tuple: a scenario's
+    ``active_times=None`` becomes steps 1..T here.
     """
     from . import linearize  # local import; linearize depends on this module
 
@@ -514,7 +507,9 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
 
     return GameProblem(
         dyn=dyn, Q=Q, R=R, ref=ref,
-        constraints=tuple(s.constraints),
+        constraints=tuple(con if con.active_times is not None
+                          else replace(con, active_times=tuple(range(1, T + 1)))
+                          for con in s.constraints),
         nominal_states=nominal_states,
         nominal_inputs=nominal_inputs_abs,
         state_dims=tuple(s.state_dims),

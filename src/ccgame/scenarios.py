@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .model import (BoxSpec, CollisionSpec, CostSpec, Scenario,
-                    UnicycleDynamicsSpec, load_scenario, save_scenario)
+                    UnicycleDynamicsSpec, save_scenario)
 
 BUNDLED = ("intersection", "intersection-mini")
 
@@ -138,10 +138,6 @@ def bundled_path(name):
     if name not in BUNDLED:
         raise KeyError(f"unknown bundled scenario {name!r}; have {BUNDLED}")
     return resources.files("ccgame").joinpath(f"data/{name}.json")
-
-
-def load_bundled(name) -> Scenario:
-    return load_scenario(str(bundled_path(name)))
 
 
 def regenerate(outdir):

@@ -128,22 +128,20 @@ def wilson_interval(violations, n, z=WILSON_Z):
 
 def _violations_mask(problem: GameProblem, abs_states):
     """(S,) bool: any original predicate violated at any active time."""
-    S, Tp1, _ = abs_states.shape
-    T = Tp1 - 1
     slices = problem.agent_slices
-    bad = np.zeros(S, dtype=bool)
+    bad = np.zeros(abs_states.shape[0], dtype=bool)
     for spec in problem.constraints:
-        times = range(1, T + 1) if spec.active_times is None else spec.active_times
+        times = list(spec.active_times)
         if isinstance(spec, BoxSpec):
             for q, side, bound in spec.rows():
-                vals = abs_states[:, list(times), q]
+                vals = abs_states[:, times, q]
                 if side == "upper":
                     bad |= np.any(vals > bound, axis=1)
                 else:
                     bad |= np.any(vals < bound, axis=1)
         elif isinstance(spec, CollisionSpec):
             i, j = spec.pair
-            d = abs_states[:, list(times), slices[i]] - abs_states[:, list(times), slices[j]]
+            d = abs_states[:, times, slices[i]] - abs_states[:, times, slices[j]]
             sq = np.einsum("sta,ab,stb->st", d, spec.C, d)
             bad |= np.any(sq < spec.radius ** 2, axis=1)
     return bad
@@ -231,10 +229,8 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
     ref = np.array(problem.ref[:, tau:])
     ref[:, 0] = 0.0
     cons = []
-    T = problem.T
     for spec in problem.constraints:
-        times = range(1, T + 1) if spec.active_times is None else spec.active_times
-        shifted = tuple(t - tau for t in times if t >= tau + 1)
+        shifted = tuple(t - tau for t in spec.active_times if t >= tau + 1)
         if not shifted:
             continue
         cons.append(replace(spec, active_times=shifted))

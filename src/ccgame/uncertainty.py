@@ -9,9 +9,10 @@ constraint on the expected trajectory:
   halfspace at a reference separation ``dbar`` (with ``||dbar||_C = R``),
   backed off by ``z * ||2 C dbar||_Sigma``,
 
-with ``z = inverse_normal_cdf(1 - eps_row)``.  A mean trajectory satisfying
-every row satisfies the original joint chance constraint under the Gaussian
-noise model.
+with ``z = inverse_normal_cdf(1 - eps_row)``.  The split is uniform, so
+every one of the M rows gets ``eps_row = epsilon / M`` and one z serves every
+row of an assembly.  A mean trajectory satisfying every row satisfies the
+original joint chance constraint under the Gaussian noise model.
 """
 
 from __future__ import annotations
@@ -107,32 +108,18 @@ def propagate_covariance(dyn) -> CovarianceSchedule:
 # Risk allocation
 
 
-@dataclass(frozen=True)
-class RiskAllocation:
-    """Uniform split of the joint budget over all active constraint rows."""
-
-    epsilon: float
-    rows_per_time: tuple
-    per_row: float
-
-    @property
-    def total_rows(self):
-        return int(sum(self.rows_per_time))
-
-
-def allocate_risk(epsilon, rows_per_time) -> RiskAllocation:
+def allocate_risk(epsilon, rows):
+    """Per-row risk epsilon / rows of the uniform split of the joint budget."""
     if not (0.0 < epsilon < 1.0):
         raise BadProbability("epsilon", epsilon)
-    counts = tuple(int(k) for k in rows_per_time)
-    total = sum(counts)
-    if total < 1:
+    if rows < 1:
         raise ValueError("risk allocation requires at least one constraint row")
-    per_row = epsilon / total
+    per_row = epsilon / rows
     if per_row < CDF_GUARD:
         raise AllocationTooSmall(per_row)
     if per_row > 0.5:
         raise BadProbability("per-row risk", per_row)
-    return RiskAllocation(epsilon=float(epsilon), rows_per_time=counts, per_row=per_row)
+    return per_row
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +135,9 @@ def reference_direction(delta, C, radius):
     return radius * delta / norm_c
 
 
-def linearize_collision(dbar, sigma_pair, radius, C, eps_row):
-    """Affine inner approximation of P(||d||^2_C >= R^2) >= 1 - eps_row.
+def linearize_collision(dbar, sigma_pair, radius, C, z):
+    """Affine inner approximation of P(||d||^2_C >= R^2) >= 1 - eps_row,
+    with z = inverse_normal_cdf(1 - eps_row).
 
     Returns (a, c) on the pair difference d = x^i - x^j: the row is
     ``-a @ E[d] + c <= 0`` with a = 2 C dbar and c collecting the constant
@@ -160,26 +148,9 @@ def linearize_collision(dbar, sigma_pair, radius, C, eps_row):
     if abs(norm_c - radius) > 1e-9 * max(1.0, radius):
         raise ValueError(f"reference direction has ||dbar||_C = {norm_c}, expected {radius}")
     a = 2.0 * (C @ dbar)
-    backoff = inverse_normal_cdf(1.0 - eps_row) * math.sqrt(
-        max(float(a @ sigma_pair @ a), 0.0))
+    backoff = z * math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
     c = 2.0 * radius ** 2 + backoff
     return a, c
-
-
-def linearize_box(coord, side, bound, sigma_qq, eps_row, n_x):
-    """One-sided coordinate bound -> (l, c) with l supported on one coordinate."""
-    z = inverse_normal_cdf(1.0 - eps_row)
-    backoff = z * math.sqrt(max(float(sigma_qq), 0.0))
-    l = np.zeros(n_x)
-    if side == "upper":
-        l[coord] = 1.0
-        c = -float(bound) + backoff
-    elif side == "lower":
-        l[coord] = -1.0
-        c = float(bound) + backoff
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    return l, c
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +179,6 @@ class AffineConstraintSet:
     c: np.ndarray
     rows: tuple
     n_x: int
-    horizon: int
-    allocation: RiskAllocation | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lmat", _freeze(self.lmat))
@@ -231,110 +200,67 @@ class AffineConstraintSet:
         return self.lmat.T @ xstack + self.c
 
 
-def empty_constraint_set(n_x, horizon):
-    return AffineConstraintSet(lmat=np.zeros((horizon * n_x, 0)), c=np.zeros(0),
-                               rows=(), n_x=n_x, horizon=horizon)
-
-
-def _active(spec, t):
-    return spec.active_times is None or t in spec.active_times
-
-
 def assemble_constraints(problem: GameProblem, cov: CovarianceSchedule,
                          reference_means) -> AffineConstraintSet:
-    """Emit all active rows, ordered by time then constraint index.
+    """Emit all active rows, ordered by time, then constraint index, then
+    (coordinate, lower before upper) within a box.
 
     ``reference_means`` (T+1, n_x) are absolute-coordinate means used for the
     collision reference directions.  Rows are built in absolute coordinates
     and their offsets folded against the problem's nominal trajectory so that
-    they apply to solver-coordinate expected states.
+    they apply to solver-coordinate expected states.  A box row l = sign e_q
+    (sign +1 for an upper bound, -1 for a lower) has the offset
+    ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``.
     """
     T, n_x = problem.T, problem.n_x
-    specs = problem.constraints
-    if not specs:
-        return empty_constraint_set(n_x, T)
-    reference_means = np.asarray(reference_means, dtype=float)
     slices = problem.agent_slices
-
-    rows_per_time = []
-    for t in range(1, T + 1):
-        count = 0
-        for spec in specs:
-            if not _active(spec, t):
-                continue
-            count += len(spec.rows()) if spec.kind == "box" else 1
-        rows_per_time.append(count)
-    if sum(rows_per_time) == 0:
-        return empty_constraint_set(n_x, T)
-    alloc = allocate_risk(problem.risk_epsilon, rows_per_time)
-
-    cols, offsets, rows = [], [], []
-    for t in range(1, T + 1):
-        for k, spec in enumerate(specs):
-            if not _active(spec, t):
-                continue
-            if spec.kind == "box":
-                for coord, side, bound in spec.rows():
-                    l, c = linearize_box(coord, side, bound, cov.Sigma[t][coord, coord],
-                                         alloc.per_row, n_x)
-                    cols.append((t, l))
-                    offsets.append(c + float(l @ problem.nominal_states[t]))
-                    rows.append(ConstraintRow(kind="box", t=t, source=k,
-                                              detail=(coord, side, bound),
-                                              eps_row=alloc.per_row))
-            else:
-                i, j = spec.pair
-                sl_i, sl_j = slices[i], slices[j]
-                delta = reference_means[t][sl_i] - reference_means[t][sl_j]
-                try:
-                    dbar = reference_direction(delta, spec.C, spec.radius)
-                except DegenerateReference:
-                    norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
-                    raise DegenerateReference(i, j, t, norm_c) from None
-                sigma_pair = cov.pair_difference_cov(t, sl_i, sl_j)
-                a, c = linearize_collision(dbar, sigma_pair, spec.radius, spec.C,
-                                           alloc.per_row)
-                l = np.zeros(n_x)
-                l[sl_i] = -a
-                l[sl_j] = a
-                cols.append((t, l))
-                offsets.append(c + float(l @ problem.nominal_states[t]))
-                rows.append(ConstraintRow(kind="collision", t=t, source=k,
-                                          detail=(i, j), eps_row=alloc.per_row,
-                                          dbar=_freeze(dbar)))
-
-    M = len(cols)
+    # each spec once: its steps, and a box's (coord, side, bound) rows
+    expanded = [(k, spec, frozenset(spec.active_times),
+                 spec.rows() if spec.kind == "box" else None)
+                for k, spec in enumerate(problem.constraints)]
+    M = sum(len(times) * (1 if box is None else len(box))
+            for _, _, times, box in expanded)
     lmat = np.zeros((T * n_x, M))
-    for m, (t, l) in enumerate(cols):
-        lmat[(t - 1) * n_x: t * n_x, m] = l
-    return AffineConstraintSet(lmat=lmat, c=np.asarray(offsets), rows=tuple(rows),
-                               n_x=n_x, horizon=T, allocation=alloc)
+    c = np.zeros(M)
+    if M == 0:
+        return AffineConstraintSet(lmat=lmat, c=c, rows=(), n_x=n_x)
+    eps_row = allocate_risk(problem.risk_epsilon, M)
+    z = inverse_normal_cdf(1.0 - eps_row)
+    reference_means = np.asarray(reference_means, dtype=float)
+    rows = []
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo conservativeness probe
-
-
-def conservativeness_probe(direction, sigma_pair, radius, C, eps_row,
-                           samples=1_000_000, seed=0):
-    """Empirical check that a boundary mean keeps P(||d||^2_C >= R^2) >= 1 - eps.
-
-    Places the mean exactly on the affine row's boundary, samples the pair
-    difference, and returns (empirical_rate, required_rate) where the
-    requirement subtracts three binomial standard deviations.
-    """
-    dbar = reference_direction(direction, C, radius)
-    a, c = linearize_collision(dbar, sigma_pair, radius, C, eps_row)
-    # boundary mean: -a @ mu + c = 0 along the backoff direction
-    denom = math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
-    if denom > 0:
-        mu = dbar + inverse_normal_cdf(1.0 - eps_row) * (sigma_pair @ a) / denom
-    else:
-        mu = dbar
-    assert abs(-float(a @ mu) + c) < 1e-9 * max(1.0, abs(c))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    d = rng.multivariate_normal(mu, sigma_pair, size=samples, method="eigh")
-    sq = np.einsum("si,ij,sj->s", d, C, d)
-    rate = float(np.mean(sq >= radius ** 2))
-    required = 1.0 - eps_row - 3.0 * math.sqrt(eps_row * (1.0 - eps_row) / samples)
-    return rate, required
+    for t in range(1, T + 1):
+        Sigma, nominal = cov.Sigma[t], problem.nominal_states[t]
+        block = lmat[(t - 1) * n_x: t * n_x]
+        for k, spec, times, box in expanded:
+            if t not in times:
+                continue
+            if box is not None:
+                for q, side, bound in box:
+                    sign = 1.0 if side == "upper" else -1.0
+                    m = len(rows)
+                    block[q, m] = sign
+                    c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
+                            + sign * nominal[q])
+                    rows.append(ConstraintRow(kind="box", t=t, source=k,
+                                              detail=(q, side, bound), eps_row=eps_row))
+                continue
+            i, j = spec.pair
+            sl_i, sl_j = slices[i], slices[j]
+            delta = reference_means[t][sl_i] - reference_means[t][sl_j]
+            try:
+                dbar = reference_direction(delta, spec.C, spec.radius)
+            except DegenerateReference:
+                norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
+                raise DegenerateReference(i, j, t, norm_c) from None
+            a, offset = linearize_collision(dbar, cov.pair_difference_cov(t, sl_i, sl_j),
+                                            spec.radius, spec.C, z)
+            l = np.zeros(n_x)
+            l[sl_i] = -a
+            l[sl_j] = a
+            m = len(rows)
+            block[:, m] = l
+            c[m] = offset + float(l @ nominal)
+            rows.append(ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
+                                      eps_row=eps_row, dbar=_freeze(dbar)))
+    return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(rows), n_x=n_x)

@@ -15,13 +15,12 @@ from ccgame.cli import main as cli_main
 from ccgame.dualascent import (DualAscentOptions, estimate_affine_map,
                                prepare_game, run_dual_ascent, _ascent,
                                _resolve_eta, _solve_at)
-from ccgame.lqnash import (backward_recursion, best_response, evaluate_cost,
-                           evaluate_lagrangian, integrate_expected)
+from ccgame.lqnash import backward_recursion, evaluate_cost, evaluate_lagrangian
 from ccgame.model import validate_scenario
-from ccgame.uncertainty import conservativeness_probe
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import dense_kkt_single_row, lqr_oracle
+from oracles import (best_response, conservativeness_probe, dense_kkt_single_row,
+                     lqr_oracle)
 
 
 def _announce(n, name, detail=""):

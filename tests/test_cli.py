@@ -136,6 +136,20 @@ class TestSolve:
         row = read_stats(tmp_path / "rr" / "stats.csv")[0]
         assert float(row["collision_rate"]) <= 0.05
 
+    def test_ltv_relinearize_traces_the_round_that_ends_the_loop(self, tiny_active,
+                                                                 tmp_path):
+        # an LTV scenario has no nominal to relinearize, so its loop ends after
+        # round 0 whatever --relinearize asks, and that round writes the trace
+        traces = []
+        for rounds in ("0", "1"):
+            out = tmp_path / f"relin{rounds}"
+            rc = main(["solve", "--scenario", tiny_active, "--relinearize", rounds,
+                       "--trace", "--out", str(out)])
+            assert rc == 0
+            traces.append((out / "trace.csv").read_text())
+        assert len(traces[0].splitlines()) == 2     # the header and the pivot row
+        assert traces[1] == traces[0]
+
     def test_coincident_agents_exit_one_with_pair_context(self, tmp_path, capsys):
         s = scenarios.make_intersection_mini()
         init = np.array(s.dynamics.initial_states)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgame import dualascent
-from ccgame.dualascent import (DualAscentOptions, dual_function, dual_step,
+from ccgame.dualascent import (DualAscentOptions, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, solve_lcp, _ascent, _solve_at)
 from ccgame.errors import DomainError, StepSizeUnavailable
@@ -16,7 +16,7 @@ from ccgame.model import Scenario, validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import averaged_ascent, dense_kkt_single_row
+from oracles import averaged_ascent, dense_kkt_single_row, dual_function
 
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
@@ -39,7 +39,7 @@ class TestAffineMap:
         s = Scenario(**{**s.__dict__, "constraints": ()})
         prep = prepare_game(validate_scenario(s))
         gmap = estimate_affine_map(prep)
-        assert gmap.Ltilde.shape == (0, 0)
+        assert gmap.G.shape == (0, 0)
         assert gmap.L == 0.0
 
     def test_single_row_map_equals_probe_difference(self):
@@ -48,7 +48,7 @@ class TestAffineMap:
         gmap = estimate_affine_map(prep)
         _, _, g0 = _solve_at(prep, np.zeros(1))
         _, _, g1 = _solve_at(prep, np.ones(1))
-        assert gmap.Ltilde[0, 0] == pytest.approx(g1[0] - g0[0], abs=1e-10)
+        assert gmap.G[0, 0] == pytest.approx(g1[0] - g0[0], abs=1e-10)
         assert gmap.ctilde[0] == pytest.approx(g0[0], abs=1e-12)
 
     def test_two_row_map_predicts_third_solve(self):
@@ -80,7 +80,7 @@ class TestAffineMap:
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))
         assert prep.M == 10
         gmap = estimate_affine_map(prep)
-        G = gmap.Ltilde.T
+        G = gmap.G
         assert np.linalg.norm(G - G.T) / np.linalg.norm(G) > 1e-2
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -102,7 +102,7 @@ class TestAffineMap:
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
         for prep, symmetric in ((mini_prep, True), (coupled, False)):
             gmap = estimate_affine_map(prep)
-            G = gmap.Ltilde.T
+            G = gmap.G
             asymmetry = np.linalg.norm(G - G.T) / np.linalg.norm(G)
             assert (asymmetry <= 1e-12) == symmetric
             assert gmap.asymmetry == pytest.approx(asymmetry, rel=1e-12)
@@ -168,7 +168,7 @@ class TestRunDualAscent:
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=300, tol_feas=0.0))
         iterates = _iterates(gmap, eta, 300)
         assert np.all(iterates >= 0.0)
-        G = gmap.Ltilde.T
+        G = gmap.G
         assert np.max(np.abs(averaged_ascent(G, gmap.ctilde, eta, 300) - lam_bar)) < 1e-12
         assert np.max(np.abs(iterates.mean(axis=0) - lam_bar)) < 1e-12
 
@@ -187,7 +187,7 @@ class TestRunDualAscent:
         eta = 0.5 / gmap.L
         iterates = _iterates(gmap, eta, 40)
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=40, tol_feas=0.0))
-        assert np.max(np.abs(averaged_ascent(gmap.Ltilde.T, gmap.ctilde, eta, 40)
+        assert np.max(np.abs(averaged_ascent(gmap.G, gmap.ctilde, eta, 40)
                              - lam_bar)) < 1e-12
         for lam in iterates:
             _, _, g = _solve_at(mini_prep, lam)
@@ -248,7 +248,7 @@ class TestLcp:
         G = np.zeros((sum(sizes), sum(sizes)))
         offsets = np.cumsum([0] + sizes)
         for rep, lo, hi in zip(reports, offsets, offsets[1:]):
-            G[lo:hi, lo:hi] = rep.map.Ltilde.T
+            G[lo:hi, lo:hi] = rep.map.G
         c = np.concatenate([rep.map.ctilde for rep in reports])
         eta = np.repeat([0.5 / rep.lipschitz for rep in reports], sizes)
         lam_ascent = averaged_ascent(G, c, eta, 200_000)

@@ -4,7 +4,7 @@ import pytest
 from ccgame import simulate
 from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (_riccati_sweep, _stage_solve, backward_recursion,
-                           best_response, evaluate_cost, evaluate_lagrangian,
+                           evaluate_cost, evaluate_lagrangian,
                            integrate_expected, mean_inputs, policy_from_dict,
                            policy_to_dict, stage_linear_terms)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
@@ -12,7 +12,7 @@ from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       double_integrator_instance, make_ltv_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import dense_best_response, dense_game_inputs, lqr_oracle
+from oracles import best_response, dense_best_response, dense_game_inputs, lqr_oracle
 
 
 def riccati_matrices(problem):

@@ -7,10 +7,11 @@ from ccgame import scenarios
 from ccgame.errors import (BadProbability, DimensionMismatch, NotPositiveDefinite,
                            ScenarioValidationError, SchemaError)
 from ccgame.model import (BoxSpec, LtvGameDynamics, Scenario,
-                          assemble_dynamics, assemble_problem, load_scenario,
+                          assemble_problem, load_scenario,
                           save_scenario, scenario_from_dict, scenario_to_dict,
                           validate_scenario)
 from conftest import make_ltv_scenario, random_small_scenario
+from oracles import load_bundled
 
 
 def minimal_scenario(**overrides):
@@ -37,7 +38,7 @@ def test_zero_noise_rejected():
 
 
 def test_intersection_scenario_matches_case_study_parameters():
-    s = scenarios.load_bundled("intersection")
+    s = load_bundled("intersection")
     vs = validate_scenario(s)
     assert s.num_agents == 3
     assert s.horizon == 50
@@ -81,12 +82,12 @@ def test_dimension_mismatch_reports_field():
 
 def test_assemble_dynamics_ltv_passthrough():
     s = minimal_scenario()
-    assert assemble_dynamics(validate_scenario(s)) is s.dynamics
+    assert assemble_problem(validate_scenario(s)).dyn is s.dynamics
 
 
 def test_assembled_unicycle_dynamics_pass_dimension_checks(mini_scenario):
     vs = validate_scenario(mini_scenario)
-    dyn = assemble_dynamics(vs)
+    dyn = assemble_problem(vs).dyn
     T, n_x = mini_scenario.horizon, mini_scenario.n_x
     assert dyn.A.shape == (T, n_x, n_x)
     assert dyn.B.shape == (T, mini_scenario.num_agents, n_x, 2)
@@ -102,8 +103,8 @@ def test_serialization_roundtrip_bit_identical(tmp_path, mini_scenario):
         s2 = load_scenario(path)
         d1, d2 = scenario_to_dict(s), scenario_to_dict(s2)
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-        dyn1 = assemble_dynamics(validate_scenario(s))
-        dyn2 = assemble_dynamics(validate_scenario(s2))
+        dyn1 = assemble_problem(validate_scenario(s)).dyn
+        dyn2 = assemble_problem(validate_scenario(s2)).dyn
         assert np.array_equal(dyn1.A, dyn2.A)
         assert np.array_equal(dyn1.W, dyn2.W)
 

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccgame import simulate, uncertainty
 from ccgame.dualascent import prepare_game
 from ccgame.errors import (AllocationTooSmall, DegenerateReference, DomainError)
-from ccgame.model import CollisionSpec, Scenario, assemble_problem, validate_scenario
-from ccgame.uncertainty import (allocate_risk, conservativeness_probe,
-                                inverse_normal_cdf, linearize_box,
+from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
+                          validate_scenario)
+from ccgame.uncertainty import (CovarianceSchedule, allocate_risk,
+                                assemble_constraints, inverse_normal_cdf,
                                 linearize_collision, normal_cdf,
                                 propagate_covariance, reference_direction)
-from conftest import scalar_two_agent_instance
-from oracles import bisect_normal_quantile, series_normal_cdf
+from conftest import (coupled_constrained_instance, make_ltv_scenario,
+                      scalar_two_agent_instance)
+from oracles import bisect_normal_quantile, conservativeness_probe, series_normal_cdf
 
 # frozen with the series-CDF bisection oracle (tests/oracles.py)
 Z_950000 = 1.6448536269514449
@@ -90,25 +93,23 @@ class TestCovariancePropagation:
 
 class TestRiskAllocation:
     def test_single_row(self):
-        alloc = allocate_risk(0.05, [1])
-        assert alloc.per_row == 0.05
+        assert allocate_risk(0.05, 1) == 0.05
 
     def test_uniform_case_study_split(self):
-        alloc = allocate_risk(0.05, [5] * 50)
-        assert alloc.per_row == pytest.approx(2e-4, rel=1e-12)
-        assert alloc.per_row * alloc.total_rows == pytest.approx(0.05, abs=1e-12)
+        per_row = allocate_risk(0.05, 5 * 50)
+        assert per_row == pytest.approx(2e-4, rel=1e-12)
+        assert per_row * (5 * 50) == pytest.approx(0.05, abs=1e-12)
 
     def test_allocation_too_small_guard(self):
         with pytest.raises(AllocationTooSmall):
-            allocate_risk(0.05, [10**13] * 100)
+            allocate_risk(0.05, 10**13 * 100)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=0.4),
            st.integers(min_value=1, max_value=500),
            st.integers(min_value=1, max_value=50))
     def test_sums_to_budget(self, eps, k, t):
-        alloc = allocate_risk(eps, [k] * t)
-        assert alloc.per_row * alloc.total_rows == pytest.approx(eps, abs=1e-12)
+        assert allocate_risk(eps, k * t) * (k * t) == pytest.approx(eps, abs=1e-12)
 
 
 class TestCollisionRow:
@@ -116,13 +117,15 @@ class TestCollisionRow:
 
     def test_boundary_mean_has_zero_slack(self):
         dbar = np.array([0.8, 0.6])            # ||dbar|| = 1 = R
-        a, c = linearize_collision(dbar, np.zeros((2, 2)), 1.0, self.C2, 0.01)
+        a, c = linearize_collision(dbar, np.zeros((2, 2)), 1.0, self.C2,
+                                   inverse_normal_cdf(1.0 - 0.01))
         g = -a @ dbar + c
         assert g == pytest.approx(0.0, abs=1e-12)
 
     def test_double_separation_slack(self):
         dbar = np.array([1.0, 0.0])
-        a, c = linearize_collision(dbar, np.zeros((2, 2)), 1.0, self.C2, 0.01)
+        a, c = linearize_collision(dbar, np.zeros((2, 2)), 1.0, self.C2,
+                                   inverse_normal_cdf(1.0 - 0.01))
         g = -a @ (2 * dbar) + c
         assert g == pytest.approx(-2.0, abs=1e-12)   # -2 R^2
 
@@ -130,7 +133,7 @@ class TestCollisionRow:
         radius, sigma = 0.7, 0.3
         dbar = np.array([radius])
         a, c = linearize_collision(dbar, np.array([[sigma**2]]), radius,
-                                   np.array([[1.0]]), 2e-4)
+                                   np.array([[1.0]]), inverse_normal_cdf(1.0 - 2e-4))
         backoff = c - 2 * radius**2
         assert backoff == pytest.approx(Z_999800 * 2 * radius * sigma, rel=1e-9)
 
@@ -141,25 +144,44 @@ class TestCollisionRow:
             reference_direction([1e-12, 0.0], np.eye(2), 1.0)
 
 
+def _box_row(coord, side, bound, sigma_qq, eps_row, n_x):
+    """(l, c) of the one row of a one-sided box active at t = 1 of an
+    n_x-state game with zero nominal, assembled at Sigma_1[q, q] = sigma_qq;
+    the game's budget is eps_row, all of it this row's."""
+    x_min = np.full(n_x, np.nan)
+    x_max = np.full(n_x, np.nan)
+    (x_max if side == "upper" else x_min)[coord] = bound
+    s = make_ltv_scenario([n_x], 1, [np.eye(n_x)], [np.ones((n_x, 1))], np.zeros(n_x),
+                          np.ones(n_x), [np.eye(n_x)], [np.eye(1)], [np.zeros(n_x)],
+                          [BoxSpec(x_min=x_min, x_max=x_max, active_times=(1,))],
+                          eps=eps_row)
+    problem = assemble_problem(validate_scenario(s))
+    Sigma = np.zeros((2, n_x, n_x))
+    Sigma[1, coord, coord] = sigma_qq
+    conset = assemble_constraints(problem, CovarianceSchedule(Sigma=Sigma),
+                                  np.zeros((2, n_x)))
+    assert conset.M == 1 and conset.rows[0].eps_row == eps_row
+    return conset.lmat[:, 0], conset.c[0]
+
+
 class TestBoxRow:
     def test_zero_covariance_is_deterministic(self):
-        l, c = linearize_box(0, "upper", 2.0, 0.0, 0.01, 3)
+        l, c = _box_row(0, "upper", 2.0, 0.0, 0.01, 3)
         assert np.array_equal(l, [1.0, 0.0, 0.0])
         assert c == -2.0
 
     def test_backoff_value(self):
-        _, c = linearize_box(1, "upper", 0.0, 0.01, 2e-4, 2)
+        _, c = _box_row(1, "upper", 0.0, 0.01, 2e-4, 2)
         assert c == pytest.approx(Z_999800 * 0.1, rel=1e-9)
 
     def test_lower_bound_sign(self):
-        l, c = linearize_box(0, "lower", -1.0, 0.0, 0.01, 1)
+        l, c = _box_row(0, "lower", -1.0, 0.0, 0.01, 1)
         assert l[0] == -1.0
         assert c == -1.0
         assert l[0] * (-2.0) + c > 0     # below the bound: violated
         assert l[0] * (-0.5) + c <= 0    # above the bound: satisfied
 
     def test_both_sides_emit_two_rows(self):
-        from ccgame.model import BoxSpec, Scenario
         from conftest import scalar_single_agent_instance
         s = scalar_single_agent_instance(T=2)
         con = BoxSpec(x_min=np.array([-1.0]), x_max=np.array([1.0]),
@@ -225,6 +247,81 @@ class TestAssembly:
             prepare_game(validate_scenario(bad))
         assert err.value.pair == (0, 1)
         assert 1 <= err.value.t <= s.horizon
+
+
+@pytest.fixture(scope="module")
+def mpc_subgame(mini_prep):
+    """The game a central-MPC replan at t = 5 of intersection-mini prepares."""
+    agg = simulate.aggregate_problem(mini_prep.problem)
+    return simulate._prepare_subgame(
+        simulate.slice_problem(agg, 5, np.zeros(mini_prep.problem.n_x)))
+
+
+def _rebuilt(prep):
+    """lmat and c rebuilt row by row from each ConstraintRow and its z."""
+    problem, conset, cov = prep.problem, prep.conset, prep.cov
+    n_x = problem.n_x
+    lmat = np.zeros_like(conset.lmat)
+    c = np.zeros_like(conset.c)
+    for m, row in enumerate(conset.rows):
+        z = inverse_normal_cdf(1.0 - row.eps_row)
+        Sigma, nominal = cov.Sigma[row.t], problem.nominal_states[row.t]
+        l = np.zeros(n_x)
+        if row.kind == "box":
+            q, side, bound = row.detail
+            sign = 1.0 if side == "upper" else -1.0
+            l[q] = sign
+            c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
+                    + sign * nominal[q])
+        else:
+            spec = problem.constraints[row.source]
+            sl_i, sl_j = (problem.agent_slices[k] for k in row.detail)
+            a = 2.0 * (spec.C @ row.dbar)
+            sigma_pair = cov.pair_difference_cov(row.t, sl_i, sl_j)
+            l[sl_i] = -a
+            l[sl_j] = a
+            c[m] = (2.0 * spec.radius ** 2
+                    + z * math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
+                    + float(l @ nominal))
+        lmat[(row.t - 1) * n_x: row.t * n_x, m] = l
+    return lmat, c
+
+
+class TestOnePassAssembly:
+    def test_one_quantile_and_one_expansion_per_box(self, monkeypatch, mini_prep,
+                                                    mpc_subgame):
+        calls = {"quantile": 0, "rows": 0}
+        real_quantile, real_rows = uncertainty.inverse_normal_cdf, BoxSpec.rows
+
+        def quantile(p):
+            calls["quantile"] += 1
+            return real_quantile(p)
+
+        def rows(spec):
+            calls["rows"] += 1
+            return real_rows(spec)
+
+        monkeypatch.setattr(uncertainty, "inverse_normal_cdf", quantile)
+        monkeypatch.setattr(BoxSpec, "rows", rows)
+        for prep in (mini_prep, mpc_subgame):
+            assert prep.M >= 1
+            calls.update(quantile=0, rows=0)
+            conset = assemble_constraints(prep.problem, prep.cov, prep.reference_means)
+            assert conset.M == prep.M
+            assert calls["quantile"] == 1
+            assert calls["rows"] == sum(spec.kind == "box"
+                                        for spec in prep.problem.constraints)
+
+    def test_rows_rebuild_from_their_metadata(self, mini_prep, mpc_subgame):
+        coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+        for prep in (mini_prep, coupled, mpc_subgame):
+            rows = prep.conset.rows
+            eps_row = prep.problem.risk_epsilon / prep.M
+            assert all(row.eps_row == eps_row for row in rows)
+            assert [(r.t, r.source) for r in rows] == sorted((r.t, r.source) for r in rows)
+            lmat, c = _rebuilt(prep)
+            assert np.array_equal(lmat, prep.conset.lmat)
+            assert np.array_equal(c, prep.conset.c)
 
 
 class TestConservativeness:
