@@ -3,8 +3,8 @@
 Feedback generalized Nash equilibrium policies for linear time-varying
 stochastic games with joint chance constraints: constraints are tightened
 into affine rows on the expected trajectory, the multiplier-parameterized
-game is solved by coupled Riccati recursions, and the multipliers by
-projected dual ascent with a Lipschitz-based step size.  Seeded Monte Carlo
+game is solved by coupled Riccati recursions, and the shared multiplier by
+Lemke's pivot, with projected dual ascent as its fallback.  Seeded Monte Carlo
 rollouts validate safety against a receding-horizon central-MPC baseline.
 """
 

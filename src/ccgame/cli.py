@@ -23,7 +23,7 @@ from . import __version__, lqnash, simulate
 from .dualascent import DualAscentOptions, solve_scenario
 from .errors import (CCGameError, DomainError, FingerprintMismatch,
                      ScenarioValidationError, SchemaError)
-from .model import (assemble_problem, file_fingerprint, load_scenario,
+from .model import (assemble_problem, file_fingerprint, load_scenario, read_json,
                     validate_scenario)
 
 TRACE_HEADER = ["iter", "max_violation", "complementarity", "dual_value_p1", "eta"]
@@ -138,8 +138,7 @@ def cmd_solve(args):
 
 
 def _load_policy(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         policy, fingerprint = lqnash.policy_from_dict(doc)
         nominal = doc.get("nominal_inputs")
@@ -213,24 +212,37 @@ def cmd_mpc(args):
 
 
 def _read_stats(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != simulate.STATS_HEADER:
-            raise CCGameError(
-                f"{path}: schema mismatch, header {reader.fieldnames}")
-        return list(reader)
+    """Rows of a UTF-8 stats file, each with the header's cells and numbers
+    in the columns the report formats."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != simulate.STATS_HEADER:
+                raise CCGameError(
+                    f"{path}: schema mismatch, header {reader.fieldnames}")
+            rows = list(reader)
+        for row in rows:
+            if None in row or None in row.values():
+                raise ValueError("a row does not have one cell per header column")
+            for key in ("cost_mean", "travel_mean_s", "collision_rate"):
+                float(row[key])
+    except ValueError as exc:       # UnicodeDecodeError is one too
+        raise SchemaError(f"{path}: {exc}") from exc
+    return rows
 
 
 def _comp_time_for(path):
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
     if not os.path.exists(manifest):
         return ""
-    with open(manifest, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "comp_seconds_per_step" in doc:
-        return f"{doc['comp_seconds_per_step']:.3f} s / step"
-    if "solve_seconds" in doc:
-        return f"{doc['solve_seconds']:.3f} s"
+    doc = read_json(manifest)
+    try:
+        if "comp_seconds_per_step" in doc:
+            return f"{doc['comp_seconds_per_step']:.3f} s / step"
+        if "solve_seconds" in doc:
+            return f"{doc['solve_seconds']:.3f} s"
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{manifest}: malformed manifest ({exc})") from exc
     return ""
 
 
@@ -311,7 +323,7 @@ def main(argv=None):
     except CCGameError as exc:
         _print_errors(exc)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -132,10 +132,8 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     g at the m-th unit multiplier minus ctilde.  Exact by affinity; computed with
     one batched coefficient sweep instead of M+1 separate solves, which also
     gives the lam = 0 policy that dual0 is evaluated at."""
-    problem = prepared.problem
-    G, ctilde, policy0 = lqnash.affine_response(problem, prepared.conset)
-    dual0 = np.array([lqnash.evaluate_cost(problem, policy0, i)
-                      for i in range(problem.N)])
+    G, ctilde, policy0 = lqnash.affine_response(prepared.problem, prepared.conset)
+    dual0 = lqnash.evaluate_cost(prepared.problem, policy0)
     L, asymmetry = _spectral_norm(G)
     return AffineGradientMap(G=G, ctilde=ctilde, L=L, dual0=dual0,
                              asymmetry=asymmetry)
@@ -360,9 +358,8 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         lam_bar, iterations, _ = _ascent(gmap, eta, options, trace_writer)
 
     policy, traj, g_final = _solve_at(prepared, lam_bar)
-    duals = np.array([lqnash.evaluate_lagrangian(prepared.problem, policy, i,
-                                                 lam_bar, prepared.conset)
-                      for i in range(prepared.problem.N)])
+    duals = lqnash.evaluate_lagrangian(prepared.problem, policy, lam_bar,
+                                       prepared.conset, traj)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),

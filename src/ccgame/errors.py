@@ -37,7 +37,7 @@ class ScenarioValidationError(CCGameError):
 
 
 class SchemaError(CCGameError):
-    """Malformed scenario file (unknown keys, missing fields, bad shapes)."""
+    """Malformed input file (unknown keys, missing fields, bad shapes or values)."""
 
 
 class AllocationTooSmall(CCGameError):

@@ -21,6 +21,10 @@ and ``affine_response`` with M + 1 columns (``0.5 l_t`` per multiplier and
 its constant column is the lam = 0 policy, so no separate solve is needed.
 The tests keep a single-player best-response sweep (``tests/oracles.py``)
 as an independent reference for the coupled solve.
+
+Expected cost = the cost of the mean trajectory plus the trace terms of the
+closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
+from the trajectory a caller already holds (the final solve's, in a solve).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 
 from .errors import SingularStageSystem
 from .model import GameProblem, _freeze
+from .uncertainty import covariance_recursion
 
 RCOND_MIN = 1e-12
 
@@ -53,17 +58,6 @@ class FeedbackPolicy:
     @property
     def N(self):
         return self.K.shape[1]
-
-    def inputs_at(self, t, x):
-        """(N, n_u) inputs of all players at state x."""
-        return -self.K[t] @ np.asarray(x) - self.alpha[t]
-
-    def replace_player(self, i, K_i, alpha_i):
-        K = np.array(self.K)
-        alpha = np.array(self.alpha)
-        K[:, i] = K_i
-        alpha[:, i] = alpha_i
-        return FeedbackPolicy(K=K, alpha=alpha)
 
 
 def _check_rcond(S, t):
@@ -134,13 +128,10 @@ def _riccati_sweep(problem: GameProblem, linear_term):
 
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
     """Half linear coefficients s[i, t] = 0.5 l_t lam - Q^i_t r^i_t, t = 1..T."""
-    N, T, n_x = problem.N, problem.T, problem.n_x
-    s = np.zeros((N, T + 1, n_x))
-    for i in range(N):
-        s[i] = -np.einsum("tab,tb->ta", problem.Q[i], problem.ref[i])
+    s = -np.einsum("itab,itb->ita", problem.Q, problem.ref)
     if conset is not None and lam is not None and conset.M > 0:
         lam = np.asarray(lam, dtype=float)
-        lterm = (conset.lmat @ lam).reshape(T, n_x)
+        lterm = (conset.lmat @ lam).reshape(problem.T, problem.n_x)
         s[:, 1:, :] += 0.5 * lterm[None, :, :]
     return s
 
@@ -184,51 +175,51 @@ def mean_inputs(dyn, policy: FeedbackPolicy, mean_traj=None):
     """(T, N, n_u) inputs along the mean trajectory."""
     if mean_traj is None:
         mean_traj = integrate_expected(dyn, policy)
-    return np.stack([policy.inputs_at(t, mean_traj[t]) for t in range(dyn.T)])
+    return np.stack([-policy.K[t] @ mean_traj[t] - policy.alpha[t]
+                     for t in range(dyn.T)])
 
 
 def closed_loop_covariance(dyn, policy: FeedbackPolicy):
-    """Sigma-hat recursion under the feedback loop: S+ = F S F' + W."""
-    T, n_x = dyn.T, dyn.n_x
-    S = np.zeros((T + 1, n_x, n_x))
-    for t in range(T):
-        F = dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], policy.K[t])
-        Sn = F @ S[t] @ F.T + dyn.W[t]
-        S[t + 1] = (Sn + Sn.T) / 2.0
-    return S
+    """Sigma-hat recursion under the feedback loop: S+ = F S F' + W, F = A - B K."""
+    F = np.stack([dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], policy.K[t])
+                  for t in range(dyn.T)])
+    return covariance_recursion(F, dyn.W)
 
 
-def evaluate_cost(problem: GameProblem, policy: FeedbackPolicy, i):
-    """Exact expected cost of player i under the Gaussian closed loop.
+def realized_costs(problem: GameProblem, states, inputs):
+    """Per-sample per-player cost of realized trajectories (solver coords)."""
+    costs = np.zeros((states.shape[0], problem.N))
+    for i in range(problem.N):
+        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
+        u = inputs[:, :, i, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
+    return costs
 
-    Mean-trajectory cost plus the trace terms from the closed-loop state
-    covariance (inputs contribute tr(R K Sigma K')).
-    """
+
+def evaluate_cost(problem: GameProblem, policy: FeedbackPolicy, mean_traj=None):
+    """(N,) exact expected costs: ``realized_costs`` of the mean trajectory
+    (integrated when not given) plus tr(Q Sigma) and tr(R K Sigma K')."""
     dyn = problem.dyn
-    T = problem.T
-    xs = integrate_expected(dyn, policy)
+    if mean_traj is None:
+        mean_traj = integrate_expected(dyn, policy)
+    us = mean_inputs(dyn, policy, mean_traj)
     Sig = closed_loop_covariance(dyn, policy)
-    total = 0.0
-    for t in range(1, T + 1):
-        e = xs[t] - problem.ref[i, t]
-        Q = problem.Q[i, t]
-        total += float(e @ Q @ e) + float(np.trace(Q @ Sig[t]))
-    for t in range(T):
-        u = policy.inputs_at(t, xs[t])[i]
-        R = problem.R[i, t]
-        total += float(u @ R @ u)
-        total += float(np.trace(R @ policy.K[t, i] @ Sig[t] @ policy.K[t, i].T))
-    return total
+    KSK = np.einsum("tiab,tbc,tidc->tiad", policy.K, Sig[:-1], policy.K)
+    return (realized_costs(problem, mean_traj[None], us[None])[0]
+            + np.einsum("itab,tba->i", problem.Q[:, 1:], Sig[1:])
+            + np.einsum("itab,tiba->i", problem.R, KSK))
 
 
-def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, i,
-                        lam=None, conset=None):
-    """J^i plus lam^T g at the policy's expected trajectory."""
-    cost = evaluate_cost(problem, policy, i)
-    if conset is None or lam is None or conset.M == 0:
+def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
+                        conset=None, mean_traj=None):
+    """(N,) J^i plus lam^T g, with g at the policy's mean trajectory."""
+    if mean_traj is None:
+        mean_traj = integrate_expected(problem.dyn, policy)
+    cost = evaluate_cost(problem, policy, mean_traj)
+    if conset is None or lam is None:
         return cost
-    g = conset.evaluate(integrate_expected(problem.dyn, policy))
-    return cost + float(np.asarray(lam) @ g)
+    return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
 
 
 def affine_response(problem: GameProblem, conset):
@@ -245,14 +236,13 @@ def affine_response(problem: GameProblem, conset):
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
-    ref_lin = np.stack([np.einsum("tab,tb->ta", problem.Q[i], problem.ref[i])
-                        for i in range(N)])
+    s = stage_linear_terms(problem)
 
     def linear_term(t):
         C = np.zeros((N, n_x, M + 1))
         if t >= 1:
             C[:, :, :M] = 0.5 * conset.l_block(t)
-            C[:, :, M] = -ref_lin[:, t]
+            C[:, :, M] = s[:, t]
         return C
 
     K, aC, F, _ = _riccati_sweep(problem, linear_term)

@@ -774,13 +774,17 @@ def save_scenario(s: Scenario, path):
         fh.write("\n")
 
 
+def read_json(path):
+    """The document in a UTF-8 JSON file; SchemaError when it is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: not UTF-8 JSON ({exc})") from exc
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path))
 
 
 def file_fingerprint(path) -> str:

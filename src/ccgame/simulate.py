@@ -69,17 +69,6 @@ class RolloutBatch:
         return self.states.shape[0]
 
 
-def realized_costs(problem: GameProblem, states, inputs):
-    """Per-sample per-player cost of realized trajectories (solver coords)."""
-    costs = np.zeros((states.shape[0], problem.N))
-    for i in range(problem.N):
-        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
-        u = inputs[:, :, i, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
-    return costs
-
-
 def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
             samples) -> RolloutBatch:
     """S independent seeded rollouts of the feedback policy under the noise model.
@@ -108,7 +97,7 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
                 dyn.A[t], dyn.B[t], policy.K[t], policy.alpha[t], x,
                 factors[t], z[:hi - lo, t])
             states[lo:hi, t + 1] = x
-    costs = realized_costs(problem, states, inputs)
+    costs = lqnash.realized_costs(problem, states, inputs)
     return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=int(seed))
 
 
@@ -356,7 +345,7 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
         raise AllSeedsFailed(f"all {S} MPC seeds failed; first: {failures[0][2]}")
     states = np.stack([r.states for r in good])
     inputs = np.stack([r.inputs for r in good])
-    costs = realized_costs(problem, states, inputs)
+    costs = lqnash.realized_costs(problem, states, inputs)
     batch = RolloutBatch(states=states, inputs=inputs, costs=costs,
                          seed=int(seed), method="central_mpc")
     # every completed episode planned at least once, at t = 0

@@ -95,13 +95,19 @@ class CovarianceSchedule:
                 - S[slice_i, slice_j] - S[slice_j, slice_i])
 
 
-def propagate_covariance(dyn) -> CovarianceSchedule:
-    T, n_x = dyn.T, dyn.n_x
-    Sigma = np.zeros((T + 1, n_x, n_x))
-    for t in range(T):
-        S = dyn.A[t] @ Sigma[t] @ dyn.A[t].T + dyn.W[t]
+def covariance_recursion(F, W):
+    """Sigma (T+1, n_x, n_x) of x+ = F_t x + w_t, w_t ~ N(0, W_t), Sigma[0] = 0:
+    S+ = F S F' + W, symmetrized at every step."""
+    Sigma = np.zeros((F.shape[0] + 1,) + F.shape[1:])
+    for t in range(F.shape[0]):
+        S = F[t] @ Sigma[t] @ F[t].T + W[t]
         Sigma[t + 1] = (S + S.T) / 2.0
-    return CovarianceSchedule(Sigma=Sigma)
+    return Sigma
+
+
+def propagate_covariance(dyn) -> CovarianceSchedule:
+    """The open-loop schedule: the recursion with F = A."""
+    return CovarianceSchedule(Sigma=covariance_recursion(dyn.A, dyn.W))
 
 
 # ---------------------------------------------------------------------------

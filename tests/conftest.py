@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -192,17 +193,21 @@ def intersection_report(intersection_prep):
 
 
 @pytest.fixture()
-def sweep_calls(monkeypatch):
-    """A list that grows by one entry per lqnash._riccati_sweep call."""
+def lqnash_calls(monkeypatch):
+    """A Counter of the calls to lqnash's sweep, mean integration,
+    closed-loop covariance and expected cost, by function name."""
     from ccgame import lqnash
-    calls = []
-    real = lqnash._riccati_sweep
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(lqnash, "_riccati_sweep", counting)
+    for name in ("_riccati_sweep", "integrate_expected", "closed_loop_covariance",
+                 "evaluate_cost"):
+        monkeypatch.setattr(lqnash, name, counting(name, getattr(lqnash, name)))
     return calls
 
 

@@ -6,9 +6,10 @@ textbook Riccati recursion, a series-based normal CDF with bisection
 inversion, finite-difference Jacobians and a bare averaged projected ascent.
 
 The last sections hold references that the acceptance criteria call and the
-library itself never does: a single-player best-response sweep, the dual
-function it drives, a Monte Carlo probe of one collision row, and a loader
-for the bundled scenarios.
+library itself never does: a single-player best-response sweep, the policy
+splice that swaps one player's response in, the dual function they drive, a
+Monte Carlo probe of one collision row, and a loader for the bundled
+scenarios.
 """
 
 import math
@@ -313,6 +314,15 @@ def averaged_ascent(G, c, eta, iterations):
 # Single-player best response and the dual function it drives
 
 
+def replace_player(policy: FeedbackPolicy, i, K_i, alpha_i):
+    """The policy with player i's gains and affine terms swapped in."""
+    K = np.array(policy.K)
+    alpha = np.array(policy.alpha)
+    K[:, i] = K_i
+    alpha[:, i] = alpha_i
+    return FeedbackPolicy(K=K, alpha=alpha)
+
+
 def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
                   lam=None, conset=None):
     """Player i's optimal linear policy against the other players' policies.
@@ -361,14 +371,14 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
     lam = np.asarray(lam, dtype=float)
     if others_from is None:
         policy, _, _ = _solve_at(prepared, lam)
-        return lqnash.evaluate_lagrangian(prepared.problem, policy, i,
-                                          lam, prepared.conset)
+        return lqnash.evaluate_lagrangian(prepared.problem, policy,
+                                          lam, prepared.conset)[i]
     base_policy = _solve_at(prepared, np.asarray(others_from, dtype=float))[0]
     K_i, a_i = best_response(prepared.problem, base_policy, i,
                              lam, prepared.conset)
-    combined = base_policy.replace_player(i, K_i, a_i)
-    return lqnash.evaluate_lagrangian(prepared.problem, combined, i,
-                                      lam, prepared.conset)
+    combined = replace_player(base_policy, i, K_i, a_i)
+    return lqnash.evaluate_lagrangian(prepared.problem, combined,
+                                      lam, prepared.conset)[i]
 
 
 # ---------------------------------------------------------------------------

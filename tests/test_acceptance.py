@@ -20,7 +20,7 @@ from ccgame.model import validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       scalar_single_agent_instance, scalar_two_agent_instance)
 from oracles import (best_response, conservativeness_probe, dense_kkt_single_row,
-                     lqr_oracle)
+                     lqr_oracle, replace_player)
 
 
 def _announce(n, name, detail=""):
@@ -48,9 +48,9 @@ def _fd_dual_gradient_errors(prep, lam, delta=1e-4):
             for i in range(N):
                 K_i, a_i = best_response(prep.problem, base_policy, i, lam_p,
                                          prep.conset)
-                combined = base_policy.replace_player(i, K_i, a_i)
-                per_player.append(evaluate_lagrangian(prep.problem, combined, i,
-                                                      lam_p, prep.conset))
+                combined = replace_player(base_policy, i, K_i, a_i)
+                per_player.append(evaluate_lagrangian(prep.problem, combined,
+                                                      lam_p, prep.conset)[i])
             vals[tag] = per_player
         for i in range(N):
             fd = (vals["+"][i] - vals["-"][i]) / (2 * delta)
@@ -136,11 +136,11 @@ def test_criterion_04_gne_fixed_point(acceptance_preps, mini_report,
     for prep, rep in cases:
         lam = rep.lambda_bar
         for i in range(prep.problem.N):
-            li = evaluate_lagrangian(prep.problem, rep.policy, i, lam, prep.conset)
+            li = evaluate_lagrangian(prep.problem, rep.policy, lam, prep.conset)[i]
             K_i, a_i = best_response(prep.problem, rep.policy, i, lam, prep.conset)
             li_br = evaluate_lagrangian(
-                prep.problem, rep.policy.replace_player(i, K_i, a_i), i, lam,
-                prep.conset)
+                prep.problem, replace_player(rep.policy, i, K_i, a_i), lam,
+                prep.conset)[i]
             improvement = (li - li_br) / (1 + abs(li))
             worst = max(worst, improvement)
             assert improvement < 1e-8
@@ -182,7 +182,7 @@ def test_criterion_06_lqr_degeneracy():
                           prep.problem.Q[0, 1:], prep.problem.R[0],
                           prep.problem.dyn.W, prep.problem.dyn.x0)
     gain_err = float(np.max(np.abs(policy.K[:, 0] - Ks)))
-    cost_err = abs(evaluate_cost(prep.problem, policy, 0) - cost)
+    cost_err = abs(evaluate_cost(prep.problem, policy)[0] - cost)
     assert gain_err <= 1e-10
     assert cost_err <= 1e-10 * (1 + abs(cost))
     _announce(6, "LQR degeneracy",

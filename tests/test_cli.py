@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ccgame import scenarios
+from ccgame import scenarios, simulate
 from ccgame.cli import main
 from ccgame.model import Scenario, save_scenario
 from conftest import random_small_scenario, scalar_single_agent_instance
@@ -97,17 +97,19 @@ class TestSolve:
         assert err.startswith("error: DomainError")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.update(agents="two"),
-        lambda d: d["costs"][0].update(R="x"),
-        lambda d: next(c for c in d["constraints"]
-                       if c["type"] == "collision").update(pair=[7, 0]),
-    ], ids=["agents", "R", "pair"])
-    def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, encoding", [
+        (lambda d: d.update(agents="two"), "utf-8"),
+        (lambda d: d["costs"][0].update(R="x"), "utf-8"),
+        (lambda d: next(c for c in d["constraints"]
+                        if c["type"] == "collision").update(pair=[7, 0]), "utf-8"),
+        (lambda d: None, "utf-16"),
+    ], ids=["agents", "R", "pair", "utf-16"])
+    def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit,
+                                                encoding):
         doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
         edit(doc)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding=encoding)
         rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -229,19 +231,21 @@ class TestRollout:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: samples")
 
-    @pytest.mark.parametrize("edit, error", [
-        (lambda d: d.pop("K"), "SchemaError"),
-        (lambda d: d.update(alpha=d["alpha"][:-1]), "SchemaError"),
+    @pytest.mark.parametrize("edit, error, encoding", [
+        (lambda d: d.pop("K"), "SchemaError", "utf-8"),
+        (lambda d: d.update(alpha=d["alpha"][:-1]), "SchemaError", "utf-8"),
         (lambda d: d.update(nominal_inputs=[a[:-1] for a in d["nominal_inputs"]]),
-         "DimensionMismatch"),
-    ], ids=["no-K", "short-alpha", "short-nominal"])
-    def test_malformed_policy_exits_one(self, tmp_path, capsys, edit, error):
+         "DimensionMismatch", "utf-8"),
+        (lambda d: None, "SchemaError", "utf-16"),
+    ], ids=["no-K", "short-alpha", "short-nominal", "utf-16"])
+    def test_malformed_policy_exits_one(self, tmp_path, capsys, edit, error,
+                                        encoding):
         src = str(scenarios.bundled_path("intersection-mini"))
         path = tmp_path / "s" / "policy.json"
         main(["solve", "--scenario", src, "--out", str(path.parent)])
         doc = json.loads(path.read_text())
         edit(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding=encoding)
         capsys.readouterr()
         rc = main(["rollout", "--scenario", src, "--policy", str(path),
                    "--samples", "5", "--out", str(tmp_path / "r")])
@@ -378,6 +382,27 @@ class TestReport:
         rc = main(["report", str(bad)])
         assert rc == 1
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, manifest, encoding", [
+        ("lqg_game,10,0,cheap,0.5,4.0,0.0,0.0,0.3", None, "utf-8"),
+        ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3,extra", None, "utf-8"),
+        ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3", None, "utf-16"),
+        ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3", {"comp_seconds_per_step": "fast"},
+         "utf-8"),
+    ], ids=["non-numeric", "extra-cell", "utf-16", "manifest"])
+    def test_malformed_stats_exit_one(self, tmp_path, capsys, row, manifest,
+                                      encoding):
+        stats = tmp_path / "in" / "stats.csv"
+        stats.parent.mkdir()
+        stats.write_text(",".join(simulate.STATS_HEADER) + "\n" + row + "\n",
+                         encoding=encoding)
+        if manifest is not None:
+            (stats.parent / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["report", str(stats), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError")
+        assert "Traceback" not in err
 
     def test_missing_file_exits_one(self, tmp_path):
         rc = main(["report", str(tmp_path / "nope.csv")])

@@ -111,8 +111,10 @@ class TestAffineMap:
 
 
 class TestSweepCount:
-    def test_solve_sweeps_twice(self, mini_prep, sweep_calls):
-        # the map's sweep and the final solve's
+    def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
+        # the map's sweep and the final solve's; one cost evaluation for all
+        # players each for dual0 and the dual values, and the mean
+        # trajectories of dual0's policy and of the final solve
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -120,9 +122,11 @@ class TestSweepCount:
                                for s in (unconstrained, ray)]
         assert preps[1].M == 0
         for prep in preps:
-            sweep_calls.clear()
+            lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
-            assert len(sweep_calls) == 2, rep.termination
+            assert lqnash_calls == {"_riccati_sweep": 2, "integrate_expected": 2,
+                                    "closed_loop_covariance": 2,
+                                    "evaluate_cost": 2}, rep.termination
         assert rep.termination == "lcp_infeasible"
 
 
@@ -346,7 +350,7 @@ class TestDualFunction:
         policy0 = backward_recursion(prep.problem)
         for i in range(prep.problem.N):
             assert dual_function(prep, np.zeros(prep.M), i) == pytest.approx(
-                evaluate_cost(prep.problem, policy0, i), abs=1e-12)
+                evaluate_cost(prep.problem, policy0)[i], abs=1e-12)
 
     def test_finite_differences_match_gradient(self):
         # envelope form: rivals frozen at the base multiplier's equilibrium

@@ -12,7 +12,8 @@ from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       double_integrator_instance, make_ltv_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import best_response, dense_best_response, dense_game_inputs, lqr_oracle
+from oracles import (best_response, dense_best_response, dense_game_inputs, lqr_oracle,
+                     replace_player)
 
 
 def riccati_matrices(problem):
@@ -84,7 +85,7 @@ class TestBackwardRecursion:
                               problem.Q[0, 1:], problem.R[0], problem.dyn.W,
                               problem.dyn.x0)
         assert np.max(np.abs(policy.K[:, 0] - Ks)) < 1e-12
-        assert evaluate_cost(problem, policy, 0) == pytest.approx(cost, abs=1e-12)
+        assert evaluate_cost(problem, policy)[0] == pytest.approx(cost, abs=1e-12)
 
     def test_active_row_alpha_matches_kkt_oracle(self):
         s = scalar_single_agent_instance()
@@ -135,7 +136,7 @@ class TestIntegrateExpected:
         for _ in range(60):
             for i in range(2):
                 Ki, ai = best_response(problem, cur, i)
-                cur = cur.replace_player(i, Ki, ai)
+                cur = replace_player(cur, i, Ki, ai)
         t1 = integrate_expected(problem.dyn, policy)
         t2 = integrate_expected(problem.dyn, cur)
         assert np.max(np.abs(t1 - t2)) < 1e-6
@@ -159,7 +160,7 @@ class TestEvaluateCost:
                 direct += e @ problem0.Q[i, t] @ e
             for t in range(problem0.T):
                 direct += us[t, i] @ problem0.R[i, t] @ us[t, i]
-            assert evaluate_cost(problem0, policy, i) == pytest.approx(direct,
+            assert evaluate_cost(problem0, policy)[i] == pytest.approx(direct,
                                                                        abs=1e-12)
 
     def test_trace_only_cost_matches_monte_carlo(self):
@@ -169,7 +170,7 @@ class TestEvaluateCost:
             [np.array([[1.0]])], [np.array([[1.0]])], [np.array([0.0])], [])
         problem = assemble_problem(validate_scenario(s))
         policy = backward_recursion(problem)
-        exact = evaluate_cost(problem, policy, 0)
+        exact = evaluate_cost(problem, policy)[0]
         batch = simulate.rollout(problem, policy, seed=5, samples=100_000)
         mc = batch.costs[:, 0]
         se = mc.std(ddof=1) / np.sqrt(mc.shape[0])
@@ -184,8 +185,8 @@ class TestEvaluateCost:
             A=problem.dyn.A, B=problem.dyn.B, W=np.zeros_like(problem.dyn.W),
             x0=problem.dyn.x0))
         for i in range(2):
-            assert evaluate_cost(problem, policy, i) >= evaluate_cost(
-                noiseless, policy, i)
+            assert evaluate_cost(problem, policy)[i] >= evaluate_cost(
+                noiseless, policy)[i]
 
 
 class TestEvaluateLagrangian:
@@ -193,9 +194,9 @@ class TestEvaluateLagrangian:
         policy = backward_recursion(mini_prep.problem)
         for i in range(2):
             assert evaluate_lagrangian(
-                mini_prep.problem, policy, i, np.zeros(mini_prep.M),
-                mini_prep.conset) == pytest.approx(
-                    evaluate_cost(mini_prep.problem, policy, i))
+                mini_prep.problem, policy, np.zeros(mini_prep.M),
+                mini_prep.conset)[i] == pytest.approx(
+                    evaluate_cost(mini_prep.problem, policy)[i])
 
     def test_known_slack_arithmetic(self):
         s = scalar_single_agent_instance(T=3, bound=0.4)
@@ -204,8 +205,8 @@ class TestEvaluateLagrangian:
         traj = integrate_expected(prep.problem.dyn, policy)
         g = prep.conset.evaluate(traj)
         lam = np.array([2.0])
-        want = evaluate_cost(prep.problem, policy, 0) + 2.0 * g[0]
-        got = evaluate_lagrangian(prep.problem, policy, 0, lam, prep.conset)
+        want = evaluate_cost(prep.problem, policy)[0] + 2.0 * g[0]
+        got = evaluate_lagrangian(prep.problem, policy, lam, prep.conset)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -223,13 +224,13 @@ class TestBestResponse:
         lam = mini_report.lambda_bar
         policy = mini_report.policy
         for i in range(2):
-            li = evaluate_lagrangian(mini_prep.problem, policy, i, lam,
-                                     mini_prep.conset)
+            li = evaluate_lagrangian(mini_prep.problem, policy, lam,
+                                     mini_prep.conset)[i]
             Ki, ai = best_response(mini_prep.problem, policy, i, lam,
                                    mini_prep.conset)
             li_br = evaluate_lagrangian(mini_prep.problem,
-                                        policy.replace_player(i, Ki, ai), i,
-                                        lam, mini_prep.conset)
+                                        replace_player(policy, i, Ki, ai),
+                                        lam, mini_prep.conset)[i]
             assert li - li_br < 1e-8 * (1 + abs(li))
 
     def test_perturbed_rival_improvement_matches_dense_oracle(self):
@@ -248,9 +249,9 @@ class TestBestResponse:
         lmat = np.zeros((problem.T * problem.n_x, 0))
         cvec = np.zeros(0)
         K0, a0 = best_response(problem, perturbed, 0)
-        improved = perturbed.replace_player(0, K0, a0)
-        l_perturbed = evaluate_cost(problem, perturbed, 0)
-        l_improved = evaluate_cost(problem, improved, 0)
+        improved = replace_player(perturbed, 0, K0, a0)
+        l_perturbed = evaluate_cost(problem, perturbed)[0]
+        l_improved = evaluate_cost(problem, improved)[0]
         assert l_improved < l_perturbed
         oracle_traj, _ = dense_best_response(problem, perturbed, 0, lam, lmat, cvec)
         got_traj = integrate_expected(problem.dyn, improved)
@@ -302,7 +303,7 @@ class TestValueFunctionIdentity:
         for problem, conset, lam in cases:
             policy = backward_recursion(problem, conset, lam)
             for i in range(problem.N):
-                direct = evaluate_lagrangian(problem, policy, i, lam, conset)
+                direct = evaluate_lagrangian(problem, policy, lam, conset)[i]
                 via_value = self._lagrangian_via_value(problem, conset, lam, i)
                 assert direct == pytest.approx(via_value, abs=1e-12)
 

@@ -326,12 +326,14 @@ class TestCentralMpc:
                 simulate.slice_problem(mini_problem, tau, x))
             assert _fields_equal(once, per_replan), tau
 
-    def test_replan_sweeps_three_times(self, mini_problem, sweep_calls):
-        # the reference policy, the map and the final solve
+    def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls):
+        # sweeps: the reference policy, the map and the final solve; mean
+        # trajectories: the reference policy, dual0's and the final solve's
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4)
-        assert len(sweep_calls) == 3 * run.replans
+        assert lqnash_calls["_riccati_sweep"] == 3 * run.replans
+        assert lqnash_calls["integrate_expected"] == 3 * run.replans
 
     def test_aggregation_preserves_cost_structure(self, mini_problem):
         agg = simulate.aggregate_problem(mini_problem)
