@@ -20,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,9 +63,18 @@ def coerce_matrix(spec, dim, name):
     return arr
 
 
-def min_symmetric_eig(mat):
-    sym = (mat + mat.T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0])
+def agent_slices(state_dims):
+    """Each agent's slice of the stacked state."""
+    return [slice(end - d, end) for d, end in zip(state_dims, accumulate(state_dims))]
+
+
+def embed_agent(block, state_dims, agent, fill=0.0):
+    """Agent ``agent``'s (d,) vector or (d, d) block placed in the stacked
+    (n_x,) vector or (n_x, n_x) matrix; every other entry is ``fill``."""
+    block = np.asarray(block, dtype=float)
+    out = np.full((sum(state_dims),) * block.ndim, fill)
+    out[(agent_slices(state_dims)[agent],) * block.ndim] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,14 +212,6 @@ class Scenario:
     def n_x(self):
         return int(sum(self.state_dims))
 
-    @property
-    def agent_slices(self):
-        out, o = [], 0
-        for d in self.state_dims:
-            out.append(slice(o, o + d))
-            o += d
-        return out
-
 
 @dataclass(frozen=True)
 class ValidatedScenario:
@@ -218,6 +221,22 @@ class ValidatedScenario:
 
     def __getattr__(self, name):
         return getattr(self.scenario, name)
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_definite(v, mats, tol, name, first=0):
+    """Report the first matrix of ``mats`` (n, n) or (T, n, n) whose symmetric
+    part has an eigenvalue below ``tol``; a stack names the offending step,
+    counting from ``first``."""
+    lam = np.linalg.eigvalsh((mats + np.swapaxes(mats, -1, -2)) / 2.0)[..., 0]
+    bad = np.flatnonzero(lam < tol)
+    if bad.size:
+        k = int(bad[0])
+        v.append(NotPositiveDefinite(name if mats.ndim == 2 else f"{name}[{k + first}]",
+                                     lam.flat[k]))
 
 
 def _check_dims(v, s: Scenario):
@@ -245,11 +264,7 @@ def _check_ltv(v, dyn: LtvGameDynamics, s: Scenario):
     if dyn.W.shape != (T, n_x, n_x):
         v.append(DimensionMismatch("W", (T, n_x, n_x), dyn.W.shape))
     else:
-        for t in range(T):
-            lam = min_symmetric_eig(dyn.W[t])
-            if lam < TOL_PD:
-                v.append(NotPositiveDefinite(f"W[{t}]", lam))
-                break
+        _check_definite(v, dyn.W, TOL_PD, "W")
     if dyn.x0.shape != (n_x,):
         v.append(DimensionMismatch("x0", (n_x,), dyn.x0.shape))
 
@@ -265,9 +280,7 @@ def _check_unicycle(v, dyn: UnicycleDynamicsSpec, s: Scenario):
     if dyn.W.shape != (n_x, n_x):
         v.append(DimensionMismatch("noise", (n_x, n_x), dyn.W.shape))
     else:
-        lam = min_symmetric_eig(dyn.W)
-        if lam < TOL_PD:
-            v.append(NotPositiveDefinite("W", lam))
+        _check_definite(v, dyn.W, TOL_PD, "W")
 
 
 def _check_costs(v, s: Scenario):
@@ -285,26 +298,18 @@ def _check_costs(v, s: Scenario):
             continue
         if c.ref.shape != (T, n_x):
             v.append(DimensionMismatch(f"costs[{i}].ref", (T, n_x), c.ref.shape))
-        for t in range(T):
-            lam = min_symmetric_eig(c.Q[t])
-            if lam < -TOL_PSD:
-                v.append(NotPositiveDefinite(f"costs[{i}].Q[{t + 1}]", lam))
-                break
-        for t in range(T):
-            lam = min_symmetric_eig(c.R[t])
-            if lam < TOL_PD:
-                v.append(NotPositiveDefinite(f"costs[{i}].R[{t}]", lam))
-                break
+        _check_definite(v, c.Q, -TOL_PSD, f"costs[{i}].Q", first=1)
+        _check_definite(v, c.R, TOL_PD, f"costs[{i}].R")
 
 
 def _check_constraints(v, s: Scenario):
     T, n_x = s.horizon, s.n_x
     for k, con in enumerate(s.constraints):
         if con.active_times is not None:
-            bad = [t for t in con.active_times if not (1 <= t <= T)]
+            bad = [t for t in con.active_times if not (_is_integer(t) and 1 <= t <= T)]
             if bad:
                 v.append(DimensionMismatch(f"constraints[{k}].active_times",
-                                           f"subset of 1..{T}", bad))
+                                           f"integers in 1..{T}", bad))
         if con.kind == "box":
             if con.x_min.shape != (n_x,) or con.x_max.shape != (n_x,):
                 v.append(DimensionMismatch(f"constraints[{k}] bounds", (n_x,),
@@ -330,9 +335,7 @@ def _check_constraints(v, s: Scenario):
             if con.C.shape != (d, d):
                 v.append(DimensionMismatch(f"constraints[{k}].C", (d, d), con.C.shape))
                 continue
-            lam = min_symmetric_eig(con.C)
-            if lam < -TOL_PSD:
-                v.append(NotPositiveDefinite(f"constraints[{k}].C", lam))
+            _check_definite(v, con.C, -TOL_PSD, f"constraints[{k}].C")
             if not (con.radius > 0):
                 v.append(DimensionMismatch(f"constraints[{k}].radius", "> 0", con.radius))
 
@@ -418,11 +421,7 @@ class GameProblem:
 
     @property
     def agent_slices(self):
-        out, o = [], 0
-        for d in self.state_dims:
-            out.append(slice(o, o + d))
-            o += d
-        return out
+        return agent_slices(self.state_dims)
 
     def position_indices(self, i):
         """Indices of agent i's planar position within the full state."""
@@ -445,7 +444,7 @@ def default_nominal_inputs(s: Scenario) -> np.ndarray:
     out = np.zeros((s.num_agents, T, 2))
     for i in range(s.num_agents):
         px, py, th, vel = s.dynamics.initial_states[i]
-        goal = s.costs[i].ref[-1][s.agent_slices[i]]
+        goal = s.costs[i].ref[-1][agent_slices(s.state_dims)[i]]
         gx, gy = goal[0], goal[1]
         dist = math.hypot(gx - px, gy - py)
         if dist < 1e-12:
@@ -493,14 +492,11 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
         nominal_inputs = np.asarray(nominal_inputs, dtype=float)
         if nominal_inputs.shape != (N, T, 2):
             raise DimensionMismatch("nominal_inputs", (N, T, 2), nominal_inputs.shape)
-        spec = linearize.UnicycleSpec(
-            initial_states=s.dynamics.initial_states,
-            nominal_inputs=nominal_inputs, dt=s.dt,
-        )
-        nominal = linearize.nominal_rollout(spec)
-        dyn = linearize.linearize_unicycle(spec, nominal, W=s.dynamics.W)
-        nominal_states = nominal.stacked_states()
-        nominal_inputs_abs = np.transpose(spec.nominal_inputs, (1, 0, 2))
+        nominal = linearize.nominal_rollout(s.dynamics.initial_states,
+                                            nominal_inputs, s.dt)
+        dyn = linearize.linearize_unicycle(nominal, s.dt, s.dynamics.W)
+        nominal_states = nominal.reshape(T + 1, n_x)
+        nominal_inputs_abs = np.transpose(nominal_inputs, (1, 0, 2))
         # deviation coordinates: references shift by the nominal trajectory
         ref = ref - nominal_states[None, :, :]
         ref[:, 0, :] = 0.0
@@ -538,38 +534,23 @@ def _reject_unknown(d, allowed, where):
         raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _embed_agent_matrix(spec, s_dims, agent, name):
-    n_x = sum(s_dims)
-    if not np.isscalar(spec):
-        arr = np.asarray(spec, dtype=float)
-        dim = arr.shape[0] if arr.ndim >= 1 else None
-        if arr.ndim == 2 and arr.shape == (n_x, n_x):
-            return arr
-        if arr.ndim == 1 and arr.shape[0] == n_x:
-            return np.diag(arr)
-    d = s_dims[agent]
-    block = coerce_matrix(spec, d, name)
-    out = np.zeros((n_x, n_x))
-    o = int(sum(s_dims[:agent]))
-    out[o:o + d, o:o + d] = block
-    return out
+def _integer(value, name):
+    """A JSON integer field; a bool, float or string raises SchemaError."""
+    if not _is_integer(value):
+        raise SchemaError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
-def _embed_agent_vector(vec, s_dims, agent, name):
-    n_x = sum(s_dims)
-    arr = np.asarray(vec, dtype=float)
-    if arr.shape == (n_x,):
-        return arr
-    d = s_dims[agent]
-    if arr.shape != (d,):
-        raise SchemaError(f"{name}: length {arr.shape}, expected {d} or {n_x}")
-    out = np.zeros(n_x)
-    o = int(sum(s_dims[:agent]))
-    out[o:o + d] = arr
-    return out
+def _agent_matrix(spec, state_dims, agent, name):
+    """The stacked (n_x, n_x) matrix from a full-size spec or from the agent's
+    (d, d) block, each in a form that :func:`coerce_matrix` accepts."""
+    n_x = sum(state_dims)
+    if not np.isscalar(spec) and np.shape(spec) in ((n_x,), (n_x, n_x)):
+        return coerce_matrix(spec, n_x, name)
+    return embed_agent(coerce_matrix(spec, state_dims[agent], name), state_dims, agent)
 
 
-def _parse_dynamics(d, N, T, state_dims):
+def _parse_dynamics(d, T, state_dims):
     _reject_unknown(d, {"type", "A", "B", "W", "x0", "initial_states",
                         "nominal_inputs", "noise"}, "dynamics")
     kind = d.get("type")
@@ -589,28 +570,21 @@ def _parse_dynamics(d, N, T, state_dims):
         init = np.asarray(d["initial_states"], dtype=float)
         nom = d.get("nominal_inputs")
         nom = None if nom is None else np.asarray(nom, dtype=float)
-        W = _parse_noise(d.get("noise", 1e-6), N, state_dims)
+        W = _parse_noise(d.get("noise", 1e-6), state_dims)
         return UnicycleDynamicsSpec(initial_states=init, nominal_inputs=nom, W=W)
     raise SchemaError(f"dynamics.type: expected 'ltv' or 'unicycle', got {kind!r}")
 
 
-def _parse_noise(spec, N, state_dims):
+def _parse_noise(spec, state_dims):
     n_x = sum(state_dims)
     if isinstance(spec, dict):
         _reject_unknown(spec, {"per_agent_diag", "diag", "matrix"}, "dynamics.noise")
         if "per_agent_diag" in spec:
-            blocks = []
+            vals = np.asarray(spec["per_agent_diag"], dtype=float)
             for d in state_dims:
-                vals = np.asarray(spec["per_agent_diag"], dtype=float)
                 if vals.shape != (d,):
                     raise SchemaError(f"noise.per_agent_diag: length {vals.shape}, expected {d}")
-                blocks.append(np.diag(vals))
-            out = np.zeros((n_x, n_x))
-            o = 0
-            for b in blocks:
-                out[o:o + b.shape[0], o:o + b.shape[0]] = b
-                o += b.shape[0]
-            return out
+            return np.diag(np.tile(vals, len(state_dims)))
         if "diag" in spec:
             return np.diag(np.asarray(spec["diag"], dtype=float))
         return coerce_matrix(spec["matrix"], n_x, "dynamics.noise.matrix")
@@ -629,37 +603,29 @@ def _parse_cost(d, i, T, n_u, state_dims):
             ref = np.repeat(ref[None, :], T, axis=0)
         return CostSpec(Q=Q, R=R, ref=ref)
     _reject_unknown(d, {"Q_stage", "Q_terminal", "R", "goal"}, f"costs[{i}]")
-    q_stage = _embed_agent_matrix(d.get("Q_stage", 0.0), state_dims, i, f"costs[{i}].Q_stage")
-    q_term = _embed_agent_matrix(d.get("Q_terminal", 0.0), state_dims, i, f"costs[{i}].Q_terminal")
+    q_stage = _agent_matrix(d.get("Q_stage", 0.0), state_dims, i, f"costs[{i}].Q_stage")
+    q_term = _agent_matrix(d.get("Q_terminal", 0.0), state_dims, i, f"costs[{i}].Q_terminal")
     Q = np.repeat(q_stage[None, :, :], T, axis=0)
     Q[T - 1] = q_term + q_stage
     R = np.repeat(coerce_matrix(d["R"], n_u, f"costs[{i}].R")[None, :, :], T, axis=0)
-    goal = d.get("goal")
-    if goal is None:
-        ref = np.zeros((T, n_x))
-    else:
-        ref = np.repeat(_embed_agent_vector(goal, state_dims, i, f"costs[{i}].goal")[None, :],
-                        T, axis=0)
-    return CostSpec(Q=Q, R=R, ref=ref)
+    goal = np.asarray(d.get("goal", np.zeros(n_x)), dtype=float)
+    if goal.shape != (n_x,):
+        if goal.shape != (state_dims[i],):
+            raise SchemaError(f"costs[{i}].goal: length {goal.shape}, "
+                              f"expected {state_dims[i]} or {n_x}")
+        goal = embed_agent(goal, state_dims, i)
+    return CostSpec(Q=Q, R=R, ref=np.repeat(goal[None, :], T, axis=0))
 
 
 def _bounds_array(spec, state_dims, agent, name):
-    n_x = sum(state_dims)
-    if spec is None:
-        return np.full(n_x, np.nan)
-    vals = [np.nan if v is None else float(v) for v in spec]
-    arr = np.asarray(vals, dtype=float)
-    if agent is None:
-        if arr.shape != (n_x,):
-            raise SchemaError(f"{name}: length {arr.shape[0]}, expected {n_x}")
-        return arr
-    d = state_dims[agent]
-    if arr.shape != (d,):
-        raise SchemaError(f"{name}: length {arr.shape[0]}, expected {d}")
-    out = np.full(n_x, np.nan)
-    o = int(sum(state_dims[:agent]))
-    out[o:o + d] = arr
-    return out
+    """Bounds on the full state, or on the agent's substate when ``agent`` is
+    given; ``null`` entries and a missing list are NaN (unconstrained)."""
+    dim = sum(state_dims) if agent is None else state_dims[agent]
+    arr = np.full(dim, np.nan) if spec is None else np.array(
+        [np.nan if v is None else float(v) for v in spec], dtype=float)
+    if arr.shape != (dim,):
+        raise SchemaError(f"{name}: length {arr.shape[0]}, expected {dim}")
+    return arr if agent is None else embed_agent(arr, state_dims, agent, fill=np.nan)
 
 
 def default_collision_weight(dim):
@@ -676,6 +642,9 @@ def _parse_constraint(d, k, state_dims):
         _reject_unknown(d, {"type", "agent", "x_min", "x_max", "active_times"},
                         f"constraints[{k}]")
         agent = d.get("agent")
+        if agent is not None and not (_is_integer(agent) and 0 <= agent < len(state_dims)):
+            raise SchemaError(f"constraints[{k}].agent: expected an integer in "
+                              f"0..{len(state_dims) - 1}, got {agent!r}")
         x_min = _bounds_array(d.get("x_min"), state_dims, agent, f"constraints[{k}].x_min")
         x_max = _bounds_array(d.get("x_max"), state_dims, agent, f"constraints[{k}].x_max")
         at = d.get("active_times")
@@ -684,13 +653,13 @@ def _parse_constraint(d, k, state_dims):
     if kind == "collision":
         _reject_unknown(d, {"type", "pair", "radius", "weight", "active_times"},
                         f"constraints[{k}]")
-        i, j = d["pair"]
-        dim = state_dims[int(i)]
+        i, j = (_integer(a, f"constraints[{k}].pair") for a in d["pair"])
+        dim = state_dims[i]
         w = d.get("weight")
         C = default_collision_weight(dim) if w is None else coerce_matrix(
             w, dim, f"constraints[{k}].weight")
         at = d.get("active_times")
-        return CollisionSpec(pair=(int(i), int(j)), radius=float(d["radius"]), C=C,
+        return CollisionSpec(pair=(i, j), radius=float(d["radius"]), C=C,
                              active_times=None if at is None else tuple(at))
     raise SchemaError(f"constraints[{k}].type: expected 'box' or 'collision', got {kind!r}")
 
@@ -711,18 +680,18 @@ def _parse_scenario(doc):
     for key in ("agents", "horizon", "dt", "dynamics", "costs", "risk_epsilon", "seed"):
         if key not in doc:
             raise SchemaError(f"scenario: missing required key {key!r}")
-    N = int(doc["agents"])
-    T = int(doc["horizon"])
+    N = _integer(doc["agents"], "agents")
+    T = _integer(doc["horizon"], "horizon")
     dtype = doc["dynamics"].get("type")
     if dtype == "unicycle":
         state_dims = tuple([4] * N)
     elif "state_dims" in doc:
-        state_dims = tuple(int(d) for d in doc["state_dims"])
+        state_dims = tuple(_integer(d, "state_dims") for d in doc["state_dims"])
     elif N == 1:
         state_dims = (len(doc["dynamics"]["x0"]),)
     else:
         raise SchemaError("scenario: 'state_dims' required for multi-agent ltv dynamics")
-    dynamics = _parse_dynamics(doc["dynamics"], N, T, state_dims)
+    dynamics = _parse_dynamics(doc["dynamics"], T, state_dims)
     n_u = dynamics.n_u if isinstance(dynamics, LtvGameDynamics) else 2
     costs = tuple(_parse_cost(c, i, T, n_u, state_dims)
                   for i, c in enumerate(doc["costs"]))
@@ -731,7 +700,7 @@ def _parse_scenario(doc):
     return Scenario(
         num_agents=N, horizon=T, dt=float(doc["dt"]), dynamics=dynamics,
         costs=costs, constraints=constraints,
-        risk_epsilon=float(doc["risk_epsilon"]), rng_seed=int(doc["seed"]),
+        risk_epsilon=float(doc["risk_epsilon"]), rng_seed=_integer(doc["seed"], "seed"),
         state_dims=state_dims,
     )
 

@@ -223,13 +223,9 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
         if not shifted:
             continue
         cons.append(replace(spec, active_times=shifted))
-    return GameProblem(
-        dyn=sub_dyn, Q=Q, R=problem.R[:, tau:], ref=ref, constraints=tuple(cons),
-        nominal_states=problem.nominal_states[tau:],
-        nominal_inputs=problem.nominal_inputs[tau:],
-        state_dims=problem.state_dims, dt=problem.dt,
-        risk_epsilon=problem.risk_epsilon, rng_seed=problem.rng_seed,
-    )
+    return replace(problem, dyn=sub_dyn, Q=Q, R=problem.R[:, tau:], ref=ref,
+                   constraints=tuple(cons), nominal_states=problem.nominal_states[tau:],
+                   nominal_inputs=problem.nominal_inputs[tau:])
 
 
 def aggregate_problem(problem: GameProblem) -> GameProblem:
@@ -245,14 +241,8 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
     for t in range(1, T + 1):
         rhs = np.einsum("iab,ib->a", problem.Q[:, t], problem.ref[:, t])
         ref[0, t] = np.linalg.lstsq(Q[0, t], rhs, rcond=None)[0]
-    return GameProblem(
-        dyn=LtvGameDynamics(A=dyn.A, B=B, W=dyn.W, x0=dyn.x0),
-        Q=Q, R=R, ref=ref, constraints=problem.constraints,
-        nominal_states=problem.nominal_states,
-        nominal_inputs=problem.nominal_inputs.reshape(T, 1, N * n_u),
-        state_dims=problem.state_dims, dt=problem.dt,
-        risk_epsilon=problem.risk_epsilon, rng_seed=problem.rng_seed,
-    )
+    return replace(problem, dyn=replace(dyn, B=B), Q=Q, R=R, ref=ref,
+                   nominal_inputs=problem.nominal_inputs.reshape(T, 1, N * n_u))
 
 
 def _prepare_subgame(problem_agg: GameProblem) -> PreparedGame:

@@ -10,6 +10,12 @@ from ccgame.model import Scenario, save_scenario
 from conftest import random_small_scenario, scalar_single_agent_instance
 
 
+def _speed_box(doc, **fields):
+    """Turn the first box of a scenario document into a per-agent speed box."""
+    box = next(c for c in doc["constraints"] if c["type"] == "box")
+    box.update(x_min=[None, None, None, 0.0], x_max=[None, None, None, 3.0], **fields)
+
+
 @pytest.fixture()
 def tiny_active(tmp_path):
     path = tmp_path / "active.json"
@@ -97,15 +103,30 @@ class TestSolve:
         assert err.startswith("error: DomainError")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("edit, encoding", [
-        (lambda d: d.update(agents="two"), "utf-8"),
-        (lambda d: d["costs"][0].update(R="x"), "utf-8"),
+    @pytest.mark.parametrize("edit, encoding, error", [
+        (lambda d: d.update(agents="two"), "utf-8", "SchemaError"),
+        (lambda d: d["costs"][0].update(R="x"), "utf-8", "SchemaError"),
         (lambda d: next(c for c in d["constraints"]
-                        if c["type"] == "collision").update(pair=[7, 0]), "utf-8"),
-        (lambda d: None, "utf-16"),
-    ], ids=["agents", "R", "pair", "utf-16"])
+                        if c["type"] == "collision").update(pair=[7, 0]), "utf-8",
+         "SchemaError"),
+        (lambda d: None, "utf-16", "SchemaError"),
+        (lambda d: d.update(horizon=20.7), "utf-8", "SchemaError"),
+        (lambda d: d.update(agents=2.5), "utf-8", "SchemaError"),
+        (lambda d: d.update(seed=1.5), "utf-8", "SchemaError"),
+        (lambda d: next(c for c in d["constraints"]
+                        if c["type"] == "collision").update(pair=[0.5, 1]), "utf-8",
+         "SchemaError"),
+        (lambda d: _speed_box(d, agent=-1), "utf-8", "SchemaError"),
+        (lambda d: _speed_box(d, agent=True), "utf-8", "SchemaError"),
+        (lambda d: _speed_box(d, agent=0, active_times=[2.5, 3]), "utf-8",
+         "DimensionMismatch"),
+        (lambda d: _speed_box(d, agent=0, active_times=[3.0]), "utf-8",
+         "DimensionMismatch"),
+    ], ids=["agents", "R", "pair", "utf-16", "horizon-fraction", "agents-fraction",
+            "seed-fraction", "pair-fraction", "box-agent-negative", "box-agent-bool",
+            "active-times-fraction", "active-times-float"])
     def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit,
-                                                encoding):
+                                                encoding, error):
         doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
         edit(doc)
         path = tmp_path / "bad.json"
@@ -113,7 +134,7 @@ class TestSolve:
         rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: SchemaError")
+        assert err.startswith(f"error: {error}")
         assert "Traceback" not in err
 
     def test_negative_relinearize_exits_one(self, tiny_active, tmp_path, capsys):

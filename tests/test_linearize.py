@@ -3,39 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from ccgame.linearize import (UnicycleSpec, linearize_unicycle,
-                              nominal_rollout, unicycle_jacobians, unicycle_step)
+from ccgame.linearize import (linearize_unicycle, nominal_rollout,
+                              unicycle_jacobians, unicycle_step)
 from ccgame.model import assemble_problem, validate_scenario
 from oracles import numeric_jacobians
 
 
-def spec_for(initial, inputs, dt=0.2):
-    return UnicycleSpec(initial_states=np.asarray(initial, float)[None, :],
-                        nominal_inputs=np.asarray(inputs, float)[None, :, :],
-                        dt=dt)
+def one_agent_rollout(initial, inputs, dt=0.2):
+    """Nominal states (T+1, 4) of a single unicycle."""
+    return nominal_rollout(np.asarray(initial, float)[None, :],
+                           np.asarray(inputs, float)[None, :, :], dt)[:, 0]
 
 
 def test_zero_inputs_zero_speed_is_fixed_point():
-    spec = spec_for([1.0, -2.0, 0.7, 0.0], np.zeros((5, 2)))
-    nom = nominal_rollout(spec)
-    assert np.allclose(nom.states[0], nom.states[0, 0])
+    states = one_agent_rollout([1.0, -2.0, 0.7, 0.0], np.zeros((5, 2)))
+    assert np.allclose(states, states[0])
 
 
 def test_hand_euler_recursion():
-    spec = spec_for([0.0, 0.0, 0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], dt=0.2)
-    nom = nominal_rollout(spec)
-    assert np.allclose(nom.states[0, :, 3], [0.0, 0.2, 0.4])
-    assert np.allclose(nom.states[0, :, 0], [0.0, 0.0, 0.04])
-    assert np.allclose(nom.states[0, :, 1], 0.0)
+    states = one_agent_rollout([0.0, 0.0, 0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], dt=0.2)
+    assert np.allclose(states[:, 3], [0.0, 0.2, 0.4])
+    assert np.allclose(states[:, 0], [0.0, 0.0, 0.04])
+    assert np.allclose(states[:, 1], 0.0)
 
 
 def test_heading_sweeps_half_turn():
     T, dt = 25, 0.2
     omega = math.pi / (T * dt)
     inputs = np.tile([0.0, omega], (T, 1))
-    spec = spec_for([0.0, 0.0, 0.0, 1.0], inputs, dt=dt)
-    nom = nominal_rollout(spec)
-    thetas = nom.states[0, :, 2]
+    thetas = one_agent_rollout([0.0, 0.0, 0.0, 1.0], inputs, dt=dt)[:, 2]
     expected = np.arange(T + 1) * dt * omega
     assert np.allclose(thetas, expected, atol=1e-12)
     assert thetas[-1] == pytest.approx(math.pi, abs=1e-12)
@@ -76,9 +72,8 @@ def test_jacobian_structure_heading_north():
 def test_two_agent_stacking_block_structure():
     init = np.array([[0.0, 0.0, 0.0, 1.0], [5.0, 5.0, 1.0, 2.0]])
     inputs = np.zeros((2, 4, 2))
-    spec = UnicycleSpec(initial_states=init, nominal_inputs=inputs, dt=0.2)
-    nom = nominal_rollout(spec)
-    dyn = linearize_unicycle(spec, nom, W=np.eye(8) * 1e-4)
+    nominal = nominal_rollout(init, inputs, 0.2)
+    dyn = linearize_unicycle(nominal, 0.2, W=np.eye(8) * 1e-4)
     for t in range(4):
         assert np.array_equal(dyn.A[t][:4, 4:], np.zeros((4, 4)))
         assert np.array_equal(dyn.A[t][4:, :4], np.zeros((4, 4)))

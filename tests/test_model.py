@@ -125,6 +125,13 @@ def test_loader_rejects_unknown_nested_keys():
         scenario_from_dict(doc)
 
 
+def test_loader_rejects_non_integer_state_dims():
+    doc = scenario_to_dict(random_small_scenario(np.random.default_rng(5)))
+    doc["state_dims"] = [float(d) for d in doc["state_dims"]]
+    with pytest.raises(SchemaError, match="state_dims"):
+        scenario_from_dict(doc)
+
+
 def test_cost_shorthand_expansion():
     doc = {
         "agents": 1, "horizon": 3, "dt": 0.5, "risk_epsilon": 0.1, "seed": 7,

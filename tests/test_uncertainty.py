@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgame import simulate, uncertainty
+from ccgame import linearize, scenarios, simulate, uncertainty
 from ccgame.dualascent import prepare_game
 from ccgame.errors import (AllocationTooSmall, DegenerateReference, DomainError)
 from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
-                          validate_scenario)
+                          load_scenario, validate_scenario)
 from ccgame.uncertainty import (CovarianceSchedule, allocate_risk,
                                 assemble_constraints, inverse_normal_cdf,
                                 linearize_collision, normal_cdf,
@@ -322,6 +322,36 @@ class TestOnePassAssembly:
             lmat, c = _rebuilt(prep)
             assert np.array_equal(lmat, prep.conset.lmat)
             assert np.array_equal(c, prep.conset.c)
+
+
+class TestOnePassValidation:
+    """Validation and linearization work on stacked arrays: one eigvalsh per
+    matrix stack (three Q, three R, one W and three C on ``intersection``),
+    and one Jacobian evaluation per agent for all steps."""
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        calls, real = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_eigvalsh_per_matrix_stack(self, monkeypatch):
+        scenario = load_scenario(scenarios.bundled_path("intersection"))
+        calls = self._counting(monkeypatch, np.linalg, "eigvalsh")
+        validate_scenario(scenario)
+        assert len(calls) == 10
+
+    def test_one_jacobian_call_per_agent(self, monkeypatch):
+        vs = validate_scenario(load_scenario(scenarios.bundled_path("intersection")))
+        calls = self._counting(monkeypatch, linearize, "unicycle_jacobians")
+        problem = assemble_problem(vs)
+        assert problem.T * problem.N == 150
+        assert len(calls) == 3
 
 
 class TestConservativeness:
