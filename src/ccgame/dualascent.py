@@ -5,10 +5,13 @@ The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory, and it is affine in lam: probing the solver at lam = 0 and at
 each unit vector recovers the exact map g(lam) = G lam + ctilde.  Because
 the map is exact (stage gains do not depend on lam), the solve works on it
-directly instead of re-solving the game at every step.  One Riccati sweep
-gives the map and, in its constant column, the lam = 0 policy the dual
-values start from; a second, the final equilibrium solve at the returned
-multiplier, gives the report.
+directly instead of re-solving the game at every step.  A solve computes
+the stage gains once (or takes them from ``PreparedGame.gains``); one zeta
+pass on them gives the map and, in its constant column, the lam = 0 policy
+the dual values start from; a second, the final equilibrium solve at the
+returned multiplier, gives the report.  The diagnostics that only a report
+or a trace reads (L, eta, dual0 and the dual values) are computed when
+first read, so a central-MPC replan pays for none of them.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -32,7 +35,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +47,15 @@ from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """Problem, open-loop covariance schedule and reformulated constraints."""
+    """Problem, open-loop covariance schedule and reformulated constraints;
+    ``gains``, when given, are the problem's stage gains and the solve does
+    not recompute them."""
 
     problem: GameProblem
     cov: uncertainty.CovarianceSchedule
     conset: uncertainty.AffineConstraintSet
     reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
+    gains: lqnash.StageGains | None = field(default=None, repr=False)
 
     @property
     def M(self):
@@ -81,14 +88,30 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
 @dataclass(frozen=True)
 class AffineGradientMap:
-    """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0);
-    asymmetry = ||G - G'||_F / ||G||_F."""
+    """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0), the expected
+    cost of the lam = 0 policy policy0; asymmetry = ||G - G'||_F / ||G||_F.
+    L, asymmetry and dual0 are computed when first read."""
 
     G: np.ndarray
     ctilde: np.ndarray
-    L: float
-    dual0: np.ndarray
-    asymmetry: float
+    problem: GameProblem = field(repr=False)
+    policy0: lqnash.FeedbackPolicy = field(repr=False)
+
+    @cached_property
+    def _norms(self):
+        return _spectral_norm(self.G)
+
+    @property
+    def L(self):
+        return self._norms[0]
+
+    @property
+    def asymmetry(self):
+        return self._norms[1]
+
+    @cached_property
+    def dual0(self):
+        return lqnash.evaluate_cost(self.problem, self.policy0)
 
     def gradient(self, lam):
         return self.G @ lam + self.ctilde
@@ -104,8 +127,9 @@ class AffineGradientMap:
                      + 0.5 * lam @ (self.G @ lam))
 
 
-def _solve_at(prepared: PreparedGame, lam):
-    policy = lqnash.backward_recursion(prepared.problem, prepared.conset, lam)
+def _solve_at(prepared: PreparedGame, lam, gains=None):
+    policy = lqnash.backward_recursion(prepared.problem, prepared.conset, lam,
+                                       gains)
     traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
     return policy, traj, prepared.conset.evaluate(traj)
 
@@ -127,16 +151,15 @@ def _spectral_norm(G):
     return L, (skew / norm if norm > 0.0 else 0.0)
 
 
-def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
+def estimate_affine_map(prepared: PreparedGame, gains=None) -> AffineGradientMap:
     """Recover (G, ctilde): ctilde is g at lam = 0, column m of G is
     g at the m-th unit multiplier minus ctilde.  Exact by affinity; computed with
-    one batched coefficient sweep instead of M+1 separate solves, which also
+    one batched zeta pass instead of M+1 separate solves, which also
     gives the lam = 0 policy that dual0 is evaluated at."""
-    G, ctilde, policy0 = lqnash.affine_response(prepared.problem, prepared.conset)
-    dual0 = lqnash.evaluate_cost(prepared.problem, policy0)
-    L, asymmetry = _spectral_norm(G)
-    return AffineGradientMap(G=G, ctilde=ctilde, L=L, dual0=dual0,
-                             asymmetry=asymmetry)
+    G, ctilde, policy0 = lqnash.affine_response(prepared.problem, prepared.conset,
+                                                gains)
+    return AffineGradientMap(G=G, ctilde=ctilde, problem=prepared.problem,
+                             policy0=policy0)
 
 
 PIVOT_TOL = 1e-11          # direction entries below this (relative) never block
@@ -249,22 +272,39 @@ class DualAscentOptions:
 
 @dataclass
 class DualSolveReport:
+    """The multiplier, the policy solved at it and the measured residuals.
+
+    eta (the fallback's step), lipschitz and the per-player dual values are
+    computed when first read."""
+
     lambda_bar: np.ndarray
     policy: lqnash.FeedbackPolicy
     mean_traj: np.ndarray
     g_final: np.ndarray
     feasibility_residual: float
     complementarity: float
-    eta: float
-    lipschitz: float
     iterations: int
     termination: str
-    dual_values: np.ndarray
     solve_seconds: float
     map: AffineGradientMap
-    tol_feas: float = DualAscentOptions.tol_feas   # the tolerance the run used
+    prepared: PreparedGame = field(repr=False)
+    options: DualAscentOptions
     pivots: int = 0
     natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
+
+    @cached_property
+    def eta(self):
+        return _resolve_eta(self.options, self.map)
+
+    @property
+    def lipschitz(self):
+        return self.map.L
+
+    @cached_property
+    def dual_values(self):
+        return lqnash.evaluate_lagrangian(self.prepared.problem, self.policy,
+                                          self.lambda_bar, self.prepared.conset,
+                                          self.mean_traj)
 
     def to_dict(self):
         return {
@@ -285,7 +325,7 @@ class DualSolveReport:
             # mean slow averaging or an instance without a strictly feasible
             # policy, which cannot be distinguished at runtime
             "residual_above_tolerance": bool(
-                self.feasibility_residual > self.tol_feas),
+                self.feasibility_residual > self.options.tol_feas),
         }
 
 
@@ -349,34 +389,35 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
-    gmap = estimate_affine_map(prepared)
-    eta = _resolve_eta(options, gmap)   # the fallback's step, always reported
+    gains = (lqnash.stage_gains(prepared.problem) if prepared.gains is None
+             else prepared.gains)
+    gmap = estimate_affine_map(prepared, gains)
 
     lam_bar, pivots, termination = solve_lcp(gmap.G, gmap.ctilde)
     iterations = 0
     if lam_bar is None:
-        lam_bar, iterations, _ = _ascent(gmap, eta, options, trace_writer)
+        lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
+                                         options, trace_writer)
 
-    policy, traj, g_final = _solve_at(prepared, lam_bar)
-    duals = lqnash.evaluate_lagrangian(prepared.problem, policy, lam_bar,
-                                       prepared.conset, traj)
+    policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),
                            initial=0.0))
+    report = DualSolveReport(
+        lambda_bar=lam_bar, policy=policy, mean_traj=traj, g_final=g_final,
+        feasibility_residual=residual, complementarity=comp,
+        iterations=iterations, termination=termination,
+        solve_seconds=time.perf_counter() - t_start,
+        map=gmap, prepared=prepared, options=options, pivots=pivots,
+        natural_residual=natural,
+    )
     if trace_writer is not None and termination == "lcp_solved":
         trace_writer({"iter": pivots, "max_violation": residual,
                       "complementarity": comp,
-                      "dual_value_p1": gmap.dual_value(0, lam_bar), "eta": eta})
-    return DualSolveReport(
-        lambda_bar=lam_bar, policy=policy, mean_traj=traj, g_final=g_final,
-        feasibility_residual=residual, complementarity=comp, eta=eta,
-        lipschitz=gmap.L,
-        iterations=iterations, termination=termination, dual_values=duals,
-        solve_seconds=time.perf_counter() - t_start,
-        map=gmap, tol_feas=options.tol_feas, pivots=pivots,
-        natural_residual=natural,
-    )
+                      "dual_value_p1": gmap.dual_value(0, lam_bar),
+                      "eta": report.eta})
+    return report
 
 
 def solve_scenario(scenario, options: DualAscentOptions | None = None,

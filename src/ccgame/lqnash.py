@@ -12,15 +12,18 @@ so the per-stage linear coefficient entering the zeta recursion is half the
 gradient of the stage cost's linear part (the multiplier contributes
 ``0.5 * l_t lam`` and a goal reference contributes ``-Q^i_t r^i_t``).
 
-One private sweep, ``_riccati_sweep``, builds and solves every stage system.
-Its linear term has m columns and zeta carries one column per column, so
-the gains are solved once and the affine terms for all columns at once:
-``backward_recursion`` runs it with the one column ``s_t`` at a given lam,
-and ``affine_response`` with M + 1 columns (``0.5 l_t`` per multiplier and
-``-Q r``), from which the exact map lam -> g follows by one forward pass;
-its constant column is the lam = 0 policy, so no separate solve is needed.
-The tests keep a single-player best-response sweep (``tests/oracles.py``)
-as an independent reference for the coupled solve.
+The sweep runs in two steps.  ``stage_gains`` depends on neither lam, x0
+nor the references: it builds every stage system S_t once, checks its
+rcond, and returns K, F, P, S_t and the gain right-hand sides YK_t.  A
+shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
+then computes the affine terms on those gains for a linear term with m
+columns, one zeta column per column: ``backward_recursion`` runs it with
+the one column ``s_t`` at a given lam, and ``affine_response`` with M + 1
+columns (``0.5 l_t`` per multiplier and ``-Q r``), from which the exact map
+lam -> g follows by one forward pass; its constant column is the lam = 0
+policy, so no separate solve is needed.  Both take the gains as an optional
+argument.  The tests keep the single full sweep these replace and a
+single-player best-response sweep (``tests/oracles.py``) as references.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -68,12 +71,12 @@ def _check_rcond(S, t):
         raise SingularStageSystem(t, rcond)
 
 
-def _stage_solve(P_next, zeta_next, A, B, R, t=0):
-    """All players' gains and affine terms at one stage from the joint solve.
+def _stage_gain(P_next, A, B, R, t=0):
+    """One stage of the gain recursion from the joint solve.
 
-    P_next: (N, n_x, n_x); zeta_next: (N, n_x, m); A: (n_x, n_x);
-    B: (N, n_x, n_u); R: (N, n_u, n_u).  Returns K (N, n_u, n_x) and
-    a (N, n_u, m), one affine term per column of zeta_next.
+    P_next: (N, n_x, n_x); A: (n_x, n_x); B: (N, n_x, n_u); R: (N, n_u, n_u).
+    Returns the stage system S (N n_u, N n_u), its gain right-hand side
+    YK = [B^i' P^i A] (N n_u, n_x) and the gains K (N, n_u, n_x) = S^-1 YK.
     """
     N, n_x, n_u = B.shape
     S = np.zeros((N * n_u, N * n_u))
@@ -86,44 +89,90 @@ def _stage_solve(P_next, zeta_next, A, B, R, t=0):
             S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
     _check_rcond(S, t)
     YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
-    Ya = np.concatenate([B[i].T @ zeta_next[i] for i in range(N)], axis=0)
-    sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
-    return (sol[:, :n_x].reshape(N, n_u, n_x),
-            sol[:, n_x:].reshape(N, n_u, -1))
+    # a zero column keeps the right-hand side at two columns or more, as in
+    # the zeta pass: LAPACK solves a single column (n_x = 1) by another
+    # route, and K's last bits would differ
+    K = np.linalg.solve(S, np.concatenate([YK, np.zeros((N * n_u, 1))], axis=1))
+    return S, YK, K[:, :n_x].reshape(N, n_u, n_x)
 
 
-def _riccati_sweep(problem: GameProblem, linear_term):
-    """Coupled Riccati sweep t = T-1..0 with an m-column linear term.
+@dataclass(frozen=True)
+class StageGains:
+    """The lam-, x0- and reference-independent part of the coupled sweep.
 
-    ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
-    stage t; zeta carries one column per column of it, and only the current
-    zeta is kept.  Returns K (T, N, n_u, n_x), a (T, N, n_u, m), the closed
-    loop F (T, n_x, n_x) and P (T+1, N, n_x, n_x).
+    K (T, N, n_u, n_x), the closed loop F (T, n_x, n_x), P (T+1, N, n_x, n_x),
+    the stage systems S (T, N n_u, N n_u), their gain right-hand sides
+    YK (T, N n_u, n_x) and KtR[t, i] = K[t, i]' R^i_t (T, N, n_x, n_u).
     """
+
+    K: np.ndarray
+    F: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    YK: np.ndarray
+    KtR: np.ndarray
+
+    def __post_init__(self):
+        for name in ("K", "F", "P", "S", "YK", "KtR"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    def tail(self, tau):
+        """The gains of the problem sliced at time tau (``simulate.slice_problem``).
+
+        Stages t >= tau see the same P_{t+1}, so everything but P[0] is the
+        slice's own; P[0] keeps Q at tau, which the slice zeroes.  No zeta pass
+        reads P[0]."""
+        return StageGains(K=self.K[tau:], F=self.F[tau:], P=self.P[tau:],
+                          S=self.S[tau:], YK=self.YK[tau:], KtR=self.KtR[tau:])
+
+
+def stage_gains(problem: GameProblem) -> StageGains:
+    """Coupled Riccati recursion t = T-1..0 for the gains, one rcond check per stage."""
     dyn = problem.dyn
     N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
-    zeta = linear_term(T)
     P = np.zeros((T + 1, N, n_x, n_x))
     P[T] = problem.Q[:, T]
     K = np.zeros((T, N, n_u, n_x))
-    a = np.zeros((T, N, n_u, zeta.shape[2]))
     F = np.zeros((T, n_x, n_x))
-
+    S = np.zeros((T, N * n_u, N * n_u))
+    YK = np.zeros((T, N * n_u, n_x))
+    KtR = np.zeros((T, N, n_x, n_u))
     for t in range(T - 1, -1, -1):
         A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-        K[t], a[t] = _stage_solve(P[t + 1], zeta, A, B, R, t)
+        S[t], YK[t], K[t] = _stage_gain(P[t + 1], A, B, R, t)
         F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
+        for i in range(N):
+            KtR[t, i] = K[t, i].T @ R[i]
+            Pn = F[t].T @ P[t + 1, i] @ F[t] + KtR[t, i] @ K[t, i] + problem.Q[i, t]
+            P[t, i] = (Pn + Pn.T) / 2.0
+    return StageGains(K=K, F=F, P=P, S=S, YK=YK, KtR=KtR)
+
+
+def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term):
+    """Affine terms a (T, N, n_u, m) for an m-column linear term on fixed gains.
+
+    ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
+    stage t; zeta carries one column per column of it, and only the current
+    zeta is kept.  Each stage solves S_t against [YK_t, Ya] and keeps the
+    affine columns, the same system and right-hand side as a full sweep.
+    """
+    B_all = problem.dyn.B
+    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
+    zeta = linear_term(T)
+    a = np.zeros((T, N, n_u, zeta.shape[2]))
+    for t in range(T - 1, -1, -1):
+        B, F, P_next = B_all[t], gains.F[t], gains.P[t + 1]
+        Ya = np.concatenate([B[i].T @ zeta[i] for i in range(N)], axis=0)
+        sol = np.linalg.solve(gains.S[t], np.concatenate([gains.YK[t], Ya], axis=1))
+        a[t] = sol[:, n_x:].reshape(N, n_u, -1)
         Ba = np.einsum("iab,ibm->am", B, a[t])
         s = linear_term(t)
         zeta_new = np.zeros_like(zeta)
         for i in range(N):
-            Pn = (F[t].T @ P[t + 1, i] @ F[t]
-                  + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t])
-            P[t, i] = (Pn + Pn.T) / 2.0
-            zeta_new[i] = (F[t].T @ (zeta[i] - P[t + 1, i] @ Ba)
-                           + K[t, i].T @ R[i] @ a[t, i] + s[i])
+            zeta_new[i] = (F.T @ (zeta[i] - P_next[i] @ Ba)
+                           + gains.KtR[t, i] @ a[t, i] + s[i])
         zeta = zeta_new
-    return K, a, F, P
+    return a
 
 
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
@@ -136,15 +185,17 @@ def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
     return s
 
 
-def backward_recursion(problem: GameProblem, conset=None, lam=None):
-    """Feedback NE policy at multiplier lam: the sweep with one linear column.
+def backward_recursion(problem: GameProblem, conset=None, lam=None, gains=None):
+    """Feedback NE policy at multiplier lam: a zeta pass with one linear column
+    on the problem's gains (computed here when not given).
 
     With lam = 0 (or no constraint set) and zero references the affine terms
     vanish and the policy is the unconstrained LQ-game equilibrium.
     """
+    gains = stage_gains(problem) if gains is None else gains
     s = stage_linear_terms(problem, conset, lam)
-    K, a, _, _ = _riccati_sweep(problem, lambda t: s[:, t, :, None])
-    return FeedbackPolicy(K=K, alpha=a[..., 0])
+    a = _zeta_sweep(problem, gains, lambda t: s[:, t, :, None])
+    return FeedbackPolicy(K=gains.K, alpha=a[..., 0])
 
 
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
@@ -222,11 +273,12 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
     return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
 
 
-def affine_response(problem: GameProblem, conset):
-    """Exact affine map lam -> g at the equilibrium, from one sweep.
+def affine_response(problem: GameProblem, conset, gains=None):
+    """Exact affine map lam -> g at the equilibrium, from one zeta pass.
 
-    The stage gains do not depend on lam, and zeta (hence alpha and the mean
-    trajectory) is affine in it, so a sweep whose linear term has M+1 columns
+    The stage gains do not depend on lam (they are computed here when not
+    given), and zeta (hence alpha and the mean trajectory) is affine in it,
+    so a zeta pass whose linear term has M+1 columns
     (0.5 l_t for the multipliers, -Q r for the constant) reproduces exactly
     what M+1 unit-probe solves would measure.  Returns (G, ctilde, policy0)
     with g(lam) = G @ lam + ctilde, G of shape (M, M), and policy0 the
@@ -245,7 +297,8 @@ def affine_response(problem: GameProblem, conset):
             C[:, :, M] = s[:, t]
         return C
 
-    K, aC, F, _ = _riccati_sweep(problem, linear_term)
+    gains = stage_gains(problem) if gains is None else gains
+    aC = _zeta_sweep(problem, gains, linear_term)
 
     # forward sweep of the affine mean trajectory
     X = np.zeros((n_x, M + 1))
@@ -253,12 +306,12 @@ def affine_response(problem: GameProblem, conset):
     xstack = np.zeros((T * n_x, M + 1))
     for t in range(T):
         BaC = np.einsum("iab,ibm->am", dyn.B[t], aC[t])
-        X = F[t] @ X - BaC
+        X = gains.F[t] @ X - BaC
         xstack[t * n_x:(t + 1) * n_x] = X
     gmap = conset.lmat.T @ xstack
     G = gmap[:, :M]
     ctilde = gmap[:, M] + conset.c
-    return G, ctilde, FeedbackPolicy(K=K, alpha=aC[..., M])
+    return G, ctilde, FeedbackPolicy(K=gains.K, alpha=aC[..., M])
 
 
 # ---------------------------------------------------------------------------

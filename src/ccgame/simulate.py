@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -245,14 +246,15 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
                    nominal_inputs=problem.nominal_inputs.reshape(T, 1, N * n_u))
 
 
-def _prepare_subgame(problem_agg: GameProblem) -> PreparedGame:
+def _prepare_subgame(problem_agg: GameProblem, gains=None) -> PreparedGame:
     cov = uncertainty.propagate_covariance(problem_agg.dyn)
-    policy0 = lqnash.backward_recursion(problem_agg)
+    policy0 = lqnash.backward_recursion(problem_agg, gains=gains)
     dev = lqnash.integrate_expected(problem_agg.dyn, policy0)
     reference = problem_agg.nominal_states + dev
     conset = uncertainty.assemble_constraints(problem_agg, cov, reference)
     return PreparedGame(problem=problem_agg, cov=cov, conset=conset,
-                        reference_means=_freeze(np.asarray(reference)))
+                        reference_means=_freeze(np.asarray(reference)),
+                        gains=gains)
 
 
 @dataclass
@@ -261,7 +263,7 @@ class MpcRun:
     inputs: np.ndarray         # (T, N, n_u)
     failures: list             # (step, error message)
     replans: int
-    solve_seconds: float
+    solve_seconds: float       # the episode's stage gains and its whole replans
 
 
 def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
@@ -271,7 +273,8 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     Replans every ``replan_every`` steps over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
     failure is recorded with its step index.  The problem is aggregated
-    once; each replan slices the aggregate at its time and state.
+    and its stage gains computed once; each replan slices the aggregate at
+    its time and state, and solves on the tail of those gains.
     """
     options = options or DualAscentOptions(k_max=500)
     replan_every = _positive("replan_every", replan_every)
@@ -279,6 +282,9 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     T, N, n_x = problem.T, problem.N, problem.n_x
     factors = noise_factors(dyn.W)
     agg = aggregate_problem(problem)
+    t_start = time.perf_counter()
+    gains = lqnash.stage_gains(agg)
+    solve_seconds = time.perf_counter() - t_start
     z = noise_stream(seed, sample_index).standard_normal((T, n_x))
 
     states = np.zeros((T + 1, n_x))
@@ -288,16 +294,16 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     plan_offset = 0
     failures = []
     replans = 0
-    solve_seconds = 0.0
     for t in range(T):
         if t % replan_every == 0 or plan is None:
+            t_start = time.perf_counter()
             try:
-                prepared = _prepare_subgame(slice_problem(agg, t, states[t]))
-                report = run_dual_ascent(prepared, options)
-                plan = report.policy
+                prepared = _prepare_subgame(slice_problem(agg, t, states[t]),
+                                            gains.tail(t))
+                plan = run_dual_ascent(prepared, options).policy
                 plan_offset = t
                 replans += 1
-                solve_seconds += report.solve_seconds
+                solve_seconds += time.perf_counter() - t_start
             except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
                 failures.append((t, f"{type(exc).__name__}: {exc}"))
                 if plan is None:

@@ -194,8 +194,9 @@ def intersection_report(intersection_prep):
 
 @pytest.fixture()
 def lqnash_calls(monkeypatch):
-    """A Counter of the calls to lqnash's sweep, mean integration,
-    closed-loop covariance and expected cost, by function name."""
+    """A Counter of the calls to lqnash's gain recursion, its rcond checks,
+    zeta passes, mean integration, closed-loop covariance and expected
+    cost, by function name."""
     from ccgame import lqnash
     calls = Counter()
 
@@ -205,8 +206,8 @@ def lqnash_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("_riccati_sweep", "integrate_expected", "closed_loop_covariance",
-                 "evaluate_cost"):
+    for name in ("stage_gains", "_check_rcond", "_zeta_sweep", "integrate_expected",
+                 "closed_loop_covariance", "evaluate_cost"):
         monkeypatch.setattr(lqnash, name, counting(name, getattr(lqnash, name)))
     return calls
 

@@ -4,6 +4,8 @@ Most of this is deliberately implemented without touching the package's
 solver path: dense prediction-matrix algebra, direct KKT linear solves, a
 textbook Riccati recursion, a series-based normal CDF with bisection
 inversion, finite-difference Jacobians and a bare averaged projected ascent.
+The full coupled sweep, which rebuilds and solves every stage system in
+each pass, is the bit-for-bit reference for the gains-once path.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -231,6 +233,102 @@ def lqr_oracle(A_seq, B_seq, Q_seq, R_seq, W_seq, x0):
         P = (Pn + Pn.T) / 2.0
     cost = float(x0 @ P @ x0) + trace_cost
     return Ks, cost
+
+
+# ---------------------------------------------------------------------------
+# Full coupled Riccati sweep: gains and affine terms in every pass
+
+
+def _stage_solve(P_next, zeta_next, A, B, R, t=0):
+    """All players' gains and affine terms at one stage from the joint solve.
+
+    P_next: (N, n_x, n_x); zeta_next: (N, n_x, m); A: (n_x, n_x);
+    B: (N, n_x, n_u); R: (N, n_u, n_u).  Returns K (N, n_u, n_x) and
+    a (N, n_u, m), one affine term per column of zeta_next.
+    """
+    N, n_x, n_u = B.shape
+    S = np.zeros((N * n_u, N * n_u))
+    for i in range(N):
+        BtP = B[i].T @ P_next[i]
+        for j in range(N):
+            blk = BtP @ B[j]
+            if i == j:
+                blk = blk + R[i]
+            S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
+    _check_rcond(S, t)
+    YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
+    Ya = np.concatenate([B[i].T @ zeta_next[i] for i in range(N)], axis=0)
+    sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
+    return (sol[:, :n_x].reshape(N, n_u, n_x),
+            sol[:, n_x:].reshape(N, n_u, -1))
+
+
+def _riccati_sweep(problem: GameProblem, linear_term):
+    """Coupled Riccati sweep t = T-1..0 with an m-column linear term.
+
+    ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
+    stage t; zeta carries one column per column of it, and only the current
+    zeta is kept.  Returns K (T, N, n_u, n_x), a (T, N, n_u, m), the closed
+    loop F (T, n_x, n_x) and P (T+1, N, n_x, n_x).
+    """
+    dyn = problem.dyn
+    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
+    zeta = linear_term(T)
+    P = np.zeros((T + 1, N, n_x, n_x))
+    P[T] = problem.Q[:, T]
+    K = np.zeros((T, N, n_u, n_x))
+    a = np.zeros((T, N, n_u, zeta.shape[2]))
+    F = np.zeros((T, n_x, n_x))
+
+    for t in range(T - 1, -1, -1):
+        A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
+        K[t], a[t] = _stage_solve(P[t + 1], zeta, A, B, R, t)
+        F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
+        Ba = np.einsum("iab,ibm->am", B, a[t])
+        s = linear_term(t)
+        zeta_new = np.zeros_like(zeta)
+        for i in range(N):
+            Pn = (F[t].T @ P[t + 1, i] @ F[t]
+                  + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t])
+            P[t, i] = (Pn + Pn.T) / 2.0
+            zeta_new[i] = (F[t].T @ (zeta[i] - P[t + 1, i] @ Ba)
+                           + K[t, i].T @ R[i] @ a[t, i] + s[i])
+        zeta = zeta_new
+    return K, a, F, P
+
+
+def sweep_backward_recursion(problem: GameProblem, conset=None, lam=None):
+    """The policy at lam from one full sweep with the one linear column s_t."""
+    s = stage_linear_terms(problem, conset, lam)
+    K, a, _, _ = _riccati_sweep(problem, lambda t: s[:, t, :, None])
+    return FeedbackPolicy(K=K, alpha=a[..., 0])
+
+
+def sweep_affine_response(problem: GameProblem, conset):
+    """(G, ctilde, policy0) from one full sweep with M + 1 linear columns and
+    the forward pass of the affine mean trajectory."""
+    dyn = problem.dyn
+    N, T, n_x = problem.N, problem.T, problem.n_x
+    M = conset.M
+    s = stage_linear_terms(problem)
+
+    def linear_term(t):
+        C = np.zeros((N, n_x, M + 1))
+        if t >= 1:
+            C[:, :, :M] = 0.5 * conset.l_block(t)
+            C[:, :, M] = s[:, t]
+        return C
+
+    K, aC, F, _ = _riccati_sweep(problem, linear_term)
+    X = np.zeros((n_x, M + 1))
+    X[:, M] = dyn.x0
+    xstack = np.zeros((T * n_x, M + 1))
+    for t in range(T):
+        BaC = np.einsum("iab,ibm->am", dyn.B[t], aC[t])
+        X = F[t] @ X - BaC
+        xstack[t * n_x:(t + 1) * n_x] = X
+    gmap = conset.lmat.T @ xstack
+    return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=K, alpha=aC[..., M])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from ccgame.dualascent import (DualAscentOptions, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, solve_lcp, _ascent, _solve_at)
 from ccgame.errors import DomainError, StepSizeUnavailable
-from ccgame.lqnash import affine_response, backward_recursion, evaluate_cost
+from ccgame.lqnash import (affine_response, backward_recursion, evaluate_cost,
+                           evaluate_lagrangian)
 from ccgame.model import Scenario, validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
@@ -112,9 +113,9 @@ class TestAffineMap:
 
 class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
-        # the map's sweep and the final solve's; one cost evaluation for all
-        # players each for dual0 and the dual values, and the mean
-        # trajectories of dual0's policy and of the final solve
+        # one gain recursion with an rcond check per stage, then the map's
+        # zeta pass and the final solve's, and the final mean trajectory;
+        # the dual values cost one evaluation when read, once
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -124,10 +125,38 @@ class TestSweepCount:
         for prep in preps:
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
-            assert lqnash_calls == {"_riccati_sweep": 2, "integrate_expected": 2,
-                                    "closed_loop_covariance": 2,
-                                    "evaluate_cost": 2}, rep.termination
+            assert lqnash_calls == {"stage_gains": 1, "_check_rcond": prep.problem.T,
+                                    "_zeta_sweep": 2, "integrate_expected": 1
+                                    }, rep.termination
+            rep.to_dict()
+            rep.to_dict()
+            assert lqnash_calls["evaluate_cost"] == 1
+            assert lqnash_calls["closed_loop_covariance"] == 1
         assert rep.termination == "lcp_infeasible"
+
+
+class TestLazyDiagnostics:
+    def test_each_lazy_property_equals_its_formula(self, mini_prep):
+        # the ray game runs the fallback ascent, which reads L for its step;
+        # the coupled game has a non-symmetric G
+        coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+        ray = prepare_game(validate_scenario(random_small_scenario(
+            np.random.default_rng(2))))
+        for prep in (mini_prep, coupled, ray):
+            rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
+            gmap = rep.map
+            computed = ({"_norms", "dual0"} & set(vars(gmap))
+                        | {"eta", "dual_values"} & set(vars(rep)))
+            assert computed == ({"_norms"} if rep.iterations else set())
+            L, asymmetry = dualascent._spectral_norm(gmap.G)
+            assert gmap.L == L and rep.lipschitz == L
+            assert gmap.asymmetry == asymmetry
+            assert rep.eta == 0.5 / L
+            assert np.array_equal(gmap.dual0, evaluate_cost(prep.problem,
+                                                            gmap.policy0))
+            assert np.array_equal(rep.dual_values, evaluate_lagrangian(
+                prep.problem, rep.policy, rep.lambda_bar, prep.conset,
+                rep.mean_traj))
 
 
 class TestDualStep:

@@ -3,23 +3,23 @@ import pytest
 
 from ccgame import simulate
 from ccgame.errors import SingularStageSystem
-from ccgame.lqnash import (_riccati_sweep, _stage_solve, backward_recursion,
+from ccgame.lqnash import (_stage_gain, affine_response, backward_recursion,
                            evaluate_cost, evaluate_lagrangian,
                            integrate_expected, mean_inputs, policy_from_dict,
-                           policy_to_dict, stage_linear_terms)
+                           policy_to_dict, stage_gains, stage_linear_terms)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       double_integrator_instance, make_ltv_scenario,
-                      scalar_single_agent_instance, scalar_two_agent_instance)
+                      random_small_scenario, scalar_single_agent_instance,
+                      scalar_two_agent_instance)
 from oracles import (best_response, dense_best_response, dense_game_inputs, lqr_oracle,
-                     replace_player)
+                     replace_player, sweep_affine_response, sweep_backward_recursion)
 
 
 def riccati_matrices(problem):
     """P (T+1, N, n_x, n_x) of the coupled sweep; P does not depend on lam."""
-    N, n_x = problem.N, problem.n_x
-    return _riccati_sweep(problem, lambda t: np.zeros((N, n_x, 1)))[3]
+    return stage_gains(problem).P
 
 
 class TestStageGains:
@@ -30,7 +30,7 @@ class TestStageGains:
         B = rng.normal(size=(1, n, m))
         R = np.eye(m)[None] * 1.5
         P = np.eye(n)[None] * 2.0
-        K, _ = _stage_solve(P, np.zeros((1, n, 1)), A, B, R)
+        _, _, K = _stage_gain(P, A, B, R)
         expected = np.linalg.solve(R[0] + B[0].T @ P[0] @ B[0],
                                    B[0].T @ P[0] @ A)
         assert np.allclose(K[0], expected, atol=1e-12)
@@ -40,7 +40,7 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.ones((2, 1, 1))
         R = np.ones((2, 1, 1))
-        K, _ = _stage_solve(P, np.zeros((2, 1, 1)), A, B, R)
+        _, _, K = _stage_gain(P, A, B, R)
         assert K[0, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
         assert K[1, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
 
@@ -49,7 +49,7 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.stack([np.array([[1.0]]), np.array([[0.0]])])
         R = np.ones((2, 1, 1))
-        K, _ = _stage_solve(P, np.zeros((2, 1, 1)), A, B, R)
+        _, _, K = _stage_gain(P, A, B, R)
         assert K[1, 0, 0] == 0.0
         assert K[0, 0, 0] == pytest.approx(0.5)   # (R + B'PB)^-1 B'PA
 
@@ -59,7 +59,51 @@ class TestStageGains:
         B = np.ones((1, 1, 1))
         R = np.zeros((1, 1, 1))
         with pytest.raises(SingularStageSystem):
-            _stage_solve(P, np.zeros((1, 1, 1)), A, B, R, t=7)
+            _stage_gain(P, A, B, R, t=7)
+
+
+class TestGainsOnce:
+    """The gains-once path against the full sweep it replaced
+    (``oracles._riccati_sweep``), bit for bit."""
+
+    def test_backward_recursion_and_map_equal_the_full_sweep(self, mini_prep,
+                                                             intersection_prep):
+        # both bundled scenarios, random_small_scenario(default_rng(k)) for
+        # k = 0..17 and the coupled game, whose G is not symmetric
+        scenarios = [random_small_scenario(np.random.default_rng(k)) for k in range(18)]
+        scenarios.append(coupled_constrained_instance())
+        preps = [mini_prep, intersection_prep]
+        preps += [prepare_game(validate_scenario(s)) for s in scenarios]
+        rng = np.random.default_rng(9)
+        for prep in preps:
+            problem, conset = prep.problem, prep.conset
+            for lam in (None, np.zeros(prep.M), rng.uniform(0.0, 1.5, prep.M)):
+                got = backward_recursion(problem, conset, lam)
+                want = sweep_backward_recursion(problem, conset, lam)
+                assert np.array_equal(got.K, want.K)
+                assert np.array_equal(got.alpha, want.alpha)
+            G, ctilde, policy0 = affine_response(problem, conset)
+            G_ref, ctilde_ref, policy0_ref = sweep_affine_response(problem, conset)
+            assert np.array_equal(G, G_ref)
+            assert np.array_equal(ctilde, ctilde_ref)
+            assert np.array_equal(policy0.K, policy0_ref.K)
+            assert np.array_equal(policy0.alpha, policy0_ref.alpha)
+
+    def test_tail_is_the_sliced_problems_gains(self, mini_prep):
+        # P[0] differs by design: the slice zeroes Q at tau
+        agg = simulate.aggregate_problem(mini_prep.problem)
+        coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+        rng = np.random.default_rng(4)
+        for problem in (agg, coupled.problem):
+            full = stage_gains(problem)
+            for tau in range(problem.T):
+                x = rng.normal(size=problem.n_x)
+                tail = full.tail(tau)
+                own = stage_gains(simulate.slice_problem(problem, tau, x))
+                for name in ("K", "F", "S", "YK", "KtR"):
+                    assert np.array_equal(getattr(tail, name), getattr(own, name)), \
+                        (name, tau)
+                assert np.array_equal(tail.P[1:], own.P[1:]), tau
 
 
 class TestBackwardRecursion:

@@ -326,14 +326,45 @@ class TestCentralMpc:
                 simulate.slice_problem(mini_problem, tau, x))
             assert _fields_equal(once, per_replan), tau
 
-    def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls):
-        # sweeps: the reference policy, the map and the final solve; mean
-        # trajectories: the reference policy, dual0's and the final solve's
+    def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls,
+                                       monkeypatch):
+        # one gain recursion per episode, one rcond check per stage; per
+        # replan, zeta passes for the reference policy, the map and the final
+        # solve, and the mean trajectories of the reference and the final
+        # solve; no diagnostic that only a report reads
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            lqnash_calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4)
-        assert lqnash_calls["_riccati_sweep"] == 3 * run.replans
-        assert lqnash_calls["integrate_expected"] == 3 * run.replans
+        assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
+                                "_zeta_sweep": 3 * run.replans,
+                                "integrate_expected": 2 * run.replans}
+
+    def test_comp_time_covers_the_whole_replan(self, mini_problem, monkeypatch):
+        # the per-step figure also counts slicing, the reference solve and
+        # constraint assembly, which no report's solve_seconds includes
+        reports = []
+        real = simulate.run_dual_ascent
+
+        def recording(prepared, options=None, **kw):
+            reports.append(real(prepared, options, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(simulate, "run_dual_ascent", recording)
+        run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=2)
+        assert not run.failures and len(reports) == run.replans
+        assert run.solve_seconds > sum(r.solve_seconds for r in reports)
+        reports.clear()
+        _, failures, sec_per_step = central_mpc(mini_problem, seed=3, samples=2,
+                                                replan_every=2)
+        assert not failures and len(reports) == 2 * run.replans
+        assert sec_per_step >= sum(r.solve_seconds for r in reports) / len(reports)
 
     def test_aggregation_preserves_cost_structure(self, mini_problem):
         agg = simulate.aggregate_problem(mini_problem)
