@@ -4,6 +4,14 @@ Noise is drawn from counter-based Philox streams keyed by (seed, sample
 index), so sample s is bit-identical no matter how many samples are run or
 how they are batched.  Safety is judged on realized states against the
 original quadratic/box predicates, never the affine surrogates.
+
+A central-MPC call computes once the aggregate, its noise factors, its
+stage gains and its lam = 0 policy, whose tail at tau is the reference
+policy of a replan at tau.  Each replan time tau computes once, for all
+episodes, the slice without its x0, its open-loop covariance and its
+constraint layout.  A replan computes the reference mean from its state,
+the collision rows, the map's zeta pass, the LCP and the final solve.  The
+first episode to need shared work pays for it.
 """
 
 from __future__ import annotations
@@ -39,10 +47,16 @@ def noise_factors(W):
     return out
 
 
-def noise_stream(seed, sample_index):
-    """The sample's own counter-based generator, Philox keyed by (seed, s)."""
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index) & 0xFFFFFFFFFFFFFFFF]
-    return np.random.Generator(np.random.Philox(key=key))
+def noise_stream(seed, sample_index, generator=None):
+    """Sample s's own generator, Philox keyed by (seed, s) mod 2**64 as uint64 (numpy rounds
+    a list's ints >= 2**63 to float64); a given generator is re-keyed, skipping OS entropy."""
+    key = np.array([int(seed) % 2**64, int(sample_index) % 2**64], dtype=np.uint64)
+    if generator is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    generator.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return generator
 
 
 def _positive(name, value):
@@ -88,10 +102,11 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     states[:, 0] = dyn.x0
     inputs = np.empty((S, T, N, n_u))
     z = np.empty((min(S, ROLLOUT_CHUNK), T, n_x))
+    stream = noise_stream(seed, 0)
     for lo in range(0, S, ROLLOUT_CHUNK):
         hi = min(S, lo + ROLLOUT_CHUNK)
         for k in range(hi - lo):
-            noise_stream(seed, lo + k).standard_normal(out=z[k])
+            noise_stream(seed, lo + k, stream).standard_normal(out=z[k])
         x = states[lo:hi, 0]
         for t in range(T):
             inputs[lo:hi, t], x = lqnash.closed_loop_step(
@@ -246,15 +261,31 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
                    nominal_inputs=problem.nominal_inputs.reshape(T, 1, N * n_u))
 
 
-def _prepare_subgame(problem_agg: GameProblem, gains=None) -> PreparedGame:
-    cov = uncertainty.propagate_covariance(problem_agg.dyn)
-    policy0 = lqnash.backward_recursion(problem_agg, gains=gains)
-    dev = lqnash.integrate_expected(problem_agg.dyn, policy0)
-    reference = problem_agg.nominal_states + dev
-    conset = uncertainty.assemble_constraints(problem_agg, cov, reference)
-    return PreparedGame(problem=problem_agg, cov=cov, conset=conset,
-                        reference_means=_freeze(np.asarray(reference)),
-                        gains=gains)
+class CentralPlanner:
+    """What the replans of a central-MPC call share (see the module docstring).
+    ``seconds`` times the gains and the lam = 0 pass until an episode pays it."""
+
+    def __init__(self, problem: GameProblem):
+        self.factors = noise_factors(problem.dyn.W)
+        self.agg = aggregate_problem(problem)
+        t_start = time.perf_counter()
+        self.gains = lqnash.stage_gains(self.agg)
+        self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
+        self.seconds = time.perf_counter() - t_start
+        self.at_tau = {}    # tau -> (slice without its x0, covariance, layout fill)
+
+    def prepare(self, tau, x0) -> PreparedGame:
+        """The game of a replan at tau from state x0."""
+        if tau not in self.at_tau:
+            sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
+            cov = uncertainty.propagate_covariance(sub.dyn)
+            self.at_tau[tau] = sub, cov, uncertainty.constraint_layout(sub, cov)
+        sub, cov, fill = self.at_tau[tau]
+        sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
+        policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
+        reference = sub.nominal_states + lqnash.integrate_expected(sub.dyn, policy0)
+        return PreparedGame(problem=sub, cov=cov, conset=fill(reference),
+                            reference_means=_freeze(reference), gains=self.gains.tail(tau))
 
 
 @dataclass
@@ -263,28 +294,26 @@ class MpcRun:
     inputs: np.ndarray         # (T, N, n_u)
     failures: list             # (step, error message)
     replans: int
-    solve_seconds: float       # the episode's stage gains and its whole replans
+    solve_seconds: float       # its whole replans, and the planner if first to use it
 
 
 def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
-                    options: DualAscentOptions | None = None) -> MpcRun:
+                    options: DualAscentOptions | None = None,
+                    planner: CentralPlanner | None = None) -> MpcRun:
     """One noisy receding-horizon episode of the aggregated single agent.
 
     Replans every ``replan_every`` steps over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
-    failure is recorded with its step index.  The problem is aggregated
-    and its stage gains computed once; each replan slices the aggregate at
-    its time and state, and solves on the tail of those gains.
+    failure is recorded with its step index.  The planner (built here when
+    not given) holds what a call and a replan time compute once; a replan at
+    tau computes the reference mean, collision rows, map, LCP and final solve.
     """
     options = options or DualAscentOptions(k_max=500)
     replan_every = _positive("replan_every", replan_every)
+    planner = CentralPlanner(problem) if planner is None else planner
+    solve_seconds, planner.seconds = planner.seconds, 0.0    # the first episode pays
     dyn = problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
-    factors = noise_factors(dyn.W)
-    agg = aggregate_problem(problem)
-    t_start = time.perf_counter()
-    gains = lqnash.stage_gains(agg)
-    solve_seconds = time.perf_counter() - t_start
     z = noise_stream(seed, sample_index).standard_normal((T, n_x))
 
     states = np.zeros((T + 1, n_x))
@@ -298,9 +327,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
         if t % replan_every == 0 or plan is None:
             t_start = time.perf_counter()
             try:
-                prepared = _prepare_subgame(slice_problem(agg, t, states[t]),
-                                            gains.tail(t))
-                plan = run_dual_ascent(prepared, options).policy
+                plan = run_dual_ascent(planner.prepare(t, states[t]), options).policy
                 plan_offset = t
                 replans += 1
                 solve_seconds += time.perf_counter() - t_start
@@ -310,7 +337,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
                     raise
         u, x = lqnash.closed_loop_step(
             dyn.A[t], dyn.B[t], plan.K[t - plan_offset], plan.alpha[t - plan_offset],
-            states[t:t + 1], factors[t], z[t:t + 1])
+            states[t:t + 1], planner.factors[t], z[t:t + 1])
         inputs[t], states[t + 1] = u[0], x[0]
     return MpcRun(states=states, inputs=inputs, failures=failures,
                   replans=replans, solve_seconds=solve_seconds)
@@ -321,17 +348,20 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, seconds/step).
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
-    and MPC statistics are paired across sample indices.  A CCGameError or
-    LinAlgError ends only its own episode; if every episode ends so, raises
-    AllSeedsFailed.
+    and MPC statistics are paired across sample indices.  All episodes share
+    one CentralPlanner (see the module docstring for what a call, a replan
+    time and a replan compute).  A CCGameError or LinAlgError ends only its
+    own episode; if every episode ends so, raises AllSeedsFailed.
     """
     S = _positive("samples", samples)
     replan_every = _positive("replan_every", replan_every)
     good = []
     failures = []
+    planner = None
     for s in range(S):
         try:
-            run = central_mpc_run(problem, seed, s, replan_every, options)
+            planner = planner or CentralPlanner(problem)
+            run = central_mpc_run(problem, seed, s, replan_every, options, planner)
         except (CCGameError, np.linalg.LinAlgError) as exc:   # per-seed failure, recorded
             failures.append((s, 0, f"{type(exc).__name__}: {exc}"))
             continue

@@ -206,6 +206,67 @@ class AffineConstraintSet:
         return self.lmat.T @ xstack + self.c
 
 
+def constraint_layout(problem: GameProblem, cov: CovarianceSchedule):
+    """The part of ``assemble_constraints`` no reference enters, as compact data
+    (row order, z, box rows, collision slots and their pair covariances); returns
+    ``fill(reference_means)``, which adds the collision rows and returns the set."""
+    T, n_x = problem.T, problem.n_x
+    slices = problem.agent_slices
+    # each spec once: its steps, and a box's (coord, side, bound) rows
+    expanded = [(k, spec, frozenset(spec.active_times),
+                 spec.rows() if spec.kind == "box" else None)
+                for k, spec in enumerate(problem.constraints)]
+    M = sum(len(times) * (1 if box is None else len(box))
+            for _, _, times, box in expanded)
+    eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
+    z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then
+    rows, boxes, slots = [], [], []     # a collision row's slot in rows holds None
+    for t in range(1, T + 1):
+        for k, spec, times, box in expanded:
+            if t not in times:
+                continue
+            if box is None:
+                sl_i, sl_j = slices[spec.pair[0]], slices[spec.pair[1]]
+                slots.append((len(rows), t, k, spec, cov.pair_difference_cov(t, sl_i, sl_j)))
+                rows.append(None)
+                continue
+            for q, side, bound in box:
+                boxes.append((len(rows), t, q, 1.0 if side == "upper" else -1.0, bound))
+                rows.append(ConstraintRow(kind="box", t=t, source=k,
+                                          detail=(q, side, bound), eps_row=eps_row))
+    m, t, q, sign, bound = np.array(boxes, dtype=float).reshape(-1, 5).T
+    t, q = t.astype(np.intp), q.astype(np.intp)
+    box_m, box_at, box_sign = m.astype(np.intp), (t - 1) * n_x + q, sign
+    box_c = (-sign * bound + z * np.sqrt(np.maximum(cov.Sigma[t, q, q], 0.0))
+             + sign * problem.nominal_states[t, q])
+
+    def fill(reference_means) -> AffineConstraintSet:
+        lmat = np.zeros((T * n_x, M))
+        c = np.zeros(M)
+        lmat[box_at, box_m] = box_sign
+        c[box_m] = box_c
+        filled = list(rows)
+        reference_means = np.asarray(reference_means, dtype=float)
+        for m, t, k, spec, sigma_pair in slots:
+            (i, j), nominal = spec.pair, problem.nominal_states[t]
+            delta = reference_means[t][slices[i]] - reference_means[t][slices[j]]
+            try:
+                dbar = reference_direction(delta, spec.C, spec.radius)
+            except DegenerateReference:
+                norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
+                raise DegenerateReference(i, j, t, norm_c) from None
+            a, offset = linearize_collision(dbar, sigma_pair, spec.radius, spec.C, z)
+            l = np.zeros(n_x)
+            l[slices[i]] = -a
+            l[slices[j]] = a
+            lmat[(t - 1) * n_x: t * n_x, m] = l
+            c[m] = offset + float(l @ nominal)
+            filled[m] = ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
+                                      eps_row=eps_row, dbar=_freeze(dbar))
+        return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(filled), n_x=n_x)
+    return fill
+
+
 def assemble_constraints(problem: GameProblem, cov: CovarianceSchedule,
                          reference_means) -> AffineConstraintSet:
     """Emit all active rows, ordered by time, then constraint index, then
@@ -218,55 +279,4 @@ def assemble_constraints(problem: GameProblem, cov: CovarianceSchedule,
     (sign +1 for an upper bound, -1 for a lower) has the offset
     ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``.
     """
-    T, n_x = problem.T, problem.n_x
-    slices = problem.agent_slices
-    # each spec once: its steps, and a box's (coord, side, bound) rows
-    expanded = [(k, spec, frozenset(spec.active_times),
-                 spec.rows() if spec.kind == "box" else None)
-                for k, spec in enumerate(problem.constraints)]
-    M = sum(len(times) * (1 if box is None else len(box))
-            for _, _, times, box in expanded)
-    lmat = np.zeros((T * n_x, M))
-    c = np.zeros(M)
-    if M == 0:
-        return AffineConstraintSet(lmat=lmat, c=c, rows=(), n_x=n_x)
-    eps_row = allocate_risk(problem.risk_epsilon, M)
-    z = inverse_normal_cdf(1.0 - eps_row)
-    reference_means = np.asarray(reference_means, dtype=float)
-    rows = []
-
-    for t in range(1, T + 1):
-        Sigma, nominal = cov.Sigma[t], problem.nominal_states[t]
-        block = lmat[(t - 1) * n_x: t * n_x]
-        for k, spec, times, box in expanded:
-            if t not in times:
-                continue
-            if box is not None:
-                for q, side, bound in box:
-                    sign = 1.0 if side == "upper" else -1.0
-                    m = len(rows)
-                    block[q, m] = sign
-                    c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
-                            + sign * nominal[q])
-                    rows.append(ConstraintRow(kind="box", t=t, source=k,
-                                              detail=(q, side, bound), eps_row=eps_row))
-                continue
-            i, j = spec.pair
-            sl_i, sl_j = slices[i], slices[j]
-            delta = reference_means[t][sl_i] - reference_means[t][sl_j]
-            try:
-                dbar = reference_direction(delta, spec.C, spec.radius)
-            except DegenerateReference:
-                norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
-                raise DegenerateReference(i, j, t, norm_c) from None
-            a, offset = linearize_collision(dbar, cov.pair_difference_cov(t, sl_i, sl_j),
-                                            spec.radius, spec.C, z)
-            l = np.zeros(n_x)
-            l[sl_i] = -a
-            l[sl_j] = a
-            m = len(rows)
-            block[:, m] = l
-            c[m] = offset + float(l @ nominal)
-            rows.append(ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
-                                      eps_row=eps_row, dbar=_freeze(dbar)))
-    return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(rows), n_x=n_x)
+    return constraint_layout(problem, cov)(reference_means)

@@ -5,7 +5,9 @@ solver path: dense prediction-matrix algebra, direct KKT linear solves, a
 textbook Riccati recursion, a series-based normal CDF with bisection
 inversion, finite-difference Jacobians and a bare averaged projected ascent.
 The full coupled sweep, which rebuilds and solves every stage system in
-each pass, is the bit-for-bit reference for the gains-once path.
+each pass, is the bit-for-bit reference for the gains-once path, and the
+single-loop row assembly is the bit-for-bit reference for the split one
+(layout, then collision rows at a reference).
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -20,9 +22,11 @@ import numpy as np
 
 from ccgame import lqnash, scenarios
 from ccgame.dualascent import PreparedGame, _solve_at
+from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond, stage_linear_terms
-from ccgame.model import GameProblem, Scenario, load_scenario
-from ccgame.uncertainty import (inverse_normal_cdf, linearize_collision,
+from ccgame.model import GameProblem, Scenario, _freeze, load_scenario
+from ccgame.uncertainty import (AffineConstraintSet, ConstraintRow, allocate_risk,
+                                inverse_normal_cdf, linearize_collision,
                                 reference_direction)
 
 
@@ -329,6 +333,65 @@ def sweep_affine_response(problem: GameProblem, conset):
         xstack[t * n_x:(t + 1) * n_x] = X
     gmap = conset.lmat.T @ xstack
     return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=K, alpha=aC[..., M])
+
+
+# ---------------------------------------------------------------------------
+# Single-loop constraint assembly
+
+
+def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
+    """Every row in one loop over times and specs, box and collision rows
+    alike: the assembly ``uncertainty.assemble_constraints`` splits in two."""
+    T, n_x = problem.T, problem.n_x
+    slices = problem.agent_slices
+    expanded = [(k, spec, frozenset(spec.active_times),
+                 spec.rows() if spec.kind == "box" else None)
+                for k, spec in enumerate(problem.constraints)]
+    M = sum(len(times) * (1 if box is None else len(box))
+            for _, _, times, box in expanded)
+    lmat = np.zeros((T * n_x, M))
+    c = np.zeros(M)
+    if M == 0:
+        return AffineConstraintSet(lmat=lmat, c=c, rows=(), n_x=n_x)
+    eps_row = allocate_risk(problem.risk_epsilon, M)
+    z = inverse_normal_cdf(1.0 - eps_row)
+    reference_means = np.asarray(reference_means, dtype=float)
+    rows = []
+    for t in range(1, T + 1):
+        Sigma, nominal = cov.Sigma[t], problem.nominal_states[t]
+        block = lmat[(t - 1) * n_x: t * n_x]
+        for k, spec, times, box in expanded:
+            if t not in times:
+                continue
+            if box is not None:
+                for q, side, bound in box:
+                    sign = 1.0 if side == "upper" else -1.0
+                    m = len(rows)
+                    block[q, m] = sign
+                    c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
+                            + sign * nominal[q])
+                    rows.append(ConstraintRow(kind="box", t=t, source=k,
+                                              detail=(q, side, bound), eps_row=eps_row))
+                continue
+            i, j = spec.pair
+            sl_i, sl_j = slices[i], slices[j]
+            delta = reference_means[t][sl_i] - reference_means[t][sl_j]
+            try:
+                dbar = reference_direction(delta, spec.C, spec.radius)
+            except DegenerateReference:
+                norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
+                raise DegenerateReference(i, j, t, norm_c) from None
+            a, offset = linearize_collision(dbar, cov.pair_difference_cov(t, sl_i, sl_j),
+                                            spec.radius, spec.C, z)
+            l = np.zeros(n_x)
+            l[sl_i] = -a
+            l[sl_j] = a
+            m = len(rows)
+            block[:, m] = l
+            c[m] = offset + float(l @ nominal)
+            rows.append(ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
+                                      eps_row=eps_row, dbar=_freeze(dbar)))
+    return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(rows), n_x=n_x)
 
 
 # ---------------------------------------------------------------------------

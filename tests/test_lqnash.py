@@ -105,6 +105,24 @@ class TestGainsOnce:
                         (name, tau)
                 assert np.array_equal(tail.P[1:], own.P[1:]), tau
 
+    def test_lam0_policy_tail_is_the_sliced_problems_reference_policy(
+            self, mini_prep, intersection_prep):
+        # a central-MPC replan at tau takes its reference policy from the
+        # aggregate's lam = 0 policy instead of solving the slice
+        scenarios = [random_small_scenario(np.random.default_rng(k)) for k in range(18)]
+        scenarios.append(coupled_constrained_instance())
+        problems = [mini_prep.problem, intersection_prep.problem]
+        problems += [assemble_problem(validate_scenario(s)) for s in scenarios]
+        rng = np.random.default_rng(5)
+        for problem in problems:
+            agg = simulate.aggregate_problem(problem)
+            full = backward_recursion(agg)
+            for tau in range(agg.T):
+                x = rng.normal(size=agg.n_x)
+                own = backward_recursion(simulate.slice_problem(agg, tau, x))
+                assert np.array_equal(full.K[tau:], own.K), tau
+                assert np.array_equal(full.alpha[tau:], own.alpha), tau
+
 
 class TestBackwardRecursion:
     def test_zero_multiplier_zero_refs_gives_zero_alpha(self):

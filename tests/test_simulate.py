@@ -106,6 +106,24 @@ class TestRollout:
         mean_se = xT.std(ddof=1) / np.sqrt(batch.samples)
         assert abs(xT.mean() - 0.0) < 4 * mean_se
 
+    def test_seeds_past_two_to_the_63_keep_their_own_streams(self, mini_problem):
+        # numpy converts a list key holding an int >= 2**63 through float64:
+        # -5, -6 and -1000 (mod 2**64) all rounded to the key 0
+        import warnings
+        policy = backward_recursion(mini_problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [simulate.noise_stream(seed, 0).standard_normal(8)
+                     for seed in (-5, -6, -1000, 2**64 - 5)]
+            batches = [rollout(mini_problem, policy, seed=seed, samples=2)
+                       for seed in (-5, -6, -1000)]
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(draws[0], draws[2])
+        assert not np.array_equal(draws[1], draws[2])
+        assert np.array_equal(draws[0], draws[3])     # the mod-2**64 mask
+        assert not np.array_equal(batches[0].states, batches[1].states)
+        assert not np.array_equal(batches[1].states, batches[2].states)
+
     def test_noise_factorization_rejects_indefinite(self):
         W = -np.eye(2)[None]
         with pytest.raises(FactorizationFailure):
@@ -328,10 +346,11 @@ class TestCentralMpc:
 
     def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls,
                                        monkeypatch):
-        # one gain recursion per episode, one rcond check per stage; per
-        # replan, zeta passes for the reference policy, the map and the final
-        # solve, and the mean trajectories of the reference and the final
-        # solve; no diagnostic that only a report reads
+        # a direct episode builds its own planner: one gain recursion, one
+        # rcond check per stage and one lam = 0 zeta pass, whose tail is every
+        # replan's reference policy; per replan, zeta passes for the map and
+        # the final solve, and the mean trajectories of the reference and the
+        # final solve; no diagnostic that only a report reads
         eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(*args, **kwargs):
@@ -343,8 +362,61 @@ class TestCentralMpc:
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4)
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 3 * run.replans,
+                                "_zeta_sweep": 1 + 2 * run.replans,
                                 "integrate_expected": 2 * run.replans}
+
+    def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
+                                                           lqnash_calls, monkeypatch):
+        # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
+        # one lam = 0 pass per call, one covariance per replan time, and two
+        # zeta passes per replan (the parent ran 120 passes, 40 covariances)
+        from ccgame import uncertainty
+        for module, name in ((simulate, "aggregate_problem"),
+                             (uncertainty, "propagate_covariance")):
+            real = getattr(module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                lqnash_calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        T = mini_problem.T
+        _, failures, _ = central_mpc(mini_problem, seed=3, samples=2, replan_every=1)
+        assert not failures and T == 20
+        assert lqnash_calls["aggregate_problem"] == 1
+        assert lqnash_calls["stage_gains"] == 1
+        assert lqnash_calls["_check_rcond"] == T
+        assert lqnash_calls["_zeta_sweep"] == 81
+        assert lqnash_calls["propagate_covariance"] == 20
+
+    def test_planner_failure_is_its_seeds_failure(self, monkeypatch, mini_problem):
+        # the gains are computed once per call, by the first seed whose
+        # planner builds; a seed whose planner fails fails at step 0, as when
+        # every episode computed its own gains
+        from ccgame import lqnash
+        real = lqnash.stage_gains
+        calls = {"n": 0}
+
+        def singular_once(problem):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise SingularStageSystem(3, 0.0)
+            return real(problem)
+
+        msg = f"SingularStageSystem: {SingularStageSystem(3, 0.0)}"
+        monkeypatch.setattr(lqnash, "stage_gains", singular_once)
+        batch, failures, _ = central_mpc(mini_problem, seed=5, samples=3,
+                                         options=DualAscentOptions(k_max=100))
+        assert failures == [(0, 0, msg)]
+        assert batch.samples == 2 and calls["n"] == 2
+
+        def singular(problem):
+            raise SingularStageSystem(3, 0.0)
+
+        monkeypatch.setattr(lqnash, "stage_gains", singular)
+        with pytest.raises(AllSeedsFailed) as info:
+            central_mpc(mini_problem, seed=5, samples=2)
+        assert str(info.value) == f"all 2 MPC seeds failed; first: {msg}"
 
     def test_comp_time_covers_the_whole_replan(self, mini_problem, monkeypatch):
         # the per-step figure also counts slicing, the reference solve and

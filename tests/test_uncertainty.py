@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgame import linearize, scenarios, simulate, uncertainty
+from ccgame import linearize, lqnash, scenarios, simulate, uncertainty
 from ccgame.dualascent import prepare_game
 from ccgame.errors import (AllocationTooSmall, DegenerateReference, DomainError)
 from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
@@ -16,7 +16,8 @@ from ccgame.uncertainty import (CovarianceSchedule, allocate_risk,
                                 propagate_covariance, reference_direction)
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
                       scalar_two_agent_instance)
-from oracles import bisect_normal_quantile, conservativeness_probe, series_normal_cdf
+from oracles import (bisect_normal_quantile, conservativeness_probe,
+                     loop_assemble_constraints, series_normal_cdf)
 
 # frozen with the series-CDF bisection oracle (tests/oracles.py)
 Z_950000 = 1.6448536269514449
@@ -252,9 +253,19 @@ class TestAssembly:
 @pytest.fixture(scope="module")
 def mpc_subgame(mini_prep):
     """The game a central-MPC replan at t = 5 of intersection-mini prepares."""
-    agg = simulate.aggregate_problem(mini_prep.problem)
-    return simulate._prepare_subgame(
-        simulate.slice_problem(agg, 5, np.zeros(mini_prep.problem.n_x)))
+    planner = simulate.CentralPlanner(mini_prep.problem)
+    return planner.prepare(5, np.zeros(mini_prep.problem.n_x))
+
+
+def _assert_same_bytes(got, want):
+    """Two constraint sets agree byte for byte: lmat, c, the rows' repr and
+    each collision row's dbar."""
+    assert got.lmat.tobytes() == want.lmat.tobytes()
+    assert got.c.tobytes() == want.c.tobytes()
+    assert repr(got.rows) == repr(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert (a.dbar is None) == (b.dbar is None)
+        assert a.dbar is None or a.dbar.tobytes() == b.dbar.tobytes()
 
 
 def _rebuilt(prep):
@@ -322,6 +333,39 @@ class TestOnePassAssembly:
             lmat, c = _rebuilt(prep)
             assert np.array_equal(lmat, prep.conset.lmat)
             assert np.array_equal(c, prep.conset.c)
+
+
+class TestSplitAssembly:
+    """An assembly is a reference-independent layout filled at a reference;
+    the single loop it splits (``oracles.loop_assemble_constraints``) is the
+    reference, byte for byte."""
+
+    def test_prepare_game_equals_the_single_loop(self, mini_prep, intersection_prep,
+                                                 mpc_subgame):
+        coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
+        for prep in (mini_prep, intersection_prep, coupled, mpc_subgame):
+            assert prep.M >= 1
+            _assert_same_bytes(prep.conset, loop_assemble_constraints(
+                prep.problem, prep.cov, prep.reference_means))
+
+    def test_replan_from_the_shared_layout_equals_a_fresh_assembly(self, mini_prep):
+        # the second replan at tau fills the layout the first one built; the
+        # fresh path slices, propagates, solves the slice's lam = 0 policy
+        # for the reference and assembles
+        planner = simulate.CentralPlanner(mini_prep.problem)
+        x0 = mini_prep.problem.dyn.x0
+        rng = np.random.default_rng(2)
+        for tau in (0, 7, 19):
+            planner.prepare(tau, x0)
+            x = x0 + 0.05 * rng.normal(size=x0.shape)
+            prep = planner.prepare(tau, x)
+            sub = simulate.slice_problem(planner.agg, tau, x)
+            policy0 = lqnash.backward_recursion(sub)
+            reference = sub.nominal_states + lqnash.integrate_expected(sub.dyn, policy0)
+            assert np.array_equal(prep.reference_means, reference)
+            assert np.array_equal(prep.problem.dyn.x0, x)
+            fresh = assemble_constraints(sub, propagate_covariance(sub.dyn), reference)
+            _assert_same_bytes(prep.conset, fresh)
 
 
 class TestOnePassValidation:
