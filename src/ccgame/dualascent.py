@@ -47,12 +47,12 @@ from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """Problem, open-loop covariance schedule and reformulated constraints;
-    ``gains``, when given, are the problem's stage gains and the solve does
-    not recompute them."""
+    """Problem, open-loop covariance schedule (an array) and reformulated
+    constraints; ``gains``, when given, are the problem's stage gains and the
+    solve does not recompute them."""
 
     problem: GameProblem
-    cov: uncertainty.CovarianceSchedule
+    cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
     conset: uncertainty.AffineConstraintSet
     reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
     gains: lqnash.StageGains | None = field(default=None, repr=False)
@@ -67,19 +67,21 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
     Collision reference directions come from the nominal trajectory for
     unicycle scenarios; direct LTV scenarios have no nominal, so the
-    unconstrained-equilibrium mean trajectory is used instead.
+    unconstrained-equilibrium mean trajectory is used instead, and the stage
+    gains that policy is solved on are kept for the solve.
     """
     vs = validate_scenario(scenario)
     problem = assemble_problem(vs, nominal_inputs=nominal_inputs)
     cov = uncertainty.propagate_covariance(problem.dyn)
     if np.any(problem.nominal_states != 0.0):
-        reference = problem.nominal_states
+        gains, reference = None, problem.nominal_states
     else:
-        policy0 = lqnash.backward_recursion(problem)
+        gains = lqnash.stage_gains(problem)
+        policy0 = lqnash.backward_recursion(problem, gains=gains)
         reference = lqnash.integrate_expected(problem.dyn, policy0)
     conset = uncertainty.assemble_constraints(problem, cov, reference)
     return PreparedGame(problem=problem, cov=cov, conset=conset,
-                        reference_means=_freeze(np.asarray(reference)))
+                        reference_means=_freeze(np.asarray(reference)), gains=gains)
 
 
 # ---------------------------------------------------------------------------

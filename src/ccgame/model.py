@@ -397,7 +397,6 @@ class GameProblem:
     state_dims: tuple
     dt: float
     risk_epsilon: float
-    rng_seed: int
 
     def __post_init__(self):
         for name in ("Q", "R", "ref", "nominal_states", "nominal_inputs"):
@@ -508,8 +507,7 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
                           for con in s.constraints),
         nominal_states=nominal_states,
         nominal_inputs=nominal_inputs_abs,
-        state_dims=tuple(s.state_dims),
-        dt=s.dt, risk_epsilon=s.risk_epsilon, rng_seed=s.rng_seed,
+        state_dims=tuple(s.state_dims), dt=s.dt, risk_epsilon=s.risk_epsilon,
     )
 
 

@@ -122,13 +122,15 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
 
 
 def wilson_interval(violations, n, z=WILSON_Z):
+    """Wilson score interval of violations / n, exactly 0 and 1 at its ends."""
     if n == 0:
         return 0.0, 1.0
     p = violations / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (0.0 if violations == 0 else max(0.0, center - half),
+            1.0 if violations == n else min(1.0, center + half))
 
 
 def _violations_mask(problem: GameProblem, abs_states):
@@ -400,21 +402,22 @@ def write_stats_csv(path, stats_rows):
 
 
 def dump_trajectories(dirpath, batch: RolloutBatch, problem: GameProblem):
-    """One CSV per sample; unicycle scenarios use the t,agent,px,py,theta,v,a,omega schema."""
+    """One CSV per sample; unicycle scenarios use the t,agent,px,py,theta,v,a,omega schema.
+    An agent with fewer states than the widest leaves its missing x cells empty."""
     os.makedirs(dirpath, exist_ok=True)
     abs_states = problem.to_absolute(batch.states)
     abs_inputs = batch.inputs + problem.nominal_inputs[None, :, :, :]
-    unicycle = all(d == 4 for d in problem.state_dims) and batch.inputs.shape[3] == 2
+    n_x_max, n_u = max(problem.state_dims), batch.inputs.shape[3]
+    unicycle = all(d == 4 for d in problem.state_dims) and n_u == 2
     for s in range(batch.samples):
         lines = ["t,agent,px,py,theta,v,a,omega" if unicycle
-                 else "t,agent," + ",".join(f"x{q}" for q in range(max(problem.state_dims)))
-                 + "," + ",".join(f"u{q}" for q in range(batch.inputs.shape[3]))]
+                 else "t,agent," + ",".join(f"x{q}" for q in range(n_x_max))
+                 + "," + ",".join(f"u{q}" for q in range(n_u))]
         for t in range(problem.T + 1):
             for i in range(problem.N):
-                sl = problem.agent_slices[i]
-                xs = abs_states[s, t, sl]
-                us = abs_inputs[s, t - 1, i] if t >= 1 else np.zeros(batch.inputs.shape[3])
-                vals = [repr(float(v)) for v in list(xs) + list(us)]
+                xs = [repr(float(v)) for v in abs_states[s, t, problem.agent_slices[i]]]
+                us = abs_inputs[s, t - 1, i] if t >= 1 else np.zeros(n_u)
+                vals = xs + [""] * (n_x_max - len(xs)) + [repr(float(v)) for v in us]
                 lines.append(f"{t},{i}," + ",".join(vals))
         with open(os.path.join(dirpath, f"sample_{s:05d}.csv"), "w",
                   encoding="utf-8", newline="\n") as fh:

@@ -12,7 +12,9 @@ constraint on the expected trajectory:
 with ``z = inverse_normal_cdf(1 - eps_row)``.  The split is uniform, so
 every one of the M rows gets ``eps_row = epsilon / M`` and one z serves every
 row of an assembly.  A mean trajectory satisfying every row satisfies the
-original joint chance constraint under the Gaussian noise model.
+original joint chance constraint under the Gaussian noise model.  A
+covariance schedule is a read-only array Sigma (T+1, n_x, n_x), and each
+collision constraint's rows are built for all of its steps in one batched pass.
 """
 
 from __future__ import annotations
@@ -79,35 +81,19 @@ def inverse_normal_cdf(p):
 # Covariance propagation
 
 
-@dataclass(frozen=True)
-class CovarianceSchedule:
-    """State covariances Sigma[t] under the open-loop recursion, Sigma[0] = 0."""
-
-    Sigma: np.ndarray   # (T+1, n_x, n_x)
-
-    def __post_init__(self):
-        object.__setattr__(self, "Sigma", _freeze(self.Sigma))
-
-    def pair_difference_cov(self, t, slice_i, slice_j):
-        """Covariance of x^i_t - x^j_t, including cross-covariance blocks."""
-        S = self.Sigma[t]
-        return (S[slice_i, slice_i] + S[slice_j, slice_j]
-                - S[slice_i, slice_j] - S[slice_j, slice_i])
-
-
 def covariance_recursion(F, W):
-    """Sigma (T+1, n_x, n_x) of x+ = F_t x + w_t, w_t ~ N(0, W_t), Sigma[0] = 0:
-    S+ = F S F' + W, symmetrized at every step."""
+    """Read-only Sigma (T+1, n_x, n_x) of x+ = F_t x + w_t, w_t ~ N(0, W_t),
+    Sigma[0] = 0: S+ = F S F' + W, symmetrized at every step."""
     Sigma = np.zeros((F.shape[0] + 1,) + F.shape[1:])
     for t in range(F.shape[0]):
         S = F[t] @ Sigma[t] @ F[t].T + W[t]
         Sigma[t + 1] = (S + S.T) / 2.0
-    return Sigma
+    return _freeze(Sigma)
 
 
-def propagate_covariance(dyn) -> CovarianceSchedule:
+def propagate_covariance(dyn):
     """The open-loop schedule: the recursion with F = A."""
-    return CovarianceSchedule(Sigma=covariance_recursion(dyn.A, dyn.W))
+    return covariance_recursion(dyn.A, dyn.W)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +118,19 @@ def allocate_risk(epsilon, rows):
 # Row builders (absolute coordinates)
 
 
+def _quadratic(x, C):
+    """x' C x of a (..., d) stack as (..., 1), by the BLAS calls of one row's x @ C @ x."""
+    return (x[..., None, :] @ C @ x[..., :, None])[..., 0]
+
+
 def reference_direction(delta, C, radius):
-    """Radial projection of the nominal separation onto ||dbar||_C = R."""
+    """Radial projection of nominal separations (..., d) onto ||dbar||_C = R; a
+    degenerate one raises DegenerateReference with t its flat index in the stack."""
     delta = np.asarray(delta, dtype=float)
-    norm_c = math.sqrt(max(float(delta @ C @ delta), 0.0))
-    if norm_c < DEGENERATE_SEPARATION:
-        raise DegenerateReference(-1, -1, -1, norm_c)
+    norm_c = np.sqrt(np.maximum(_quadratic(delta, C), 0.0))
+    bad = np.flatnonzero(norm_c < DEGENERATE_SEPARATION)
+    if bad.size:
+        raise DegenerateReference(-1, -1, int(bad[0]), norm_c.flat[bad[0]])
     return radius * delta / norm_c
 
 
@@ -147,16 +140,16 @@ def linearize_collision(dbar, sigma_pair, radius, C, z):
 
     Returns (a, c) on the pair difference d = x^i - x^j: the row is
     ``-a @ E[d] + c <= 0`` with a = 2 C dbar and c collecting the constant
-    2 R^2 and the Gaussian backoff.
+    2 R^2 and the Gaussian backoff z ||a||_Sigma.  References (..., d) and
+    pair covariances (..., d, d) give a (..., d) and c (...).
     """
     dbar = np.asarray(dbar, dtype=float)
-    norm_c = math.sqrt(float(dbar @ C @ dbar))
-    if abs(norm_c - radius) > 1e-9 * max(1.0, radius):
-        raise ValueError(f"reference direction has ||dbar||_C = {norm_c}, expected {radius}")
-    a = 2.0 * (C @ dbar)
-    backoff = z * math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
-    c = 2.0 * radius ** 2 + backoff
-    return a, c
+    off = np.max(np.abs(np.sqrt(np.maximum(_quadratic(dbar, C), 0.0)) - radius))
+    if off > 1e-9 * max(1.0, radius):
+        raise ValueError(f"reference direction is {off} off ||dbar||_C = {radius}")
+    a = 2.0 * (C @ dbar[..., :, None])[..., 0]
+    backoff = z * np.sqrt(np.maximum(_quadratic(a, sigma_pair), 0.0))[..., 0]
+    return a, 2.0 * radius ** 2 + backoff
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +193,18 @@ class AffineConstraintSet:
 
     def evaluate(self, mean_traj):
         """g at a solver-coordinate mean trajectory (T+1, n_x)."""
-        if self.M == 0:
-            return np.zeros(0)
         xstack = np.asarray(mean_traj)[1:].reshape(-1)
         return self.lmat.T @ xstack + self.c
 
 
-def constraint_layout(problem: GameProblem, cov: CovarianceSchedule):
-    """The part of ``assemble_constraints`` no reference enters, as compact data
-    (row order, z, box rows, collision slots and their pair covariances); returns
-    ``fill(reference_means)``, which adds the collision rows and returns the set."""
+def constraint_layout(problem: GameProblem, cov):
+    """The part of ``assemble_constraints`` no reference enters, as compact data:
+    row order, z, the box rows, and per collision constraint its rows, steps
+    and pair covariances gathered from Sigma ``cov`` (T+1, n_x, n_x).  Returns
+    ``fill(reference_means)``, which adds the collision rows with one batched
+    pass per constraint and returns the set."""
     T, n_x = problem.T, problem.n_x
-    slices = problem.agent_slices
+    slices, nominal = problem.agent_slices, problem.nominal_states
     # each spec once: its steps, and a box's (coord, side, bound) rows
     expanded = [(k, spec, frozenset(spec.active_times),
                  spec.rows() if spec.kind == "box" else None)
@@ -220,14 +213,13 @@ def constraint_layout(problem: GameProblem, cov: CovarianceSchedule):
             for _, _, times, box in expanded)
     eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
     z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then
-    rows, boxes, slots = [], [], []     # a collision row's slot in rows holds None
+    rows, boxes, slots = [], [], {}     # a collision row's slot in rows holds None
     for t in range(1, T + 1):
         for k, spec, times, box in expanded:
             if t not in times:
                 continue
             if box is None:
-                sl_i, sl_j = slices[spec.pair[0]], slices[spec.pair[1]]
-                slots.append((len(rows), t, k, spec, cov.pair_difference_cov(t, sl_i, sl_j)))
+                slots.setdefault(k, []).append((len(rows), t))
                 rows.append(None)
                 continue
             for q, side, bound in box:
@@ -237,38 +229,42 @@ def constraint_layout(problem: GameProblem, cov: CovarianceSchedule):
     m, t, q, sign, bound = np.array(boxes, dtype=float).reshape(-1, 5).T
     t, q = t.astype(np.intp), q.astype(np.intp)
     box_m, box_at, box_sign = m.astype(np.intp), (t - 1) * n_x + q, sign
-    box_c = (-sign * bound + z * np.sqrt(np.maximum(cov.Sigma[t, q, q], 0.0))
-             + sign * problem.nominal_states[t, q])
+    box_c = (-sign * bound + z * np.sqrt(np.maximum(cov[t, q, q], 0.0))
+             + sign * nominal[t, q])
+    collisions = []     # per collision spec: its rows m, steps t and pair covariances
+    for k, pairs in slots.items():
+        spec, (m, t) = problem.constraints[k], np.array(pairs, dtype=np.intp).T
+        sl_i, sl_j = (slices[a] for a in spec.pair)
+        S = cov[t]
+        sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
+        collisions.append((k, spec, sl_i, sl_j, m, t, nominal[t][:, :, None], sigma))
 
     def fill(reference_means) -> AffineConstraintSet:
-        lmat = np.zeros((T * n_x, M))
-        c = np.zeros(M)
+        lmat, c = np.zeros((T * n_x, M)), np.zeros(M)
         lmat[box_at, box_m] = box_sign
         c[box_m] = box_c
         filled = list(rows)
         reference_means = np.asarray(reference_means, dtype=float)
-        for m, t, k, spec, sigma_pair in slots:
-            (i, j), nominal = spec.pair, problem.nominal_states[t]
-            delta = reference_means[t][slices[i]] - reference_means[t][slices[j]]
+        for k, spec, sl_i, sl_j, m, t, nominal_t, sigma in collisions:
+            delta = reference_means[t, sl_i] - reference_means[t, sl_j]
             try:
                 dbar = reference_direction(delta, spec.C, spec.radius)
-            except DegenerateReference:
-                norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
-                raise DegenerateReference(i, j, t, norm_c) from None
-            a, offset = linearize_collision(dbar, sigma_pair, spec.radius, spec.C, z)
-            l = np.zeros(n_x)
-            l[slices[i]] = -a
-            l[slices[j]] = a
-            lmat[(t - 1) * n_x: t * n_x, m] = l
-            c[m] = offset + float(l @ nominal)
-            filled[m] = ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
-                                      eps_row=eps_row, dbar=_freeze(dbar))
+            except DegenerateReference as exc:
+                raise DegenerateReference(*spec.pair, int(t[exc.t]), exc.separation) from None
+            a, offset = linearize_collision(dbar, sigma, spec.radius, spec.C, z)
+            l = np.zeros((len(m), n_x))
+            l[:, sl_i], l[:, sl_j] = -a, a
+            lmat.reshape(T, n_x, M)[t - 1, :, m] = l
+            c[m] = offset + (l[:, None, :] @ nominal_t)[:, 0, 0]    # one row's dot each
+            for m_r, t_r, dbar_r in zip(m.tolist(), t.tolist(), dbar):
+                filled[m_r] = ConstraintRow(kind="collision", t=t_r, source=k,
+                                            detail=spec.pair, eps_row=eps_row,
+                                            dbar=_freeze(dbar_r))
         return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(filled), n_x=n_x)
     return fill
 
 
-def assemble_constraints(problem: GameProblem, cov: CovarianceSchedule,
-                         reference_means) -> AffineConstraintSet:
+def assemble_constraints(problem: GameProblem, cov, reference_means) -> AffineConstraintSet:
     """Emit all active rows, ordered by time, then constraint index, then
     (coordinate, lower before upper) within a box.
 

@@ -6,8 +6,9 @@ textbook Riccati recursion, a series-based normal CDF with bisection
 inversion, finite-difference Jacobians and a bare averaged projected ascent.
 The full coupled sweep, which rebuilds and solves every stage system in
 each pass, is the bit-for-bit reference for the gains-once path, and the
-single-loop row assembly is the bit-for-bit reference for the split one
-(layout, then collision rows at a reference).
+single-loop row assembly, on per-row copies of the collision-row helpers,
+is the bit-for-bit reference for the split and batched one (layout, then
+collision rows at a reference, one stacked pass per constraint).
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -25,9 +26,8 @@ from ccgame.dualascent import PreparedGame, _solve_at
 from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond, stage_linear_terms
 from ccgame.model import GameProblem, Scenario, _freeze, load_scenario
-from ccgame.uncertainty import (AffineConstraintSet, ConstraintRow, allocate_risk,
-                                inverse_normal_cdf, linearize_collision,
-                                reference_direction)
+from ccgame.uncertainty import (DEGENERATE_SEPARATION, AffineConstraintSet,
+                                ConstraintRow, allocate_risk, inverse_normal_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,40 @@ def sweep_affine_response(problem: GameProblem, conset):
 # Single-loop constraint assembly
 
 
+def row_reference_direction(delta, C, radius):
+    """One row of ``uncertainty.reference_direction``: radial projection of the
+    nominal separation onto ||dbar||_C = R."""
+    delta = np.asarray(delta, dtype=float)
+    norm_c = math.sqrt(max(float(delta @ C @ delta), 0.0))
+    if norm_c < DEGENERATE_SEPARATION:
+        raise DegenerateReference(-1, -1, -1, norm_c)
+    return radius * delta / norm_c
+
+
+def row_linearize_collision(dbar, sigma_pair, radius, C, z):
+    """One row of ``uncertainty.linearize_collision``: (a, c) with the row
+    ``-a @ E[d] + c <= 0``, a = 2 C dbar and c = 2 R^2 + z ||a||_Sigma."""
+    dbar = np.asarray(dbar, dtype=float)
+    norm_c = math.sqrt(float(dbar @ C @ dbar))
+    if abs(norm_c - radius) > 1e-9 * max(1.0, radius):
+        raise ValueError(f"reference direction has ||dbar||_C = {norm_c}, expected {radius}")
+    a = 2.0 * (C @ dbar)
+    backoff = z * math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
+    c = 2.0 * radius ** 2 + backoff
+    return a, c
+
+
+def pair_difference_cov(Sigma_t, slice_i, slice_j):
+    """Covariance of x^i_t - x^j_t from Sigma_t, including cross-covariance blocks."""
+    return (Sigma_t[slice_i, slice_i] + Sigma_t[slice_j, slice_j]
+            - Sigma_t[slice_i, slice_j] - Sigma_t[slice_j, slice_i])
+
+
 def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
     """Every row in one loop over times and specs, box and collision rows
-    alike: the assembly ``uncertainty.assemble_constraints`` splits in two."""
+    alike, each collision row on its own through the per-row helpers above:
+    the assembly ``uncertainty.assemble_constraints`` splits in two and
+    batches per constraint.  ``cov`` is Sigma (T+1, n_x, n_x)."""
     T, n_x = problem.T, problem.n_x
     slices = problem.agent_slices
     expanded = [(k, spec, frozenset(spec.active_times),
@@ -358,7 +389,7 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
     reference_means = np.asarray(reference_means, dtype=float)
     rows = []
     for t in range(1, T + 1):
-        Sigma, nominal = cov.Sigma[t], problem.nominal_states[t]
+        Sigma, nominal = cov[t], problem.nominal_states[t]
         block = lmat[(t - 1) * n_x: t * n_x]
         for k, spec, times, box in expanded:
             if t not in times:
@@ -377,12 +408,12 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
             sl_i, sl_j = slices[i], slices[j]
             delta = reference_means[t][sl_i] - reference_means[t][sl_j]
             try:
-                dbar = reference_direction(delta, spec.C, spec.radius)
+                dbar = row_reference_direction(delta, spec.C, spec.radius)
             except DegenerateReference:
                 norm_c = math.sqrt(max(float(delta @ spec.C @ delta), 0.0))
                 raise DegenerateReference(i, j, t, norm_c) from None
-            a, offset = linearize_collision(dbar, cov.pair_difference_cov(t, sl_i, sl_j),
-                                            spec.radius, spec.C, z)
+            a, offset = row_linearize_collision(dbar, pair_difference_cov(Sigma, sl_i, sl_j),
+                                                spec.radius, spec.C, z)
             l = np.zeros(n_x)
             l[sl_i] = -a
             l[sl_j] = a
@@ -555,8 +586,8 @@ def conservativeness_probe(direction, sigma_pair, radius, C, eps_row,
     requirement subtracts three binomial standard deviations.
     """
     z = inverse_normal_cdf(1.0 - eps_row)
-    dbar = reference_direction(direction, C, radius)
-    a, c = linearize_collision(dbar, sigma_pair, radius, C, z)
+    dbar = row_reference_direction(direction, C, radius)
+    a, c = row_linearize_collision(dbar, sigma_pair, radius, C, z)
     # boundary mean: -a @ mu + c = 0 along the backoff direction
     denom = math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
     if denom > 0:

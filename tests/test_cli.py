@@ -292,6 +292,23 @@ class TestRollout:
         files = sorted((out / "trajectories").glob("*.csv"))
         assert len(files) == 3
 
+    def test_trajectory_dump_pads_narrower_agents(self, tmp_path):
+        scenario = random_small_scenario(np.random.default_rng(0))
+        assert scenario.state_dims == (2, 2, 1)
+        path = tmp_path / "mixed.json"
+        save_scenario(scenario, path)
+        policy = self._solve(str(path), tmp_path)
+        out = tmp_path / "dump"
+        rc = main(["rollout", "--scenario", str(path), "--policy", policy,
+                   "--samples", "2", "--dump-trajectories", "--out", str(out)])
+        assert rc == 0
+        for f in sorted((out / "trajectories").glob("*.csv")):
+            header, *rows = [line.split(",") for line in f.read_text().splitlines()]
+            assert header[:4] == ["t", "agent", "x0", "x1"] and header[4] == "u0"
+            assert rows and all(len(row) == len(header) for row in rows)
+            narrow = [row for row in rows if row[1] == "2"]
+            assert narrow and all(row[3] == "" and row[4] != "" for row in narrow)
+
     def test_unicycle_trajectory_dump_schema(self, tmp_path):
         src = str(scenarios.bundled_path("intersection-mini"))
         out_s = tmp_path / "s"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,19 +116,28 @@ class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
         # one gain recursion with an rcond check per stage, then the map's
         # zeta pass and the final solve's, and the final mean trajectory;
-        # the dual values cost one evaluation when read, once
+        # the dual values cost one evaluation when read, once.  An LTV game
+        # (no nominal) runs its gain recursion in prepare_game, for the
+        # lam = 0 reference, and the solve reuses those gains
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
-        preps = [mini_prep] + [prepare_game(validate_scenario(s))
-                               for s in (unconstrained, ray)]
+        preps = [mini_prep]
+        for s in (unconstrained, ray):
+            lqnash_calls.clear()
+            preps.append(prepare_game(validate_scenario(s)))
+            assert lqnash_calls == {"stage_gains": 1, "_check_rcond": preps[-1].problem.T,
+                                    "_zeta_sweep": 1, "integrate_expected": 1}
         assert preps[1].M == 0
+        assert mini_prep.gains is None and preps[1].gains is not None
         for prep in preps:
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
-            assert lqnash_calls == {"stage_gains": 1, "_check_rcond": prep.problem.T,
-                                    "_zeta_sweep": 2, "integrate_expected": 1
-                                    }, rep.termination
+            gains_in_solve = int(prep.gains is None)
+            assert +lqnash_calls == +Counter({
+                "stage_gains": gains_in_solve,
+                "_check_rcond": gains_in_solve * prep.problem.T,
+                "_zeta_sweep": 2, "integrate_expected": 1}), rep.termination
             rep.to_dict()
             rep.to_dict()
             assert lqnash_calls["evaluate_cost"] == 1

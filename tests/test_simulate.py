@@ -101,8 +101,8 @@ class TestRollout:
         cov = propagate_covariance(problem.dyn)
         xT = batch.states[:, T, 0]
         var = xT.var(ddof=1)
-        se = cov.Sigma[T, 0, 0] * np.sqrt(2.0 / (batch.samples - 1))
-        assert abs(var - cov.Sigma[T, 0, 0]) < 3 * se
+        se = cov[T, 0, 0] * np.sqrt(2.0 / (batch.samples - 1))
+        assert abs(var - cov[T, 0, 0]) < 3 * se
         mean_se = xT.std(ddof=1) / np.sqrt(batch.samples)
         assert abs(xT.mean() - 0.0) < 4 * mean_se
 
@@ -169,6 +169,13 @@ class TestSafetyStats:
         states[:, 0, 0] = 5.0          # x_0 is known, never constrained
         stats = evaluate_safety(self._batch(problem, states), problem)
         assert stats.violations == 0
+
+    @pytest.mark.parametrize("n", [7, 10, 100, 200, 1000, 2000, 76000])
+    def test_wilson_interval_is_exact_at_its_ends(self, n):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+        lo, hi = wilson_interval(1, n)
+        assert 0.0 < lo < 1.0 / n < hi < 1.0
 
     def test_wilson_interval_shrinks_with_samples(self):
         lo1, hi1 = wilson_interval(5, 100)

@@ -10,14 +10,16 @@ from ccgame.dualascent import prepare_game
 from ccgame.errors import (AllocationTooSmall, DegenerateReference, DomainError)
 from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
                           load_scenario, validate_scenario)
-from ccgame.uncertainty import (CovarianceSchedule, allocate_risk,
-                                assemble_constraints, inverse_normal_cdf,
-                                linearize_collision, normal_cdf,
-                                propagate_covariance, reference_direction)
+from ccgame.uncertainty import (allocate_risk, assemble_constraints,
+                                inverse_normal_cdf, linearize_collision,
+                                normal_cdf, propagate_covariance,
+                                reference_direction)
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
                       scalar_two_agent_instance)
 from oracles import (bisect_normal_quantile, conservativeness_probe,
-                     loop_assemble_constraints, series_normal_cdf)
+                     loop_assemble_constraints, pair_difference_cov,
+                     row_linearize_collision, row_reference_direction,
+                     series_normal_cdf)
 
 # frozen with the series-CDF bisection oracle (tests/oracles.py)
 Z_950000 = 1.6448536269514449
@@ -65,7 +67,7 @@ class TestCovariancePropagation:
             x0=np.zeros(n))
         cov = propagate_covariance(dyn)
         for t in range(T + 1):
-            assert np.allclose(cov.Sigma[t], t * delta * np.eye(n), atol=1e-18)
+            assert np.allclose(cov[t], t * delta * np.eye(n), atol=1e-18)
 
     def test_scalar_recursion_frozen_values(self):
         from ccgame.model import LtvGameDynamics
@@ -74,22 +76,24 @@ class TestCovariancePropagation:
             A=np.full((T, 1, 1), 0.5), B=np.zeros((T, 1, 1, 1)),
             W=np.ones((T, 1, 1)), x0=np.zeros(1))
         cov = propagate_covariance(dyn)
-        assert cov.Sigma[:, 0, 0] == pytest.approx([0.0, 1.0, 1.25, 1.3125])
+        assert cov[:, 0, 0] == pytest.approx([0.0, 1.0, 1.25, 1.3125])
 
     def test_recursion_residual_invariant(self, mini_prep):
         dyn = mini_prep.problem.dyn
         cov = mini_prep.cov
         for t in range(dyn.T):
-            res = cov.Sigma[t + 1] - (dyn.A[t] @ cov.Sigma[t] @ dyn.A[t].T + dyn.W[t])
+            res = cov[t + 1] - (dyn.A[t] @ cov[t] @ dyn.A[t].T + dyn.W[t])
             assert np.max(np.abs(res)) < 1e-12
 
     def test_decoupled_agents_have_zero_cross_covariance(self):
         s = scalar_two_agent_instance()
         problem = assemble_problem(validate_scenario(s))
         cov = propagate_covariance(problem.dyn)
+        assert not cov.flags.writeable
+        assert np.all(cov[:, 0, 1] == 0.0) and np.all(cov[:, 1, 0] == 0.0)
         for t in range(problem.T + 1):
-            assert cov.pair_difference_cov(t, slice(0, 1), slice(1, 2)) == (
-                pytest.approx(cov.Sigma[t][0, 0] + cov.Sigma[t][1, 1]))
+            assert pair_difference_cov(cov[t], slice(0, 1), slice(1, 2)) == (
+                pytest.approx(cov[t][0, 0] + cov[t][1, 1]))
 
 
 class TestRiskAllocation:
@@ -143,6 +147,30 @@ class TestCollisionRow:
         assert math.hypot(*d) == pytest.approx(2.0)
         with pytest.raises(DegenerateReference):
             reference_direction([1e-12, 0.0], np.eye(2), 1.0)
+        # a stack names its first degenerate row
+        with pytest.raises(DegenerateReference) as err:
+            reference_direction([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]], np.eye(2), 1.0)
+        assert err.value.t == 1 and err.value.separation == 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacks_match_the_per_row_oracle_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        for shape in ((), (1,), (7,), (3, 5)):
+            m = rng.normal(size=(d, d))
+            C = m @ m.T + 0.1 * np.eye(d)
+            w = rng.normal(size=shape + (d, d))
+            sigma = w @ np.swapaxes(w, -1, -2)
+            delta = rng.normal(size=shape + (d,))
+            radius, z = float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 4.0))
+            dbar = reference_direction(delta, C, radius)
+            a, c = linearize_collision(dbar, sigma, radius, C, z)
+            assert dbar.shape == a.shape == delta.shape and np.shape(c) == shape
+            for k in np.ndindex(*shape):
+                dbar_k = row_reference_direction(delta[k], C, radius)
+                a_k, c_k = row_linearize_collision(dbar_k, sigma[k], radius, C, z)
+                assert dbar[k].tobytes() == dbar_k.tobytes()
+                assert a[k].tobytes() == a_k.tobytes()
+                assert np.float64(c[k]).tobytes() == np.float64(c_k).tobytes()
 
 
 def _box_row(coord, side, bound, sigma_qq, eps_row, n_x):
@@ -159,8 +187,7 @@ def _box_row(coord, side, bound, sigma_qq, eps_row, n_x):
     problem = assemble_problem(validate_scenario(s))
     Sigma = np.zeros((2, n_x, n_x))
     Sigma[1, coord, coord] = sigma_qq
-    conset = assemble_constraints(problem, CovarianceSchedule(Sigma=Sigma),
-                                  np.zeros((2, n_x)))
+    conset = assemble_constraints(problem, Sigma, np.zeros((2, n_x)))
     assert conset.M == 1 and conset.rows[0].eps_row == eps_row
     return conset.lmat[:, 0], conset.c[0]
 
@@ -249,6 +276,22 @@ class TestAssembly:
         assert err.value.pair == (0, 1)
         assert 1 <= err.value.t <= s.horizon
 
+    def test_degenerate_reference_names_its_one_step(self):
+        # the two agents' reference means coincide at t_star only
+        s = scalar_two_agent_instance(T=5)
+        con = CollisionSpec(pair=(0, 1), radius=0.3, C=np.array([[1.0]]))
+        problem = assemble_problem(validate_scenario(
+            Scenario(**{**s.__dict__, "constraints": (con,)})))
+        cov = propagate_covariance(problem.dyn)
+        layout = uncertainty.constraint_layout(problem, cov)
+        for t_star in range(1, problem.T + 1):
+            reference = np.zeros((problem.T + 1, 2))
+            reference[:, 1] = 1.0
+            reference[t_star, 1] = 0.0
+            with pytest.raises(DegenerateReference) as err:
+                layout(reference)
+            assert err.value.pair == (0, 1) and err.value.t == t_star
+
 
 @pytest.fixture(scope="module")
 def mpc_subgame(mini_prep):
@@ -276,7 +319,7 @@ def _rebuilt(prep):
     c = np.zeros_like(conset.c)
     for m, row in enumerate(conset.rows):
         z = inverse_normal_cdf(1.0 - row.eps_row)
-        Sigma, nominal = cov.Sigma[row.t], problem.nominal_states[row.t]
+        Sigma, nominal = cov[row.t], problem.nominal_states[row.t]
         l = np.zeros(n_x)
         if row.kind == "box":
             q, side, bound = row.detail
@@ -288,7 +331,7 @@ def _rebuilt(prep):
             spec = problem.constraints[row.source]
             sl_i, sl_j = (problem.agent_slices[k] for k in row.detail)
             a = 2.0 * (spec.C @ row.dbar)
-            sigma_pair = cov.pair_difference_cov(row.t, sl_i, sl_j)
+            sigma_pair = pair_difference_cov(Sigma, sl_i, sl_j)
             l[sl_i] = -a
             l[sl_j] = a
             c[m] = (2.0 * spec.radius ** 2
@@ -322,6 +365,21 @@ class TestOnePassAssembly:
             assert calls["quantile"] == 1
             assert calls["rows"] == sum(spec.kind == "box"
                                         for spec in prep.problem.constraints)
+
+    def test_one_helper_call_per_collision_constraint(self, monkeypatch,
+                                                      intersection_prep):
+        # 3 collision constraints over 50 steps: 3 calls of each helper, not 150
+        calls = {"reference_direction": 0, "linearize_collision": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(uncertainty, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(uncertainty, name, counted)
+        prep = intersection_prep
+        conset = assemble_constraints(prep.problem, prep.cov, prep.reference_means)
+        assert calls == {"reference_direction": 3, "linearize_collision": 3}
+        assert sum(row.kind == "collision" for row in conset.rows) == 150
+        _assert_same_bytes(conset, prep.conset)
 
     def test_rows_rebuild_from_their_metadata(self, mini_prep, mpc_subgame):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
