@@ -23,8 +23,8 @@ from . import __version__, lqnash, simulate
 from .dualascent import DualAscentOptions, solve_scenario
 from .errors import (CCGameError, DomainError, FingerprintMismatch,
                      ScenarioValidationError, SchemaError)
-from .model import (assemble_problem, file_fingerprint, load_scenario, read_json,
-                    validate_scenario)
+from .model import (UnicycleDynamicsSpec, assemble_problem, file_fingerprint,
+                    load_scenario, read_json, validate_scenario)
 
 TRACE_HEADER = ["iter", "max_violation", "complementarity", "dual_value_p1", "eta"]
 
@@ -170,7 +170,8 @@ def cmd_rollout(args):
     simulate.write_stats_csv(stats_path, [stats])
     outputs = ["stats.csv"]
     if args.dump_trajectories:
-        simulate.dump_trajectories(os.path.join(outdir, "trajectories"), batch, problem)
+        simulate.dump_trajectories(os.path.join(outdir, "trajectories"), batch, problem,
+                                   isinstance(vs.dynamics, UnicycleDynamicsSpec))
         outputs.append("trajectories/")
     write_manifest(outdir, "rollout",
                    {"samples": args.samples, "seed": args.seed,

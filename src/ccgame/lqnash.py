@@ -28,6 +28,20 @@ single-player best-response sweep (``tests/oracles.py``) as references.
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
 from the trajectory a caller already holds (the final solve's, in a solve).
+
+Realized costs (rollouts, the central MPC, ``evaluate_cost``) and the
+violation mask's collision rows sum quadratic forms with ``quadratic_sums``.
+It visits only nonzero weights (103 of a player's 7,400 (t, a, b) terms on
+``intersection``) and fixes the order: each sample adds (x_a M_ab) x_b one
+term at a time, in C order of (t, a, b), to a running sum from +0.0.  That
+is the order of the ``einsum("sta,tab,stb->s")`` it replaced on the callers'
+layouts, so the sums are bit-identical (the tests pin the kernel to a flat
+loop and the loop to einsum).  A skipped zero weight changes nothing for
+finite x: its term is +-0, which leaves unchanged a sum that starts at +0.0
+and so is never -0.0 (only -0 + -0 is).  Einsum took another order only
+where an axis of length 2 let it sum a row of b first (seen with n = 2 at
+T = 1 and S <= 2, and in the collision form at <= 2 active steps); no
+bundled scenario reaches that case.
 """
 
 from __future__ import annotations
@@ -237,14 +251,32 @@ def closed_loop_covariance(dyn, policy: FeedbackPolicy):
     return covariance_recursion(F, dyn.W)
 
 
+def quadratic_sums(x, M):
+    """(S,) sums over t, a, b of (x[s, t, a] M[t, a, b]) x[s, t, b]; x (S, T, n), M (T, n, n).
+
+    M's nonzero terms, one at a time in the order the module docstring fixes;
+    vectorised across samples only.  Quiet on non-finite values, as einsum is.
+    """
+    out = np.zeros(x.shape[0])
+    term = np.empty_like(out)
+    t_prev = -1
+    with np.errstate(all="ignore"):
+        for t, a, b in zip(*(idx.tolist() for idx in np.nonzero(M))):
+            if t != t_prev:
+                xt, t_prev = np.ascontiguousarray(x[:, t].T), t
+            np.multiply(xt[a], M[t, a, b], out=term)
+            term *= xt[b]
+            out += term
+    return out
+
+
 def realized_costs(problem: GameProblem, states, inputs):
     """Per-sample per-player cost of realized trajectories (solver coords)."""
     costs = np.zeros((states.shape[0], problem.N))
     for i in range(problem.N):
-        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
-        u = inputs[:, :, i, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
+        t = 1 + np.flatnonzero(problem.Q[i, 1:].any(axis=(1, 2)))   # steps Q^i weighs
+        costs[:, i] += quadratic_sums(states[:, t] - problem.ref[i, t], problem.Q[i, t])
+        costs[:, i] += quadratic_sums(inputs[:, :, i, :], problem.R[i])
     return costs
 
 

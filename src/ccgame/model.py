@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -741,13 +742,46 @@ def save_scenario(s: Scenario, path):
         fh.write("\n")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text:.20} overflows a float")   # cut to 20 characters
+    return value
+
+
+def _float_sized_int(text):
+    _finite_float(text)
+    return int(text)
+
+
+def _no_constant(text):
+    raise ValueError(f"non-finite literal {text}")
+
+
+_DIGIT_CLASSES = bytes.maketrans(b"0123456789E", b"0000000000e")
+_LONG_EXPONENT = re.compile(rb"e\+?000")
+
+
+def _may_overflow(raw):
+    """Whether a number in the JSON bytes could overflow a float: only one with
+    an exponent of three digits or more, or a run of 210 digits or more, can."""
+    digits = raw.translate(_DIGIT_CLASSES)      # digits read as 0, E as e
+    return _LONG_EXPONENT.search(digits) is not None or b"0" * 210 in digits
+
+
 def read_json(path):
-    """The document in a UTF-8 JSON file; SchemaError when it is not one."""
+    """The document in a UTF-8 JSON file; SchemaError when it is not one, or
+    when it holds NaN, Infinity or a number that overflows a float.  Numbers
+    go through the checked parse only when one of them could overflow."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: not UTF-8 JSON ({exc})") from exc
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        checked = _may_overflow(raw)
+        return json.loads(raw.decode("utf-8"), parse_constant=_no_constant,
+                          parse_float=_finite_float if checked else float,
+                          parse_int=_float_sized_int if checked else int)
+    except ValueError as exc:    # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise SchemaError(f"{path}: not UTF-8 JSON with finite numbers ({exc})") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -3,7 +3,12 @@
 Noise is drawn from counter-based Philox streams keyed by (seed, sample
 index), so sample s is bit-identical no matter how many samples are run or
 how they are batched.  Safety is judged on realized states against the
-original quadratic/box predicates, never the affine surrogates.
+original quadratic/box predicates, never the affine surrogates.  A predicate
+counts as violated unless it holds, so a NaN it reads is a violation.  The
+mask gathers, per box spec, its constrained coordinates at its active times
+and, per collision spec, the two agents' coordinates in C's support, whose
+quadratic form ``lqnash.quadratic_sums`` sums in the order of the einsum it
+replaced (see the ``lqnash`` docstring); costs go through the same kernel.
 
 A central-MPC call computes once the aggregate, its noise factors, its
 stage gains and its lam = 0 policy, whose tail at tau is the reference
@@ -134,23 +139,28 @@ def wilson_interval(violations, n, z=WILSON_Z):
 
 
 def _violations_mask(problem: GameProblem, abs_states):
-    """(S,) bool: any original predicate violated at any active time."""
+    """(S,) bool: any original predicate not satisfied at any active time (see
+    the module docstring); a NaN bound is an unconstrained side of a box."""
     slices = problem.agent_slices
     bad = np.zeros(abs_states.shape[0], dtype=bool)
     for spec in problem.constraints:
-        times = list(spec.active_times)
+        times = np.asarray(spec.active_times)[:, None]
         if isinstance(spec, BoxSpec):
-            for q, side, bound in spec.rows():
-                vals = abs_states[:, times, q]
-                if side == "upper":
-                    bad |= np.any(vals > bound, axis=1)
-                else:
-                    bad |= np.any(vals < bound, axis=1)
+            q = np.flatnonzero(~(np.isnan(spec.x_min) & np.isnan(spec.x_max)))
+            vals = abs_states[:, times, q]
+            lo, hi = spec.x_min[q], spec.x_max[q]
+            ok = (np.isnan(lo) | (vals >= lo)) & (np.isnan(hi) | (vals <= hi))
+            bad |= ~np.all(ok, axis=(1, 2))
         elif isinstance(spec, CollisionSpec):
             i, j = spec.pair
-            d = abs_states[:, times, slices[i]] - abs_states[:, times, slices[j]]
-            sq = np.einsum("sta,ab,stb->st", d, spec.C, d)
-            bad |= np.any(sq < spec.radius ** 2, axis=1)
+            nz = spec.C != 0
+            sup = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+            with np.errstate(invalid="ignore"):     # inf - inf is a NaN distance
+                d = (abs_states[:, times, slices[i].start + sup]
+                     - abs_states[:, times, slices[j].start + sup])
+            sq = lqnash.quadratic_sums(d.reshape(-1, 1, sup.size),
+                                       spec.C[np.ix_(sup, sup)][None])
+            bad |= ~np.all(sq.reshape(d.shape[:2]) >= spec.radius ** 2, axis=1)
     return bad
 
 
@@ -177,13 +187,15 @@ class SafetyStats:
         }
 
 
-def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
+def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1, abs_states=None):
     """Per-sample first t*dt at which every agent is within goal tolerance.
 
-    Samples that never arrive are recorded at T*dt and flagged.
+    Samples that never arrive are recorded at T*dt and flagged.  ``abs_states``
+    is the batch's ``problem.to_absolute(batch.states)`` when the caller holds it.
     Returns (times (S,), flagged (S,) bool).
     """
-    abs_states = problem.to_absolute(batch.states)
+    if abs_states is None:
+        abs_states = problem.to_absolute(batch.states)
     T = problem.T
     S = batch.samples
     goals_abs = problem.ref[:, T, :] + problem.nominal_states[T][None, :]
@@ -210,7 +222,7 @@ def evaluate_safety(batch: RolloutBatch, problem: GameProblem,
     violations = int(np.sum(bad))
     lo, hi = wilson_interval(violations, S)
     total = batch.costs.sum(axis=1)
-    times, flagged = travel_time(batch, problem, goal_tolerance)
+    times, flagged = travel_time(batch, problem, goal_tolerance, abs_states)
     return SafetyStats(
         method=batch.method, samples=S, seed=batch.seed,
         violations=violations, rate=violations / S,
@@ -401,14 +413,14 @@ def write_stats_csv(path, stats_rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def dump_trajectories(dirpath, batch: RolloutBatch, problem: GameProblem):
-    """One CSV per sample; unicycle scenarios use the t,agent,px,py,theta,v,a,omega schema.
+def dump_trajectories(dirpath, batch: RolloutBatch, problem: GameProblem, unicycle):
+    """One CSV per sample; a unicycle scenario (``unicycle``, from its dynamics
+    type) uses the t,agent,px,py,theta,v,a,omega schema, any other x0..,u0...
     An agent with fewer states than the widest leaves its missing x cells empty."""
     os.makedirs(dirpath, exist_ok=True)
     abs_states = problem.to_absolute(batch.states)
     abs_inputs = batch.inputs + problem.nominal_inputs[None, :, :, :]
     n_x_max, n_u = max(problem.state_dims), batch.inputs.shape[3]
-    unicycle = all(d == 4 for d in problem.state_dims) and n_u == 2
     for s in range(batch.samples):
         lines = ["t,agent,px,py,theta,v,a,omega" if unicycle
                  else "t,agent," + ",".join(f"x{q}" for q in range(n_x_max))

@@ -10,6 +10,10 @@ single-loop row assembly, on per-row copies of the collision-row helpers,
 is the bit-for-bit reference for the split and batched one (layout, then
 collision rows at a reference, one stacked pass per constraint).
 
+A flat loop adds the terms of a quadratic form one at a time, and a per-row
+loop evaluates every safety predicate on its own: the references for the
+Monte Carlo cost kernel and the batched violation mask.
+
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
 splice that swaps one player's response in, the dual function they drive, a
@@ -462,6 +466,49 @@ def loop_rollout(problem, K, alpha, seed, samples):
         u = inputs[:, :, i, :]
         costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
     return states, inputs, costs
+
+
+# ---------------------------------------------------------------------------
+# Quadratic sums and violation masks, one term and one row at a time
+
+
+def loop_quadratic_sums(x, M):
+    """(S,) sums of (x[s, t, a] M[t, a, b]) x[s, t, b]: per sample, every term
+    of M (zeros included) in C order of (t, a, b), added to a Python float
+    that starts at +0.0."""
+    x, M = np.asarray(x), np.asarray(M)
+    out = np.zeros(x.shape[0])
+    for s in range(x.shape[0]):
+        xs = x[s].tolist()
+        acc = 0.0
+        for t, a, b in np.ndindex(*M.shape):
+            acc += (xs[t][a] * float(M[t, a, b])) * xs[t][b]
+        out[s] = acc
+    return out
+
+
+def row_violations(problem, abs_states):
+    """(S,) bool: per sample, active time and predicate row, violated unless it
+    holds, so a NaN the row reads is a violation.  A collision row reads the
+    coordinates of C's nonzero entries."""
+    abs_states = np.asarray(abs_states)
+    slices = problem.agent_slices
+    bad = np.zeros(abs_states.shape[0], dtype=bool)
+    for spec in problem.constraints:
+        for s in range(abs_states.shape[0]):
+            for t in spec.active_times:
+                x = abs_states[s, t].tolist()     # Python floats: NaN and inf stay quiet
+                if spec.kind == "box":
+                    holds = [x[q] <= bound if side == "upper" else x[q] >= bound
+                             for q, side, bound in spec.rows()]
+                else:
+                    xi, xj = x[slices[spec.pair[0]]], x[slices[spec.pair[1]]]
+                    d = [a - b for a, b in zip(xi, xj)]
+                    sq = sum((d[a] * float(spec.C[a, b])) * d[b]
+                             for a, b in zip(*np.nonzero(spec.C)))
+                    holds = [sq >= spec.radius ** 2]
+                bad[s] |= not all(holds)
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from ccgame import scenarios, simulate
 from ccgame.cli import main
 from ccgame.model import Scenario, save_scenario
-from conftest import random_small_scenario, scalar_single_agent_instance
+from conftest import make_ltv_scenario, random_small_scenario, scalar_single_agent_instance
 
 
 def _speed_box(doc, **fields):
@@ -135,6 +135,19 @@ class TestSolve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "-inf", "1e400", "int-1e400"])
+    def test_non_finite_scenario_numbers_exit_one(self, tmp_path, capsys, literal):
+        doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
+        doc["dynamics"]["initial_states"][0][3] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError") and literal[:20] in err
         assert "Traceback" not in err
 
     def test_negative_relinearize_exits_one(self, tiny_active, tmp_path, capsys):
@@ -275,6 +288,22 @@ class TestRollout:
         assert err.startswith(f"error: {error}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "1e400"])
+    def test_non_finite_policy_exits_one(self, tmp_path, capsys, literal):
+        src = str(scenarios.bundled_path("intersection-mini"))
+        path = tmp_path / "s" / "policy.json"
+        main(["solve", "--scenario", src, "--out", str(path.parent)])
+        doc = json.loads(path.read_text())
+        doc["alpha"][0][0][0] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        capsys.readouterr()
+        rc = main(["rollout", "--scenario", src, "--policy", str(path),
+                   "--samples", "50", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError") and literal in err
+        assert not (tmp_path / "r" / "stats.csv").exists()
+
     def test_fingerprint_mismatch_exits_one(self, tiny_active, tiny_inactive,
                                             tmp_path, capsys):
         policy = self._solve(tiny_active, tmp_path)
@@ -320,6 +349,25 @@ class TestRollout:
         assert rc == 0
         first = next(iter(sorted((out / "trajectories").glob("*.csv"))))
         assert first.read_text().splitlines()[0] == "t,agent,px,py,theta,v,a,omega"
+
+
+    def test_planar_double_integrator_dump_is_not_labelled_unicycle(self, tmp_path):
+        # four states and two inputs, like a unicycle, but LTV dynamics
+        A = np.eye(4)
+        A[0, 2] = A[1, 3] = 0.5
+        B = np.zeros((4, 2))
+        B[2, 0] = B[3, 1] = 0.5
+        s = make_ltv_scenario([4], 3, [A], [B], [0.0] * 4, [1e-6] * 4, [np.eye(4)],
+                              [np.eye(2)], [np.array([1.0, 1.0, 0.0, 0.0])], [])
+        path = tmp_path / "di.json"
+        save_scenario(s, path)
+        policy = self._solve(str(path), tmp_path)
+        out = tmp_path / "d"
+        rc = main(["rollout", "--scenario", str(path), "--policy", policy,
+                   "--samples", "1", "--dump-trajectories", "--out", str(out)])
+        assert rc == 0
+        first = next(iter(sorted((out / "trajectories").glob("*.csv"))))
+        assert first.read_text().splitlines()[0] == "t,agent,x0,x1,x2,x3,u0,u1"
 
 
 class TestMpc:

@@ -6,15 +6,17 @@ from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (_stage_gain, affine_response, backward_recursion,
                            evaluate_cost, evaluate_lagrangian,
                            integrate_expected, mean_inputs, policy_from_dict,
-                           policy_to_dict, stage_gains, stage_linear_terms)
+                           policy_to_dict, quadratic_sums, realized_costs, stage_gains,
+                           stage_linear_terms)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (best_response, dense_best_response, dense_game_inputs, lqr_oracle,
-                     replace_player, sweep_affine_response, sweep_backward_recursion)
+from oracles import (best_response, dense_best_response, dense_game_inputs,
+                     loop_quadratic_sums, lqr_oracle, replace_player,
+                     sweep_affine_response, sweep_backward_recursion)
 
 
 def riccati_matrices(problem):
@@ -202,6 +204,86 @@ class TestIntegrateExpected:
         t1 = integrate_expected(problem.dyn, policy)
         t2 = integrate_expected(problem.dyn, cur)
         assert np.max(np.abs(t1 - t2)) < 1e-6
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _random_form(rng, T, n, density):
+    """(T, n, n) weights, each entry nonzero with probability ``density``."""
+    M = rng.normal(size=(T, n, n))
+    M[rng.random((T, n, n)) >= density] = 0.0
+    return M
+
+
+class TestQuadraticSums:
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.0])
+    @pytest.mark.parametrize("S", [1, 2, 9])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_kernel_matches_flat_loop_bit_for_bit(self, S, density, contiguous):
+        rng = np.random.default_rng([S, int(10 * density), contiguous])
+        for _ in range(25):
+            T, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            scale = 10.0 ** rng.uniform(-4, 4, size=(S, 1, 1))
+            x = rng.normal(size=(S, T + 2, n + 2)) * scale
+            x = np.ascontiguousarray(x[:, 1:-1, :n]) if contiguous else x[:, 1:-1, 1:-1]
+            M = _random_form(rng, T, n, density)
+            assert _bits(quadratic_sums(x, M)) == _bits(loop_quadratic_sums(x, M))
+
+    def test_collision_form_matches_flat_loop_per_step(self):
+        # the violation mask sums C over (sample, step) rows of the differences
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 3, 4):
+            S, T = 6, 5
+            d = rng.normal(size=(S, T, k))
+            C = _random_form(rng, 1, k, 0.6)
+            sq = quadratic_sums(d.reshape(-1, 1, k), C).reshape(S, T)
+            ref = np.array([[loop_quadratic_sums(d[s, t][None, None], C)[0]
+                             for t in range(T)] for s in range(S)])
+            assert _bits(sq) == _bits(ref)
+
+    def test_flat_loop_is_numpy_einsum_on_the_callers_layouts(self):
+        """The costs and the mask were einsums on these layouts until the kernel
+        replaced them; the kernel follows the flat loop, so if numpy's loop
+        order moves, this test names the change."""
+        rng = np.random.default_rng(5)
+        S, T, n_x, N, n_u = 6, 50, 12, 3, 2
+        states = rng.normal(size=(S, T + 1, n_x)) * 3.0
+        ref = rng.normal(size=(T + 1, n_x))
+        inputs = rng.normal(size=(S, T, N, n_u))
+        mean_traj, us = states[0], inputs[0]
+        for density in (1.0, 0.1):
+            Q = _random_form(rng, T, n_x, density)
+            R = _random_form(rng, T, n_u, density)
+            for x, M in ((states[:, 1:] - ref[1:], Q),          # rollout states
+                         (inputs[:, :, 1, :], R),                # one player's inputs
+                         (mean_traj[None][:, 1:] - ref[1:], Q),  # evaluate_cost
+                         (us[None][:, :, 1, :], R)):
+                assert _bits(np.einsum("sta,tab,stb->s", x, M, x)) == _bits(
+                    loop_quadratic_sums(x, M))
+            # the collision form on two 4-state agents' differences
+            d = states[:, 1:, 0:4] - states[:, 1:, 4:8]
+            C = _random_form(rng, 1, 4, density)
+            ref_sq = [[loop_quadratic_sums(d[s, t][None, None], C)[0] for t in range(T)]
+                      for s in range(S)]
+            assert _bits(np.einsum("sta,ab,stb->st", d, C[0], d)) == _bits(ref_sq)
+
+    def test_realized_costs_match_flat_loop(self, mini_prep):
+        problem = mini_prep.problem
+        batch = simulate.rollout(problem, backward_recursion(problem), seed=3, samples=4)
+        costs = realized_costs(problem, batch.states, batch.inputs)
+        for i in range(problem.N):
+            expect = (loop_quadratic_sums(batch.states[:, 1:] - problem.ref[i, 1:],
+                                          problem.Q[i, 1:])
+                      + loop_quadratic_sums(batch.inputs[:, :, i, :], problem.R[i]))
+            assert _bits(costs[:, i]) == _bits(expect)
+
+    def test_zero_weights_are_skipped(self):
+        # a non-finite x where M is zero is never read
+        x = np.array([[[1.5, np.nan], [np.inf, 2.0]]])
+        M = np.array([[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 3.0]]])
+        assert quadratic_sums(x, M).tolist() == [1.5 * 2.0 * 1.5 + 2.0 * 3.0 * 2.0]
 
 
 class TestEvaluateCost:

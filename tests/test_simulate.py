@@ -7,13 +7,13 @@ from ccgame import simulate
 from ccgame.dualascent import DualAscentOptions
 from ccgame.errors import AllSeedsFailed, FactorizationFailure, SingularStageSystem
 from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected
-from ccgame.model import (BoxSpec, LtvGameDynamics, Scenario, assemble_problem,
-                          validate_scenario)
+from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
+                          assemble_problem, validate_scenario)
 from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
 from ccgame.uncertainty import propagate_covariance
 from conftest import make_ltv_scenario, random_small_scenario, scalar_single_agent_instance
-from oracles import loop_rollout
+from oracles import loop_rollout, row_violations
 
 
 def zero_noise(problem):
@@ -170,6 +170,30 @@ class TestSafetyStats:
         stats = evaluate_safety(self._batch(problem, states), problem)
         assert stats.violations == 0
 
+    def test_non_finite_trajectory_counts_as_violation(self):
+        problem = self._toy_problem()
+        states = np.zeros((6, 4, 1))
+        states[0, 2, 0] = np.nan       # not below the bound: no longer safe
+        states[1, 1:, 0] = np.nan
+        states[2, 3, 0] = np.inf
+        states[3, 0, 0] = np.nan       # x_0 is never checked
+        stats = evaluate_safety(self._batch(problem, states), problem)
+        assert stats.violations == 3
+
+    def test_non_finite_distance_counts_as_collision(self):
+        s = make_ltv_scenario(
+            [1, 1], 2, [np.array([[1.0]])] * 2, [np.array([[1.0]])] * 2, [0.0, 1.0],
+            [1e-4, 1e-4], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+            [np.array([[1.0]])] * 2, [np.zeros(2)] * 2,
+            [CollisionSpec(pair=(0, 1), radius=0.5, C=np.array([[1.0]]))])
+        problem = assemble_problem(validate_scenario(s))
+        states = np.tile(np.array([0.0, 1.0]), (4, 3, 1))
+        states[0, 1, 0] = np.nan
+        states[1, 2, :] = np.inf       # inf - inf is NaN
+        states[2, 2, 0] = np.inf       # infinitely far apart: safe
+        stats = evaluate_safety(self._batch(problem, states), problem)
+        assert stats.violations == 2
+
     @pytest.mark.parametrize("n", [7, 10, 100, 200, 1000, 2000, 76000])
     def test_wilson_interval_is_exact_at_its_ends(self, n):
         assert wilson_interval(0, n)[0] == 0.0
@@ -181,6 +205,47 @@ class TestSafetyStats:
         lo1, hi1 = wilson_interval(5, 100)
         lo2, hi2 = wilson_interval(500, 10_000)
         assert (hi2 - lo2) < (hi1 - lo1) / 5
+
+
+class TestViolationsMask:
+    @pytest.fixture(scope="class")
+    def problem(self, mini_problem):
+        nan = np.full(mini_problem.n_x, np.nan)
+        x_min, x_max = nan.copy(), nan.copy()
+        x_min[0], x_max[0] = -1.0, 1.0        # both sides
+        x_min[3] = 0.5                         # lower side only
+        x_max[5] = 0.4                         # upper side only
+        C = np.zeros((4, 4))
+        C[:3, :3] = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.5]]
+        return replace(mini_problem, constraints=(
+            BoxSpec(x_min=x_min, x_max=x_max, active_times=(1, 3, 7)),
+            CollisionSpec(pair=(0, 1), radius=0.8, C=C, active_times=(2, 5, 6, 9)),
+            CollisionSpec(pair=(1, 0), radius=0.3, C=np.diag([1.0, 1.0, 0.0, 0.0]),
+                          active_times=(4,))))
+
+    def test_mask_matches_per_row_oracle(self, problem):
+        rng = np.random.default_rng(8)
+        S = 300
+        x = rng.normal(scale=0.4, size=(S, problem.T + 1, problem.n_x))
+        x[..., 3] += 1.2               # mostly above its lower bound
+        x[..., 4] += 1.5               # agent 1 mostly clear of agent 0
+        x[:20, 3, 0] = np.nan          # a read coordinate at an active time
+        x[20:40, 8, :] = np.nan        # no constraint is active at t = 8
+        x[40:60, 2, 7] = np.nan        # nothing reads agent 1's speed
+        x[60:70, 6, 4] = np.inf
+        mask = simulate._violations_mask(problem, x)
+        assert np.array_equal(mask, row_violations(problem, x))
+        assert mask[:20].all()
+        assert 0 < mask.sum() < S
+
+    @pytest.mark.parametrize("spec", [0, 1, 2])
+    def test_each_spec_alone_matches_per_row_oracle(self, problem, spec):
+        one = replace(problem, constraints=problem.constraints[spec:spec + 1])
+        rng = np.random.default_rng(spec)
+        x = rng.uniform(-1.4, 1.4, size=(200, problem.T + 1, problem.n_x))
+        mask = simulate._violations_mask(one, x)
+        assert np.array_equal(mask, row_violations(one, x))
+        assert 0 < mask.sum() < 200
 
 
 class TestTravelTime:
