@@ -193,7 +193,7 @@ def cmd_mpc(args):
     scenario_hash = file_fingerprint(args.scenario)
     vs = validate_scenario(load_scenario(args.scenario))
     problem = assemble_problem(vs)
-    batch, failures, sec_per_step = simulate.central_mpc(
+    batch, failures, totals = simulate.central_mpc(
         problem, args.seed, args.samples, replan_every=args.replan_every,
         options=options)
     stats = simulate.evaluate_safety(batch, problem)
@@ -203,11 +203,11 @@ def cmd_mpc(args):
                    {"samples": args.samples, "seed": args.seed,
                     "replan_every": args.replan_every, "iters": args.iters},
                    args.scenario, scenario_hash, ["stats.csv"],
-                   extra={"comp_seconds_per_step": sec_per_step,
+                   extra={**totals,
                           "failures": [{"sample": s, "step": t, "error": m}
                                        for s, t, m in failures]})
     print(f"central mpc: {stats.samples} seeds, violation rate {stats.rate:.4f}, "
-          f"mean cost {stats.cost_mean:.3f}, {sec_per_step:.3f} s/replan, "
+          f"mean cost {stats.cost_mean:.3f}, {totals['comp_seconds_per_step']:.3f} s/replan, "
           f"{len(failures)} failure(s)")
     return 2 if failures else 0
 

@@ -9,9 +9,11 @@ directly instead of re-solving the game at every step.  A solve computes
 the stage gains once (or takes them from ``PreparedGame.gains``); one zeta
 pass on them gives the map and, in its constant column, the lam = 0 policy
 the dual values start from; a second, the final equilibrium solve at the
-returned multiplier, gives the report.  The diagnostics that only a report
-or a trace reads (L, eta, dual0 and the dual values) are computed when
-first read, so a central-MPC replan pays for none of them.
+returned multiplier, gives the report, unless the prepared lam = 0
+equilibrium (``PreparedGame.equilibrium0``) violates no row: it is then the
+report, and no zeta pass runs.  The map and the diagnostics that only a
+report or a trace reads (L, eta, dual0 and the dual values) are computed
+when first read, so a central-MPC replan pays for none of them.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -48,14 +50,15 @@ from .model import GameProblem, assemble_problem, validate_scenario, _freeze
 @dataclass(frozen=True)
 class PreparedGame:
     """Problem, open-loop covariance schedule (an array) and reformulated
-    constraints; ``gains``, when given, are the problem's stage gains and the
-    solve does not recompute them."""
+    constraints; ``gains`` (the stage gains) and ``equilibrium0`` (the lam = 0
+    policy and its solver-coordinate mean), when given, are reused by the solve."""
 
     problem: GameProblem
     cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
     conset: uncertainty.AffineConstraintSet
     reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
     gains: lqnash.StageGains | None = field(default=None, repr=False)
+    equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
 
     @property
     def M(self):
@@ -67,21 +70,23 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
     Collision reference directions come from the nominal trajectory for
     unicycle scenarios; direct LTV scenarios have no nominal, so the
-    unconstrained-equilibrium mean trajectory is used instead, and the stage
-    gains that policy is solved on are kept for the solve.
+    unconstrained-equilibrium mean trajectory is used instead, and that
+    equilibrium and the stage gains it is solved on are kept for the solve.
     """
     vs = validate_scenario(scenario)
     problem = assemble_problem(vs, nominal_inputs=nominal_inputs)
     cov = uncertainty.propagate_covariance(problem.dyn)
     if np.any(problem.nominal_states != 0.0):
-        gains, reference = None, problem.nominal_states
+        gains, reference, equilibrium0 = None, problem.nominal_states, None
     else:
         gains = lqnash.stage_gains(problem)
         policy0 = lqnash.backward_recursion(problem, gains=gains)
         reference = lqnash.integrate_expected(problem.dyn, policy0)
+        equilibrium0 = (policy0, reference)
     conset = uncertainty.assemble_constraints(problem, cov, reference)
     return PreparedGame(problem=problem, cov=cov, conset=conset,
-                        reference_means=_freeze(np.asarray(reference)), gains=gains)
+                        reference_means=_freeze(np.asarray(reference)), gains=gains,
+                        equilibrium0=equilibrium0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +97,19 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 class AffineGradientMap:
     """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0), the expected
     cost of the lam = 0 policy policy0; asymmetry = ||G - G'||_F / ||G||_F.
-    L, asymmetry and dual0 are computed when first read."""
+    All are computed when first read; G, ctilde and policy0 by affine_response."""
 
-    G: np.ndarray
-    ctilde: np.ndarray
     problem: GameProblem = field(repr=False)
-    policy0: lqnash.FeedbackPolicy = field(repr=False)
+    conset: uncertainty.AffineConstraintSet = field(repr=False)
+    gains: lqnash.StageGains | None = field(default=None, repr=False)
+
+    @cached_property
+    def _response(self):
+        return lqnash.affine_response(self.problem, self.conset, self.gains)
+
+    G = property(lambda self: self._response[0])
+    ctilde = property(lambda self: self._response[1])
+    policy0 = property(lambda self: self._response[2])
 
     @cached_property
     def _norms(self):
@@ -157,11 +169,10 @@ def estimate_affine_map(prepared: PreparedGame, gains=None) -> AffineGradientMap
     """Recover (G, ctilde): ctilde is g at lam = 0, column m of G is
     g at the m-th unit multiplier minus ctilde.  Exact by affinity; computed with
     one batched zeta pass instead of M+1 separate solves, which also
-    gives the lam = 0 policy that dual0 is evaluated at."""
-    G, ctilde, policy0 = lqnash.affine_response(prepared.problem, prepared.conset,
-                                                gains)
-    return AffineGradientMap(G=G, ctilde=ctilde, problem=prepared.problem,
-                             policy0=policy0)
+    gives the lam = 0 policy that dual0 is evaluated at; computed here."""
+    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains)
+    gmap.G          # the zeta pass runs here, not when the map is first read
+    return gmap
 
 
 PIVOT_TOL = 1e-11          # direction entries below this (relative) never block
@@ -387,21 +398,25 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     Lemke's pivot gives the exact LCP solution (termination "lcp_solved").
     When it stops without one, the averaged ascent runs with the options'
     k_max and eta, and the termination is the pivot's reason (see
-    ``solve_lcp``).
+    ``solve_lcp``).  A prepared lam = 0 equilibrium that passes the pivot's
+    first test, -g >= 0, is the solution; the map is then built only if read.
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
     gains = (lqnash.stage_gains(prepared.problem) if prepared.gains is None
              else prepared.gains)
-    gmap = estimate_affine_map(prepared, gains)
-
-    lam_bar, pivots, termination = solve_lcp(gmap.G, gmap.ctilde)
-    iterations = 0
-    if lam_bar is None:
-        lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
-                                         options, trace_writer)
-
-    policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
+    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains)
+    lam_bar, pivots, termination, iterations = np.zeros(prepared.M), 0, "lcp_solved", 0
+    if prepared.equilibrium0 is not None:
+        policy, traj = prepared.equilibrium0
+        g_final = prepared.conset.evaluate(traj)
+    if prepared.equilibrium0 is None or not np.min(-g_final, initial=0.0) >= 0.0:
+        gmap = estimate_affine_map(prepared, gains)
+        lam_bar, pivots, termination = solve_lcp(gmap.G, gmap.ctilde)
+        if lam_bar is None:
+            lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
+                                             options, trace_writer)
+        policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),

@@ -14,9 +14,9 @@ A central-MPC call computes once the aggregate, its noise factors, its
 stage gains and its lam = 0 policy, whose tail at tau is the reference
 policy of a replan at tau.  Each replan time tau computes once, for all
 episodes, the slice without its x0, its open-loop covariance and its
-constraint layout.  A replan computes the reference mean from its state,
-the collision rows, the map's zeta pass, the LCP and the final solve.  The
-first episode to need shared work pays for it.
+constraint layout.  A replan computes its lam = 0 mean (the reference), the
+collision rows and, if a row is violated, the map's zeta pass, the LCP and
+the final solve.  The first episode to need shared work pays for it.
 """
 
 from __future__ import annotations
@@ -297,9 +297,11 @@ class CentralPlanner:
         sub, cov, fill = self.at_tau[tau]
         sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
         policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
-        reference = sub.nominal_states + lqnash.integrate_expected(sub.dyn, policy0)
+        mean0 = lqnash.integrate_expected(sub.dyn, policy0)
+        reference = sub.nominal_states + mean0
         return PreparedGame(problem=sub, cov=cov, conset=fill(reference),
-                            reference_means=_freeze(reference), gains=self.gains.tail(tau))
+                            reference_means=_freeze(reference), gains=self.gains.tail(tau),
+                            equilibrium0=(policy0, mean0))
 
 
 @dataclass
@@ -308,6 +310,7 @@ class MpcRun:
     inputs: np.ndarray         # (T, N, n_u)
     failures: list             # (step, error message)
     replans: int
+    replans_with_active_rows: int   # replans whose multiplier is not 0
     solve_seconds: float       # its whole replans, and the planner if first to use it
 
 
@@ -319,8 +322,8 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     Replans every ``replan_every`` steps over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
     failure is recorded with its step index.  The planner (built here when
-    not given) holds what a call and a replan time compute once; a replan at
-    tau computes the reference mean, collision rows, map, LCP and final solve.
+    not given) holds what a call and a replan time compute once; the module
+    docstring says what a replan computes.
     """
     options = options or DualAscentOptions(k_max=500)
     replan_every = _positive("replan_every", replan_every)
@@ -336,14 +339,16 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     plan = None
     plan_offset = 0
     failures = []
-    replans = 0
+    replans = active = 0
     for t in range(T):
         if t % replan_every == 0 or plan is None:
             t_start = time.perf_counter()
             try:
-                plan = run_dual_ascent(planner.prepare(t, states[t]), options).policy
-                plan_offset = t
+                report = run_dual_ascent(planner.prepare(t, states[t]), options)
+                plan, plan_offset = report.policy, t
                 replans += 1
+                active += bool(np.any(report.lambda_bar))
+                del report      # its rows and map would live through the next replan
                 solve_seconds += time.perf_counter() - t_start
             except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
                 failures.append((t, f"{type(exc).__name__}: {exc}"))
@@ -353,13 +358,15 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
             dyn.A[t], dyn.B[t], plan.K[t - plan_offset], plan.alpha[t - plan_offset],
             states[t:t + 1], planner.factors[t], z[t:t + 1])
         inputs[t], states[t + 1] = u[0], x[0]
-    return MpcRun(states=states, inputs=inputs, failures=failures,
-                  replans=replans, solve_seconds=solve_seconds)
+    return MpcRun(states=states, inputs=inputs, failures=failures, replans=replans,
+                  replans_with_active_rows=active, solve_seconds=solve_seconds)
 
 
 def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
                 options: DualAscentOptions | None = None):
-    """Seeded batch of MPC episodes; returns (RolloutBatch, failures, seconds/step).
+    """Seeded batch of MPC episodes; returns (RolloutBatch, failures, totals):
+    the completed episodes' ``comp_seconds_per_step`` (seconds per replan),
+    ``replans`` and ``replans_with_active_rows`` (lam != 0).
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
     and MPC statistics are paired across sample indices.  All episodes share
@@ -389,8 +396,11 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     batch = RolloutBatch(states=states, inputs=inputs, costs=costs,
                          seed=int(seed), method="central_mpc")
     # every completed episode planned at least once, at t = 0
-    sec_per_step = sum(r.solve_seconds for r in good) / sum(r.replans for r in good)
-    return batch, failures, sec_per_step
+    replans = sum(r.replans for r in good)
+    return batch, failures, {
+        "comp_seconds_per_step": sum(r.solve_seconds for r in good) / replans,
+        "replans": replans,
+        "replans_with_active_rows": sum(r.replans_with_active_rows for r in good)}
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,11 @@ def make_ltv_scenario(state_dims, T, A_blocks, B_blocks, x0, W_diag, Q_list,
                     risk_epsilon=eps, rng_seed=seed, state_dims=tuple(state_dims))
 
 
-def random_small_scenario(rng, N=None, with_rows=True):
-    """Random decoupled LTV game with a few single-time box rows (M <= 20)."""
-    N = N if N is not None else int(rng.integers(1, 4))
+def random_small_scenario(rng, N=None, with_rows=True, coupled=False):
+    """Random LTV game with a few single-time box rows (M <= 20); decoupled,
+    or with ``coupled`` (N >= 2) each Q^i also weighs the next agent's
+    states, through a PSD term on both agents' states with off-diagonal blocks."""
+    N = N if N is not None else int(rng.integers(2 if coupled else 1, 4))
     state_dims = [int(rng.integers(1, 4)) for _ in range(N)]
     while sum(state_dims) > 12:
         state_dims[np.argmax(state_dims)] -= 1
@@ -71,6 +73,10 @@ def random_small_scenario(rng, N=None, with_rows=True):
         goal = np.zeros(n_x)
         goal[offs[i]:offs[i + 1]] = rng.normal(size=d)
         goal_list.append(goal)
+    for i in range(N if coupled else 0):
+        j = (i + 1) % N
+        both = np.r_[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+        Q_list[i][np.ix_(both, both)] += spd(rng, both.size, scale=0.5)
     x0 = rng.normal(size=n_x) * 0.5
     W_diag = rng.uniform(1e-5, 5e-4, n_x)
 
@@ -195,8 +201,8 @@ def intersection_report(intersection_prep):
 @pytest.fixture()
 def lqnash_calls(monkeypatch):
     """A Counter of the calls to lqnash's gain recursion, its rcond checks,
-    zeta passes, mean integration, closed-loop covariance and expected
-    cost, by function name."""
+    zeta passes, dual map, mean integration, closed-loop covariance and
+    expected cost, by function name."""
     from ccgame import lqnash
     calls = Counter()
 
@@ -206,8 +212,8 @@ def lqnash_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("stage_gains", "_check_rcond", "_zeta_sweep", "integrate_expected",
-                 "closed_loop_covariance", "evaluate_cost"):
+    for name in ("stage_gains", "_check_rcond", "_zeta_sweep", "affine_response",
+                 "integrate_expected", "closed_loop_covariance", "evaluate_cost"):
         monkeypatch.setattr(lqnash, name, counting(name, getattr(lqnash, name)))
     return calls
 

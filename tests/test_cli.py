@@ -398,6 +398,25 @@ class TestMpc:
         row = read_stats(tmp_path / "m" / "stats.csv")[0]
         assert row["method"] == "central_mpc"
 
+    def test_manifest_counts_the_replans_with_active_rows(self, tmp_path, monkeypatch):
+        # a replan has active rows exactly when the pivot moves off lam = 0,
+        # counted here outside the code under test
+        from ccgame import dualascent
+        real, pivoting = dualascent.solve_lcp, []
+
+        def counting(G, ctilde):
+            out = real(G, ctilde)
+            pivoting.extend([out[1]] if out[1] > 0 else [])
+            return out
+
+        monkeypatch.setattr(dualascent, "solve_lcp", counting)
+        rc = main(["mpc", "--scenario", str(scenarios.bundled_path("intersection-mini")),
+                   "--samples", "2", "--seed", "3", "--out", str(tmp_path / "m")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["replans"] == 2 * 20
+        assert 0 < manifest["replans_with_active_rows"] == len(pivoting) < 40
+
     @pytest.mark.parametrize("option", [["--samples", "0"], ["--replan-every", "0"],
                                         ["--iters", "0"]])
     def test_nonpositive_counts_exit_one(self, tiny_active, tmp_path, capsys, option):

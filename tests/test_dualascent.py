@@ -23,6 +23,12 @@ from oracles import averaged_ascent, dense_kkt_single_row, dual_function
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
 FEASIBLE_SEEDS = (3, 4, 5, 7, 8, 9, 10, 12, 15, 16, 17)
+# the same for random_small_scenario(default_rng(k), coupled=True) among
+# k = 2..17: on 6 and 11 no lam >= 0 gives g <= 0.  On 12 and 14 (lam up to
+# 365) the ascent approaches the pivot's solution only as O(1/k): after 200k,
+# 1M and 3M steps its trajectory is 1.3e-2, 2.5e-3 and 8.5e-4 away on 12,
+# about 10 times its natural residual, outside the comparison's 4 times
+COUPLED_FEASIBLE_SEEDS = (2, 3, 4, 5, 7, 8, 9, 10, 13, 15, 16, 17)
 
 
 def _iterates(gmap, eta, k):
@@ -118,7 +124,9 @@ class TestSweepCount:
         # zeta pass and the final solve's, and the final mean trajectory;
         # the dual values cost one evaluation when read, once.  An LTV game
         # (no nominal) runs its gain recursion in prepare_game, for the
-        # lam = 0 reference, and the solve reuses those gains
+        # lam = 0 reference, and the solve reuses those gains; where that
+        # reference violates no row (the unconstrained game) it is the
+        # solution, and the solve runs no zeta pass and no integration
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -134,15 +142,76 @@ class TestSweepCount:
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
             gains_in_solve = int(prep.gains is None)
+            full_path = int(prep is not preps[1])
             assert +lqnash_calls == +Counter({
                 "stage_gains": gains_in_solve,
                 "_check_rcond": gains_in_solve * prep.problem.T,
-                "_zeta_sweep": 2, "integrate_expected": 1}), rep.termination
+                "_zeta_sweep": 2 * full_path, "affine_response": full_path,
+                "integrate_expected": full_path}), rep.termination
             rep.to_dict()
             rep.to_dict()
             assert lqnash_calls["evaluate_cost"] == 1
             assert lqnash_calls["closed_loop_covariance"] == 1
         assert rep.termination == "lcp_infeasible"
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestZeroMultiplierSolve:
+    """An LTV game's prepared lam = 0 equilibrium, when it violates no row, is
+    the report; withholding it sends the solve through the map, the LCP and
+    the final solve, which must give the same report bit for bit."""
+
+    @pytest.mark.parametrize("coupled", (False, True))
+    def test_short_circuit_equals_the_full_path(self, coupled, lqnash_calls):
+        full_path = Counter({"_zeta_sweep": 2, "integrate_expected": 1,
+                             "affine_response": 1})
+        zero, asymmetry = [], []
+        for k in range(40):
+            prep = prepare_game(validate_scenario(
+                random_small_scenario(np.random.default_rng(k), coupled=coupled)))
+            assert prep.equilibrium0 is not None
+            # the same game with every row slackened so that lam = 0 solves it
+            g0 = prep.conset.evaluate(prep.equilibrium0[1])
+            slack = dataclasses.replace(prep.conset, c=prep.conset.c - g0.max() - 1.0)
+            for game in (prep, dataclasses.replace(prep, conset=slack)):
+                withheld = dataclasses.replace(game, equilibrium0=None)
+                lqnash_calls.clear()
+                rep = run_dual_ascent(game, DualAscentOptions(k_max=200))
+                calls = +lqnash_calls
+                lqnash_calls.clear()
+                full = run_dual_ascent(withheld, DualAscentOptions(k_max=200))
+                if np.any(rep.lambda_bar):
+                    assert calls == +lqnash_calls == full_path, k
+                    continue
+                zero.append(k)
+                assert calls == Counter() and +lqnash_calls == full_path, k
+                assert rep.termination == full.termination == "lcp_solved"
+                assert rep.pivots == full.pivots == 0
+                for a, b in ((rep.lambda_bar, full.lambda_bar),
+                             (rep.policy.K, full.policy.K),
+                             (rep.policy.alpha, full.policy.alpha),
+                             (rep.mean_traj, full.mean_traj),
+                             (rep.g_final, full.g_final),
+                             (rep.feasibility_residual, full.feasibility_residual),
+                             (rep.complementarity, full.complementarity),
+                             (rep.natural_residual, full.natural_residual)):
+                    assert _bits(a) == _bits(b), k
+                lqnash_calls.clear()
+                assert rep.lipschitz == full.lipschitz, k
+                assert lqnash_calls == {"affine_response": 1, "_zeta_sweep": 1}, k
+                for a, b in ((rep.map.asymmetry, full.map.asymmetry),
+                             (rep.eta, full.eta), (rep.dual_values, full.dual_values),
+                             (rep.map.dual_value(0, rep.lambda_bar),
+                              full.map.dual_value(0, full.lambda_bar))):
+                    assert _bits(a) == _bits(b), k
+                asymmetry.append(rep.map.asymmetry)
+        # each slackened game, and the games whose own rows hold at lam = 0;
+        # only coupled costs make G non-symmetric
+        assert len(zero) == 40 + (1 if coupled else 2)
+        assert (max(asymmetry) > 1e-8) == coupled
 
 
 class TestLazyDiagnostics:
@@ -277,8 +346,17 @@ def _natural_residual(lam, g):
 
 class TestLcp:
     def test_agrees_with_a_long_ascent_on_g_and_trajectory(self):
-        games = [coupled_constrained_instance()] + [
-            random_small_scenario(np.random.default_rng(k)) for k in FEASIBLE_SEEDS]
+        self._agrees_with_a_long_ascent([coupled_constrained_instance()] + [
+            random_small_scenario(np.random.default_rng(k)) for k in FEASIBLE_SEEDS])
+
+    def test_agrees_with_a_long_ascent_on_coupled_costs(self):
+        preps = self._agrees_with_a_long_ascent([
+            random_small_scenario(np.random.default_rng(k), coupled=True)
+            for k in COUPLED_FEASIBLE_SEEDS])
+        assert max(estimate_affine_map(prep).asymmetry for prep in preps) > 1e-8
+
+    @staticmethod
+    def _agrees_with_a_long_ascent(games):
         preps = [prepare_game(validate_scenario(s)) for s in games]
         reports = [run_dual_ascent(prep) for prep in preps]
         for rep in reports:
@@ -302,6 +380,7 @@ class TestLcp:
             tol = 4.0 * _natural_residual(lam_ascent[lo:hi], g) + 1e-12
             assert np.max(np.abs(rep.g_final - g)) <= tol
             assert np.max(np.abs(rep.mean_traj - traj)) <= tol
+        return preps
 
     @pytest.mark.parametrize("seed", (2, 6))
     def test_ray_falls_back_to_the_ascent(self, seed):

@@ -34,6 +34,27 @@ def _fields_equal(a, b):
     return a == b
 
 
+def count_replan_work(monkeypatch, calls):
+    """Count into ``calls`` the eigvalsh calls, and as "pivoting" the
+    solve_lcp calls that pivot: the replans whose multiplier is not 0,
+    counted outside the code under test."""
+    from ccgame import dualascent
+    real_lcp, real_eigvalsh = dualascent.solve_lcp, np.linalg.eigvalsh
+
+    def solve_lcp(G, ctilde):
+        out = real_lcp(G, ctilde)
+        if out[1] > 0:
+            calls["pivoting"] += 1
+        return out
+
+    def eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(dualascent, "solve_lcp", solve_lcp)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
 @pytest.fixture(scope="module")
 def mini_problem(mini_scenario_module=None):
     from ccgame.scenarios import make_intersection_mini
@@ -420,29 +441,29 @@ class TestCentralMpc:
                                        monkeypatch):
         # a direct episode builds its own planner: one gain recursion, one
         # rcond check per stage and one lam = 0 zeta pass, whose tail is every
-        # replan's reference policy; per replan, zeta passes for the map and
-        # the final solve, and the mean trajectories of the reference and the
-        # final solve; no diagnostic that only a report reads
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting_eigvalsh(*args, **kwargs):
-            lqnash_calls["eigvalsh"] += 1
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        # replan's reference policy; per replan, the mean trajectory of the
+        # reference, and only where a row is violated (a of them) the map's
+        # zeta pass and the final solve's, with its mean trajectory; no
+        # diagnostic that only a report reads
+        count_replan_work(monkeypatch, lqnash_calls)
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4)
+        a = lqnash_calls.pop("pivoting")
+        assert 0 < a < run.replans and run.replans_with_active_rows == a
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 1 + 2 * run.replans,
-                                "integrate_expected": 2 * run.replans}
+                                "_zeta_sweep": 1 + 2 * a,
+                                "integrate_expected": run.replans + a,
+                                "affine_response": a}
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
         # one lam = 0 pass per call, one covariance per replan time, and two
-        # zeta passes per replan (the parent ran 120 passes, 40 covariances)
+        # zeta passes per replan whose lam = 0 mean violates a row (81 passes
+        # when every replan ran them; 120 passes, 40 covariances before that)
         from ccgame import uncertainty
+        count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
                              (uncertainty, "propagate_covariance")):
             real = getattr(module, name)
@@ -453,13 +474,48 @@ class TestCentralMpc:
 
             monkeypatch.setattr(module, name, counting)
         T = mini_problem.T
-        _, failures, _ = central_mpc(mini_problem, seed=3, samples=2, replan_every=1)
+        _, failures, totals = central_mpc(mini_problem, seed=3, samples=2,
+                                          replan_every=1)
         assert not failures and T == 20
+        a = lqnash_calls["pivoting"]
+        assert totals["replans"] == 2 * T and totals["replans_with_active_rows"] == a
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
-        assert lqnash_calls["_zeta_sweep"] == 81
+        assert lqnash_calls["_zeta_sweep"] == 1 + 2 * a == 27
+        assert lqnash_calls["integrate_expected"] == 2 * T + a
+        assert lqnash_calls["affine_response"] == a
+        assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["propagate_covariance"] == 20
+
+    @pytest.mark.parametrize("name, seeds, episodes",
+                             [("intersection-mini", (0, 7, 42), 2),
+                              ("intersection", (5,), 1)])
+    def test_zero_multiplier_replans_equal_the_full_path(self, monkeypatch, lqnash_calls,
+                                                         name, seeds, episodes):
+        # withholding the planner's lam = 0 equilibrium sends every replan
+        # through the map, the LCP and the final solve; the episodes are the
+        # same bit for bit, signs of zeros included
+        from ccgame import scenarios
+        from ccgame.model import load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        runs = []
+        for seed in seeds:
+            lqnash_calls.clear()
+            runs.append(central_mpc(problem, seed, episodes)
+                        + (lqnash_calls["affine_response"],))
+        prepare = simulate.CentralPlanner.prepare
+        monkeypatch.setattr(simulate.CentralPlanner, "prepare", lambda self, tau, x0:
+                            replace(prepare(self, tau, x0), equilibrium0=None))
+        for seed, (batch, failures, totals, maps) in zip(seeds, runs):
+            full, full_failures, full_totals = central_mpc(problem, seed, episodes)
+            assert failures == full_failures == []
+            assert 0 < totals["replans_with_active_rows"] == maps < totals["replans"]
+            assert (full_totals["replans"], full_totals["replans_with_active_rows"]) \
+                == (totals["replans"], totals["replans_with_active_rows"])
+            for field in ("states", "inputs", "costs"):
+                assert getattr(batch, field).tobytes() == getattr(full, field).tobytes()
 
     def test_planner_failure_is_its_seeds_failure(self, monkeypatch, mini_problem):
         # the gains are computed once per call, by the first seed whose
@@ -505,10 +561,11 @@ class TestCentralMpc:
         assert not run.failures and len(reports) == run.replans
         assert run.solve_seconds > sum(r.solve_seconds for r in reports)
         reports.clear()
-        _, failures, sec_per_step = central_mpc(mini_problem, seed=3, samples=2,
-                                                replan_every=2)
+        _, failures, totals = central_mpc(mini_problem, seed=3, samples=2,
+                                          replan_every=2)
         assert not failures and len(reports) == 2 * run.replans
-        assert sec_per_step >= sum(r.solve_seconds for r in reports) / len(reports)
+        assert (totals["comp_seconds_per_step"]
+                >= sum(r.solve_seconds for r in reports) / len(reports))
 
     def test_aggregation_preserves_cost_structure(self, mini_problem):
         agg = simulate.aggregate_problem(mini_problem)
