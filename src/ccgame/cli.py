@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,46 +22,19 @@ from .dualascent import DualAscentOptions, solve_scenario
 from .errors import (CCGameError, DomainError, FingerprintMismatch,
                      ScenarioValidationError, SchemaError)
 from .model import (UnicycleDynamicsSpec, assemble_problem, file_fingerprint,
-                    load_scenario, read_json, validate_scenario)
+                    load_scenario, read_json, validate_scenario, write_json)
 
 TRACE_HEADER = ["iter", "max_violation", "complementarity", "dual_value_p1", "eta"]
 
 
-def _utc_now():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-@dataclass
-class RunManifest:
-    """Provenance record; exactly one per artifact directory."""
-
-    command: str
-    options: dict
-    scenario_path: str
-    scenario_sha256: str
-    outputs: list
-    created_utc: str = field(default_factory=_utc_now)
-    tool: str = "ccgame"
-    version: str = __version__
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        doc = asdict(self)
-        doc.update(doc.pop("extra"))
-        return doc
-
-
 def write_manifest(outdir, command, options, scenario_path, scenario_hash, outputs,
                    extra=None):
-    manifest = RunManifest(command=command, options=options,
-                           scenario_path=str(scenario_path),
-                           scenario_sha256=scenario_hash, outputs=outputs,
-                           extra=extra or {})
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1)
-        fh.write("\n")
-    return path
+    """Write the run's provenance record, exactly one per artifact directory."""
+    return write_json(os.path.join(outdir, "manifest.json"), {
+        "command": command, "options": options, "scenario_path": str(scenario_path),
+        "scenario_sha256": scenario_hash, "outputs": outputs,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tool": "ccgame", "version": __version__, **(extra or {})}, indent=1)
 
 
 def _print_errors(exc):
@@ -101,17 +72,9 @@ def cmd_solve(args):
     policy_doc = lqnash.policy_to_dict(report.policy, scenario_hash)
     policy_doc["nominal_inputs"] = np.transpose(
         prepared.problem.nominal_inputs, (1, 0, 2)).tolist()
-    policy_path = os.path.join(outdir, "policy.json")
-    with open(policy_path, "w", encoding="utf-8") as fh:
-        json.dump(policy_doc, fh)
-        fh.write("\n")
-
-    report_doc = report.to_dict()
-    report_doc["wall_seconds"] = wall
-    report_path = os.path.join(outdir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "policy.json"), policy_doc)
+    write_json(os.path.join(outdir, "report.json"),
+               {**report.to_dict(), "wall_seconds": wall}, indent=1)
 
     outputs = ["policy.json", "report.json"]
     if args.trace:
@@ -201,7 +164,8 @@ def cmd_mpc(args):
     simulate.write_stats_csv(stats_path, [stats])
     write_manifest(outdir, "mpc",
                    {"samples": args.samples, "seed": args.seed,
-                    "replan_every": args.replan_every, "iters": args.iters},
+                    "replan_every": args.replan_every, "iters": args.iters,
+                    "eta": args.eta},
                    args.scenario, scenario_hash, ["stats.csv"],
                    extra={**totals,
                           "failures": [{"sample": s, "step": t, "error": m}

@@ -44,7 +44,8 @@ import numpy as np
 
 from . import lqnash, uncertainty
 from .errors import DomainError, StepSizeUnavailable
-from .model import GameProblem, assemble_problem, validate_scenario, _freeze
+from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
+                    validate_scenario, _freeze)
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,33 @@ class PreparedGame:
 def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
     """Validate, assemble, propagate covariance and reformulate constraints.
 
-    Collision reference directions come from the nominal trajectory for
-    unicycle scenarios; direct LTV scenarios have no nominal, so the
-    unconstrained-equilibrium mean trajectory is used instead, and that
-    equilibrium and the stage gains it is solved on are kept for the solve.
+    The scenario's dynamics type picks the collision reference directions:
+    a unicycle scenario's come from its nominal trajectory; a direct LTV
+    scenario has no nominal, so ``prepare_at_zero`` takes them from the
+    unconstrained (lam = 0) equilibrium, solved on the stage gains.
     """
     vs = validate_scenario(scenario)
     problem = assemble_problem(vs, nominal_inputs=nominal_inputs)
     cov = uncertainty.propagate_covariance(problem.dyn)
-    if np.any(problem.nominal_states != 0.0):
-        gains, reference, equilibrium0 = None, problem.nominal_states, None
-    else:
-        gains = lqnash.stage_gains(problem)
-        policy0 = lqnash.backward_recursion(problem, gains=gains)
-        reference = lqnash.integrate_expected(problem.dyn, policy0)
-        equilibrium0 = (policy0, reference)
-    conset = uncertainty.assemble_constraints(problem, cov, reference)
-    return PreparedGame(problem=problem, cov=cov, conset=conset,
-                        reference_means=_freeze(np.asarray(reference)), gains=gains,
-                        equilibrium0=equilibrium0)
+    if isinstance(vs.dynamics, UnicycleDynamicsSpec):
+        return PreparedGame(problem=problem, cov=cov,
+                            conset=uncertainty.assemble_constraints(
+                                problem, cov, problem.nominal_states),
+                            reference_means=problem.nominal_states)
+    gains = lqnash.stage_gains(problem)
+    return prepare_at_zero(problem, cov, uncertainty.constraint_layout(problem, cov),
+                           gains, lqnash.backward_recursion(problem, gains=gains))
+
+
+def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
+    """The game whose collision reference is the nominal plus the mean of the
+    lam = 0 policy ``policy0`` on ``gains``; ``fill`` is the problem's
+    ``uncertainty.constraint_layout``.  That equilibrium is kept for the solve."""
+    mean0 = lqnash.integrate_expected(problem.dyn, policy0)
+    reference = problem.nominal_states + mean0
+    return PreparedGame(problem=problem, cov=cov, conset=fill(reference),
+                        reference_means=_freeze(reference), gains=gains,
+                        equilibrium0=(policy0, mean0))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +461,9 @@ def solve_scenario(scenario, options: DualAscentOptions | None = None,
     rounds = int(relinearize) + 1
     for rnd in range(rounds):
         prepared = prepare_game(vs, nominal_inputs=nominal_inputs)
-        # only unicycle scenarios (with a nominal) relinearize; the trace
-        # records the round that ends the loop
-        last = rnd == rounds - 1 or not np.any(prepared.problem.nominal_states != 0.0)
+        # only unicycle scenarios relinearize; the trace records the round
+        # that ends the loop
+        last = rnd == rounds - 1 or not isinstance(vs.dynamics, UnicycleDynamicsSpec)
         report = run_dual_ascent(prepared, options,
                                  trace_writer=trace_writer if last else None)
         if last:

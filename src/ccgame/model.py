@@ -737,9 +737,15 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def save_scenario(s: Scenario, path):
+    write_json(path, scenario_to_dict(s), indent=1)
+
+
+def write_json(path, doc, indent=None):
+    """Write ``doc`` as UTF-8 JSON with a final newline; returns ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=1)
+        json.dump(doc, fh, indent=indent)
         fh.write("\n")
+    return path
 
 
 def _finite_float(text):

@@ -9,6 +9,7 @@ numbers are pinned by content-hashed files while remaining reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from importlib import resources
@@ -23,15 +24,6 @@ BUNDLED = ("intersection", "intersection-mini")
 _NOISE_DIAG = (2e-5, 2e-5, 1e-5, 5e-5)
 
 
-def _agent_cost(T, state_dims, agent, goal, q_terminal, r_input):
-    n_x = sum(state_dims)
-    Q = np.zeros((T, n_x, n_x))
-    Q[T - 1] = embed_agent(np.diag(q_terminal), state_dims, agent)
-    R = np.repeat(np.diag(r_input)[None, :, :], T, axis=0)
-    ref = np.repeat(embed_agent(goal, state_dims, agent)[None, :], T, axis=0)
-    return CostSpec(Q=Q, R=R, ref=ref)
-
-
 def _box(state_dims, agent, coord, lo, hi):
     """lo <= x[coord] <= hi on one agent's substate [p_x, p_y, theta, v]."""
     def side(bound):
@@ -41,72 +33,53 @@ def _box(state_dims, agent, coord, lo, hi):
     return BoxSpec(x_min=side(lo), x_max=side(hi))
 
 
+def _crossing(inits, goals, T, radius, lanes, v_max, seed) -> Scenario:
+    """Unicycles driving from ``inits`` to ``goals`` (rows [p_x, p_y, theta, v])
+    over T steps of 0.2 s: every pair keeps ``radius`` apart, ``lanes``
+    (agent, coord, lo, hi) bound single coordinates, and 0 <= v <= v_max."""
+    N = len(inits)
+    state_dims = (4,) * N
+    W = np.diag(np.tile(_NOISE_DIAG, N))
+    dynamics = UnicycleDynamicsSpec(initial_states=np.array(inits), nominal_inputs=None, W=W)
+    costs = []
+    for i in range(N):
+        Q = np.zeros((T, 4 * N, 4 * N))
+        Q[T - 1] = embed_agent(np.diag([30.0, 30.0, 0.0, 2.0]), state_dims, i)
+        R = np.repeat(np.diag([1.0, 4.0])[None, :, :], T, axis=0)
+        ref = np.repeat(embed_agent(np.array(goals[i]), state_dims, i)[None, :], T, axis=0)
+        costs.append(CostSpec(Q=Q, R=R, ref=ref))
+    constraints = (
+        tuple(CollisionSpec(pair=pair, radius=radius, C=np.diag([1.0, 1.0, 0.0, 0.0]))
+              for pair in itertools.combinations(range(N), 2))
+        + tuple(_box(state_dims, *lane) for lane in lanes)
+        + tuple(_box(state_dims, i, 3, 0.0, v_max) for i in range(N)))
+    return Scenario(num_agents=N, horizon=T, dt=0.2, dynamics=dynamics,
+                    costs=tuple(costs), constraints=constraints,
+                    risk_epsilon=0.05, rng_seed=seed, state_dims=state_dims)
+
+
 def make_intersection(seed=20240501) -> Scenario:
     """Three vehicles crossing a 20 m intersection over a 10 s horizon."""
-    N, T, dt = 3, 50, 0.2
-    state_dims = (4, 4, 4)
-    inits = np.array([
-        [0.0, 10.0, -math.pi / 2, 2.0],    # from the top, heading down
-        [-10.0, -1.2, 0.0, 2.0],           # from the left, heading right
-        [10.0, 1.2, math.pi, 2.0],         # from the right, heading left
-    ])
-    goals = np.array([
-        [0.0, -10.0, -math.pi / 2, 2.0],
-        [10.0, -1.2, 0.0, 2.0],
-        [-10.0, 1.2, math.pi, 2.0],
-    ])
-    W = np.diag(np.tile(_NOISE_DIAG, N))
-    dynamics = UnicycleDynamicsSpec(initial_states=inits, nominal_inputs=None, W=W)
-    costs = tuple(
-        _agent_cost(T, state_dims, i, goals[i],
-                    q_terminal=(30.0, 30.0, 0.0, 2.0), r_input=(1.0, 4.0))
-        for i in range(N))
-    constraints = (
-        CollisionSpec(pair=(0, 1), radius=1.0,
-                      C=np.diag([1.0, 1.0, 0.0, 0.0])),
-        CollisionSpec(pair=(0, 2), radius=1.0,
-                      C=np.diag([1.0, 1.0, 0.0, 0.0])),
-        CollisionSpec(pair=(1, 2), radius=1.0,
-                      C=np.diag([1.0, 1.0, 0.0, 0.0])),
-        _box(state_dims, 0, 0, -1.2, 1.2),
-        _box(state_dims, 1, 1, -2.6, 0.2),
-        _box(state_dims, 2, 1, -0.2, 2.6),
-        _box(state_dims, 0, 3, 0.0, 3.5),
-        _box(state_dims, 1, 3, 0.0, 3.5),
-        _box(state_dims, 2, 3, 0.0, 3.5),
-    )
-    return Scenario(num_agents=N, horizon=T, dt=dt, dynamics=dynamics,
-                    costs=costs, constraints=constraints,
-                    risk_epsilon=0.05, rng_seed=seed, state_dims=state_dims)
+    return _crossing(
+        inits=[[0.0, 10.0, -math.pi / 2, 2.0],     # from the top, heading down
+               [-10.0, -1.2, 0.0, 2.0],            # from the left, heading right
+               [10.0, 1.2, math.pi, 2.0]],         # from the right, heading left
+        goals=[[0.0, -10.0, -math.pi / 2, 2.0],
+               [10.0, -1.2, 0.0, 2.0],
+               [-10.0, 1.2, math.pi, 2.0]],
+        T=50, radius=1.0,
+        lanes=[(0, 0, -1.2, 1.2), (1, 1, -2.6, 0.2), (2, 1, -0.2, 2.6)],
+        v_max=3.5, seed=seed)
 
 
 def make_intersection_mini(seed=20240502) -> Scenario:
     """Two vehicles crossing over a 4 s horizon; small enough for fast CI."""
-    N, T, dt = 2, 20, 0.2
-    state_dims = (4, 4)
-    inits = np.array([
-        [0.0, 3.0, -math.pi / 2, 1.5],
-        [-3.0, -0.6, 0.0, 1.5],
-    ])
-    goals = np.array([
-        [0.0, -3.0, -math.pi / 2, 1.5],
-        [3.0, -0.6, 0.0, 1.5],
-    ])
-    W = np.diag(np.tile(_NOISE_DIAG, N))
-    dynamics = UnicycleDynamicsSpec(initial_states=inits, nominal_inputs=None, W=W)
-    costs = tuple(
-        _agent_cost(T, state_dims, i, goals[i],
-                    q_terminal=(30.0, 30.0, 0.0, 2.0), r_input=(1.0, 4.0))
-        for i in range(N))
-    constraints = (
-        CollisionSpec(pair=(0, 1), radius=0.5,
-                      C=np.diag([1.0, 1.0, 0.0, 0.0])),
-        _box(state_dims, 0, 3, 0.0, 3.0),
-        _box(state_dims, 1, 3, 0.0, 3.0),
-    )
-    return Scenario(num_agents=N, horizon=T, dt=dt, dynamics=dynamics,
-                    costs=costs, constraints=constraints,
-                    risk_epsilon=0.05, rng_seed=seed, state_dims=state_dims)
+    return _crossing(
+        inits=[[0.0, 3.0, -math.pi / 2, 1.5],
+               [-3.0, -0.6, 0.0, 1.5]],
+        goals=[[0.0, -3.0, -math.pi / 2, 1.5],
+               [3.0, -0.6, 0.0, 1.5]],
+        T=20, radius=0.5, lanes=[], v_max=3.0, seed=seed)
 
 
 _BUILDERS = {

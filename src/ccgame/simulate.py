@@ -29,11 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lqnash, uncertainty
-from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
+from .dualascent import DualAscentOptions, PreparedGame, prepare_at_zero, run_dual_ascent
 from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
 from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
 
-WILSON_Z = 1.959963984540054   # inverse_normal_cdf(0.975)
+WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
 ROLLOUT_CHUNK = 256    # samples advanced together; bounds the batch temporaries
 
@@ -297,11 +297,7 @@ class CentralPlanner:
         sub, cov, fill = self.at_tau[tau]
         sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
         policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
-        mean0 = lqnash.integrate_expected(sub.dyn, policy0)
-        reference = sub.nominal_states + mean0
-        return PreparedGame(problem=sub, cov=cov, conset=fill(reference),
-                            reference_means=_freeze(reference), gains=self.gains.tail(tau),
-                            equilibrium0=(policy0, mean0))
+        return prepare_at_zero(sub, cov, fill, self.gains.tail(tau), policy0)
 
 
 @dataclass
@@ -417,8 +413,7 @@ def format_stats_row(row: dict) -> str:
 
 def write_stats_csv(path, stats_rows):
     lines = [",".join(STATS_HEADER)]
-    lines += [format_stats_row(r.csv_row() if isinstance(r, SafetyStats) else r)
-              for r in stats_rows]
+    lines += [format_stats_row(r.csv_row()) for r in stats_rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -9,18 +9,22 @@ constraint on the expected trajectory:
   halfspace at a reference separation ``dbar`` (with ``||dbar||_C = R``),
   backed off by ``z * ||2 C dbar||_Sigma``,
 
-with ``z = inverse_normal_cdf(1 - eps_row)``.  The split is uniform, so
-every one of the M rows gets ``eps_row = epsilon / M`` and one z serves every
-row of an assembly.  A mean trajectory satisfying every row satisfies the
-original joint chance constraint under the Gaussian noise model.  A
-covariance schedule is a read-only array Sigma (T+1, n_x, n_x), and each
-collision constraint's rows are built for all of its steps in one batched pass.
+with ``z = inverse_normal_cdf(1 - eps_row)``, the standard library's normal
+quantile (``statistics.NormalDist``, M. J. Wichura, "Algorithm AS 241: the
+percentage points of the normal distribution", Applied Statistics 37, 1988).
+The split is uniform, so every one of the M rows gets ``eps_row = epsilon / M``
+and one z serves every row of an assembly.  A mean trajectory satisfying
+every row satisfies the original joint chance constraint under the Gaussian
+noise model.  A covariance schedule is a read-only array Sigma
+(T+1, n_x, n_x), and each collision constraint's rows are built for all of
+its steps in one batched pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,47 +38,18 @@ DEGENERATE_SEPARATION = 1e-9
 # ---------------------------------------------------------------------------
 # Standard normal CDF / quantile
 
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_P_LOW = 0.02425
-
 
 def normal_cdf(x):
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
 def inverse_normal_cdf(p):
-    """Standard normal quantile, |Psi(z) - p| <= 1e-10 on the guarded domain.
-
-    Rational initial guess (Acklam) refined with one Halley step on the CDF.
-    """
+    """Standard normal quantile on the guarded domain, by the standard
+    library's Wichura AS 241 (``statistics.NormalDist().inv_cdf``)."""
     p = float(p)
     if not (CDF_GUARD < p < 1.0 - CDF_GUARD):
         raise DomainError(f"probability {p} outside ({CDF_GUARD}, {1 - CDF_GUARD})")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # one Halley step on Psi(x) - p = 0
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return NormalDist().inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

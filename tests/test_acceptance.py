@@ -18,7 +18,8 @@ from ccgame.dualascent import (DualAscentOptions, estimate_affine_map,
 from ccgame.lqnash import backward_recursion, evaluate_cost, evaluate_lagrangian
 from ccgame.model import validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
-                      scalar_single_agent_instance, scalar_two_agent_instance)
+                      random_small_scenario, scalar_single_agent_instance,
+                      scalar_two_agent_instance)
 from oracles import (best_response, conservativeness_probe, dense_kkt_single_row,
                      lqr_oracle, replace_player)
 
@@ -126,8 +127,14 @@ def test_criterion_03_convergence_rate(mini_prep):
 
 def test_criterion_04_gne_fixed_point(acceptance_preps, mini_report,
                                       intersection_prep, intersection_report):
+    # coupled costs give non-symmetric maps; coupled seed 6 ends on a ray,
+    # so its multiplier is the fallback ascent's
+    coupled = [coupled_constrained_instance()] + [
+        random_small_scenario(np.random.default_rng(k), coupled=True)
+        for k in (6, 8, 12, 17)]
     cases = []
-    for prep in acceptance_preps[1:]:
+    for prep in acceptance_preps[1:] + [prepare_game(validate_scenario(s))
+                                        for s in coupled]:
         rep = run_dual_ascent(prep, DualAscentOptions(k_max=400, tol_feas=0.0))
         cases.append((prep, rep))
     cases.append((acceptance_preps[0], mini_report))

@@ -417,6 +417,16 @@ class TestMpc:
         assert manifest["replans"] == 2 * 20
         assert 0 < manifest["replans_with_active_rows"] == len(pivoting) < 40
 
+    def test_manifest_records_every_option(self, tiny_active, tmp_path):
+        # --eta sets the fallback ascent's step, so it changes results as
+        # --iters does, and `solve` records it too
+        rc = main(["mpc", "--scenario", tiny_active, "--samples", "1", "--eta", "0.25",
+                   "--out", str(tmp_path / "m")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["options"] == {"samples": 1, "seed": 0, "replan_every": 1,
+                                       "iters": 500, "eta": "0.25"}
+
     @pytest.mark.parametrize("option", [["--samples", "0"], ["--replan-every", "0"],
                                         ["--iters", "0"]])
     def test_nonpositive_counts_exit_one(self, tiny_active, tmp_path, capsys, option):

@@ -14,7 +14,8 @@ from ccgame.dualascent import (DualAscentOptions, dual_step,
 from ccgame.errors import DomainError, StepSizeUnavailable
 from ccgame.lqnash import (affine_response, backward_recursion, evaluate_cost,
                            evaluate_lagrangian)
-from ccgame.model import Scenario, validate_scenario
+from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
+                          validate_scenario)
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
@@ -153,6 +154,34 @@ class TestSweepCount:
             assert lqnash_calls["evaluate_cost"] == 1
             assert lqnash_calls["closed_loop_covariance"] == 1
         assert rep.termination == "lcp_infeasible"
+
+
+class TestDynamicsType:
+    def test_unicycle_at_rest_at_the_origin_is_a_unicycle(self, monkeypatch):
+        # its nominal trajectory is all zeros, as an LTV game's is, but its
+        # declared type makes the nominal the reference and lets it relinearize
+        T, nan = 5, np.nan
+        cost = CostSpec(Q=np.repeat(np.eye(4)[None], T, axis=0),
+                        R=np.repeat(np.eye(2)[None], T, axis=0), ref=np.zeros((T, 4)))
+        box = BoxSpec(x_min=np.array([nan, nan, nan, 0.0]),
+                      x_max=np.array([nan, nan, nan, 1.0]))
+        at_rest = validate_scenario(Scenario(
+            num_agents=1, horizon=T, dt=0.2,
+            dynamics=UnicycleDynamicsSpec(initial_states=np.zeros((1, 4)),
+                                          nominal_inputs=None, W=1e-4 * np.eye(4)),
+            costs=(cost,), constraints=(box,), risk_epsilon=0.05, rng_seed=1,
+            state_dims=(4,)))
+        prep = prepare_game(at_rest)
+        assert not np.any(prep.problem.nominal_states)
+        assert prep.equilibrium0 is None and prep.gains is None
+        rounds = Counter()
+
+        def counting(*args, **kwargs):
+            rounds["prepare_game"] += 1
+            return prepare_game(*args, **kwargs)
+        monkeypatch.setattr(dualascent, "prepare_game", counting)
+        dualascent.solve_scenario(at_rest, relinearize=2)
+        assert rounds == {"prepare_game": 3}
 
 
 def _bits(value):

@@ -1,6 +1,7 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
 library still has, the bundled scenario files must be what their builders
-write, and the README's scenario example must load."""
+write, the README's scenario example must load and its library example must
+run as written."""
 
 import importlib
 import importlib.util
@@ -59,3 +60,12 @@ def test_readme_scenario_example_loads():
     box = scenario.constraints[1]
     assert box.rows() == [(3, "lower", 0.0), (3, "upper", 3.0)]
     assert np.array_equal(scenario.constraints[0].C, np.diag([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    rate, wilson_hi, residual = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= rate <= wilson_hi <= 1.0
+    assert 0.0 <= residual <= 1e-6

@@ -49,6 +49,16 @@ class TestInverseNormalCdf:
     def test_roundtrip_identity(self, z):
         assert inverse_normal_cdf(normal_cdf(z)) == pytest.approx(z, abs=1e-8)
 
+    def test_realized_row_risk_within_1e13(self):
+        """A row backed off by z = Phi^-1(1 - eps/M) realises the tail risk
+        0.5 erfc(z / sqrt 2).  The float p = 1 - eps/M carries eps/M as 1 - p,
+        exact by Sterbenz's lemma, and the tail must match it to 1e-13."""
+        for eps in (0.01, 0.05, 0.2):
+            for M in [*np.logspace(0, 9, 46), 750.0]:
+                p = 1.0 - eps / M
+                tail = 0.5 * math.erfc(inverse_normal_cdf(p) / math.sqrt(2.0))
+                assert tail == pytest.approx(1.0 - p, rel=1e-13, abs=0.0), (eps, M)
+
     def test_quantiles_match_bisection_oracle(self):
         for p in (0.001, 0.1, 0.25, 0.6, 0.9, 0.99, 0.99999):
             assert inverse_normal_cdf(p) == pytest.approx(
