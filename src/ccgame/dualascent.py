@@ -106,7 +106,8 @@ def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
 class AffineGradientMap:
     """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0), the expected
     cost of the lam = 0 policy policy0; asymmetry = ||G - G'||_F / ||G||_F.
-    All are computed when first read; G, ctilde and policy0 by affine_response."""
+    All are computed when first read; G, ctilde and policy0 by affine_response,
+    whose zeta pass is the only reader of ``gains``: the map drops them after it."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
@@ -114,7 +115,9 @@ class AffineGradientMap:
 
     @cached_property
     def _response(self):
-        return lqnash.affine_response(self.problem, self.conset, self.gains)
+        response = lqnash.affine_response(self.problem, self.conset, self.gains)
+        object.__setattr__(self, "gains", None)
+        return response
 
     G = property(lambda self: self._response[0])
     ctilde = property(lambda self: self._response[1])

@@ -216,14 +216,15 @@ def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
     """Step states x (S, n_x): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
 
     u (S, N, n_u) is grouped by agent as B_t is, also for a central plan's K_t
-    that stacks all inputs.  Products are stacked matmuls, one BLAS call per
-    row of x, so row s does not depend on S."""
+    that stacks all inputs.  All four products (A_t x, K_t x, sum_i B^i_t u^i on
+    the agent-stacked [B^1 .. B^N] and L_t z) are stacked matmuls, one BLAS
+    call per row of x, so row s does not depend on S."""
     u = -(K_t @ x[:, None, :, None])[..., 0] - alpha_t
-    u = u.reshape(len(x), B_t.shape[0], -1)
-    x_next = (A_t @ x[:, :, None])[..., 0] + np.einsum("iab,sib->sa", B_t, u)
+    Bu = B_t.transpose(1, 0, 2).reshape(B_t.shape[1], -1) @ u.reshape(len(x), -1, 1)
+    x_next = (A_t @ x[:, :, None])[..., 0] + Bu[..., 0]
     if L_t is not None:
         x_next += (L_t @ z_t[:, :, None])[..., 0]
-    return u, x_next
+    return u.reshape(len(x), B_t.shape[0], -1), x_next
 
 
 def integrate_expected(dyn, policy: FeedbackPolicy):

@@ -429,9 +429,10 @@ class GameProblem:
         take = min(2, self.state_dims[i])
         return list(range(sl.start, sl.start + take))
 
-    def to_absolute(self, states):
-        """Map solver-coordinate state trajectories (.., T+1, n_x) to absolute."""
-        return np.asarray(states) + self.nominal_states
+    def to_absolute(self, states, times=slice(None), cols=slice(None)):
+        """Map solver-coordinate state trajectories (.., T+1, n_x) to absolute,
+        or only their entries at the given times and columns (no full copy)."""
+        return np.asarray(states)[..., times, cols] + self.nominal_states[times, cols]
 
 
 def default_nominal_inputs(s: Scenario) -> np.ndarray:

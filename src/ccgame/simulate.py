@@ -5,10 +5,12 @@ index), so sample s is bit-identical no matter how many samples are run or
 how they are batched.  Safety is judged on realized states against the
 original quadratic/box predicates, never the affine surrogates.  A predicate
 counts as violated unless it holds, so a NaN it reads is a violation.  The
-mask gathers, per box spec, its constrained coordinates at its active times
-and, per collision spec, the two agents' coordinates in C's support, whose
-quadratic form ``lqnash.quadratic_sums`` sums in the order of the einsum it
-replaced (see the ``lqnash`` docstring); costs go through the same kernel.
+mask and the travel times add the nominal only at the entries they gather
+(no absolute copy of the batch): per box spec, its constrained coordinates at
+its active times and, per collision spec, the two agents' coordinates in C's
+support, whose quadratic form ``lqnash.quadratic_sums`` sums in the order of
+the einsum it replaced (see the ``lqnash`` docstring); costs go through the
+same kernel.
 
 A central-MPC call computes once the aggregate, its noise factors, its
 stage gains and its lam = 0 policy, whose tail at tau is the reference
@@ -138,16 +140,17 @@ def wilson_interval(violations, n, z=WILSON_Z):
             1.0 if violations == n else min(1.0, center + half))
 
 
-def _violations_mask(problem: GameProblem, abs_states):
-    """(S,) bool: any original predicate not satisfied at any active time (see
-    the module docstring); a NaN bound is an unconstrained side of a box."""
+def _violations_mask(problem: GameProblem, states):
+    """(S,) bool for solver-coordinate states (S, T+1, n_x): any original
+    predicate not satisfied at any active time (see the module docstring); a
+    NaN bound is an unconstrained side of a box."""
     slices = problem.agent_slices
-    bad = np.zeros(abs_states.shape[0], dtype=bool)
+    bad = np.zeros(states.shape[0], dtype=bool)
     for spec in problem.constraints:
         times = np.asarray(spec.active_times)[:, None]
         if isinstance(spec, BoxSpec):
             q = np.flatnonzero(~(np.isnan(spec.x_min) & np.isnan(spec.x_max)))
-            vals = abs_states[:, times, q]
+            vals = problem.to_absolute(states, times, q)
             lo, hi = spec.x_min[q], spec.x_max[q]
             ok = (np.isnan(lo) | (vals >= lo)) & (np.isnan(hi) | (vals <= hi))
             bad |= ~np.all(ok, axis=(1, 2))
@@ -156,8 +159,8 @@ def _violations_mask(problem: GameProblem, abs_states):
             nz = spec.C != 0
             sup = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
             with np.errstate(invalid="ignore"):     # inf - inf is a NaN distance
-                d = (abs_states[:, times, slices[i].start + sup]
-                     - abs_states[:, times, slices[j].start + sup])
+                d = (problem.to_absolute(states, times, slices[i].start + sup)
+                     - problem.to_absolute(states, times, slices[j].start + sup))
             sq = lqnash.quadratic_sums(d.reshape(-1, 1, sup.size),
                                        spec.C[np.ix_(sup, sup)][None])
             bad |= ~np.all(sq.reshape(d.shape[:2]) >= spec.radius ** 2, axis=1)
@@ -187,42 +190,34 @@ class SafetyStats:
         }
 
 
-def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1, abs_states=None):
+def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
     """Per-sample first t*dt at which every agent is within goal tolerance.
 
-    Samples that never arrive are recorded at T*dt and flagged.  ``abs_states``
-    is the batch's ``problem.to_absolute(batch.states)`` when the caller holds it.
+    Samples that never arrive are recorded at T*dt and flagged.  Positions are
+    the states plus the nominal at the position columns only (no absolute copy).
     Returns (times (S,), flagged (S,) bool).
     """
-    if abs_states is None:
-        abs_states = problem.to_absolute(batch.states)
     T = problem.T
     S = batch.samples
-    goals_abs = problem.ref[:, T, :] + problem.nominal_states[T][None, :]
+    goals_abs = problem.to_absolute(problem.ref, T)
     within = np.ones((S, T + 1), dtype=bool)
     for i in range(problem.N):
         idx = problem.position_indices(i)
-        err = abs_states[:, :, idx] - goals_abs[i, idx][None, None, :]
+        err = problem.to_absolute(batch.states, cols=idx) - goals_abs[i, idx]
         within &= np.linalg.norm(err, axis=2) <= tolerance
-    times = np.full(S, T * problem.dt)
-    flagged = np.ones(S, dtype=bool)
-    any_within = np.any(within, axis=1)
-    first = np.argmax(within, axis=1)
-    times[any_within] = first[any_within] * problem.dt
-    flagged[any_within] = False
-    return times, flagged
+    flagged = ~np.any(within, axis=1)
+    return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
 
 
 def evaluate_safety(batch: RolloutBatch, problem: GameProblem,
                     goal_tolerance=0.1) -> SafetyStats:
     """Joint-violation counting over the original predicates plus cost stats."""
-    abs_states = problem.to_absolute(batch.states)
-    bad = _violations_mask(problem, abs_states)
+    bad = _violations_mask(problem, batch.states)
     S = batch.samples
     violations = int(np.sum(bad))
     lo, hi = wilson_interval(violations, S)
     total = batch.costs.sum(axis=1)
-    times, flagged = travel_time(batch, problem, goal_tolerance, abs_states)
+    times, flagged = travel_time(batch, problem, goal_tolerance)
     return SafetyStats(
         method=batch.method, samples=S, seed=batch.seed,
         violations=violations, rate=violations / S,

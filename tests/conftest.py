@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,20 @@ def coupled_constrained_instance(T=6):
     box = BoxSpec(x_min=np.array([np.nan, -0.2]), x_max=np.array([0.3, np.nan]),
                   active_times=tuple(range(2, T + 1)))
     return Scenario(**{**s.__dict__, "constraints": (box,)})
+
+
+def dense_input_scenario(T=8):
+    """Two agents with two inputs each and dense B^i: every state row is
+    driven by all four inputs, so sum_i B^i u^i has four terms in each row."""
+    rng = np.random.default_rng(11)
+    dims = [2, 3]
+    s = make_ltv_scenario(
+        dims, T, [np.eye(d) + 0.1 * rng.normal(size=(d, d)) for d in dims],
+        [np.zeros((d, 2)) for d in dims], rng.normal(size=5), [1e-3] * 5,
+        [np.diag([1.0, 1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0, 1.0])],
+        [np.eye(2), 0.5 * np.eye(2)], [np.zeros(5), np.ones(5)], [])
+    dense = replace(s.dynamics, B=rng.normal(size=(T, 2, 5, 2)))
+    return Scenario(**{**s.__dict__, "dynamics": dense})
 
 
 # ---------------------------------------------------------------------------

@@ -438,8 +438,9 @@ def loop_rollout(problem, K, alpha, seed, samples):
 
     Sample s draws (T, n_x) standard normals from Philox keyed by (seed, s),
     shapes them with an eigen factor of each W_t and runs
-    x+ = (A x + sum_i B^i u^i) + L z under u = -K x - alpha.  Returns
-    (states (S, T+1, n_x), inputs (S, T, N, n_u), costs (S, N)).
+    x+ = (A x + sum_i B^i u^i) + L z under u = -K x - alpha, with the input
+    sum one product of the agent-stacked [B^1 .. B^N] and the stacked u.
+    Returns (states (S, T+1, n_x), inputs (S, T, N, n_u), costs (S, N)).
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
@@ -457,7 +458,8 @@ def loop_rollout(problem, K, alpha, seed, samples):
         for t in range(T):
             u = -K[t] @ x - alpha[t]
             inputs[s, t] = u
-            x = dyn.A[t] @ x + np.einsum("iab,ib->a", dyn.B[t], u) + factors[t] @ z[t]
+            B_stack = dyn.B[t].transpose(1, 0, 2).reshape(n_x, -1)
+            x = dyn.A[t] @ x + B_stack @ u.reshape(-1) + factors[t] @ z[t]
             states[s, t + 1] = x
     costs = np.zeros((samples, N))
     for i in range(N):

@@ -267,6 +267,25 @@ class TestLazyDiagnostics:
                 rep.mean_traj))
 
 
+    def test_the_map_releases_the_stage_gains_once_built(self, intersection_report):
+        # a unicycle solve computes its own gains; only the zeta pass reads them
+        assert np.any(intersection_report.lambda_bar)
+        assert intersection_report.map.gains is None
+
+    def test_a_short_circuited_map_keeps_its_gains_until_read(self):
+        prep = prepare_game(validate_scenario(random_small_scenario(
+            np.random.default_rng(0))))
+        g0 = prep.conset.evaluate(prep.equilibrium0[1])
+        slack = dataclasses.replace(prep, conset=dataclasses.replace(
+            prep.conset, c=prep.conset.c - g0.max() - 1.0))
+        rep = run_dual_ascent(slack)
+        full = run_dual_ascent(dataclasses.replace(slack, equilibrium0=None))
+        assert not np.any(rep.lambda_bar) and rep.map.gains is prep.gains
+        assert rep.lipschitz == full.lipschitz
+        assert rep.map.gains is None
+        assert rep.map.G.tobytes() == full.map.G.tobytes()
+
+
 class TestDualStep:
     def test_projection_cases(self):
         assert np.array_equal(dual_step(np.zeros(2), 0.5, np.array([-1.0, -2.0])),

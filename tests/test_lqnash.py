@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccgame import simulate
+from ccgame import scenarios, simulate
 from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (_stage_gain, affine_response, backward_recursion,
-                           evaluate_cost, evaluate_lagrangian,
+                           closed_loop_step, evaluate_cost, evaluate_lagrangian,
                            integrate_expected, mean_inputs, policy_from_dict,
                            policy_to_dict, quadratic_sums, realized_costs, stage_gains,
                            stage_linear_terms)
@@ -215,6 +217,57 @@ def _random_form(rng, T, n, density):
     M = rng.normal(size=(T, n, n))
     M[rng.random((T, n, n)) >= density] = 0.0
     return M
+
+
+def _stacked_inputs(B_t):
+    """The agent-stacked input matrix [B^1_t .. B^N_t] (n_x, N n_u)."""
+    return B_t.transpose(1, 0, 2).reshape(B_t.shape[1], -1)
+
+
+class TestClosedLoopStep:
+    """The step sums B^i_t u^i by one matvec on the agent-stacked input matrix.
+    Where every state row of it has at most one nonzero coefficient, as on the
+    bundled scenarios and their central-MPC aggregate, that sum has one term
+    and equals the einsum it replaced bit for bit; so their rollouts cannot move."""
+
+    @pytest.fixture(scope="class")
+    def bundled_inputs(self):
+        mini, full = (assemble_problem(validate_scenario(make()))
+                      for make in (scenarios.make_intersection_mini,
+                                   scenarios.make_intersection))
+        return {"intersection-mini": mini.dyn.B, "intersection": full.dyn.B,
+                "aggregate-mini": simulate.aggregate_problem(mini).dyn.B}
+
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection",
+                                      "aggregate-mini"])
+    def test_bundled_input_rows_have_at_most_one_coefficient(self, bundled_inputs,
+                                                             name):
+        for B_t in bundled_inputs[name]:
+            assert np.count_nonzero(_stacked_inputs(B_t), axis=1).max() <= 1
+
+    @pytest.mark.parametrize("S", [1, 7, 256])
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection",
+                                      "aggregate-mini"])
+    def test_stacked_product_is_the_einsum_on_bundled_inputs(self, bundled_inputs,
+                                                             name, S):
+        rng = np.random.default_rng(S)
+        for B_t in bundled_inputs[name]:
+            u = rng.normal(size=(S, *B_t.shape[::2]))
+            stacked = (_stacked_inputs(B_t) @ u.reshape(S, -1, 1))[..., 0]
+            assert stacked.tobytes() == np.einsum("iab,sib->sa", B_t, u).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_each_row_steps_as_if_alone(self, N, n_u, n_x, S, seed):
+        rng = np.random.default_rng(seed)
+        A, B = rng.normal(size=(n_x, n_x)), rng.normal(size=(N, n_x, n_u))
+        K, alpha = rng.normal(size=(N, n_u, n_x)), rng.normal(size=(N, n_u))
+        L, (x, z) = rng.normal(size=(n_x, n_x)), rng.normal(size=(2, S, n_x))
+        u, x_next = closed_loop_step(A, B, K, alpha, x, L, z)
+        for s in range(S):
+            u_s, x_s = closed_loop_step(A, B, K, alpha, x[s:s + 1], L, z[s:s + 1])
+            assert _bits(u_s) == _bits(u[s]) and _bits(x_s) == _bits(x_next[s])
 
 
 class TestQuadraticSums:

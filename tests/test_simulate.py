@@ -12,7 +12,8 @@ from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
 from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
 from ccgame.uncertainty import propagate_covariance
-from conftest import make_ltv_scenario, random_small_scenario, scalar_single_agent_instance
+from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
+                      scalar_single_agent_instance)
 from oracles import loop_rollout, row_violations
 
 
@@ -66,8 +67,10 @@ def loop_reference(mini_problem):
     """Per scenario: problem, policy and the sample loop's first 600 samples."""
     ltv = assemble_problem(validate_scenario(
         random_small_scenario(np.random.default_rng(3), N=3, with_rows=False)))
+    dense = assemble_problem(validate_scenario(dense_input_scenario()))
     out = {}
-    for name, problem in (("intersection-mini", mini_problem), ("ltv-3-agent", ltv)):
+    for name, problem in (("intersection-mini", mini_problem), ("ltv-3-agent", ltv),
+                          ("dense-input", dense)):
         policy = backward_recursion(problem)
         ref = loop_rollout(problem, np.asarray(policy.K), np.asarray(policy.alpha),
                            seed=21, samples=600)
@@ -84,7 +87,8 @@ class TestRollout:
         for s in range(257):
             assert np.array_equal(batch.states[s], expected)
 
-    @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent"])
+    @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent",
+                                          "dense-input"])
     @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
     def test_batched_rollout_matches_sample_loop(self, loop_reference, scenario,
                                                  samples):
@@ -254,8 +258,9 @@ class TestViolationsMask:
         x[20:40, 8, :] = np.nan        # no constraint is active at t = 8
         x[40:60, 2, 7] = np.nan        # nothing reads agent 1's speed
         x[60:70, 6, 4] = np.inf
+        x -= problem.nominal_states    # the mask reads solver coordinates
         mask = simulate._violations_mask(problem, x)
-        assert np.array_equal(mask, row_violations(problem, x))
+        assert np.array_equal(mask, row_violations(problem, problem.to_absolute(x)))
         assert mask[:20].all()
         assert 0 < mask.sum() < S
 
@@ -264,9 +269,38 @@ class TestViolationsMask:
         one = replace(problem, constraints=problem.constraints[spec:spec + 1])
         rng = np.random.default_rng(spec)
         x = rng.uniform(-1.4, 1.4, size=(200, problem.T + 1, problem.n_x))
+        x -= problem.nominal_states
         mask = simulate._violations_mask(one, x)
-        assert np.array_equal(mask, row_violations(one, x))
+        assert np.array_equal(mask, row_violations(one, problem.to_absolute(x)))
         assert 0 < mask.sum() < 200
+
+
+def safety_on_absolute_copy(batch, problem):
+    """``evaluate_safety`` on the copy ``problem.to_absolute(batch.states)``,
+    judged on the problem with a zero nominal and absolute goal references."""
+    absolute = replace(problem, nominal_states=np.zeros_like(problem.nominal_states),
+                       ref=problem.ref + problem.nominal_states)
+    return evaluate_safety(replace(batch, states=problem.to_absolute(batch.states)),
+                           absolute)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 777])
+@pytest.mark.parametrize("name, off_plan", [("mini", 0.5), ("intersection", 3.0)])
+def test_safety_equals_the_absolute_copy_route(request, name, off_plan, seed):
+    # the mask and the travel times add the nominal at the entries they read;
+    # every field must be what judging the full absolute copy gives, also for
+    # a policy pushed off its plan (alpha scaled; 3 alpha is safe on the mini
+    # scenario, 0.5 alpha is not) whose samples collide
+    prep = request.getfixturevalue(f"{name}_prep")
+    policy = request.getfixturevalue(f"{name}_report").policy
+    violations = []
+    for scale in (1.0, off_plan):
+        batch = rollout(prep.problem, replace(policy, alpha=scale * policy.alpha),
+                        seed, samples=3000)
+        stats = evaluate_safety(batch, prep.problem)
+        assert repr(stats) == repr(safety_on_absolute_copy(batch, prep.problem))
+        violations.append(stats.violations)
+    assert violations[1] > 0
 
 
 class TestTravelTime:

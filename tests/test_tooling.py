@@ -1,7 +1,8 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
-library still has, the bundled scenario files must be what their builders
-write, the README's scenario example must load and its library example must
-run as written."""
+library still has, one round of each benchmark workload must pass its
+checks, the bundled scenario files must be what their builders write, the
+README's scenario example must load and its library example must run as
+written."""
 
 import importlib
 import importlib.util
@@ -33,6 +34,19 @@ def _shims():
 @pytest.mark.parametrize("module, function", [(m, f) for m, f, _ in _shims()])
 def test_every_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"ccgame.{module}"), function))
+
+
+@pytest.mark.parametrize("workload", ["solve-intersection", "rollout-intersection",
+                                      "mpc-mini"])
+def test_benchmark_workload_passes_its_checks(workload):
+    # one round: the benchmark's own oracles judge the library's outputs
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        check=True, capture_output=True, text=True, cwd=ROOT).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] >= 1
 
 
 def test_bundled_scenarios_regenerate_byte_for_byte(tmp_path):
