@@ -38,11 +38,8 @@ def write_manifest(outdir, command, options, scenario_path, scenario_hash, outpu
 
 
 def _print_errors(exc):
-    if isinstance(exc, ScenarioValidationError):
-        for v in exc.violations:
-            print(f"error: {type(v).__name__}: {v}", file=sys.stderr)
-    else:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    for v in exc.violations if isinstance(exc, ScenarioValidationError) else [exc]:
+        print(f"error: {type(v).__name__}: {v}", file=sys.stderr)
 
 
 def _eta(value):
@@ -78,8 +75,7 @@ def cmd_solve(args):
 
     outputs = ["policy.json", "report.json"]
     if args.trace:
-        trace_path = os.path.join(outdir, "trace.csv")
-        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
+        with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=TRACE_HEADER)
             w.writeheader()
             w.writerows(trace_rows)
@@ -129,8 +125,7 @@ def cmd_rollout(args):
     batch = simulate.rollout(problem, policy, args.seed, args.samples)
     rollout_seconds = time.perf_counter() - t0
     stats = simulate.evaluate_safety(batch, problem)
-    stats_path = os.path.join(outdir, "stats.csv")
-    simulate.write_stats_csv(stats_path, [stats])
+    simulate.write_stats_csv(os.path.join(outdir, "stats.csv"), [stats])
     outputs = ["stats.csv"]
     if args.dump_trajectories:
         simulate.dump_trajectories(os.path.join(outdir, "trajectories"), batch, problem,
@@ -160,8 +155,7 @@ def cmd_mpc(args):
         problem, args.seed, args.samples, replan_every=args.replan_every,
         options=options)
     stats = simulate.evaluate_safety(batch, problem)
-    stats_path = os.path.join(outdir, "stats.csv")
-    simulate.write_stats_csv(stats_path, [stats])
+    simulate.write_stats_csv(os.path.join(outdir, "stats.csv"), [stats])
     write_manifest(outdir, "mpc",
                    {"samples": args.samples, "seed": args.seed,
                     "replan_every": args.replan_every, "iters": args.iters,
@@ -285,11 +279,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CCGameError as exc:
+    except (CCGameError, OSError) as exc:
         _print_errors(exc)
-        return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -45,7 +45,7 @@ import numpy as np
 from . import lqnash, uncertainty
 from .errors import DomainError, StepSizeUnavailable
 from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
-                    validate_scenario, _freeze)
+                    validate_scenario, _freeze, _integer)
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,7 @@ class DualAscentOptions:
     tol_slack: float = 1e-6
 
     def __post_init__(self):
-        if not self.k_max >= 1:
-            raise DomainError(f"k_max: need at least 1 iteration, got {self.k_max}")
+        _integer(self.k_max, "k_max", 1, DomainError)
         if self.eta != "auto" and not (isinstance(self.eta, numbers.Real)
                                        and math.isfinite(self.eta) and self.eta > 0):
             raise DomainError(
@@ -457,11 +456,9 @@ def solve_scenario(scenario, options: DualAscentOptions | None = None,
     applies only to unicycle scenarios.  Returns (PreparedGame, DualSolveReport)
     from the final round.
     """
-    if not relinearize >= 0:
-        raise DomainError(f"relinearize: need 0 or more rounds, got {relinearize}")
+    rounds = _integer(relinearize, "relinearize", 0, DomainError) + 1
     vs = validate_scenario(scenario)
     nominal_inputs = None
-    rounds = int(relinearize) + 1
     for rnd in range(rounds):
         prepared = prepare_game(vs, nominal_inputs=nominal_inputs)
         # only unicycle scenarios relinearize; the trace records the round

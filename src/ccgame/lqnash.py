@@ -1,7 +1,8 @@
 """Linear feedback Nash equilibrium of multiplier-parameterized LQG games.
 
 Each player minimizes a quadratic tracking cost plus a shared state-linear
-term ``lam^T (lmat^T xstack + c)``; the equilibrium is linear state feedback
+term ``lam^T g``, row m of g being ``l_m . E[x_{t_m}] + c_m`` (see
+``uncertainty.AffineConstraintSet``); the equilibrium is linear state feedback
 ``u^i_t = -K^i_t x_t - alpha^i_t`` obtained by a backward sweep of coupled
 Riccati recursions.  At every stage all players' gains (and affine terms)
 are solved simultaneously from one block linear system whose diagonal blocks
@@ -9,8 +10,8 @@ are ``R^i + B^i' P^i B^i`` and off-diagonal blocks ``B^i' P^i B^j``.
 
 Value-function convention: ``V^i_t(x) = x' P^i_t x + 2 zeta^i_t' x + const``,
 so the per-stage linear coefficient entering the zeta recursion is half the
-gradient of the stage cost's linear part (the multiplier contributes
-``0.5 * l_t lam`` and a goal reference contributes ``-Q^i_t r^i_t``).
+gradient of the stage cost's linear part (the rows of step t contribute
+``0.5 sum lam_m l_m`` and a goal reference contributes ``-Q^i_t r^i_t``).
 
 The sweep runs in two steps.  ``stage_gains`` depends on neither lam, x0
 nor the references: it builds every stage system S_t once, checks its
@@ -19,8 +20,9 @@ shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
 then computes the affine terms on those gains for a linear term with m
 columns, one zeta column per column: ``backward_recursion`` runs it with
 the one column ``s_t`` at a given lam, and ``affine_response`` with M + 1
-columns (``0.5 l_t`` per multiplier and ``-Q r``), from which the exact map
-lam -> g follows by one forward pass; its constant column is the lam = 0
+columns (``0.5 l_m`` at step t_m per multiplier and ``-Q r``), from which
+the exact map lam -> g follows by one forward pass, the rows of each step
+read as their mean X_t is formed; its constant column is the lam = 0
 policy, so no separate solve is needed.  Both take the gains as an optional
 argument.  The tests keep the single full sweep these replace and a
 single-player best-response sweep (``tests/oracles.py``) as references.
@@ -190,12 +192,10 @@ def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term):
 
 
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
-    """Half linear coefficients s[i, t] = 0.5 l_t lam - Q^i_t r^i_t, t = 1..T."""
+    """Half linear coefficients s[i, t] = 0.5 sum_{t_m = t} lam_m l_m - Q^i_t r^i_t."""
     s = -np.einsum("itab,itb->ita", problem.Q, problem.ref)
     if conset is not None and lam is not None and conset.M > 0:
-        lam = np.asarray(lam, dtype=float)
-        lterm = (conset.lmat @ lam).reshape(problem.T, problem.n_x)
-        s[:, 1:, :] += 0.5 * lterm[None, :, :]
+        s[:, 1:, :] += 0.5 * conset.stage_term(lam)
     return s
 
 
@@ -312,8 +312,8 @@ def affine_response(problem: GameProblem, conset, gains=None):
     The stage gains do not depend on lam (they are computed here when not
     given), and zeta (hence alpha and the mean trajectory) is affine in it,
     so a zeta pass whose linear term has M+1 columns
-    (0.5 l_t for the multipliers, -Q r for the constant) reproduces exactly
-    what M+1 unit-probe solves would measure.  Returns (G, ctilde, policy0)
+    (0.5 l_m at step t_m for multiplier m, -Q r for the constant) reproduces
+    exactly what M+1 unit-probe solves would measure.  Returns (G, ctilde, policy0)
     with g(lam) = G @ lam + ctilde, G of shape (M, M), and policy0 the
     equilibrium at lam = 0, whose affine term is the constant column.  With
     M = 0 the linear term is the one column -Q r.
@@ -326,25 +326,24 @@ def affine_response(problem: GameProblem, conset, gains=None):
     def linear_term(t):
         C = np.zeros((N, n_x, M + 1))
         if t >= 1:
-            C[:, :, :M] = 0.5 * conset.l_block(t)
+            rows = conset.span(t)
+            C[:, :, rows] = 0.5 * conset.l[rows].T
             C[:, :, M] = s[:, t]
         return C
 
     gains = stage_gains(problem) if gains is None else gains
     aC = _zeta_sweep(problem, gains, linear_term)
 
-    # forward sweep of the affine mean trajectory
+    # forward sweep of the affine mean trajectory X_t; the rows of step t
+    # read X_t as it is formed
     X = np.zeros((n_x, M + 1))
     X[:, M] = dyn.x0
-    xstack = np.zeros((T * n_x, M + 1))
+    gmap = np.empty((M, M + 1))
     for t in range(T):
-        BaC = np.einsum("iab,ibm->am", dyn.B[t], aC[t])
-        X = gains.F[t] @ X - BaC
-        xstack[t * n_x:(t + 1) * n_x] = X
-    gmap = conset.lmat.T @ xstack
-    G = gmap[:, :M]
-    ctilde = gmap[:, M] + conset.c
-    return G, ctilde, FeedbackPolicy(K=gains.K, alpha=aC[..., M])
+        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
+        rows = conset.span(t + 1)
+        gmap[rows] = conset.l[rows] @ X
+    return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=gains.K, alpha=aC[..., M])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -44,8 +44,8 @@ SCENARIO_KEYS = {
 }
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _freeze(a, dtype=float):
+    a = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     a.setflags(write=False)
     return a
 
@@ -91,10 +91,8 @@ class LtvGameDynamics:
     x0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(self.A))
-        object.__setattr__(self, "B", _freeze(self.B))
-        object.__setattr__(self, "W", _freeze(self.W))
-        object.__setattr__(self, "x0", _freeze(self.x0))
+        for name in ("A", "B", "W", "x0"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def T(self):
@@ -127,9 +125,8 @@ class CostSpec:
     ref: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", _freeze(self.Q))
-        object.__setattr__(self, "R", _freeze(self.R))
-        object.__setattr__(self, "ref", _freeze(self.ref))
+        for name in ("Q", "R", "ref"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -149,14 +146,10 @@ class BoxSpec:
     kind = "box"
 
     def rows(self):
-        """Atomic one-sided rows as (coord, side, bound)."""
-        out = []
-        for q in range(self.x_min.shape[0]):
-            if not math.isnan(self.x_min[q]):
-                out.append((q, "lower", float(self.x_min[q])))
-            if not math.isnan(self.x_max[q]):
-                out.append((q, "upper", float(self.x_max[q])))
-        return out
+        """Atomic one-sided rows as (coord, side, bound), lower before upper."""
+        return [(q, side, float(bound[q])) for q in range(self.x_min.shape[0])
+                for side, bound in (("lower", self.x_min), ("upper", self.x_max))
+                if not math.isnan(bound[q])]
 
 
 @dataclass(frozen=True)
@@ -226,6 +219,16 @@ class ValidatedScenario:
 
 def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value, name, least=None, error=SchemaError):
+    """``value`` as an int: a bool, float or str, or a value below ``least``,
+    raises ``error`` (a scenario field's SchemaError by default, DomainError
+    for a library count or seed); numpy integers pass."""
+    if not _is_integer(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name}: expected an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _check_definite(v, mats, tol, name, first=0):
@@ -528,17 +531,33 @@ def _matrix_seq(spec, T, dim, name):
     return np.repeat(single[None, :, :], T, axis=0)
 
 
+NULLABLE = {"x_min", "x_max", "nominal_inputs", "active_times", "agent", "weight"}
+
+
+def _check_numbers(doc, where="scenario", nullable=False):
+    """SchemaError at the first value below ``doc`` that is not a JSON number:
+    a string or a bool anywhere but a ``type`` field, or a null but a NULLABLE
+    key's whole value or a box bound's entry (``nullable``).  Lists are
+    flattened a level at a time, so their numbers' types are read at C speed."""
+    if type(doc) is dict:
+        for key, value in doc.items():
+            if key != "type" and not (value is None and key in NULLABLE):
+                _check_numbers(value, f"{where}.{key}", key in ("x_min", "x_max"))
+        return
+    leaves = [doc]
+    while (kinds := set(map(type, leaves))) == {list}:
+        leaves = list(chain.from_iterable(leaves))
+    for k, value in enumerate([] if kinds <= {int, float} else leaves):
+        if isinstance(value, (dict, list)):
+            _check_numbers(value, f"{where}[{k}]")
+        elif isinstance(value, (bool, str)) or (value is None and not nullable):
+            raise SchemaError(f"{where}: expected a number, got {value!r:.20}")
+
+
 def _reject_unknown(d, allowed, where):
     unknown = set(d) - set(allowed)
     if unknown:
         raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _integer(value, name):
-    """A JSON integer field; a bool, float or string raises SchemaError."""
-    if not _is_integer(value):
-        raise SchemaError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
 
 
 def _agent_matrix(spec, state_dims, agent, name):
@@ -557,12 +576,9 @@ def _parse_dynamics(d, T, state_dims):
     n_x = sum(state_dims)
     if kind == "ltv":
         A = _matrix_seq(d["A"], T, n_x, "dynamics.A")
-        Braw = d["B"]
-        first = np.asarray(Braw[0], dtype=float)
-        if first.ndim == 3:        # list over time of per-player matrices
-            B = np.asarray(Braw, dtype=float)
-        else:                      # per-player, constant over time
-            B = np.repeat(np.asarray(Braw, dtype=float)[None, :, :, :], T, axis=0)
+        B = np.asarray(d["B"], dtype=float)    # (T, N, n_x, n_u), or
+        if B.ndim == 3:                         # (N, n_x, n_u) constant over time
+            B = np.repeat(B[None, :, :, :], T, axis=0)
         W = _matrix_seq(d["W"], T, n_x, "dynamics.W")
         x0 = np.asarray(d["x0"], dtype=float)
         return LtvGameDynamics(A=A, B=B, W=W, x0=x0)
@@ -621,8 +637,7 @@ def _bounds_array(spec, state_dims, agent, name):
     """Bounds on the full state, or on the agent's substate when ``agent`` is
     given; ``null`` entries and a missing list are NaN (unconstrained)."""
     dim = sum(state_dims) if agent is None else state_dims[agent]
-    arr = np.full(dim, np.nan) if spec is None else np.array(
-        [np.nan if v is None else float(v) for v in spec], dtype=float)
+    arr = np.full(dim, np.nan) if spec is None else np.array(spec, dtype=float)
     if arr.shape != (dim,):
         raise SchemaError(f"{name}: length {arr.shape[0]}, expected {dim}")
     return arr if agent is None else embed_agent(arr, state_dims, agent, fill=np.nan)
@@ -630,10 +645,7 @@ def _bounds_array(spec, state_dims, agent, name):
 
 def default_collision_weight(dim):
     """Selector of the planar position coordinates within a substate difference."""
-    C = np.zeros((dim, dim))
-    for q in range(min(2, dim)):
-        C[q, q] = 1.0
-    return C
+    return np.diag((np.arange(dim) < 2).astype(float))
 
 
 def _parse_constraint(d, k, state_dims):
@@ -665,7 +677,8 @@ def _parse_constraint(d, k, state_dims):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse a scenario document; a value that does not parse raises SchemaError."""
+    """Parse a scenario document; a value that does not parse, or that is
+    not a number where one belongs (``_check_numbers``), raises SchemaError."""
     try:
         return _parse_scenario(doc)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -677,6 +690,7 @@ def _parse_scenario(doc):
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
     _reject_unknown(doc, SCENARIO_KEYS | {"state_dims"}, "scenario")
+    _check_numbers(doc)
     for key in ("agents", "horizon", "dt", "dynamics", "costs", "risk_epsilon", "seed"):
         if key not in doc:
             raise SchemaError(f"scenario: missing required key {key!r}")

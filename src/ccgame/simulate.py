@@ -33,7 +33,7 @@ import numpy as np
 from . import lqnash, uncertainty
 from .dualascent import DualAscentOptions, PreparedGame, prepare_at_zero, run_dual_ascent
 from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
-from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
+from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze, _integer
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
@@ -66,12 +66,6 @@ def noise_stream(seed, sample_index, generator=None):
     return generator
 
 
-def _positive(name, value):
-    if int(value) < 1:
-        raise DomainError(f"{name} must be at least 1, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RolloutBatch:
     """Closed-loop sample trajectories in solver coordinates."""
@@ -102,7 +96,8 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    S = _positive("samples", samples)
+    S = _integer(samples, "samples", 1, DomainError)
+    seed = _integer(seed, "seed", error=DomainError)
     factors = noise_factors(dyn.W)
 
     states = np.empty((S, T + 1, n_x))
@@ -121,7 +116,7 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
                 factors[t], z[:hi - lo, t])
             states[lo:hi, t + 1] = x
     costs = lqnash.realized_costs(problem, states, inputs)
-    return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=int(seed))
+    return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,7 @@ def _violations_mask(problem: GameProblem, states):
     slices = problem.agent_slices
     bad = np.zeros(states.shape[0], dtype=bool)
     for spec in problem.constraints:
-        times = np.asarray(spec.active_times)[:, None]
+        times = np.array(spec.active_times, dtype=np.intp)[:, None]
         if isinstance(spec, BoxSpec):
             q = np.flatnonzero(~(np.isnan(spec.x_min) & np.isnan(spec.x_max)))
             vals = problem.to_absolute(states, times, q)
@@ -317,7 +312,8 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     docstring says what a replan computes.
     """
     options = options or DualAscentOptions(k_max=500)
-    replan_every = _positive("replan_every", replan_every)
+    replan_every = _integer(replan_every, "replan_every", 1, DomainError)
+    seed = _integer(seed, "seed", error=DomainError)
     planner = CentralPlanner(problem) if planner is None else planner
     solve_seconds, planner.seconds = planner.seconds, 0.0    # the first episode pays
     dyn = problem.dyn
@@ -365,8 +361,9 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     time and a replan compute).  A CCGameError or LinAlgError ends only its
     own episode; if every episode ends so, raises AllSeedsFailed.
     """
-    S = _positive("samples", samples)
-    replan_every = _positive("replan_every", replan_every)
+    S = _integer(samples, "samples", 1, DomainError)
+    replan_every = _integer(replan_every, "replan_every", 1, DomainError)
+    seed = _integer(seed, "seed", error=DomainError)
     good = []
     failures = []
     planner = None
@@ -385,7 +382,7 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     inputs = np.stack([r.inputs for r in good])
     costs = lqnash.realized_costs(problem, states, inputs)
     batch = RolloutBatch(states=states, inputs=inputs, costs=costs,
-                         seed=int(seed), method="central_mpc")
+                         seed=seed, method="central_mpc")
     # every completed episode planned at least once, at t = 0
     replans = sum(r.replans for r in good)
     return batch, failures, {

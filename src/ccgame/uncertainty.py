@@ -17,13 +17,16 @@ and one z serves every row of an assembly.  A mean trajectory satisfying
 every row satisfies the original joint chance constraint under the Gaussian
 noise model.  A covariance schedule is a read-only array Sigma
 (T+1, n_x, n_x), and each collision constraint's rows are built for all of
-its steps in one batched pass.
+its steps in one batched pass.  A row reads one step and at most two agents,
+so the rows are one compact table (``AffineConstraintSet``) that the solver
+reads through three operations, never as a dense (T n_x, M) matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -132,122 +135,119 @@ def linearize_collision(dbar, sigma_pair, radius, C, z):
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    kind: str
-    t: int
-    source: int
-    detail: tuple        # box: (coord, side, bound); collision: (i, j)
-    eps_row: float
-    dbar: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class AffineConstraintSet:
-    """Stacked rows g(x) = lmat^T xstack + c <= 0 on the expected trajectory.
+    """The M rows g_m = l_m . E[x_{t_m}] + c_m <= 0 on the solver-coordinate
+    expected trajectory: row m's step t[m] in 1..T, its constraint source[m]
+    (an index into ``problem.constraints``), its coefficients l[m] (n_x,) and
+    its offset c[m].  Rows are ordered by step, then constraint, then
+    (coordinate, lower before upper) within a box, so the rows of a step are
+    one contiguous range, ``span(t)``.  The solver reads g at a mean
+    trajectory (``evaluate``), the multipliers' per-step linear term
+    (``stage_term``) and ``span``; ``lmat``, the dense (T*n_x, M) matrix of
+    the rows, is built only when read, for dense oracles."""
 
-    ``lmat`` is (T*n_x, M) with column m supported on the n_x block of its
-    time; ``xstack`` stacks E[x_t] for t = 1..T in solver coordinates.
-    """
-
-    lmat: np.ndarray
+    t: np.ndarray
+    source: np.ndarray
+    l: np.ndarray
     c: np.ndarray
-    rows: tuple
-    n_x: int
+    T: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lmat", _freeze(self.lmat))
-        object.__setattr__(self, "c", _freeze(self.c))
+        for name, dtype in (("t", np.intp), ("source", np.intp), ("l", float), ("c", float)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
 
     @property
     def M(self):
         return self.c.shape[0]
 
-    def l_block(self, t):
-        """(n_x, M) slice of lmat for time t in 1..T (zero rows elsewhere)."""
-        return self.lmat[(t - 1) * self.n_x: t * self.n_x, :]
+    @cached_property
+    def _starts(self):
+        return np.searchsorted(self.t, np.arange(self.T + 2))
+
+    def span(self, t):
+        """The rows of step t as a slice, empty when no row is at t."""
+        return slice(self._starts[t], self._starts[t + 1])
 
     def evaluate(self, mean_traj):
-        """g at a solver-coordinate mean trajectory (T+1, n_x)."""
-        xstack = np.asarray(mean_traj)[1:].reshape(-1)
-        return self.lmat.T @ xstack + self.c
+        """g at a solver-coordinate mean trajectory (T+1, n_x): one gather of
+        each row's x_t."""
+        return np.einsum("mi,mi->m", self.l, np.asarray(mean_traj)[self.t]) + self.c
+
+    def stage_term(self, lam):
+        """(T, n_x) sums of lam_m l_m over the rows m of each step t = 1..T,
+        in row order; a row whose lam_m is 0 adds nothing and is skipped."""
+        lam, out = np.asarray(lam, dtype=float), np.zeros((self.T, self.l.shape[1]))
+        m = np.flatnonzero(lam)
+        np.add.at(out, self.t[m] - 1, lam[m, None] * self.l[m])
+        return out
+
+    @property
+    def lmat(self):
+        """Dense (T*n_x, M): column m holds l[m] in the n_x block of step t[m]."""
+        lmat = np.zeros((self.T, self.l.shape[1], self.M))
+        lmat[self.t - 1, :, np.arange(self.M)] = self.l
+        return _freeze(lmat.reshape(self.T * self.l.shape[1], self.M))
 
 
 def constraint_layout(problem: GameProblem, cov):
-    """The part of ``assemble_constraints`` no reference enters, as compact data:
-    row order, z, the box rows, and per collision constraint its rows, steps
-    and pair covariances gathered from Sigma ``cov`` (T+1, n_x, n_x).  Returns
-    ``fill(reference_means)``, which adds the collision rows with one batched
-    pass per constraint and returns the set."""
-    T, n_x = problem.T, problem.n_x
+    """The part of ``assemble_constraints`` no reference enters: each row's
+    step and source, z, the box rows and, per collision constraint, its rows
+    and pair covariances gathered from Sigma ``cov`` (T+1, n_x, n_x).
+    Returns ``fill(reference_means)``, which writes the rows' coefficients
+    and offsets, the collision rows with one batched pass per constraint."""
+    T, n_x, specs = problem.T, problem.n_x, problem.constraints
     slices, nominal = problem.agent_slices, problem.nominal_states
-    # each spec once: its steps, and a box's (coord, side, bound) rows
-    expanded = [(k, spec, frozenset(spec.active_times),
-                 spec.rows() if spec.kind == "box" else None)
-                for k, spec in enumerate(problem.constraints)]
-    M = sum(len(times) * (1 if box is None else len(box))
-            for _, _, times, box in expanded)
+    # one column per row a spec has at a step: a box's (coord, sign, bound)
+    # rows in spec.rows() order, NaN for a collision's one row
+    columns = [np.array([(q, 1.0 if side == "upper" else -1.0, bound)
+                         for q, side, bound in spec.rows()]).reshape(-1, 3)
+               if spec.kind == "box" else np.full((1, 3), np.nan) for spec in specs]
+    col_source = np.repeat(np.arange(len(specs)), [len(c) for c in columns])
+    active = np.zeros((T + 1, len(specs)), dtype=bool)
+    for k, spec in enumerate(specs):
+        active[np.array(spec.active_times, dtype=np.intp), k] = True
+    t, col = np.nonzero(active[:, col_source])      # by step, then column
+    source = col_source[col]
+    q, sign, bound = np.concatenate([np.zeros((0, 3)), *columns])[col].T
+    M = len(t)
     eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
     z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then
-    rows, boxes, slots = [], [], {}     # a collision row's slot in rows holds None
-    for t in range(1, T + 1):
-        for k, spec, times, box in expanded:
-            if t not in times:
-                continue
-            if box is None:
-                slots.setdefault(k, []).append((len(rows), t))
-                rows.append(None)
-                continue
-            for q, side, bound in box:
-                boxes.append((len(rows), t, q, 1.0 if side == "upper" else -1.0, bound))
-                rows.append(ConstraintRow(kind="box", t=t, source=k,
-                                          detail=(q, side, bound), eps_row=eps_row))
-    m, t, q, sign, bound = np.array(boxes, dtype=float).reshape(-1, 5).T
-    t, q = t.astype(np.intp), q.astype(np.intp)
-    box_m, box_at, box_sign = m.astype(np.intp), (t - 1) * n_x + q, sign
-    box_c = (-sign * bound + z * np.sqrt(np.maximum(cov[t, q, q], 0.0))
-             + sign * nominal[t, q])
-    collisions = []     # per collision spec: its rows m, steps t and pair covariances
-    for k, pairs in slots.items():
-        spec, (m, t) = problem.constraints[k], np.array(pairs, dtype=np.intp).T
-        sl_i, sl_j = (slices[a] for a in spec.pair)
-        S = cov[t]
-        sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
-        collisions.append((k, spec, sl_i, sl_j, m, t, nominal[t][:, :, None], sigma))
+    box = np.flatnonzero(~np.isnan(sign))
+    box_t, box_q, box_sign = t[box], q[box].astype(np.intp), sign[box]
+    box_c = (-box_sign * bound[box] + z * np.sqrt(np.maximum(cov[box_t, box_q, box_q], 0.0))
+             + box_sign * nominal[box_t, box_q])
+    collisions = []     # per collision spec with rows: its rows m, their steps and covariances
+    for k, spec in enumerate(specs):
+        m = np.flatnonzero(source == k)
+        if spec.kind == "collision" and m.size:
+            sl_i, sl_j = (slices[a] for a in spec.pair)
+            S = cov[t[m]]
+            sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
+            collisions.append((spec, sl_i, sl_j, m, t[m], nominal[t[m]][:, :, None], sigma))
 
     def fill(reference_means) -> AffineConstraintSet:
-        lmat, c = np.zeros((T * n_x, M)), np.zeros(M)
-        lmat[box_at, box_m] = box_sign
-        c[box_m] = box_c
-        filled = list(rows)
+        l, c = np.zeros((M, n_x)), np.zeros(M)
+        l[box, box_q] = box_sign
+        c[box] = box_c
         reference_means = np.asarray(reference_means, dtype=float)
-        for k, spec, sl_i, sl_j, m, t, nominal_t, sigma in collisions:
-            delta = reference_means[t, sl_i] - reference_means[t, sl_j]
+        for spec, sl_i, sl_j, m, steps, nominal_t, sigma in collisions:
+            delta = reference_means[steps, sl_i] - reference_means[steps, sl_j]
             try:
                 dbar = reference_direction(delta, spec.C, spec.radius)
             except DegenerateReference as exc:
-                raise DegenerateReference(*spec.pair, int(t[exc.t]), exc.separation) from None
+                raise DegenerateReference(*spec.pair, int(steps[exc.t]), exc.separation) from None
             a, offset = linearize_collision(dbar, sigma, spec.radius, spec.C, z)
-            l = np.zeros((len(m), n_x))
-            l[:, sl_i], l[:, sl_j] = -a, a
-            lmat.reshape(T, n_x, M)[t - 1, :, m] = l
-            c[m] = offset + (l[:, None, :] @ nominal_t)[:, 0, 0]    # one row's dot each
-            for m_r, t_r, dbar_r in zip(m.tolist(), t.tolist(), dbar):
-                filled[m_r] = ConstraintRow(kind="collision", t=t_r, source=k,
-                                            detail=spec.pair, eps_row=eps_row,
-                                            dbar=_freeze(dbar_r))
-        return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(filled), n_x=n_x)
+            l[m, sl_i], l[m, sl_j] = -a, a
+            c[m] = offset + (l[m][:, None, :] @ nominal_t)[:, 0, 0]    # one row's dot each
+        return AffineConstraintSet(t=t, source=source, l=l, c=c, T=T)
     return fill
 
 
 def assemble_constraints(problem: GameProblem, cov, reference_means) -> AffineConstraintSet:
-    """Emit all active rows, ordered by time, then constraint index, then
-    (coordinate, lower before upper) within a box.
-
-    ``reference_means`` (T+1, n_x) are absolute-coordinate means used for the
-    collision reference directions.  Rows are built in absolute coordinates
-    and their offsets folded against the problem's nominal trajectory so that
-    they apply to solver-coordinate expected states.  A box row l = sign e_q
-    (sign +1 for an upper bound, -1 for a lower) has the offset
-    ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``.
-    """
+    """The rows at the absolute-coordinate means ``reference_means`` (T+1, n_x),
+    which give the collision reference directions.  Rows are built in absolute
+    coordinates and their offsets folded against the problem's nominal, so they
+    apply to solver-coordinate expected states: a box row l = sign e_q (sign +1
+    for an upper bound, -1 for a lower) has the offset
+    ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``."""
     return constraint_layout(problem, cov)(reference_means)

@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -181,6 +182,35 @@ def dense_input_scenario(T=8):
         [np.eye(2), 0.5 * np.eye(2)], [np.zeros(5), np.ones(5)], [])
     dense = replace(s.dynamics, B=rng.normal(size=(T, 2, 5, 2)))
     return Scenario(**{**s.__dict__, "dynamics": dense})
+
+
+# ---------------------------------------------------------------------------
+# Scenario documents with one number replaced
+
+
+def _first(doc, kind):
+    return next(c for c in doc["constraints"] if c["type"] == kind)
+
+
+# one number of each kind of field in the intersection-mini document
+NUMBER_FIELDS = {
+    "dt": lambda d, v: d.update(dt=v),
+    "risk_epsilon": lambda d, v: d.update(risk_epsilon=v),
+    "radius": lambda d, v: _first(d, "collision").update(radius=v),
+    "initial_states": lambda d, v: d["dynamics"]["initial_states"][1].__setitem__(2, v),
+    "R": lambda d, v: d["costs"][0]["R"][3][1].__setitem__(1, v),
+    "noise": lambda d, v: d["dynamics"]["noise"]["matrix"][2].__setitem__(2, v),
+    "x_min": lambda d, v: _first(d, "box")["x_min"].__setitem__(3, v),
+}
+NOT_NUMBERS = [pytest.param("inf", id="str-inf"), pytest.param("0.5", id="str-number"),
+               pytest.param(True, id="bool")]
+
+
+def mini_doc_with(field, value):
+    """The intersection-mini document with NUMBER_FIELDS[field] set to value."""
+    doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
+    NUMBER_FIELDS[field](doc, value)
+    return doc
 
 
 # ---------------------------------------------------------------------------

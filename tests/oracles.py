@@ -8,7 +8,9 @@ The full coupled sweep, which rebuilds and solves every stage system in
 each pass, is the bit-for-bit reference for the gains-once path, and the
 single-loop row assembly, on per-row copies of the collision-row helpers,
 is the bit-for-bit reference for the split and batched one (layout, then
-collision rows at a reference, one stacked pass per constraint).
+collision rows at a reference, one stacked pass per constraint).  The map on
+the dense (T n_x, M) matrix of the rows is the reference for the map on the
+compact rows, to 4 ulp of each row's largest term.
 
 A flat loop adds the terms of a quadratic form one at a time, and a per-row
 loop evaluates every safety predicate on its own: the references for the
@@ -22,6 +24,7 @@ scenarios.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,9 +32,8 @@ from ccgame import lqnash, scenarios
 from ccgame.dualascent import PreparedGame, _solve_at
 from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond, stage_linear_terms
-from ccgame.model import GameProblem, Scenario, _freeze, load_scenario
-from ccgame.uncertainty import (DEGENERATE_SEPARATION, AffineConstraintSet,
-                                ConstraintRow, allocate_risk, inverse_normal_cdf)
+from ccgame.model import GameProblem, Scenario, load_scenario
+from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_normal_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,9 @@ def sweep_backward_recursion(problem: GameProblem, conset=None, lam=None):
 
 def sweep_affine_response(problem: GameProblem, conset):
     """(G, ctilde, policy0) from one full sweep with M + 1 linear columns and
-    the forward pass of the affine mean trajectory."""
+    the forward pass of the affine mean trajectory, whose step t forms the
+    rows of G and ctilde at t (found by comparing each row's t) as the
+    library does."""
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
@@ -323,20 +327,49 @@ def sweep_affine_response(problem: GameProblem, conset):
     def linear_term(t):
         C = np.zeros((N, n_x, M + 1))
         if t >= 1:
-            C[:, :, :M] = 0.5 * conset.l_block(t)
+            rows = np.flatnonzero(conset.t == t)
+            C[:, :, rows] = 0.5 * conset.l[rows].T
             C[:, :, M] = s[:, t]
         return C
 
     K, aC, F, _ = _riccati_sweep(problem, linear_term)
     X = np.zeros((n_x, M + 1))
     X[:, M] = dyn.x0
-    xstack = np.zeros((T * n_x, M + 1))
+    gmap = np.zeros((M, M + 1))
     for t in range(T):
         BaC = np.einsum("iab,ibm->am", dyn.B[t], aC[t])
         X = F[t] @ X - BaC
-        xstack[t * n_x:(t + 1) * n_x] = X
-    gmap = conset.lmat.T @ xstack
+        rows = conset.t == t + 1
+        gmap[rows] = conset.l[rows] @ X
     return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=K, alpha=aC[..., M])
+
+
+def dense_affine_response(problem: GameProblem, conset, gains):
+    """(G, ctilde, policy0, xstack) on the dense (T*n_x, M) layout ``lmat``:
+    the multipliers' zeta columns are lmat's block of each step, and G and
+    ctilde are lmat^T xstack + (0, c), with xstack stacking the forward
+    pass's X_t for t = 1..T."""
+    dyn, lmat = problem.dyn, conset.lmat
+    N, T, n_x, M = problem.N, problem.T, problem.n_x, conset.M
+    s = stage_linear_terms(problem)
+
+    def linear_term(t):
+        C = np.zeros((N, n_x, M + 1))
+        if t >= 1:
+            C[:, :, :M] = 0.5 * lmat[(t - 1) * n_x: t * n_x]
+            C[:, :, M] = s[:, t]
+        return C
+
+    aC = lqnash._zeta_sweep(problem, gains, linear_term)
+    X = np.zeros((n_x, M + 1))
+    X[:, M] = dyn.x0
+    xstack = np.zeros((T * n_x, M + 1))
+    for t in range(T):
+        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
+        xstack[t * n_x:(t + 1) * n_x] = X
+    gmap = lmat.T @ xstack
+    return (gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=gains.K, alpha=aC[..., M]),
+            xstack)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +409,9 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
     """Every row in one loop over times and specs, box and collision rows
     alike, each collision row on its own through the per-row helpers above:
     the assembly ``uncertainty.assemble_constraints`` splits in two and
-    batches per constraint.  ``cov`` is Sigma (T+1, n_x, n_x)."""
+    batches per constraint.  ``cov`` is Sigma (T+1, n_x, n_x).  Returns the
+    rows' t, source, l and c, and the dense (T*n_x, M) ``lmat`` written row
+    by row into the block of the row's step."""
     T, n_x = problem.T, problem.n_x
     slices = problem.agent_slices
     expanded = [(k, spec, frozenset(spec.active_times),
@@ -386,12 +421,9 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
             for _, _, times, box in expanded)
     lmat = np.zeros((T * n_x, M))
     c = np.zeros(M)
-    if M == 0:
-        return AffineConstraintSet(lmat=lmat, c=c, rows=(), n_x=n_x)
-    eps_row = allocate_risk(problem.risk_epsilon, M)
-    z = inverse_normal_cdf(1.0 - eps_row)
+    rows = []       # (t, source) per row
+    z = inverse_normal_cdf(1.0 - allocate_risk(problem.risk_epsilon, M)) if M else 0.0
     reference_means = np.asarray(reference_means, dtype=float)
-    rows = []
     for t in range(1, T + 1):
         Sigma, nominal = cov[t], problem.nominal_states[t]
         block = lmat[(t - 1) * n_x: t * n_x]
@@ -405,8 +437,7 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
                     block[q, m] = sign
                     c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
                             + sign * nominal[q])
-                    rows.append(ConstraintRow(kind="box", t=t, source=k,
-                                              detail=(q, side, bound), eps_row=eps_row))
+                    rows.append((t, k))
                 continue
             i, j = spec.pair
             sl_i, sl_j = slices[i], slices[j]
@@ -424,9 +455,11 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
             m = len(rows)
             block[:, m] = l
             c[m] = offset + float(l @ nominal)
-            rows.append(ConstraintRow(kind="collision", t=t, source=k, detail=(i, j),
-                                      eps_row=eps_row, dbar=_freeze(dbar)))
-    return AffineConstraintSet(lmat=lmat, c=c, rows=tuple(rows), n_x=n_x)
+            rows.append((t, k))
+    t, source = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    l = np.stack([lmat[(t_m - 1) * n_x: t_m * n_x, m] for m, t_m in enumerate(t)]
+                 or [np.zeros((0, n_x))]).reshape(M, n_x)
+    return SimpleNamespace(t=t, source=source, l=l, c=c, lmat=lmat)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from ccgame import scenarios, simulate
 from ccgame.cli import main
 from ccgame.model import Scenario, save_scenario
-from conftest import make_ltv_scenario, random_small_scenario, scalar_single_agent_instance
+from conftest import (NOT_NUMBERS, NUMBER_FIELDS, make_ltv_scenario, mini_doc_with,
+                      random_small_scenario, scalar_single_agent_instance)
 
 
 def _speed_box(doc, **fields):
@@ -148,6 +149,17 @@ class TestSolve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SchemaError") and literal[:20] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+    def test_a_string_or_bool_number_exits_one(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mini_doc_with(field, value)))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError")
         assert "Traceback" not in err
 
     def test_negative_relinearize_exits_one(self, tiny_active, tmp_path, capsys):
@@ -451,6 +463,28 @@ class TestMpc:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["failures"] == [{"sample": 0, "step": 2,
                                          "error": "injected"}]
+
+
+@pytest.mark.parametrize("kind", ["collision", "box"])
+def test_empty_active_times_run_as_if_the_constraint_were_removed(tmp_path, kind):
+    # a constraint with no active step has no row and no predicate to check
+    doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
+    k = next(k for k, c in enumerate(doc["constraints"]) if c["type"] == kind)
+    empty, removed = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    empty["constraints"][k]["active_times"] = []
+    del removed["constraints"][k]
+    stats = {}
+    for name, d in (("empty", empty), ("removed", removed)):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(d))
+        assert main(["solve", "--scenario", str(path), "--out", str(out / "solve")]) == 0
+        assert main(["rollout", "--scenario", str(path), "--samples", "300", "--seed", "4",
+                     "--policy", str(out / "solve" / "policy.json"),
+                     "--out", str(out / "rollout")]) == 0
+        assert main(["mpc", "--scenario", str(path), "--samples", "2", "--seed", "4",
+                     "--out", str(out / "mpc")]) == 0
+        stats[name] = [(out / cmd / "stats.csv").read_bytes() for cmd in ("rollout", "mpc")]
+    assert stats["empty"] == stats["removed"]
 
 
 class TestReport:

@@ -447,18 +447,21 @@ class TestLcp:
 
     def test_duplicated_rows_tie_to_the_lower_index(self):
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))
-        cs = prep.conset
+        cs, M = prep.conset, prep.M
+        # each step's rows, then their copies: a copy's index is above its row's
+        order = np.argsort(np.concatenate([cs.t, cs.t]), kind="stable")
         doubled = dataclasses.replace(prep, conset=dataclasses.replace(
-            cs, lmat=np.hstack([cs.lmat, cs.lmat]), c=np.concatenate([cs.c, cs.c]),
-            rows=cs.rows * 2))
+            cs, t=np.concatenate([cs.t, cs.t])[order],
+            source=np.concatenate([cs.source, cs.source])[order],
+            l=np.vstack([cs.l, cs.l])[order], c=np.concatenate([cs.c, cs.c])[order]))
+        assert doubled.conset.lmat.tobytes() == np.hstack([cs.lmat, cs.lmat])[:, order].tobytes()
         rep = run_dual_ascent(prep)
         rep2 = run_dual_ascent(doubled)
-        M = prep.M
         assert rep2.termination == "lcp_solved"
         assert rep2.natural_residual <= 1e-10
         # every tie between a row and its copy went to the first copy
-        assert np.all(rep2.lambda_bar[M:] == 0.0)
-        assert np.max(np.abs(rep2.lambda_bar[:M] - rep.lambda_bar)) <= 1e-12
+        assert np.all(rep2.lambda_bar[order >= M] == 0.0)
+        assert np.max(np.abs(rep2.lambda_bar[order < M] - rep.lambda_bar)) <= 1e-12
         assert np.max(np.abs(rep2.mean_traj - rep.mean_traj)) <= 1e-12
 
     def test_pivot_cap_falls_back_to_the_ascent(self, monkeypatch):

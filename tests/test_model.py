@@ -10,7 +10,8 @@ from ccgame.model import (BoxSpec, LtvGameDynamics, Scenario,
                           assemble_problem, load_scenario,
                           save_scenario, scenario_from_dict, scenario_to_dict,
                           validate_scenario)
-from conftest import make_ltv_scenario, random_small_scenario
+from conftest import (NOT_NUMBERS, NUMBER_FIELDS, make_ltv_scenario, mini_doc_with,
+                      random_small_scenario)
 from oracles import load_bundled
 
 
@@ -156,3 +157,26 @@ def test_problem_nominal_folding(mini_scenario):
     T = problem.T
     goal0 = mini_scenario.costs[0].ref[T - 1][:4]
     assert np.allclose(problem.ref[0, T, :4] + problem.nominal_states[T, :4], goal0)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_a_string_or_bool_number_is_a_schema_error(field, value):
+    with pytest.raises(SchemaError, match="expected a number"):
+        scenario_from_dict(mini_doc_with(field, value))
+
+
+def test_null_only_where_the_schema_takes_it():
+    # a box bound entry, nominal_inputs and active_times may be null
+    doc = mini_doc_with("x_min", None)
+    doc["dynamics"]["nominal_inputs"] = None
+    next(c for c in doc["constraints"] if c["type"] == "box")["active_times"] = None
+    validate_scenario(scenario_from_dict(doc))
+    for field in sorted(set(NUMBER_FIELDS) - {"x_min"}):
+        with pytest.raises(SchemaError, match="expected a number, got None"):
+            scenario_from_dict(mini_doc_with(field, None))
+    # a nullable key takes null as its whole value, not as an entry
+    doc = mini_doc_with("dt", 0.1)
+    doc["dynamics"]["nominal_inputs"] = [[[0.0, None]] * 20] * 2
+    with pytest.raises(SchemaError, match="nominal_inputs: expected a number, got None"):
+        scenario_from_dict(doc)

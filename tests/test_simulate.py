@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ccgame import simulate
-from ccgame.dualascent import DualAscentOptions
-from ccgame.errors import AllSeedsFailed, FactorizationFailure, SingularStageSystem
+from ccgame.dualascent import DualAscentOptions, solve_scenario
+from ccgame.errors import (AllSeedsFailed, DomainError, FactorizationFailure,
+                           SingularStageSystem)
 from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected
 from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
@@ -619,3 +620,47 @@ class TestCentralMpc:
             for i in range(mini_problem.N))
         agg_y = (y - agg.ref[0, t]) @ agg.Q[0, t] @ (y - agg.ref[0, t])
         assert (total - agg_val) == pytest.approx(total_y - agg_y, abs=1e-9)
+
+
+class TestIntegerArguments:
+    """Counts and seeds of the library go through one integer check: a bool,
+    float or str raises DomainError instead of being truncated, and numpy
+    integers pass."""
+
+    @staticmethod
+    def calls():
+        scenario = scalar_single_agent_instance(T=3)
+        problem = assemble_problem(validate_scenario(scenario))
+        policy = backward_recursion(problem)
+        return {
+            "rollout-samples": lambda v: rollout(problem, policy, 0, v),
+            "rollout-seed": lambda v: rollout(problem, policy, v, 2),
+            "mpc-samples": lambda v: central_mpc(problem, 0, v),
+            "mpc-replan_every": lambda v: central_mpc(problem, 0, 1, replan_every=v),
+            "mpc-seed": lambda v: central_mpc(problem, v, 1),
+            "mpc-run-replan_every": lambda v: simulate.central_mpc_run(problem, 0,
+                                                                       replan_every=v),
+            "mpc-run-seed": lambda v: simulate.central_mpc_run(problem, v),
+            "k_max": lambda v: DualAscentOptions(k_max=v),
+            "relinearize": lambda v: solve_scenario(scenario, relinearize=v),
+        }
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"],
+                             ids=["float", "integral-float", "bool", "str"])
+    @pytest.mark.parametrize("call", ["rollout-samples", "rollout-seed", "mpc-samples",
+                                      "mpc-replan_every", "mpc-seed",
+                                      "mpc-run-replan_every", "mpc-run-seed", "k_max",
+                                      "relinearize"])
+    def test_a_non_integer_raises(self, call, value):
+        with pytest.raises(DomainError):
+            self.calls()[call](value)
+
+    def test_numpy_integers_pass(self):
+        for call in self.calls().values():
+            call(np.int64(2))
+        problem = assemble_problem(validate_scenario(scalar_single_agent_instance(T=3)))
+        policy = backward_recursion(problem)
+        got = rollout(problem, policy, np.uint8(5), np.int32(3))
+        want = rollout(problem, policy, 5, 3)
+        assert got.samples == 3 and got.seed == 5 and type(got.seed) is int
+        assert got.states.tobytes() == want.states.tobytes()

@@ -1,6 +1,7 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
 library still has, one round of each benchmark workload must pass its
-checks, the bundled scenario files must be what their builders write, the
+checks, the traced memory peaks of a prepare and a solve stay under their
+guards, the bundled scenario files must be what their builders write, the
 README's scenario example must load and its library example must run as
 written."""
 
@@ -11,13 +12,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccgame.dualascent import prepare_game
-from ccgame.model import scenario_from_dict, validate_scenario
+from ccgame import scenarios
+from ccgame.dualascent import prepare_game, run_dual_ascent
+from ccgame.model import load_scenario, scenario_from_dict, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -47,6 +50,28 @@ def test_benchmark_workload_passes_its_checks(workload):
     result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+def _traced_peak_mib(fn):
+    """The tracemalloc peak of fn() after one untraced warm-up call: numpy
+    reports its buffers to tracemalloc, and the figure does not move with the
+    allocator's mmap threshold as the benchmark's peak RSS does."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_of_one_intersection_prepare_and_solve():
+    # guards fixed against 4.05 and 9.94 MiB with the dense (T n_x, M) rows
+    vs = validate_scenario(load_scenario(scenarios.bundled_path("intersection")))
+    prep, prepare_peak = _traced_peak_mib(lambda: prepare_game(vs))
+    _, solve_peak = _traced_peak_mib(lambda: run_dual_ascent(prep))
+    assert prepare_peak <= 1.0
+    assert solve_peak <= 9.0
 
 
 def test_bundled_scenarios_regenerate_byte_for_byte(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from ccgame.uncertainty import (allocate_risk, assemble_constraints,
                                 normal_cdf, propagate_covariance,
                                 reference_direction)
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
+                      random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
 from oracles import (bisect_normal_quantile, conservativeness_probe,
-                     loop_assemble_constraints, pair_difference_cov,
+                     dense_affine_response, loop_assemble_constraints, pair_difference_cov,
                      row_linearize_collision, row_reference_direction,
                      series_normal_cdf)
 
@@ -198,7 +200,8 @@ def _box_row(coord, side, bound, sigma_qq, eps_row, n_x):
     Sigma = np.zeros((2, n_x, n_x))
     Sigma[1, coord, coord] = sigma_qq
     conset = assemble_constraints(problem, Sigma, np.zeros((2, n_x)))
-    assert conset.M == 1 and conset.rows[0].eps_row == eps_row
+    assert conset.M == 1 and conset.t.tolist() == [1] and conset.source.tolist() == [0]
+    assert np.array_equal(conset.l[0], conset.lmat[:, 0])
     return conset.lmat[:, 0], conset.c[0]
 
 
@@ -227,8 +230,9 @@ class TestBoxRow:
         s = Scenario(**{**s.__dict__, "constraints": (con,)})
         prep = prepare_game(validate_scenario(s))
         assert prep.M == 2
-        sides = sorted(r.detail[1] for r in prep.conset.rows)
-        assert sides == ["lower", "upper"]
+        # lower before upper, both at step 2
+        assert prep.conset.t.tolist() == [2, 2]
+        assert prep.conset.l[:, 0].tolist() == [-1.0, 1.0]
 
 
 class TestAssembly:
@@ -246,9 +250,8 @@ class TestAssembly:
         prep = prepare_game(validate_scenario(s))
         assert prep.M == 2
         n_x = prep.problem.n_x
-        for m, row in enumerate(prep.conset.rows):
+        for m, t in enumerate(prep.conset.t.tolist()):
             col = prep.conset.lmat[:, m]
-            t = row.t
             outside = np.concatenate([col[:(t - 1) * n_x], col[t * n_x:]])
             assert np.array_equal(outside, np.zeros_like(outside))
             assert np.any(col[(t - 1) * n_x:t * n_x] != 0)
@@ -260,10 +263,10 @@ class TestAssembly:
 
     def test_columns_supported_on_time_block(self, mini_prep):
         n_x = mini_prep.problem.n_x
-        for m, row in enumerate(mini_prep.conset.rows):
+        for m, t in enumerate(mini_prep.conset.t.tolist()):
             col = mini_prep.conset.lmat[:, m]
-            block = col[(row.t - 1) * n_x: row.t * n_x]
-            rest = np.delete(col, slice((row.t - 1) * n_x, row.t * n_x))
+            block = col[(t - 1) * n_x: t * n_x]
+            rest = np.delete(col, slice((t - 1) * n_x, t * n_x))
             assert np.any(block != 0.0)
             assert not np.any(rest != 0.0)
 
@@ -311,44 +314,41 @@ def mpc_subgame(mini_prep):
 
 
 def _assert_same_bytes(got, want):
-    """Two constraint sets agree byte for byte: lmat, c, the rows' repr and
-    each collision row's dbar."""
-    assert got.lmat.tobytes() == want.lmat.tobytes()
-    assert got.c.tobytes() == want.c.tobytes()
-    assert repr(got.rows) == repr(want.rows)
-    for a, b in zip(got.rows, want.rows):
-        assert (a.dbar is None) == (b.dbar is None)
-        assert a.dbar is None or a.dbar.tobytes() == b.dbar.tobytes()
+    """Two constraint sets agree byte for byte: the rows' t, source, l and c,
+    and the dense lmat."""
+    for name in ("t", "source", "l", "c", "lmat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _rebuilt(prep):
-    """lmat and c rebuilt row by row from each ConstraintRow and its z."""
+    """l and c rebuilt row by row from each row's step, its source and its
+    place among the rows of that (step, source), at z = Phi^-1(1 - eps / M);
+    a collision row's reference direction comes from the prepared means."""
     problem, conset, cov = prep.problem, prep.conset, prep.cov
-    n_x = problem.n_x
-    lmat = np.zeros_like(conset.lmat)
-    c = np.zeros_like(conset.c)
-    for m, row in enumerate(conset.rows):
-        z = inverse_normal_cdf(1.0 - row.eps_row)
-        Sigma, nominal = cov[row.t], problem.nominal_states[row.t]
-        l = np.zeros(n_x)
-        if row.kind == "box":
-            q, side, bound = row.detail
+    z = inverse_normal_cdf(1.0 - problem.risk_epsilon / prep.M)
+    l, c = np.zeros_like(conset.l), np.zeros_like(conset.c)
+    for m, (t, k) in enumerate(zip(conset.t.tolist(), conset.source.tolist())):
+        spec = problem.constraints[k]
+        Sigma, nominal = cov[t], problem.nominal_states[t]
+        if spec.kind == "box":
+            j = m - np.flatnonzero((conset.t == t) & (conset.source == k))[0]
+            q, side, bound = spec.rows()[j]
             sign = 1.0 if side == "upper" else -1.0
-            l[q] = sign
+            l[m, q] = sign
             c[m] = (-sign * bound + z * math.sqrt(max(float(Sigma[q, q]), 0.0))
                     + sign * nominal[q])
         else:
-            spec = problem.constraints[row.source]
-            sl_i, sl_j = (problem.agent_slices[k] for k in row.detail)
-            a = 2.0 * (spec.C @ row.dbar)
+            sl_i, sl_j = (problem.agent_slices[a] for a in spec.pair)
+            ref = prep.reference_means[t]
+            dbar = row_reference_direction(ref[sl_i] - ref[sl_j], spec.C, spec.radius)
+            a = 2.0 * (spec.C @ dbar)
             sigma_pair = pair_difference_cov(Sigma, sl_i, sl_j)
-            l[sl_i] = -a
-            l[sl_j] = a
+            l[m, sl_i] = -a
+            l[m, sl_j] = a
             c[m] = (2.0 * spec.radius ** 2
                     + z * math.sqrt(max(float(a @ sigma_pair @ a), 0.0))
-                    + float(l @ nominal))
-        lmat[(row.t - 1) * n_x: row.t * n_x, m] = l
-    return lmat, c
+                    + float(l[m] @ nominal))
+    return l, c
 
 
 class TestOnePassAssembly:
@@ -388,19 +388,18 @@ class TestOnePassAssembly:
         prep = intersection_prep
         conset = assemble_constraints(prep.problem, prep.cov, prep.reference_means)
         assert calls == {"reference_direction": 3, "linearize_collision": 3}
-        assert sum(row.kind == "collision" for row in conset.rows) == 150
+        kinds = [prep.problem.constraints[k].kind for k in conset.source]
+        assert kinds.count("collision") == 150
         _assert_same_bytes(conset, prep.conset)
 
     def test_rows_rebuild_from_their_metadata(self, mini_prep, mpc_subgame):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
         for prep in (mini_prep, coupled, mpc_subgame):
-            rows = prep.conset.rows
-            eps_row = prep.problem.risk_epsilon / prep.M
-            assert all(row.eps_row == eps_row for row in rows)
-            assert [(r.t, r.source) for r in rows] == sorted((r.t, r.source) for r in rows)
-            lmat, c = _rebuilt(prep)
-            assert np.array_equal(lmat, prep.conset.lmat)
-            assert np.array_equal(c, prep.conset.c)
+            keys = list(zip(prep.conset.t.tolist(), prep.conset.source.tolist()))
+            assert keys == sorted(keys)
+            l, c = _rebuilt(prep)
+            assert l.tobytes() == prep.conset.l.tobytes()
+            assert c.tobytes() == prep.conset.c.tobytes()
 
 
 class TestSplitAssembly:
@@ -479,3 +478,87 @@ class TestConservativeness:
                 eps_row=float(rng.uniform(1e-3, 0.1)),
                 samples=200_000, seed=int(rng.integers(1 << 30)))
             assert rate >= required
+
+
+def _skipping_rows_instance():
+    """Rows at non-contiguous steps: a collision at t = 2 and 5, a box at 3 and 6."""
+    s = scalar_two_agent_instance(T=6)
+    box = BoxSpec(x_min=np.array([-2.0, np.nan]), x_max=np.array([np.nan, 2.0]),
+                  active_times=(3, 6))
+    return replace(s, constraints=(replace(s.constraints[0], active_times=(2, 5)), box))
+
+
+def _within_4ulp(got, want, largest_term):
+    """|got - want| <= 4 ulp of the largest term of each element's row."""
+    bound = 4.0 * np.spacing(largest_term)
+    return bool(np.all(np.abs(got - want) <= bound))
+
+
+class TestCompactOperations:
+    """The set's operations against dense products on ``conset.lmat``, each
+    within 4 ulp of the row's largest term, on games with rows at every
+    step, at skipped steps, only at T, and none."""
+
+    @pytest.fixture(scope="class")
+    def preps(self, mini_prep, intersection_prep):
+        scenarios_ = [random_small_scenario(np.random.default_rng(k)) for k in range(10)]
+        scenarios_ += [coupled_constrained_instance(), _skipping_rows_instance(),
+                       scalar_single_agent_instance(T=4),
+                       replace(scalar_two_agent_instance(), constraints=())]
+        return [mini_prep, intersection_prep] + [prepare_game(validate_scenario(s))
+                                                 for s in scenarios_]
+
+    def test_the_games_cover_every_row_layout(self, preps):
+        Ms = [prep.M for prep in preps]
+        assert 0 in Ms and min(Ms[:-1]) >= 1
+        skipping = preps[-3].conset
+        assert skipping.t.tolist() == [2, 3, 3, 5, 6, 6]
+        assert [skipping.span(t) for t in (1, 4, 6)] == [slice(0, 0), slice(3, 3), slice(4, 6)]
+        assert preps[-2].conset.t.tolist() == [4]
+
+    def test_lmat_equals_the_single_loop_byte_for_byte(self, preps):
+        for prep in preps:
+            want = loop_assemble_constraints(prep.problem, prep.cov, prep.reference_means)
+            assert prep.conset.lmat.tobytes() == want.lmat.tobytes()
+            assert prep.conset.lmat.shape == (prep.problem.T * prep.problem.n_x, prep.M)
+
+    def test_evaluate_is_the_dense_product(self, preps):
+        rng = np.random.default_rng(12)
+        for prep in preps:
+            conset, T = prep.conset, prep.problem.T
+            for traj in (lqnash.integrate_expected(prep.problem.dyn,
+                                                   lqnash.backward_recursion(prep.problem)),
+                         rng.normal(size=(T + 1, prep.problem.n_x))):
+                want = conset.lmat.T @ traj[1:].reshape(-1) + conset.c
+                terms = np.abs(conset.l * traj[conset.t])
+                largest = np.maximum(terms.max(axis=1, initial=0.0), np.abs(conset.c))
+                assert _within_4ulp(conset.evaluate(traj), want, largest)
+
+    def test_stage_term_is_the_dense_product(self, preps):
+        rng = np.random.default_rng(13)
+        for prep in preps:
+            conset, T, n_x = prep.conset, prep.problem.T, prep.problem.n_x
+            for lam in (rng.uniform(0.0, 1.5, prep.M),
+                        rng.uniform(0.0, 1.5, prep.M) * (rng.random(prep.M) < 0.3)):
+                want = (conset.lmat @ lam).reshape(T, n_x)
+                terms = np.zeros((T, n_x))
+                for m in range(prep.M):      # the row t's largest term
+                    t = conset.t[m] - 1
+                    terms[t] = np.max(np.abs(lam[m] * conset.l[m]), initial=terms[t].max())
+                largest = terms.max(axis=1, keepdims=True)
+                assert _within_4ulp(conset.stage_term(lam), want, largest)
+
+    def test_map_is_the_dense_product(self, preps):
+        for prep in preps:
+            problem, conset = prep.problem, prep.conset
+            n_x = problem.n_x
+            gains = lqnash.stage_gains(problem)
+            G, ctilde, policy0 = lqnash.affine_response(problem, conset, gains)
+            G_d, ctilde_d, policy0_d, xstack = dense_affine_response(problem, conset, gains)
+            assert np.array_equal(policy0.alpha, policy0_d.alpha)
+            largest = np.zeros(prep.M)
+            for m, t in enumerate(conset.t.tolist()):
+                X = xstack[(t - 1) * n_x: t * n_x]
+                largest[m] = np.max(np.abs(conset.l[m][:, None] * X))
+            assert _within_4ulp(G, G_d, largest[:, None])
+            assert _within_4ulp(ctilde, ctilde_d, np.maximum(largest, np.abs(conset.c)))
