@@ -6,14 +6,17 @@ trajectory, and it is affine in lam: probing the solver at lam = 0 and at
 each unit vector recovers the exact map g(lam) = G lam + ctilde.  Because
 the map is exact (stage gains do not depend on lam), the solve works on it
 directly instead of re-solving the game at every step.  A solve computes
-the stage gains once (or takes them from ``PreparedGame.gains``); one zeta
-pass on them gives the map and, in its constant column, the lam = 0 policy
-the dual values start from; a second, the final equilibrium solve at the
-returned multiplier, gives the report, unless the prepared lam = 0
-equilibrium (``PreparedGame.equilibrium0``) violates no row: it is then the
-report, and no zeta pass runs.  The map and the diagnostics that only a
-report or a trace reads (L, eta, dual0 and the dual values) are computed
-when first read, so a central-MPC replan pays for none of them.
+the stage gains once (or takes them from ``PreparedGame.gains``) and reads
+the map by column: a first zeta pass gives ctilde, the lam = 0 policy the
+dual values start from and the G columns of the rows that the prepared
+lam = 0 equilibrium (``PreparedGame.equilibrium0``), if any, violates.  The
+pivot reads G only as ``G[:, j]``; a column not yet computed comes in one
+more pass with every uncached row violated at lam = 0.  The final solve at
+the returned multiplier gives the report, unless the prepared lam = 0
+equilibrium violates no row: it is then the report, and no zeta pass runs.
+The full G (the same pass over every column) is built only when L, the
+asymmetry, the fallback ascent or a dual value reads it: ``report.json``
+and the CLI's ``solve:`` line read L, a central-MPC replan none of them.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -104,24 +107,47 @@ def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
 
 @dataclass(frozen=True)
 class AffineGradientMap:
-    """g(lam) = G lam + ctilde; L = ||G||_2; dual0[i] = D^i(0), the expected
-    cost of the lam = 0 policy policy0; asymmetry = ||G - G'||_F / ||G||_F.
-    All are computed when first read; G, ctilde and policy0 by affine_response,
-    whose zeta pass is the only reader of ``gains``: the map drops them after it."""
+    """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
+    ctilde and the lam = 0 policy policy0 come from a first ``affine_response``
+    pass, which also carries the G columns ``first``; a column missing from
+    the cache ``columns`` comes in one pass with every missing row violated
+    at lam = 0.  G itself, which L = ||G||_2, asymmetry = ||G - G'||_F /
+    ||G||_F, the fallback ascent and the dual values read, is the full pass,
+    after which the map drops its ``gains``, which only a pass reads.
+    dual0[i] = D^i(0) is policy0's expected cost.  All are computed when
+    first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
     gains: lqnash.StageGains | None = field(default=None, repr=False)
+    first: tuple = ()
+    columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
 
-    @cached_property
-    def _response(self):
-        response = lqnash.affine_response(self.problem, self.conset, self.gains)
-        object.__setattr__(self, "gains", None)
+    def _pass(self, columns, constant=False):
+        """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
+        response = lqnash.affine_response(self.problem, self.conset, self.gains,
+                                          columns, constant)
+        self.columns.update(zip(range(self.conset.M) if columns is None else columns,
+                                response[0].T))
         return response
 
-    G = property(lambda self: self._response[0])
-    ctilde = property(lambda self: self._response[1])
-    policy0 = property(lambda self: self._response[2])
+    _constant = cached_property(lambda self: self._pass(self.first, constant=True)[1:])
+    ctilde = property(lambda self: self._constant[0])
+    policy0 = property(lambda self: self._constant[1])
+
+    def __getitem__(self, index):
+        j = index[1]
+        if j not in self.columns:
+            self._pass([j] + [m for m in np.flatnonzero(self.ctilde > 0).tolist()
+                              if m != j and m not in self.columns])
+        return self.columns[j]
+
+    @cached_property
+    def G(self):
+        G, *constant = self._pass(None, constant=True)
+        self.__dict__.setdefault("_constant", constant)
+        object.__setattr__(self, "gains", None)
+        return G
 
     @cached_property
     def _norms(self):
@@ -177,13 +203,16 @@ def _spectral_norm(G):
     return L, (skew / norm if norm > 0.0 else 0.0)
 
 
-def estimate_affine_map(prepared: PreparedGame, gains=None) -> AffineGradientMap:
-    """Recover (G, ctilde): ctilde is g at lam = 0, column m of G is
-    g at the m-th unit multiplier minus ctilde.  Exact by affinity; computed with
-    one batched zeta pass instead of M+1 separate solves, which also
-    gives the lam = 0 policy that dual0 is evaluated at; computed here."""
-    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains)
-    gmap.G          # the zeta pass runs here, not when the map is first read
+def estimate_affine_map(prepared: PreparedGame, gains=None, g0=None) -> AffineGradientMap:
+    """The map (G, ctilde) with its first pass run: ctilde is g at lam = 0, column
+    m of G is g at the m-th unit multiplier minus ctilde.  Exact by affinity; the
+    pass also gives the lam = 0 policy that dual0 is evaluated at, and carries
+    the G columns of the rows that ``g0``, the g of the prepared lam = 0
+    equilibrium when the caller has it, violates."""
+    first = () if g0 is None else tuple(np.flatnonzero(g0 > 0).tolist())
+    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains or prepared.gains
+                             or lqnash.stage_gains(prepared.problem), first)
+    gmap.ctilde     # the first pass runs here, not when the map is first read
     return gmap
 
 
@@ -194,11 +223,12 @@ PIVOTS_PER_ROW = 10        # the pivot cap is PIVOTS_PER_ROW * (M + 1)
 
 def solve_lcp(G, ctilde):
     """Lemke's complementary pivot for lam >= 0, g = G lam + ctilde <= 0,
-    lam'g = 0.  Returns (lam, pivots, termination): termination is
-    "lcp_solved", or lam is None and termination names why the pivot
-    stopped: "lcp_infeasible" (a secondary ray), "lcp_pivot_cap" (no end in
-    PIVOTS_PER_ROW * (M + 1) pivots, as when degenerate ties cycle) or
-    "lcp_singular_basis" (a basis numpy could not factor).
+    lam'g = 0; G is read only as ``G[:, j]``, so an AffineGradientMap serves.
+    Returns (lam, pivots, termination): termination is "lcp_solved", or lam
+    is None and termination names why the pivot stopped: "lcp_infeasible" (a
+    secondary ray), "lcp_pivot_cap" (no end in PIVOTS_PER_ROW * (M + 1)
+    pivots, as when degenerate ties cycle) or "lcp_singular_basis" (a basis
+    numpy could not factor).
 
     In the standard form w = q + Mz, w'z = 0 this is z = lam, w = -g,
     q = -ctilde and M = -G, augmented with the covering vector 1 and the
@@ -315,6 +345,7 @@ class DualSolveReport:
     options: DualAscentOptions
     pivots: int = 0
     natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
+    map_columns: int = 0            # G columns computed before the report
 
     @cached_property
     def eta(self):
@@ -337,6 +368,7 @@ class DualSolveReport:
             "complementarity": self.complementarity,
             "natural_residual": self.natural_residual,
             "pivots": self.pivots,
+            "map_columns": self.map_columns,
             "eta": self.eta,
             "lipschitz": self.lipschitz,
             "asymmetry": self.map.asymmetry,
@@ -418,12 +450,13 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
              else prepared.gains)
     gmap = AffineGradientMap(prepared.problem, prepared.conset, gains)
     lam_bar, pivots, termination, iterations = np.zeros(prepared.M), 0, "lcp_solved", 0
+    g0 = None
     if prepared.equilibrium0 is not None:
         policy, traj = prepared.equilibrium0
-        g_final = prepared.conset.evaluate(traj)
-    if prepared.equilibrium0 is None or not np.min(-g_final, initial=0.0) >= 0.0:
-        gmap = estimate_affine_map(prepared, gains)
-        lam_bar, pivots, termination = solve_lcp(gmap.G, gmap.ctilde)
+        g_final = g0 = prepared.conset.evaluate(traj)
+    if g0 is None or not np.min(-g0, initial=0.0) >= 0.0:
+        gmap = estimate_affine_map(prepared, gains, g0)
+        lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
         if lam_bar is None:
             lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
                                              options, trace_writer)
@@ -438,7 +471,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         iterations=iterations, termination=termination,
         solve_seconds=time.perf_counter() - t_start,
         map=gmap, prepared=prepared, options=options, pivots=pivots,
-        natural_residual=natural,
+        natural_residual=natural, map_columns=len(gmap.columns),
     )
     if trace_writer is not None and termination == "lcp_solved":
         trace_writer({"iter": pivots, "max_violation": residual,

@@ -19,13 +19,17 @@ rcond, and returns K, F, P, S_t and the gain right-hand sides YK_t.  A
 shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
 then computes the affine terms on those gains for a linear term with m
 columns, one zeta column per column: ``backward_recursion`` runs it with
-the one column ``s_t`` at a given lam, and ``affine_response`` with M + 1
-columns (``0.5 l_m`` at step t_m per multiplier and ``-Q r``), from which
-the exact map lam -> g follows by one forward pass, the rows of each step
-read as their mean X_t is formed; its constant column is the lam = 0
-policy, so no separate solve is needed.  Both take the gains as an optional
-argument.  The tests keep the single full sweep these replace and a
-single-player best-response sweep (``tests/oracles.py``) as references.
+the one column ``s_t`` at a given lam, and ``affine_response`` with chosen
+columns of G (``0.5 l_m`` at step t_m for multiplier m) and the constant
+``-Q r``, whose rows of the exact map lam -> g follow by one forward pass,
+the rows of each step read as their mean X_t is formed.  The full map is
+the pass with every column; its constant column is the lam = 0 policy.  A
+column's bits do not depend on the other columns of its pass: a 1-column
+or 1-row product goes down another BLAS route, so a zero column pads a
+single one, as in ``_stage_gain``, and ``_gemm`` doubles a 1-row matrix.
+Both take the gains as an optional argument.  The tests keep the single
+full sweep these replace and a single-player best-response sweep
+(``tests/oracles.py``) as references.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -164,21 +168,23 @@ def stage_gains(problem: GameProblem) -> StageGains:
     return StageGains(K=K, F=F, P=P, S=S, YK=YK, KtR=KtR)
 
 
-def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term):
+def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term, start=None):
     """Affine terms a (T, N, n_u, m) for an m-column linear term on fixed gains.
 
     ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
     stage t; zeta carries one column per column of it, and only the current
     zeta is kept.  Each stage solves S_t against [YK_t, Ya] and keeps the
     affine columns, the same system and right-hand side as a full sweep.
+    The sweep starts at ``start`` (default T); a is 0 after it.
     """
     B_all = problem.dyn.B
     N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
-    zeta = linear_term(T)
+    start = T if start is None else start
+    zeta = linear_term(start)
     a = np.zeros((T, N, n_u, zeta.shape[2]))
-    for t in range(T - 1, -1, -1):
+    for t in range(start - 1, -1, -1):
         B, F, P_next = B_all[t], gains.F[t], gains.P[t + 1]
-        Ya = np.concatenate([B[i].T @ zeta[i] for i in range(N)], axis=0)
+        Ya = np.concatenate([_gemm(B[i].T, zeta[i]) for i in range(N)], axis=0)
         sol = np.linalg.solve(gains.S[t], np.concatenate([gains.YK[t], Ya], axis=1))
         a[t] = sol[:, n_x:].reshape(N, n_u, -1)
         Ba = np.einsum("iab,ibm->am", B, a[t])
@@ -186,9 +192,15 @@ def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term):
         zeta_new = np.zeros_like(zeta)
         for i in range(N):
             zeta_new[i] = (F.T @ (zeta[i] - P_next[i] @ Ba)
-                           + gains.KtR[t, i] @ a[t, i] + s[i])
+                           + _gemm(gains.KtR[t, i], a[t, i]) + s[i])
         zeta = zeta_new
     return a
+
+
+def _gemm(A, X):
+    """A @ X with every column alike: a 1-row A times several columns would go
+    down gemv, whose last bits depend on a column's place in X."""
+    return (np.concatenate([A, A]) @ X)[:1] if len(A) == 1 < X.shape[1] else A @ X
 
 
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
@@ -306,44 +318,54 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
     return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
 
 
-def affine_response(problem: GameProblem, conset, gains=None):
-    """Exact affine map lam -> g at the equilibrium, from one zeta pass.
+def affine_response(problem: GameProblem, conset, gains=None, columns=None,
+                    constant=True):
+    """Exact affine map lam -> g at the equilibrium: the G columns ``columns``
+    (default all M) and, with ``constant``, ctilde, from one zeta pass.
 
     The stage gains do not depend on lam (they are computed here when not
     given), and zeta (hence alpha and the mean trajectory) is affine in it,
-    so a zeta pass whose linear term has M+1 columns
-    (0.5 l_m at step t_m for multiplier m, -Q r for the constant) reproduces
-    exactly what M+1 unit-probe solves would measure.  Returns (G, ctilde, policy0)
-    with g(lam) = G @ lam + ctilde, G of shape (M, M), and policy0 the
-    equilibrium at lam = 0, whose affine term is the constant column.  With
-    M = 0 the linear term is the one column -Q r.
+    so a pass whose linear term carries 0.5 l_m at step t_m for multiplier m
+    and -Q r for the constant reproduces exactly what unit-probe solves would
+    measure.  Returns (G[:, columns], ctilde, policy0) with g(lam) = G @ lam
+    + ctilde and policy0 the equilibrium at lam = 0, whose affine term is the
+    constant column; without the constant, ctilde and policy0 are None and
+    the sweep starts at the columns' latest step, above which their zeta is
+    exactly 0.  A pass has two columns or more (see the module docstring).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
+    k = M if columns is None else len(columns)
+    # each entry's column: multipliers, the constant (M), a zero pad (M + 1) up to two
+    cols = np.concatenate([np.arange(M) if columns is None else columns, [M] * constant,
+                           [M + 1] * (k + constant < 2)]).astype(np.intp)
+    steps = np.concatenate([conset.t, [-1, -1]])[cols]
     s = stage_linear_terms(problem)
 
     def linear_term(t):
-        C = np.zeros((N, n_x, M + 1))
+        C = np.zeros((N, n_x, len(cols)))
         if t >= 1:
-            rows = conset.span(t)
-            C[:, :, rows] = 0.5 * conset.l[rows].T
-            C[:, :, M] = s[:, t]
+            hit = np.flatnonzero(steps == t)
+            C[:, :, hit] = 0.5 * conset.l[cols[hit]].T
+            C[:, :, cols == M] = s[:, t, :, None]
         return C
 
     gains = stage_gains(problem) if gains is None else gains
-    aC = _zeta_sweep(problem, gains, linear_term)
+    aC = _zeta_sweep(problem, gains, linear_term, T if constant else max(steps))
 
     # forward sweep of the affine mean trajectory X_t; the rows of step t
     # read X_t as it is formed
-    X = np.zeros((n_x, M + 1))
-    X[:, M] = dyn.x0
-    gmap = np.empty((M, M + 1))
+    X = np.zeros((n_x, len(cols)))
+    X[:, cols == M] = dyn.x0[:, None]
+    gmap = np.empty((M, len(cols)))
     for t in range(T):
         X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
         rows = conset.span(t + 1)
-        gmap[rows] = conset.l[rows] @ X
-    return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=gains.K, alpha=aC[..., M])
+        gmap[rows] = _gemm(conset.l[rows], X)
+    if not constant:
+        return gmap[:, :k], None, None
+    return gmap[:, :k], gmap[:, k] + conset.c, FeedbackPolicy(K=gains.K, alpha=aC[..., k])
 
 
 # ---------------------------------------------------------------------------

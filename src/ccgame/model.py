@@ -532,26 +532,33 @@ def _matrix_seq(spec, T, dim, name):
 
 
 NULLABLE = {"x_min", "x_max", "nominal_inputs", "active_times", "agent", "weight"}
+INTEGER_LISTS = {"state_dims", "pair", "active_times"}
 
 
-def _check_numbers(doc, where="scenario", nullable=False):
-    """SchemaError at the first value below ``doc`` that is not a JSON number:
-    a string or a bool anywhere but a ``type`` field, or a null but a NULLABLE
-    key's whole value or a box bound's entry (``nullable``).  Lists are
-    flattened a level at a time, so their numbers' types are read at C speed."""
+def _check_numbers(doc, where="scenario", nullable=False, integers=False):
+    """``doc`` with each rectangular list of numbers, but ``integers``, as a
+    float array; SchemaError at the first value below it that is not a JSON
+    number: a string or a bool anywhere but a ``type`` field, or a null but a
+    NULLABLE key's whole value or a box bound's entry (``nullable``).  Lists
+    are flattened a level at a time, so their numbers' types are read at C
+    speed, and the flat list is the array's data."""
     if type(doc) is dict:
-        for key, value in doc.items():
-            if key != "type" and not (value is None and key in NULLABLE):
-                _check_numbers(value, f"{where}.{key}", key in ("x_min", "x_max"))
-        return
-    leaves = [doc]
+        return {key: value if key == "type" or (value is None and key in NULLABLE)
+                else _check_numbers(value, f"{where}.{key}", key in ("x_min", "x_max"),
+                                    key in INTEGER_LISTS) for key, value in doc.items()}
+    leaves, shape = [doc], []
     while (kinds := set(map(type, leaves))) == {list}:
+        shape.append(set(map(len, leaves)))
         leaves = list(chain.from_iterable(leaves))
-    for k, value in enumerate([] if kinds <= {int, float} else leaves):
+    if kinds <= {int, float}:
+        keep = integers or not shape or any(len(n) > 1 for n in shape)   # or ragged
+        return doc if keep else np.array(leaves, dtype=float).reshape([n for n, in shape])
+    for k, value in enumerate(leaves):
         if isinstance(value, (dict, list)):
-            _check_numbers(value, f"{where}[{k}]")
+            leaves[k] = _check_numbers(value, f"{where}[{k}]")
         elif isinstance(value, (bool, str)) or (value is None and not nullable):
             raise SchemaError(f"{where}: expected a number, got {value!r:.20}")
+    return leaves if len(shape) == 1 else doc
 
 
 def _reject_unknown(d, allowed, where):
@@ -690,7 +697,7 @@ def _parse_scenario(doc):
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
     _reject_unknown(doc, SCENARIO_KEYS | {"state_dims"}, "scenario")
-    _check_numbers(doc)
+    doc = _check_numbers(doc)
     for key in ("agents", "horizon", "dt", "dynamics", "costs", "risk_epsilon", "seed"):
         if key not in doc:
             raise SchemaError(f"scenario: missing required key {key!r}")

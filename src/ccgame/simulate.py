@@ -17,8 +17,10 @@ stage gains and its lam = 0 policy, whose tail at tau is the reference
 policy of a replan at tau.  Each replan time tau computes once, for all
 episodes, the slice without its x0, its open-loop covariance and its
 constraint layout.  A replan computes its lam = 0 mean (the reference), the
-collision rows and, if a row is violated, the map's zeta pass, the LCP and
-the final solve.  The first episode to need shared work pays for it.
+collision rows and, if a row is violated, the LCP on the map's columns (the
+first zeta pass carries the violated rows', and a further pass runs only for
+a column the pivot reads beyond them; never the full G) and the final solve.
+The first episode to need shared work pays for it.
 """
 
 from __future__ import annotations
@@ -298,6 +300,7 @@ class MpcRun:
     replans: int
     replans_with_active_rows: int   # replans whose multiplier is not 0
     solve_seconds: float       # its whole replans, and the planner if first to use it
+    map_columns: int           # G columns its replans computed
 
 
 def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
@@ -326,7 +329,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     plan = None
     plan_offset = 0
     failures = []
-    replans = active = 0
+    replans = active = columns = 0
     for t in range(T):
         if t % replan_every == 0 or plan is None:
             t_start = time.perf_counter()
@@ -335,6 +338,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
                 plan, plan_offset = report.policy, t
                 replans += 1
                 active += bool(np.any(report.lambda_bar))
+                columns += report.map_columns
                 del report      # its rows and map would live through the next replan
                 solve_seconds += time.perf_counter() - t_start
             except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
@@ -346,14 +350,16 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
             states[t:t + 1], planner.factors[t], z[t:t + 1])
         inputs[t], states[t + 1] = u[0], x[0]
     return MpcRun(states=states, inputs=inputs, failures=failures, replans=replans,
-                  replans_with_active_rows=active, solve_seconds=solve_seconds)
+                  replans_with_active_rows=active, solve_seconds=solve_seconds,
+                  map_columns=columns)
 
 
 def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
                 options: DualAscentOptions | None = None):
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, totals):
     the completed episodes' ``comp_seconds_per_step`` (seconds per replan),
-    ``replans`` and ``replans_with_active_rows`` (lam != 0).
+    ``replans``, ``replans_with_active_rows`` (lam != 0) and ``map_columns``
+    (G columns computed).
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
     and MPC statistics are paired across sample indices.  All episodes share
@@ -388,7 +394,8 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     return batch, failures, {
         "comp_seconds_per_step": sum(r.solve_seconds for r in good) / replans,
         "replans": replans,
-        "replans_with_active_rows": sum(r.replans_with_active_rows for r in good)}
+        "replans_with_active_rows": sum(r.replans_with_active_rows for r in good),
+        "map_columns": sum(r.map_columns for r in good)}
 
 
 # ---------------------------------------------------------------------------

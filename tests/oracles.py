@@ -249,6 +249,14 @@ def lqr_oracle(A_seq, B_seq, Q_seq, R_seq, W_seq, x0):
 # Full coupled Riccati sweep: gains and affine terms in every pass
 
 
+def _gemm_route(A, X):
+    """A @ X, with a 1-row A times several columns doubled first: numpy sends
+    that product down gemv, whose last bits depend on a column's place in X."""
+    if len(A) == 1 < X.shape[1]:
+        return (np.concatenate([A, A]) @ X)[:1]
+    return A @ X
+
+
 def _stage_solve(P_next, zeta_next, A, B, R, t=0):
     """All players' gains and affine terms at one stage from the joint solve.
 
@@ -267,7 +275,7 @@ def _stage_solve(P_next, zeta_next, A, B, R, t=0):
             S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
     _check_rcond(S, t)
     YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
-    Ya = np.concatenate([B[i].T @ zeta_next[i] for i in range(N)], axis=0)
+    Ya = np.concatenate([_gemm_route(B[i].T, zeta_next[i]) for i in range(N)], axis=0)
     sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
     return (sol[:, :n_x].reshape(N, n_u, n_x),
             sol[:, n_x:].reshape(N, n_u, -1))
@@ -279,7 +287,9 @@ def _riccati_sweep(problem: GameProblem, linear_term):
     ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
     stage t; zeta carries one column per column of it, and only the current
     zeta is kept.  Returns K (T, N, n_u, n_x), a (T, N, n_u, m), the closed
-    loop F (T, n_x, n_x) and P (T+1, N, n_x, n_x).
+    loop F (T, n_x, n_x) and P (T+1, N, n_x, n_x).  A 1-row matrix times
+    several columns takes gemm's route (``_gemm_route``), whose last bits do
+    not depend on a column's place.
     """
     dyn = problem.dyn
     N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
@@ -302,7 +312,7 @@ def _riccati_sweep(problem: GameProblem, linear_term):
                   + K[t, i].T @ R[i] @ K[t, i] + problem.Q[i, t])
             P[t, i] = (Pn + Pn.T) / 2.0
             zeta_new[i] = (F[t].T @ (zeta[i] - P[t + 1, i] @ Ba)
-                           + K[t, i].T @ R[i] @ a[t, i] + s[i])
+                           + _gemm_route(K[t, i].T @ R[i], a[t, i]) + s[i])
         zeta = zeta_new
     return K, a, F, P
 
@@ -340,7 +350,7 @@ def sweep_affine_response(problem: GameProblem, conset):
         BaC = np.einsum("iab,ibm->am", dyn.B[t], aC[t])
         X = F[t] @ X - BaC
         rows = conset.t == t + 1
-        gmap[rows] = conset.l[rows] @ X
+        gmap[rows] = _gemm_route(conset.l[rows], X)
     return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=K, alpha=aC[..., M])
 
 

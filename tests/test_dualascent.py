@@ -13,7 +13,7 @@ from ccgame.dualascent import (DualAscentOptions, dual_step,
                                run_dual_ascent, solve_lcp, _ascent, _solve_at)
 from ccgame.errors import DomainError, StepSizeUnavailable
 from ccgame.lqnash import (affine_response, backward_recursion, evaluate_cost,
-                           evaluate_lagrangian)
+                           evaluate_lagrangian, stage_gains)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
 from conftest import (coupled_constrained_instance, double_integrator_instance,
@@ -121,8 +121,8 @@ class TestAffineMap:
 
 class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
-        # one gain recursion with an rcond check per stage, then the map's
-        # zeta pass and the final solve's, and the final mean trajectory;
+        # one gain recursion with an rcond check per stage, the map's column
+        # passes, the final solve's zeta pass and the final mean trajectory;
         # the dual values cost one evaluation when read, once.  An LTV game
         # (no nominal) runs its gain recursion in prepare_game, for the
         # lam = 0 reference, and the solve reuses those gains; where that
@@ -139,21 +139,92 @@ class TestSweepCount:
                                     "_zeta_sweep": 1, "integrate_expected": 1}
         assert preps[1].M == 0
         assert mini_prep.gains is None and preps[1].gains is not None
-        for prep in preps:
+        # (column passes, full maps, G columns) of each solve: the unicycle
+        # game's ctilde pass and one pass of the 3 rows it violates, which
+        # hold every column its pivot reads; nothing when lam = 0 solves; the
+        # ray game's ctilde pass, which carries the rows its lam = 0
+        # equilibrium violates, and the full map of its fallback ascent.
+        # Before the column map every solve but the unconstrained one ran one
+        # full map and no column pass.
+        for prep, (passes, full, columns) in zip(preps, ((2, 0, 3), (0, 0, 0), (1, 1, 11))):
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
             gains_in_solve = int(prep.gains is None)
-            full_path = int(prep is not preps[1])
+            solved = int(passes > 0)
             assert +lqnash_calls == +Counter({
                 "stage_gains": gains_in_solve,
                 "_check_rcond": gains_in_solve * prep.problem.T,
-                "_zeta_sweep": 2 * full_path, "affine_response": full_path,
-                "integrate_expected": full_path}), rep.termination
+                "_zeta_sweep": passes + full + solved,
+                "affine_response": passes + full, "full_map": full,
+                "integrate_expected": solved}), rep.termination
+            assert rep.map_columns == columns == len(rep.map.columns)
+            # the report's L reads the full G: one more full map, unless built
+            lqnash_calls.clear()
             rep.to_dict()
             rep.to_dict()
-            assert lqnash_calls["evaluate_cost"] == 1
-            assert lqnash_calls["closed_loop_covariance"] == 1
-        assert rep.termination == "lcp_infeasible"
+            assert +lqnash_calls == +Counter({
+                "affine_response": 1 - full, "full_map": 1 - full, "_zeta_sweep": 1 - full,
+                "evaluate_cost": 1, "closed_loop_covariance": 1})
+            assert rep.to_dict()["map_columns"] == columns
+        assert rep.termination == "lcp_infeasible" and preps[2].M == columns
+
+
+class TestColumnMap:
+    """The column map against the full pass: the ctilde, lam = 0 policy and
+    every column that a map or a pass of chosen columns computes equal
+    ``affine_response``'s full G, ctilde and policy0."""
+
+    @staticmethod
+    def _check(prep, sample=None):
+        problem, conset = prep.problem, prep.conset
+        gains = prep.gains if prep.gains is not None else stage_gains(problem)
+        G, ctilde, policy0 = affine_response(problem, conset, gains)
+        eq0 = prep.equilibrium0
+        gmap = estimate_affine_map(prep, gains,
+                                   None if eq0 is None else conset.evaluate(eq0[1]))
+        assert np.array_equal(gmap.ctilde, ctilde)
+        assert np.array_equal(gmap.policy0.alpha, policy0.alpha)
+        assert set(gmap.columns) == set(gmap.first)
+        columns = range(prep.M - 1, -1, -1) if sample is None else sample
+        for j in columns:
+            # a missed column comes with the uncached rows violated at lam = 0
+            assert np.array_equal(gmap[:, j], G[:, j]), j
+            # one column alone, padded to two
+            alone = affine_response(problem, conset, gains, [j], constant=False)[0]
+            assert np.array_equal(alone[:, 0], G[:, j]), j
+        assert set(np.flatnonzero(ctilde > 0).tolist()) <= set(gmap.columns)
+        assert "G" not in vars(gmap)
+        # the full G is the same pass over every column
+        assert np.array_equal(gmap.G, G) and len(gmap.columns) == prep.M
+
+    def test_bundled_scenarios(self, mini_prep, intersection_prep):
+        with pytest.raises(TypeError):      # the cache is the map's own state
+            dualascent.AffineGradientMap(mini_prep.problem, mini_prep.conset, columns={})
+        self._check(mini_prep)
+        self._check(intersection_prep, range(0, intersection_prep.M, 37))
+
+    def test_small_games(self):
+        scenarios = [random_small_scenario(np.random.default_rng(k), coupled=coupled)
+                     for coupled in (False, True) for k in range(10)]
+        scenarios += [coupled_constrained_instance(), scalar_single_agent_instance()]
+        preps = [prepare_game(validate_scenario(s)) for s in scenarios]
+        assert preps[-1].M == 1 and max(prep.problem.dyn.n_u for prep in preps) == 2
+        for prep in preps:
+            self._check(prep)
+
+    @pytest.mark.parametrize("name, sample", [("intersection-mini", None),
+                                              ("intersection", 4)])
+    def test_every_replan_of_an_episode(self, name, sample):
+        from ccgame import scenarios, simulate
+        from ccgame.model import assemble_problem, load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        planner = simulate.CentralPlanner(problem)
+        run = simulate.central_mpc_run(problem, 5, planner=planner)
+        rng = np.random.default_rng(3)
+        for tau in range(problem.T):
+            prep = planner.prepare(tau, run.states[tau])
+            self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
 class TestDynamicsType:
@@ -195,8 +266,14 @@ class TestZeroMultiplierSolve:
 
     @pytest.mark.parametrize("coupled", (False, True))
     def test_short_circuit_equals_the_full_path(self, coupled, lqnash_calls):
+        # where lam = 0 solves, the withheld path runs the map's ctilde pass
+        # and the final solve; elsewhere the prepared path's ctilde pass
+        # carries the rows its lam = 0 equilibrium violates, which the
+        # withheld path fetches in one more pass on the pivot's first read,
+        # and both give the same multiplier bit for bit
         full_path = Counter({"_zeta_sweep": 2, "integrate_expected": 1,
                              "affine_response": 1})
+        fetch = Counter({"_zeta_sweep": 1, "affine_response": 1})
         zero, asymmetry = [], []
         for k in range(40):
             prep = prepare_game(validate_scenario(
@@ -213,7 +290,10 @@ class TestZeroMultiplierSolve:
                 lqnash_calls.clear()
                 full = run_dual_ascent(withheld, DualAscentOptions(k_max=200))
                 if np.any(rep.lambda_bar):
-                    assert calls == +lqnash_calls == full_path, k
+                    assert calls + fetch == +lqnash_calls, k
+                    assert calls["full_map"] == int(rep.termination != "lcp_solved"), k
+                    assert rep.map_columns == full.map_columns > 0, k
+                    assert _bits(rep.lambda_bar) == _bits(full.lambda_bar), k
                     continue
                 zero.append(k)
                 assert calls == Counter() and +lqnash_calls == full_path, k
@@ -228,9 +308,11 @@ class TestZeroMultiplierSolve:
                              (rep.complementarity, full.complementarity),
                              (rep.natural_residual, full.natural_residual)):
                     assert _bits(a) == _bits(b), k
+                assert rep.map_columns == full.map_columns == 0, k
                 lqnash_calls.clear()
                 assert rep.lipschitz == full.lipschitz, k
-                assert lqnash_calls == {"affine_response": 1, "_zeta_sweep": 1}, k
+                assert lqnash_calls == {"affine_response": 2, "_zeta_sweep": 2,
+                                        "full_map": 2}, k
                 for a, b in ((rep.map.asymmetry, full.map.asymmetry),
                              (rep.eta, full.eta), (rep.dual_values, full.dual_values),
                              (rep.map.dual_value(0, rep.lambda_bar),
@@ -268,9 +350,14 @@ class TestLazyDiagnostics:
 
 
     def test_the_map_releases_the_stage_gains_once_built(self, intersection_report):
-        # a unicycle solve computes its own gains; only the zeta pass reads them
+        # a unicycle solve computes its own gains; only a zeta pass reads
+        # them, so the map keeps them for the columns it may still be asked
+        # for until the full G is built
         assert np.any(intersection_report.lambda_bar)
-        assert intersection_report.map.gains is None
+        gmap = intersection_report.map
+        assert gmap.gains is not None or len(gmap.columns) == gmap.conset.M
+        gmap.G
+        assert gmap.gains is None
 
     def test_a_short_circuited_map_keeps_its_gains_until_read(self):
         prep = prepare_game(validate_scenario(random_small_scenario(

@@ -478,25 +478,29 @@ class TestCentralMpc:
         # rcond check per stage and one lam = 0 zeta pass, whose tail is every
         # replan's reference policy; per replan, the mean trajectory of the
         # reference, and only where a row is violated (a of them) the map's
-        # zeta pass and the final solve's, with its mean trajectory; no
-        # diagnostic that only a report reads
+        # ctilde pass, which carries the violated rows' columns (all that the
+        # pivot reads here), and the final solve's, with its mean trajectory;
+        # no full map and no diagnostic that only a report reads.  The
+        # counts are those of the full map before it became a column map
         count_replan_work(monkeypatch, lqnash_calls)
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
-        assert run.replans == -(-mini_problem.T // 4)
+        assert run.replans == -(-mini_problem.T // 4) == 5
         a = lqnash_calls.pop("pivoting")
-        assert 0 < a < run.replans and run.replans_with_active_rows == a
+        assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 1 + 2 * a,
-                                "integrate_expected": run.replans + a,
+                                "_zeta_sweep": 5, "integrate_expected": 7,
                                 "affine_response": a}
+        assert 1 + 2 * a == 5 and run.replans + a == 7
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
         # one lam = 0 pass per call, one covariance per replan time, and two
-        # zeta passes per replan whose lam = 0 mean violates a row (81 passes
-        # when every replan ran them; 120 passes, 40 covariances before that)
+        # zeta passes per replan whose lam = 0 mean violates a row: the map's
+        # ctilde pass with the 18 columns of the violated rows, and the final
+        # solve's; no full map (81 passes when every replan ran them; 120
+        # passes, 40 covariances before that)
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
@@ -514,12 +518,13 @@ class TestCentralMpc:
         assert not failures and T == 20
         a = lqnash_calls["pivoting"]
         assert totals["replans"] == 2 * T and totals["replans_with_active_rows"] == a
+        assert totals["map_columns"] == 18
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
         assert lqnash_calls["_zeta_sweep"] == 1 + 2 * a == 27
-        assert lqnash_calls["integrate_expected"] == 2 * T + a
-        assert lqnash_calls["affine_response"] == a
+        assert lqnash_calls["integrate_expected"] == 2 * T + a == 53
+        assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["propagate_covariance"] == 20
 
@@ -530,23 +535,29 @@ class TestCentralMpc:
                                                          name, seeds, episodes):
         # withholding the planner's lam = 0 equilibrium sends every replan
         # through the map, the LCP and the final solve; the episodes are the
-        # same bit for bit, signs of zeros included
+        # same bit for bit, signs of zeros included.  An active replan runs
+        # the map's ctilde pass, with the columns of the rows it violates,
+        # and a pass per pivot read of a column not among them (one, on
+        # intersection at seed 5), never the full map
         from ccgame import scenarios
         from ccgame.model import load_scenario
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
+        passes = {"intersection-mini": (14, 15, 13), "intersection": (16,)}[name]
         runs = []
         for seed in seeds:
             lqnash_calls.clear()
             runs.append(central_mpc(problem, seed, episodes)
-                        + (lqnash_calls["affine_response"],))
+                        + (lqnash_calls["affine_response"], lqnash_calls["full_map"]))
         prepare = simulate.CentralPlanner.prepare
         monkeypatch.setattr(simulate.CentralPlanner, "prepare", lambda self, tau, x0:
                             replace(prepare(self, tau, x0), equilibrium0=None))
-        for seed, (batch, failures, totals, maps) in zip(seeds, runs):
+        for seed, want, (batch, failures, totals, maps, full_maps) in zip(seeds, passes, runs):
             full, full_failures, full_totals = central_mpc(problem, seed, episodes)
             assert failures == full_failures == []
-            assert 0 < totals["replans_with_active_rows"] == maps < totals["replans"]
+            assert 0 < totals["replans_with_active_rows"] <= maps < totals["replans"]
+            assert maps == want and full_maps == 0
+            assert full_totals["map_columns"] == totals["map_columns"]
             assert (full_totals["replans"], full_totals["replans_with_active_rows"]) \
                 == (totals["replans"], totals["replans_with_active_rows"])
             for field in ("states", "inputs", "costs"):
