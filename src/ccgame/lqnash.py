@@ -31,6 +31,10 @@ Both take the gains as an optional argument.  The tests keep the single
 full sweep these replace and a single-player best-response sweep
 (``tests/oracles.py``) as references.
 
+``closed_loop_matrix`` gives F_t = A_t - sum_i B^i_t K^i_t to the gain
+sweep, the closed-loop covariance and the rollouts, whose deviations from
+the expected trajectory ``fixed_order_sums`` steps (see ``simulate``).
+
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
 from the trajectory a caller already holds (the final solve's, in a solve).
@@ -160,7 +164,7 @@ def stage_gains(problem: GameProblem) -> StageGains:
     for t in range(T - 1, -1, -1):
         A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
         S[t], YK[t], K[t] = _stage_gain(P[t + 1], A, B, R, t)
-        F[t] = A - np.einsum("iab,ibc->ac", B, K[t])
+        F[t] = closed_loop_matrix(A, B, K[t])
         for i in range(N):
             KtR[t, i] = K[t, i].T @ R[i]
             Pn = F[t].T @ P[t + 1, i] @ F[t] + KtR[t, i] @ K[t, i] + problem.Q[i, t]
@@ -257,10 +261,14 @@ def mean_inputs(dyn, policy: FeedbackPolicy, mean_traj=None):
                      for t in range(dyn.T)])
 
 
+def closed_loop_matrix(A_t, B_t, K_t):
+    """F_t = A_t - sum_i B^i_t K^i_t for B_t (N, n_x, n_u) and K_t (N, n_u, n_x)."""
+    return A_t - np.einsum("iab,ibc->ac", B_t, K_t)
+
+
 def closed_loop_covariance(dyn, policy: FeedbackPolicy):
-    """Sigma-hat recursion under the feedback loop: S+ = F S F' + W, F = A - B K."""
-    F = np.stack([dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], policy.K[t])
-                  for t in range(dyn.T)])
+    """Sigma-hat recursion under the feedback loop: S+ = F S F' + W."""
+    F = np.stack([closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t]) for t in range(dyn.T)])
     return covariance_recursion(F, dyn.W)
 
 
@@ -280,6 +288,22 @@ def quadratic_sums(x, M):
             np.multiply(xt[a], M[t, a, b], out=term)
             term *= xt[b]
             out += term
+    return out
+
+
+def fixed_order_sums(*pairs):
+    """(r, S) sum of M @ X over pairs of M (r, c) and X (c, S): each nonzero
+    M[a, b], pair by pair in C order of M, adds M[a, b] * X[b] to row a's sum
+    from +0.0, elementwise over samples, so column s does not depend on the
+    others.  Quiet on non-finite values, as a matmul is."""
+    out = np.zeros((len(pairs[0][0]), pairs[0][1].shape[1]))
+    term, sums = np.empty(out.shape[1]), list(out)
+    with np.errstate(all="ignore"):
+        for M, X in pairs:
+            rows, cols = np.nonzero(M)
+            for a, b, v in zip(rows.tolist(), cols.tolist(), M[rows, cols].tolist()):
+                np.multiply(X[b], v, out=term)
+                np.add(sums[a], term, out=sums[a])
     return out
 
 

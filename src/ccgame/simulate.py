@@ -1,8 +1,10 @@
 """Seeded Monte Carlo rollouts, safety statistics and the central-MPC baseline.
 
 Noise is drawn from counter-based Philox streams keyed by (seed, sample
-index), so sample s is bit-identical no matter how many samples are run or
-how they are batched.  Safety is judged on realized states against the
+index).  A rollout is the expected trajectory plus each sample's deviation
+from it, stepped by ``lqnash.fixed_order_sums`` with no BLAS call, so sample
+s is bit-identical no matter how many samples are run, and zero noise keeps
+the deviation at +0.  Safety is judged on realized states against the
 original quadratic/box predicates, never the affine surrogates.  A predicate
 counts as violated unless it holds, so a NaN it reads is a violation.  The
 mask and the travel times add the nominal only at the entries they gather
@@ -39,7 +41,6 @@ from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
-ROLLOUT_CHUNK = 256    # samples advanced together; bounds the batch temporaries
 
 
 def noise_factors(W):
@@ -91,32 +92,34 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
             samples) -> RolloutBatch:
     """S independent seeded rollouts of the feedback policy under the noise model.
 
-    Sample s draws from its own Philox stream keyed by (seed, s), and samples
-    advance ROLLOUT_CHUNK at a time through lqnash.closed_loop_step, the step
-    integrate_expected takes.  So sample s is bit-identical for any number of
-    samples, and zero noise reproduces the expected trajectory exactly.
+    Sample s is x = xbar + e and u = ubar - K e: the expected trajectory and
+    its inputs plus a deviation e_{t+1} = F_t e_t + L_t z_t from e_0 = 0, whose
+    z, from the Philox stream keyed by (seed, s), is drawn into states[s, 1:]
+    and overwritten by the step that reads it (see the module docstring).
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
     S = _integer(samples, "samples", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
     factors = noise_factors(dyn.W)
+    xbar = lqnash.integrate_expected(dyn, policy)
+    ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1, 1)
 
     states = np.empty((S, T + 1, n_x))
     states[:, 0] = dyn.x0
     inputs = np.empty((S, T, N, n_u))
-    z = np.empty((min(S, ROLLOUT_CHUNK), T, n_x))
     stream = noise_stream(seed, 0)
-    for lo in range(0, S, ROLLOUT_CHUNK):
-        hi = min(S, lo + ROLLOUT_CHUNK)
-        for k in range(hi - lo):
-            noise_stream(seed, lo + k, stream).standard_normal(out=z[k])
-        x = states[lo:hi, 0]
-        for t in range(T):
-            inputs[lo:hi, t], x = lqnash.closed_loop_step(
-                dyn.A[t], dyn.B[t], policy.K[t], policy.alpha[t], x,
-                factors[t], z[:hi - lo, t])
-            states[lo:hi, t + 1] = x
+    for s in range(S):
+        noise_stream(seed, s, stream).standard_normal(out=states[s, 1:])
+    e = np.zeros((n_x, S))
+    for t in range(T):
+        F = lqnash.closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t])
+        Ke = lqnash.fixed_order_sums((policy.K[t].reshape(-1, n_x), e))
+        np.subtract(ubar[t], Ke, out=inputs.reshape(S, T, -1)[:, t].T)
+        z = np.ascontiguousarray(states[:, t + 1].T)    # read once per nonzero of L_t
+        e = lqnash.fixed_order_sums((F, e), (factors[t], z))
+        np.add(xbar[t + 1, :, None], e, out=states[:, t + 1].T)
+    del e, z, Ke    # they would live through the costs' temporaries
     costs = lqnash.realized_costs(problem, states, inputs)
     return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=seed)
 

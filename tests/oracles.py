@@ -14,7 +14,10 @@ compact rows, to 4 ulp of each row's largest term.
 
 A flat loop adds the terms of a quadratic form one at a time, and a per-row
 loop evaluates every safety predicate on its own: the references for the
-Monte Carlo cost kernel and the batched violation mask.
+Monte Carlo cost kernel and the batched violation mask.  A rollout that
+sums each sample's deviation from the mean in Python floats is the
+bit-for-bit reference for the batched rollout, and a rollout on the
+closed-loop recursion x+ = A x + B u + L z its reference to rounding.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -473,29 +476,95 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
 
 
 # ---------------------------------------------------------------------------
-# Sample-by-sample Monte Carlo rollout
+# Sample-by-sample Monte Carlo rollouts
+
+
+def _eigen_factors(W):
+    """Per-step factors L_t with L_t L_t' = W_t from an eigendecomposition."""
+    factors = np.zeros_like(W)
+    for t in range(W.shape[0]):
+        vals, vecs = np.linalg.eigh((W[t] + W[t].T) / 2.0)
+        factors[t] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    return factors
+
+
+def _standard_normals(seed, s, shape):
+    """Sample s's standard normals, from Philox keyed by (seed, s)."""
+    return np.random.Generator(np.random.Philox(key=[seed, s])).standard_normal(shape)
+
+
+def _realized_costs(problem, states, inputs):
+    costs = np.zeros((states.shape[0], problem.N))
+    for i in range(problem.N):
+        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
+        u = inputs[:, :, i, :]
+        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
+    return costs
 
 
 def loop_rollout(problem, K, alpha, seed, samples):
-    """Reference rollout that steps one sample at a time.
+    """Reference rollout, one sample at a time, as the mean plus a deviation.
 
-    Sample s draws (T, n_x) standard normals from Philox keyed by (seed, s),
-    shapes them with an eigen factor of each W_t and runs
-    x+ = (A x + sum_i B^i u^i) + L z under u = -K x - alpha, with the input
-    sum one product of the agent-stacked [B^1 .. B^N] and the stacked u.
-    Returns (states (S, T+1, n_x), inputs (S, T, N, n_u), costs (S, N)).
+    Sample s draws (T, n_x) standard normals from Philox keyed by (seed, s)
+    and shapes them with an eigen factor L_t of each W_t.  Its states are
+    x_t = xbar_t + e_t and its inputs u_t = ubar_t - K_t e_t,
+    with xbar and ubar the library's expected trajectory and inputs along it,
+    and e_{t+1} = F_t e_t + L_t z_t (F_t = A_t - sum_i B^i_t K^i_t) from e_0 = 0.
+    Each entry of K_t e and of F_t e + L_t z is a Python float from +0.0 that
+    adds one product per nonzero coefficient in increasing column order, F's
+    before L's.  Returns (states (S, T+1, n_x), inputs (S, T, N, n_u), costs (S, N)).
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    factors = np.zeros_like(dyn.W)
-    for t in range(T):
-        vals, vecs = np.linalg.eigh((dyn.W[t] + dyn.W[t].T) / 2.0)
-        factors[t] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    factors = _eigen_factors(dyn.W)
+    policy = FeedbackPolicy(K=K, alpha=alpha)
+    xbar = lqnash.integrate_expected(dyn, policy)
+    ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1)
+
+    def row_sums(pairs):
+        sums = []
+        for a in range(len(pairs[0][0])):
+            acc = 0.0
+            for M, x in pairs:
+                for v, xb in zip(M[a], x):
+                    if v != 0.0:
+                        acc += v * xb
+            sums.append(acc)
+        return sums
+
     states = np.zeros((samples, T + 1, n_x))
     inputs = np.zeros((samples, T, N, n_u))
     for s in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, s]))
-        z = rng.standard_normal((T, n_x))
+        z = _standard_normals(seed, s, (T, n_x))
+        states[s, 0] = dyn.x0
+        e = [0.0] * n_x
+        for t in range(T):
+            F = dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], K[t])
+            Ke = row_sums([(K[t].reshape(-1, n_x).tolist(), e)])
+            inputs[s, t] = np.reshape([ub - k for ub, k in zip(ubar[t].tolist(), Ke)],
+                                      (N, n_u))
+            e = row_sums([(F.tolist(), e), (factors[t].tolist(), z[t].tolist())])
+            states[s, t + 1] = [xb + d for xb, d in zip(xbar[t + 1].tolist(), e)]
+    return states, inputs, _realized_costs(problem, states, inputs)
+
+
+def recursion_rollout(problem, K, alpha, seed, samples):
+    """Reference rollout on the closed-loop recursion, one sample at a time.
+
+    Sample s draws its noise as ``loop_rollout`` does and runs
+    x+ = (A x + sum_i B^i u^i) + L z under u = -K x - alpha, with the input sum
+    one product of the agent-stacked [B^1 .. B^N] and the stacked u.  The same
+    trajectories in another order of arithmetic: equal to ``loop_rollout``'s to
+    rounding, not bit for bit.
+    """
+    dyn = problem.dyn
+    T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
+    factors = _eigen_factors(dyn.W)
+    states = np.zeros((samples, T + 1, n_x))
+    inputs = np.zeros((samples, T, N, n_u))
+    for s in range(samples):
+        z = _standard_normals(seed, s, (T, n_x))
         x = dyn.x0
         states[s, 0] = x
         for t in range(T):
@@ -504,13 +573,7 @@ def loop_rollout(problem, K, alpha, seed, samples):
             B_stack = dyn.B[t].transpose(1, 0, 2).reshape(n_x, -1)
             x = dyn.A[t] @ x + B_stack @ u.reshape(-1) + factors[t] @ z[t]
             states[s, t + 1] = x
-    costs = np.zeros((samples, N))
-    for i in range(N):
-        err = states[:, 1:, :] - problem.ref[i, 1:][None, :, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", err, problem.Q[i, 1:], err)
-        u = inputs[:, :, i, :]
-        costs[:, i] += np.einsum("sta,tab,stb->s", u, problem.R[i], u)
-    return states, inputs, costs
+    return states, inputs, _realized_costs(problem, states, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from ccgame import scenarios, simulate
 from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (_stage_gain, affine_response, backward_recursion,
                            closed_loop_step, evaluate_cost, evaluate_lagrangian,
-                           integrate_expected, mean_inputs, policy_from_dict,
-                           policy_to_dict, quadratic_sums, realized_costs, stage_gains,
-                           stage_linear_terms)
+                           fixed_order_sums, integrate_expected, mean_inputs,
+                           policy_from_dict, policy_to_dict, quadratic_sums, realized_costs,
+                           stage_gains, stage_linear_terms)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
@@ -268,6 +268,24 @@ class TestClosedLoopStep:
         for s in range(S):
             u_s, x_s = closed_loop_step(A, B, K, alpha, x[s:s + 1], L, z[s:s + 1])
             assert _bits(u_s) == _bits(u[s]) and _bits(x_s) == _bits(x_next[s])
+
+
+class TestFixedOrderSums:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 300),
+           st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2**32 - 1))
+    def test_each_sample_sums_as_if_alone(self, n_x, m, S, density, seed):
+        rng = np.random.default_rng(seed)
+        F, L = rng.normal(size=(2, n_x, n_x)) * (rng.random((2, n_x, n_x)) < density)
+        K = rng.normal(size=(m, n_x)) * (rng.random((m, n_x)) < density)
+        F[rng.integers(n_x)] = 0.0
+        e, z = rng.normal(size=(2, n_x, S))
+        # an input step, a noisy step and a step of zero noise (no L terms)
+        for pairs in ([(K, e)], [(F, e), (L, z)], [(F, e), (np.zeros_like(L), z)]):
+            batch = fixed_order_sums(*pairs)
+            for s in range(S):
+                alone = fixed_order_sums(*((M, X[:, s:s + 1]) for M, X in pairs))
+                assert batch[:, s].tobytes() == alone[:, 0].tobytes()
 
 
 class TestQuadraticSums:

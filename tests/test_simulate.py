@@ -15,7 +15,7 @@ from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
 from ccgame.uncertainty import propagate_covariance
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
-from oracles import loop_rollout, row_violations
+from oracles import loop_rollout, recursion_rollout, row_violations
 
 
 def zero_noise(problem):
@@ -93,13 +93,27 @@ class TestRollout:
     @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
     def test_batched_rollout_matches_sample_loop(self, loop_reference, scenario,
                                                  samples):
-        # the sizes straddle the rollout chunk, so any sample's bits that
-        # depended on where its chunk starts or how full it is would show
+        # any sample whose bits depended on the batch size or on its place in
+        # the batch would show
         problem, policy, (states, inputs, costs) = loop_reference[scenario]
         batch = rollout(problem, policy, seed=21, samples=samples)
         assert np.array_equal(batch.states, states[:samples])
         assert np.array_equal(batch.inputs, inputs[:samples])
         assert np.array_equal(batch.costs, costs[:samples])
+
+    @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent",
+                                          "dense-input"])
+    def test_rollout_follows_the_closed_loop_recursion(self, loop_reference, scenario):
+        # the bound of the benchmark's input check, 1e-12 scaled by 1 + max |.|,
+        # fixed before measuring, for the states as well
+        problem, policy, _ = loop_reference[scenario]
+        K, alpha = np.asarray(policy.K), np.asarray(policy.alpha)
+        states, _, _ = recursion_rollout(problem, K, alpha, seed=21, samples=600)
+        batch = rollout(problem, policy, seed=21, samples=600)
+        assert np.max(np.abs(batch.states - states)) <= 1e-12 * (1 + np.max(np.abs(states)))
+        expect = -np.einsum("tiab,stb->stia", K, batch.states[:, :-1]) - alpha
+        assert (np.max(np.abs(batch.inputs - expect))
+                <= 1e-12 * (1 + np.max(np.abs(batch.inputs))))
 
     def test_counter_based_streams_are_batch_invariant(self, mini_problem):
         policy = backward_recursion(mini_problem)

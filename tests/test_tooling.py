@@ -1,9 +1,9 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
 library still has, one round of each benchmark workload must pass its
-checks, the traced memory peaks of a prepare and a solve stay under their
-guards, the bundled scenario files must be what their builders write, the
-README's scenario example must load and its library example must run as
-written."""
+checks, the traced memory peaks of a prepare, a solve and a rollout stay
+under their guards, the bundled scenario files must be what their builders
+write, the README's scenario example must load and its library example must
+run as written."""
 
 import importlib
 import importlib.util
@@ -21,6 +21,7 @@ import pytest
 from ccgame import scenarios
 from ccgame.dualascent import prepare_game, run_dual_ascent
 from ccgame.model import load_scenario, scenario_from_dict, validate_scenario
+from ccgame.simulate import rollout
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -73,6 +74,16 @@ def test_memory_of_one_intersection_prepare_and_solve():
     _, solve_peak = _traced_peak_mib(lambda: run_dual_ascent(prep))
     assert prepare_peak <= 1.0
     assert solve_peak <= 1.5
+
+
+def test_memory_of_one_intersection_rollout():
+    # guard fixed at 15.6 MiB, the peak with the closed-loop step on 256-sample
+    # chunks of drawn noise; the batch's own states and inputs are 13.9 MiB
+    vs = validate_scenario(load_scenario(scenarios.bundled_path("intersection")))
+    prep = prepare_game(vs)
+    policy = run_dual_ascent(prep).policy
+    _, peak = _traced_peak_mib(lambda: rollout(prep.problem, policy, seed=5, samples=2000))
+    assert peak <= 15.6
 
 
 def test_bundled_scenarios_regenerate_byte_for_byte(tmp_path):
