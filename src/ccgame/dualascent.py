@@ -2,21 +2,22 @@
 paper's dual ascent as its fallback.
 
 The dual gradient at lam is the constraint value g at the equilibrium mean
-trajectory, and it is affine in lam: probing the solver at lam = 0 and at
-each unit vector recovers the exact map g(lam) = G lam + ctilde.  Because
-the map is exact (stage gains do not depend on lam), the solve works on it
-directly instead of re-solving the game at every step.  A solve computes
-the stage gains once (or takes them from ``PreparedGame.gains``) and reads
-the map by column: a first zeta pass gives ctilde, the lam = 0 policy the
-dual values start from and the G columns of the rows that the prepared
-lam = 0 equilibrium (``PreparedGame.equilibrium0``), if any, violates.  The
-pivot reads G only as ``G[:, j]``; a column not yet computed comes in one
-more pass with every uncached row violated at lam = 0.  The final solve at
-the returned multiplier gives the report, unless the prepared lam = 0
-equilibrium violates no row: it is then the report, and no zeta pass runs.
-The full G (the same pass over every column) is built only when L, the
-asymmetry, the fallback ascent or a dual value reads it: ``report.json``
-and the CLI's ``solve:`` line read L, a central-MPC replan none of them.
+trajectory.  Stage gains do not depend on lam, so g and the policy's affine
+term are exactly affine in it, g(lam) = G lam + ctilde and alpha(lam) =
+alpha0 + sum_j lam_j alpha_j, and the solve works on this map instead of
+re-solving the game at every step.  A solve computes the stage gains once
+(or takes ``PreparedGame.gains``) and reads the map by column: a first zeta
+pass gives ctilde, alpha0 and the columns (of G and alpha) of the rows that
+the prepared lam = 0 equilibrium (``PreparedGame.equilibrium0``), if any,
+violates.  The pivot reads G only as ``G[:, j]``; a column not yet computed
+comes in one more pass with every uncached row violated at lam = 0.  Its
+solution is nonzero only on columns it read, so the report's policy is
+alpha0 plus those columns; only the fallback ascent's dense multiplier gets
+a final pass (``_solve_at``).  A prepared lam = 0 equilibrium that violates
+no row is the report, and no zeta pass runs.  The full G (every column in
+one pass, keeping no alpha columns) is built only when L, the asymmetry, the
+fallback ascent or a dual value reads it: ``report.json`` and the CLI's
+``solve:`` line read L, a central-MPC replan none of them.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -109,19 +110,20 @@ def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
 class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
     ctilde and the lam = 0 policy policy0 come from a first ``affine_response``
-    pass, which also carries the G columns ``first``; a column missing from
-    the cache ``columns`` comes in one pass with every missing row violated
-    at lam = 0.  G itself, which L = ||G||_2, asymmetry = ||G - G'||_F /
-    ||G||_F, the fallback ascent and the dual values read, is the full pass,
-    after which the map drops its ``gains``, which only a pass reads.
-    dual0[i] = D^i(0) is policy0's expected cost.  All are computed when
-    first read."""
+    pass, which also carries the columns ``first``; a column missing from the
+    cache ``columns`` (and ``alphas``, its affine-term response) comes in one
+    pass with every missing row violated at lam = 0.  G itself, which L =
+    ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
+    dual values read, is the full pass, after which the map drops its
+    ``gains``.  dual0[i] = D^i(0) is policy0's expected cost.  All are
+    computed when first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     first: tuple = ()
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
+    alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
     def _pass(self, columns, constant=False):
         """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
@@ -129,7 +131,9 @@ class AffineGradientMap:
                                           columns, constant)
         self.columns.update(zip(range(self.conset.M) if columns is None else columns,
                                 response[0].T))
-        return response
+        if columns is not None:     # the full pass's alphas would live as long as G
+            self.alphas.update(zip(columns, response[3]))
+        return response[:3]
 
     _constant = cached_property(lambda self: self._pass(self.first, constant=True)[1:])
     ctilde = property(lambda self: self._constant[0])
@@ -436,13 +440,14 @@ def _ascent(gmap, eta, options, trace_writer=None):
 
 def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
                     trace_writer=None) -> DualSolveReport:
-    """Solve for the shared multiplier, then solve the equilibrium at it.
+    """Solve for the shared multiplier, then the equilibrium at it.
 
-    Lemke's pivot gives the exact LCP solution (termination "lcp_solved").
-    When it stops without one, the averaged ascent runs with the options'
-    k_max and eta, and the termination is the pivot's reason (see
-    ``solve_lcp``).  A prepared lam = 0 equilibrium that passes the pivot's
-    first test, -g >= 0, is the solution; the map is then built only if read.
+    Lemke's pivot gives the exact LCP solution (termination "lcp_solved"),
+    whose policy is alpha0 plus the map's columns.  When it stops without
+    one, the averaged ascent runs with the options' k_max and eta, a zeta
+    pass solves at its multiplier and the termination is the pivot's reason
+    (see ``solve_lcp``).  A prepared lam = 0 equilibrium that passes the
+    pivot's first test, -g >= 0, is the solution; the map is then built only if read.
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
@@ -460,7 +465,12 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         if lam_bar is None:
             lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
                                              options, trace_writer)
-        policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
+            policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
+        else:   # lam_bar is 0 off the columns the pivot read, whose alphas are cached
+            terms = (lam_bar[j] * gmap.alphas[j] for j in np.flatnonzero(lam_bar))
+            policy = lqnash.FeedbackPolicy(K=gains.K, alpha=sum(terms, gmap.policy0.alpha))
+            traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
+            g_final = prepared.conset.evaluate(traj)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),

@@ -23,17 +23,18 @@ the one column ``s_t`` at a given lam, and ``affine_response`` with chosen
 columns of G (``0.5 l_m`` at step t_m for multiplier m) and the constant
 ``-Q r``, whose rows of the exact map lam -> g follow by one forward pass,
 the rows of each step read as their mean X_t is formed.  The full map is
-the pass with every column; its constant column is the lam = 0 policy.  A
-column's bits do not depend on the other columns of its pass: a 1-column
-or 1-row product goes down another BLAS route, so a zero column pads a
-single one, as in ``_stage_gain``, and ``_gemm`` doubles a 1-row matrix.
-Both take the gains as an optional argument.  The tests keep the single
-full sweep these replace and a single-player best-response sweep
+the pass with every column; its constant column is the lam = 0 policy, and
+column j's affine terms are alpha's response to multiplier j.  A column's
+bits do not depend on the other columns of its pass: a 1-column or 1-row
+product goes down another BLAS route, so a zero column pads a single one,
+as in ``backward_recursion`` and ``_stage_gain``, and ``_gemm`` doubles a
+1-row matrix.  Both take the gains as an optional argument.  The tests keep
+the single full sweep these replace and a single-player best-response sweep
 (``tests/oracles.py``) as references.
 
-``closed_loop_matrix`` gives F_t = A_t - sum_i B^i_t K^i_t to the gain
+``closed_loop_step`` steps one state.  ``closed_loop_matrix`` gives the gain
 sweep, the closed-loop covariance and the rollouts, whose deviations from
-the expected trajectory ``fixed_order_sums`` steps (see ``simulate``).
+the mean ``fixed_order_sums`` steps, F_t = A_t - sum_i B^i_t K^i_t.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -224,23 +225,22 @@ def backward_recursion(problem: GameProblem, conset=None, lam=None, gains=None):
     """
     gains = stage_gains(problem) if gains is None else gains
     s = stage_linear_terms(problem, conset, lam)
-    a = _zeta_sweep(problem, gains, lambda t: s[:, t, :, None])
+    padded = np.stack([s, np.zeros_like(s)], axis=-1)    # see the module docstring
+    a = _zeta_sweep(problem, gains, lambda t: padded[:, t])
     return FeedbackPolicy(K=gains.K, alpha=a[..., 0])
 
 
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
-    """Step states x (S, n_x): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
+    """Step one state x (n_x,): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
 
-    u (S, N, n_u) is grouped by agent as B_t is, also for a central plan's K_t
-    that stacks all inputs.  All four products (A_t x, K_t x, sum_i B^i_t u^i on
-    the agent-stacked [B^1 .. B^N] and L_t z) are stacked matmuls, one BLAS
-    call per row of x, so row s does not depend on S."""
-    u = -(K_t @ x[:, None, :, None])[..., 0] - alpha_t
-    Bu = B_t.transpose(1, 0, 2).reshape(B_t.shape[1], -1) @ u.reshape(len(x), -1, 1)
-    x_next = (A_t @ x[:, :, None])[..., 0] + Bu[..., 0]
+    u (N, n_u) is grouped by agent as B_t is, also for a central plan's K_t
+    that stacks all inputs; sum_i B^i_t u^i is one matvec on the agent-stacked
+    [B^1 .. B^N]."""
+    u = -(K_t @ x) - alpha_t
+    x_next = A_t @ x + B_t.transpose(1, 0, 2).reshape(len(x), -1) @ u.ravel()
     if L_t is not None:
-        x_next += (L_t @ z_t[:, :, None])[..., 0]
-    return u.reshape(len(x), B_t.shape[0], -1), x_next
+        x_next += L_t @ z_t
+    return u.reshape(len(B_t), -1), x_next
 
 
 def integrate_expected(dyn, policy: FeedbackPolicy):
@@ -248,8 +248,8 @@ def integrate_expected(dyn, policy: FeedbackPolicy):
     xs = np.zeros((dyn.T + 1, dyn.n_x))
     xs[0] = dyn.x0
     for t in range(dyn.T):
-        _, xs[t + 1:t + 2] = closed_loop_step(dyn.A[t], dyn.B[t], policy.K[t],
-                                              policy.alpha[t], xs[t:t + 1])
+        _, xs[t + 1] = closed_loop_step(dyn.A[t], dyn.B[t], policy.K[t],
+                                        policy.alpha[t], xs[t])
     return xs
 
 
@@ -351,11 +351,11 @@ def affine_response(problem: GameProblem, conset, gains=None, columns=None,
     given), and zeta (hence alpha and the mean trajectory) is affine in it,
     so a pass whose linear term carries 0.5 l_m at step t_m for multiplier m
     and -Q r for the constant reproduces exactly what unit-probe solves would
-    measure.  Returns (G[:, columns], ctilde, policy0) with g(lam) = G @ lam
-    + ctilde and policy0 the equilibrium at lam = 0, whose affine term is the
-    constant column; without the constant, ctilde and policy0 are None and
-    the sweep starts at the columns' latest step, above which their zeta is
-    exactly 0.  A pass has two columns or more (see the module docstring).
+    measure.  Returns (G[:, columns], ctilde, policy0, alphas): g(lam) = G lam
+    + ctilde, alpha(lam) = policy0.alpha + sum_c lam_c alphas[c] and policy0
+    is the lam = 0 equilibrium.  Without the constant, ctilde and policy0 are
+    None and the sweep starts at the columns' latest step, above which their
+    zeta is exactly 0.  A pass has two columns or more (see the module docstring).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
@@ -387,9 +387,9 @@ def affine_response(problem: GameProblem, conset, gains=None, columns=None,
         X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
         rows = conset.span(t + 1)
         gmap[rows] = _gemm(conset.l[rows], X)
-    if not constant:
-        return gmap[:, :k], None, None
-    return gmap[:, :k], gmap[:, k] + conset.c, FeedbackPolicy(K=gains.K, alpha=aC[..., k])
+    ctilde = gmap[:, k] + conset.c if constant else None
+    policy0 = FeedbackPolicy(K=gains.K, alpha=aC[..., k]) if constant else None
+    return gmap[:, :k], ctilde, policy0, np.moveaxis(aC[..., :k], -1, 0)
 
 
 # ---------------------------------------------------------------------------

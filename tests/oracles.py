@@ -17,7 +17,9 @@ loop evaluates every safety predicate on its own: the references for the
 Monte Carlo cost kernel and the batched violation mask.  A rollout that
 sums each sample's deviation from the mean in Python floats is the
 bit-for-bit reference for the batched rollout, and a rollout on the
-closed-loop recursion x+ = A x + B u + L z its reference to rounding.
+closed-loop recursion x+ = A x + B u + L z its reference to rounding.  The
+closed-loop step on a batch of states, one BLAS call per row, is the
+bit-for-bit reference for the library's one-row step.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -321,9 +323,11 @@ def _riccati_sweep(problem: GameProblem, linear_term):
 
 
 def sweep_backward_recursion(problem: GameProblem, conset=None, lam=None):
-    """The policy at lam from one full sweep with the one linear column s_t."""
+    """The policy at lam from one full sweep with the one linear column s_t,
+    padded by a zero column: a 1-column product takes another BLAS route."""
     s = stage_linear_terms(problem, conset, lam)
-    K, a, _, _ = _riccati_sweep(problem, lambda t: s[:, t, :, None])
+    padded = np.stack([s, np.zeros_like(s)], axis=-1)
+    K, a, _, _ = _riccati_sweep(problem, lambda t: padded[:, t])
     return FeedbackPolicy(K=K, alpha=a[..., 0])
 
 
@@ -574,6 +578,18 @@ def recursion_rollout(problem, K, alpha, seed, samples):
             x = dyn.A[t] @ x + B_stack @ u.reshape(-1) + factors[t] @ z[t]
             states[s, t + 1] = x
     return states, inputs, _realized_costs(problem, states, inputs)
+
+
+def batched_closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
+    """The closed-loop step on states x (S, n_x), each of the four products
+    (A_t x, K_t x, the agent-stacked [B^1 .. B^N] times u, L_t z) a stacked
+    matmul with one BLAS call per row; returns u (S, N, n_u) and x+ (S, n_x)."""
+    u = -(K_t @ x[:, None, :, None])[..., 0] - alpha_t
+    Bu = B_t.transpose(1, 0, 2).reshape(B_t.shape[1], -1) @ u.reshape(len(x), -1, 1)
+    x_next = (A_t @ x[:, :, None])[..., 0] + Bu[..., 0]
+    if L_t is not None:
+        x_next += (L_t @ z_t[:, :, None])[..., 0]
+    return u.reshape(len(x), B_t.shape[0], -1), x_next
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,10 @@ class TestAffineMap:
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         for prep in (mini_prep, prepare_game(validate_scenario(unconstrained))):
-            _, _, policy0 = affine_response(prep.problem, prep.conset)
+            _, _, policy0, _ = affine_response(prep.problem, prep.conset)
             solved = _solve_at(prep, np.zeros(prep.M))[0]
             assert np.array_equal(policy0.K, solved.K)
-            assert np.max(np.abs(policy0.alpha - solved.alpha)) <= 1e-14
+            assert np.array_equal(policy0.alpha, solved.alpha)
 
     def test_lipschitz_is_the_spectral_norm(self, mini_prep):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
@@ -122,8 +122,10 @@ class TestAffineMap:
 class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
         # one gain recursion with an rcond check per stage, the map's column
-        # passes, the final solve's zeta pass and the final mean trajectory;
-        # the dual values cost one evaluation when read, once.  An LTV game
+        # passes and the final mean trajectory: the pivot's solution is the
+        # sum of cached columns, so only the fallback ascent's multiplier
+        # needs a final zeta pass; the dual values cost one evaluation when
+        # read, once.  An LTV game
         # (no nominal) runs its gain recursion in prepare_game, for the
         # lam = 0 reference, and the solve reuses those gains; where that
         # reference violates no row (the unconstrained game) it is the
@@ -145,7 +147,8 @@ class TestSweepCount:
         # ray game's ctilde pass, which carries the rows its lam = 0
         # equilibrium violates, and the full map of its fallback ascent.
         # Before the column map every solve but the unconstrained one ran one
-        # full map and no column pass.
+        # full map and no column pass; before the policy came off the
+        # columns, every solve with a pass ran a final zeta pass (3, 0, 3).
         for prep, (passes, full, columns) in zip(preps, ((2, 0, 3), (0, 0, 0), (1, 1, 11))):
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
@@ -154,7 +157,7 @@ class TestSweepCount:
             assert +lqnash_calls == +Counter({
                 "stage_gains": gains_in_solve,
                 "_check_rcond": gains_in_solve * prep.problem.T,
-                "_zeta_sweep": passes + full + solved,
+                "_zeta_sweep": passes + full + int(rep.termination != "lcp_solved"),
                 "affine_response": passes + full, "full_map": full,
                 "integrate_expected": solved}), rep.termination
             assert rep.map_columns == columns == len(rep.map.columns)
@@ -178,7 +181,7 @@ class TestColumnMap:
     def _check(prep, sample=None):
         problem, conset = prep.problem, prep.conset
         gains = prep.gains if prep.gains is not None else stage_gains(problem)
-        G, ctilde, policy0 = affine_response(problem, conset, gains)
+        G, ctilde, policy0, _ = affine_response(problem, conset, gains)
         eq0 = prep.equilibrium0
         gmap = estimate_affine_map(prep, gains,
                                    None if eq0 is None else conset.evaluate(eq0[1]))
@@ -266,12 +269,13 @@ class TestZeroMultiplierSolve:
 
     @pytest.mark.parametrize("coupled", (False, True))
     def test_short_circuit_equals_the_full_path(self, coupled, lqnash_calls):
-        # where lam = 0 solves, the withheld path runs the map's ctilde pass
-        # and the final solve; elsewhere the prepared path's ctilde pass
+        # where lam = 0 solves, the withheld path runs the map's ctilde pass,
+        # whose constant column is the policy (a final solve's pass before),
+        # and its mean trajectory; elsewhere the prepared path's ctilde pass
         # carries the rows its lam = 0 equilibrium violates, which the
         # withheld path fetches in one more pass on the pivot's first read,
         # and both give the same multiplier bit for bit
-        full_path = Counter({"_zeta_sweep": 2, "integrate_expected": 1,
+        full_path = Counter({"_zeta_sweep": 1, "integrate_expected": 1,
                              "affine_response": 1})
         fetch = Counter({"_zeta_sweep": 1, "affine_response": 1})
         zero, asymmetry = [], []
@@ -323,6 +327,55 @@ class TestZeroMultiplierSolve:
         # only coupled costs make G non-symmetric
         assert len(zero) == 40 + (1 if coupled else 2)
         assert (max(asymmetry) > 1e-8) == coupled
+
+
+class TestColumnPolicy:
+    """A solve the pivot ends combines its policy from the map's cached
+    columns: alpha(lam) = alpha0 + sum_j lam_j alpha_j.  It equals the
+    literal final solve at the same multiplier to 1e-13 of each quantity's
+    scale, and the multiplier equals the pivot's on the full G bit for bit."""
+
+    @staticmethod
+    def _check(prep, rep):
+        assert rep.termination == "lcp_solved" and np.any(rep.lambda_bar)
+        assert set(np.flatnonzero(rep.lambda_bar).tolist()) <= set(rep.map.alphas)
+        policy, traj, g = _solve_at(prep, rep.lambda_bar)
+        assert np.array_equal(rep.policy.K, policy.K)
+        for got, want in ((rep.policy.alpha, policy.alpha), (rep.mean_traj, traj),
+                          (rep.g_final, g)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert _bits(rep.lambda_bar) == _bits(solve_lcp(rep.map.G, rep.map.ctilde)[0])
+
+    def test_bundled_scenarios(self, mini_prep, mini_report, intersection_prep,
+                               intersection_report):
+        self._check(mini_prep, mini_report)
+        self._check(intersection_prep, intersection_report)
+
+    def test_coupled_games(self):
+        # coupled costs make G non-symmetric; each of these games has active rows
+        for k in COUPLED_FEASIBLE_SEEDS:
+            prep = prepare_game(validate_scenario(
+                random_small_scenario(np.random.default_rng(k), coupled=True)))
+            self._check(prep, run_dual_ascent(prep))
+
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
+    def test_every_active_replan_of_an_episode(self, monkeypatch, name):
+        from ccgame import scenarios, simulate
+        from ccgame.model import assemble_problem, load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        real = simulate.run_dual_ascent
+
+        def checking(prepared, options=None, **kw):
+            rep = real(prepared, options, **kw)
+            if np.any(rep.lambda_bar):
+                self._check(prepared, rep)
+            return rep
+
+        monkeypatch.setattr(simulate, "run_dual_ascent", checking)
+        for seed in (0, 5, 42):
+            run = simulate.central_mpc_run(problem, seed)
+            assert not run.failures and run.replans_with_active_rows > 0, seed
 
 
 class TestLazyDiagnostics:

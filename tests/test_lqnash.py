@@ -5,19 +5,19 @@ from hypothesis import strategies as st
 
 from ccgame import scenarios, simulate
 from ccgame.errors import SingularStageSystem
-from ccgame.lqnash import (_stage_gain, affine_response, backward_recursion,
-                           closed_loop_step, evaluate_cost, evaluate_lagrangian,
-                           fixed_order_sums, integrate_expected, mean_inputs,
-                           policy_from_dict, policy_to_dict, quadratic_sums, realized_costs,
-                           stage_gains, stage_linear_terms)
+from ccgame.lqnash import (FeedbackPolicy, _stage_gain, affine_response,
+                           backward_recursion, closed_loop_step, evaluate_cost,
+                           evaluate_lagrangian, fixed_order_sums, integrate_expected,
+                           mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
+                           realized_costs, stage_gains, stage_linear_terms)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
-                      double_integrator_instance, make_ltv_scenario,
+                      dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (best_response, dense_best_response, dense_game_inputs,
-                     loop_quadratic_sums, lqr_oracle, replace_player,
+from oracles import (batched_closed_loop_step, best_response, dense_best_response,
+                     dense_game_inputs, loop_quadratic_sums, lqr_oracle, replace_player,
                      sweep_affine_response, sweep_backward_recursion)
 
 
@@ -86,7 +86,7 @@ class TestGainsOnce:
                 want = sweep_backward_recursion(problem, conset, lam)
                 assert np.array_equal(got.K, want.K)
                 assert np.array_equal(got.alpha, want.alpha)
-            G, ctilde, policy0 = affine_response(problem, conset)
+            G, ctilde, policy0, _ = affine_response(problem, conset)
             G_ref, ctilde_ref, policy0_ref = sweep_affine_response(problem, conset)
             assert np.array_equal(G, G_ref)
             assert np.array_equal(ctilde, ctilde_ref)
@@ -256,18 +256,57 @@ class TestClosedLoopStep:
             stacked = (_stacked_inputs(B_t) @ u.reshape(S, -1, 1))[..., 0]
             assert stacked.tobytes() == np.einsum("iab,sib->sa", B_t, u).tobytes()
 
+    @pytest.fixture(scope="class")
+    def plants(self):
+        """Per name, the dynamics, K, alpha and noise factors (None: the mean
+        trajectory's step) of a policy the library steps: each game's lam = 0
+        policy and, on the aggregate, the central plan driving the plant."""
+        out = {}
+        for name, make in (("intersection-mini", scenarios.make_intersection_mini),
+                           ("intersection", scenarios.make_intersection),
+                           ("dense-input", dense_input_scenario)):
+            problem = assemble_problem(validate_scenario(make()))
+            policy = backward_recursion(problem)
+            out[name] = problem.dyn, policy.K, policy.alpha, None
+        mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
+        planner = simulate.CentralPlanner(mini)
+        out["aggregate-mini"] = mini.dyn, planner.gains.K, planner.alpha0, planner.factors
+        return out
+
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection",
+                                      "dense-input", "aggregate-mini"])
+    def test_one_row_step_is_the_batched_step(self, plants, name):
+        # at each step, the state the batched reference reaches from x0 and
+        # four random states; the reached states of a game's mean step are
+        # its expected trajectory, and the aggregate's plant adds L_t z_t
+        dyn, K, alpha, factors = plants[name]
+        rng = np.random.default_rng(0)
+        path = [dyn.x0]
+        for t in range(dyn.T):
+            x = np.vstack([path[-1], path[-1] + rng.normal(size=(4, dyn.n_x))])
+            L, z = (None, None) if factors is None else (factors[t], rng.normal(size=x.shape))
+            args = dyn.A[t], dyn.B[t], K[t], alpha[t]
+            u_batch, x_batch = batched_closed_loop_step(*args, x, L, z)
+            for s in range(len(x)):
+                u, x_next = closed_loop_step(*args, x[s], L, None if z is None else z[s])
+                assert _bits(u) == _bits(u_batch[s]) and _bits(x_next) == _bits(x_batch[s])
+            path.append(x_batch[0])
+        if factors is None:
+            xs = integrate_expected(dyn, FeedbackPolicy(K=K, alpha=alpha))
+            assert _bits(xs) == _bits(path)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12),
-           st.integers(1, 300), st.integers(0, 2**32 - 1))
-    def test_each_row_steps_as_if_alone(self, N, n_u, n_x, S, seed):
+           st.integers(0, 2**32 - 1))
+    def test_random_shapes_step_as_the_batched_step(self, N, n_u, n_x, seed):
         rng = np.random.default_rng(seed)
         A, B = rng.normal(size=(n_x, n_x)), rng.normal(size=(N, n_x, n_u))
         K, alpha = rng.normal(size=(N, n_u, n_x)), rng.normal(size=(N, n_u))
-        L, (x, z) = rng.normal(size=(n_x, n_x)), rng.normal(size=(2, S, n_x))
-        u, x_next = closed_loop_step(A, B, K, alpha, x, L, z)
-        for s in range(S):
-            u_s, x_s = closed_loop_step(A, B, K, alpha, x[s:s + 1], L, z[s:s + 1])
-            assert _bits(u_s) == _bits(u[s]) and _bits(x_s) == _bits(x_next[s])
+        L, (x, z) = rng.normal(size=(n_x, n_x)), rng.normal(size=(2, 3, n_x))
+        u_batch, x_batch = batched_closed_loop_step(A, B, K, alpha, x, L, z)
+        for s in range(3):
+            u, x_next = closed_loop_step(A, B, K, alpha, x[s], L, z[s])
+            assert _bits(u) == _bits(u_batch[s]) and _bits(x_next) == _bits(x_batch[s])
 
 
 class TestFixedOrderSums:

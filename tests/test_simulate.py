@@ -493,9 +493,9 @@ class TestCentralMpc:
         # replan's reference policy; per replan, the mean trajectory of the
         # reference, and only where a row is violated (a of them) the map's
         # ctilde pass, which carries the violated rows' columns (all that the
-        # pivot reads here), and the final solve's, with its mean trajectory;
-        # no full map and no diagnostic that only a report reads.  The
-        # counts are those of the full map before it became a column map
+        # pivot reads here) and so the policy at the pivot's multiplier, and
+        # its mean trajectory; no final solve's zeta pass (5 passes with it),
+        # no full map and no diagnostic that only a report reads
         count_replan_work(monkeypatch, lqnash_calls)
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
@@ -503,18 +503,19 @@ class TestCentralMpc:
         a = lqnash_calls.pop("pivoting")
         assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 5, "integrate_expected": 7,
+                                "_zeta_sweep": 3, "integrate_expected": 7,
                                 "affine_response": a}
-        assert 1 + 2 * a == 5 and run.replans + a == 7
+        assert 1 + a == 3 and run.replans + a == 7
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
-        # one lam = 0 pass per call, one covariance per replan time, and two
-        # zeta passes per replan whose lam = 0 mean violates a row: the map's
-        # ctilde pass with the 18 columns of the violated rows, and the final
-        # solve's; no full map (81 passes when every replan ran them; 120
-        # passes, 40 covariances before that)
+        # one lam = 0 pass per call, one covariance per replan time, and one
+        # zeta pass per replan whose lam = 0 mean violates a row: the map's
+        # ctilde pass with the 18 columns of the violated rows, which give
+        # the policy too; no full map (27 passes with a final solve's per
+        # such replan; 81 when every replan ran the full map; 120 passes, 40
+        # covariances before that)
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
@@ -536,7 +537,7 @@ class TestCentralMpc:
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
-        assert lqnash_calls["_zeta_sweep"] == 1 + 2 * a == 27
+        assert lqnash_calls["_zeta_sweep"] == 1 + a == 14
         assert lqnash_calls["integrate_expected"] == 2 * T + a == 53
         assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0

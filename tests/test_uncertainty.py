@@ -553,7 +553,7 @@ class TestCompactOperations:
             problem, conset = prep.problem, prep.conset
             n_x = problem.n_x
             gains = lqnash.stage_gains(problem)
-            G, ctilde, policy0 = lqnash.affine_response(problem, conset, gains)
+            G, ctilde, policy0, _ = lqnash.affine_response(problem, conset, gains)
             G_d, ctilde_d, policy0_d, xstack = dense_affine_response(problem, conset, gains)
             assert np.array_equal(policy0.alpha, policy0_d.alpha)
             largest = np.zeros(prep.M)
