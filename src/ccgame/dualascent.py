@@ -5,19 +5,21 @@ The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory.  Stage gains do not depend on lam, so g and the policy's affine
 term are exactly affine in it, g(lam) = G lam + ctilde and alpha(lam) =
 alpha0 + sum_j lam_j alpha_j, and the solve works on this map instead of
-re-solving the game at every step.  A solve computes the stage gains once
-(or takes ``PreparedGame.gains``) and reads the map by column: a first zeta
-pass gives ctilde, alpha0 and the columns (of G and alpha) of the rows that
-the prepared lam = 0 equilibrium (``PreparedGame.equilibrium0``), if any,
-violates.  The pivot reads G only as ``G[:, j]``; a column not yet computed
-comes in one more pass with every uncached row violated at lam = 0.  Its
-solution is nonzero only on columns it read, so the report's policy is
-alpha0 plus those columns; only the fallback ascent's dense multiplier gets
-a final pass (``_solve_at``).  A prepared lam = 0 equilibrium that violates
-no row is the report, and no zeta pass runs.  The full G (every column in
-one pass, keeping no alpha columns) is built only when L, the asymmetry, the
-fallback ascent or a dual value reads it: ``report.json`` and the CLI's
-``solve:`` line read L, a central-MPC replan none of them.
+re-solving the game at every step.  A solve computes the stage gains and
+the lam = 0 equilibrium once, or takes them from the preparer
+(``PreparedGame.gains`` and ``equilibrium0``): ctilde is g at that
+equilibrium's mean and alpha0 its affine term, so the map holds only its
+linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
+zeta pass computes the columns (of G and alpha) of every row violated at
+lam = 0, before the pivot's first read, and a column not yet computed comes
+in one more pass with every uncached violated row.  Its solution is nonzero
+only on columns it read, so the report's policy is alpha0 plus those
+columns; only the fallback ascent's dense multiplier gets a final pass
+(``_solve_at``).  A lam = 0 equilibrium that violates no row is the report,
+and the map runs no zeta pass.  The full G (every column in one pass,
+keeping no alpha columns) is built only when L, the asymmetry, the fallback
+ascent or a dual value reads it: ``report.json`` and the CLI's ``solve:``
+line read L, a central-MPC replan none of them.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -109,35 +111,29 @@ def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
 @dataclass(frozen=True)
 class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
-    ctilde and the lam = 0 policy policy0 come from a first ``affine_response``
-    pass, which also carries the columns ``first``; a column missing from the
-    cache ``columns`` (and ``alphas``, its affine-term response) comes in one
-    pass with every missing row violated at lam = 0.  G itself, which L =
-    ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
-    dual values read, is the full pass, after which the map drops its
-    ``gains``.  dual0[i] = D^i(0) is policy0's expected cost.  All are
-    computed when first read."""
+    ctilde and policy0 are the lam = 0 equilibrium's g and policy.  A column
+    missing from the cache ``columns`` (and ``alphas``, its affine-term
+    response) comes in one ``affine_response`` pass with every missing row
+    violated at lam = 0.  G itself, which L = ||G||_2, asymmetry = ||G -
+    G'||_F / ||G||_F, the fallback ascent and the dual values read, is the
+    full pass, after which the map drops its ``gains``.  dual0[i] = D^i(0) is
+    policy0's expected cost.  All are computed when first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
-    gains: lqnash.StageGains | None = field(default=None, repr=False)
-    first: tuple = ()
+    gains: lqnash.StageGains | None = field(repr=False)
+    ctilde: np.ndarray
+    policy0: lqnash.FeedbackPolicy = field(repr=False)
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
     alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
-    def _pass(self, columns, constant=False):
+    def _pass(self, columns):
         """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
-        response = lqnash.affine_response(self.problem, self.conset, self.gains,
-                                          columns, constant)
-        self.columns.update(zip(range(self.conset.M) if columns is None else columns,
-                                response[0].T))
+        G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns)
+        self.columns.update(zip(range(self.conset.M) if columns is None else columns, G.T))
         if columns is not None:     # the full pass's alphas would live as long as G
-            self.alphas.update(zip(columns, response[3]))
-        return response[:3]
-
-    _constant = cached_property(lambda self: self._pass(self.first, constant=True)[1:])
-    ctilde = property(lambda self: self._constant[0])
-    policy0 = property(lambda self: self._constant[1])
+            self.alphas.update(zip(columns, alphas))
+        return G
 
     def __getitem__(self, index):
         j = index[1]
@@ -148,8 +144,7 @@ class AffineGradientMap:
 
     @cached_property
     def G(self):
-        G, *constant = self._pass(None, constant=True)
-        self.__dict__.setdefault("_constant", constant)
+        G = self._pass(None)
         object.__setattr__(self, "gains", None)
         return G
 
@@ -183,7 +178,7 @@ class AffineGradientMap:
                      + 0.5 * lam @ (self.G @ lam))
 
 
-def _solve_at(prepared: PreparedGame, lam, gains=None):
+def _solve_at(prepared: PreparedGame, lam, gains):
     policy = lqnash.backward_recursion(prepared.problem, prepared.conset, lam,
                                        gains)
     traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
@@ -207,16 +202,17 @@ def _spectral_norm(G):
     return L, (skew / norm if norm > 0.0 else 0.0)
 
 
-def estimate_affine_map(prepared: PreparedGame, gains=None, g0=None) -> AffineGradientMap:
-    """The map (G, ctilde) with its first pass run: ctilde is g at lam = 0, column
-    m of G is g at the m-th unit multiplier minus ctilde.  Exact by affinity; the
-    pass also gives the lam = 0 policy that dual0 is evaluated at, and carries
-    the G columns of the rows that ``g0``, the g of the prepared lam = 0
-    equilibrium when the caller has it, violates."""
-    first = () if g0 is None else tuple(np.flatnonzero(g0 > 0).tolist())
-    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains or prepared.gains
-                             or lqnash.stage_gains(prepared.problem), first)
-    gmap.ctilde     # the first pass runs here, not when the map is first read
+def estimate_affine_map(prepared: PreparedGame, gains, equilibrium) -> AffineGradientMap:
+    """The map (G, ctilde) on ``gains`` from the lam = 0 ``equilibrium``
+    (policy0, its mean): ctilde is g at that mean, column m of G is g at the
+    m-th unit multiplier minus ctilde, exact by affinity.  When a row is
+    violated, the pass of the most violated row's column, which Lemke's pivot
+    reads first, runs here and carries every violated row's column."""
+    policy0, mean0 = equilibrium
+    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains,
+                             prepared.conset.evaluate(mean0), policy0)
+    if np.any(gmap.ctilde > 0):
+        gmap[:, int(np.argmax(gmap.ctilde))]
     return gmap
 
 
@@ -326,6 +322,11 @@ class DualAscentOptions:
                                        and math.isfinite(self.eta) and self.eta > 0):
             raise DomainError(
                 f"eta: expected 'auto' or a finite float > 0, got {self.eta!r}")
+        for name in ("tol_feas", "tol_slack"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise DomainError(f"{name}: expected a finite float >= 0, got {value!r}")
 
 
 @dataclass
@@ -442,35 +443,35 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
                     trace_writer=None) -> DualSolveReport:
     """Solve for the shared multiplier, then the equilibrium at it.
 
-    Lemke's pivot gives the exact LCP solution (termination "lcp_solved"),
-    whose policy is alpha0 plus the map's columns.  When it stops without
-    one, the averaged ascent runs with the options' k_max and eta, a zeta
-    pass solves at its multiplier and the termination is the pivot's reason
-    (see ``solve_lcp``).  A prepared lam = 0 equilibrium that passes the
-    pivot's first test, -g >= 0, is the solution; the map is then built only if read.
+    The lam = 0 equilibrium (the preparer's, or solved here on the gains)
+    gives the map's ctilde and alpha0.  Lemke's pivot gives the exact LCP
+    solution (termination "lcp_solved"): lam = 0 when that equilibrium
+    violates no row, which is then the report, and otherwise alpha0 plus the
+    map's columns.  When it stops without one, the averaged ascent runs with
+    the options' k_max and eta, a zeta pass solves at its multiplier and the
+    termination is the pivot's reason (see ``solve_lcp``).
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
-    gains = (lqnash.stage_gains(prepared.problem) if prepared.gains is None
-             else prepared.gains)
-    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains)
-    lam_bar, pivots, termination, iterations = np.zeros(prepared.M), 0, "lcp_solved", 0
-    g0 = None
-    if prepared.equilibrium0 is not None:
-        policy, traj = prepared.equilibrium0
-        g_final = g0 = prepared.conset.evaluate(traj)
-    if g0 is None or not np.min(-g0, initial=0.0) >= 0.0:
-        gmap = estimate_affine_map(prepared, gains, g0)
-        lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
-        if lam_bar is None:
-            lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
-                                             options, trace_writer)
-            policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
-        else:   # lam_bar is 0 off the columns the pivot read, whose alphas are cached
-            terms = (lam_bar[j] * gmap.alphas[j] for j in np.flatnonzero(lam_bar))
-            policy = lqnash.FeedbackPolicy(K=gains.K, alpha=sum(terms, gmap.policy0.alpha))
-            traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
-            g_final = prepared.conset.evaluate(traj)
+    problem = prepared.problem
+    gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
+    equilibrium = prepared.equilibrium0
+    if equilibrium is None:
+        policy0 = lqnash.backward_recursion(problem, gains=gains)
+        equilibrium = policy0, lqnash.integrate_expected(problem.dyn, policy0)
+    gmap = estimate_affine_map(prepared, gains, equilibrium)
+    policy, traj = equilibrium
+    g_final, iterations = gmap.ctilde, 0
+    lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
+    if lam_bar is None:
+        lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
+                                         options, trace_writer)
+        policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
+    elif np.any(lam_bar):   # 0 off the columns the pivot read, whose alphas are cached
+        terms = (lam_bar[j] * gmap.alphas[j] for j in np.flatnonzero(lam_bar))
+        policy = lqnash.FeedbackPolicy(K=gains.K, alpha=sum(terms, gmap.policy0.alpha))
+        traj = lqnash.integrate_expected(problem.dyn, policy)
+        g_final = prepared.conset.evaluate(traj)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),

@@ -19,22 +19,23 @@ rcond, and returns K, F, P, S_t and the gain right-hand sides YK_t.  A
 shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
 then computes the affine terms on those gains for a linear term with m
 columns, one zeta column per column: ``backward_recursion`` runs it with
-the one column ``s_t`` at a given lam, and ``affine_response`` with chosen
-columns of G (``0.5 l_m`` at step t_m for multiplier m) and the constant
-``-Q r``, whose rows of the exact map lam -> g follow by one forward pass,
-the rows of each step read as their mean X_t is formed.  The full map is
-the pass with every column; its constant column is the lam = 0 policy, and
-column j's affine terms are alpha's response to multiplier j.  A column's
-bits do not depend on the other columns of its pass: a 1-column or 1-row
-product goes down another BLAS route, so a zero column pads a single one,
-as in ``backward_recursion`` and ``_stage_gain``, and ``_gemm`` doubles a
-1-row matrix.  Both take the gains as an optional argument.  The tests keep
-the single full sweep these replace and a single-player best-response sweep
-(``tests/oracles.py``) as references.
+the one column ``s_t`` at a given lam (lam = 0 gives alpha0), and
+``affine_response`` with chosen columns of G (``0.5 l_m`` at step t_m for
+multiplier m), whose rows of the linear part of the map lam -> g follow by
+one forward pass, the rows of each step read as their mean X_t is formed;
+column j's affine terms are alpha's response to multiplier j.  The map's
+constant part is the lam = 0 equilibrium's g (see ``dualascent``).  A
+column's bits do not depend on the other columns of its pass: a 1-column or
+1-row product goes down another BLAS route, so a zero column pads a single
+one, as in ``backward_recursion`` and ``_stage_gain``, and ``_gemm`` doubles
+a 1-row matrix.  The tests keep the single full sweep these replace and a
+single-player best-response sweep (``tests/oracles.py``) as references.
 
-``closed_loop_step`` steps one state.  ``closed_loop_matrix`` gives the gain
-sweep, the closed-loop covariance and the rollouts, whose deviations from
-the mean ``fixed_order_sums`` steps, F_t = A_t - sum_i B^i_t K^i_t.
+``closed_loop_step`` steps one state on the agent-stacked [B^1 .. B^N],
+which ``integrate_expected`` stacks once per call.  ``closed_loop_matrix``
+gives the gain sweep, the closed-loop covariance and the rollouts, whose
+deviations from the mean ``fixed_order_sums`` steps, F_t = A_t - sum_i
+B^i_t K^i_t.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -233,23 +234,22 @@ def backward_recursion(problem: GameProblem, conset=None, lam=None, gains=None):
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
     """Step one state x (n_x,): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
 
-    u (N, n_u) is grouped by agent as B_t is, also for a central plan's K_t
-    that stacks all inputs; sum_i B^i_t u^i is one matvec on the agent-stacked
-    [B^1 .. B^N]."""
+    B_t (n_x, N n_u) is the agent-stacked [B^1_t .. B^N_t], so sum_i B^i_t u^i
+    is one matvec; u is shaped as alpha_t."""
     u = -(K_t @ x) - alpha_t
-    x_next = A_t @ x + B_t.transpose(1, 0, 2).reshape(len(x), -1) @ u.ravel()
+    x_next = A_t @ x + B_t @ u.ravel()
     if L_t is not None:
         x_next += L_t @ z_t
-    return u.reshape(len(B_t), -1), x_next
+    return u, x_next
 
 
 def integrate_expected(dyn, policy: FeedbackPolicy):
     """Mean closed-loop trajectory (T+1, n_x): the zero-noise integration."""
     xs = np.zeros((dyn.T + 1, dyn.n_x))
     xs[0] = dyn.x0
+    B = dyn.B.transpose(0, 2, 1, 3).reshape(dyn.T, dyn.n_x, -1)   # [B^1 .. B^N]
     for t in range(dyn.T):
-        _, xs[t + 1] = closed_loop_step(dyn.A[t], dyn.B[t], policy.K[t],
-                                        policy.alpha[t], xs[t])
+        _, xs[t + 1] = closed_loop_step(dyn.A[t], B[t], policy.K[t], policy.alpha[t], xs[t])
     return xs
 
 
@@ -342,54 +342,45 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
     return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
 
 
-def affine_response(problem: GameProblem, conset, gains=None, columns=None,
-                    constant=True):
-    """Exact affine map lam -> g at the equilibrium: the G columns ``columns``
-    (default all M) and, with ``constant``, ctilde, from one zeta pass.
+def affine_response(problem: GameProblem, conset, gains, columns=None):
+    """The linear part of the exact affine map lam -> g at the equilibrium:
+    the G columns ``columns`` (default all M) from one zeta pass on ``gains``.
 
-    The stage gains do not depend on lam (they are computed here when not
-    given), and zeta (hence alpha and the mean trajectory) is affine in it,
-    so a pass whose linear term carries 0.5 l_m at step t_m for multiplier m
-    and -Q r for the constant reproduces exactly what unit-probe solves would
-    measure.  Returns (G[:, columns], ctilde, policy0, alphas): g(lam) = G lam
-    + ctilde, alpha(lam) = policy0.alpha + sum_c lam_c alphas[c] and policy0
-    is the lam = 0 equilibrium.  Without the constant, ctilde and policy0 are
-    None and the sweep starts at the columns' latest step, above which their
-    zeta is exactly 0.  A pass has two columns or more (see the module docstring).
+    The stage gains do not depend on lam, and zeta (hence alpha and the mean
+    trajectory) is affine in it, so a pass whose linear term carries 0.5 l_m
+    at step t_m for multiplier m gives exactly what unit-probe solves would
+    measure less their lam = 0 part.  Returns (G[:, columns], alphas):
+    g(lam) = G lam + ctilde and alpha(lam) = alpha0 + sum_c lam_c alphas[c],
+    ctilde and alpha0 being the lam = 0 equilibrium's g and alpha.  The sweep
+    starts at the columns' latest step, above which their zeta is exactly 0.
+    A pass has two columns or more (see the module docstring).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
     k = M if columns is None else len(columns)
-    # each entry's column: multipliers, the constant (M), a zero pad (M + 1) up to two
-    cols = np.concatenate([np.arange(M) if columns is None else columns, [M] * constant,
-                           [M + 1] * (k + constant < 2)]).astype(np.intp)
-    steps = np.concatenate([conset.t, [-1, -1]])[cols]
-    s = stage_linear_terms(problem)
+    # each entry's column: multipliers, then a zero pad (M) up to two
+    cols = np.concatenate([np.arange(M) if columns is None else columns,
+                           [M] * (k == 1)]).astype(np.intp)
+    steps = np.append(conset.t, -1)[cols]
 
     def linear_term(t):
         C = np.zeros((N, n_x, len(cols)))
-        if t >= 1:
-            hit = np.flatnonzero(steps == t)
-            C[:, :, hit] = 0.5 * conset.l[cols[hit]].T
-            C[:, :, cols == M] = s[:, t, :, None]
+        hit = np.flatnonzero(steps == t)
+        C[:, :, hit] = 0.5 * conset.l[cols[hit]].T
         return C
 
-    gains = stage_gains(problem) if gains is None else gains
-    aC = _zeta_sweep(problem, gains, linear_term, T if constant else max(steps))
+    aC = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
 
-    # forward sweep of the affine mean trajectory X_t; the rows of step t
-    # read X_t as it is formed
+    # forward sweep of the mean trajectory's linear part X_t; the rows of
+    # step t read X_t as it is formed
     X = np.zeros((n_x, len(cols)))
-    X[:, cols == M] = dyn.x0[:, None]
     gmap = np.empty((M, len(cols)))
     for t in range(T):
         X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
         rows = conset.span(t + 1)
         gmap[rows] = _gemm(conset.l[rows], X)
-    ctilde = gmap[:, k] + conset.c if constant else None
-    policy0 = FeedbackPolicy(K=gains.K, alpha=aC[..., k]) if constant else None
-    return gmap[:, :k], ctilde, policy0, np.moveaxis(aC[..., :k], -1, 0)
+    return gmap[:, :k], np.moveaxis(aC[..., :k], -1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ A central-MPC call computes once the aggregate, its noise factors, its
 stage gains and its lam = 0 policy, whose tail at tau is the reference
 policy of a replan at tau.  Each replan time tau computes once, for all
 episodes, the slice without its x0, its open-loop covariance and its
-constraint layout.  A replan computes its lam = 0 mean (the reference), the
-collision rows and, if a row is violated, one zeta pass with the violated
-rows' columns, which give the LCP and the policy at its solution (a further
-pass runs only for a column the pivot reads beyond them; never the full G),
-and that policy's mean.  The first episode to need shared work pays for it.
-The plant steps its one state with ``lqnash.closed_loop_step``.
+constraint layout.  A replan computes its lam = 0 mean (the reference, at
+which g is the map's ctilde), the collision rows and, if a row is violated,
+one zeta pass with the violated rows' columns, which give the LCP and the
+policy at its solution (a further pass runs only for a column the pivot
+reads beyond them; never the full G), and that policy's mean.  The first
+episode to need shared work pays for it.  The plant steps its one state
+with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
 """
 
 from __future__ import annotations
@@ -349,9 +350,10 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
                 failures.append((t, f"{type(exc).__name__}: {exc}"))
                 if plan is None:
                     raise
-        inputs[t], states[t + 1] = lqnash.closed_loop_step(
-            dyn.A[t], dyn.B[t], plan.K[t - plan_offset], plan.alpha[t - plan_offset],
-            states[t], planner.factors[t], z[t])
+        u, states[t + 1] = lqnash.closed_loop_step(
+            dyn.A[t], planner.agg.dyn.B[t, 0], plan.K[t - plan_offset],
+            plan.alpha[t - plan_offset], states[t], planner.factors[t], z[t])
+        inputs[t] = u.reshape(N, -1)
     return MpcRun(states=states, inputs=inputs, failures=failures, replans=replans,
                   replans_with_active_rows=active, solve_seconds=solve_seconds,
                   map_columns=columns)

@@ -23,9 +23,11 @@ bit-for-bit reference for the library's one-row step.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
-splice that swaps one player's response in, the dual function they drive, a
-Monte Carlo probe of one collision row, and a loader for the bundled
-scenarios.
+splice that swaps one player's response in, the solve at a given lam and the
+dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
+solve computes them, where the preparer has none), the dual function they
+drive, a Monte Carlo probe of one collision row, and a loader for the
+bundled scenarios.
 """
 
 import math
@@ -34,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ccgame import lqnash, scenarios
-from ccgame.dualascent import PreparedGame, _solve_at
+from ccgame.dualascent import PreparedGame, _solve_at, estimate_affine_map
 from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond, stage_linear_terms
 from ccgame.model import GameProblem, Scenario, load_scenario
@@ -332,10 +334,10 @@ def sweep_backward_recursion(problem: GameProblem, conset=None, lam=None):
 
 
 def sweep_affine_response(problem: GameProblem, conset):
-    """(G, ctilde, policy0) from one full sweep with M + 1 linear columns and
-    the forward pass of the affine mean trajectory, whose step t forms the
-    rows of G and ctilde at t (found by comparing each row's t) as the
-    library does."""
+    """(G, alphas, ctilde, policy0) from one full sweep with M + 1 linear
+    columns, the last the constant -Q r, and the forward pass of the affine
+    mean trajectory from x0, whose step t forms the rows of G and ctilde at t
+    (found by comparing each row's t) as the library forms G's."""
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
@@ -358,7 +360,8 @@ def sweep_affine_response(problem: GameProblem, conset):
         X = F[t] @ X - BaC
         rows = conset.t == t + 1
         gmap[rows] = _gemm_route(conset.l[rows], X)
-    return gmap[:, :M], gmap[:, M] + conset.c, FeedbackPolicy(K=K, alpha=aC[..., M])
+    return (gmap[:, :M], np.moveaxis(aC[..., :M], -1, 0), gmap[:, M] + conset.c,
+            FeedbackPolicy(K=K, alpha=aC[..., M]))
 
 
 def dense_affine_response(problem: GameProblem, conset, gains):
@@ -720,6 +723,30 @@ def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
     return K_i, a_i
 
 
+def prepared_gains(prepared: PreparedGame):
+    """The preparer's stage gains, or the problem's, computed here."""
+    if prepared.gains is None:
+        return lqnash.stage_gains(prepared.problem)
+    return prepared.gains
+
+
+def solve_at(prepared: PreparedGame, lam):
+    """(policy, mean, g) at lam: ``dualascent._solve_at`` on ``prepared_gains``."""
+    return _solve_at(prepared, lam, prepared_gains(prepared))
+
+
+def affine_map(prepared: PreparedGame):
+    """``dualascent.estimate_affine_map`` on ``prepared_gains`` and the
+    preparer's lam = 0 equilibrium, solved here as ``run_dual_ascent`` solves
+    it when the preparer has none."""
+    gains = prepared_gains(prepared)
+    equilibrium = prepared.equilibrium0
+    if equilibrium is None:
+        policy0 = lqnash.backward_recursion(prepared.problem, gains=gains)
+        equilibrium = policy0, lqnash.integrate_expected(prepared.problem.dyn, policy0)
+    return estimate_affine_map(prepared, gains, equilibrium)
+
+
 def dual_function(prepared: PreparedGame, lam, i, others_from=None):
     """Player i's dual value D^i(lam; gamma^{-i}).
 
@@ -733,10 +760,10 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
     """
     lam = np.asarray(lam, dtype=float)
     if others_from is None:
-        policy, _, _ = _solve_at(prepared, lam)
+        policy, _, _ = solve_at(prepared, lam)
         return lqnash.evaluate_lagrangian(prepared.problem, policy,
                                           lam, prepared.conset)[i]
-    base_policy = _solve_at(prepared, np.asarray(others_from, dtype=float))[0]
+    base_policy = solve_at(prepared, np.asarray(others_from, dtype=float))[0]
     K_i, a_i = best_response(prepared.problem, base_policy, i,
                              lam, prepared.conset)
     combined = replace_player(base_policy, i, K_i, a_i)

@@ -12,16 +12,15 @@ import pytest
 
 from ccgame import scenarios, simulate
 from ccgame.cli import main as cli_main
-from ccgame.dualascent import (DualAscentOptions, estimate_affine_map,
-                               prepare_game, run_dual_ascent, _ascent,
-                               _resolve_eta, _solve_at)
+from ccgame.dualascent import (DualAscentOptions, prepare_game, run_dual_ascent,
+                               _ascent, _resolve_eta)
 from ccgame.lqnash import backward_recursion, evaluate_cost, evaluate_lagrangian
 from ccgame.model import validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (best_response, conservativeness_probe, dense_kkt_single_row,
-                     lqr_oracle, replace_player)
+from oracles import (affine_map, best_response, conservativeness_probe,
+                     dense_kkt_single_row, lqr_oracle, replace_player, solve_at)
 
 
 def _announce(n, name, detail=""):
@@ -37,7 +36,7 @@ def acceptance_preps(mini_prep, random_scenarios):
 
 def _fd_dual_gradient_errors(prep, lam, delta=1e-4):
     """Max mixed-relative FD error over all rows and players at one lam."""
-    base_policy, _, g = _solve_at(prep, lam)
+    base_policy, _, g = solve_at(prep, lam)
     N, M = prep.problem.N, prep.M
     worst = 0.0
     for m in range(M):
@@ -88,10 +87,10 @@ def test_criterion_02_gradient_affinity(acceptance_preps):
             continue
         lam1 = rng.uniform(0.0, 1.5, prep.M)
         lam2 = rng.uniform(0.0, 1.5, prep.M)
-        _, _, g1 = _solve_at(prep, lam1)
-        _, _, g2 = _solve_at(prep, lam2)
+        _, _, g1 = solve_at(prep, lam1)
+        _, _, g2 = solve_at(prep, lam2)
         for theta in (0.25, 0.5, 0.75):
-            _, _, g = _solve_at(prep, theta * lam1 + (1 - theta) * lam2)
+            _, _, g = solve_at(prep, theta * lam1 + (1 - theta) * lam2)
             expected = theta * g1 + (1 - theta) * g2
             err = np.max(np.abs(g - expected)) / (np.max(np.abs(expected)) + 1.0)
             worst = max(worst, err)
@@ -104,7 +103,7 @@ def test_criterion_03_convergence_rate(mini_prep):
     ks = (10, 100, 1000, 10000)
     # the paper's ascent itself, not the pivot that replaces it by default
     options = DualAscentOptions(k_max=100_000, tol_feas=0.0)
-    gmap = estimate_affine_map(mini_prep)
+    gmap = affine_map(mini_prep)
     eta = _resolve_eta(options, gmap)
     assert eta == pytest.approx(0.5 / gmap.L)
     lam_bar = _ascent(gmap, eta, options)[0]

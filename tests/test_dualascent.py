@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from ccgame import dualascent
 from ccgame.dualascent import (DualAscentOptions, dual_step,
                                estimate_affine_map, prepare_game,
-                               run_dual_ascent, solve_lcp, _ascent, _solve_at)
+                               run_dual_ascent, solve_lcp, _ascent)
 from ccgame.errors import DomainError, StepSizeUnavailable
 from ccgame.lqnash import (affine_response, backward_recursion, evaluate_cost,
-                           evaluate_lagrangian, stage_gains)
+                           evaluate_lagrangian, integrate_expected)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import averaged_ascent, dense_kkt_single_row, dual_function
+from oracles import (affine_map, averaged_ascent, dense_kkt_single_row,
+                     dual_function, prepared_gains, solve_at)
 
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
@@ -47,16 +48,16 @@ class TestAffineMap:
         s = scalar_single_agent_instance()
         s = Scenario(**{**s.__dict__, "constraints": ()})
         prep = prepare_game(validate_scenario(s))
-        gmap = estimate_affine_map(prep)
+        gmap = affine_map(prep)
         assert gmap.G.shape == (0, 0)
         assert gmap.L == 0.0
 
     def test_single_row_map_equals_probe_difference(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
         assert prep.M == 1
-        gmap = estimate_affine_map(prep)
-        _, _, g0 = _solve_at(prep, np.zeros(1))
-        _, _, g1 = _solve_at(prep, np.ones(1))
+        gmap = affine_map(prep)
+        _, _, g0 = solve_at(prep, np.zeros(1))
+        _, _, g1 = solve_at(prep, np.ones(1))
         assert gmap.G[0, 0] == pytest.approx(g1[0] - g0[0], abs=1e-10)
         assert gmap.ctilde[0] == pytest.approx(g0[0], abs=1e-12)
 
@@ -68,19 +69,19 @@ class TestAffineMap:
         s = Scenario(**{**s.__dict__, "constraints": (con,)})
         prep = prepare_game(validate_scenario(s))
         assert prep.M == 2
-        gmap = estimate_affine_map(prep)
+        gmap = affine_map(prep)
         lam = np.array([0.3, 0.7])
-        _, _, g = _solve_at(prep, lam)
+        _, _, g = solve_at(prep, lam)
         assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-8
 
     def test_affinity_interpolation(self, mini_prep):
         rng = np.random.default_rng(4)
         lam1 = rng.uniform(0, 1.0, mini_prep.M)
         lam2 = rng.uniform(0, 1.0, mini_prep.M)
-        _, _, g1 = _solve_at(mini_prep, lam1)
-        _, _, g2 = _solve_at(mini_prep, lam2)
+        _, _, g1 = solve_at(mini_prep, lam1)
+        _, _, g2 = solve_at(mini_prep, lam2)
         for theta in (0.25, 0.5, 0.75):
-            _, _, g = _solve_at(mini_prep, theta * lam1 + (1 - theta) * lam2)
+            _, _, g = solve_at(mini_prep, theta * lam1 + (1 - theta) * lam2)
             expected = theta * g1 + (1 - theta) * g2
             scale = np.max(np.abs(expected)) + 1.0
             assert np.max(np.abs(g - expected)) / scale < 1e-8
@@ -88,29 +89,32 @@ class TestAffineMap:
     def test_coupled_cost_map_is_asymmetric_and_matches_solves(self):
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))
         assert prep.M == 10
-        gmap = estimate_affine_map(prep)
+        gmap = affine_map(prep)
         G = gmap.G
         assert np.linalg.norm(G - G.T) / np.linalg.norm(G) > 1e-2
         rng = np.random.default_rng(5)
         for _ in range(5):
             lam = rng.uniform(0.0, 1.5, prep.M)
-            _, _, g = _solve_at(prep, lam)
+            _, _, g = solve_at(prep, lam)
             assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
 
 
     def test_constant_column_is_the_zero_multiplier_policy(self, mini_prep):
+        # the map's constant part, ctilde and policy0, is the lam = 0 solve's
+        # g and policy, bit for bit
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         for prep in (mini_prep, prepare_game(validate_scenario(unconstrained))):
-            _, _, policy0, _ = affine_response(prep.problem, prep.conset)
-            solved = _solve_at(prep, np.zeros(prep.M))[0]
-            assert np.array_equal(policy0.K, solved.K)
-            assert np.array_equal(policy0.alpha, solved.alpha)
+            gmap = affine_map(prep)
+            solved, _, g = solve_at(prep, np.zeros(prep.M))
+            assert np.array_equal(gmap.policy0.K, solved.K)
+            assert np.array_equal(gmap.policy0.alpha, solved.alpha)
+            assert gmap.ctilde.tobytes() == g.tobytes()
 
     def test_lipschitz_is_the_spectral_norm(self, mini_prep):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
         for prep, symmetric in ((mini_prep, True), (coupled, False)):
-            gmap = estimate_affine_map(prep)
+            gmap = affine_map(prep)
             G = gmap.G
             asymmetry = np.linalg.norm(G - G.T) / np.linalg.norm(G)
             assert (asymmetry <= 1e-12) == symmetric
@@ -121,15 +125,16 @@ class TestAffineMap:
 
 class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
-        # one gain recursion with an rcond check per stage, the map's column
-        # passes and the final mean trajectory: the pivot's solution is the
-        # sum of cached columns, so only the fallback ascent's multiplier
-        # needs a final zeta pass; the dual values cost one evaluation when
-        # read, once.  An LTV game
-        # (no nominal) runs its gain recursion in prepare_game, for the
-        # lam = 0 reference, and the solve reuses those gains; where that
-        # reference violates no row (the unconstrained game) it is the
-        # solution, and the solve runs no zeta pass and no integration
+        # one gain recursion with an rcond check per stage, the lam = 0
+        # equilibrium (a zeta pass and its mean trajectory) unless prepared,
+        # the map's column passes and the final mean trajectory: the pivot's
+        # solution is the sum of cached columns, so only the fallback
+        # ascent's multiplier needs a final zeta pass; the dual values cost
+        # one evaluation when read, once.  An LTV game (no nominal) runs its
+        # gain recursion and lam = 0 equilibrium in prepare_game, for the
+        # reference, and the solve reuses both; where that equilibrium
+        # violates no row (the unconstrained game) it is the solution, and
+        # the solve runs no zeta pass and no integration
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -142,24 +147,21 @@ class TestSweepCount:
         assert preps[1].M == 0
         assert mini_prep.gains is None and preps[1].gains is not None
         # (column passes, full maps, G columns) of each solve: the unicycle
-        # game's ctilde pass and one pass of the 3 rows it violates, which
-        # hold every column its pivot reads; nothing when lam = 0 solves; the
-        # ray game's ctilde pass, which carries the rows its lam = 0
-        # equilibrium violates, and the full map of its fallback ascent.
-        # Before the column map every solve but the unconstrained one ran one
-        # full map and no column pass; before the policy came off the
-        # columns, every solve with a pass ran a final zeta pass (3, 0, 3).
-        for prep, (passes, full, columns) in zip(preps, ((2, 0, 3), (0, 0, 0), (1, 1, 11))):
+        # game's one pass of the 3 rows its lam = 0 equilibrium violates,
+        # which hold every column its pivot reads; nothing when lam = 0
+        # solves; the ray game's pass of its violated rows and the full map
+        # of its fallback ascent
+        for prep, (passes, full, columns) in zip(preps, ((1, 0, 3), (0, 0, 0), (1, 1, 11))):
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
-            gains_in_solve = int(prep.gains is None)
-            solved = int(passes > 0)
+            in_solve = int(prep.gains is None)
+            assert (prep.equilibrium0 is None) == bool(in_solve)
             assert +lqnash_calls == +Counter({
-                "stage_gains": gains_in_solve,
-                "_check_rcond": gains_in_solve * prep.problem.T,
-                "_zeta_sweep": passes + full + int(rep.termination != "lcp_solved"),
+                "stage_gains": in_solve,
+                "_check_rcond": in_solve * prep.problem.T,
+                "_zeta_sweep": in_solve + passes + full + int(rep.termination != "lcp_solved"),
                 "affine_response": passes + full, "full_map": full,
-                "integrate_expected": solved}), rep.termination
+                "integrate_expected": in_solve + int(np.any(rep.lambda_bar))}), rep.termination
             assert rep.map_columns == columns == len(rep.map.columns)
             # the report's L reads the full G: one more full map, unless built
             lqnash_calls.clear()
@@ -173,29 +175,35 @@ class TestSweepCount:
 
 
 class TestColumnMap:
-    """The column map against the full pass: the ctilde, lam = 0 policy and
-    every column that a map or a pass of chosen columns computes equal
-    ``affine_response``'s full G, ctilde and policy0."""
+    """The column map against the full pass: every column (of G and alpha)
+    that a map or a pass of chosen columns computes equals ``affine_response``'s
+    full pass, and the map's ctilde and policy0 are the lam = 0 equilibrium's
+    g and policy, bit for bit."""
 
     @staticmethod
     def _check(prep, sample=None):
         problem, conset = prep.problem, prep.conset
-        gains = prep.gains if prep.gains is not None else stage_gains(problem)
-        G, ctilde, policy0, _ = affine_response(problem, conset, gains)
-        eq0 = prep.equilibrium0
-        gmap = estimate_affine_map(prep, gains,
-                                   None if eq0 is None else conset.evaluate(eq0[1]))
-        assert np.array_equal(gmap.ctilde, ctilde)
-        assert np.array_equal(gmap.policy0.alpha, policy0.alpha)
-        assert set(gmap.columns) == set(gmap.first)
+        gains = prepared_gains(prep)
+        G, alphas = affine_response(problem, conset, gains)
+        policy0 = backward_recursion(problem, gains=gains)
+        if prep.equilibrium0 is not None:
+            assert np.array_equal(prep.equilibrium0[0].alpha, policy0.alpha)
+        mean0 = integrate_expected(problem.dyn, policy0)
+        gmap = estimate_affine_map(prep, gains, (policy0, mean0))
+        assert gmap.ctilde.tobytes() == conset.evaluate(mean0).tobytes()
+        assert gmap.policy0 is policy0
+        # the map's one pass carries every row violated at lam = 0
+        violated = np.flatnonzero(gmap.ctilde > 0).tolist()
+        assert set(gmap.columns) == set(gmap.alphas) == set(violated)
         columns = range(prep.M - 1, -1, -1) if sample is None else sample
         for j in columns:
             # a missed column comes with the uncached rows violated at lam = 0
             assert np.array_equal(gmap[:, j], G[:, j]), j
+            assert np.array_equal(gmap.alphas[j], alphas[j]), j
             # one column alone, padded to two
-            alone = affine_response(problem, conset, gains, [j], constant=False)[0]
-            assert np.array_equal(alone[:, 0], G[:, j]), j
-        assert set(np.flatnonzero(ctilde > 0).tolist()) <= set(gmap.columns)
+            alone = affine_response(problem, conset, gains, [j])
+            assert np.array_equal(alone[0][:, 0], G[:, j]), j
+            assert np.array_equal(alone[1][0], alphas[j]), j
         assert "G" not in vars(gmap)
         # the full G is the same pass over every column
         assert np.array_equal(gmap.G, G) and len(gmap.columns) == prep.M
@@ -228,6 +236,48 @@ class TestColumnMap:
         for tau in range(problem.T):
             prep = planner.prepare(tau, run.states[tau])
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
+
+
+    def test_an_active_solve_runs_one_pass_from_the_latest_violated_step(
+            self, monkeypatch):
+        # an LTV solve or a central-MPC replan whose prepared lam = 0
+        # equilibrium violates rows runs no lam = 0 solve of its own and
+        # builds the map in one zeta pass over those rows, which starts at
+        # their latest step; a further pass would run only for a column the
+        # pivot reads beyond them, which none of these solves does
+        from ccgame import lqnash, scenarios, simulate
+        from ccgame.model import assemble_problem, load_scenario
+        starts = []
+        real_sweep, real_solve = lqnash._zeta_sweep, simulate.run_dual_ascent
+
+        def sweep(problem, gains, linear_term, start=None):
+            starts.append(start)
+            return real_sweep(problem, gains, linear_term, start)
+
+        solved = []
+
+        def solve(prepared, options=None, **kw):
+            starts.clear()
+            rep = real_solve(prepared, options, **kw)
+            g0 = prepared.conset.evaluate(prepared.equilibrium0[1])
+            violated = np.flatnonzero(g0 > 0)
+            assert np.any(rep.lambda_bar) == bool(violated.size)
+            if violated.size:
+                assert starts == [prepared.conset.t[violated].max()]
+                assert set(rep.map.columns) == set(violated.tolist())
+                solved.append(prepared.M)
+            return rep
+
+        monkeypatch.setattr(lqnash, "_zeta_sweep", sweep)
+        monkeypatch.setattr(simulate, "run_dual_ascent", solve)
+        for k in COUPLED_FEASIBLE_SEEDS:
+            solve(prepare_game(validate_scenario(
+                random_small_scenario(np.random.default_rng(k), coupled=True))))
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path("intersection-mini")))))
+        run = simulate.central_mpc_run(problem, 5)
+        assert not run.failures
+        assert len(solved) == len(COUPLED_FEASIBLE_SEEDS) + run.replans_with_active_rows
 
 
 class TestDynamicsType:
@@ -264,20 +314,15 @@ def _bits(value):
 
 class TestZeroMultiplierSolve:
     """An LTV game's prepared lam = 0 equilibrium, when it violates no row, is
-    the report; withholding it sends the solve through the map, the LCP and
-    the final solve, which must give the same report bit for bit."""
+    the report; withholding it makes the solve compute it on the same gains,
+    which must give the same report bit for bit, with or without active rows."""
 
     @pytest.mark.parametrize("coupled", (False, True))
     def test_short_circuit_equals_the_full_path(self, coupled, lqnash_calls):
-        # where lam = 0 solves, the withheld path runs the map's ctilde pass,
-        # whose constant column is the policy (a final solve's pass before),
-        # and its mean trajectory; elsewhere the prepared path's ctilde pass
-        # carries the rows its lam = 0 equilibrium violates, which the
-        # withheld path fetches in one more pass on the pivot's first read,
-        # and both give the same multiplier bit for bit
-        full_path = Counter({"_zeta_sweep": 1, "integrate_expected": 1,
-                             "affine_response": 1})
-        fetch = Counter({"_zeta_sweep": 1, "affine_response": 1})
+        # the withheld path adds the lam = 0 zeta pass and its mean
+        # trajectory, and nothing else: the map's passes, the multiplier, the
+        # policy, its mean and g are the prepared path's bit for bit
+        lam0 = Counter({"_zeta_sweep": 1, "integrate_expected": 1})
         zero, asymmetry = [], []
         for k in range(40):
             prep = prepare_game(validate_scenario(
@@ -293,26 +338,27 @@ class TestZeroMultiplierSolve:
                 calls = +lqnash_calls
                 lqnash_calls.clear()
                 full = run_dual_ascent(withheld, DualAscentOptions(k_max=200))
-                if np.any(rep.lambda_bar):
-                    assert calls + fetch == +lqnash_calls, k
-                    assert calls["full_map"] == int(rep.termination != "lcp_solved"), k
-                    assert rep.map_columns == full.map_columns > 0, k
-                    assert _bits(rep.lambda_bar) == _bits(full.lambda_bar), k
-                    continue
-                zero.append(k)
-                assert calls == Counter() and +lqnash_calls == full_path, k
-                assert rep.termination == full.termination == "lcp_solved"
-                assert rep.pivots == full.pivots == 0
+                assert calls + lam0 == +lqnash_calls, k
                 for a, b in ((rep.lambda_bar, full.lambda_bar),
                              (rep.policy.K, full.policy.K),
                              (rep.policy.alpha, full.policy.alpha),
                              (rep.mean_traj, full.mean_traj),
                              (rep.g_final, full.g_final),
+                             (rep.map.ctilde, full.map.ctilde),
                              (rep.feasibility_residual, full.feasibility_residual),
                              (rep.complementarity, full.complementarity),
                              (rep.natural_residual, full.natural_residual)):
                     assert _bits(a) == _bits(b), k
-                assert rep.map_columns == full.map_columns == 0, k
+                assert rep.termination == full.termination and rep.pivots == full.pivots
+                assert rep.map_columns == full.map_columns, k
+                if np.any(rep.lambda_bar):
+                    assert calls["full_map"] == int(rep.termination != "lcp_solved"), k
+                    assert rep.map_columns > 0, k
+                    continue
+                zero.append(k)
+                assert calls == Counter(), k
+                assert rep.termination == "lcp_solved" and rep.pivots == 0
+                assert rep.map_columns == 0, k
                 lqnash_calls.clear()
                 assert rep.lipschitz == full.lipschitz, k
                 assert lqnash_calls == {"affine_response": 2, "_zeta_sweep": 2,
@@ -339,7 +385,7 @@ class TestColumnPolicy:
     def _check(prep, rep):
         assert rep.termination == "lcp_solved" and np.any(rep.lambda_bar)
         assert set(np.flatnonzero(rep.lambda_bar).tolist()) <= set(rep.map.alphas)
-        policy, traj, g = _solve_at(prep, rep.lambda_bar)
+        policy, traj, g = solve_at(prep, rep.lambda_bar)
         assert np.array_equal(rep.policy.K, policy.K)
         for got, want in ((rep.policy.alpha, policy.alpha), (rep.mean_traj, traj),
                           (rep.g_final, g)):
@@ -463,7 +509,7 @@ class TestRunDualAscent:
 
     def test_lambda_bar_is_average_and_iterates_nonnegative(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
-        gmap = estimate_affine_map(prep)
+        gmap = affine_map(prep)
         eta = 0.5 / gmap.L
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=300, tol_feas=0.0))
         iterates = _iterates(gmap, eta, 300)
@@ -483,14 +529,14 @@ class TestRunDualAscent:
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
-        gmap = estimate_affine_map(mini_prep)
+        gmap = affine_map(mini_prep)
         eta = 0.5 / gmap.L
         iterates = _iterates(gmap, eta, 40)
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=40, tol_feas=0.0))
         assert np.max(np.abs(averaged_ascent(gmap.G, gmap.ctilde, eta, 40)
                              - lam_bar)) < 1e-12
         for lam in iterates:
-            _, _, g = _solve_at(mini_prep, lam)
+            _, _, g = solve_at(mini_prep, lam)
             assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-10
 
     def test_mini_residual_magnitude(self, mini_report):
@@ -541,7 +587,7 @@ class TestLcp:
         preps = self._agrees_with_a_long_ascent([
             random_small_scenario(np.random.default_rng(k), coupled=True)
             for k in COUPLED_FEASIBLE_SEEDS])
-        assert max(estimate_affine_map(prep).asymmetry for prep in preps) > 1e-8
+        assert max(affine_map(prep).asymmetry for prep in preps) > 1e-8
 
     @staticmethod
     def _agrees_with_a_long_ascent(games):
@@ -564,7 +610,7 @@ class TestLcp:
         for prep, rep, lo, hi in zip(preps, reports, offsets, offsets[1:]):
             # lam is not unique on a rank-deficient G, so compare what it
             # determines, up to the ascent's own natural residual
-            _, traj, g = _solve_at(prep, lam_ascent[lo:hi])
+            _, traj, g = solve_at(prep, lam_ascent[lo:hi])
             tol = 4.0 * _natural_residual(lam_ascent[lo:hi], g) + 1e-12
             assert np.max(np.abs(rep.g_final - g)) <= tol
             assert np.max(np.abs(rep.mean_traj - traj)) <= tol
@@ -582,7 +628,7 @@ class TestLcp:
         assert termination == "max_iterations"
         assert rep.iterations == iterations == 3000
         assert np.array_equal(rep.lambda_bar, lam_bar)
-        assert np.array_equal(rep.policy.alpha, _solve_at(prep, lam_bar)[0].alpha)
+        assert np.array_equal(rep.policy.alpha, solve_at(prep, lam_bar)[0].alpha)
         assert rep.feasibility_residual > 1e-2
 
     def test_duplicated_rows_tie_to_the_lower_index(self):
@@ -653,6 +699,20 @@ class TestOptions:
                 DualAscentOptions(k_max=k_max, eta=eta)
 
 
+    @pytest.mark.parametrize("name", ["tol_feas", "tol_slack"])
+    @pytest.mark.parametrize("value", [math.nan, np.float64("nan"), -1.0, -1, -1e-300,
+                                       math.inf, -math.inf, "x", "0", None, [0.0], True])
+    def test_tolerances_must_be_finite_and_nonnegative(self, name, value):
+        # a NaN tolerance made report.json say the residual was within it
+        # while `ccgame solve` exited 2
+        with pytest.raises(DomainError, match=name):
+            DualAscentOptions(**{name: value})
+
+    def test_tolerances_accept_zero_and_finite_reals(self):
+        for value in (0, 0.0, 1e-9, 2, np.float64(1e-6), 1e300):
+            options = DualAscentOptions(tol_feas=value, tol_slack=value)
+            assert options.tol_feas == options.tol_slack == value
+
 class TestDualFunction:
     def test_zero_multiplier_is_unconstrained_cost(self):
         prep = prepare_game(validate_scenario(double_integrator_instance()))
@@ -666,7 +726,7 @@ class TestDualFunction:
         prep = prepare_game(validate_scenario(scalar_two_agent_instance(T=3)))
         rng = np.random.default_rng(9)
         lam = rng.uniform(0.1, 1.0, prep.M)
-        _, _, g = _solve_at(prep, lam)
+        _, _, g = solve_at(prep, lam)
         delta = 1e-4
         for m in range(prep.M):
             e = np.zeros(prep.M)
@@ -682,7 +742,7 @@ class TestDualFunction:
         prep = prepare_game(validate_scenario(scalar_two_agent_instance(T=3)))
         rng = np.random.default_rng(9)
         lam = rng.uniform(0.1, 1.0, prep.M)
-        _, _, g = _solve_at(prep, lam)
+        _, _, g = solve_at(prep, lam)
         delta = 1e-4
         e = np.zeros(prep.M)
         e[0] = delta

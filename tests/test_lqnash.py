@@ -86,12 +86,20 @@ class TestGainsOnce:
                 want = sweep_backward_recursion(problem, conset, lam)
                 assert np.array_equal(got.K, want.K)
                 assert np.array_equal(got.alpha, want.alpha)
-            G, ctilde, policy0, _ = affine_response(problem, conset)
-            G_ref, ctilde_ref, policy0_ref = sweep_affine_response(problem, conset)
+            G, alphas = affine_response(problem, conset, stage_gains(problem))
+            G_ref, alphas_ref, ctilde_ref, policy0_ref = sweep_affine_response(problem,
+                                                                               conset)
             assert np.array_equal(G, G_ref)
-            assert np.array_equal(ctilde, ctilde_ref)
+            assert np.array_equal(alphas, alphas_ref)
+            # the sweep's constant column is the lam = 0 policy; the map's
+            # ctilde, g at that policy's integrated mean, is its forward
+            # pass's to rounding (3.9e-16 of max(1, |ctilde|) measured)
+            policy0 = backward_recursion(problem)
             assert np.array_equal(policy0.K, policy0_ref.K)
             assert np.array_equal(policy0.alpha, policy0_ref.alpha)
+            ctilde = conset.evaluate(integrate_expected(problem.dyn, policy0))
+            assert np.max(np.abs(ctilde - ctilde_ref), initial=0.0) <= 2e-15 * max(
+                1.0, np.max(np.abs(ctilde_ref), initial=0.0))
 
     def test_tail_is_the_sliced_problems_gains(self, mini_prep):
         # P[0] differs by design: the slice zeroes Q at tau
@@ -258,19 +266,22 @@ class TestClosedLoopStep:
 
     @pytest.fixture(scope="class")
     def plants(self):
-        """Per name, the dynamics, K, alpha and noise factors (None: the mean
-        trajectory's step) of a policy the library steps: each game's lam = 0
-        policy and, on the aggregate, the central plan driving the plant."""
+        """Per name, the dynamics, the stacked inputs the library steps with,
+        K, alpha and noise factors (None: the mean trajectory's step) of a
+        policy the library steps: each game's lam = 0 policy and, on the
+        aggregate, the central plan driving the plant on the aggregate's B."""
         out = {}
         for name, make in (("intersection-mini", scenarios.make_intersection_mini),
                            ("intersection", scenarios.make_intersection),
                            ("dense-input", dense_input_scenario)):
             problem = assemble_problem(validate_scenario(make()))
             policy = backward_recursion(problem)
-            out[name] = problem.dyn, policy.K, policy.alpha, None
+            stacked = [_stacked_inputs(B_t) for B_t in problem.dyn.B]
+            out[name] = problem.dyn, stacked, policy.K, policy.alpha, None
         mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
         planner = simulate.CentralPlanner(mini)
-        out["aggregate-mini"] = mini.dyn, planner.gains.K, planner.alpha0, planner.factors
+        out["aggregate-mini"] = (mini.dyn, planner.agg.dyn.B[:, 0], planner.gains.K,
+                                 planner.alpha0, planner.factors)
         return out
 
     @pytest.mark.parametrize("name", ["intersection-mini", "intersection",
@@ -279,16 +290,18 @@ class TestClosedLoopStep:
         # at each step, the state the batched reference reaches from x0 and
         # four random states; the reached states of a game's mean step are
         # its expected trajectory, and the aggregate's plant adds L_t z_t
-        dyn, K, alpha, factors = plants[name]
+        dyn, stacked, K, alpha, factors = plants[name]
         rng = np.random.default_rng(0)
         path = [dyn.x0]
         for t in range(dyn.T):
             x = np.vstack([path[-1], path[-1] + rng.normal(size=(4, dyn.n_x))])
             L, z = (None, None) if factors is None else (factors[t], rng.normal(size=x.shape))
-            args = dyn.A[t], dyn.B[t], K[t], alpha[t]
-            u_batch, x_batch = batched_closed_loop_step(*args, x, L, z)
+            A = dyn.A[t]
+            assert stacked[t].tobytes() == _stacked_inputs(dyn.B[t]).tobytes()
+            u_batch, x_batch = batched_closed_loop_step(A, dyn.B[t], K[t], alpha[t], x, L, z)
             for s in range(len(x)):
-                u, x_next = closed_loop_step(*args, x[s], L, None if z is None else z[s])
+                u, x_next = closed_loop_step(A, stacked[t], K[t], alpha[t], x[s],
+                                             L, None if z is None else z[s])
                 assert _bits(u) == _bits(u_batch[s]) and _bits(x_next) == _bits(x_batch[s])
             path.append(x_batch[0])
         if factors is None:
@@ -305,7 +318,7 @@ class TestClosedLoopStep:
         L, (x, z) = rng.normal(size=(n_x, n_x)), rng.normal(size=(2, 3, n_x))
         u_batch, x_batch = batched_closed_loop_step(A, B, K, alpha, x, L, z)
         for s in range(3):
-            u, x_next = closed_loop_step(A, B, K, alpha, x[s], L, z[s])
+            u, x_next = closed_loop_step(A, _stacked_inputs(B), K, alpha, x[s], L, z[s])
             assert _bits(u) == _bits(u_batch[s]) and _bits(x_next) == _bits(x_batch[s])
 
 

@@ -492,7 +492,7 @@ class TestCentralMpc:
         # rcond check per stage and one lam = 0 zeta pass, whose tail is every
         # replan's reference policy; per replan, the mean trajectory of the
         # reference, and only where a row is violated (a of them) the map's
-        # ctilde pass, which carries the violated rows' columns (all that the
+        # one pass, which carries the violated rows' columns (all that the
         # pivot reads here) and so the policy at the pivot's multiplier, and
         # its mean trajectory; no final solve's zeta pass (5 passes with it),
         # no full map and no diagnostic that only a report reads
@@ -512,7 +512,7 @@ class TestCentralMpc:
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
         # one lam = 0 pass per call, one covariance per replan time, and one
         # zeta pass per replan whose lam = 0 mean violates a row: the map's
-        # ctilde pass with the 18 columns of the violated rows, which give
+        # one pass with the 18 columns of the violated rows, which give
         # the policy too; no full map (27 passes with a final solve's per
         # such replan; 81 when every replan ran the full map; 120 passes, 40
         # covariances before that)
@@ -548,10 +548,10 @@ class TestCentralMpc:
                               ("intersection", (5,), 1)])
     def test_zero_multiplier_replans_equal_the_full_path(self, monkeypatch, lqnash_calls,
                                                          name, seeds, episodes):
-        # withholding the planner's lam = 0 equilibrium sends every replan
-        # through the map, the LCP and the final solve; the episodes are the
+        # withholding the planner's lam = 0 equilibrium makes every replan
+        # solve it on the tail of the planner's gains; the episodes are the
         # same bit for bit, signs of zeros included.  An active replan runs
-        # the map's ctilde pass, with the columns of the rows it violates,
+        # the map's one pass, with the columns of the rows it violates,
         # and a pass per pivot read of a column not among them (one, on
         # intersection at seed 5), never the full map
         from ccgame import scenarios

@@ -1,6 +1,6 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
 library still has, one round of each benchmark workload must pass its
-checks, the traced memory peaks of a prepare, a solve and a rollout stay
+checks, a traced solve must time the map's pass as the map's, the traced memory peaks of a prepare, a solve and a rollout stay
 under their guards, the bundled scenario files must be what their builders
 write, the README's scenario example must load and its library example must
 run as written."""
@@ -52,6 +52,21 @@ def test_benchmark_workload_passes_its_checks(workload):
     assert result["correct"] is True and result["failed"] == 0
     assert result["attempted"] >= 1
 
+
+
+def test_traced_solve_times_the_map_pass():
+    # one traced round of the solve workload: the map's one zeta pass runs in
+    # estimate_affine_map, so the traced map time holds all of affine_response
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "solve-intersection", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        check=True, capture_output=True, text=True, cwd=ROOT).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["dualascent.map_s"] > 0
+    assert metrics["lqnash.affine_response_calls"] >= 1
+    assert metrics["dualascent.map_s"] >= metrics["lqnash.affine_response_s"] > 0
 
 def _traced_peak_mib(fn):
     """The tracemalloc peak of fn() after one untraced warm-up call: numpy

@@ -553,8 +553,10 @@ class TestCompactOperations:
             problem, conset = prep.problem, prep.conset
             n_x = problem.n_x
             gains = lqnash.stage_gains(problem)
-            G, ctilde, policy0, _ = lqnash.affine_response(problem, conset, gains)
+            G, _ = lqnash.affine_response(problem, conset, gains)
             G_d, ctilde_d, policy0_d, xstack = dense_affine_response(problem, conset, gains)
+            policy0 = lqnash.backward_recursion(problem, gains=gains)
+            ctilde = conset.evaluate(lqnash.integrate_expected(problem.dyn, policy0))
             assert np.array_equal(policy0.alpha, policy0_d.alpha)
             largest = np.zeros(prep.M)
             for m, t in enumerate(conset.t.tolist()):
