@@ -12,14 +12,13 @@ equilibrium's mean and alpha0 its affine term, so the map holds only its
 linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
 zeta pass computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
-in one more pass with every uncached violated row.  Its solution is nonzero
-only on columns it read, so the report's policy is alpha0 plus those
-columns; only the fallback ascent's dense multiplier gets a final pass
-(``_solve_at``).  A lam = 0 equilibrium that violates no row is the report,
-and the map runs no zeta pass.  The full G (every column in one pass,
-keeping no alpha columns) is built only when L, the asymmetry, the fallback
-ascent or a dual value reads it: ``report.json`` and the CLI's ``solve:``
-line read L, a central-MPC replan none of them.
+in one more pass with every uncached violated row.  The policy at any lam,
+the pivot's or the fallback ascent's, is alpha0 plus the columns lam is
+nonzero on (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that
+violates no row is the report, and the map runs no zeta pass.  The full G
+is built only when L, the asymmetry, the fallback ascent or a dual value
+reads it: ``report.json`` and the CLI's ``solve:`` line read L, a
+central-MPC replan none of them.  The rows are read by ``evaluate`` and ``span``.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -114,14 +113,14 @@ class AffineGradientMap:
     ctilde and policy0 are the lam = 0 equilibrium's g and policy.  A column
     missing from the cache ``columns`` (and ``alphas``, its affine-term
     response) comes in one ``affine_response`` pass with every missing row
-    violated at lam = 0.  G itself, which L = ||G||_2, asymmetry = ||G -
-    G'||_F / ||G||_F, the fallback ascent and the dual values read, is the
-    full pass, after which the map drops its ``gains``.  dual0[i] = D^i(0) is
-    policy0's expected cost.  All are computed when first read."""
+    violated at lam = 0.  ``alpha(lam)`` is the policy's affine term at lam.
+    G itself, which L = ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the
+    fallback ascent and the dual values read, is the full pass.  dual0[i] =
+    D^i(0) is policy0's expected cost.  All are computed when first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
-    gains: lqnash.StageGains | None = field(repr=False)
+    gains: lqnash.StageGains = field(repr=False)
     ctilde: np.ndarray
     policy0: lqnash.FeedbackPolicy = field(repr=False)
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
@@ -142,11 +141,17 @@ class AffineGradientMap:
                               if m != j and m not in self.columns])
         return self.columns[j]
 
+    def alpha(self, lam):
+        """alpha0 + sum_j lam_j alpha_j in ascending j; uncached columns in one pass."""
+        nonzero = np.flatnonzero(lam).tolist()
+        missing = [j for j in nonzero if j not in self.alphas]
+        if missing:
+            self._pass(missing)
+        return sum((lam[j] * self.alphas[j] for j in nonzero), self.policy0.alpha)
+
     @cached_property
     def G(self):
-        G = self._pass(None)
-        object.__setattr__(self, "gains", None)
-        return G
+        return self._pass(None)
 
     @cached_property
     def _norms(self):
@@ -176,13 +181,6 @@ class AffineGradientMap:
         lam = np.asarray(lam)
         return float(self.dual0[i] + self.ctilde @ lam
                      + 0.5 * lam @ (self.G @ lam))
-
-
-def _solve_at(prepared: PreparedGame, lam, gains):
-    policy = lqnash.backward_recursion(prepared.problem, prepared.conset, lam,
-                                       gains)
-    traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
-    return policy, traj, prepared.conset.evaluate(traj)
 
 
 SYMMETRY_TOL = 1e-12       # ||G - G'||_F / ||G||_F below which eigvalsh(G) gives L
@@ -318,8 +316,8 @@ class DualAscentOptions:
 
     def __post_init__(self):
         _integer(self.k_max, "k_max", 1, DomainError)
-        if self.eta != "auto" and not (isinstance(self.eta, numbers.Real)
-                                       and math.isfinite(self.eta) and self.eta > 0):
+        if self.eta != "auto" and (isinstance(self.eta, bool) or not (isinstance(
+                self.eta, numbers.Real) and math.isfinite(self.eta) and self.eta > 0)):
             raise DomainError(
                 f"eta: expected 'auto' or a finite float > 0, got {self.eta!r}")
         for name in ("tol_feas", "tol_slack"):
@@ -446,10 +444,10 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     The lam = 0 equilibrium (the preparer's, or solved here on the gains)
     gives the map's ctilde and alpha0.  Lemke's pivot gives the exact LCP
     solution (termination "lcp_solved"): lam = 0 when that equilibrium
-    violates no row, which is then the report, and otherwise alpha0 plus the
-    map's columns.  When it stops without one, the averaged ascent runs with
-    the options' k_max and eta, a zeta pass solves at its multiplier and the
-    termination is the pivot's reason (see ``solve_lcp``).
+    violates no row, which is then the report.  When it stops without one,
+    the averaged ascent runs with the options' k_max and eta and the
+    termination is the pivot's reason (see ``solve_lcp``).  The policy at a
+    nonzero multiplier is the map's ``alpha`` on the stage gains.
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
@@ -466,10 +464,8 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     if lam_bar is None:
         lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
                                          options, trace_writer)
-        policy, traj, g_final = _solve_at(prepared, lam_bar, gains)
-    elif np.any(lam_bar):   # 0 off the columns the pivot read, whose alphas are cached
-        terms = (lam_bar[j] * gmap.alphas[j] for j in np.flatnonzero(lam_bar))
-        policy = lqnash.FeedbackPolicy(K=gains.K, alpha=sum(terms, gmap.policy0.alpha))
+    if np.any(lam_bar):
+        policy = lqnash.FeedbackPolicy(K=gains.K, alpha=gmap.alpha(lam_bar))
         traj = lqnash.integrate_expected(problem.dyn, policy)
         g_final = prepared.conset.evaluate(traj)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))

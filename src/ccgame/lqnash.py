@@ -19,12 +19,11 @@ rcond, and returns K, F, P, S_t and the gain right-hand sides YK_t.  A
 shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
 then computes the affine terms on those gains for a linear term with m
 columns, one zeta column per column: ``backward_recursion`` runs it with
-the one column ``s_t`` at a given lam (lam = 0 gives alpha0), and
-``affine_response`` with chosen columns of G (``0.5 l_m`` at step t_m for
-multiplier m), whose rows of the linear part of the map lam -> g follow by
-one forward pass, the rows of each step read as their mean X_t is formed;
-column j's affine terms are alpha's response to multiplier j.  The map's
-constant part is the lam = 0 equilibrium's g (see ``dualascent``).  A
+the goal references' one column ``s_t`` (alpha0), and ``affine_response``
+with chosen columns of G (``0.5 l_m`` at step t_m for multiplier m), whose
+rows of the linear part of the map lam -> g follow by one forward pass, the
+rows of each step (``span``) read as their mean X_t is formed; column j's
+affine terms are alpha's response to multiplier j (see ``dualascent``).  A
 column's bits do not depend on the other columns of its pass: a 1-column or
 1-row product goes down another BLAS route, so a zero column pads a single
 one, as in ``backward_recursion`` and ``_stage_gain``, and ``_gemm`` doubles
@@ -209,23 +208,20 @@ def _gemm(A, X):
     return (np.concatenate([A, A]) @ X)[:1] if len(A) == 1 < X.shape[1] else A @ X
 
 
-def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
-    """Half linear coefficients s[i, t] = 0.5 sum_{t_m = t} lam_m l_m - Q^i_t r^i_t."""
-    s = -np.einsum("itab,itb->ita", problem.Q, problem.ref)
-    if conset is not None and lam is not None and conset.M > 0:
-        s[:, 1:, :] += 0.5 * conset.stage_term(lam)
-    return s
+def stage_linear_terms(problem: GameProblem):
+    """Half linear coefficients s[i, t] = -Q^i_t r^i_t of the goal references."""
+    return -np.einsum("itab,itb->ita", problem.Q, problem.ref)
 
 
-def backward_recursion(problem: GameProblem, conset=None, lam=None, gains=None):
-    """Feedback NE policy at multiplier lam: a zeta pass with one linear column
-    on the problem's gains (computed here when not given).
+def backward_recursion(problem: GameProblem, gains=None):
+    """The lam = 0 feedback NE policy: a zeta pass with the goal-reference
+    column on the problem's gains (computed here when not given).
 
-    With lam = 0 (or no constraint set) and zero references the affine terms
-    vanish and the policy is the unconstrained LQ-game equilibrium.
+    With zero references the affine terms vanish and the policy is the
+    unconstrained LQ-game equilibrium.
     """
     gains = stage_gains(problem) if gains is None else gains
-    s = stage_linear_terms(problem, conset, lam)
+    s = stage_linear_terms(problem)
     padded = np.stack([s, np.zeros_like(s)], axis=-1)    # see the module docstring
     a = _zeta_sweep(problem, gains, lambda t: padded[:, t])
     return FeedbackPolicy(K=gains.K, alpha=a[..., 0])

@@ -19,12 +19,12 @@ noise model.  A covariance schedule is a read-only array Sigma
 (T+1, n_x, n_x), and each collision constraint's rows are built for all of
 its steps in one batched pass.  A row reads one step and at most two agents,
 so the rows are one compact table (``AffineConstraintSet``) that the solver
-reads through three operations, never as a dense (T n_x, M) matrix.
+reads through two operations, ``evaluate`` and ``span``, never as a dense
+(T n_x, M) matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
@@ -39,11 +39,7 @@ DEGENERATE_SEPARATION = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Standard normal CDF / quantile
-
-
-def normal_cdf(x):
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
+# Standard normal quantile
 
 
 def inverse_normal_cdf(p):
@@ -142,9 +138,8 @@ class AffineConstraintSet:
     its offset c[m].  Rows are ordered by step, then constraint, then
     (coordinate, lower before upper) within a box, so the rows of a step are
     one contiguous range, ``span(t)``.  The solver reads g at a mean
-    trajectory (``evaluate``), the multipliers' per-step linear term
-    (``stage_term``) and ``span``; ``lmat``, the dense (T*n_x, M) matrix of
-    the rows, is built only when read, for dense oracles."""
+    trajectory (``evaluate``) and ``span``; ``lmat``, the dense (T*n_x, M)
+    matrix of the rows, is built only when read, for dense oracles."""
 
     t: np.ndarray
     source: np.ndarray
@@ -172,14 +167,6 @@ class AffineConstraintSet:
         """g at a solver-coordinate mean trajectory (T+1, n_x): one gather of
         each row's x_t."""
         return np.einsum("mi,mi->m", self.l, np.asarray(mean_traj)[self.t]) + self.c
-
-    def stage_term(self, lam):
-        """(T, n_x) sums of lam_m l_m over the rows m of each step t = 1..T,
-        in row order; a row whose lam_m is 0 adds nothing and is skipped."""
-        lam, out = np.asarray(lam, dtype=float), np.zeros((self.T, self.l.shape[1]))
-        m = np.flatnonzero(lam)
-        np.add.at(out, self.t[m] - 1, lam[m, None] * self.l[m])
-        return out
 
     @property
     def lmat(self):

@@ -23,7 +23,8 @@ bit-for-bit reference for the library's one-row step.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
-splice that swaps one player's response in, the solve at a given lam and the
+splice that swaps one player's response in, the solve at a given lam (one
+full sweep, whose linear term adds one row's 0.5 lam_m l_m at a time) and the
 dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
 solve computes them, where the preparer has none), the dual function they
 drive, a Monte Carlo probe of one collision row, and a loader for the
@@ -36,9 +37,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ccgame import lqnash, scenarios
-from ccgame.dualascent import PreparedGame, _solve_at, estimate_affine_map
+from ccgame.dualascent import PreparedGame, estimate_affine_map
 from ccgame.errors import DegenerateReference
-from ccgame.lqnash import FeedbackPolicy, _check_rcond, stage_linear_terms
+from ccgame.lqnash import FeedbackPolicy, _check_rcond
 from ccgame.model import GameProblem, Scenario, load_scenario
 from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_normal_cdf
 
@@ -254,6 +255,16 @@ def lqr_oracle(A_seq, B_seq, Q_seq, R_seq, W_seq, x0):
 
 # ---------------------------------------------------------------------------
 # Full coupled Riccati sweep: gains and affine terms in every pass
+
+
+def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
+    """Half linear coefficients s[i, t] = 0.5 sum_{t_m = t} lam_m l_m - Q^i_t r^i_t,
+    adding each row m with lam_m != 0 on its own."""
+    s = -np.einsum("itab,itb->ita", problem.Q, problem.ref)
+    lam = np.zeros(0) if lam is None else np.asarray(lam, dtype=float)
+    for m in np.flatnonzero(lam):
+        s[:, conset.t[m]] += 0.5 * lam[m] * conset.l[m]
+    return s
 
 
 def _gemm_route(A, X):
@@ -731,8 +742,10 @@ def prepared_gains(prepared: PreparedGame):
 
 
 def solve_at(prepared: PreparedGame, lam):
-    """(policy, mean, g) at lam: ``dualascent._solve_at`` on ``prepared_gains``."""
-    return _solve_at(prepared, lam, prepared_gains(prepared))
+    """(policy, mean, g) at lam: the full sweep's policy, its mean and g there."""
+    policy = sweep_backward_recursion(prepared.problem, prepared.conset, lam)
+    traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
+    return policy, traj, prepared.conset.evaluate(traj)
 
 
 def affine_map(prepared: PreparedGame):

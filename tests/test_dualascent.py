@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgame import dualascent
@@ -12,8 +12,8 @@ from ccgame.dualascent import (DualAscentOptions, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, solve_lcp, _ascent)
 from ccgame.errors import DomainError, StepSizeUnavailable
-from ccgame.lqnash import (affine_response, backward_recursion, evaluate_cost,
-                           evaluate_lagrangian, integrate_expected)
+from ccgame.lqnash import (FeedbackPolicy, affine_response, backward_recursion,
+                           evaluate_cost, evaluate_lagrangian, integrate_expected)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
 from conftest import (coupled_constrained_instance, double_integrator_instance,
@@ -127,10 +127,10 @@ class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
         # one gain recursion with an rcond check per stage, the lam = 0
         # equilibrium (a zeta pass and its mean trajectory) unless prepared,
-        # the map's column passes and the final mean trajectory: the pivot's
-        # solution is the sum of cached columns, so only the fallback
-        # ascent's multiplier needs a final zeta pass; the dual values cost
-        # one evaluation when read, once.  An LTV game (no nominal) runs its
+        # the map's column passes and the final mean trajectory: the policy
+        # at a multiplier is alpha0 plus its columns, one more pass computing
+        # those not cached; the dual values cost one evaluation when read,
+        # once.  An LTV game (no nominal) runs its
         # gain recursion and lam = 0 equilibrium in prepare_game, for the
         # reference, and the solve reuses both; where that equilibrium
         # violates no row (the unconstrained game) it is the solution, and
@@ -150,7 +150,8 @@ class TestSweepCount:
         # game's one pass of the 3 rows its lam = 0 equilibrium violates,
         # which hold every column its pivot reads; nothing when lam = 0
         # solves; the ray game's pass of its violated rows and the full map
-        # of its fallback ascent
+        # of its fallback ascent, whose multiplier is nonzero only on columns
+        # the pivot read, so its alphas are cached
         for prep, (passes, full, columns) in zip(preps, ((1, 0, 3), (0, 0, 0), (1, 1, 11))):
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
@@ -159,7 +160,7 @@ class TestSweepCount:
             assert +lqnash_calls == +Counter({
                 "stage_gains": in_solve,
                 "_check_rcond": in_solve * prep.problem.T,
-                "_zeta_sweep": in_solve + passes + full + int(rep.termination != "lcp_solved"),
+                "_zeta_sweep": in_solve + passes + full,
                 "affine_response": passes + full, "full_map": full,
                 "integrate_expected": in_solve + int(np.any(rep.lambda_bar))}), rep.termination
             assert rep.map_columns == columns == len(rep.map.columns)
@@ -378,8 +379,7 @@ class TestZeroMultiplierSolve:
 class TestColumnPolicy:
     """A solve the pivot ends combines its policy from the map's cached
     columns: alpha(lam) = alpha0 + sum_j lam_j alpha_j.  It equals the
-    literal final solve at the same multiplier to 1e-13 of each quantity's
-    scale, and the multiplier equals the pivot's on the full G bit for bit."""
+    full sweep at the same multiplier to 1e-13 of each quantity's scale, and the multiplier equals the pivot's on the full G bit for bit."""
 
     @staticmethod
     def _check(prep, rep):
@@ -424,6 +424,50 @@ class TestColumnPolicy:
             assert not run.failures and run.replans_with_active_rows > 0, seed
 
 
+class TestOneRoute:
+    """The policy at any multiplier is the map's, (K, alpha(lam)) on the
+    stage gains.  It, its mean and g equal the full sweep at lam, which
+    shares no code with the map, to 1e-13 of max(1, |.|): at a random dense
+    lam and at the fallback ascent's averaged lam, which is the report's own
+    multiplier when the pivot ends on a ray."""
+
+    @staticmethod
+    def _check(prep, rng):
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
+        gmap = rep.map
+        fallback = rep.termination != "lcp_solved"
+        lam_bar = rep.lambda_bar if fallback else _ascent(gmap, rep.eta, rep.options)[0]
+        for lam in (rng.uniform(0.0, 1.5, prep.M), lam_bar):
+            policy = FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam))
+            traj = integrate_expected(prep.problem.dyn, policy)
+            got = (policy.alpha, traj, prep.conset.evaluate(traj))
+            want_policy, want_traj, want_g = solve_at(prep, lam)
+            assert np.array_equal(policy.K, want_policy.K)
+            for a, b in zip(got, (want_policy.alpha, want_traj, want_g)):
+                scale = max(1.0, np.max(np.abs(b), initial=0.0))
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * scale
+        if fallback:
+            for a, b in zip(got, (rep.policy.alpha, rep.mean_traj, rep.g_final)):
+                assert _bits(a) == _bits(b)
+        return fallback
+
+    def test_bundled_scenarios(self, mini_prep, intersection_prep):
+        rng = np.random.default_rng(21)
+        for prep in (mini_prep, intersection_prep):
+            assert not self._check(prep, rng)
+
+    @pytest.mark.parametrize("coupled", (False, True))
+    def test_small_games(self, coupled):
+        rng = np.random.default_rng(22)
+        rays = [k for k in range(18) if self._check(prepare_game(validate_scenario(
+            random_small_scenario(np.random.default_rng(k), coupled=coupled))), rng)]
+        assert rays == ([6, 11] if coupled else [2, 6, 11, 13, 14])
+
+    def test_coupled_constrained_instance(self):
+        prep = prepare_game(validate_scenario(coupled_constrained_instance()))
+        assert not self._check(prep, np.random.default_rng(23))
+
+
 class TestLazyDiagnostics:
     def test_each_lazy_property_equals_its_formula(self, mini_prep):
         # the ray game runs the fallback ascent, which reads L for its step;
@@ -448,15 +492,15 @@ class TestLazyDiagnostics:
                 rep.mean_traj))
 
 
-    def test_the_map_releases_the_stage_gains_once_built(self, intersection_report):
+    def test_the_map_keeps_the_stage_gains_once_built(self, intersection_report):
         # a unicycle solve computes its own gains; only a zeta pass reads
-        # them, so the map keeps them for the columns it may still be asked
-        # for until the full G is built
+        # them, and the map keeps them after the full G for the alpha
+        # columns a multiplier may still ask for
         assert np.any(intersection_report.lambda_bar)
         gmap = intersection_report.map
-        assert gmap.gains is not None or len(gmap.columns) == gmap.conset.M
+        gains = gmap.gains
         gmap.G
-        assert gmap.gains is None
+        assert gmap.gains is gains
 
     def test_a_short_circuited_map_keeps_its_gains_until_read(self):
         prep = prepare_game(validate_scenario(random_small_scenario(
@@ -468,7 +512,6 @@ class TestLazyDiagnostics:
         full = run_dual_ascent(dataclasses.replace(slack, equilibrium0=None))
         assert not np.any(rep.lambda_bar) and rep.map.gains is prep.gains
         assert rep.lipschitz == full.lipschitz
-        assert rep.map.gains is None
         assert rep.map.G.tobytes() == full.map.G.tobytes()
 
 
@@ -628,7 +671,6 @@ class TestLcp:
         assert termination == "max_iterations"
         assert rep.iterations == iterations == 3000
         assert np.array_equal(rep.lambda_bar, lam_bar)
-        assert np.array_equal(rep.policy.alpha, solve_at(prep, lam_bar)[0].alpha)
         assert rep.feasibility_residual > 1e-2
 
     def test_duplicated_rows_tie_to_the_lower_index(self):
@@ -688,9 +730,11 @@ class TestOptions:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-3, 5),
            st.one_of(st.just("auto"), st.floats(), st.integers(-2, 2),
-                     st.text(max_size=4)))
+                     st.text(max_size=4), st.booleans()))
+    @example(1, True)
+    @example(1, False)
     def test_construction_accepts_exactly_the_valid_options(self, k_max, eta):
-        valid_eta = eta == "auto" or (not isinstance(eta, str)
+        valid_eta = eta == "auto" or (not isinstance(eta, (str, bool))
                                       and math.isfinite(eta) and eta > 0)
         if k_max >= 1 and valid_eta:
             assert DualAscentOptions(k_max=k_max, eta=eta).eta == eta

@@ -9,15 +9,16 @@ from ccgame.lqnash import (FeedbackPolicy, _stage_gain, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
                            evaluate_lagrangian, fixed_order_sums, integrate_expected,
                            mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
-                           realized_costs, stage_gains, stage_linear_terms)
+                           realized_costs, stage_gains)
 from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (batched_closed_loop_step, best_response, dense_best_response,
-                     dense_game_inputs, loop_quadratic_sums, lqr_oracle, replace_player,
+from oracles import (affine_map, batched_closed_loop_step, best_response,
+                     dense_best_response, dense_game_inputs, loop_quadratic_sums,
+                     lqr_oracle, replace_player, stage_linear_terms,
                      sweep_affine_response, sweep_backward_recursion)
 
 
@@ -78,11 +79,10 @@ class TestGainsOnce:
         scenarios.append(coupled_constrained_instance())
         preps = [mini_prep, intersection_prep]
         preps += [prepare_game(validate_scenario(s)) for s in scenarios]
-        rng = np.random.default_rng(9)
         for prep in preps:
             problem, conset = prep.problem, prep.conset
-            for lam in (None, np.zeros(prep.M), rng.uniform(0.0, 1.5, prep.M)):
-                got = backward_recursion(problem, conset, lam)
+            got = backward_recursion(problem)
+            for lam in (None, np.zeros(prep.M)):
                 want = sweep_backward_recursion(problem, conset, lam)
                 assert np.array_equal(got.K, want.K)
                 assert np.array_equal(got.alpha, want.alpha)
@@ -165,7 +165,8 @@ class TestBackwardRecursion:
         s = scalar_single_agent_instance()
         prep = prepare_game(validate_scenario(s))
         lam = np.array([0.7])
-        policy = backward_recursion(prep.problem, prep.conset, lam)
+        gmap = affine_map(prep)
+        policy = FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam))
         us, _, traj = dense_game_inputs(prep.problem, prep.conset.lmat,
                                         prep.conset.c, lam)
         mean_u = mean_inputs(prep.problem.dyn, policy)
@@ -482,7 +483,7 @@ class TestBestResponse:
         s = double_integrator_instance()
         prep = prepare_game(validate_scenario(s))
         lam = np.array([0.5])
-        policy = backward_recursion(prep.problem, prep.conset, lam)
+        policy = sweep_backward_recursion(prep.problem, prep.conset, lam)
         Ki, ai = best_response(prep.problem, policy, 0, lam, prep.conset)
         assert np.allclose(Ki, policy.K[:, 0], atol=1e-12)
         assert np.allclose(ai, policy.alpha[:, 0], atol=1e-12)
@@ -539,7 +540,7 @@ class TestValueFunctionIdentity:
             const += float(problem.ref[i, t] @ problem.Q[i, t] @ problem.ref[i, t])
         if conset is not None and lam is not None and conset.M:
             const += float(np.asarray(lam) @ conset.c)
-        policy = backward_recursion(problem, conset, lam)
+        policy = sweep_backward_recursion(problem, conset, lam)
         P = riccati_matrices(problem)
         s = stage_linear_terms(problem, conset, lam)[i]
         zeta = s[T]
@@ -568,7 +569,7 @@ class TestValueFunctionIdentity:
         lam = np.random.default_rng(6).uniform(0.0, 1.5, prep.M)
         cases.append((prep.problem, prep.conset, lam))
         for problem, conset, lam in cases:
-            policy = backward_recursion(problem, conset, lam)
+            policy = sweep_backward_recursion(problem, conset, lam)
             for i in range(problem.N):
                 direct = evaluate_lagrangian(problem, policy, lam, conset)[i]
                 via_value = self._lagrangian_via_value(problem, conset, lam, i)
@@ -582,7 +583,7 @@ class TestAlphaLinearity:
         lam2 = rng.uniform(0, 1.5, mini_prep.M)
 
         def alpha_at(lam):
-            policy = backward_recursion(mini_prep.problem, mini_prep.conset, lam)
+            policy = sweep_backward_recursion(mini_prep.problem, mini_prep.conset, lam)
             return policy.alpha
 
         lhs = alpha_at(lam1 + lam2) + alpha_at(np.zeros(mini_prep.M))

@@ -466,7 +466,7 @@ class TestCentralMpc:
         from ccgame.scenarios import make_intersection_mini
         prep = prepare_game(validate_scenario(make_intersection_mini()))
         rep = run_dual_ascent(prep, DAO(k_max=20000, tol_feas=0.0))
-        policy = backward_recursion(prep.problem, prep.conset, 1.5 * rep.lambda_bar)
+        policy = FeedbackPolicy(K=rep.policy.K, alpha=rep.map.alpha(1.5 * rep.lambda_bar))
         traj = integrate_expected(prep.problem.dyn, policy)
         g = prep.conset.evaluate(traj)
         assert np.max(g) < 0.0        # strictly inside the affine set

@@ -13,8 +13,7 @@ from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
                           load_scenario, validate_scenario)
 from ccgame.uncertainty import (allocate_risk, assemble_constraints,
                                 inverse_normal_cdf, linearize_collision,
-                                normal_cdf, propagate_covariance,
-                                reference_direction)
+                                propagate_covariance, reference_direction)
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
@@ -49,7 +48,8 @@ class TestInverseNormalCdf:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_roundtrip_identity(self, z):
-        assert inverse_normal_cdf(normal_cdf(z)) == pytest.approx(z, abs=1e-8)
+        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        assert inverse_normal_cdf(cdf) == pytest.approx(z, abs=1e-8)
 
     def test_realized_row_risk_within_1e13(self):
         """A row backed off by z = Phi^-1(1 - eps/M) realises the tail risk
@@ -533,20 +533,6 @@ class TestCompactOperations:
                 terms = np.abs(conset.l * traj[conset.t])
                 largest = np.maximum(terms.max(axis=1, initial=0.0), np.abs(conset.c))
                 assert _within_4ulp(conset.evaluate(traj), want, largest)
-
-    def test_stage_term_is_the_dense_product(self, preps):
-        rng = np.random.default_rng(13)
-        for prep in preps:
-            conset, T, n_x = prep.conset, prep.problem.T, prep.problem.n_x
-            for lam in (rng.uniform(0.0, 1.5, prep.M),
-                        rng.uniform(0.0, 1.5, prep.M) * (rng.random(prep.M) < 0.3)):
-                want = (conset.lmat @ lam).reshape(T, n_x)
-                terms = np.zeros((T, n_x))
-                for m in range(prep.M):      # the row t's largest term
-                    t = conset.t[m] - 1
-                    terms[t] = np.max(np.abs(lam[m] * conset.l[m]), initial=terms[t].max())
-                largest = terms.max(axis=1, keepdims=True)
-                assert _within_4ulp(conset.stage_term(lam), want, largest)
 
     def test_map_is_the_dense_product(self, preps):
         for prep in preps:
