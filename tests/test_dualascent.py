@@ -130,11 +130,11 @@ class TestSweepCount:
         # the map's column passes and the final mean trajectory: the policy
         # at a multiplier is alpha0 plus its columns, one more pass computing
         # those not cached; the dual values cost one evaluation when read,
-        # once.  An LTV game (no nominal) runs its
-        # gain recursion and lam = 0 equilibrium in prepare_game, for the
-        # reference, and the solve reuses both; where that equilibrium
-        # violates no row (the unconstrained game) it is the solution, and
-        # the solve runs no zeta pass and no integration
+        # once.  An LTV game (no nominal) runs its gain recursion and lam = 0
+        # equilibrium in prepare_game, for the reference, and the solve
+        # reuses both; where that equilibrium violates no row (the
+        # unconstrained game) it is the solution, and the solve runs no zeta
+        # pass and no integration
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -379,7 +379,8 @@ class TestZeroMultiplierSolve:
 class TestColumnPolicy:
     """A solve the pivot ends combines its policy from the map's cached
     columns: alpha(lam) = alpha0 + sum_j lam_j alpha_j.  It equals the
-    full sweep at the same multiplier to 1e-13 of each quantity's scale, and the multiplier equals the pivot's on the full G bit for bit."""
+    full sweep at the same multiplier to 1e-13 of each quantity's scale, and
+    the multiplier equals the pivot's on the full G bit for bit."""
 
     @staticmethod
     def _check(prep, rep):
