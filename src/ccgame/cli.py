@@ -1,9 +1,9 @@
 """Command-line surface: solve, rollout, mpc, report.
 
 Every command writes its artifacts plus a run manifest into --out.  Exit
-codes: 0 success, 1 invalid input or solver failure, 2 completed with
-warnings (solve ended with residuals above tolerance, or some MPC seed
-failed).
+codes: 0 success, 1 invalid input (malformed arguments too) or solver
+failure, 2 completed with warnings (solve ended with residuals above
+tolerance, or some MPC seed failed).
 """
 
 from __future__ import annotations
@@ -233,9 +233,15 @@ def cmd_report(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments are invalid input: exit 1 with an ``error:`` line."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="ccgame",
-                                description="Chance-constrained LQG game solver")
+    p = _Parser(prog="ccgame", description="Chance-constrained LQG game solver")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="compute the feedback GNE policy")
@@ -276,8 +282,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CCGameError, OSError) as exc:
         _print_errors(exc)

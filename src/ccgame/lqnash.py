@@ -6,28 +6,29 @@ term ``lam^T g``, row m of g being ``l_m . E[x_{t_m}] + c_m`` (see
 ``u^i_t = -K^i_t x_t - alpha^i_t`` obtained by a backward sweep of coupled
 Riccati recursions.  At every stage all players' gains (and affine terms)
 are solved simultaneously from one block linear system whose diagonal blocks
-are ``R^i + B^i' P^i B^i`` and off-diagonal blocks ``B^i' P^i B^j``.
+are ``R^i + B^i' P^i B^i`` and off-diagonal blocks ``B^i' P^i B^j``, each
+stage's formulas written once for all players on stacked arrays.
 
 Value-function convention: ``V^i_t(x) = x' P^i_t x + 2 zeta^i_t' x + const``,
 so the per-stage linear coefficient entering the zeta recursion is half the
 gradient of the stage cost's linear part (the rows of step t contribute
 ``0.5 sum lam_m l_m`` and a goal reference contributes ``-Q^i_t r^i_t``).
 
-The sweep runs in two steps.  ``stage_gains`` depends on neither lam, x0
-nor the references: it builds every stage system S_t once, checks its
-rcond, and returns K, F, P, S_t and the gain right-hand sides YK_t.  A
-shrinking-horizon replan at tau uses its ``tail(tau)``.  ``_zeta_sweep``
-then computes the affine terms on those gains for a linear term with m
-columns, one zeta column per column: ``backward_recursion`` runs it with
-the goal references' one column ``s_t`` (alpha0), and ``affine_response``
-with chosen columns of G (``0.5 l_m`` at step t_m for multiplier m), whose
-rows of the linear part of the map lam -> g follow by one forward pass, the
-rows of each step (``span``) read as their mean X_t is formed; column j's
-affine terms are alpha's response to multiplier j (see ``dualascent``).  A
-column's bits do not depend on the other columns of its pass: a 1-column or
-1-row product goes down another BLAS route, so a zero column pads a single
-one, as in ``backward_recursion`` and ``_stage_gain``, and ``_gemm`` doubles
-a 1-row matrix.  The tests keep the single full sweep these replace and a
+The sweep runs in two steps.  ``stage_gains`` depends on neither lam, x0 nor
+the references: it builds every stage system S_t once, checks its rcond, and
+returns K, F, P and S_t.  A shrinking-horizon replan at tau uses its
+``tail(tau)``.  ``_zeta_sweep`` then computes the affine terms on those gains
+for a linear term with m columns, one zeta column per column:
+``backward_recursion`` runs it with the goal references' one column ``s_t``
+(alpha0), and ``affine_response`` with chosen columns of G (``0.5 l_m`` at
+step t_m for multiplier m), whose rows of the linear part of the map lam ->
+g follow by one forward pass, the rows of each step (``span``) read as their
+mean X_t is formed; column j's affine terms are alpha's response to
+multiplier j (see ``dualascent``).  A column's bits do not depend on the
+other columns of its pass: a 1-column solve or 1-row product goes down
+another BLAS route, so a zero column pads a single one, as in
+``backward_recursion`` and the gains' solve, and ``_gemm`` doubles a 1-row
+matrix.  The tests keep the single full sweep these replace and a
 single-player best-response sweep (``tests/oracles.py``) as references.
 
 ``closed_loop_step`` steps one state on the agent-stacked [B^1 .. B^N],
@@ -96,49 +97,23 @@ def _check_rcond(S, t):
         raise SingularStageSystem(t, rcond)
 
 
-def _stage_gain(P_next, A, B, R, t=0):
-    """One stage of the gain recursion from the joint solve.
-
-    P_next: (N, n_x, n_x); A: (n_x, n_x); B: (N, n_x, n_u); R: (N, n_u, n_u).
-    Returns the stage system S (N n_u, N n_u), its gain right-hand side
-    YK = [B^i' P^i A] (N n_u, n_x) and the gains K (N, n_u, n_x) = S^-1 YK.
-    """
-    N, n_x, n_u = B.shape
-    S = np.zeros((N * n_u, N * n_u))
-    for i in range(N):
-        BtP = B[i].T @ P_next[i]
-        for j in range(N):
-            blk = BtP @ B[j]
-            if i == j:
-                blk = blk + R[i]
-            S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
-    _check_rcond(S, t)
-    YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
-    # a zero column keeps the right-hand side at two columns or more, as in
-    # the zeta pass: LAPACK solves a single column (n_x = 1) by another
-    # route, and K's last bits would differ
-    K = np.linalg.solve(S, np.concatenate([YK, np.zeros((N * n_u, 1))], axis=1))
-    return S, YK, K[:, :n_x].reshape(N, n_u, n_x)
-
-
 @dataclass(frozen=True)
 class StageGains:
     """The lam-, x0- and reference-independent part of the coupled sweep.
 
     K (T, N, n_u, n_x), the closed loop F (T, n_x, n_x), P (T+1, N, n_x, n_x),
-    the stage systems S (T, N n_u, N n_u), their gain right-hand sides
-    YK (T, N n_u, n_x) and KtR[t, i] = K[t, i]' R^i_t (T, N, n_x, n_u).
+    the stage systems S (T, N n_u, N n_u) and KtR[t, i] = K[t, i]' R^i_t
+    (T, N, n_x, n_u); a zeta pass solves S_t against Ya.
     """
 
     K: np.ndarray
     F: np.ndarray
     P: np.ndarray
     S: np.ndarray
-    YK: np.ndarray
     KtR: np.ndarray
 
     def __post_init__(self):
-        for name in ("K", "F", "P", "S", "YK", "KtR"):
+        for name in ("K", "F", "P", "S", "KtR"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def tail(self, tau):
@@ -148,7 +123,7 @@ class StageGains:
         slice's own; P[0] keeps Q at tau, which the slice zeroes.  No zeta pass
         reads P[0]."""
         return StageGains(K=self.K[tau:], F=self.F[tau:], P=self.P[tau:],
-                          S=self.S[tau:], YK=self.YK[tau:], KtR=self.KtR[tau:])
+                          S=self.S[tau:], KtR=self.KtR[tau:])
 
 
 def stage_gains(problem: GameProblem) -> StageGains:
@@ -160,17 +135,24 @@ def stage_gains(problem: GameProblem) -> StageGains:
     K = np.zeros((T, N, n_u, n_x))
     F = np.zeros((T, n_x, n_x))
     S = np.zeros((T, N * n_u, N * n_u))
-    YK = np.zeros((T, N * n_u, n_x))
     KtR = np.zeros((T, N, n_x, n_u))
     for t in range(T - 1, -1, -1):
         A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-        S[t], YK[t], K[t] = _stage_gain(P[t + 1], A, B, R, t)
+        BtP = B.transpose(0, 2, 1) @ P[t + 1]
+        blocks = BtP[:, None] @ B                       # (i, j): B^i' P^i B^j
+        blocks[np.diag_indices(N)] += R
+        S[t] = blocks.transpose(0, 2, 1, 3).reshape(N * n_u, N * n_u)
+        _check_rcond(S[t], t)
+        # a zero column keeps the right-hand side at two columns or more, as
+        # in the zeta pass: LAPACK solves a single column (n_x = 1) by another
+        # route, and K's last bits would differ
+        rhs = np.concatenate([(BtP @ A).reshape(N * n_u, n_x), np.zeros((N * n_u, 1))], axis=1)
+        K[t] = np.linalg.solve(S[t], rhs)[:, :n_x].reshape(N, n_u, n_x)
         F[t] = closed_loop_matrix(A, B, K[t])
-        for i in range(N):
-            KtR[t, i] = K[t, i].T @ R[i]
-            Pn = F[t].T @ P[t + 1, i] @ F[t] + KtR[t, i] @ K[t, i] + problem.Q[i, t]
-            P[t, i] = (Pn + Pn.T) / 2.0
-    return StageGains(K=K, F=F, P=P, S=S, YK=YK, KtR=KtR)
+        KtR[t] = K[t].transpose(0, 2, 1) @ R
+        Pn = F[t].T @ P[t + 1] @ F[t] + KtR[t] @ K[t] + problem.Q[:, t]
+        P[t] = (Pn + Pn.transpose(0, 2, 1)) / 2.0
+    return StageGains(K=K, F=F, P=P, S=S, KtR=KtR)
 
 
 def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term, start=None):
@@ -178,34 +160,30 @@ def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term, start=None
 
     ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
     stage t; zeta carries one column per column of it, and only the current
-    zeta is kept.  Each stage solves S_t against [YK_t, Ya] and keeps the
-    affine columns, the same system and right-hand side as a full sweep.
+    zeta is kept.  Each stage solves S_t against Ya, all players at once; with
+    two columns or more, a column's bits do not depend on the others.
     The sweep starts at ``start`` (default T); a is 0 after it.
     """
-    B_all = problem.dyn.B
-    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
+    N, T, n_u = problem.N, problem.T, problem.n_u
     start = T if start is None else start
     zeta = linear_term(start)
     a = np.zeros((T, N, n_u, zeta.shape[2]))
     for t in range(start - 1, -1, -1):
-        B, F, P_next = B_all[t], gains.F[t], gains.P[t + 1]
-        Ya = np.concatenate([_gemm(B[i].T, zeta[i]) for i in range(N)], axis=0)
-        sol = np.linalg.solve(gains.S[t], np.concatenate([gains.YK[t], Ya], axis=1))
-        a[t] = sol[:, n_x:].reshape(N, n_u, -1)
+        B, F = problem.dyn.B[t], gains.F[t]
+        Ya = _gemm(B.transpose(0, 2, 1), zeta).reshape(N * n_u, -1)
+        a[t] = np.linalg.solve(gains.S[t], Ya).reshape(N, n_u, -1)
         Ba = np.einsum("iab,ibm->am", B, a[t])
-        s = linear_term(t)
-        zeta_new = np.zeros_like(zeta)
-        for i in range(N):
-            zeta_new[i] = (F.T @ (zeta[i] - P_next[i] @ Ba)
-                           + _gemm(gains.KtR[t, i], a[t, i]) + s[i])
-        zeta = zeta_new
+        zeta = (F.T @ (zeta - gains.P[t + 1] @ Ba) + _gemm(gains.KtR[t], a[t])
+                + linear_term(t))
     return a
 
 
 def _gemm(A, X):
-    """A @ X with every column alike: a 1-row A times several columns would go
-    down gemv, whose last bits depend on a column's place in X."""
-    return (np.concatenate([A, A]) @ X)[:1] if len(A) == 1 < X.shape[1] else A @ X
+    """A @ X (stacks too) with every column alike: a 1-row A times several
+    columns would go down gemv, whose last bits depend on a column's place in X."""
+    if A.shape[-2] == 1 < X.shape[-1]:
+        return (np.concatenate([A, A], axis=-2) @ X)[..., :1, :]
+    return A @ X
 
 
 def stage_linear_terms(problem: GameProblem):

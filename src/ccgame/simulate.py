@@ -17,9 +17,10 @@ same kernel.
 A central-MPC call computes once the aggregate, its noise factors, its
 stage gains and its lam = 0 policy, whose tail at tau is the reference
 policy of a replan at tau.  Each replan time tau computes once, for all
-episodes, the slice without its x0, its open-loop covariance and its
-constraint layout.  A replan computes its lam = 0 mean (the reference, at
-which g is the map's ctilde), the collision rows and, if a row is violated,
+episodes, the slice without its x0, its open-loop covariance, its
+constraint layout and the tails of the gains and the reference policy.
+A replan computes its lam = 0 mean (the reference, at which g is the
+map's ctilde), the collision rows and, if a row is violated,
 one zeta pass with the violated rows' columns, which give the LCP and the
 policy at its solution (a further pass runs only for a column the pivot
 reads beyond them; never the full G), and that policy's mean.  The first
@@ -283,18 +284,19 @@ class CentralPlanner:
         self.gains = lqnash.stage_gains(self.agg)
         self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
         self.seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (slice without its x0, covariance, layout fill)
+        self.at_tau = {}    # tau -> (x0-less slice, covariance, layout fill, gains, policy0)
 
     def prepare(self, tau, x0) -> PreparedGame:
         """The game of a replan at tau from state x0."""
         if tau not in self.at_tau:
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
             cov = uncertainty.propagate_covariance(sub.dyn)
-            self.at_tau[tau] = sub, cov, uncertainty.constraint_layout(sub, cov)
-        sub, cov, fill = self.at_tau[tau]
+            policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
+            self.at_tau[tau] = (sub, cov, uncertainty.constraint_layout(sub, cov),
+                                self.gains.tail(tau), policy0)
+        sub, cov, fill, gains, policy0 = self.at_tau[tau]
         sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
-        policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
-        return prepare_at_zero(sub, cov, fill, self.gains.tail(tau), policy0)
+        return prepare_at_zero(sub, cov, fill, gains, policy0)
 
 
 @dataclass

@@ -465,6 +465,22 @@ class TestMpc:
                                          "error": "injected"}]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["solve", "--iters", "1.5"], "--iters"),
+    (["rollout", "--samples", "x"], "--samples"),
+    (["mpc", "--seed", "1e3"], "--seed"),
+    (["solve"], "--scenario"),
+    (["simulate"], "invalid choice"),
+], ids=["float-iters", "string-samples", "float-seed", "no-scenario", "unknown-command"])
+def test_malformed_arguments_exit_one(capsys, argv, names):
+    # argparse's own exit code, 2, would read as "completed with warnings"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError")
+    assert names in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["collision", "box"])
 def test_empty_active_times_run_as_if_the_constraint_were_removed(tmp_path, kind):
     # a constraint with no active step has no row and no predicate to check

@@ -5,18 +5,18 @@ from hypothesis import strategies as st
 
 from ccgame import scenarios, simulate
 from ccgame.errors import SingularStageSystem
-from ccgame.lqnash import (FeedbackPolicy, _stage_gain, affine_response,
+from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
                            evaluate_lagrangian, fixed_order_sums, integrate_expected,
                            mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
                            realized_costs, stage_gains)
-from ccgame.model import LtvGameDynamics, assemble_problem, validate_scenario
+from ccgame.model import GameProblem, LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import prepare_game
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (affine_map, batched_closed_loop_step, best_response,
+from oracles import (_riccati_sweep, affine_map, batched_closed_loop_step, best_response,
                      dense_best_response, dense_game_inputs, loop_quadratic_sums,
                      lqr_oracle, replace_player, stage_linear_terms,
                      sweep_affine_response, sweep_backward_recursion)
@@ -27,6 +27,24 @@ def riccati_matrices(problem):
     return stage_gains(problem).P
 
 
+def lq_game(A, B, Q, R):
+    """A game with no references, noise or rows from A (T, n_x, n_x),
+    B (T, N, n_x, n_u), Q (N, T+1, n_x, n_x) and R (N, T, n_u, n_u)."""
+    T, N, n_x, n_u = B.shape
+    dyn = LtvGameDynamics(A=A, B=B, W=np.zeros((T, n_x, n_x)), x0=np.zeros(n_x))
+    return GameProblem(dyn=dyn, Q=Q, R=R, ref=np.zeros((N, T + 1, n_x)), constraints=(),
+                       nominal_states=np.zeros((T + 1, n_x)),
+                       nominal_inputs=np.zeros((T, N, n_u)), state_dims=(n_x,),
+                       dt=0.1, risk_epsilon=0.05)
+
+
+def one_stage_gains(P, A, B, R):
+    """K (N, n_u, n_x) of the one-stage game whose terminal Q is P:
+    P (N, n_x, n_x), A (n_x, n_x), B (N, n_x, n_u), R (N, n_u, n_u)."""
+    Q = np.stack([np.zeros_like(P), P], axis=1)
+    return stage_gains(lq_game(A[None], B[None], Q, R[:, None])).K[0]
+
+
 class TestStageGains:
     def test_single_player_reduces_to_lqr_gain(self):
         rng = np.random.default_rng(0)
@@ -35,7 +53,7 @@ class TestStageGains:
         B = rng.normal(size=(1, n, m))
         R = np.eye(m)[None] * 1.5
         P = np.eye(n)[None] * 2.0
-        _, _, K = _stage_gain(P, A, B, R)
+        K = one_stage_gains(P, A, B, R)
         expected = np.linalg.solve(R[0] + B[0].T @ P[0] @ B[0],
                                    B[0].T @ P[0] @ A)
         assert np.allclose(K[0], expected, atol=1e-12)
@@ -45,7 +63,7 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.ones((2, 1, 1))
         R = np.ones((2, 1, 1))
-        _, _, K = _stage_gain(P, A, B, R)
+        K = one_stage_gains(P, A, B, R)
         assert K[0, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
         assert K[1, 0, 0] == pytest.approx(1 / 3, abs=1e-14)
 
@@ -54,22 +72,46 @@ class TestStageGains:
         A = np.array([[1.0]])
         B = np.stack([np.array([[1.0]]), np.array([[0.0]])])
         R = np.ones((2, 1, 1))
-        _, _, K = _stage_gain(P, A, B, R)
+        K = one_stage_gains(P, A, B, R)
         assert K[1, 0, 0] == 0.0
         assert K[0, 0, 0] == pytest.approx(0.5)   # (R + B'PB)^-1 B'PA
 
     def test_singular_stage_detected(self):
-        P = np.zeros((1, 1, 1))
-        A = np.array([[1.0]])
-        B = np.ones((1, 1, 1))
-        R = np.zeros((1, 1, 1))
-        with pytest.raises(SingularStageSystem):
-            _stage_gain(P, A, B, R, t=7)
+        # 8 stages; the sweep starts at stage 7, where S = R + B'PB = 0
+        T = 8
+        problem = lq_game(np.ones((T, 1, 1)), np.ones((T, 1, 1, 1)),
+                          np.zeros((1, T + 1, 1, 1)), np.zeros((1, T, 1, 1)))
+        with pytest.raises(SingularStageSystem) as info:
+            stage_gains(problem)
+        assert info.value.t == 7
 
 
 class TestGainsOnce:
     """The gains-once path against the full sweep it replaced
     (``oracles._riccati_sweep``), bit for bit."""
+
+    def test_stage_and_zeta_pass_equal_the_full_sweep_on_wide_shapes(self):
+        # N 1-5, n_u 1-3, n_x 1-12, T 1-7 and 2-6 linear columns: shapes
+        # past random_small_scenario's (N <= 3, n_u <= 2, T >= 4)
+        for k in range(120):
+            rng = np.random.default_rng(k)
+            N, n_u, n_x = (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
+                           int(rng.integers(1, 13)))
+            T, m = int(rng.integers(1, 8)), int(rng.integers(2, 7))
+            L = rng.normal(size=(N, T + 1, n_x, n_x))
+            Lr = rng.normal(size=(N, T, n_u, n_u))
+            problem = lq_game(rng.normal(size=(T, n_x, n_x)),
+                              rng.normal(size=(T, N, n_x, n_u)),
+                              L @ np.swapaxes(L, -1, -2),
+                              Lr @ np.swapaxes(Lr, -1, -2) + np.eye(n_u))
+            C = rng.normal(size=(T + 1, N, n_x, m))
+            K, a, F, P = _riccati_sweep(problem, lambda t: C[t])
+            gains = stage_gains(problem)
+            shape = (N, n_u, n_x, T, m)
+            assert np.array_equal(gains.K, K), shape
+            assert np.array_equal(gains.F, F), shape
+            assert np.array_equal(gains.P, P), shape
+            assert np.array_equal(_zeta_sweep(problem, gains, lambda t: C[t]), a), shape
 
     def test_backward_recursion_and_map_equal_the_full_sweep(self, mini_prep,
                                                              intersection_prep):
@@ -112,7 +154,7 @@ class TestGainsOnce:
                 x = rng.normal(size=problem.n_x)
                 tail = full.tail(tau)
                 own = stage_gains(simulate.slice_problem(problem, tau, x))
-                for name in ("K", "F", "S", "YK", "KtR"):
+                for name in ("K", "F", "S", "KtR"):
                     assert np.array_equal(getattr(tail, name), getattr(own, name)), \
                         (name, tau)
                 assert np.array_equal(tail.P[1:], own.P[1:]), tau
