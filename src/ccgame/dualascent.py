@@ -110,19 +110,21 @@ def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
 @dataclass(frozen=True)
 class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
-    ctilde and policy0 are the lam = 0 equilibrium's g and policy.  A column
-    missing from the cache ``columns`` (and ``alphas``, its affine-term
-    response) comes in one ``affine_response`` pass with every missing row
-    violated at lam = 0.  ``alpha(lam)`` is the policy's affine term at lam.
-    G itself, which L = ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the
-    fallback ascent and the dual values read, is the full pass.  dual0[i] =
-    D^i(0) is policy0's expected cost.  All are computed when first read."""
+    ctilde, policy0 and mean0 are the lam = 0 equilibrium's g, policy and
+    mean.  A column missing from the cache ``columns`` (and ``alphas``, its
+    affine-term response) comes in one ``affine_response`` pass with every
+    missing row violated at lam = 0.  ``alpha(lam)`` is the policy's affine
+    term at lam.  G itself, which L = ||G||_2, asymmetry = ||G - G'||_F /
+    ||G||_F, the fallback ascent and the dual values read, is the full pass.
+    dual0[i] = D^i(0) is policy0's expected cost.  All are computed when
+    first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
     gains: lqnash.StageGains = field(repr=False)
     ctilde: np.ndarray
     policy0: lqnash.FeedbackPolicy = field(repr=False)
+    mean0: np.ndarray = field(repr=False)
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
     alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
@@ -167,7 +169,7 @@ class AffineGradientMap:
 
     @cached_property
     def dual0(self):
-        return lqnash.evaluate_cost(self.problem, self.policy0)
+        return lqnash.evaluate_cost(self.problem, self.policy0, self.mean0)
 
     def gradient(self, lam):
         return self.G @ lam + self.ctilde
@@ -208,7 +210,7 @@ def estimate_affine_map(prepared: PreparedGame, gains, equilibrium) -> AffineGra
     reads first, runs here and carries every violated row's column."""
     policy0, mean0 = equilibrium
     gmap = AffineGradientMap(prepared.problem, prepared.conset, gains,
-                             prepared.conset.evaluate(mean0), policy0)
+                             prepared.conset.evaluate(mean0), policy0, mean0)
     if np.any(gmap.ctilde > 0):
         gmap[:, int(np.argmax(gmap.ctilde))]
     return gmap

@@ -108,9 +108,11 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     xbar = lqnash.integrate_expected(dyn, policy)
     ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1, 1)
 
-    states = np.empty((S, T + 1, n_x))
+    try:    # numpy raises ValueError for an array too big to index
+        states, inputs = np.empty((S, T + 1, n_x)), np.empty((S, T, N, n_u))
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"samples: {S} rollouts cannot be allocated ({exc})") from None
     states[:, 0] = dyn.x0
-    inputs = np.empty((S, T, N, n_u))
     stream = noise_stream(seed, 0)
     for s in range(S):
         noise_stream(seed, s, stream).standard_normal(out=states[s, 1:])

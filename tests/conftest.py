@@ -1,4 +1,3 @@
-import json
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from ccgame import scenarios
 from ccgame.dualascent import DualAscentOptions, prepare_game, run_dual_ascent
 from ccgame.model import (BoxSpec, CollisionSpec, CostSpec, LtvGameDynamics,
-                          Scenario, validate_scenario)
+                          Scenario, scenario_to_dict, validate_scenario)
 
 
 def spd(rng, n, scale=1.0):
@@ -207,8 +206,9 @@ NOT_NUMBERS = [pytest.param("inf", id="str-inf"), pytest.param("0.5", id="str-nu
 
 
 def mini_doc_with(field, value):
-    """The intersection-mini document with NUMBER_FIELDS[field] set to value."""
-    doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
+    """The intersection-mini full-form document with NUMBER_FIELDS[field] set
+    to value."""
+    doc = scenario_to_dict(scenarios.make_intersection_mini())
     NUMBER_FIELDS[field](doc, value)
     return doc
 

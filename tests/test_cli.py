@@ -85,6 +85,14 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert [int(r["iter"]) for r in rows] == [report["pivots"]]
 
+    def test_traced_solve_integrates_two_means(self, tmp_path, lqnash_calls):
+        # the lam = 0 mean, which the traced dual value at lam = 0 reuses, and
+        # the mean at the solved multiplier
+        src = str(scenarios.bundled_path("intersection-mini"))
+        assert main(["solve", "--scenario", src, "--trace",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert lqnash_calls["integrate_expected"] == 2
+
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -276,6 +284,18 @@ class TestRollout:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: samples")
+
+    def test_unallocatable_samples_exit_one(self, tmp_path, capsys):
+        # numpy refuses 10**18 samples' arrays before allocating any memory
+        src = str(scenarios.bundled_path("intersection-mini"))
+        policy = self._solve(src, tmp_path)
+        capsys.readouterr()
+        rc = main(["rollout", "--scenario", src, "--policy", policy,
+                   "--samples", str(10**18), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: DomainError: samples")
+        assert not (tmp_path / "r" / "stats.csv").exists()
 
     @pytest.mark.parametrize("edit, error, encoding", [
         (lambda d: d.pop("K"), "SchemaError", "utf-8"),

@@ -25,7 +25,7 @@ TIMINGS = ("solve_seconds", "wall_seconds")
 
 GOLDEN = {
     "intersection-mini": {
-        "policy.json": "451e33e50ed3559385bc20c1f82ee449caf7c619e0bfffbe3bf6717a88db06fa",
+        "policy.json": "960f5484ce97067e29425f98643199e52601bc24f111ea4cec4059586358e413",
         "trace.csv": "e357159143f24072cc10eceae3d42aa536be8ec60ed0a79d88dea4ae15cc16e3",
         "report.json": "c1baf2f85f3691050670b50c55ea203fd350d3cc899a1115805365d20205633d",
         "rollout/stats.csv": "08b8eeb9c14815ae4a498705c58c8b09f5c1cd19d832803ca824d568715b7bdd",
@@ -35,7 +35,7 @@ GOLDEN = {
         "map_columns": 19,
     },
     "intersection": {
-        "policy.json": "9631345bd025ec32d15f3602827025bced20e47e1bb64f52509d7f213c950f58",
+        "policy.json": "2ca6d2b23a0787726142f9947ff46ec576e074c1acda8355958ffcdd258a7402",
         "trace.csv": "ee607309c275b6729567cdd28d407f3a114561e076ca3944509cd3d867f59b2f",
         "report.json": "086da2397a4b52160195d43cb091446c6bef7494e88d694fdd46706b4cd3b98b",
         "rollout/stats.csv": "b64a1a0021b82826b2e0fba165866d3ab422edb1d1b8edcae66dc58433d910e7",

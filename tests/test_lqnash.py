@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgame import scenarios, simulate
+from ccgame import lqnash, scenarios, simulate
 from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
@@ -11,7 +11,7 @@ from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
                            realized_costs, stage_gains)
 from ccgame.model import GameProblem, LtvGameDynamics, assemble_problem, validate_scenario
-from ccgame.dualascent import prepare_game
+from ccgame.dualascent import DualAscentOptions, prepare_game, run_dual_ascent
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
@@ -176,6 +176,30 @@ class TestGainsOnce:
                 own = backward_recursion(simulate.slice_problem(agg, tau, x))
                 assert np.array_equal(full.K[tau:], own.K), tau
                 assert np.array_equal(full.alpha[tau:], own.alpha), tau
+
+    def test_every_zeta_pass_has_two_columns_or_more(self, monkeypatch):
+        # a 1-column pass solves by another LAPACK route and moves a column's
+        # last bits, so every caller pads to two: the bundled solves with
+        # their report's full G, the ray game's fallback ascent and a
+        # central-MPC episode
+        widths = []
+
+        def recording(*args, **kwargs):
+            a = _zeta_sweep(*args, **kwargs)
+            widths.append(a.shape[-1])
+            return a
+        monkeypatch.setattr(lqnash, "_zeta_sweep", recording)
+        ray = random_small_scenario(np.random.default_rng(2))
+        for s in (scenarios.make_intersection_mini(), scenarios.make_intersection(), ray):
+            report = run_dual_ascent(prepare_game(validate_scenario(s)),
+                                     DualAscentOptions(k_max=200))
+            report.to_dict()
+        assert report.termination == "lcp_infeasible" and report.iterations == 200
+        solves = len(widths)
+        mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
+        simulate.central_mpc_run(mini, 5)
+        assert 750 in widths[:solves] and len(widths) > solves
+        assert min(widths) >= 2, widths
 
 
 class TestBackwardRecursion:

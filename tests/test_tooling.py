@@ -1,10 +1,13 @@
 """Repository tooling: the benchmark's tracing shims must name functions the
 library still has, one round of each benchmark workload must pass its
-checks, a traced solve must time the map's pass as the map's, the traced memory peaks of a prepare, a solve and a rollout stay
-under their guards, the bundled scenario files must be what their builders
-write, the README's scenario example must load and its library example must
-run as written."""
+checks, a traced solve must time the map's pass as the map's, a traced
+rollout and MPC round must read their results, the traced memory peaks of a
+prepare, a solve and a rollout stay under their guards, the bundled scenario
+files must be what their builders write and expand to the full-form files
+they replaced, the README's scenario example must load and its library
+example must run as written."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -20,7 +23,8 @@ import pytest
 
 from ccgame import scenarios
 from ccgame.dualascent import prepare_game, run_dual_ascent
-from ccgame.model import load_scenario, scenario_from_dict, validate_scenario
+from ccgame.model import (load_scenario, save_scenario, scenario_from_dict,
+                          validate_scenario)
 from ccgame.simulate import rollout
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,33 +44,44 @@ def test_every_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"ccgame.{module}"), function))
 
 
+def _one_round(workload, trace):
+    """The result line of one benchmark round of ``workload`` at seed 1."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
+        check=True, capture_output=True, text=True, cwd=ROOT).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("workload", ["solve-intersection", "rollout-intersection",
                                       "mpc-mini"])
 def test_benchmark_workload_passes_its_checks(workload):
     # one round: the benchmark's own oracles judge the library's outputs
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
-        check=True, capture_output=True, text=True, cwd=ROOT).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    result = _one_round(workload, 0)
     assert result["correct"] is True and result["failed"] == 0
     assert result["attempted"] >= 1
-
 
 
 def test_traced_solve_times_the_map_pass():
     # one traced round of the solve workload: the map's one zeta pass runs in
     # estimate_affine_map, so the traced map time holds all of affine_response
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "solve-intersection", "--seed", "1", "--seconds", "0", "--trace", "1"],
-        check=True, capture_output=True, text=True, cwd=ROOT).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    result = _one_round("solve-intersection", 1)
     assert result["correct"] is True and result["failed"] == 0
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics["dualascent.map_s"] > 0
     assert metrics["lqnash.affine_response_calls"] >= 1
     assert metrics["dualascent.map_s"] >= metrics["lqnash.affine_response_s"] > 0
+
+
+@pytest.mark.parametrize("workload, metric, value", [
+    ("rollout-intersection", "simulate.rollout_samples", 2000),
+    ("mpc-mini", "simulate.replans", 40)])
+def test_traced_round_reads_its_results(workload, metric, value):
+    # the shims read the traced results: simulate.rollout's samples,
+    # central_mpc_run's replans and failures, assemble_constraints' rows
+    result = _one_round(workload, 1)
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"][metric]["value"] == value
 
 def _traced_peak_mib(fn):
     """The tracemalloc peak of fn() after one untraced warm-up call: numpy
@@ -109,6 +124,21 @@ def test_bundled_scenarios_regenerate_byte_for_byte(tmp_path):
     assert bundled == sorted(p.name for p in tmp_path.glob("*.json"))
     for name in bundled:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("make, digest", [
+    (scenarios.make_intersection,
+     "95910571cb70a147c34ec8533f73d99070a7bfa4e2994962802b56367245e23f"),
+    (scenarios.make_intersection_mini,
+     "8202b0c894489a968c4cae1b44d8bf00497d3cd08b07a9d7c09e28a9b656447e"),
+], ids=["intersection", "intersection-mini"])
+def test_bundled_documents_expand_to_the_full_form_files(make, digest, tmp_path):
+    # the loader's expansion of a bundled shorthand document, written in the
+    # lossless full form, is byte for byte the full-form file that numpy
+    # builders wrote before the files became shorthand
+    path = tmp_path / "full.json"
+    save_scenario(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_readme_scenario_example_loads():
