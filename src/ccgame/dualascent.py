@@ -10,12 +10,14 @@ the lam = 0 equilibrium once, or takes them from the preparer
 (``PreparedGame.gains`` and ``equilibrium0``): ctilde is g at that
 equilibrium's mean and alpha0 its affine term, so the map holds only its
 linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
-zeta pass computes the columns (of G and alpha) of every row violated at
-lam = 0, before the pivot's first read, and a column not yet computed comes
-in one more pass with every uncached violated row.  The policy at any lam,
+pass computes the columns (of G and alpha) of every row violated at lam =
+0, before the pivot's first read, and a column not yet computed comes in one
+more pass with every uncached violated row.  A pass is a zeta pass, or the
+forward pass of the alpha columns a prepared ``response`` contracts (a
+central-MPC replan's, from its call's zeta response).  The policy at any lam,
 the pivot's or the fallback ascent's, is alpha0 plus the columns lam is
 nonzero on (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that
-violates no row is the report, and the map runs no zeta pass.  The full G
+violates no row is the report, and the map runs no pass.  The full G
 is built only when L, the asymmetry, the fallback ascent or a dual value
 reads it: ``report.json`` and the CLI's ``solve:`` line read L, a
 central-MPC replan none of them.  The rows are read by ``evaluate`` and ``span``.
@@ -56,8 +58,9 @@ from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
 @dataclass(frozen=True)
 class PreparedGame:
     """Problem, open-loop covariance schedule (an array) and reformulated
-    constraints; ``gains`` (the stage gains) and ``equilibrium0`` (the lam = 0
-    policy and its solver-coordinate mean), when given, are reused by the solve."""
+    constraints; ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
+    policy and its solver-coordinate mean) and ``response`` (the map's alpha
+    columns by contraction), when given, are reused by the solve."""
 
     problem: GameProblem
     cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
@@ -65,6 +68,7 @@ class PreparedGame:
     reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
+    response: object = field(default=None, repr=False)   # (conset, columns) -> alphas
 
     @property
     def M(self):
@@ -88,19 +92,20 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
                                 problem, cov, problem.nominal_states),
                             reference_means=problem.nominal_states)
     gains = lqnash.stage_gains(problem)
+    policy0 = lqnash.backward_recursion(problem, gains=gains)
     return prepare_at_zero(problem, cov, uncertainty.constraint_layout(problem, cov),
-                           gains, lqnash.backward_recursion(problem, gains=gains))
+                           gains, policy0, lqnash.integrate_expected(problem.dyn, policy0))
 
 
-def prepare_at_zero(problem, cov, fill, gains, policy0) -> PreparedGame:
-    """The game whose collision reference is the nominal plus the mean of the
-    lam = 0 policy ``policy0`` on ``gains``; ``fill`` is the problem's
-    ``uncertainty.constraint_layout``.  That equilibrium is kept for the solve."""
-    mean0 = lqnash.integrate_expected(problem.dyn, policy0)
+def prepare_at_zero(problem, cov, fill, gains, policy0, mean0, response=None) -> PreparedGame:
+    """The game whose collision reference is the nominal plus the mean
+    ``mean0`` of the lam = 0 policy ``policy0`` on ``gains``; ``fill`` is the
+    problem's ``uncertainty.constraint_layout``.  That equilibrium and
+    ``response`` are kept for the solve."""
     reference = problem.nominal_states + mean0
     return PreparedGame(problem=problem, cov=cov, conset=fill(reference),
                         reference_means=_freeze(reference), gains=gains,
-                        equilibrium0=(policy0, mean0))
+                        equilibrium0=(policy0, mean0), response=response)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +117,13 @@ class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
     ctilde, policy0 and mean0 are the lam = 0 equilibrium's g, policy and
     mean.  A column missing from the cache ``columns`` (and ``alphas``, its
-    affine-term response) comes in one ``affine_response`` pass with every
-    missing row violated at lam = 0.  ``alpha(lam)`` is the policy's affine
-    term at lam.  G itself, which L = ||G||_2, asymmetry = ||G - G'||_F /
-    ||G||_F, the fallback ascent and the dual values read, is the full pass.
-    dual0[i] = D^i(0) is policy0's expected cost.  All are computed when
-    first read."""
+    affine-term response, from ``response`` when given) comes in one
+    ``affine_response`` pass with every missing row violated at lam = 0.
+    ``alpha(lam)`` is the policy's affine term at lam.  G itself, which L =
+    ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
+    dual values read, is the full pass.  dual0[i] = D^i(0) is policy0's
+    expected cost; its ``trace_terms`` hold at every lam, since K is the
+    gains'.  All are computed when first read."""
 
     problem: GameProblem = field(repr=False)
     conset: uncertainty.AffineConstraintSet = field(repr=False)
@@ -125,13 +131,16 @@ class AffineGradientMap:
     ctilde: np.ndarray
     policy0: lqnash.FeedbackPolicy = field(repr=False)
     mean0: np.ndarray = field(repr=False)
+    response: object = field(default=None, repr=False)
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
     alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
     def _pass(self, columns):
         """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
-        G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns)
-        self.columns.update(zip(range(self.conset.M) if columns is None else columns, G.T))
+        cols = range(self.conset.M) if columns is None else columns
+        a = None if self.response is None else self.response(self.conset, cols)
+        G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns, a)
+        self.columns.update(zip(cols, G.T))
         if columns is not None:     # the full pass's alphas would live as long as G
             self.alphas.update(zip(columns, alphas))
         return G
@@ -168,8 +177,12 @@ class AffineGradientMap:
         return self._norms[1]
 
     @cached_property
+    def trace_terms(self):
+        return lqnash.trace_terms(self.problem, self.policy0)
+
+    @cached_property
     def dual0(self):
-        return lqnash.evaluate_cost(self.problem, self.policy0, self.mean0)
+        return lqnash.evaluate_cost(self.problem, self.policy0, self.mean0, self.trace_terms)
 
     def gradient(self, lam):
         return self.G @ lam + self.ctilde
@@ -210,7 +223,8 @@ def estimate_affine_map(prepared: PreparedGame, gains, equilibrium) -> AffineGra
     reads first, runs here and carries every violated row's column."""
     policy0, mean0 = equilibrium
     gmap = AffineGradientMap(prepared.problem, prepared.conset, gains,
-                             prepared.conset.evaluate(mean0), policy0, mean0)
+                             prepared.conset.evaluate(mean0), policy0, mean0,
+                             prepared.response)
     if np.any(gmap.ctilde > 0):
         gmap[:, int(np.argmax(gmap.ctilde))]
     return gmap
@@ -364,7 +378,7 @@ class DualSolveReport:
     def dual_values(self):
         return lqnash.evaluate_lagrangian(self.prepared.problem, self.policy,
                                           self.lambda_bar, self.prepared.conset,
-                                          self.mean_traj)
+                                          self.mean_traj, self.map.trace_terms)
 
     def to_dict(self):
         return {

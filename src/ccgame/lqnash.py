@@ -24,12 +24,16 @@ for a linear term with m columns, one zeta column per column:
 step t_m for multiplier m), whose rows of the linear part of the map lam ->
 g follow by one forward pass, the rows of each step (``span``) read as their
 mean X_t is formed; column j's affine terms are alpha's response to
-multiplier j (see ``dualascent``).  A column's bits do not depend on the
-other columns of its pass: a 1-column solve or 1-row product goes down
-another BLAS route, so a zero column pads a single one, as in
-``backward_recursion`` and the gains' solve, and ``_gemm`` doubles a 1-row
-matrix.  The tests keep the single full sweep these replace and a
-single-player best-response sweep (``tests/oracles.py``) as references.
+multiplier j (see ``dualascent``).  As zeta is linear in the linear term,
+a central-MPC replan contracts its columns (``response_alphas``) from the
+response Psi to a unit term at each (step, coordinate), computed once
+(``zeta_response``), and its lam = 0 mean is ``mean_map``'s Phi x0 + d.
+A column's bits do not depend on the other columns of its pass: a 1-column
+solve or 1-row product goes down another BLAS route, so a zero column pads
+a single one, as in ``backward_recursion`` and the gains' solve, and
+``_gemm`` doubles a 1-row matrix.  The tests keep the single full sweep
+these replace and a single-player best-response sweep (``tests/oracles.py``)
+as references.
 
 ``closed_loop_step`` steps one state on the agent-stacked [B^1 .. B^N],
 which ``integrate_expected`` stacks once per call.  ``closed_loop_matrix``
@@ -39,7 +43,7 @@ B^i_t K^i_t.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
-from the trajectory a caller already holds (the final solve's, in a solve).
+from the trajectory and the ``trace_terms`` (K's alone) a caller holds.
 
 Realized costs (rollouts, the central MPC, ``evaluate_cost``) and the
 violation mask's collision rows sum quadratic forms with ``quadratic_sums``.
@@ -291,32 +295,37 @@ def realized_costs(problem: GameProblem, states, inputs):
     return costs
 
 
-def evaluate_cost(problem: GameProblem, policy: FeedbackPolicy, mean_traj=None):
+def trace_terms(problem: GameProblem, policy: FeedbackPolicy):
+    """(N,) tr(Q Sigma) and (N,) tr(R K Sigma K'), which depend on K alone."""
+    Sig = closed_loop_covariance(problem.dyn, policy)
+    KSK = np.einsum("tiab,tbc,tidc->tiad", policy.K, Sig[:-1], policy.K)
+    return (np.einsum("itab,tba->i", problem.Q[:, 1:], Sig[1:]),
+            np.einsum("itab,tiba->i", problem.R, KSK))
+
+
+def evaluate_cost(problem: GameProblem, policy: FeedbackPolicy, mean_traj=None, terms=None):
     """(N,) exact expected costs: ``realized_costs`` of the mean trajectory
-    (integrated when not given) plus tr(Q Sigma) and tr(R K Sigma K')."""
+    (integrated when not given) plus the ``trace_terms`` (computed when not given)."""
     dyn = problem.dyn
     if mean_traj is None:
         mean_traj = integrate_expected(dyn, policy)
     us = mean_inputs(dyn, policy, mean_traj)
-    Sig = closed_loop_covariance(dyn, policy)
-    KSK = np.einsum("tiab,tbc,tidc->tiad", policy.K, Sig[:-1], policy.K)
-    return (realized_costs(problem, mean_traj[None], us[None])[0]
-            + np.einsum("itab,tba->i", problem.Q[:, 1:], Sig[1:])
-            + np.einsum("itab,tiba->i", problem.R, KSK))
+    trQ, trR = trace_terms(problem, policy) if terms is None else terms
+    return realized_costs(problem, mean_traj[None], us[None])[0] + trQ + trR
 
 
 def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
-                        conset=None, mean_traj=None):
+                        conset=None, mean_traj=None, terms=None):
     """(N,) J^i plus lam^T g, with g at the policy's mean trajectory."""
     if mean_traj is None:
         mean_traj = integrate_expected(problem.dyn, policy)
-    cost = evaluate_cost(problem, policy, mean_traj)
+    cost = evaluate_cost(problem, policy, mean_traj, terms)
     if conset is None or lam is None:
         return cost
     return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
 
 
-def affine_response(problem: GameProblem, conset, gains, columns=None):
+def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
     """The linear part of the exact affine map lam -> g at the equilibrium:
     the G columns ``columns`` (default all M) from one zeta pass on ``gains``.
 
@@ -327,34 +336,76 @@ def affine_response(problem: GameProblem, conset, gains, columns=None):
     g(lam) = G lam + ctilde and alpha(lam) = alpha0 + sum_c lam_c alphas[c],
     ctilde and alpha0 being the lam = 0 equilibrium's g and alpha.  The sweep
     starts at the columns' latest step, above which their zeta is exactly 0.
-    A pass has two columns or more (see the module docstring).
+    Given their affine terms ``a`` (T, N, n_u, k), only the forward pass
+    runs.  A pass has two columns or more (see the module docstring).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
     k = M if columns is None else len(columns)
-    # each entry's column: multipliers, then a zero pad (M) up to two
-    cols = np.concatenate([np.arange(M) if columns is None else columns,
-                           [M] * (k == 1)]).astype(np.intp)
-    steps = np.append(conset.t, -1)[cols]
+    if a is None:
+        # each entry's column: multipliers, then a zero pad (M) up to two,
+        # grouped by step once; a step without one adds the same zero term
+        cols = np.concatenate([np.arange(M) if columns is None else columns,
+                               [M] * (k == 1)]).astype(np.intp)
+        steps = np.append(conset.t, -1)[cols]
+        hits = {t: np.flatnonzero(steps == t) for t in set(steps.tolist())}
+        zero = np.zeros((N, n_x, len(cols)))
 
-    def linear_term(t):
-        C = np.zeros((N, n_x, len(cols)))
-        hit = np.flatnonzero(steps == t)
-        C[:, :, hit] = 0.5 * conset.l[cols[hit]].T
-        return C
+        def linear_term(t):
+            if t not in hits:
+                return zero
+            C = np.zeros_like(zero)
+            C[:, :, hits[t]] = 0.5 * conset.l[cols[hits[t]]].T
+            return C
 
-    aC = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
+        a = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
+    elif k == 1:
+        a = np.concatenate([a, np.zeros_like(a)], axis=-1)
 
     # forward sweep of the mean trajectory's linear part X_t; the rows of
     # step t read X_t as it is formed
-    X = np.zeros((n_x, len(cols)))
-    gmap = np.empty((M, len(cols)))
+    X = np.zeros((n_x, a.shape[-1]))
+    gmap = np.empty((M, a.shape[-1]))
     for t in range(T):
-        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], aC[t])
+        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], a[t])
         rows = conset.span(t + 1)
         gmap[rows] = _gemm(conset.l[rows], X)
-    return gmap[:, :k], np.moveaxis(aC[..., :k], -1, 0)
+    return gmap[:, :k], np.moveaxis(a[..., :k], -1, 0)
+
+
+def zeta_response(problem: GameProblem, gains):
+    """Psi (T, N, n_u, T, n_x): the affine terms' response to a unit half linear
+    term at each (step 1..T, coordinate), one zeta pass of T n_x columns; the
+    slice at tau (``gains.tail(tau)``) has Psi[tau:, :, :, tau:] as its own."""
+    N, T, n_x = problem.N, problem.T, problem.n_x
+
+    def linear_term(t):     # step 0 has no row
+        C = np.zeros((N, n_x, T, n_x))
+        C[:, :, t - 1] = np.eye(n_x) * (t > 0)
+        return C.reshape(N, n_x, T * n_x)
+
+    return _zeta_sweep(problem, gains, linear_term).reshape(T, N, -1, T, n_x)
+
+
+def response_alphas(psi, conset, columns):
+    """(T, N, n_u, k) affine terms of the rows ``columns`` from their problem's
+    Psi: column j is 0.5 sum_q l_j[q] Psi[..., t_j - 1, q], summed in q order
+    elementwise, so that its bits do not depend on the other columns."""
+    block = psi[:, :, :, conset.t[columns] - 1]      # (T, N, n_u, k, n_x)
+    half = 0.5 * conset.l[columns]
+    return sum(block[..., q] * half[:, q] for q in range(half.shape[1]))
+
+
+def mean_map(dyn, F, alpha):
+    """(Phi, d) such that the mean of the closed loop F with affine terms alpha
+    is Phi @ x0 + d: [Phi | d] steps from [I | 0] as F_t [Phi | d] - [0 | B_t alpha_t]."""
+    Z = np.zeros((dyn.T + 1, dyn.n_x, dyn.n_x + 1))
+    Z[0] = np.eye(dyn.n_x, dyn.n_x + 1)
+    for t in range(dyn.T):
+        Z[t + 1] = F[t] @ Z[t]
+        Z[t + 1, :, -1] -= np.einsum("iab,ib->a", dyn.B[t], alpha[t])
+    return Z[..., :-1], Z[..., -1]
 
 
 # ---------------------------------------------------------------------------

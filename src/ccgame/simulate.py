@@ -15,15 +15,17 @@ the einsum it replaced (see the ``lqnash`` docstring); costs go through the
 same kernel.
 
 A central-MPC call computes once the aggregate, its noise factors, its
-stage gains and its lam = 0 policy, whose tail at tau is the reference
-policy of a replan at tau.  Each replan time tau computes once, for all
-episodes, the slice without its x0, its open-loop covariance, its
-constraint layout and the tails of the gains and the reference policy.
-A replan computes its lam = 0 mean (the reference, at which g is the
-map's ctilde), the collision rows and, if a row is violated,
-one zeta pass with the violated rows' columns, which give the LCP and the
-policy at its solution (a further pass runs only for a column the pivot
-reads beyond them; never the full G), and that policy's mean.  The first
+stage gains, its lam = 0 policy, whose tail at tau is the reference policy
+of a replan at tau, and, when a replan first violates a row, the zeta
+response Psi.  Each replan time tau computes once, for all episodes, the
+slice without its x0, its open-loop covariance, its constraint layout, the
+tails of the gains and the reference policy, and that policy's mean map.
+A replan contracts its lam = 0 mean from its state (the reference, at which
+g is the map's ctilde) and fills the collision rows; if a row is violated,
+it contracts the violated rows' alpha columns from Psi, whose forward pass
+gives the LCP's columns and the policy at its solution (a further one runs
+only for a column the pivot reads beyond them; never the full G), and
+integrates that policy's mean.  No replan runs a zeta pass.  The first
 episode to need shared work pays for it.  The plant steps its one state
 with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
 """
@@ -34,6 +36,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -277,7 +280,8 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
 
 class CentralPlanner:
     """What the replans of a central-MPC call share (see the module docstring).
-    ``seconds`` times the gains and the lam = 0 pass until an episode pays it."""
+    ``seconds`` times the gains and the lam = 0 pass until an episode pays
+    it; ``shared_seconds`` times all the work the replans share."""
 
     def __init__(self, problem: GameProblem):
         self.factors = noise_factors(problem.dyn.W)
@@ -285,20 +289,33 @@ class CentralPlanner:
         t_start = time.perf_counter()
         self.gains = lqnash.stage_gains(self.agg)
         self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
-        self.seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, covariance, layout fill, gains, policy0)
+        self.seconds = self.shared_seconds = time.perf_counter() - t_start
+        self.at_tau = {}    # tau -> (x0-less slice, covariance, fill, gains, policy0, (Phi, d))
+
+    @cached_property
+    def psi(self):
+        """The zeta response, built when a replan first reads a column."""
+        t_start = time.perf_counter()
+        psi = lqnash.zeta_response(self.agg, self.gains)
+        self.shared_seconds += time.perf_counter() - t_start
+        return psi
 
     def prepare(self, tau, x0) -> PreparedGame:
         """The game of a replan at tau from state x0."""
         if tau not in self.at_tau:
+            t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
             cov = uncertainty.propagate_covariance(sub.dyn)
             policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
             self.at_tau[tau] = (sub, cov, uncertainty.constraint_layout(sub, cov),
-                                self.gains.tail(tau), policy0)
-        sub, cov, fill, gains, policy0 = self.at_tau[tau]
+                                self.gains.tail(tau), policy0,
+                                lqnash.mean_map(sub.dyn, self.gains.F[tau:], policy0.alpha))
+            self.shared_seconds += time.perf_counter() - t_start
+        sub, cov, fill, gains, policy0, (Phi, d) = self.at_tau[tau]
         sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
-        return prepare_at_zero(sub, cov, fill, gains, policy0)
+        return prepare_at_zero(sub, cov, fill, gains, policy0, Phi @ sub.dyn.x0 + d,
+                               lambda conset, cols: lqnash.response_alphas(
+                                   self.psi[tau:, :, :, tau:], conset, cols))
 
 
 @dataclass
@@ -367,8 +384,8 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
                 options: DualAscentOptions | None = None):
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, totals):
     the completed episodes' ``comp_seconds_per_step`` (seconds per replan),
-    ``replans``, ``replans_with_active_rows`` (lam != 0) and ``map_columns``
-    (G columns computed).
+    ``replans``, ``replans_with_active_rows`` (lam != 0), ``map_columns``
+    (G columns computed) and the planner's ``planner_seconds`` (shared work).
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
     and MPC statistics are paired across sample indices.  All episodes share
@@ -404,7 +421,8 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
         "comp_seconds_per_step": sum(r.solve_seconds for r in good) / replans,
         "replans": replans,
         "replans_with_active_rows": sum(r.replans_with_active_rows for r in good),
-        "map_columns": sum(r.map_columns for r in good)}
+        "map_columns": sum(r.map_columns for r in good),
+        "planner_seconds": planner.shared_seconds}
 
 
 # ---------------------------------------------------------------------------

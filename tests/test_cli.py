@@ -93,6 +93,16 @@ class TestSolve:
                      "--out", str(tmp_path / "o")]) == 0
         assert lqnash_calls["integrate_expected"] == 2
 
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
+    def test_traced_solve_computes_the_covariance_once(self, tmp_path, lqnash_calls, name):
+        # the dual value at lam = 0 and the report's dual values share K, so
+        # their trace terms tr(Q Sigma) and tr(R K Sigma K') are computed once
+        src = str(scenarios.bundled_path(name))
+        assert main(["solve", "--scenario", src, "--trace",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert lqnash_calls["closed_loop_covariance"] == 1
+        assert lqnash_calls["evaluate_cost"] == 2
+
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -448,6 +458,18 @@ class TestMpc:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["replans"] == 2 * 20
         assert 0 < manifest["replans_with_active_rows"] == len(pivoting) < 40
+
+    def test_manifest_times_the_shared_work(self, tmp_path):
+        # the gains, the lam = 0 pass, Psi and each replan time's slice,
+        # covariance, layout and transition products, which the replans'
+        # own times include
+        rc = main(["mpc", "--scenario", str(scenarios.bundled_path("intersection-mini")),
+                   "--samples", "2", "--seed", "3", "--out", str(tmp_path / "m")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["replans_with_active_rows"] > 0
+        assert 0 < manifest["planner_seconds"] < (manifest["replans"]
+                                                  * manifest["comp_seconds_per_step"])
 
     def test_manifest_records_every_option(self, tiny_active, tmp_path):
         # --eta sets the fallback ascent's step, so it changes results as

@@ -231,11 +231,14 @@ class TestColumnMap:
         from ccgame.model import assemble_problem, load_scenario
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
+        # the replans' own alpha columns come from the call's Psi (see
+        # test_simulate's TestResponseRoute); the map on each planner slice
+        # without it runs the pass route, which this pins bit for bit
         planner = simulate.CentralPlanner(problem)
         run = simulate.central_mpc_run(problem, 5, planner=planner)
         rng = np.random.default_rng(3)
         for tau in range(problem.T):
-            prep = planner.prepare(tau, run.states[tau])
+            prep = dataclasses.replace(planner.prepare(tau, run.states[tau]), response=None)
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
@@ -243,9 +246,11 @@ class TestColumnMap:
             self, monkeypatch):
         # an LTV solve or a central-MPC replan whose prepared lam = 0
         # equilibrium violates rows runs no lam = 0 solve of its own and
-        # builds the map in one zeta pass over those rows, which starts at
-        # their latest step; a further pass would run only for a column the
-        # pivot reads beyond them, which none of these solves does
+        # builds the map in one pass over those rows; a further pass would
+        # run only for a column the pivot reads beyond them, which none of
+        # these solves does.  An LTV solve's pass is a zeta pass that starts
+        # at their latest step; a replan's takes its alpha columns from the
+        # call's Psi, whose one zeta pass (from T) the first active replan runs
         from ccgame import lqnash, scenarios, simulate
         from ccgame.model import assemble_problem, load_scenario
         starts = []
@@ -255,7 +260,7 @@ class TestColumnMap:
             starts.append(start)
             return real_sweep(problem, gains, linear_term, start)
 
-        solved = []
+        solved, replans = [], []
 
         def solve(prepared, options=None, **kw):
             starts.clear()
@@ -264,7 +269,10 @@ class TestColumnMap:
             violated = np.flatnonzero(g0 > 0)
             assert np.any(rep.lambda_bar) == bool(violated.size)
             if violated.size:
-                assert starts == [prepared.conset.t[violated].max()]
+                if prepared.response is None:
+                    assert starts == [prepared.conset.t[violated].max()]
+                else:
+                    replans.append(list(starts))
                 assert set(rep.map.columns) == set(violated.tolist())
                 solved.append(prepared.M)
             return rep
@@ -274,11 +282,13 @@ class TestColumnMap:
         for k in COUPLED_FEASIBLE_SEEDS:
             solve(prepare_game(validate_scenario(
                 random_small_scenario(np.random.default_rng(k), coupled=True))))
+        assert not replans
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path("intersection-mini")))))
         run = simulate.central_mpc_run(problem, 5)
         assert not run.failures
         assert len(solved) == len(COUPLED_FEASIBLE_SEEDS) + run.replans_with_active_rows
+        assert replans == [[None]] + [[]] * (run.replans_with_active_rows - 1)
 
 
 class TestDynamicsType:

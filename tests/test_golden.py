@@ -29,7 +29,7 @@ GOLDEN = {
         "trace.csv": "e357159143f24072cc10eceae3d42aa536be8ec60ed0a79d88dea4ae15cc16e3",
         "report.json": "c1baf2f85f3691050670b50c55ea203fd350d3cc899a1115805365d20205633d",
         "rollout/stats.csv": "08b8eeb9c14815ae4a498705c58c8b09f5c1cd19d832803ca824d568715b7bdd",
-        "mpc/stats.csv": "ad288708c8483cef781043bc6c810642b1fceb0886d3aed108909eadbe22b854",
+        "mpc/stats.csv": "ca392a2ab133a274d46cd8e9e1749df679336a8b104f6dfc3b14f9ce041c31bd",
         "replans": 40,
         "replans_with_active_rows": 13,
         "map_columns": 19,

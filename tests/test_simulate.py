@@ -490,12 +490,15 @@ class TestCentralMpc:
                                        monkeypatch):
         # a direct episode builds its own planner: one gain recursion, one
         # rcond check per stage and one lam = 0 zeta pass, whose tail is every
-        # replan's reference policy; per replan, the mean trajectory of the
-        # reference, and only where a row is violated (a of them) the map's
-        # one pass, which carries the violated rows' columns (all that the
-        # pivot reads here) and so the policy at the pivot's multiplier, and
-        # its mean trajectory; no final solve's zeta pass (5 passes with it),
-        # no full map and no diagnostic that only a report reads
+        # replan's reference policy, and the zeta response Psi, in one zeta
+        # pass when a replan first violates a row; a replan's reference mean
+        # is a contraction of its state, and only where a row is violated (a
+        # of them) it runs the map's one pass, whose alpha columns (the
+        # violated rows', all that the pivot reads here) come from Psi and
+        # give the policy at the pivot's multiplier, and that policy's mean
+        # trajectory; no final solve's zeta pass, no full map and no
+        # diagnostic that only a report reads (3 zeta passes and 7 means
+        # with a zeta pass per active replan and an integrated reference mean)
         count_replan_work(monkeypatch, lqnash_calls)
         run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
         assert not run.failures
@@ -503,19 +506,20 @@ class TestCentralMpc:
         a = lqnash_calls.pop("pivoting")
         assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 3, "integrate_expected": 7,
+                                "_zeta_sweep": 2, "integrate_expected": 2,
                                 "affine_response": a}
-        assert 1 + a == 3 and run.replans + a == 7
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
-        # 2 episodes of T = 20 replans: one aggregate, one gain recursion and
-        # one lam = 0 pass per call, one covariance per replan time, and one
-        # zeta pass per replan whose lam = 0 mean violates a row: the map's
-        # one pass with the 18 columns of the violated rows, which give
-        # the policy too; no full map (27 passes with a final solve's per
-        # such replan; 81 when every replan ran the full map; 120 passes, 40
-        # covariances before that)
+        # 2 episodes of T = 20 replans: one aggregate, one gain recursion,
+        # one lam = 0 pass and one zeta response Psi per call, one covariance
+        # per replan time, and per replan whose lam = 0 mean violates a row
+        # the map's one pass with the 18 columns of the violated rows, whose
+        # alphas come from Psi and give the policy too, and that policy's
+        # mean; no full map and no integrated lam = 0 mean (14 zeta passes
+        # and 53 means with a zeta pass per such replan; 27 passes with a
+        # final solve's; 81 when every replan ran the full map; 120 passes,
+        # 40 covariances before that)
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
@@ -537,8 +541,8 @@ class TestCentralMpc:
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
-        assert lqnash_calls["_zeta_sweep"] == 1 + a == 14
-        assert lqnash_calls["integrate_expected"] == 2 * T + a == 53
+        assert lqnash_calls["_zeta_sweep"] == 2
+        assert lqnash_calls["integrate_expected"] == a == 13
         assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["propagate_covariance"] == 20
@@ -549,11 +553,14 @@ class TestCentralMpc:
     def test_zero_multiplier_replans_equal_the_full_path(self, monkeypatch, lqnash_calls,
                                                          name, seeds, episodes):
         # withholding the planner's lam = 0 equilibrium makes every replan
-        # solve it on the tail of the planner's gains; the episodes are the
-        # same bit for bit, signs of zeros included.  An active replan runs
-        # the map's one pass, with the columns of the rows it violates,
-        # and a pass per pivot read of a column not among them (one, on
-        # intersection at seed 5), never the full map
+        # solve it on the tail of the planner's gains, which is the
+        # planner's alpha0 tail bit for bit, and integrate its mean; the
+        # planner contracts that mean from x0 instead, so the episodes agree
+        # to 1e-13 of max(1, |withheld|), with the same replans, active
+        # replans and columns.  An active replan runs the map's one pass,
+        # with the columns of the rows it violates, and a pass per pivot
+        # read of a column not among them (one, on intersection at seed 5),
+        # never the full map
         from ccgame import scenarios
         from ccgame.model import load_scenario
         problem = assemble_problem(validate_scenario(
@@ -565,8 +572,14 @@ class TestCentralMpc:
             runs.append(central_mpc(problem, seed, episodes)
                         + (lqnash_calls["affine_response"], lqnash_calls["full_map"]))
         prepare = simulate.CentralPlanner.prepare
-        monkeypatch.setattr(simulate.CentralPlanner, "prepare", lambda self, tau, x0:
-                            replace(prepare(self, tau, x0), equilibrium0=None))
+
+        def withheld(self, tau, x0):
+            prep = prepare(self, tau, x0)
+            assert np.array_equal(prep.equilibrium0[0].alpha, backward_recursion(
+                prep.problem, gains=prep.gains).alpha)
+            return replace(prep, equilibrium0=None)
+
+        monkeypatch.setattr(simulate.CentralPlanner, "prepare", withheld)
         for seed, want, (batch, failures, totals, maps, full_maps) in zip(seeds, passes, runs):
             full, full_failures, full_totals = central_mpc(problem, seed, episodes)
             assert failures == full_failures == []
@@ -576,7 +589,24 @@ class TestCentralMpc:
             assert (full_totals["replans"], full_totals["replans_with_active_rows"]) \
                 == (totals["replans"], totals["replans_with_active_rows"])
             for field in ("states", "inputs", "costs"):
-                assert getattr(batch, field).tobytes() == getattr(full, field).tobytes()
+                ref = getattr(full, field)
+                assert np.max(np.abs(getattr(batch, field) - ref)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(ref))), field
+
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
+    def test_an_episode_does_not_depend_on_the_call(self, name):
+        # the call's Psi and each tau's transition products are built by
+        # whichever episode first needs them, and do not depend on its state
+        from ccgame import scenarios
+        from ccgame.model import load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        batch, failures, _ = central_mpc(problem, 7, 3)
+        assert not failures
+        for s in range(3):
+            run = simulate.central_mpc_run(problem, 7, sample_index=s)
+            assert batch.states[s].tobytes() == run.states.tobytes(), s
+            assert batch.inputs[s].tobytes() == run.inputs.tobytes(), s
 
     def test_planner_failure_is_its_seeds_failure(self, monkeypatch, mini_problem):
         # the gains are computed once per call, by the first seed whose
@@ -646,6 +676,50 @@ class TestCentralMpc:
             for i in range(mini_problem.N))
         agg_y = (y - agg.ref[0, t]) @ agg.Q[0, t] @ (y - agg.ref[0, t])
         assert (total - agg_val) == pytest.approx(total_y - agg_y, abs=1e-9)
+
+
+class TestResponseRoute:
+    """A replan's map takes its alpha columns from the call's zeta response
+    Psi and its lam = 0 mean from the tau's transition products; the pass
+    route (a zeta pass per set of columns, an integrated mean) is the
+    reference.  The bound, 1e-13 of max(1, max |pass route|), was fixed
+    before the route was built."""
+
+    @staticmethod
+    def _close(got, want):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
+            1.0, np.max(np.abs(want), initial=0.0))
+
+    @pytest.mark.parametrize("name, alone", [("intersection-mini", None),
+                                             ("intersection", 4)])
+    def test_every_replan_of_an_episode(self, name, alone):
+        from ccgame import lqnash, scenarios
+        from ccgame.model import load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        planner = simulate.CentralPlanner(problem)
+        run = simulate.central_mpc_run(problem, 5, planner=planner)
+        assert not run.failures and run.replans_with_active_rows > 0
+        rng = np.random.default_rng(8)
+        for tau in range(problem.T):
+            prep = planner.prepare(tau, run.states[tau])
+            sub, conset, gains = prep.problem, prep.conset, prep.gains
+            policy0, mean0 = prep.equilibrium0
+            self._close(mean0, integrate_expected(sub.dyn, policy0))
+            if prep.M == 0:
+                continue
+            G, alphas = lqnash.affine_response(sub, conset, gains)
+            columns = np.arange(prep.M)
+            G_psi, alphas_psi = lqnash.affine_response(
+                sub, conset, gains, columns, prep.response(conset, columns))
+            self._close(G_psi, G)
+            self._close(alphas_psi, alphas)
+            # a column's bits do not depend on the columns computed with it
+            for j in columns if alone is None else rng.choice(prep.M, alone):
+                G_j, alpha_j = lqnash.affine_response(sub, conset, gains, [j],
+                                                      prep.response(conset, [j]))
+                assert G_j[:, 0].tobytes() == G_psi[:, j].tobytes(), (tau, j)
+                assert alpha_j[0].tobytes() == alphas_psi[j].tobytes(), (tau, j)
 
 
 class TestIntegerArguments:

@@ -75,10 +75,12 @@ def test_traced_solve_times_the_map_pass():
 
 @pytest.mark.parametrize("workload, metric, value", [
     ("rollout-intersection", "simulate.rollout_samples", 2000),
-    ("mpc-mini", "simulate.replans", 40)])
+    ("mpc-mini", "simulate.replans", 40),
+    ("mpc-mini", "lqnash.integrate_expected_calls", 12)])
 def test_traced_round_reads_its_results(workload, metric, value):
     # the shims read the traced results: simulate.rollout's samples,
-    # central_mpc_run's replans and failures, assemble_constraints' rows
+    # central_mpc_run's replans and failures, assemble_constraints' rows;
+    # an MPC replan integrates only an active policy's mean (12 of the 40)
     result = _one_round(workload, 1)
     assert result["correct"] is True and result["failed"] == 0
     assert result["metrics"][metric]["value"] == value

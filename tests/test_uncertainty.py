@@ -418,7 +418,10 @@ class TestSplitAssembly:
     def test_replan_from_the_shared_layout_equals_a_fresh_assembly(self, mini_prep):
         # the second replan at tau fills the layout the first one built; the
         # fresh path slices, propagates, solves the slice's lam = 0 policy
-        # for the reference and assembles
+        # for the reference and assembles.  The planner's lam = 0 mean is a
+        # contraction of x0 (the tau's transition products), the fresh one
+        # an integration: they agree to 1e-13 of max(1, |reference|), and
+        # the rows at the planner's own reference byte for byte
         planner = simulate.CentralPlanner(mini_prep.problem)
         x0 = mini_prep.problem.dyn.x0
         rng = np.random.default_rng(2)
@@ -429,9 +432,11 @@ class TestSplitAssembly:
             sub = simulate.slice_problem(planner.agg, tau, x)
             policy0 = lqnash.backward_recursion(sub)
             reference = sub.nominal_states + lqnash.integrate_expected(sub.dyn, policy0)
-            assert np.array_equal(prep.reference_means, reference)
+            assert np.max(np.abs(prep.reference_means - reference)) <= 1e-13 * max(
+                1.0, np.max(np.abs(reference)))
             assert np.array_equal(prep.problem.dyn.x0, x)
-            fresh = assemble_constraints(sub, propagate_covariance(sub.dyn), reference)
+            fresh = assemble_constraints(sub, propagate_covariance(sub.dyn),
+                                         prep.reference_means)
             _assert_same_bytes(prep.conset, fresh)
 
 
