@@ -30,8 +30,8 @@ response Psi to a unit term at each (step, coordinate), computed once
 (``zeta_response``), and its lam = 0 mean is ``mean_map``'s Phi x0 + d.
 A column's bits do not depend on the other columns of its pass: a 1-column
 solve or 1-row product goes down another BLAS route, so a zero column pads
-a single one, as in ``backward_recursion`` and the gains' solve, and
-``_gemm`` doubles a 1-row matrix.  The tests keep the single full sweep
+a single one (``_zeta_sweep`` does so itself, as do the gains' solve and
+``affine_response``'s forward pass), and ``_gemm`` doubles a 1-row matrix.  The tests keep the single full sweep
 these replace and a single-player best-response sweep (``tests/oracles.py``)
 as references.
 
@@ -164,22 +164,26 @@ def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term, start=None
 
     ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
     stage t; zeta carries one column per column of it, and only the current
-    zeta is kept.  Each stage solves S_t against Ya, all players at once; with
-    two columns or more, a column's bits do not depend on the others.
+    zeta is kept.  Each stage solves S_t against Ya, all players at once; a
+    zero column pads a 1-column term, so that a column's bits never depend on
+    the others (see the module docstring), and only the m columns return.
     The sweep starts at ``start`` (default T); a is 0 after it.
     """
     N, T, n_u = problem.N, problem.T, problem.n_u
     start = T if start is None else start
     zeta = linear_term(start)
+    m = zeta.shape[2]
+    if m == 1:
+        zeta = np.concatenate([zeta, np.zeros_like(zeta)], axis=2)
     a = np.zeros((T, N, n_u, zeta.shape[2]))
     for t in range(start - 1, -1, -1):
         B, F = problem.dyn.B[t], gains.F[t]
         Ya = _gemm(B.transpose(0, 2, 1), zeta).reshape(N * n_u, -1)
         a[t] = np.linalg.solve(gains.S[t], Ya).reshape(N, n_u, -1)
         Ba = np.einsum("iab,ibm->am", B, a[t])
-        zeta = (F.T @ (zeta - gains.P[t + 1] @ Ba) + _gemm(gains.KtR[t], a[t])
-                + linear_term(t))
-    return a
+        zeta = F.T @ (zeta - gains.P[t + 1] @ Ba) + _gemm(gains.KtR[t], a[t])
+        zeta[..., :m] += linear_term(t)
+    return a[..., :m]
 
 
 def _gemm(A, X):
@@ -204,8 +208,7 @@ def backward_recursion(problem: GameProblem, gains=None):
     """
     gains = stage_gains(problem) if gains is None else gains
     s = stage_linear_terms(problem)
-    padded = np.stack([s, np.zeros_like(s)], axis=-1)    # see the module docstring
-    a = _zeta_sweep(problem, gains, lambda t: padded[:, t])
+    a = _zeta_sweep(problem, gains, lambda t: s[:, t, :, None])
     return FeedbackPolicy(K=gains.K, alpha=a[..., 0])
 
 
@@ -337,20 +340,19 @@ def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
     ctilde and alpha0 being the lam = 0 equilibrium's g and alpha.  The sweep
     starts at the columns' latest step, above which their zeta is exactly 0.
     Given their affine terms ``a`` (T, N, n_u, k), only the forward pass
-    runs.  A pass has two columns or more (see the module docstring).
+    runs, on two columns or more (see the module docstring).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
     M = conset.M
     k = M if columns is None else len(columns)
     if a is None:
-        # each entry's column: multipliers, then a zero pad (M) up to two,
-        # grouped by step once; a step without one adds the same zero term
-        cols = np.concatenate([np.arange(M) if columns is None else columns,
-                               [M] * (k == 1)]).astype(np.intp)
-        steps = np.append(conset.t, -1)[cols]
+        # each entry's column, grouped by step once; a step without one adds
+        # the same zero term
+        cols = np.arange(M) if columns is None else np.asarray(columns, dtype=np.intp)
+        steps = conset.t[cols]
         hits = {t: np.flatnonzero(steps == t) for t in set(steps.tolist())}
-        zero = np.zeros((N, n_x, len(cols)))
+        zero = np.zeros((N, n_x, k))
 
         def linear_term(t):
             if t not in hits:
@@ -360,7 +362,7 @@ def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
             return C
 
         a = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
-    elif k == 1:
+    if k == 1:      # the forward pass's products keep two columns too
         a = np.concatenate([a, np.zeros_like(a)], axis=-1)
 
     # forward sweep of the mean trajectory's linear part X_t; the rows of

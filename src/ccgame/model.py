@@ -21,9 +21,8 @@ import hashlib
 import json
 import math
 import numbers
-import re
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -532,33 +531,22 @@ def _matrix_seq(spec, T, dim, name):
 
 
 NULLABLE = {"x_min", "x_max", "nominal_inputs", "active_times", "agent", "weight"}
-INTEGER_LISTS = {"state_dims", "pair", "active_times"}
 
 
-def _check_numbers(doc, where="scenario", nullable=False, integers=False):
-    """``doc`` with each rectangular list of numbers, but ``integers``, as a
-    float array; SchemaError at the first value below it that is not a JSON
-    number: a string or a bool anywhere but a ``type`` field, or a null but a
-    NULLABLE key's whole value or a box bound's entry (``nullable``).  Lists
-    are flattened a level at a time, so their numbers' types are read at C
-    speed, and the flat list is the array's data."""
+def _check_numbers(doc, where="scenario", nullable=False):
+    """SchemaError at the first value in ``doc`` that is not a JSON number: a
+    string or a bool anywhere but a ``type`` field, or a null but a NULLABLE
+    key's whole value or a box bound's entry (``nullable``).  A leaf is named
+    by its list's key path, a dict in a list by its index."""
     if type(doc) is dict:
-        return {key: value if key == "type" or (value is None and key in NULLABLE)
-                else _check_numbers(value, f"{where}.{key}", key in ("x_min", "x_max"),
-                                    key in INTEGER_LISTS) for key, value in doc.items()}
-    leaves, shape = [doc], []
-    while (kinds := set(map(type, leaves))) == {list}:
-        shape.append(set(map(len, leaves)))
-        leaves = list(chain.from_iterable(leaves))
-    if kinds <= {int, float}:
-        keep = integers or not shape or any(len(n) > 1 for n in shape)   # or ragged
-        return doc if keep else np.array(leaves, dtype=float).reshape([n for n, in shape])
-    for k, value in enumerate(leaves):
-        if isinstance(value, (dict, list)):
-            leaves[k] = _check_numbers(value, f"{where}[{k}]")
-        elif isinstance(value, (bool, str)) or (value is None and not nullable):
-            raise SchemaError(f"{where}: expected a number, got {value!r:.20}")
-    return leaves if len(shape) == 1 else doc
+        for key, value in doc.items():
+            if key != "type" and not (value is None and key in NULLABLE):
+                _check_numbers(value, f"{where}.{key}", key in ("x_min", "x_max"))
+    elif type(doc) is list:
+        for k, value in enumerate(doc):
+            _check_numbers(value, f"{where}[{k}]" if type(value) is dict else where, nullable)
+    elif isinstance(doc, (bool, str)) or (doc is None and not nullable):
+        raise SchemaError(f"{where}: expected a number, got {doc!r:.20}")
 
 
 def _reject_unknown(d, allowed, where):
@@ -697,7 +685,7 @@ def _parse_scenario(doc):
     if not isinstance(doc, dict):
         raise SchemaError("scenario document must be a JSON object")
     _reject_unknown(doc, SCENARIO_KEYS | {"state_dims"}, "scenario")
-    doc = _check_numbers(doc)
+    _check_numbers(doc)
     for key in ("agents", "horizon", "dt", "dynamics", "costs", "risk_epsilon", "seed"):
         if key not in doc:
             raise SchemaError(f"scenario: missing required key {key!r}")
@@ -786,28 +774,13 @@ def _no_constant(text):
     raise ValueError(f"non-finite literal {text}")
 
 
-_DIGIT_CLASSES = bytes.maketrans(b"0123456789E", b"0000000000e")
-_LONG_EXPONENT = re.compile(rb"e\+?000")
-
-
-def _may_overflow(raw):
-    """Whether a number in the JSON bytes could overflow a float: only one with
-    an exponent of three digits or more, or a run of 210 digits or more, can."""
-    digits = raw.translate(_DIGIT_CLASSES)      # digits read as 0, E as e
-    return _LONG_EXPONENT.search(digits) is not None or b"0" * 210 in digits
-
-
 def read_json(path):
     """The document in a UTF-8 JSON file; SchemaError when it is not one, or
-    when it holds NaN, Infinity or a number that overflows a float.  Numbers
-    go through the checked parse only when one of them could overflow."""
+    when it holds NaN, Infinity or a number that overflows a float."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
-        checked = _may_overflow(raw)
-        return json.loads(raw.decode("utf-8"), parse_constant=_no_constant,
-                          parse_float=_finite_float if checked else float,
-                          parse_int=_float_sized_int if checked else int)
+            return json.loads(fh.read().decode("utf-8"), parse_constant=_no_constant,
+                              parse_float=_finite_float, parse_int=_float_sized_int)
     except ValueError as exc:    # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise SchemaError(f"{path}: not UTF-8 JSON with finite numbers ({exc})") from exc
 

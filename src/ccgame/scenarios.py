@@ -45,7 +45,7 @@ def _crossing(inits, goals, T, radius, lanes, v_max, seed) -> dict:
     }
 
 
-def _intersection(seed=20240501) -> dict:
+def _intersection() -> dict:
     """Three vehicles crossing a 20 m intersection over a 10 s horizon."""
     return _crossing(
         inits=[[0.0, 10.0, -math.pi / 2, 2.0],     # from the top, heading down
@@ -56,27 +56,27 @@ def _intersection(seed=20240501) -> dict:
                [-10.0, 1.2, math.pi, 2.0]],
         T=50, radius=1.0,
         lanes=[(0, 0, -1.2, 1.2), (1, 1, -2.6, 0.2), (2, 1, -0.2, 2.6)],
-        v_max=3.5, seed=seed)
+        v_max=3.5, seed=20240501)
 
 
-def _intersection_mini(seed=20240502) -> dict:
+def _intersection_mini() -> dict:
     """Two vehicles crossing over a 4 s horizon; small enough for fast CI."""
     return _crossing(
         inits=[[0.0, 3.0, -math.pi / 2, 1.5],
                [-3.0, -0.6, 0.0, 1.5]],
         goals=[[0.0, -3.0, -math.pi / 2, 1.5],
                [3.0, -0.6, 0.0, 1.5]],
-        T=20, radius=0.5, lanes=[], v_max=3.0, seed=seed)
+        T=20, radius=0.5, lanes=[], v_max=3.0, seed=20240502)
 
 
-def make_intersection(seed=20240501):
+def make_intersection():
     """The parsed ``intersection`` scenario."""
-    return scenario_from_dict(_intersection(seed))
+    return scenario_from_dict(_intersection())
 
 
-def make_intersection_mini(seed=20240502):
+def make_intersection_mini():
     """The parsed ``intersection-mini`` scenario."""
-    return scenario_from_dict(_intersection_mini(seed))
+    return scenario_from_dict(_intersection_mini())
 
 
 def bundled_path(name):

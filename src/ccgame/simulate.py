@@ -136,8 +136,9 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
 # Safety statistics
 
 
-def wilson_interval(violations, n, z=WILSON_Z):
+def wilson_interval(violations, n):
     """Wilson score interval of violations / n, exactly 0 and 1 at its ends."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     p = violations / n
@@ -217,15 +218,14 @@ def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
     return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
 
 
-def evaluate_safety(batch: RolloutBatch, problem: GameProblem,
-                    goal_tolerance=0.1) -> SafetyStats:
+def evaluate_safety(batch: RolloutBatch, problem: GameProblem) -> SafetyStats:
     """Joint-violation counting over the original predicates plus cost stats."""
     bad = _violations_mask(problem, batch.states)
     S = batch.samples
     violations = int(np.sum(bad))
     lo, hi = wilson_interval(violations, S)
     total = batch.costs.sum(axis=1)
-    times, flagged = travel_time(batch, problem, goal_tolerance)
+    times, flagged = travel_time(batch, problem)
     return SafetyStats(
         method=batch.method, samples=S, seed=batch.seed,
         violations=violations, rate=violations / S,
@@ -357,7 +357,7 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     failures = []
     replans = active = columns = 0
     for t in range(T):
-        if t % replan_every == 0 or plan is None:
+        if t % replan_every == 0:
             t_start = time.perf_counter()
             try:
                 report = run_dual_ascent(planner.prepare(t, states[t]), options)

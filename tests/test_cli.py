@@ -6,7 +6,7 @@ import pytest
 
 from ccgame import scenarios, simulate
 from ccgame.cli import main
-from ccgame.model import Scenario, save_scenario
+from ccgame.model import Scenario, save_scenario, scenario_to_dict
 from conftest import (NOT_NUMBERS, NUMBER_FIELDS, make_ltv_scenario, mini_doc_with,
                       random_small_scenario, scalar_single_agent_instance)
 
@@ -167,6 +167,18 @@ class TestSolve:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SchemaError") and literal[:20] in err
+        assert "Traceback" not in err
+
+    def test_an_overflowing_number_deep_in_a_full_form_file_exits_one(self, tmp_path,
+                                                                     capsys):
+        doc = scenario_to_dict(scenarios.make_intersection_mini())
+        doc["costs"][1]["Q"][12][5][5] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', "1e400"))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError") and "1e400" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", NOT_NUMBERS)

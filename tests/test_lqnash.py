@@ -90,9 +90,11 @@ class TestGainsOnce:
     """The gains-once path against the full sweep it replaced
     (``oracles._riccati_sweep``), bit for bit."""
 
-    def test_stage_and_zeta_pass_equal_the_full_sweep_on_wide_shapes(self):
-        # N 1-5, n_u 1-3, n_x 1-12, T 1-7 and 2-6 linear columns: shapes
-        # past random_small_scenario's (N <= 3, n_u <= 2, T >= 4)
+    @staticmethod
+    def wide_games():
+        """(problem, C) for 120 seeds: N 1-5, n_u 1-3, n_x 1-12, T 1-7 and a
+        linear term C (T+1, N, n_x, m) of 2-6 columns, shapes past
+        random_small_scenario's (N <= 3, n_u <= 2, T >= 4)."""
         for k in range(120):
             rng = np.random.default_rng(k)
             N, n_u, n_x = (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
@@ -104,14 +106,28 @@ class TestGainsOnce:
                               rng.normal(size=(T, N, n_x, n_u)),
                               L @ np.swapaxes(L, -1, -2),
                               Lr @ np.swapaxes(Lr, -1, -2) + np.eye(n_u))
-            C = rng.normal(size=(T + 1, N, n_x, m))
+            yield problem, rng.normal(size=(T + 1, N, n_x, m))
+
+    def test_stage_and_zeta_pass_equal_the_full_sweep_on_wide_shapes(self):
+        for problem, C in self.wide_games():
             K, a, F, P = _riccati_sweep(problem, lambda t: C[t])
             gains = stage_gains(problem)
-            shape = (N, n_u, n_x, T, m)
+            shape = (problem.N, problem.n_u, problem.n_x, problem.T, C.shape[-1])
             assert np.array_equal(gains.K, K), shape
             assert np.array_equal(gains.F, F), shape
             assert np.array_equal(gains.P, P), shape
             assert np.array_equal(_zeta_sweep(problem, gains, lambda t: C[t]), a), shape
+
+    def test_a_one_column_zeta_pass_equals_a_padded_one(self):
+        # the sweep pads a single column itself, so its bits are those of
+        # column 0 of the term a caller pads with a zero column
+        for problem, C in self.wide_games():
+            padded = np.concatenate([C[..., :1], np.zeros_like(C[..., :1])], axis=-1)
+            gains = stage_gains(problem)
+            one = _zeta_sweep(problem, gains, lambda t: C[t, ..., :1])
+            assert one.shape == (problem.T, problem.N, problem.n_u, 1)
+            want = _zeta_sweep(problem, gains, lambda t: padded[t])[..., :1]
+            assert np.array_equal(one, want), (problem.N, problem.n_u, problem.n_x, problem.T)
 
     def test_backward_recursion_and_map_equal_the_full_sweep(self, mini_prep,
                                                              intersection_prep):
@@ -178,17 +194,26 @@ class TestGainsOnce:
                 assert np.array_equal(full.alpha[tau:], own.alpha), tau
 
     def test_every_zeta_pass_has_two_columns_or_more(self, monkeypatch):
-        # a 1-column pass solves by another LAPACK route and moves a column's
-        # last bits, so every caller pads to two: the bundled solves with
-        # their report's full G, the ray game's fallback ascent and a
-        # central-MPC episode
-        widths = []
+        # a 1-column solve takes another LAPACK route and moves a column's
+        # last bits, so every stage solve of a zeta pass has two right-hand
+        # sides or more: the bundled solves with their report's full G, the
+        # ray game's fallback ascent and a central-MPC episode
+        widths, inside = [], []
+        solve, sweep = np.linalg.solve, lqnash._zeta_sweep
 
-        def recording(*args, **kwargs):
-            a = _zeta_sweep(*args, **kwargs)
-            widths.append(a.shape[-1])
-            return a
-        monkeypatch.setattr(lqnash, "_zeta_sweep", recording)
+        def recording_solve(S, b):
+            if inside:
+                widths.append(b.shape[-1])
+            return solve(S, b)
+
+        def recording_sweep(*args, **kwargs):
+            inside.append(True)
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(lqnash, "_zeta_sweep", recording_sweep)
         ray = random_small_scenario(np.random.default_rng(2))
         for s in (scenarios.make_intersection_mini(), scenarios.make_intersection(), ray):
             report = run_dual_ascent(prepare_game(validate_scenario(s)),

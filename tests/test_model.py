@@ -1,7 +1,11 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgame import scenarios
 from ccgame.errors import (BadProbability, DimensionMismatch, NotPositiveDefinite,
@@ -179,4 +183,50 @@ def test_null_only_where_the_schema_takes_it():
     doc = mini_doc_with("dt", 0.1)
     doc["dynamics"]["nominal_inputs"] = [[[0.0, None]] * 20] * 2
     with pytest.raises(SchemaError, match="nominal_inputs: expected a number, got None"):
+        scenario_from_dict(doc)
+
+
+def _number_leaves(doc, path=()):
+    """The key paths of every number in a document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _number_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _number_leaves(value, path + (k,))
+    elif type(doc) in (int, float):
+        yield path
+
+
+DOCUMENTS = {name: json.loads(scenarios.bundled_path(name).read_text())
+             for name in scenarios.BUNDLED}
+DOCUMENTS["full-form intersection-mini"] = scenario_to_dict(scenarios.make_intersection_mini())
+LEAVES = [(name, path) for name, doc in DOCUMENTS.items() for path in _number_leaves(doc)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from([True, False, "0.5", "inf", None]))
+def test_every_number_leaf_takes_a_number_or_a_schema_null(leaf, value):
+    name, path = leaf
+    doc = copy.deepcopy(DOCUMENTS[name])
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    # the README's rule: null is a box bound's entry or the whole value of
+    # agent (the other nullable keys hold lists in these documents)
+    if value is None and (path[-2:-1] in [("x_min",), ("x_max",)] or path[-1] == "agent"):
+        if path[-1] == "agent":         # a box without an agent bounds the full state
+            node["x_min"] = node["x_max"] = None
+        scenario_from_dict(doc)
+        return
+    # the error names the number's list by its key path, a dict in a list by index
+    where, node = "scenario", DOCUMENTS[name]
+    for step in path:
+        node = node[step]
+        if isinstance(step, str):
+            where += f".{step}"
+        elif isinstance(node, dict):
+            where += f"[{step}]"
+    with pytest.raises(SchemaError, match=re.escape(f"{where}: expected a number, got {value!r}")):
         scenario_from_dict(doc)

@@ -5,8 +5,10 @@ rollout and MPC round must read their results, the traced memory peaks of a
 prepare, a solve and a rollout stay under their guards, the bundled scenario
 files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
-example must run as written."""
+example must run as written, and the library has no unused import or
+private name."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -30,6 +32,7 @@ from ccgame.simulate import rollout
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 DATA = ROOT / "src" / "ccgame" / "data"
+SRC = ROOT / "src" / "ccgame"
 
 
 def _shims():
@@ -167,3 +170,38 @@ def test_readme_library_example_runs(capsys):
     rate, wilson_hi, residual = map(float, capsys.readouterr().out.split())
     assert 0.0 <= rate <= wilson_hi <= 1.0
     assert 0.0 <= residual <= 1e-6
+
+
+def test_src_has_no_unused_imports_or_private_names():
+    # a lint with no linter dependency: each module-level import is
+    # read in its module (``# noqa: F401`` re-exports excepted), and each
+    # module-level _private function, class or constant is read somewhere
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    loads = {name: {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for name, tree in trees.items()}
+    reads = set().union(*loads.values())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    unused, unread = [], []
+    for name, tree in trees.items():
+        lines = sources[name].splitlines()
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if (getattr(node, "module", None) == "__future__"
+                        or "noqa: F401" in lines[node.lineno - 1]):
+                    continue
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{name}: {b}" for b in bound if b not in loads[name]]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign)):
+                defined = ([node.name] if not isinstance(node, ast.Assign)
+                           else [t.id for t in node.targets if isinstance(t, ast.Name)])
+                unread += [f"{name}: {d}" for d in defined
+                           if d.startswith("_") and not d.startswith("__") and d not in reads]
+    assert not unused, f"unused imports: {unused}"
+    assert not unread, f"private names read nowhere: {unread}"
