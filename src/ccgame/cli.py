@@ -51,13 +51,16 @@ def _eta(value):
         raise DomainError(f"eta: expected 'auto' or a float, got {value!r}") from None
 
 
+def _scenario_run(args):
+    """(output directory, made; validated scenario; the scenario file's hash)."""
+    outdir = args.out or f"runs/{args.command}"
+    os.makedirs(outdir, exist_ok=True)
+    return outdir, validate_scenario(load_scenario(args.scenario)), file_fingerprint(args.scenario)
+
+
 def cmd_solve(args):
     options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
-    outdir = args.out or "runs/solve"
-    os.makedirs(outdir, exist_ok=True)
-    scenario = load_scenario(args.scenario)
-    vs = validate_scenario(scenario)
-    scenario_hash = file_fingerprint(args.scenario)
+    outdir, vs, scenario_hash = _scenario_run(args)
 
     trace_rows = []
     writer = trace_rows.append if args.trace else None
@@ -146,10 +149,7 @@ def cmd_rollout(args):
 
 def cmd_mpc(args):
     options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
-    outdir = args.out or "runs/mpc"
-    os.makedirs(outdir, exist_ok=True)
-    scenario_hash = file_fingerprint(args.scenario)
-    vs = validate_scenario(load_scenario(args.scenario))
+    outdir, vs, scenario_hash = _scenario_run(args)
     problem = assemble_problem(vs)
     batch, failures, totals = simulate.central_mpc(
         problem, args.seed, args.samples, replan_every=args.replan_every,
@@ -243,41 +243,41 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     p = _Parser(prog="ccgame", description="Chance-constrained LQG game solver")
     sub = p.add_subparsers(dest="command", required=True)
+    # options that several commands take; a parent's options come first
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--scenario", required=True)
+    policy = _Parser(add_help=False, parents=[scenario])
+    policy.add_argument("--policy", required=True)
+    sampling = _Parser(add_help=False)
+    sampling.add_argument("--samples", type=int, default=100)
+    sampling.add_argument("--seed", type=int, default=0)
 
-    s = sub.add_parser("solve", help="compute the feedback GNE policy")
-    s.add_argument("--scenario", required=True)
+    s = sub.add_parser("solve", parents=[scenario], help="compute the feedback GNE policy")
     s.add_argument("--iters", type=int, default=2000,
                    help="iterations of the ascent the pivot falls back to")
     s.add_argument("--eta", default="auto")
     s.add_argument("--relinearize", type=int, default=0,
                    help="outer relinearization rounds (unicycle scenarios)")
     s.add_argument("--trace", action="store_true")
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_solve)
 
-    r = sub.add_parser("rollout", help="seeded Monte Carlo rollouts of a policy")
-    r.add_argument("--scenario", required=True)
-    r.add_argument("--policy", required=True)
-    r.add_argument("--samples", type=int, default=100)
-    r.add_argument("--seed", type=int, default=0)
+    r = sub.add_parser("rollout", parents=[policy, sampling],
+                       help="seeded Monte Carlo rollouts of a policy")
     r.add_argument("--dump-trajectories", action="store_true")
-    r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_rollout)
 
-    m = sub.add_parser("mpc", help="central-MPC baseline over seeded episodes")
-    m.add_argument("--scenario", required=True)
-    m.add_argument("--samples", type=int, default=100)
-    m.add_argument("--seed", type=int, default=0)
+    m = sub.add_parser("mpc", parents=[scenario, sampling],
+                       help="central-MPC baseline over seeded episodes")
     m.add_argument("--replan-every", type=int, default=1)
     m.add_argument("--iters", type=int, default=500)
     m.add_argument("--eta", default="auto")
-    m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_mpc)
 
     c = sub.add_parser("report", help="merge stats files into a comparison table")
     c.add_argument("stats", nargs="+")
-    c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_report)
+    for command in (s, r, m, c):    # last in every command's options
+        command.add_argument("--out", default=None)
     return p
 
 

@@ -5,22 +5,22 @@ The dual gradient at lam is the constraint value g at the equilibrium mean
 trajectory.  Stage gains do not depend on lam, so g and the policy's affine
 term are exactly affine in it, g(lam) = G lam + ctilde and alpha(lam) =
 alpha0 + sum_j lam_j alpha_j, and the solve works on this map instead of
-re-solving the game at every step.  A solve computes the stage gains and
-the lam = 0 equilibrium once, or takes them from the preparer
-(``PreparedGame.gains`` and ``equilibrium0``): ctilde is g at that
-equilibrium's mean and alpha0 its affine term, so the map holds only its
-linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
-pass computes the columns (of G and alpha) of every row violated at lam =
-0, before the pivot's first read, and a column not yet computed comes in one
-more pass with every uncached violated row.  A pass is a zeta pass, or the
-forward pass of the alpha columns a prepared ``response`` contracts (a
-central-MPC replan's, from its call's zeta response).  The policy at any lam,
-the pivot's or the fallback ascent's, is alpha0 plus the columns lam is
-nonzero on (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that
-violates no row is the report, and the map runs no pass.  The full G
-is built only when L, the asymmetry, the fallback ascent or a dual value
-reads it: ``report.json`` and the CLI's ``solve:`` line read L, a
-central-MPC replan none of them.  The rows are read by ``evaluate`` and ``span``.
+re-solving the game at every step.  ``estimate_affine_map`` owns a solve's
+start: the stage gains and the lam = 0 equilibrium, the preparer's
+(``PreparedGame.gains``, ``equilibrium0``) or solved there once.  ctilde is g
+at that equilibrium's mean and alpha0 its affine term, so the map holds only
+its linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
+pass there computes the columns (of G and alpha) of every row violated at
+lam = 0, before the pivot's first read, and a column not yet computed comes
+in a pass of its own.  A pass is a zeta pass, or the forward pass of the
+alpha columns a prepared ``response`` contracts (a central-MPC replan's, from
+its call's zeta response).  The policy at any lam, the pivot's or the
+fallback ascent's, is alpha0 plus the columns lam is nonzero on
+(``AffineGradientMap.alpha``).  A lam = 0 equilibrium that violates no row
+is the report, and the map runs no pass.  The full G is built only when L,
+the asymmetry, the fallback ascent or a dual value reads it: ``report.json``
+and the CLI's ``solve:`` line read L, a central-MPC replan none of them.  The
+rows are read by ``evaluate`` and ``span``.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -116,9 +116,9 @@ def prepare_at_zero(problem, cov, fill, gains, policy0, mean0, response=None) ->
 class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
     ctilde, policy0 and mean0 are the lam = 0 equilibrium's g, policy and
-    mean.  A column missing from the cache ``columns`` (and ``alphas``, its
-    affine-term response, from ``response`` when given) comes in one
-    ``affine_response`` pass with every missing row violated at lam = 0.
+    mean, which ``estimate_affine_map`` resolves.  A column missing from the
+    cache ``columns`` (and ``alphas``, its affine-term response, from
+    ``response`` when given) comes in an ``affine_response`` pass of its own.
     ``alpha(lam)`` is the policy's affine term at lam.  G itself, which L =
     ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
     dual values read, is the full pass.  dual0[i] = D^i(0) is policy0's
@@ -148,8 +148,7 @@ class AffineGradientMap:
     def __getitem__(self, index):
         j = index[1]
         if j not in self.columns:
-            self._pass([j] + [m for m in np.flatnonzero(self.ctilde > 0).tolist()
-                              if m != j and m not in self.columns])
+            self._pass([j])
         return self.columns[j]
 
     def alpha(self, lam):
@@ -215,18 +214,28 @@ def _spectral_norm(G):
     return L, (skew / norm if norm > 0.0 else 0.0)
 
 
-def estimate_affine_map(prepared: PreparedGame, gains, equilibrium) -> AffineGradientMap:
-    """The map (G, ctilde) on ``gains`` from the lam = 0 ``equilibrium``
-    (policy0, its mean): ctilde is g at that mean, column m of G is g at the
-    m-th unit multiplier minus ctilde, exact by affinity.  When a row is
-    violated, the pass of the most violated row's column, which Lemke's pivot
-    reads first, runs here and carries every violated row's column."""
+def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
+    """The map (G, ctilde) of ``prepared``, and the one place a solve's lam = 0
+    start is resolved: the preparer's ``gains`` and ``equilibrium0`` when it
+    has them (an LTV solve, a replan), else solved here (a unicycle solve).
+    ctilde is g at that start's mean, column m of G is g at the m-th unit
+    multiplier minus ctilde, exact by affinity.  One pass here computes the
+    columns of the rows violated at lam = 0: the most violated first, which
+    Lemke's pivot reads first, then the rest ascending."""
+    problem = prepared.problem
+    gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
+    equilibrium = prepared.equilibrium0
+    if equilibrium is None:
+        policy0 = lqnash.backward_recursion(problem, gains=gains)
+        equilibrium = policy0, lqnash.integrate_expected(problem.dyn, policy0)
     policy0, mean0 = equilibrium
-    gmap = AffineGradientMap(prepared.problem, prepared.conset, gains,
+    gmap = AffineGradientMap(problem, prepared.conset, gains,
                              prepared.conset.evaluate(mean0), policy0, mean0,
                              prepared.response)
-    if np.any(gmap.ctilde > 0):
-        gmap[:, int(np.argmax(gmap.ctilde))]
+    violated = np.flatnonzero(gmap.ctilde > 0).tolist()
+    if violated:
+        first = int(np.argmax(gmap.ctilde))
+        gmap._pass([first] + [m for m in violated if m != first])
     return gmap
 
 
@@ -360,7 +369,6 @@ class DualSolveReport:
     termination: str
     solve_seconds: float
     map: AffineGradientMap
-    prepared: PreparedGame = field(repr=False)
     options: DualAscentOptions
     pivots: int = 0
     natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
@@ -376,8 +384,8 @@ class DualSolveReport:
 
     @cached_property
     def dual_values(self):
-        return lqnash.evaluate_lagrangian(self.prepared.problem, self.policy,
-                                          self.lambda_bar, self.prepared.conset,
+        return lqnash.evaluate_lagrangian(self.map.problem, self.policy,
+                                          self.lambda_bar, self.map.conset,
                                           self.mean_traj, self.map.trace_terms)
 
     def to_dict(self):
@@ -457,8 +465,8 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
                     trace_writer=None) -> DualSolveReport:
     """Solve for the shared multiplier, then the equilibrium at it.
 
-    The lam = 0 equilibrium (the preparer's, or solved here on the gains)
-    gives the map's ctilde and alpha0.  Lemke's pivot gives the exact LCP
+    The lam = 0 equilibrium, which ``estimate_affine_map`` resolves, gives
+    the map's ctilde and alpha0.  Lemke's pivot gives the exact LCP
     solution (termination "lcp_solved"): lam = 0 when that equilibrium
     violates no row, which is then the report.  When it stops without one,
     the averaged ascent runs with the options' k_max and eta and the
@@ -467,23 +475,17 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
-    problem = prepared.problem
-    gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
-    equilibrium = prepared.equilibrium0
-    if equilibrium is None:
-        policy0 = lqnash.backward_recursion(problem, gains=gains)
-        equilibrium = policy0, lqnash.integrate_expected(problem.dyn, policy0)
-    gmap = estimate_affine_map(prepared, gains, equilibrium)
-    policy, traj = equilibrium
+    gmap = estimate_affine_map(prepared)
+    policy, traj = gmap.policy0, gmap.mean0
     g_final, iterations = gmap.ctilde, 0
     lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
     if lam_bar is None:
         lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
                                          options, trace_writer)
     if np.any(lam_bar):
-        policy = lqnash.FeedbackPolicy(K=gains.K, alpha=gmap.alpha(lam_bar))
-        traj = lqnash.integrate_expected(problem.dyn, policy)
-        g_final = prepared.conset.evaluate(traj)
+        policy = lqnash.FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam_bar))
+        traj = lqnash.integrate_expected(gmap.problem.dyn, policy)
+        g_final = gmap.conset.evaluate(traj)
     residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
     comp = float(abs(lam_bar @ g_final))
     natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),
@@ -493,7 +495,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         feasibility_residual=residual, complementarity=comp,
         iterations=iterations, termination=termination,
         solve_seconds=time.perf_counter() - t_start,
-        map=gmap, prepared=prepared, options=options, pivots=pivots,
+        map=gmap, options=options, pivots=pivots,
         natural_residual=natural, map_columns=len(gmap.columns),
     )
     if trace_writer is not None and termination == "lcp_solved":

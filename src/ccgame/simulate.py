@@ -32,6 +32,7 @@ with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import time
@@ -432,16 +433,11 @@ STATS_HEADER = ["method", "samples", "seed", "cost_mean", "cost_std",
                 "travel_mean_s", "collision_rate", "wilson_lo", "wilson_hi"]
 
 
-def format_stats_row(row: dict) -> str:
-    return ",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                    for k in STATS_HEADER)
-
-
 def write_stats_csv(path, stats_rows):
-    lines = [",".join(STATS_HEADER)]
-    lines += [format_stats_row(r.csv_row()) for r in stats_rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=STATS_HEADER, lineterminator="\n")
+        w.writeheader()
+        w.writerows(r.csv_row() for r in stats_rows)
 
 
 def dump_trajectories(dirpath, batch: RolloutBatch, problem: GameProblem, unicycle):

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ccgame import lqnash, scenarios
-from ccgame.dualascent import PreparedGame, estimate_affine_map
+from ccgame.dualascent import PreparedGame
 from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond
 from ccgame.model import GameProblem, Scenario, load_scenario
@@ -734,30 +734,11 @@ def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
     return K_i, a_i
 
 
-def prepared_gains(prepared: PreparedGame):
-    """The preparer's stage gains, or the problem's, computed here."""
-    if prepared.gains is None:
-        return lqnash.stage_gains(prepared.problem)
-    return prepared.gains
-
-
 def solve_at(prepared: PreparedGame, lam):
     """(policy, mean, g) at lam: the full sweep's policy, its mean and g there."""
     policy = sweep_backward_recursion(prepared.problem, prepared.conset, lam)
     traj = lqnash.integrate_expected(prepared.problem.dyn, policy)
     return policy, traj, prepared.conset.evaluate(traj)
-
-
-def affine_map(prepared: PreparedGame):
-    """``dualascent.estimate_affine_map`` on ``prepared_gains`` and the
-    preparer's lam = 0 equilibrium, solved here as ``run_dual_ascent`` solves
-    it when the preparer has none."""
-    gains = prepared_gains(prepared)
-    equilibrium = prepared.equilibrium0
-    if equilibrium is None:
-        policy0 = lqnash.backward_recursion(prepared.problem, gains=gains)
-        equilibrium = policy0, lqnash.integrate_expected(prepared.problem.dyn, policy0)
-    return estimate_affine_map(prepared, gains, equilibrium)
 
 
 def dual_function(prepared: PreparedGame, lam, i, others_from=None):

@@ -12,15 +12,15 @@ import pytest
 
 from ccgame import scenarios, simulate
 from ccgame.cli import main as cli_main
-from ccgame.dualascent import (DualAscentOptions, prepare_game, run_dual_ascent,
-                               _ascent, _resolve_eta)
+from ccgame.dualascent import (DualAscentOptions, estimate_affine_map, prepare_game,
+                               run_dual_ascent, _ascent, _resolve_eta)
 from ccgame.lqnash import backward_recursion, evaluate_cost, evaluate_lagrangian
 from ccgame.model import validate_scenario
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (affine_map, best_response, conservativeness_probe,
-                     dense_kkt_single_row, lqr_oracle, replace_player, solve_at)
+from oracles import (best_response, conservativeness_probe, dense_kkt_single_row,
+                     lqr_oracle, replace_player, solve_at)
 
 
 def _announce(n, name, detail=""):
@@ -103,7 +103,7 @@ def test_criterion_03_convergence_rate(mini_prep):
     ks = (10, 100, 1000, 10000)
     # the paper's ascent itself, not the pivot that replaces it by default
     options = DualAscentOptions(k_max=100_000, tol_feas=0.0)
-    gmap = affine_map(mini_prep)
+    gmap = estimate_affine_map(mini_prep)
     eta = _resolve_eta(options, gmap)
     assert eta == pytest.approx(0.5 / gmap.L)
     lam_bar = _ascent(gmap, eta, options)[0]

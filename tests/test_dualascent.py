@@ -19,8 +19,7 @@ from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import (affine_map, averaged_ascent, dense_kkt_single_row,
-                     dual_function, prepared_gains, solve_at)
+from oracles import averaged_ascent, dense_kkt_single_row, dual_function, solve_at
 
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
@@ -48,14 +47,14 @@ class TestAffineMap:
         s = scalar_single_agent_instance()
         s = Scenario(**{**s.__dict__, "constraints": ()})
         prep = prepare_game(validate_scenario(s))
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         assert gmap.G.shape == (0, 0)
         assert gmap.L == 0.0
 
     def test_single_row_map_equals_probe_difference(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
         assert prep.M == 1
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         _, _, g0 = solve_at(prep, np.zeros(1))
         _, _, g1 = solve_at(prep, np.ones(1))
         assert gmap.G[0, 0] == pytest.approx(g1[0] - g0[0], abs=1e-10)
@@ -69,7 +68,7 @@ class TestAffineMap:
         s = Scenario(**{**s.__dict__, "constraints": (con,)})
         prep = prepare_game(validate_scenario(s))
         assert prep.M == 2
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         lam = np.array([0.3, 0.7])
         _, _, g = solve_at(prep, lam)
         assert np.max(np.abs(gmap.gradient(lam) - g)) < 1e-8
@@ -89,7 +88,7 @@ class TestAffineMap:
     def test_coupled_cost_map_is_asymmetric_and_matches_solves(self):
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))
         assert prep.M == 10
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         G = gmap.G
         assert np.linalg.norm(G - G.T) / np.linalg.norm(G) > 1e-2
         rng = np.random.default_rng(5)
@@ -105,7 +104,7 @@ class TestAffineMap:
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         for prep in (mini_prep, prepare_game(validate_scenario(unconstrained))):
-            gmap = affine_map(prep)
+            gmap = estimate_affine_map(prep)
             solved, _, g = solve_at(prep, np.zeros(prep.M))
             assert np.array_equal(gmap.policy0.K, solved.K)
             assert np.array_equal(gmap.policy0.alpha, solved.alpha)
@@ -114,7 +113,7 @@ class TestAffineMap:
     def test_lipschitz_is_the_spectral_norm(self, mini_prep):
         coupled = prepare_game(validate_scenario(coupled_constrained_instance()))
         for prep, symmetric in ((mini_prep, True), (coupled, False)):
-            gmap = affine_map(prep)
+            gmap = estimate_affine_map(prep)
             G = gmap.G
             asymmetry = np.linalg.norm(G - G.T) / np.linalg.norm(G)
             assert (asymmetry <= 1e-12) == symmetric
@@ -179,26 +178,33 @@ class TestColumnMap:
     """The column map against the full pass: every column (of G and alpha)
     that a map or a pass of chosen columns computes equals ``affine_response``'s
     full pass, and the map's ctilde and policy0 are the lam = 0 equilibrium's
-    g and policy, bit for bit."""
+    g and policy, bit for bit: the preparer's where it has one, else the
+    solve of the stage gains here."""
 
     @staticmethod
     def _check(prep, sample=None):
         problem, conset = prep.problem, prep.conset
-        gains = prepared_gains(prep)
+        gmap = estimate_affine_map(prep)
+        gains = gmap.gains
         G, alphas = affine_response(problem, conset, gains)
         policy0 = backward_recursion(problem, gains=gains)
-        if prep.equilibrium0 is not None:
+        if prep.equilibrium0 is None:
+            mean0 = integrate_expected(problem.dyn, policy0)
+        else:
+            # a replan's mean is contracted (Phi x0 + d), not integrated, and
+            # differs from an integrated one in the last bits
             assert np.array_equal(prep.equilibrium0[0].alpha, policy0.alpha)
-        mean0 = integrate_expected(problem.dyn, policy0)
-        gmap = estimate_affine_map(prep, gains, (policy0, mean0))
+            policy0, mean0 = prep.equilibrium0
         assert gmap.ctilde.tobytes() == conset.evaluate(mean0).tobytes()
-        assert gmap.policy0 is policy0
+        assert gmap.mean0.tobytes() == mean0.tobytes()
+        assert gmap.policy0.alpha.tobytes() == policy0.alpha.tobytes()
+        assert gmap.policy0.K.tobytes() == policy0.K.tobytes()
         # the map's one pass carries every row violated at lam = 0
         violated = np.flatnonzero(gmap.ctilde > 0).tolist()
         assert set(gmap.columns) == set(gmap.alphas) == set(violated)
         columns = range(prep.M - 1, -1, -1) if sample is None else sample
         for j in columns:
-            # a missed column comes with the uncached rows violated at lam = 0
+            # a missed column comes in a pass of its own
             assert np.array_equal(gmap[:, j], G[:, j]), j
             assert np.array_equal(gmap.alphas[j], alphas[j]), j
             # one column alone, padded to two
@@ -317,6 +323,15 @@ class TestDynamicsType:
         monkeypatch.setattr(dualascent, "prepare_game", counting)
         dualascent.solve_scenario(at_rest, relinearize=2)
         assert rounds == {"prepare_game": 3}
+
+    def test_a_relinearized_round_keeps_its_nominal_as_the_reference(self, mini_scenario):
+        # under relinearize the nominal is the previous round's constrained
+        # solution, so it stays the collision reference; the round's lam = 0
+        # mean is far enough from zero (0.016) that "nominal + lam = 0 mean"
+        # would move the reference
+        prep, _ = dualascent.solve_scenario(mini_scenario, relinearize=1)
+        assert prep.reference_means.tobytes() == prep.problem.nominal_states.tobytes()
+        assert np.max(np.abs(estimate_affine_map(prep).mean0)) >= 1e-3
 
 
 def _bits(value):
@@ -563,7 +578,7 @@ class TestRunDualAscent:
 
     def test_lambda_bar_is_average_and_iterates_nonnegative(self):
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         eta = 0.5 / gmap.L
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=300, tol_feas=0.0))
         iterates = _iterates(gmap, eta, 300)
@@ -583,7 +598,7 @@ class TestRunDualAscent:
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
-        gmap = affine_map(mini_prep)
+        gmap = estimate_affine_map(mini_prep)
         eta = 0.5 / gmap.L
         iterates = _iterates(gmap, eta, 40)
         lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=40, tol_feas=0.0))
@@ -641,7 +656,7 @@ class TestLcp:
         preps = self._agrees_with_a_long_ascent([
             random_small_scenario(np.random.default_rng(k), coupled=True)
             for k in COUPLED_FEASIBLE_SEEDS])
-        assert max(affine_map(prep).asymmetry for prep in preps) > 1e-8
+        assert max(estimate_affine_map(prep).asymmetry for prep in preps) > 1e-8
 
     @staticmethod
     def _agrees_with_a_long_ascent(games):

@@ -11,12 +11,13 @@ from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
                            realized_costs, stage_gains)
 from ccgame.model import GameProblem, LtvGameDynamics, assemble_problem, validate_scenario
-from ccgame.dualascent import DualAscentOptions, prepare_game, run_dual_ascent
+from ccgame.dualascent import (DualAscentOptions, estimate_affine_map, prepare_game,
+                               run_dual_ascent)
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (_riccati_sweep, affine_map, batched_closed_loop_step, best_response,
+from oracles import (_riccati_sweep, batched_closed_loop_step, best_response,
                      dense_best_response, dense_game_inputs, loop_quadratic_sums,
                      lqr_oracle, replace_player, stage_linear_terms,
                      sweep_affine_response, sweep_backward_recursion)
@@ -256,7 +257,7 @@ class TestBackwardRecursion:
         s = scalar_single_agent_instance()
         prep = prepare_game(validate_scenario(s))
         lam = np.array([0.7])
-        gmap = affine_map(prep)
+        gmap = estimate_affine_map(prep)
         policy = FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam))
         us, _, traj = dense_game_inputs(prep.problem, prep.conset.lmat,
                                         prep.conset.c, lam)

@@ -5,8 +5,8 @@ rollout and MPC round must read their results, the traced memory peaks of a
 prepare, a solve and a rollout stay under their guards, the bundled scenario
 files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
-example must run as written, and the library has no unused import or
-private name."""
+example must run as written, and the library has no unused import, no
+private name and no public function or class that nothing reads."""
 
 import ast
 import hashlib
@@ -205,3 +205,35 @@ def test_src_has_no_unused_imports_or_private_names():
                            if d.startswith("_") and not d.startswith("__") and d not in reads]
     assert not unused, f"unused imports: {unused}"
     assert not unread, f"private names read nowhere: {unread}"
+
+
+def test_every_public_function_and_class_in_src_is_read():
+    # a module-level public function or class in src/ccgame is read outside
+    # its own definition: by name, attribute, import or an identifier string
+    # (the shims name functions so) in src/, tests/ or perfbench/, or as a
+    # word of README.md or pyproject.toml (the entry point)
+    read = set(re.findall(r"\w+", "".join((ROOT / name).read_text(encoding="utf-8")
+                                          for name in ("README.md", "pyproject.toml"))))
+    public = []
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if path.parent == SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    public.append(f"{path.name}: {own}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [node.value] if node.value.isidentifier() else []
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    unread = [entry for entry in public if entry.split(": ")[1] not in read]
+    assert not unread, f"public names read nowhere: {unread}"
