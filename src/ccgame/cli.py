@@ -128,6 +128,7 @@ def cmd_rollout(args):
     batch = simulate.rollout(problem, policy, args.seed, args.samples)
     rollout_seconds = time.perf_counter() - t0
     stats = simulate.evaluate_safety(batch, problem)
+    safety_seconds = time.perf_counter() - t0 - rollout_seconds
     simulate.write_stats_csv(os.path.join(outdir, "stats.csv"), [stats])
     outputs = ["stats.csv"]
     if args.dump_trajectories:
@@ -139,6 +140,7 @@ def cmd_rollout(args):
                     "policy": args.policy},
                    args.scenario, scenario_hash, outputs,
                    extra={"rollout_seconds": rollout_seconds,
+                          "safety_seconds": safety_seconds,
                           "samples_per_s": batch.samples / rollout_seconds,
                           "travel_flagged": stats.travel_flagged})
     print(f"rollout: {stats.samples} samples, violation rate {stats.rate:.4f} "

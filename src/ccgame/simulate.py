@@ -7,8 +7,11 @@ s is bit-identical no matter how many samples are run, and zero noise keeps
 the deviation at +0.  Safety is judged on realized states against the
 original quadratic/box predicates, never the affine surrogates.  A predicate
 counts as violated unless it holds, so a NaN it reads is a violation.  The
-mask and the travel times add the nominal only at the entries they gather
-(no absolute copy of the batch): per box spec, its constrained coordinates at
+mask and the travel times are computed on blocks of SAFETY_BLOCK samples, so
+that each gather reads a cache-sized slice of the sample-major batch, not the
+whole of it; a sample's entries read only its own states, so no result depends
+on the block size.  Within a block they add the nominal only at the entries
+they gather (no absolute copy): per box spec, its constrained coordinates at
 its active times and, per collision spec, the two agents' coordinates in C's
 support, whose quadratic form ``lqnash.quadratic_sums`` sums in the order of
 the einsum it replaced (see the ``lqnash`` docstring); costs go through the
@@ -48,32 +51,25 @@ from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
+SAFETY_BLOCK = 256   # samples judged at once: a block of a batch's states stays in L2
 
 
 def noise_factors(W):
-    """Per-step factors L_t with L_t L_t' = W_t (eigen route tolerates PSD)."""
-    T = W.shape[0]
-    out = np.zeros_like(W)
-    for t in range(T):
-        sym = (W[t] + W[t].T) / 2.0
-        vals, vecs = np.linalg.eigh(sym)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if vals[0] < -PSD_TOL * scale:
-            raise FactorizationFailure(t, vals[0])
-        out[t] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-    return out
+    """Per-step factors L_t with L_t L_t' = W_t (eigen route tolerates PSD),
+    from one stacked eigh; FactorizationFailure names the first indefinite step."""
+    vals, vecs = np.linalg.eigh((W + np.swapaxes(W, 1, 2)) / 2.0)
+    bad = vals[:, 0] < -PSD_TOL * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise FactorizationFailure(t, vals[t, 0])
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
 
 
-def noise_stream(seed, sample_index, generator=None):
+def noise_stream(seed, sample_index):
     """Sample s's own generator, Philox keyed by (seed, s) mod 2**64 as uint64 (numpy rounds
-    a list's ints >= 2**63 to float64); a given generator is re-keyed, skipping OS entropy."""
+    a list's ints >= 2**63 to float64)."""
     key = np.array([int(seed) % 2**64, int(sample_index) % 2**64], dtype=np.uint64)
-    if generator is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    generator.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return generator
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,8 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     Sample s is x = xbar + e and u = ubar - K e: the expected trajectory and
     its inputs plus a deviation e_{t+1} = F_t e_t + L_t z_t from e_0 = 0, whose
     z, from the Philox stream keyed by (seed, s), is drawn into states[s, 1:]
-    and overwritten by the step that reads it (see the module docstring).
+    and overwritten by the step that reads it (see the module docstring); one
+    generator draws them all, re-keyed in place: its unread state with key[1] = s.
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
@@ -118,8 +115,12 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
         raise DomainError(f"samples: {S} rollouts cannot be allocated ({exc})") from None
     states[:, 0] = dyn.x0
     stream = noise_stream(seed, 0)
+    state = stream.bit_generator.state     # unread: a zero counter and an empty buffer
+    key = state["state"]["key"]
     for s in range(S):
-        noise_stream(seed, s, stream).standard_normal(out=states[s, 1:])
+        key[1] = s
+        stream.bit_generator.state = state
+        stream.standard_normal(out=states[s, 1:])
     e = np.zeros((n_x, S))
     for t in range(T):
         F = lqnash.closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t])
@@ -200,6 +201,19 @@ class SafetyStats:
         }
 
 
+def _travel_times(problem: GameProblem, states, tolerance=0.1):
+    """``travel_time`` of solver-coordinate states (S, T+1, n_x)."""
+    T = problem.T
+    goals_abs = problem.to_absolute(problem.ref, T)
+    within = np.ones(states.shape[:2], dtype=bool)
+    for i in range(problem.N):
+        idx = problem.position_indices(i)
+        err = problem.to_absolute(states, cols=idx) - goals_abs[i, idx]
+        within &= np.linalg.norm(err, axis=2) <= tolerance
+    flagged = ~np.any(within, axis=1)
+    return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
+
+
 def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
     """Per-sample first t*dt at which every agent is within goal tolerance.
 
@@ -207,26 +221,24 @@ def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
     the states plus the nominal at the position columns only (no absolute copy).
     Returns (times (S,), flagged (S,) bool).
     """
-    T = problem.T
-    S = batch.samples
-    goals_abs = problem.to_absolute(problem.ref, T)
-    within = np.ones((S, T + 1), dtype=bool)
-    for i in range(problem.N):
-        idx = problem.position_indices(i)
-        err = problem.to_absolute(batch.states, cols=idx) - goals_abs[i, idx]
-        within &= np.linalg.norm(err, axis=2) <= tolerance
-    flagged = ~np.any(within, axis=1)
-    return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
+    return _travel_times(problem, batch.states, tolerance)
+
+
+def _judge(problem: GameProblem, states):
+    """(violations mask, travel times, flagged) of states (S, T+1, n_x), each
+    SAFETY_BLOCK samples at a time; a sample's entries read only its own states."""
+    blocks = (states[lo:lo + SAFETY_BLOCK] for lo in range(0, len(states), SAFETY_BLOCK))
+    judged = [(_violations_mask(problem, b), *_travel_times(problem, b)) for b in blocks]
+    return tuple(np.concatenate(parts) for parts in zip(*judged))
 
 
 def evaluate_safety(batch: RolloutBatch, problem: GameProblem) -> SafetyStats:
     """Joint-violation counting over the original predicates plus cost stats."""
-    bad = _violations_mask(problem, batch.states)
+    bad, times, flagged = _judge(problem, batch.states)
     S = batch.samples
     violations = int(np.sum(bad))
     lo, hi = wilson_interval(violations, S)
     total = batch.costs.sum(axis=1)
-    times, flagged = travel_time(batch, problem)
     return SafetyStats(
         method=batch.method, samples=S, seed=batch.seed,
         violations=violations, rate=violations / S,

@@ -497,8 +497,8 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
 # Sample-by-sample Monte Carlo rollouts
 
 
-def _eigen_factors(W):
-    """Per-step factors L_t with L_t L_t' = W_t from an eigendecomposition."""
+def eigen_factors(W):
+    """Per-step factors L_t with L_t L_t' = W_t, one eigendecomposition per step."""
     factors = np.zeros_like(W)
     for t in range(W.shape[0]):
         vals, vecs = np.linalg.eigh((W[t] + W[t].T) / 2.0)
@@ -535,7 +535,7 @@ def loop_rollout(problem, K, alpha, seed, samples):
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    factors = _eigen_factors(dyn.W)
+    factors = eigen_factors(dyn.W)
     policy = FeedbackPolicy(K=K, alpha=alpha)
     xbar = lqnash.integrate_expected(dyn, policy)
     ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1)
@@ -578,7 +578,7 @@ def recursion_rollout(problem, K, alpha, seed, samples):
     """
     dyn = problem.dyn
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
-    factors = _eigen_factors(dyn.W)
+    factors = eigen_factors(dyn.W)
     states = np.zeros((samples, T + 1, n_x))
     inputs = np.zeros((samples, T, N, n_u))
     for s in range(samples):

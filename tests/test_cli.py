@@ -292,6 +292,7 @@ class TestRollout:
         assert rc == 0
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["rollout_seconds"] > 0.0
+        assert manifest["safety_seconds"] > 0.0
         assert manifest["samples_per_s"] == pytest.approx(40 / manifest["rollout_seconds"])
         # the bound at 0.4 holds every sample away from the goal at 1.0
         assert manifest["travel_flagged"] == 40

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
 from ccgame.uncertainty import propagate_covariance
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
-from oracles import loop_rollout, recursion_rollout, row_violations
+from oracles import eigen_factors, loop_rollout, recursion_rollout, row_violations
 
 
 def zero_noise(problem):
@@ -169,6 +170,26 @@ class TestRollout:
         with pytest.raises(FactorizationFailure):
             noise_factors(W)
 
+    def test_noise_factorization_names_the_first_indefinite_step(self):
+        W = np.repeat(np.eye(3)[None], 5, axis=0)
+        W[3, 1, 1] = -0.5
+        W[4, 0, 0] = -2.0
+        with pytest.raises(FactorizationFailure) as info:
+            noise_factors(W)
+        assert info.value.t == 3
+        assert info.value.eigenvalue == -0.5
+
+    @pytest.mark.parametrize("name", ["mini", "intersection", "zero-eigenvalue"])
+    def test_stacked_factors_equal_the_step_loop(self, request, name):
+        if name == "zero-eigenvalue":
+            M = np.random.default_rng(4).normal(size=(3, 3, 2))
+            W = np.stack([np.diag([1.0, 0.0, 2.0]), M[0] @ M[0].T,
+                          np.diag([-1e-12, 1.0, 3.0])])     # PSD to the tolerance
+            assert np.linalg.eigvalsh(W[0])[0] == 0.0
+        else:
+            W = request.getfixturevalue(f"{name}_prep").problem.dyn.W
+        assert np.array_equal(noise_factors(W), eigen_factors(W))
+
 
 class TestSafetyStats:
     def _toy_problem(self, T=3):
@@ -210,6 +231,14 @@ class TestSafetyStats:
         stats = evaluate_safety(self._batch(problem, states), problem)
         assert stats.violations == 0
 
+    def _pair_problem(self):
+        s = make_ltv_scenario(
+            [1, 1], 2, [np.array([[1.0]])] * 2, [np.array([[1.0]])] * 2, [0.0, 1.0],
+            [1e-4, 1e-4], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+            [np.array([[1.0]])] * 2, [np.zeros(2)] * 2,
+            [CollisionSpec(pair=(0, 1), radius=0.5, C=np.array([[1.0]]))])
+        return assemble_problem(validate_scenario(s))
+
     def test_non_finite_trajectory_counts_as_violation(self):
         problem = self._toy_problem()
         states = np.zeros((6, 4, 1))
@@ -221,18 +250,50 @@ class TestSafetyStats:
         assert stats.violations == 3
 
     def test_non_finite_distance_counts_as_collision(self):
-        s = make_ltv_scenario(
-            [1, 1], 2, [np.array([[1.0]])] * 2, [np.array([[1.0]])] * 2, [0.0, 1.0],
-            [1e-4, 1e-4], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
-            [np.array([[1.0]])] * 2, [np.zeros(2)] * 2,
-            [CollisionSpec(pair=(0, 1), radius=0.5, C=np.array([[1.0]]))])
-        problem = assemble_problem(validate_scenario(s))
+        problem = self._pair_problem()
         states = np.tile(np.array([0.0, 1.0]), (4, 3, 1))
         states[0, 1, 0] = np.nan
         states[1, 2, :] = np.inf       # inf - inf is NaN
         states[2, 2, 0] = np.inf       # infinitely far apart: safe
         stats = evaluate_safety(self._batch(problem, states), problem)
         assert stats.violations == 2
+
+    # (a sample's states index, value): the plants of the three tests above
+    BOX_PLANTS = [((2, 0), 2.0), ((2, 0), np.nan), ((slice(1, None), 0), np.nan),
+                  ((3, 0), np.inf), ((0, 0), np.nan)]
+    PAIR_PLANTS = [((1, 0), np.nan), ((2, slice(None)), np.inf), ((2, 0), np.inf)]
+
+    @pytest.mark.parametrize("S", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("pair", [False, True], ids=["box", "collision"])
+    def test_block_size_changes_no_result(self, monkeypatch, pair, S):
+        # random samples (some violate, travel times vary) with the plants
+        # above cycled over both sides of the boundaries of 7- and 256-sample
+        # blocks; every block size must give what the absolute copy gives
+        # judged in one block
+        rng = np.random.default_rng(S)
+        if pair:
+            problem, plants = self._pair_problem(), self.PAIR_PLANTS
+            states = np.array([0.0, 1.0]) + rng.uniform(-0.3, 0.3, (S, problem.T + 1, 2))
+        else:
+            problem, plants = self._toy_problem(), self.BOX_PLANTS
+            states = rng.uniform(-0.4, 1.05, (S, problem.T + 1, 1))
+        where = sorted({0, 5, 6, 7, 8, 254, 255, 256, 257, 599, S - 1} & set(range(S)))
+        for k, s in enumerate(where):
+            index, value = plants[k % len(plants)]
+            states[s][index] = value
+        batch = replace(self._batch(problem, states), costs=rng.normal(size=(S, problem.N)))
+
+        def judged(batch, problem):
+            return (repr(evaluate_safety(batch, problem)),
+                    *(a.tobytes() for a in simulate._judge(problem, batch.states)))
+
+        monkeypatch.setattr(simulate, "SAFETY_BLOCK", S)
+        reference = judged(*on_absolute_copy(batch, problem))
+        mask = np.frombuffer(reference[1], dtype=bool)
+        assert mask[0] and (S == 1 or not mask.all())
+        for block in (1, 7, 256, S):
+            monkeypatch.setattr(simulate, "SAFETY_BLOCK", block)
+            assert judged(batch, problem) == reference
 
     @pytest.mark.parametrize("n", [7, 10, 100, 200, 1000, 2000, 76000])
     def test_wilson_interval_is_exact_at_its_ends(self, n):
@@ -290,13 +351,17 @@ class TestViolationsMask:
         assert 0 < mask.sum() < 200
 
 
-def safety_on_absolute_copy(batch, problem):
-    """``evaluate_safety`` on the copy ``problem.to_absolute(batch.states)``,
-    judged on the problem with a zero nominal and absolute goal references."""
+def on_absolute_copy(batch, problem):
+    """The batch with the copy ``problem.to_absolute(batch.states)`` and the
+    problem that judges it: a zero nominal and absolute goal references."""
     absolute = replace(problem, nominal_states=np.zeros_like(problem.nominal_states),
                        ref=problem.ref + problem.nominal_states)
-    return evaluate_safety(replace(batch, states=problem.to_absolute(batch.states)),
-                           absolute)
+    return replace(batch, states=problem.to_absolute(batch.states)), absolute
+
+
+def safety_on_absolute_copy(batch, problem):
+    """``evaluate_safety`` of ``on_absolute_copy``."""
+    return evaluate_safety(*on_absolute_copy(batch, problem))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 777])
@@ -316,6 +381,20 @@ def test_safety_equals_the_absolute_copy_route(request, name, off_plan, seed):
         assert repr(stats) == repr(safety_on_absolute_copy(batch, prep.problem))
         violations.append(stats.violations)
     assert violations[1] > 0
+
+
+def test_safety_memory_is_a_block_not_the_batch(intersection_prep, intersection_report):
+    # a 2000-sample batch is 9.8 MB of states; gathers over the whole batch
+    # took 6.9 MiB above it, gathers over SAFETY_BLOCK samples take under 1 MiB
+    batch = rollout(intersection_prep.problem, intersection_report.policy, 5, samples=2000)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate_safety(batch, intersection_prep.problem)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 class TestTravelTime:
