@@ -27,7 +27,7 @@ mean X_t is formed; column j's affine terms are alpha's response to
 multiplier j (see ``dualascent``).  As zeta is linear in the linear term,
 a central-MPC replan contracts its columns (``response_alphas``) from the
 response Psi to a unit term at each (step, coordinate), computed once
-(``zeta_response``), and its lam = 0 mean is ``mean_map``'s Phi x0 + d.
+(``zeta_response``), and its lam = 0 mean is Phi x0 + d (``simulate.CentralPlanner``).
 A column's bits do not depend on the other columns of its pass: a 1-column
 solve or 1-row product goes down another BLAS route, so a zero column pads
 a single one (``_zeta_sweep`` does so itself, as do the gains' solve and
@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import SingularStageSystem
 from .model import GameProblem, _freeze
-from .uncertainty import covariance_recursion
+from .uncertainty import covariance_step, horizon_pass
 
 RCOND_MIN = 1e-12
 
@@ -250,7 +250,7 @@ def closed_loop_matrix(A_t, B_t, K_t):
 def closed_loop_covariance(dyn, policy: FeedbackPolicy):
     """Sigma-hat recursion under the feedback loop: S+ = F S F' + W."""
     F = np.stack([closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t]) for t in range(dyn.T)])
-    return covariance_recursion(F, dyn.W)
+    return horizon_pass(dyn.T, [0], covariance_step(F, dyn.W))[0][0]
 
 
 def quadratic_sums(x, M):
@@ -397,17 +397,6 @@ def response_alphas(psi, conset, columns):
     block = psi[:, :, :, conset.t[columns] - 1]      # (T, N, n_u, k, n_x)
     half = 0.5 * conset.l[columns]
     return sum(block[..., q] * half[:, q] for q in range(half.shape[1]))
-
-
-def mean_map(dyn, F, alpha):
-    """(Phi, d) such that the mean of the closed loop F with affine terms alpha
-    is Phi @ x0 + d: [Phi | d] steps from [I | 0] as F_t [Phi | d] - [0 | B_t alpha_t]."""
-    Z = np.zeros((dyn.T + 1, dyn.n_x, dyn.n_x + 1))
-    Z[0] = np.eye(dyn.n_x, dyn.n_x + 1)
-    for t in range(dyn.T):
-        Z[t + 1] = F[t] @ Z[t]
-        Z[t + 1, :, -1] -= np.einsum("iab,ib->a", dyn.B[t], alpha[t])
-    return Z[..., :-1], Z[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ same kernel.
 
 A central-MPC call computes once the aggregate, its noise factors, its
 stage gains, its lam = 0 policy, whose tail at tau is the reference policy
-of a replan at tau, and, when a replan first violates a row, the zeta
-response Psi.  Each replan time tau computes once, for all episodes, the
-slice without its x0, its open-loop covariance, its constraint layout, the
-tails of the gains and the reference policy, and that policy's mean map.
-A replan contracts its lam = 0 mean from its state (the reference, at which
-g is the map's ctilde) and fills the collision rows; if a row is violated,
-it contracts the violated rows' alpha columns from Psi, whose forward pass
+of a replan at tau, its row table, and, in one pass over the horizon, each
+replan time's open-loop covariance and that policy's transition products
+[Phi | d]; when a replan first violates a row, the zeta response Psi.  A
+replan time's first replan computes its slice, z, box offsets and pair
+covariances, so that a bad risk allocation fails that replan alone.  A
+replan contracts its lam = 0 mean Phi x0 + d (the reference, at which g is
+the map's ctilde) and fills the collision rows; if a row is violated, it
+contracts the violated rows' alpha columns from Psi, whose forward pass
 gives the LCP's columns and the policy at its solution (a further one runs
 only for a column the pivot reads beyond them; never the full G), and
 integrates that policy's mean.  No replan runs a zeta pass.  The first
@@ -263,12 +264,8 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
     Q[:, 0] = 0.0                      # the replan-time state is known
     ref = np.array(problem.ref[:, tau:])
     ref[:, 0] = 0.0
-    cons = []
-    for spec in problem.constraints:
-        shifted = tuple(t - tau for t in spec.active_times if t >= tau + 1)
-        if not shifted:
-            continue
-        cons.append(replace(spec, active_times=shifted))
+    cons = [replace(spec, active_times=tuple(t - tau for t in spec.active_times if t > tau))
+            for spec in problem.constraints if max(spec.active_times, default=0) > tau]
     return replace(problem, dyn=sub_dyn, Q=Q, R=problem.R[:, tau:], ref=ref,
                    constraints=tuple(cons), nominal_states=problem.nominal_states[tau:],
                    nominal_inputs=problem.nominal_inputs[tau:])
@@ -293,8 +290,8 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
 
 class CentralPlanner:
     """What the replans of a central-MPC call share (see the module docstring).
-    ``seconds`` times the gains and the lam = 0 pass until an episode pays
-    it; ``shared_seconds`` times all the work the replans share."""
+    ``seconds`` times the work of the constructor until an episode pays it;
+    ``shared_seconds`` times all the work the replans share."""
 
     def __init__(self, problem: GameProblem):
         self.factors = noise_factors(problem.dyn.W)
@@ -302,8 +299,18 @@ class CentralPlanner:
         t_start = time.perf_counter()
         self.gains = lqnash.stage_gains(self.agg)
         self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
+        dyn, T = self.agg.dyn, self.agg.T
+
+        def transitions(t, Z):   # [Phi | d] from [I | 0]: F_t [Phi | d] - [0 | B_t alpha0_t]
+            Z = self.gains.F[t] @ Z
+            Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
+            return Z
+        self.cov, self.transitions = uncertainty.horizon_pass(    # lists by tau
+            T, range(T), uncertainty.covariance_step(dyn.A, dyn.W),
+            (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
+        self.rows = uncertainty.row_table(self.agg)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, covariance, fill, gains, policy0, (Phi, d))
+        self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0)
 
     @cached_property
     def psi(self):
@@ -318,15 +325,19 @@ class CentralPlanner:
         if tau not in self.at_tau:
             t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
-            cov = uncertainty.propagate_covariance(sub.dyn)
+            t, source, *rest = self.rows    # the slice's rows: those after tau, shifted,
+            first = np.searchsorted(t, tau, side="right")    # of the constraints it keeps
+            kept = np.cumsum([max(c.active_times, default=0) > tau for c in self.agg.constraints])
+            rows = (t[first:] - tau, kept[source[first:]] - 1, *(r[first:] for r in rest))
             policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
-            self.at_tau[tau] = (sub, cov, uncertainty.constraint_layout(sub, cov),
-                                self.gains.tail(tau), policy0,
-                                lqnash.mean_map(sub.dyn, self.gains.F[tau:], policy0.alpha))
+            self.at_tau[tau] = (sub, uncertainty.constraint_layout(sub, self.cov[tau], rows),
+                                self.gains.tail(tau), policy0)
             self.shared_seconds += time.perf_counter() - t_start
-        sub, cov, fill, gains, policy0, (Phi, d) = self.at_tau[tau]
+        sub, fill, gains, policy0 = self.at_tau[tau]
         sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
-        return prepare_at_zero(sub, cov, fill, gains, policy0, Phi @ sub.dyn.x0 + d,
+        Z = self.transitions[tau]
+        return prepare_at_zero(sub, self.cov[tau], fill, gains, policy0,
+                               Z[..., :-1] @ sub.dyn.x0 + Z[..., -1],
                                lambda conset, cols: lqnash.response_alphas(
                                    self.psi[tau:, :, :, tau:], conset, cols))
 

@@ -55,19 +55,32 @@ def inverse_normal_cdf(p):
 # Covariance propagation
 
 
-def covariance_recursion(F, W):
-    """Read-only Sigma (T+1, n_x, n_x) of x+ = F_t x + w_t, w_t ~ N(0, W_t),
-    Sigma[0] = 0: S+ = F S F' + W, symmetrized at every step."""
-    Sigma = np.zeros((F.shape[0] + 1,) + F.shape[1:])
-    for t in range(F.shape[0]):
-        S = F[t] @ Sigma[t] @ F[t].T + W[t]
-        Sigma[t + 1] = (S + S.T) / 2.0
-    return _freeze(Sigma)
+def horizon_pass(T, starts, *recursions):
+    """Recursions (X0, step) from each start tau in ``starts`` (ascending), X[0] = X0
+    and X[k+1] = step(tau + k, X[k]), in one pass over steps t < T on the stack of the
+    running starts (a lone one unstacked): per recursion, views of one read-only buffer."""
+    starts = np.asarray(starts, dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(T + 1 - starts)))
+    out = [np.repeat([X0], offsets[-1], axis=0) for X0, _ in recursions]
+    at = offsets[:-1] - starts + np.arange(T + 1)[:, None]   # start i's row at step t
+    for t, live in enumerate(np.searchsorted(starts, np.arange(T), side="right").tolist()):
+        rows = at[t:t + 2, 0] if live == 1 else at[t:t + 2, :live]   # a lone start: no stack
+        for buf, (_, step) in zip(out, recursions):
+            buf[rows[1]] = step(t, buf[rows[0]])
+    return [np.split(_freeze(buf), offsets[1:-1]) for buf in out]
+
+
+def covariance_step(F, W):
+    """Sigma of x+ = F_t x + w_t, w_t ~ N(0, W_t): S+ = F_t S F_t' + W_t from 0, symmetrized."""
+    def step(t, S):
+        S = F[t] @ S @ F[t].T + W[t]
+        return (S + S.mT) / 2.0
+    return np.zeros(F.shape[1:]), step
 
 
 def propagate_covariance(dyn):
-    """The open-loop schedule: the recursion with F = A."""
-    return covariance_recursion(dyn.A, dyn.W)
+    """The read-only open-loop Sigma (T+1, n_x, n_x): the pass from tau = 0, F = A."""
+    return horizon_pass(dyn.T, [0], covariance_step(dyn.A, dyn.W))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +189,28 @@ class AffineConstraintSet:
         return _freeze(lmat.reshape(self.T * self.l.shape[1], self.M))
 
 
-def constraint_layout(problem: GameProblem, cov):
-    """The part of ``assemble_constraints`` no reference enters: each row's
-    step and source, z, the box rows and, per collision constraint, its rows
-    and pair covariances gathered from Sigma ``cov`` (T+1, n_x, n_x).
-    Returns ``fill(reference_means)``, which writes the rows' coefficients
-    and offsets, the collision rows with one batched pass per constraint."""
-    T, n_x, specs = problem.T, problem.n_x, problem.constraints
-    slices, nominal = problem.agent_slices, problem.nominal_states
-    # one column per row a spec has at a step: a box's (coord, sign, bound)
-    # rows in spec.rows() order, NaN for a collision's one row
+def row_table(problem: GameProblem):
+    """Each row's (step, source, coordinate, sign, bound); a collision's last 3 are NaN."""
+    specs = problem.constraints     # a spec's columns: its rows at one step
     columns = [np.array([(q, 1.0 if side == "upper" else -1.0, bound)
                          for q, side, bound in spec.rows()]).reshape(-1, 3)
                if spec.kind == "box" else np.full((1, 3), np.nan) for spec in specs]
     col_source = np.repeat(np.arange(len(specs)), [len(c) for c in columns])
-    active = np.zeros((T + 1, len(specs)), dtype=bool)
+    active = np.zeros((problem.T + 1, len(specs)), dtype=bool)
     for k, spec in enumerate(specs):
         active[np.array(spec.active_times, dtype=np.intp), k] = True
     t, col = np.nonzero(active[:, col_source])      # by step, then column
-    source = col_source[col]
-    q, sign, bound = np.concatenate([np.zeros((0, 3)), *columns])[col].T
+    return (t, col_source[col], *np.concatenate([np.zeros((0, 3)), *columns])[col].T)
+
+
+def constraint_layout(problem: GameProblem, cov, rows=None):
+    """The part of ``assemble_constraints`` no reference enters: z, the box rows and,
+    per collision constraint, its rows and pair covariances gathered from Sigma ``cov``
+    (T+1, n_x, n_x), for ``rows`` (default ``row_table``).  Returns ``fill(reference_means)``,
+    which writes the rows' l and c, the collision rows in one batched pass per constraint."""
+    T, n_x, specs = problem.T, problem.n_x, problem.constraints
+    slices, nominal = problem.agent_slices, problem.nominal_states
+    t, source, q, sign, bound = row_table(problem) if rows is None else rows
     M = len(t)
     eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
     z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then

@@ -2,13 +2,16 @@
 
 Most of this is deliberately implemented without touching the package's
 solver path: dense prediction-matrix algebra, direct KKT linear solves, a
-textbook Riccati recursion, a series-based normal CDF with bisection
-inversion, finite-difference Jacobians and a bare averaged projected ascent.
+textbook Riccati recursion, a series-based normal CDF (a continued
+fraction in its tails) with bisection inversion, finite-difference
+Jacobians and a bare averaged projected ascent.
 The full coupled sweep, which rebuilds and solves every stage system in
 each pass, is the bit-for-bit reference for the gains-once path, and the
 single-loop row assembly, on per-row copies of the collision-row helpers,
 is the bit-for-bit reference for the split and batched one (layout, then
-collision rows at a reference, one stacked pass per constraint).  The map on
+collision rows at a reference, one stacked pass per constraint).  A slice's
+own loop over its transition products is the bit-for-bit reference for the
+central-MPC planner's one pass over every replan time.  The map on
 the dense (T n_x, M) matrix of the rows is the reference for the map on the
 compact rows, to 4 ulp of each row's largest term.
 
@@ -49,12 +52,22 @@ from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_nor
 
 
 def series_normal_cdf(x):
-    """Phi(x) = 1/2 + phi(x) * sum x^(2n+1) / (1*3*...*(2n+1))."""
+    """Phi(x) = 1/2 + phi(x) * sum x^(2n+1) / (1*3*...*(2n+1)) for |x| <= 3;
+    beyond, the tail Q(|x|) = phi(x) / (|x| + 1/(|x| + 2/(|x| + 3/(...))))
+    (Laplace's continued fraction, 100 terms, evaluated from the last), which
+    keeps the relative accuracy of the lower tail that the series' cancellation
+    against 1/2 loses."""
     x = float(x)
     if x < -40.0:
         return 0.0
     if x > 40.0:
         return 1.0
+    phi = math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+    if abs(x) > 3.0:
+        f = abs(x)
+        for k in range(100, 0, -1):
+            f = abs(x) + k / f
+        return phi / f if x < 0 else 1.0 - phi / f
     term = x
     total = x
     n = 0
@@ -62,7 +75,6 @@ def series_normal_cdf(x):
         n += 1
         term *= x * x / (2 * n + 1)
         total += term
-    phi = math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
     return 0.5 + phi * total
 
 
@@ -491,6 +503,18 @@ def loop_assemble_constraints(problem: GameProblem, cov, reference_means):
     l = np.stack([lmat[(t_m - 1) * n_x: t_m * n_x, m] for m, t_m in enumerate(t)]
                  or [np.zeros((0, n_x))]).reshape(M, n_x)
     return SimpleNamespace(t=t, source=source, l=l, c=c, lmat=lmat)
+
+
+def mean_map(dyn, F, alpha):
+    """(Phi, d) such that the mean of the closed loop F with affine terms alpha
+    is Phi @ x0 + d, on one slice's own loop: [Phi | d] steps from [I | 0] as
+    F_t [Phi | d] - [0 | B_t alpha_t]."""
+    Z = np.zeros((dyn.T + 1, dyn.n_x, dyn.n_x + 1))
+    Z[0] = np.eye(dyn.n_x, dyn.n_x + 1)
+    for t in range(dyn.T):
+        Z[t + 1] = F[t] @ Z[t]
+        Z[t + 1, :, -1] -= np.einsum("iab,ib->a", dyn.B[t], alpha[t])
+    return Z[..., :-1], Z[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
 from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
-from ccgame.uncertainty import propagate_covariance
+from ccgame.uncertainty import constraint_layout, propagate_covariance
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
-from oracles import eigen_factors, loop_rollout, recursion_rollout, row_violations
+from oracles import eigen_factors, loop_rollout, mean_map, recursion_rollout, row_violations
 
 
 def zero_noise(problem):
@@ -463,6 +463,25 @@ class TestCentralMpc:
         assert np.max(np.abs(game.states - mpc_batch.states)) < 1e-9
         assert np.max(np.abs(game.costs - mpc_batch.costs)) < 1e-9
 
+    def test_a_replan_whose_rows_cannot_take_the_risk_fails_alone(self):
+        # epsilon 0.6 over rows at steps 1..3 of T = 4: the replans at tau = 0
+        # and 1 split it over 3 and 2 rows, tau = 2's one row would take
+        # 0.6 > 0.5, and tau = 3 has no row.  Only the replan at 2 fails, with
+        # its step; the plan from 1 drives step 2 and the episode completes
+        con = BoxSpec(x_min=np.array([np.nan]), x_max=np.array([5.0]),
+                      active_times=(1, 2, 3))
+        s = make_ltv_scenario([1], 4, [np.array([[1.0]])], [np.array([[1.0]])], [0.0],
+                              [1e-4], [np.array([[1.0]])], [np.array([[1.0]])],
+                              [np.array([1.0])], [con], eps=0.6)
+        problem = assemble_problem(validate_scenario(s))
+        run = simulate.central_mpc_run(problem, seed=0)
+        assert [step for step, _ in run.failures] == [2] and run.replans == 3
+        assert run.failures[0][1].startswith("BadProbability")
+        assert np.all(np.isfinite(run.states))
+        batch, failures, totals = central_mpc(problem, seed=0, samples=2)
+        assert batch.samples == 2 and totals["replans"] == 6
+        assert [(s, step) for s, step, _ in failures] == [(0, 2), (1, 2)]
+
     def test_coarser_replanning_still_valid(self, mini_problem):
         batch, failures, _ = central_mpc(
             mini_problem, seed=2, samples=2, replan_every=5,
@@ -591,18 +610,20 @@ class TestCentralMpc:
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion,
-        # one lam = 0 pass and one zeta response Psi per call, one covariance
-        # per replan time, and per replan whose lam = 0 mean violates a row
-        # the map's one pass with the 18 columns of the violated rows, whose
-        # alphas come from Psi and give the policy too, and that policy's
-        # mean; no full map and no integrated lam = 0 mean (14 zeta passes
-        # and 53 means with a zeta pass per such replan; 27 passes with a
-        # final solve's; 81 when every replan ran the full map; 120 passes,
-        # 40 covariances before that)
+        # one lam = 0 pass, one zeta response Psi and one horizon pass (every
+        # replan time's covariance) per call, and per replan whose lam = 0
+        # mean violates a row the map's one pass with the 18 columns of the
+        # violated rows, whose alphas come from Psi and give the policy too,
+        # and that policy's mean; no full map and no integrated lam = 0 mean
+        # (14 zeta passes and 53 means with a zeta pass per such replan; 27
+        # passes with a final solve's; 81 when every replan ran the full map;
+        # 120 passes, 40 covariances before that; 20 covariances, one per
+        # replan time, before the horizon pass)
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
-                             (uncertainty, "propagate_covariance")):
+                             (uncertainty, "propagate_covariance"),
+                             (uncertainty, "horizon_pass")):
             real = getattr(module, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
@@ -624,7 +645,8 @@ class TestCentralMpc:
         assert lqnash_calls["integrate_expected"] == a == 13
         assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
-        assert lqnash_calls["propagate_covariance"] == 20
+        assert lqnash_calls["horizon_pass"] == 1
+        assert lqnash_calls["propagate_covariance"] == 0
 
     @pytest.mark.parametrize("name, seeds, episodes",
                              [("intersection-mini", (0, 7, 42), 2),
@@ -755,6 +777,58 @@ class TestCentralMpc:
             for i in range(mini_problem.N))
         agg_y = (y - agg.ref[0, t]) @ agg.Q[0, t] @ (y - agg.ref[0, t])
         assert (total - agg_val) == pytest.approx(total_y - agg_y, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def planner_games():
+    """(name, problem): both bundled games, 60 random small games (every
+    other one coupled, 1-4 agents, so n_x runs from 1 to 12) and one random
+    game whose first constraint ends mid-horizon, so that the later slices
+    drop it and their sources shift."""
+    from ccgame import scenarios
+    games = [(name, assemble_problem(validate_scenario(make())))
+             for name, make in (("intersection-mini", scenarios.make_intersection_mini),
+                                ("intersection", scenarios.make_intersection))]
+    rng = np.random.default_rng(27)
+    for k in range(60):
+        coupled = k % 2 == 1
+        N = 2 + k // 2 % 3 if coupled else 1 + k // 2 % 4
+        s = random_small_scenario(rng, N=N, coupled=coupled)
+        games.append((f"random {k}", assemble_problem(validate_scenario(s))))
+    n_x = games[-1][1].n_x
+    early = BoxSpec(x_min=np.full(n_x, np.nan), x_max=np.full(n_x, 50.0),
+                    active_times=tuple(range(1, s.horizon // 2 + 1)))
+    s = Scenario(**{**s.__dict__, "constraints": (early, *s.constraints)})
+    games.append(("mid-horizon", assemble_problem(validate_scenario(s))))
+    assert {1, 12} <= {problem.n_x for _, problem in games}
+    return games
+
+
+class TestHorizonPass:
+    """The planner's one pass over the horizon gives every replan time the
+    covariance, transition products and rows of its own slice, bit for bit."""
+
+    @pytest.mark.parametrize("replan_every", [1, 3])
+    def test_every_replan_time_equals_its_own_slice(self, planner_games, replan_every):
+        for name, problem in planner_games:
+            planner = simulate.CentralPlanner(problem)
+            run = simulate.central_mpc_run(problem, 4, replan_every=replan_every,
+                                           planner=planner)
+            assert sorted(planner.at_tau) == list(range(0, problem.T, replan_every)), name
+            for tau in planner.at_tau:
+                reference = planner.prepare(tau, run.states[tau]).reference_means
+                cov, Z, fill = planner.cov[tau], planner.transitions[tau], planner.at_tau[tau][1]
+                sub = simulate.slice_problem(planner.agg, tau, run.states[tau])
+                sub_cov = propagate_covariance(sub.dyn)
+                Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
+                for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
+                    assert got.shape == want.shape, (name, tau)
+                    assert got.tobytes() == want.tobytes(), (name, tau)
+                got, want = fill(reference), constraint_layout(sub, sub_cov)(reference)
+                assert got.T == want.T, (name, tau)
+                for key in ("t", "source", "l", "c"):
+                    assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), (
+                        name, tau, key)
 
 
 class TestResponseRoute:

@@ -2,7 +2,7 @@
 library still has, one round of each benchmark workload must pass its
 checks, a traced solve must time the map's pass as the map's, a traced
 rollout and MPC round must read their results, the traced memory peaks of a
-prepare, a solve and a rollout stay under their guards, the bundled scenario
+prepare, a solve, a rollout and an MPC call stay under their guards, the bundled scenario
 files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
 example must run as written, and the library has no unused import, no
@@ -27,7 +27,7 @@ from ccgame import scenarios
 from ccgame.dualascent import prepare_game, run_dual_ascent
 from ccgame.model import (load_scenario, save_scenario, scenario_from_dict,
                           validate_scenario)
-from ccgame.simulate import rollout
+from ccgame.simulate import central_mpc, rollout
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -119,6 +119,16 @@ def test_memory_of_one_intersection_rollout():
     policy = run_dual_ascent(prep).policy
     _, peak = _traced_peak_mib(lambda: rollout(prep.problem, policy, seed=5, samples=2000))
     assert peak <= 15.6
+
+
+def test_memory_of_one_intersection_mpc_call():
+    # guard fixed at 10 MiB against 9.05 MiB with a covariance and transition
+    # products built per replan time, and 11.71 MiB with them in one square
+    # (T, T+1, ...) array per schedule; one ragged buffer each reads 8.91 MiB
+    problem = prepare_game(validate_scenario(
+        load_scenario(scenarios.bundled_path("intersection")))).problem
+    _, peak = _traced_peak_mib(lambda: central_mpc(problem, seed=3, samples=2))
+    assert peak <= 10.0
 
 
 def test_bundled_scenarios_regenerate_byte_for_byte(tmp_path):
