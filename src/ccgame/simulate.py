@@ -265,10 +265,15 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
     ref = np.array(problem.ref[:, tau:])
     ref[:, 0] = 0.0
     cons = [replace(spec, active_times=tuple(t - tau for t in spec.active_times if t > tau))
-            for spec in problem.constraints if max(spec.active_times, default=0) > tau]
+            for spec in problem.constraints if outlasts(spec, tau)]
     return replace(problem, dyn=sub_dyn, Q=Q, R=problem.R[:, tau:], ref=ref,
                    constraints=tuple(cons), nominal_states=problem.nominal_states[tau:],
                    nominal_inputs=problem.nominal_inputs[tau:])
+
+
+def outlasts(spec, tau):
+    """Whether a constraint has a step after tau, and so a place in the slice at tau."""
+    return max(spec.active_times, default=0) > tau
 
 
 def aggregate_problem(problem: GameProblem) -> GameProblem:
@@ -289,11 +294,11 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
 
 
 class CentralPlanner:
-    """What the replans of a central-MPC call share (see the module docstring).
+    """What the replans of a central-MPC call at replan times 0, replan_every, ... share.
     ``seconds`` times the work of the constructor until an episode pays it;
     ``shared_seconds`` times all the work the replans share."""
 
-    def __init__(self, problem: GameProblem):
+    def __init__(self, problem: GameProblem, replan_every=1):
         self.factors = noise_factors(problem.dyn.W)
         self.agg = aggregate_problem(problem)
         t_start = time.perf_counter()
@@ -305,9 +310,10 @@ class CentralPlanner:
             Z = self.gains.F[t] @ Z
             Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
             return Z
-        self.cov, self.transitions = uncertainty.horizon_pass(    # lists by tau
-            T, range(T), uncertainty.covariance_step(dyn.A, dyn.W),
-            (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
+        starts = range(0, T, replan_every)
+        passes = uncertainty.horizon_pass(T, starts, uncertainty.covariance_step(dyn.A, dyn.W),
+                                          (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
+        self.cov, self.transitions = (dict(zip(starts, by_tau)) for by_tau in passes)
         self.rows = uncertainty.row_table(self.agg)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
         self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0)
@@ -327,8 +333,8 @@ class CentralPlanner:
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
             t, source, *rest = self.rows    # the slice's rows: those after tau, shifted,
             first = np.searchsorted(t, tau, side="right")    # of the constraints it keeps
-            kept = np.cumsum([max(c.active_times, default=0) > tau for c in self.agg.constraints])
-            rows = (t[first:] - tau, kept[source[first:]] - 1, *(r[first:] for r in rest))
+            kept = np.cumsum([outlasts(spec, tau) for spec in self.agg.constraints]) - 1
+            rows = (t[first:] - tau, kept[source[first:]], *(r[first:] for r in rest))
             policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
             self.at_tau[tau] = (sub, uncertainty.constraint_layout(sub, self.cov[tau], rows),
                                 self.gains.tail(tau), policy0)
@@ -361,13 +367,13 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     Replans every ``replan_every`` steps over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
     failure is recorded with its step index.  The planner (built here when
-    not given) holds what a call and a replan time compute once; the module
-    docstring says what a replan computes.
+    not given, for the same ``replan_every``) holds what a call and a replan
+    time compute once; the module docstring says what a replan computes.
     """
     options = options or DualAscentOptions(k_max=500)
     replan_every = _integer(replan_every, "replan_every", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
-    planner = CentralPlanner(problem) if planner is None else planner
+    planner = CentralPlanner(problem, replan_every) if planner is None else planner
     solve_seconds, planner.seconds = planner.seconds, 0.0    # the first episode pays
     dyn = problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
@@ -425,7 +431,7 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     planner = None
     for s in range(S):
         try:
-            planner = planner or CentralPlanner(problem)
+            planner = planner or CentralPlanner(problem, replan_every)
             run = central_mpc_run(problem, seed, s, replan_every, options, planner)
         except (CCGameError, np.linalg.LinAlgError) as exc:   # per-seed failure, recorded
             failures.append((s, 0, f"{type(exc).__name__}: {exc}"))

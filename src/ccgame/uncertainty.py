@@ -58,15 +58,18 @@ def inverse_normal_cdf(p):
 def horizon_pass(T, starts, *recursions):
     """Recursions (X0, step) from each start tau in ``starts`` (ascending), X[0] = X0
     and X[k+1] = step(tau + k, X[k]), in one pass over steps t < T on the stack of the
-    running starts (a lone one unstacked): per recursion, views of one read-only buffer."""
+    running starts: per recursion, views of one read-only buffer."""
     starts = np.asarray(starts, dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(T + 1 - starts)))
-    out = [np.repeat([X0], offsets[-1], axis=0) for X0, _ in recursions]
     at = offsets[:-1] - starts + np.arange(T + 1)[:, None]   # start i's row at step t
-    for t, live in enumerate(np.searchsorted(starts, np.arange(T), side="right").tolist()):
-        rows = at[t:t + 2, 0] if live == 1 else at[t:t + 2, :live]   # a lone start: no stack
-        for buf, (_, step) in zip(out, recursions):
-            buf[rows[1]] = step(t, buf[rows[0]])
+    # a lone start steps by int index (intersection's Sigma: 0.22 ms; 0.36 as a stack of one)
+    lone = at[:, 0].tolist()
+    moves = [(at[t, :live], at[t + 1, :live]) if live > 1 else (lone[t], lone[t + 1])
+             for t, live in enumerate(np.searchsorted(starts, np.arange(T), side="right").tolist())]
+    out = [np.repeat([X0], offsets[-1], axis=0) for X0, _ in recursions]
+    for buf, (_, step) in zip(out, recursions):
+        for t, (src, dst) in enumerate(moves):
+            buf[dst] = step(t, buf[src])
     return [np.split(_freeze(buf), offsets[1:-1]) for buf in out]
 
 
@@ -74,7 +77,7 @@ def covariance_step(F, W):
     """Sigma of x+ = F_t x + w_t, w_t ~ N(0, W_t): S+ = F_t S F_t' + W_t from 0, symmetrized."""
     def step(t, S):
         S = F[t] @ S @ F[t].T + W[t]
-        return (S + S.mT) / 2.0
+        return (S + S.swapaxes(-1, -2)) / 2.0
     return np.zeros(F.shape[1:]), step
 
 

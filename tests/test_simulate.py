@@ -811,10 +811,11 @@ class TestHorizonPass:
     @pytest.mark.parametrize("replan_every", [1, 3])
     def test_every_replan_time_equals_its_own_slice(self, planner_games, replan_every):
         for name, problem in planner_games:
-            planner = simulate.CentralPlanner(problem)
+            planner = simulate.CentralPlanner(problem, replan_every)
             run = simulate.central_mpc_run(problem, 4, replan_every=replan_every,
                                            planner=planner)
-            assert sorted(planner.at_tau) == list(range(0, problem.T, replan_every)), name
+            starts = list(range(0, problem.T, replan_every))
+            assert sorted(planner.at_tau) == list(planner.cov) == starts, name
             for tau in planner.at_tau:
                 reference = planner.prepare(tau, run.states[tau]).reference_means
                 cov, Z, fill = planner.cov[tau], planner.transitions[tau], planner.at_tau[tau][1]
