@@ -13,8 +13,8 @@ its linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
 pass there computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
 in a pass of its own.  A pass is a zeta pass, or the forward pass of the
-alpha columns a prepared ``response`` contracts (a central-MPC replan's, from
-its call's zeta response).  The policy at any lam, the pivot's or the
+alpha columns contracted from a prepared zeta response ``psi`` (a central-MPC
+replan's block of its call's Psi).  The policy at any lam, the pivot's or the
 fallback ascent's, is alpha0 plus the columns lam is nonzero on
 (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that violates no row
 is the report, and the map runs no pass.  The full G is built only when L,
@@ -59,8 +59,8 @@ from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
 class PreparedGame:
     """Problem, open-loop covariance schedule (an array) and reformulated
     constraints; ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
-    policy and its solver-coordinate mean) and ``response`` (the map's alpha
-    columns by contraction), when given, are reused by the solve."""
+    policy and its solver-coordinate mean) and ``psi`` (the zeta response,
+    for the map's alpha columns), when given, are reused by the solve."""
 
     problem: GameProblem
     cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
@@ -68,7 +68,7 @@ class PreparedGame:
     reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
-    response: object = field(default=None, repr=False)   # (conset, columns) -> alphas
+    psi: np.ndarray | None = field(default=None, repr=False)   # (T, N, n_u, T, n_x)
 
     @property
     def M(self):
@@ -97,15 +97,15 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
                            gains, policy0, lqnash.integrate_expected(problem.dyn, policy0))
 
 
-def prepare_at_zero(problem, cov, fill, gains, policy0, mean0, response=None) -> PreparedGame:
+def prepare_at_zero(problem, cov, fill, gains, policy0, mean0, psi=None) -> PreparedGame:
     """The game whose collision reference is the nominal plus the mean
     ``mean0`` of the lam = 0 policy ``policy0`` on ``gains``; ``fill`` is the
-    problem's ``uncertainty.constraint_layout``.  That equilibrium and
-    ``response`` are kept for the solve."""
+    problem's ``uncertainty.constraint_layout``.  That equilibrium and the
+    zeta response ``psi`` are kept for the solve."""
     reference = problem.nominal_states + mean0
     return PreparedGame(problem=problem, cov=cov, conset=fill(reference),
                         reference_means=_freeze(reference), gains=gains,
-                        equilibrium0=(policy0, mean0), response=response)
+                        equilibrium0=(policy0, mean0), psi=psi)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,8 @@ class AffineGradientMap:
     """g(lam) = G lam + ctilde, read by column: ``gmap[:, j]`` is G[:, j].
     ctilde, policy0 and mean0 are the lam = 0 equilibrium's g, policy and
     mean, which ``estimate_affine_map`` resolves.  A column missing from the
-    cache ``columns`` (and ``alphas``, its affine-term response, from
-    ``response`` when given) comes in an ``affine_response`` pass of its own.
+    cache ``columns`` (and ``alphas``, its affine-term response, contracted
+    from ``psi`` when given) comes in an ``affine_response`` pass of its own.
     ``alpha(lam)`` is the policy's affine term at lam.  G itself, which L =
     ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
     dual values read, is the full pass.  dual0[i] = D^i(0) is policy0's
@@ -131,14 +131,14 @@ class AffineGradientMap:
     ctilde: np.ndarray
     policy0: lqnash.FeedbackPolicy = field(repr=False)
     mean0: np.ndarray = field(repr=False)
-    response: object = field(default=None, repr=False)
+    psi: np.ndarray | None = field(default=None, repr=False)
     columns: dict = field(default_factory=dict, init=False, repr=False)   # j -> G[:, j]
     alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
     def _pass(self, columns):
         """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
         cols = range(self.conset.M) if columns is None else columns
-        a = None if self.response is None else self.response(self.conset, cols)
+        a = None if self.psi is None else lqnash.response_alphas(self.psi, self.conset, cols)
         G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns, a)
         self.columns.update(zip(cols, G.T))
         if columns is not None:     # the full pass's alphas would live as long as G
@@ -231,7 +231,7 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     policy0, mean0 = equilibrium
     gmap = AffineGradientMap(problem, prepared.conset, gains,
                              prepared.conset.evaluate(mean0), policy0, mean0,
-                             prepared.response)
+                             prepared.psi)
     violated = np.flatnonzero(gmap.ctilde > 0).tolist()
     if violated:
         first = int(np.argmax(gmap.ctilde))

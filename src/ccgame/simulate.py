@@ -17,21 +17,24 @@ support, whose quadratic form ``lqnash.quadratic_sums`` sums in the order of
 the einsum it replaced (see the ``lqnash`` docstring); costs go through the
 same kernel.
 
-A central-MPC call computes once the aggregate, its noise factors, its
-stage gains, its lam = 0 policy, whose tail at tau is the reference policy
-of a replan at tau, its row table, and, in one pass over the horizon, each
-replan time's open-loop covariance and that policy's transition products
-[Phi | d]; when a replan first violates a row, the zeta response Psi.  A
-replan time's first replan computes its slice, z, box offsets and pair
-covariances, so that a bad risk allocation fails that replan alone.  A
-replan contracts its lam = 0 mean Phi x0 + d (the reference, at which g is
-the map's ctilde) and fills the collision rows; if a row is violated, it
-contracts the violated rows' alpha columns from Psi, whose forward pass
-gives the LCP's columns and the policy at its solution (a further one runs
-only for a column the pivot reads beyond them; never the full G), and
-integrates that policy's mean.  No replan runs a zeta pass.  The first
-episode to need shared work pays for it.  The plant steps its one state
-with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
+A central-MPC call's ``CentralPlanner`` holds its problem and replan
+cadence, and its constructor computes once the aggregate, its noise factors,
+its stage gains, its lam = 0 policy, whose tail at tau is the reference
+policy of a replan at tau, the zeta response Psi, its row table, and, in one
+pass over the horizon, each replan time's open-loop covariance and that
+policy's transition products [Phi | d].  An episode reads all of it from the
+planner alone.  A slice keeps every constraint, one that has ended with no
+active time, so its rows are the table's after tau, shifted by tau, with
+their sources as they are.  A replan time's first replan computes its slice,
+z, box offsets and pair covariances, so that a bad risk allocation fails
+that replan alone.  A replan contracts its lam = 0 mean Phi x0 + d (the
+reference, at which g is the map's ctilde) and fills the collision rows; if
+a row is violated, it contracts the violated rows' alpha columns from its
+block of Psi, whose forward pass gives the LCP's columns and the policy at
+its solution (a further one runs only for a column the pivot reads beyond
+them; never the full G), and integrates that policy's mean.  No replan runs
+a zeta pass.  The plant steps its one state with ``lqnash.closed_loop_step``
+on the aggregate's stacked inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -202,8 +204,14 @@ class SafetyStats:
         }
 
 
-def _travel_times(problem: GameProblem, states, tolerance=0.1):
-    """``travel_time`` of solver-coordinate states (S, T+1, n_x)."""
+def travel_time(problem: GameProblem, states, tolerance=0.1):
+    """Per-sample first t*dt at which every agent of solver-coordinate states
+    (S, T+1, n_x) is within goal tolerance.
+
+    Samples that never arrive are recorded at T*dt and flagged.  Positions are
+    the states plus the nominal at the position columns only (no absolute copy).
+    Returns (times (S,), flagged (S,) bool).
+    """
     T = problem.T
     goals_abs = problem.to_absolute(problem.ref, T)
     within = np.ones(states.shape[:2], dtype=bool)
@@ -215,21 +223,11 @@ def _travel_times(problem: GameProblem, states, tolerance=0.1):
     return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
 
 
-def travel_time(batch: RolloutBatch, problem: GameProblem, tolerance=0.1):
-    """Per-sample first t*dt at which every agent is within goal tolerance.
-
-    Samples that never arrive are recorded at T*dt and flagged.  Positions are
-    the states plus the nominal at the position columns only (no absolute copy).
-    Returns (times (S,), flagged (S,) bool).
-    """
-    return _travel_times(problem, batch.states, tolerance)
-
-
 def _judge(problem: GameProblem, states):
     """(violations mask, travel times, flagged) of states (S, T+1, n_x), each
     SAFETY_BLOCK samples at a time; a sample's entries read only its own states."""
     blocks = (states[lo:lo + SAFETY_BLOCK] for lo in range(0, len(states), SAFETY_BLOCK))
-    judged = [(_violations_mask(problem, b), *_travel_times(problem, b)) for b in blocks]
+    judged = [(_violations_mask(problem, b), *travel_time(problem, b)) for b in blocks]
     return tuple(np.concatenate(parts) for parts in zip(*judged))
 
 
@@ -256,7 +254,8 @@ def evaluate_safety(batch: RolloutBatch, problem: GameProblem) -> SafetyStats:
 
 
 def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
-    """Remaining-horizon subproblem starting at absolute time tau with state x0."""
+    """Remaining-horizon subproblem starting at absolute time tau with state x0.
+    It keeps every constraint; one that ends by tau has no active time left."""
     dyn = problem.dyn
     sub_dyn = LtvGameDynamics(A=dyn.A[tau:], B=dyn.B[tau:], W=dyn.W[tau:],
                               x0=np.asarray(x0, dtype=float))
@@ -265,15 +264,10 @@ def slice_problem(problem: GameProblem, tau, x0) -> GameProblem:
     ref = np.array(problem.ref[:, tau:])
     ref[:, 0] = 0.0
     cons = [replace(spec, active_times=tuple(t - tau for t in spec.active_times if t > tau))
-            for spec in problem.constraints if outlasts(spec, tau)]
+            for spec in problem.constraints]
     return replace(problem, dyn=sub_dyn, Q=Q, R=problem.R[:, tau:], ref=ref,
                    constraints=tuple(cons), nominal_states=problem.nominal_states[tau:],
                    nominal_inputs=problem.nominal_inputs[tau:])
-
-
-def outlasts(spec, tau):
-    """Whether a constraint has a step after tau, and so a place in the slice at tau."""
-    return max(spec.active_times, default=0) > tau
 
 
 def aggregate_problem(problem: GameProblem) -> GameProblem:
@@ -294,23 +288,26 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
 
 
 class CentralPlanner:
-    """What the replans of a central-MPC call at replan times 0, replan_every, ... share.
-    ``seconds`` times the work of the constructor until an episode pays it;
+    """A central-MPC call's problem, its replan times 0, replan_every, ... and
+    what its episodes share.  ``seconds`` times the constructor's work;
     ``shared_seconds`` times all the work the replans share."""
 
     def __init__(self, problem: GameProblem, replan_every=1):
+        self.problem = problem
+        self.replan_every = _integer(replan_every, "replan_every", 1, DomainError)
         self.factors = noise_factors(problem.dyn.W)
         self.agg = aggregate_problem(problem)
         t_start = time.perf_counter()
         self.gains = lqnash.stage_gains(self.agg)
         self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
+        self.psi = lqnash.zeta_response(self.agg, self.gains)
         dyn, T = self.agg.dyn, self.agg.T
 
         def transitions(t, Z):   # [Phi | d] from [I | 0]: F_t [Phi | d] - [0 | B_t alpha0_t]
             Z = self.gains.F[t] @ Z
             Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
             return Z
-        starts = range(0, T, replan_every)
+        starts = range(0, T, self.replan_every)
         passes = uncertainty.horizon_pass(T, starts, uncertainty.covariance_step(dyn.A, dyn.W),
                                           (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
         self.cov, self.transitions = (dict(zip(starts, by_tau)) for by_tau in passes)
@@ -318,23 +315,14 @@ class CentralPlanner:
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
         self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0)
 
-    @cached_property
-    def psi(self):
-        """The zeta response, built when a replan first reads a column."""
-        t_start = time.perf_counter()
-        psi = lqnash.zeta_response(self.agg, self.gains)
-        self.shared_seconds += time.perf_counter() - t_start
-        return psi
-
     def prepare(self, tau, x0) -> PreparedGame:
         """The game of a replan at tau from state x0."""
         if tau not in self.at_tau:
             t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
-            t, source, *rest = self.rows    # the slice's rows: those after tau, shifted,
-            first = np.searchsorted(t, tau, side="right")    # of the constraints it keeps
-            kept = np.cumsum([outlasts(spec, tau) for spec in self.agg.constraints]) - 1
-            rows = (t[first:] - tau, kept[source[first:]], *(r[first:] for r in rest))
+            t, *rest = self.rows    # the slice's rows: those after tau, shifted
+            first = np.searchsorted(t, tau, side="right")
+            rows = (t[first:] - tau, *(r[first:] for r in rest))
             policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
             self.at_tau[tau] = (sub, uncertainty.constraint_layout(sub, self.cov[tau], rows),
                                 self.gains.tail(tau), policy0)
@@ -344,8 +332,7 @@ class CentralPlanner:
         Z = self.transitions[tau]
         return prepare_at_zero(sub, self.cov[tau], fill, gains, policy0,
                                Z[..., :-1] @ sub.dyn.x0 + Z[..., -1],
-                               lambda conset, cols: lqnash.response_alphas(
-                                   self.psi[tau:, :, :, tau:], conset, cols))
+                               self.psi[tau:, :, :, tau:])
 
 
 @dataclass
@@ -355,27 +342,23 @@ class MpcRun:
     failures: list             # (step, error message)
     replans: int
     replans_with_active_rows: int   # replans whose multiplier is not 0
-    solve_seconds: float       # its whole replans, and the planner if first to use it
+    solve_seconds: float       # its whole replans
     map_columns: int           # G columns its replans computed
 
 
-def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
-                    options: DualAscentOptions | None = None,
-                    planner: CentralPlanner | None = None) -> MpcRun:
-    """One noisy receding-horizon episode of the aggregated single agent.
+def central_mpc_run(planner: CentralPlanner, seed, sample_index=0,
+                    options: DualAscentOptions | None = None) -> MpcRun:
+    """One noisy receding-horizon episode of the planner's aggregated single agent.
 
-    Replans every ``replan_every`` steps over the remaining (shrinking)
+    Replans at the planner's replan times over the remaining (shrinking)
     horizon; on a replan failure the previous plan keeps driving and the
-    failure is recorded with its step index.  The planner (built here when
-    not given, for the same ``replan_every``) holds what a call and a replan
-    time compute once; the module docstring says what a replan computes.
+    failure is recorded with its step index.  The problem, the cadence, the
+    noise factors and what a call and a replan time compute once all come
+    from the planner; the module docstring says what a replan computes.
     """
     options = options or DualAscentOptions(k_max=500)
-    replan_every = _integer(replan_every, "replan_every", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
-    planner = CentralPlanner(problem, replan_every) if planner is None else planner
-    solve_seconds, planner.seconds = planner.seconds, 0.0    # the first episode pays
-    dyn = problem.dyn
+    problem, dyn = planner.problem, planner.problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
     z = noise_stream(seed, sample_index).standard_normal((T, n_x))
 
@@ -386,8 +369,9 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
     plan_offset = 0
     failures = []
     replans = active = columns = 0
+    solve_seconds = 0.0
     for t in range(T):
-        if t % replan_every == 0:
+        if t % planner.replan_every == 0:
             t_start = time.perf_counter()
             try:
                 report = run_dual_ascent(planner.prepare(t, states[t]), options)
@@ -413,7 +397,8 @@ def central_mpc_run(problem: GameProblem, seed, sample_index=0, replan_every=1,
 def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
                 options: DualAscentOptions | None = None):
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, totals):
-    the completed episodes' ``comp_seconds_per_step`` (seconds per replan),
+    the completed episodes' ``comp_seconds_per_step`` (seconds per replan,
+    the planner's constructor counted once),
     ``replans``, ``replans_with_active_rows`` (lam != 0), ``map_columns``
     (G columns computed) and the planner's ``planner_seconds`` (shared work).
 
@@ -421,7 +406,8 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     and MPC statistics are paired across sample indices.  All episodes share
     one CentralPlanner (see the module docstring for what a call, a replan
     time and a replan compute).  A CCGameError or LinAlgError ends only its
-    own episode; if every episode ends so, raises AllSeedsFailed.
+    own episode; if every episode ends so, raises AllSeedsFailed.  A bad
+    ``replan_every`` raises before any episode.
     """
     S = _integer(samples, "samples", 1, DomainError)
     replan_every = _integer(replan_every, "replan_every", 1, DomainError)
@@ -432,7 +418,7 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     for s in range(S):
         try:
             planner = planner or CentralPlanner(problem, replan_every)
-            run = central_mpc_run(problem, seed, s, replan_every, options, planner)
+            run = central_mpc_run(planner, seed, s, options)
         except (CCGameError, np.linalg.LinAlgError) as exc:   # per-seed failure, recorded
             failures.append((s, 0, f"{type(exc).__name__}: {exc}"))
             continue
@@ -448,7 +434,8 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     # every completed episode planned at least once, at t = 0
     replans = sum(r.replans for r in good)
     return batch, failures, {
-        "comp_seconds_per_step": sum(r.solve_seconds for r in good) / replans,
+        "comp_seconds_per_step": (planner.seconds + sum(r.solve_seconds for r in good))
+        / replans,
         "replans": replans,
         "replans_with_active_rows": sum(r.replans_with_active_rows for r in good),
         "map_columns": sum(r.map_columns for r in good),

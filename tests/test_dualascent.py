@@ -241,10 +241,10 @@ class TestColumnMap:
         # test_simulate's TestResponseRoute); the map on each planner slice
         # without it runs the pass route, which this pins bit for bit
         planner = simulate.CentralPlanner(problem)
-        run = simulate.central_mpc_run(problem, 5, planner=planner)
+        run = simulate.central_mpc_run(planner, 5)
         rng = np.random.default_rng(3)
         for tau in range(problem.T):
-            prep = dataclasses.replace(planner.prepare(tau, run.states[tau]), response=None)
+            prep = dataclasses.replace(planner.prepare(tau, run.states[tau]), psi=None)
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
@@ -256,7 +256,8 @@ class TestColumnMap:
         # run only for a column the pivot reads beyond them, which none of
         # these solves does.  An LTV solve's pass is a zeta pass that starts
         # at their latest step; a replan's takes its alpha columns from the
-        # call's Psi, whose one zeta pass (from T) the first active replan runs
+        # call's Psi, whose one zeta pass (from T) the planner's constructor
+        # runs after the lam = 0 pass
         from ccgame import lqnash, scenarios, simulate
         from ccgame.model import assemble_problem, load_scenario
         starts = []
@@ -275,7 +276,7 @@ class TestColumnMap:
             violated = np.flatnonzero(g0 > 0)
             assert np.any(rep.lambda_bar) == bool(violated.size)
             if violated.size:
-                if prepared.response is None:
+                if prepared.psi is None:
                     assert starts == [prepared.conset.t[violated].max()]
                 else:
                     replans.append(list(starts))
@@ -291,10 +292,13 @@ class TestColumnMap:
         assert not replans
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path("intersection-mini")))))
-        run = simulate.central_mpc_run(problem, 5)
+        starts.clear()
+        planner = simulate.CentralPlanner(problem)
+        assert starts == [None, None]
+        run = simulate.central_mpc_run(planner, 5)
         assert not run.failures
         assert len(solved) == len(COUPLED_FEASIBLE_SEEDS) + run.replans_with_active_rows
-        assert replans == [[None]] + [[]] * (run.replans_with_active_rows - 1)
+        assert replans == [[]] * run.replans_with_active_rows
 
 
 class TestDynamicsType:
@@ -445,8 +449,9 @@ class TestColumnPolicy:
             return rep
 
         monkeypatch.setattr(simulate, "run_dual_ascent", checking)
+        planner = simulate.CentralPlanner(problem)
         for seed in (0, 5, 42):
-            run = simulate.central_mpc_run(problem, seed)
+            run = simulate.central_mpc_run(planner, seed)
             assert not run.failures and run.replans_with_active_rows > 0, seed
 
 

@@ -13,7 +13,7 @@ from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
 from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
-from ccgame.uncertainty import constraint_layout, propagate_covariance
+from ccgame.uncertainty import constraint_layout, propagate_covariance, row_table
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
 from oracles import eigen_factors, loop_rollout, mean_map, recursion_rollout, row_violations
@@ -407,19 +407,13 @@ class TestTravelTime:
 
     def test_start_at_goal_is_zero(self):
         problem = self._line_problem()
-        states = np.zeros((2, problem.T + 1, 1))
-        batch = RolloutBatch(states=states, inputs=np.zeros((2, problem.T, 1, 1)),
-                             costs=np.zeros((2, 1)), seed=0)
-        times, flagged = travel_time(batch, problem)
+        times, flagged = travel_time(problem, np.zeros((2, problem.T + 1, 1)))
         assert np.array_equal(times, [0.0, 0.0])
         assert not flagged.any()
 
     def test_never_reaching_is_flagged_at_horizon(self):
         problem = self._line_problem()
-        states = np.ones((1, problem.T + 1, 1))
-        batch = RolloutBatch(states=states, inputs=np.zeros((1, problem.T, 1, 1)),
-                             costs=np.zeros((1, 1)), seed=0)
-        times, flagged = travel_time(batch, problem, tolerance=0.05)
+        times, flagged = travel_time(problem, np.ones((1, problem.T + 1, 1)), tolerance=0.05)
         assert times[0] == pytest.approx(problem.T * problem.dt)
         assert flagged[0]
 
@@ -427,9 +421,7 @@ class TestTravelTime:
         problem = self._line_problem(dt=0.05, T=22)
         t_grid = np.arange(problem.T + 1) * problem.dt
         states = np.maximum(1.0 - t_grid, 0.0)[None, :, None]
-        batch = RolloutBatch(states=states, inputs=np.zeros((1, problem.T, 1, 1)),
-                             costs=np.zeros((1, 1)), seed=0)
-        times, flagged = travel_time(batch, problem, tolerance=0.05)
+        times, flagged = travel_time(problem, states, tolerance=0.05)
         assert not flagged[0]
         assert 0.95 <= times[0] <= 1.0
 
@@ -474,7 +466,7 @@ class TestCentralMpc:
                               [1e-4], [np.array([[1.0]])], [np.array([[1.0]])],
                               [np.array([1.0])], [con], eps=0.6)
         problem = assemble_problem(validate_scenario(s))
-        run = simulate.central_mpc_run(problem, seed=0)
+        run = simulate.central_mpc_run(simulate.CentralPlanner(problem), seed=0)
         assert [step for step, _ in run.failures] == [2] and run.replans == 3
         assert run.failures[0][1].startswith("BadProbability")
         assert np.all(np.isfinite(run.states))
@@ -586,10 +578,10 @@ class TestCentralMpc:
 
     def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls,
                                        monkeypatch):
-        # a direct episode builds its own planner: one gain recursion, one
-        # rcond check per stage and one lam = 0 zeta pass, whose tail is every
-        # replan's reference policy, and the zeta response Psi, in one zeta
-        # pass when a replan first violates a row; a replan's reference mean
+        # an episode's own planner: one gain recursion, one rcond check per
+        # stage and one lam = 0 zeta pass, whose tail is every replan's
+        # reference policy, and the zeta response Psi in one zeta pass, both
+        # in its constructor; a replan's reference mean
         # is a contraction of its state, and only where a row is violated (a
         # of them) it runs the map's one pass, whose alpha columns (the
         # violated rows', all that the pivot reads here) come from Psi and
@@ -598,7 +590,7 @@ class TestCentralMpc:
         # diagnostic that only a report reads (3 zeta passes and 7 means
         # with a zeta pass per active replan and an integrated reference mean)
         count_replan_work(monkeypatch, lqnash_calls)
-        run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=4)
+        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 4), seed=3)
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4) == 5
         a = lqnash_calls.pop("pivoting")
@@ -696,8 +688,8 @@ class TestCentralMpc:
 
     @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
     def test_an_episode_does_not_depend_on_the_call(self, name):
-        # the call's Psi and each tau's transition products are built by
-        # whichever episode first needs them, and do not depend on its state
+        # each tau's slice and rows are built by whichever episode first
+        # needs them, and do not depend on its state
         from ccgame import scenarios
         from ccgame.model import load_scenario
         problem = assemble_problem(validate_scenario(
@@ -705,7 +697,7 @@ class TestCentralMpc:
         batch, failures, _ = central_mpc(problem, 7, 3)
         assert not failures
         for s in range(3):
-            run = simulate.central_mpc_run(problem, 7, sample_index=s)
+            run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 7, sample_index=s)
             assert batch.states[s].tobytes() == run.states.tobytes(), s
             assert batch.inputs[s].tobytes() == run.inputs.tobytes(), s
 
@@ -749,7 +741,7 @@ class TestCentralMpc:
             return reports[-1]
 
         monkeypatch.setattr(simulate, "run_dual_ascent", recording)
-        run = simulate.central_mpc_run(mini_problem, seed=3, replan_every=2)
+        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 2), seed=3)
         assert not run.failures and len(reports) == run.replans
         assert run.solve_seconds > sum(r.solve_seconds for r in reports)
         reports.clear()
@@ -784,7 +776,8 @@ def planner_games():
     """(name, problem): both bundled games, 60 random small games (every
     other one coupled, 1-4 agents, so n_x runs from 1 to 12) and one random
     game whose first constraint ends mid-horizon, so that the later slices
-    drop it and their sources shift."""
+    keep it with no active time and no row, and their rows' sources stay the
+    full table's."""
     from ccgame import scenarios
     games = [(name, assemble_problem(validate_scenario(make())))
              for name, make in (("intersection-mini", scenarios.make_intersection_mini),
@@ -812,8 +805,7 @@ class TestHorizonPass:
     def test_every_replan_time_equals_its_own_slice(self, planner_games, replan_every):
         for name, problem in planner_games:
             planner = simulate.CentralPlanner(problem, replan_every)
-            run = simulate.central_mpc_run(problem, 4, replan_every=replan_every,
-                                           planner=planner)
+            run = simulate.central_mpc_run(planner, 4)
             starts = list(range(0, problem.T, replan_every))
             assert sorted(planner.at_tau) == list(planner.cov) == starts, name
             for tau in planner.at_tau:
@@ -830,6 +822,18 @@ class TestHorizonPass:
                 for key in ("t", "source", "l", "c"):
                     assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), (
                         name, tau, key)
+
+    def test_a_slice_keeps_every_constraint(self, planner_games):
+        # the mid-horizon game's first constraint, a box, ends at T // 2
+        problem = dict(planner_games)["mid-horizon"]
+        agg = simulate.aggregate_problem(problem)
+        t, source = row_table(agg)[:2]
+        for tau in range(problem.T):
+            sub = simulate.slice_problem(agg, tau, agg.dyn.x0)
+            assert len(sub.constraints) == len(agg.constraints), tau
+            assert (sub.constraints[0].active_times == ()) == (tau >= problem.T // 2), tau
+            first = np.searchsorted(t, tau, side="right")
+            assert np.array_equal(row_table(sub)[1], source[first:]), tau
 
 
 class TestResponseRoute:
@@ -852,7 +856,7 @@ class TestResponseRoute:
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
         planner = simulate.CentralPlanner(problem)
-        run = simulate.central_mpc_run(problem, 5, planner=planner)
+        run = simulate.central_mpc_run(planner, 5)
         assert not run.failures and run.replans_with_active_rows > 0
         rng = np.random.default_rng(8)
         for tau in range(problem.T):
@@ -865,13 +869,13 @@ class TestResponseRoute:
             G, alphas = lqnash.affine_response(sub, conset, gains)
             columns = np.arange(prep.M)
             G_psi, alphas_psi = lqnash.affine_response(
-                sub, conset, gains, columns, prep.response(conset, columns))
+                sub, conset, gains, columns, lqnash.response_alphas(prep.psi, conset, columns))
             self._close(G_psi, G)
             self._close(alphas_psi, alphas)
             # a column's bits do not depend on the columns computed with it
             for j in columns if alone is None else rng.choice(prep.M, alone):
                 G_j, alpha_j = lqnash.affine_response(sub, conset, gains, [j],
-                                                      prep.response(conset, [j]))
+                                                      lqnash.response_alphas(prep.psi, conset, [j]))
                 assert G_j[:, 0].tobytes() == G_psi[:, j].tobytes(), (tau, j)
                 assert alpha_j[0].tobytes() == alphas_psi[j].tobytes(), (tau, j)
 
@@ -886,15 +890,15 @@ class TestIntegerArguments:
         scenario = scalar_single_agent_instance(T=3)
         problem = assemble_problem(validate_scenario(scenario))
         policy = backward_recursion(problem)
+        planner = simulate.CentralPlanner(problem)
         return {
             "rollout-samples": lambda v: rollout(problem, policy, 0, v),
             "rollout-seed": lambda v: rollout(problem, policy, v, 2),
             "mpc-samples": lambda v: central_mpc(problem, 0, v),
             "mpc-replan_every": lambda v: central_mpc(problem, 0, 1, replan_every=v),
             "mpc-seed": lambda v: central_mpc(problem, v, 1),
-            "mpc-run-replan_every": lambda v: simulate.central_mpc_run(problem, 0,
-                                                                       replan_every=v),
-            "mpc-run-seed": lambda v: simulate.central_mpc_run(problem, v),
+            "planner-replan_every": lambda v: simulate.CentralPlanner(problem, v),
+            "mpc-run-seed": lambda v: simulate.central_mpc_run(planner, v),
             "k_max": lambda v: DualAscentOptions(k_max=v),
             "relinearize": lambda v: solve_scenario(scenario, relinearize=v),
         }
@@ -903,11 +907,18 @@ class TestIntegerArguments:
                              ids=["float", "integral-float", "bool", "str"])
     @pytest.mark.parametrize("call", ["rollout-samples", "rollout-seed", "mpc-samples",
                                       "mpc-replan_every", "mpc-seed",
-                                      "mpc-run-replan_every", "mpc-run-seed", "k_max",
+                                      "planner-replan_every", "mpc-run-seed", "k_max",
                                       "relinearize"])
     def test_a_non_integer_raises(self, call, value):
         with pytest.raises(DomainError):
             self.calls()[call](value)
+
+    @pytest.mark.parametrize("call", ["planner-replan_every", "mpc-replan_every"])
+    def test_a_zero_cadence_raises(self, call):
+        # the planner checks its own cadence, and central_mpc before any
+        # episode, so that it is not an episode's failure (AllSeedsFailed)
+        with pytest.raises(DomainError):
+            self.calls()[call](0)
 
     def test_numpy_integers_pass(self):
         for call in self.calls().values():

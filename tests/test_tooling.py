@@ -6,7 +6,8 @@ prepare, a solve, a rollout and an MPC call stay under their guards, the bundled
 files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
 example must run as written, and the library has no unused import, no
-private name and no public function or class that nothing reads."""
+private name, no public function or class that nothing reads and no name
+that only NumPy 2.0 and later have."""
 
 import ast
 import hashlib
@@ -215,6 +216,30 @@ def test_src_has_no_unused_imports_or_private_names():
                            if d.startswith("_") and not d.startswith("__") and d not in reads]
     assert not unused, f"unused imports: {unused}"
     assert not unread, f"private names read nowhere: {unread}"
+
+
+# names NumPy 2.0 added: ndarray attributes, then np.* and np.linalg.* functions
+NUMPY_2_ATTRIBUTES = {"mT", "device", "to_device"}
+NUMPY_2_FUNCTIONS = {"concat", "permute_dims", "matrix_transpose", "vecdot", "unstack",
+                     "astype", "isdtype", "cumulative_sum", "cumulative_prod",
+                     "unique_values", "unique_counts", "unique_inverse", "unique_all"}
+NUMPY_2_LINALG = {"vecdot", "matrix_transpose", "vector_norm", "matrix_norm", "svdvals"}
+
+
+def test_src_uses_no_numpy_2_only_name():
+    # pyproject.toml declares numpy>=1.24, and the tests run on one NumPy:
+    # a NumPy 2.0-only name would pass them all and fail every call on 1.x
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = ast.unparse(node.value)
+            if (node.attr in NUMPY_2_ATTRIBUTES
+                    or owner in ("np", "numpy") and node.attr in NUMPY_2_FUNCTIONS
+                    or owner in ("np.linalg", "numpy.linalg") and node.attr in NUMPY_2_LINALG):
+                found.append(f"{path.name}:{node.lineno}: {owner}.{node.attr}")
+    assert not found, f"NumPy 2.0-only names: {found}"
 
 
 def test_every_public_function_and_class_in_src_is_read():
