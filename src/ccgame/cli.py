@@ -4,6 +4,11 @@ Every command writes its artifacts plus a run manifest into --out.  Exit
 codes: 0 success, 1 invalid input (malformed arguments too) or solver
 failure, 2 completed with warnings (solve ended with residuals above
 tolerance, or some MPC seed failed).
+
+This module owns every artifact format it writes or reads back (policy.json,
+trace.csv, stats.csv, report.csv and the trajectory dumps); the solver and
+simulation modules return values.  trace.csv and report.csv end their lines
+with CRLF, stats.csv and the dumps with LF.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .model import (UnicycleDynamicsSpec, assemble_problem, file_fingerprint,
                     load_scenario, read_json, validate_scenario, write_json)
 
 TRACE_HEADER = ["iter", "max_violation", "complementarity", "dual_value_p1", "eta"]
+STATS_HEADER = ["method", "samples", "seed", "cost_mean", "cost_std",
+                "travel_mean_s", "collision_rate", "wilson_lo", "wilson_hi"]
 
 
 def write_manifest(outdir, command, options, scenario_path, scenario_hash, outputs,
@@ -62,26 +69,25 @@ def cmd_solve(args):
     options = DualAscentOptions(k_max=args.iters, eta=_eta(args.eta))
     outdir, vs, scenario_hash = _scenario_run(args)
 
-    trace_rows = []
-    writer = trace_rows.append if args.trace else None
+    trace_rows = [TRACE_HEADER]
+    writer = (lambda *row: trace_rows.append(row)) if args.trace else None
     t0 = time.perf_counter()
     prepared, report = solve_scenario(vs, options, relinearize=args.relinearize,
                                       trace_writer=writer)
     wall = time.perf_counter() - t0
 
-    policy_doc = lqnash.policy_to_dict(report.policy, scenario_hash)
-    policy_doc["nominal_inputs"] = np.transpose(
-        prepared.problem.nominal_inputs, (1, 0, 2)).tolist()
-    write_json(os.path.join(outdir, "policy.json"), policy_doc)
+    policy = report.policy
+    write_json(os.path.join(outdir, "policy.json"), {
+        "fingerprint": scenario_hash, "horizon": policy.T, "players": policy.N,
+        "K": policy.K.tolist(), "alpha": policy.alpha.tolist(),
+        "nominal_inputs": np.transpose(prepared.problem.nominal_inputs, (1, 0, 2)).tolist()})
     write_json(os.path.join(outdir, "report.json"),
                {**report.to_dict(), "wall_seconds": wall}, indent=1)
 
     outputs = ["policy.json", "report.json"]
     if args.trace:
         with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=TRACE_HEADER)
-            w.writeheader()
-            w.writerows(trace_rows)
+            csv.writer(fh).writerows(trace_rows)
         outputs.append("trace.csv")
 
     write_manifest(outdir, "solve",
@@ -100,9 +106,12 @@ def cmd_solve(args):
 
 
 def _load_policy(path):
+    """(FeedbackPolicy, fingerprint, nominal inputs or None) of a policy.json."""
     doc = read_json(path)
     try:
-        policy, fingerprint = lqnash.policy_from_dict(doc)
+        policy = lqnash.FeedbackPolicy(K=np.asarray(doc["K"], dtype=float),
+                                       alpha=np.asarray(doc["alpha"], dtype=float))
+        fingerprint = str(doc.get("fingerprint", ""))
         nominal = doc.get("nominal_inputs")
         nominal = None if nominal is None else np.asarray(nominal, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -129,11 +138,11 @@ def cmd_rollout(args):
     rollout_seconds = time.perf_counter() - t0
     stats = simulate.evaluate_safety(batch, problem)
     safety_seconds = time.perf_counter() - t0 - rollout_seconds
-    simulate.write_stats_csv(os.path.join(outdir, "stats.csv"), [stats])
+    _write_stats(os.path.join(outdir, "stats.csv"), stats)
     outputs = ["stats.csv"]
     if args.dump_trajectories:
-        simulate.dump_trajectories(os.path.join(outdir, "trajectories"), batch, problem,
-                                   isinstance(vs.dynamics, UnicycleDynamicsSpec))
+        dump_trajectories(os.path.join(outdir, "trajectories"), batch, problem,
+                          isinstance(vs.dynamics, UnicycleDynamicsSpec))
         outputs.append("trajectories/")
     write_manifest(outdir, "rollout",
                    {"samples": args.samples, "seed": args.seed,
@@ -157,7 +166,7 @@ def cmd_mpc(args):
         problem, args.seed, args.samples, replan_every=args.replan_every,
         options=options)
     stats = simulate.evaluate_safety(batch, problem)
-    simulate.write_stats_csv(os.path.join(outdir, "stats.csv"), [stats])
+    _write_stats(os.path.join(outdir, "stats.csv"), stats)
     write_manifest(outdir, "mpc",
                    {"samples": args.samples, "seed": args.seed,
                     "replan_every": args.replan_every, "iters": args.iters,
@@ -172,15 +181,44 @@ def cmd_mpc(args):
     return 2 if failures else 0
 
 
+def _write_stats(path, stats):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([STATS_HEADER, [
+            stats.method, stats.samples, stats.seed, stats.cost_mean, stats.cost_std,
+            stats.travel_mean_s, stats.rate, stats.wilson_lo, stats.wilson_hi]])
+
+
+def dump_trajectories(dirpath, batch, problem, unicycle):
+    """One CSV per sample; a unicycle scenario (``unicycle``, from its dynamics
+    type) uses the t,agent,px,py,theta,v,a,omega schema, any other x0..,u0...
+    An agent with fewer states than the widest leaves its missing x cells empty."""
+    os.makedirs(dirpath, exist_ok=True)
+    abs_states = problem.to_absolute(batch.states)
+    abs_inputs = batch.inputs + problem.nominal_inputs[None, :, :, :]
+    n_x_max, n_u = max(problem.state_dims), batch.inputs.shape[3]
+    for s in range(batch.samples):
+        lines = ["t,agent,px,py,theta,v,a,omega" if unicycle
+                 else "t,agent," + ",".join(f"x{q}" for q in range(n_x_max))
+                 + "," + ",".join(f"u{q}" for q in range(n_u))]
+        for t in range(problem.T + 1):
+            for i in range(problem.N):
+                xs = [repr(float(v)) for v in abs_states[s, t, problem.agent_slices[i]]]
+                us = abs_inputs[s, t - 1, i] if t >= 1 else np.zeros(n_u)
+                vals = xs + [""] * (n_x_max - len(xs)) + [repr(float(v)) for v in us]
+                lines.append(f"{t},{i}," + ",".join(vals))
+        with open(os.path.join(dirpath, f"sample_{s:05d}.csv"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
 def _read_stats(path):
     """Rows of a UTF-8 stats file, each with the header's cells and numbers
     in the columns the report formats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != simulate.STATS_HEADER:
-                raise CCGameError(
-                    f"{path}: schema mismatch, header {reader.fieldnames}")
+            if reader.fieldnames != STATS_HEADER:
+                raise ValueError(f"schema mismatch, header {reader.fieldnames}")
             rows = list(reader)
         for row in rows:
             if None in row or None in row.values():
@@ -197,6 +235,8 @@ def _comp_time_for(path):
     if not os.path.exists(manifest):
         return ""
     doc = read_json(manifest)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{manifest}: malformed manifest (not a JSON object)")
     try:
         if "comp_seconds_per_step" in doc:
             return f"{doc['comp_seconds_per_step']:.3f} s / step"
@@ -229,7 +269,7 @@ def cmd_report(args):
         os.makedirs(args.out, exist_ok=True)
         merged = os.path.join(args.out, "report.csv")
         with open(merged, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=simulate.STATS_HEADER + ["comp_t"])
+            w = csv.DictWriter(fh, fieldnames=STATS_HEADER + ["comp_t"])
             w.writeheader()
             w.writerows(rows)
     return 0

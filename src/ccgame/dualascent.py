@@ -444,9 +444,7 @@ def _ascent(gmap, eta, options, trace_writer=None):
         viol = float(max(np.max(g_bar), 0.0))
         comp = float(abs((lam_sum / l) @ g_bar))
         if trace_writer is not None:
-            trace_writer({"iter": l, "max_violation": viol,
-                          "complementarity": comp,
-                          "dual_value_p1": gmap.dual_value(0, lam), "eta": eta})
+            trace_writer(l, viol, comp, gmap.dual_value(0, lam), eta)
 
         if options.tol_feas > 0:
             if viol <= options.tol_feas and comp <= options.tol_slack:
@@ -472,6 +470,9 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     the averaged ascent runs with the options' k_max and eta and the
     termination is the pivot's reason (see ``solve_lcp``).  The policy at a
     nonzero multiplier is the map's ``alpha`` on the stage gains.
+    ``trace_writer(iteration, max_violation, complementarity, dual_value_p1,
+    eta)`` is called with positional values at every ascent iteration, or
+    once at the pivot's solution with the pivot count as its iteration.
     """
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
@@ -499,10 +500,7 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
         natural_residual=natural, map_columns=len(gmap.columns),
     )
     if trace_writer is not None and termination == "lcp_solved":
-        trace_writer({"iter": pivots, "max_violation": residual,
-                      "complementarity": comp,
-                      "dual_value_p1": gmap.dual_value(0, lam_bar),
-                      "eta": report.eta})
+        trace_writer(pivots, residual, comp, gmap.dual_value(0, lam_bar), report.eta)
     return report
 
 

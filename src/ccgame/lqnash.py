@@ -1,4 +1,5 @@
-"""Linear feedback Nash equilibrium of multiplier-parameterized LQG games.
+"""Linear feedback Nash equilibrium of multiplier-parameterized LQG games,
+returned as arrays: the CLI writes and reads ``policy.json``.
 
 Each player minimizes a quadratic tracking cost plus a shared state-linear
 term ``lam^T g``, row m of g being ``l_m . E[x_{t_m}] + c_m`` (see
@@ -397,24 +398,3 @@ def response_alphas(psi, conset, columns):
     block = psi[:, :, :, conset.t[columns] - 1]      # (T, N, n_u, k, n_x)
     half = 0.5 * conset.l[columns]
     return sum(block[..., q] * half[:, q] for q in range(half.shape[1]))
-
-
-# ---------------------------------------------------------------------------
-# Policy persistence
-
-
-def policy_to_dict(policy: FeedbackPolicy, fingerprint: str) -> dict:
-    return {
-        "fingerprint": fingerprint,
-        "horizon": policy.T,
-        "players": policy.N,
-        "K": policy.K.tolist(),
-        "alpha": policy.alpha.tolist(),
-    }
-
-
-def policy_from_dict(doc: dict):
-    """Returns (FeedbackPolicy, fingerprint)."""
-    policy = FeedbackPolicy(K=np.asarray(doc["K"], dtype=float),
-                            alpha=np.asarray(doc["alpha"], dtype=float))
-    return policy, str(doc.get("fingerprint", ""))

@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo rollouts, safety statistics and the central-MPC baseline.
+"""Seeded Monte Carlo rollouts, safety statistics and the central-MPC baseline,
+returned as values: the CLI writes their files.
 
 Noise is drawn from counter-based Philox streams keyed by (seed, sample
 index).  A rollout is the expected trajectory plus each sample's deviation
@@ -39,9 +40,7 @@ on the aggregate's stacked inputs.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -194,14 +193,6 @@ class SafetyStats:
     cost_std: float
     travel_mean_s: float
     travel_flagged: int
-
-    def csv_row(self):
-        return {
-            "method": self.method, "samples": self.samples, "seed": self.seed,
-            "cost_mean": self.cost_mean, "cost_std": self.cost_std,
-            "travel_mean_s": self.travel_mean_s, "collision_rate": self.rate,
-            "wilson_lo": self.wilson_lo, "wilson_hi": self.wilson_hi,
-        }
 
 
 def travel_time(problem: GameProblem, states, tolerance=0.1):
@@ -440,40 +431,3 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
         "replans_with_active_rows": sum(r.replans_with_active_rows for r in good),
         "map_columns": sum(r.map_columns for r in good),
         "planner_seconds": planner.shared_seconds}
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-
-STATS_HEADER = ["method", "samples", "seed", "cost_mean", "cost_std",
-                "travel_mean_s", "collision_rate", "wilson_lo", "wilson_hi"]
-
-
-def write_stats_csv(path, stats_rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=STATS_HEADER, lineterminator="\n")
-        w.writeheader()
-        w.writerows(r.csv_row() for r in stats_rows)
-
-
-def dump_trajectories(dirpath, batch: RolloutBatch, problem: GameProblem, unicycle):
-    """One CSV per sample; a unicycle scenario (``unicycle``, from its dynamics
-    type) uses the t,agent,px,py,theta,v,a,omega schema, any other x0..,u0...
-    An agent with fewer states than the widest leaves its missing x cells empty."""
-    os.makedirs(dirpath, exist_ok=True)
-    abs_states = problem.to_absolute(batch.states)
-    abs_inputs = batch.inputs + problem.nominal_inputs[None, :, :, :]
-    n_x_max, n_u = max(problem.state_dims), batch.inputs.shape[3]
-    for s in range(batch.samples):
-        lines = ["t,agent,px,py,theta,v,a,omega" if unicycle
-                 else "t,agent," + ",".join(f"x{q}" for q in range(n_x_max))
-                 + "," + ",".join(f"u{q}" for q in range(n_u))]
-        for t in range(problem.T + 1):
-            for i in range(problem.N):
-                xs = [repr(float(v)) for v in abs_states[s, t, problem.agent_slices[i]]]
-                us = abs_inputs[s, t - 1, i] if t >= 1 else np.zeros(n_u)
-                vals = xs + [""] * (n_x_max - len(xs)) + [repr(float(v)) for v in us]
-                lines.append(f"{t},{i}," + ",".join(vals))
-        with open(os.path.join(dirpath, f"sample_{s:05d}.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")

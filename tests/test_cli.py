@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from ccgame import scenarios, simulate
-from ccgame.cli import main
-from ccgame.model import Scenario, save_scenario, scenario_to_dict
+from ccgame import scenarios
+from ccgame.cli import STATS_HEADER, _load_policy, main
+from ccgame.dualascent import DualAscentOptions, solve_scenario
+from ccgame.model import (Scenario, file_fingerprint, load_scenario, save_scenario,
+                          scenario_to_dict, validate_scenario)
 from conftest import (NOT_NUMBERS, NUMBER_FIELDS, make_ltv_scenario, mini_doc_with,
                       random_small_scenario, scalar_single_agent_instance)
 
@@ -213,6 +215,23 @@ class TestSolve:
         assert rc == 0
         row = read_stats(tmp_path / "rr" / "stats.csv")[0]
         assert float(row["collision_rate"]) <= 0.05
+
+    def test_policy_json_round_trips_bit_for_bit(self, tmp_path):
+        src = str(scenarios.bundled_path("intersection-mini"))
+        out = tmp_path / "s"
+        assert main(["solve", "--scenario", src, "--out", str(out)]) == 0
+        prepared, report = solve_scenario(validate_scenario(load_scenario(src)),
+                                          DualAscentOptions(k_max=2000))
+        policy, fingerprint, nominal = _load_policy(str(out / "policy.json"))
+        assert fingerprint == file_fingerprint(src)
+        for got, want in ((policy.K, report.policy.K), (policy.alpha, report.policy.alpha),
+                          (nominal, np.transpose(prepared.problem.nominal_inputs, (1, 0, 2)))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        doc = json.loads((out / "policy.json").read_text())
+        assert list(doc) == ["fingerprint", "horizon", "players", "K", "alpha",
+                             "nominal_inputs"]
+        assert (doc["horizon"], doc["players"]) == (policy.T, policy.N)
 
     def test_ltv_relinearize_traces_the_round_that_ends_the_loop(self, tiny_active,
                                                                  tmp_path):
@@ -601,7 +620,9 @@ class TestReport:
         bad.write_text("method,foo\na,1\n")
         rc = main(["report", str(bad)])
         assert rc == 1
-        assert "schema" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError")
+        assert "schema" in err
 
     @pytest.mark.parametrize("row, manifest, encoding", [
         ("lqg_game,10,0,cheap,0.5,4.0,0.0,0.0,0.3", None, "utf-8"),
@@ -609,12 +630,13 @@ class TestReport:
         ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3", None, "utf-16"),
         ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3", {"comp_seconds_per_step": "fast"},
          "utf-8"),
-    ], ids=["non-numeric", "extra-cell", "utf-16", "manifest"])
+        ("lqg_game,10,0,1.5,0.5,4.0,0.0,0.0,0.3", [1, 2], "utf-8"),
+    ], ids=["non-numeric", "extra-cell", "utf-16", "manifest", "manifest-list"])
     def test_malformed_stats_exit_one(self, tmp_path, capsys, row, manifest,
                                       encoding):
         stats = tmp_path / "in" / "stats.csv"
         stats.parent.mkdir()
-        stats.write_text(",".join(simulate.STATS_HEADER) + "\n" + row + "\n",
+        stats.write_text(",".join(STATS_HEADER) + "\n" + row + "\n",
                          encoding=encoding)
         if manifest is not None:
             (stats.parent / "manifest.json").write_text(json.dumps(manifest))

@@ -5,7 +5,10 @@ deletion) must keep these bytes: ``solve --trace`` writes ``policy.json``,
 ``trace.csv`` and ``report.json`` (digested without its two timings),
 ``rollout`` (seed 777, 3,000 samples) and ``mpc`` (seed 42, 2 episodes)
 write ``stats.csv``, and the MPC manifest counts its replans and map
-columns.  A change that moves a number on purpose re-takes the digests with
+columns.  A 2-sample ``rollout --dump-trajectories`` (seed 777) is digested
+as its files' bytes concatenated in name order, and ``report`` of the two
+``stats.csv`` as its ``report.csv`` without the timing column ``comp_t``.
+A change that moves a number on purpose re-takes the digests with
 ``python tests/test_golden.py`` and says so.
 """
 
@@ -13,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +34,8 @@ GOLDEN = {
         "report.json": "c1baf2f85f3691050670b50c55ea203fd350d3cc899a1115805365d20205633d",
         "rollout/stats.csv": "08b8eeb9c14815ae4a498705c58c8b09f5c1cd19d832803ca824d568715b7bdd",
         "mpc/stats.csv": "ca392a2ab133a274d46cd8e9e1749df679336a8b104f6dfc3b14f9ce041c31bd",
+        "dump/trajectories": "886d39833b14aa4f5ceaaee3b1e61d10e6b94d9579acc199ee137c75e6db94ea",
+        "report/report.csv": "5c2d17cc63d430a86df85f2bf4fd682d2d6a5ad77c15e5f66e421cf91b61b48d",
         "replans": 40,
         "replans_with_active_rows": 13,
         "map_columns": 19,
@@ -40,6 +46,8 @@ GOLDEN = {
         "report.json": "086da2397a4b52160195d43cb091446c6bef7494e88d694fdd46706b4cd3b98b",
         "rollout/stats.csv": "b64a1a0021b82826b2e0fba165866d3ab422edb1d1b8edcae66dc58433d910e7",
         "mpc/stats.csv": "49391e491d2680ea6b35279d5e49f3e8c7e9a6033000aecd35cf42e03c4f8ab2",
+        "dump/trajectories": "75cf496d355b784ffa41cbcb2832de3abb42c508fd2dfb81c038e63c55d66f0b",
+        "report/report.csv": "f6d878e81e7d473e5d36be70cf5873d1ce5227490f9a29fbbb78c36ee2bcc2ca",
         "replans": 100,
         "replans_with_active_rows": 27,
         "map_columns": 145,
@@ -52,7 +60,7 @@ def _sha(data):
 
 
 def artifacts(name, out):
-    """{artifact: sha256 or count} of the three commands on a bundled scenario."""
+    """{artifact: sha256 or count} of the CLI's commands on a bundled scenario."""
     path = str(scenarios.bundled_path(name))
     out = Path(out)
     commands = (
@@ -60,7 +68,11 @@ def artifacts(name, out):
         ["rollout", "--scenario", path, "--policy", str(out / "solve" / "policy.json"),
          "--seed", "777", "--samples", "3000", "--out", str(out / "rollout")],
         ["mpc", "--scenario", path, "--seed", "42", "--samples", "2",
-         "--out", str(out / "mpc")])
+         "--out", str(out / "mpc")],
+        ["rollout", "--scenario", path, "--policy", str(out / "solve" / "policy.json"),
+         "--seed", "777", "--samples", "2", "--dump-trajectories", "--out", str(out / "dump")],
+        ["report", str(out / "rollout" / "stats.csv"), str(out / "mpc" / "stats.csv"),
+         "--out", str(out / "report")])
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
@@ -72,6 +84,11 @@ def artifacts(name, out):
     got["report.json"] = _sha(json.dumps(report, sort_keys=True).encode())
     got["rollout/stats.csv"] = _sha((out / "rollout" / "stats.csv").read_bytes())
     got["mpc/stats.csv"] = _sha((out / "mpc" / "stats.csv").read_bytes())
+    dumps = sorted((out / "dump" / "trajectories").iterdir())
+    got["dump/trajectories"] = _sha(b"".join(f.read_bytes() for f in dumps))
+    # comp_t, the last cell of each line, is a timing
+    merged = (out / "report" / "report.csv").read_bytes()
+    got["report/report.csv"] = _sha(re.sub(rb",[^,\r\n]*(?=\r?\n)", b"", merged))
     got.update({k: manifest[k] for k in ("replans", "replans_with_active_rows",
                                          "map_columns")})
     return got

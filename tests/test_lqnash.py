@@ -8,8 +8,7 @@ from ccgame.errors import SingularStageSystem
 from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
                            evaluate_lagrangian, fixed_order_sums, integrate_expected,
-                           mean_inputs, policy_from_dict, policy_to_dict, quadratic_sums,
-                           realized_costs, stage_gains)
+                           mean_inputs, quadratic_sums, realized_costs, stage_gains)
 from ccgame.model import GameProblem, LtvGameDynamics, assemble_problem, validate_scenario
 from ccgame.dualascent import (DualAscentOptions, estimate_affine_map, prepare_game,
                                run_dual_ascent)
@@ -682,11 +681,3 @@ class TestAlphaLinearity:
         rhs = alpha_at(lam1) + alpha_at(lam2)
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-8
-
-
-def test_policy_persistence_roundtrip(mini_report):
-    doc = policy_to_dict(mini_report.policy, "abc123")
-    policy, fp = policy_from_dict(doc)
-    assert fp == "abc123"
-    assert np.array_equal(policy.K, mini_report.policy.K)
-    assert np.array_equal(policy.alpha, mini_report.policy.alpha)

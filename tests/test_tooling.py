@@ -242,6 +242,28 @@ def test_src_uses_no_numpy_2_only_name():
     assert not found, f"NumPy 2.0-only names: {found}"
 
 
+def test_only_the_cli_model_and_scenarios_touch_files():
+    # cli owns the artifacts it writes and reads back, model the scenario
+    # files and scenarios the bundled documents; every other module returns
+    # values, so it imports neither csv nor os and calls no builtin open
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "model.py", "scenarios.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module.split(".")[0]]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [f"{node.func.id}()"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("csv", "os", "open()")]
+    assert not found, f"file access outside cli, model and scenarios: {found}"
+
+
 def test_every_public_function_and_class_in_src_is_read():
     # a module-level public function or class in src/ccgame is read outside
     # its own definition: by name, attribute, import or an identifier string
