@@ -123,6 +123,7 @@ def cmd_rollout(args):
     outdir = args.out or "runs/rollout"
     os.makedirs(outdir, exist_ok=True)
     policy, fingerprint, nominal = _load_policy(args.policy)
+    solve = _manifest_beside(args.policy)[1]
     scenario_hash = file_fingerprint(args.scenario)
     if fingerprint != scenario_hash:
         raise FingerprintMismatch(fingerprint, scenario_hash)
@@ -151,7 +152,8 @@ def cmd_rollout(args):
                    extra={"rollout_seconds": rollout_seconds,
                           "safety_seconds": safety_seconds,
                           "samples_per_s": batch.samples / rollout_seconds,
-                          "travel_flagged": stats.travel_flagged})
+                          "travel_flagged": stats.travel_flagged,
+                          **{k: solve[k] for k in ("solve_seconds",) if k in solve}})
     print(f"rollout: {stats.samples} samples, violation rate {stats.rate:.4f} "
           f"(wilson [{stats.wilson_lo:.4f}, {stats.wilson_hi:.4f}]), "
           f"mean cost {stats.cost_mean:.3f}")
@@ -230,13 +232,18 @@ def _read_stats(path):
     return rows
 
 
-def _comp_time_for(path):
+def _manifest_beside(path):
+    """(path, document) of the manifest.json in the directory of ``path``;
+    the document is {} when there is no such file."""
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
-    if not os.path.exists(manifest):
-        return ""
-    doc = read_json(manifest)
+    doc = read_json(manifest) if os.path.exists(manifest) else {}
     if not isinstance(doc, dict):
         raise SchemaError(f"{manifest}: malformed manifest (not a JSON object)")
+    return manifest, doc
+
+
+def _comp_time_for(path):
+    manifest, doc = _manifest_beside(path)
     try:
         if "comp_seconds_per_step" in doc:
             return f"{doc['comp_seconds_per_step']:.3f} s / step"

@@ -46,6 +46,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -336,8 +337,9 @@ CONSECUTIVE = 10           # iterations within tolerance before stopping
 class DualAscentOptions:
     k_max: int = 2000               # budget of the ascent the pivot falls back to
     eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
-    tol_feas: float = 1e-6
-    tol_slack: float = 1e-6
+    # the ascent's stop, residual_above_tolerance and the CLI's exit code
+    tol_feas: ClassVar[float] = 1e-6
+    tol_slack: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         _integer(self.k_max, "k_max", 1, DomainError)
@@ -345,11 +347,6 @@ class DualAscentOptions:
                 self.eta, numbers.Real) and math.isfinite(self.eta) and self.eta > 0)):
             raise DomainError(
                 f"eta: expected 'auto' or a finite float > 0, got {self.eta!r}")
-        for name in ("tol_feas", "tol_slack"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value >= 0)):
-                raise DomainError(f"{name}: expected a finite float >= 0, got {value!r}")
 
 
 @dataclass
@@ -426,12 +423,11 @@ def _resolve_eta(options, gmap):
 
 def _ascent(gmap, eta, options, trace_writer=None):
     """Averaged projected ascent on a map with M >= 1 rows; returns (lam_bar,
-    iterations, termination)."""
+    iterations)."""
     lam = np.zeros_like(gmap.ctilde)
     lam_sum = np.zeros_like(gmap.ctilde)
     g_sum = np.zeros_like(gmap.ctilde)
     streak = 0
-    termination = "max_iterations"
 
     for l in range(1, int(options.k_max) + 1):
         g = gmap.gradient(lam)
@@ -446,17 +442,15 @@ def _ascent(gmap, eta, options, trace_writer=None):
         if trace_writer is not None:
             trace_writer(l, viol, comp, gmap.dual_value(0, lam), eta)
 
-        if options.tol_feas > 0:
-            if viol <= options.tol_feas and comp <= options.tol_slack:
-                streak += 1
-                if streak >= CONSECUTIVE:
-                    termination = "tolerance_reached"
-                    break
-            else:
-                streak = 0
+        if viol <= options.tol_feas and comp <= options.tol_slack:
+            streak += 1
+            if streak >= CONSECUTIVE:
+                break
+        else:
+            streak = 0
         lam = dual_step(lam, eta, g)
 
-    return lam_sum / l, l, termination
+    return lam_sum / l, l
 
 
 def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = None,
@@ -481,8 +475,8 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     g_final, iterations = gmap.ctilde, 0
     lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
     if lam_bar is None:
-        lam_bar, iterations, _ = _ascent(gmap, _resolve_eta(options, gmap),
-                                         options, trace_writer)
+        lam_bar, iterations = _ascent(gmap, _resolve_eta(options, gmap),
+                                      options, trace_writer)
     if np.any(lam_bar):
         policy = lqnash.FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam_bar))
         traj = lqnash.integrate_expected(gmap.problem.dyn, policy)

@@ -70,7 +70,5 @@ def linearize_unicycle(nominal_states, dt, W) -> LtvGameDynamics:
     B = np.zeros((T, N, n_x, 2))
     for i, sl in enumerate(agent_slices((4,) * N)):
         A[:, sl, sl], B[:, i, sl, :] = unicycle_jacobians(nominal_states[:T, i], dt)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 2:
-        W = np.repeat(W[None, :, :], T, axis=0)
+    W = np.repeat(np.asarray(W, dtype=float)[None, :, :], T, axis=0)
     return LtvGameDynamics(A=A, B=B, W=W, x0=np.zeros(n_x))

@@ -235,10 +235,8 @@ def integrate_expected(dyn, policy: FeedbackPolicy):
     return xs
 
 
-def mean_inputs(dyn, policy: FeedbackPolicy, mean_traj=None):
+def mean_inputs(dyn, policy: FeedbackPolicy, mean_traj):
     """(T, N, n_u) inputs along the mean trajectory."""
-    if mean_traj is None:
-        mean_traj = integrate_expected(dyn, policy)
     return np.stack([-policy.K[t] @ mean_traj[t] - policy.alpha[t]
                      for t in range(dyn.T)])
 
@@ -318,15 +316,13 @@ def evaluate_cost(problem: GameProblem, policy: FeedbackPolicy, mean_traj=None, 
     return realized_costs(problem, mean_traj[None], us[None])[0] + trQ + trR
 
 
-def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam=None,
-                        conset=None, mean_traj=None, terms=None):
+def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam, conset,
+                        mean_traj=None, terms=None):
     """(N,) J^i plus lam^T g, with g at the policy's mean trajectory."""
     if mean_traj is None:
         mean_traj = integrate_expected(problem.dyn, policy)
-    cost = evaluate_cost(problem, policy, mean_traj, terms)
-    if conset is None or lam is None:
-        return cost
-    return cost + float(np.asarray(lam) @ conset.evaluate(mean_traj))
+    return (evaluate_cost(problem, policy, mean_traj, terms)
+            + float(np.asarray(lam) @ conset.evaluate(mean_traj)))
 
 
 def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):

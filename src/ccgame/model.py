@@ -589,15 +589,13 @@ def _parse_dynamics(d, T, state_dims):
 def _parse_noise(spec, state_dims):
     n_x = sum(state_dims)
     if isinstance(spec, dict):
-        _reject_unknown(spec, {"per_agent_diag", "diag", "matrix"}, "dynamics.noise")
+        _reject_unknown(spec, {"per_agent_diag", "matrix"}, "dynamics.noise")
         if "per_agent_diag" in spec:
             vals = np.asarray(spec["per_agent_diag"], dtype=float)
             for d in state_dims:
                 if vals.shape != (d,):
                     raise SchemaError(f"noise.per_agent_diag: length {vals.shape}, expected {d}")
             return np.diag(np.tile(vals, len(state_dims)))
-        if "diag" in spec:
-            return np.diag(np.asarray(spec["diag"], dtype=float))
         return coerce_matrix(spec["matrix"], n_x, "dynamics.noise.matrix")
     return coerce_matrix(spec, n_x, "dynamics.noise")
 

@@ -54,6 +54,7 @@ from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
 SAFETY_BLOCK = 256   # samples judged at once: a block of a batch's states stays in L2
+GOAL_TOLERANCE = 0.1   # distance to the goal position at which an agent has arrived
 
 
 def noise_factors(W):
@@ -195,9 +196,9 @@ class SafetyStats:
     travel_flagged: int
 
 
-def travel_time(problem: GameProblem, states, tolerance=0.1):
+def travel_time(problem: GameProblem, states):
     """Per-sample first t*dt at which every agent of solver-coordinate states
-    (S, T+1, n_x) is within goal tolerance.
+    (S, T+1, n_x) is within GOAL_TOLERANCE of its goal position.
 
     Samples that never arrive are recorded at T*dt and flagged.  Positions are
     the states plus the nominal at the position columns only (no absolute copy).
@@ -209,7 +210,7 @@ def travel_time(problem: GameProblem, states, tolerance=0.1):
     for i in range(problem.N):
         idx = problem.position_indices(i)
         err = problem.to_absolute(states, cols=idx) - goals_abs[i, idx]
-        within &= np.linalg.norm(err, axis=2) <= tolerance
+        within &= np.linalg.norm(err, axis=2) <= GOAL_TOLERANCE
     flagged = ~np.any(within, axis=1)
     return np.where(flagged, T * problem.dt, np.argmax(within, axis=1) * problem.dt), flagged
 

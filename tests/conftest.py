@@ -229,7 +229,7 @@ def mini_prep(mini_scenario):
 
 @pytest.fixture(scope="session")
 def mini_report(mini_prep):
-    return run_dual_ascent(mini_prep, DualAscentOptions(k_max=20000, tol_feas=0.0))
+    return run_dual_ascent(mini_prep, DualAscentOptions(k_max=20000))
 
 
 @pytest.fixture(scope="session")
@@ -239,8 +239,7 @@ def intersection_prep():
 
 @pytest.fixture(scope="session")
 def intersection_report(intersection_prep):
-    return run_dual_ascent(intersection_prep,
-                           DualAscentOptions(k_max=20000, tol_feas=0.0))
+    return run_dual_ascent(intersection_prep, DualAscentOptions(k_max=20000))
 
 
 @pytest.fixture()

@@ -102,21 +102,22 @@ def test_criterion_03_convergence_rate(mini_prep):
     t0 = time.perf_counter()
     ks = (10, 100, 1000, 10000)
     # the paper's ascent itself, not the pivot that replaces it by default
-    options = DualAscentOptions(k_max=100_000, tol_feas=0.0)
+    options = DualAscentOptions(k_max=100_000)
     gmap = estimate_affine_map(mini_prep)
     eta = _resolve_eta(options, gmap)
     assert eta == pytest.approx(0.5 / gmap.L)
-    lam_bar = _ascent(gmap, eta, options)[0]
-    # the average of the first k iterates is a run with budget k
-    lambda_bar_at = {k: _ascent(gmap, eta, DualAscentOptions(k_max=k, tol_feas=0.0))[0]
-                     for k in ks}
+    lam_bar, _ = _ascent(gmap, eta, options)
+    # the average of the first k iterates is a run with budget k; each run
+    # is placed at the iteration count it returns
+    runs = [_ascent(gmap, eta, DualAscentOptions(k_max=k)) for k in ks]
+    iterations = np.array([k for _, k in runs])
     # gap of the concave potential with gradient g (the function the
     # constant-step analysis controls); its map is validated by criteria 1-2
     F = lambda lam: gmap.dual_value(0, lam)
     f_star = F(lam_bar)
-    gaps = np.array([f_star - F(lambda_bar_at[k]) for k in ks])
+    gaps = np.array([f_star - F(lam) for lam, _ in runs])
     assert np.all(gaps > 0)
-    slope = np.polyfit(np.log10(ks), np.log10(gaps), 1)[0]
+    slope = np.polyfit(np.log10(iterations), np.log10(gaps), 1)[0]
     elapsed = time.perf_counter() - t0
     assert slope <= -0.85
     assert elapsed <= 600.0
@@ -134,7 +135,7 @@ def test_criterion_04_gne_fixed_point(acceptance_preps, mini_report,
     cases = []
     for prep in acceptance_preps[1:] + [prepare_game(validate_scenario(s))
                                         for s in coupled]:
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=400, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=400))
         cases.append((prep, rep))
     cases.append((acceptance_preps[0], mini_report))
     cases.append((intersection_prep, intersection_report))
@@ -166,7 +167,7 @@ def test_criterion_05_kkt_oracle_equivalence():
         prep = prepare_game(validate_scenario(s))
         lam_star, traj_star = dense_kkt_single_row(
             prep.problem, prep.conset.lmat, prep.conset.c)
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=10_000, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=10_000))
         dlam = float(np.max(np.abs(rep.lambda_bar - lam_star)))
         dtraj = float(np.max(np.abs(rep.mean_traj - traj_star)))
         assert dlam <= 1e-3, name

@@ -143,9 +143,12 @@ class TestSolve:
          "DimensionMismatch"),
         (lambda d: _speed_box(d, agent=0, active_times=[3.0]), "utf-8",
          "DimensionMismatch"),
+        # a plain list is the diagonal form; {"diag": [...]} is no noise form
+        (lambda d: d["dynamics"].update(noise={"diag": [1e-5] * 8}), "utf-8",
+         "SchemaError: dynamics.noise: unknown key(s) ['diag']"),
     ], ids=["agents", "R", "pair", "utf-16", "horizon-fraction", "agents-fraction",
             "seed-fraction", "pair-fraction", "box-agent-negative", "box-agent-bool",
-            "active-times-fraction", "active-times-float"])
+            "active-times-fraction", "active-times-float", "noise-diag"])
     def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit,
                                                 encoding, error):
         doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
@@ -597,6 +600,12 @@ class TestReport:
         assert "Col. rate" in text
         merged = read_stats(tmp_path / "rep" / "report.csv")
         assert len(merged) == 2
+        # the game's Comp. T is its solve's time, which rollout copies
+        solve_seconds = json.loads((out_s / "manifest.json").read_text())["solve_seconds"]
+        rollout = json.loads((tmp_path / "g" / "manifest.json").read_text())
+        assert rollout["solve_seconds"] == solve_seconds
+        game = next(row for row in merged if row["method"] == "lqg_game")
+        assert game["comp_t"] == f"{solve_seconds:.3f} s"
 
     def test_bundled_mini_game_vs_mpc_rates_under_budget(self, tmp_path, capsys):
         src = str(scenarios.bundled_path("intersection-mini"))

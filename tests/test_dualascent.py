@@ -574,10 +574,8 @@ class TestRunDualAscent:
         policy0 = backward_recursion(prep.problem)
         assert np.allclose(rep.policy.K, policy0.K, atol=1e-14)
         assert np.allclose(rep.policy.alpha, policy0.alpha, atol=1e-14)
-        # the fallback ascent stops at zero too
-        lam_bar, iterations, termination = _ascent(
-            rep.map, rep.eta, DualAscentOptions(k_max=500))
-        assert termination == "tolerance_reached"
+        # the fallback ascent stops at zero too, on its tolerance before its budget
+        lam_bar, iterations = _ascent(rep.map, rep.eta, DualAscentOptions(k_max=500))
         assert iterations < 500
         assert np.array_equal(lam_bar, np.zeros(1))
 
@@ -585,11 +583,12 @@ class TestRunDualAscent:
         prep = prepare_game(validate_scenario(scalar_single_agent_instance()))
         gmap = estimate_affine_map(prep)
         eta = 0.5 / gmap.L
-        lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=300, tol_feas=0.0))
-        iterates = _iterates(gmap, eta, 300)
+        lam_bar, iterations = _ascent(gmap, eta, DualAscentOptions(k_max=300))
+        iterates = _iterates(gmap, eta, iterations)
         assert np.all(iterates >= 0.0)
         G = gmap.G
-        assert np.max(np.abs(averaged_ascent(G, gmap.ctilde, eta, 300) - lam_bar)) < 1e-12
+        assert np.max(np.abs(averaged_ascent(G, gmap.ctilde, eta, iterations)
+                             - lam_bar)) < 1e-12
         assert np.max(np.abs(iterates.mean(axis=0) - lam_bar)) < 1e-12
 
     def test_scalar_instance_converges_to_kkt(self):
@@ -598,16 +597,16 @@ class TestRunDualAscent:
         lam_star, traj_star = dense_kkt_single_row(prep.problem, prep.conset.lmat,
                                                    prep.conset.c)
         assert lam_star[0] > 0
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=10_000, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=10_000))
         assert abs(rep.lambda_bar[0] - lam_star[0]) < 1e-3
         assert np.max(np.abs(rep.mean_traj - traj_star)) < 1e-3
 
     def test_affine_map_matches_literal_solves_at_ascent_iterates(self, mini_prep):
         gmap = estimate_affine_map(mini_prep)
         eta = 0.5 / gmap.L
-        iterates = _iterates(gmap, eta, 40)
-        lam_bar, _, _ = _ascent(gmap, eta, DualAscentOptions(k_max=40, tol_feas=0.0))
-        assert np.max(np.abs(averaged_ascent(gmap.G, gmap.ctilde, eta, 40)
+        lam_bar, iterations = _ascent(gmap, eta, DualAscentOptions(k_max=40))
+        iterates = _iterates(gmap, eta, iterations)
+        assert np.max(np.abs(averaged_ascent(gmap.G, gmap.ctilde, eta, iterations)
                              - lam_bar)) < 1e-12
         for lam in iterates:
             _, _, g = solve_at(mini_prep, lam)
@@ -622,17 +621,15 @@ class TestRunDualAscent:
         assert mini_report.eta == pytest.approx(0.5 / mini_report.lipschitz)
 
     def test_report_flags_residual_against_the_run_tolerance(self, mini_prep,
-                                                             monkeypatch):
-        # a zero pivot cap forces the fallback: 1000 ascent iterations leave a
-        # residual between the default 1e-6 and 1e-2
+                                                             mini_report, monkeypatch):
+        # the pivot's residual is 0; a zero pivot cap forces the fallback,
+        # whose 1000 ascent iterations leave a residual between 1e-6 and 1e-2
+        assert mini_report.to_dict()["residual_above_tolerance"] is False
         monkeypatch.setattr(dualascent, "PIVOTS_PER_ROW", 0)
-        report = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000,
-                                                              tol_feas=1e-2))
+        report = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000))
         assert report.termination == "lcp_pivot_cap"
         assert 1e-6 < report.feasibility_residual <= 1e-2
-        assert report.to_dict()["residual_above_tolerance"] is False
-        strict = run_dual_ascent(mini_prep, DualAscentOptions(k_max=1000))
-        assert strict.to_dict()["residual_above_tolerance"] is True
+        assert report.to_dict()["residual_above_tolerance"] is True
 
     def test_step_size_unavailable_on_uncontrollable_violation(self):
         from ccgame.model import BoxSpec
@@ -696,11 +693,10 @@ class TestLcp:
             random_small_scenario(np.random.default_rng(seed))))
         options = DualAscentOptions(k_max=3000, eta=0.05)
         rep = run_dual_ascent(prep, options)
-        lam_bar, iterations, termination = _ascent(rep.map, 0.05, options)
+        lam_bar, iterations = _ascent(rep.map, 0.05, options)
         assert rep.termination == "lcp_infeasible"
         assert rep.pivots > 0
-        assert termination == "max_iterations"
-        assert rep.iterations == iterations == 3000
+        assert rep.iterations == iterations == 3000     # the whole budget
         assert np.array_equal(rep.lambda_bar, lam_bar)
         assert rep.feasibility_residual > 1e-2
 
@@ -729,7 +725,7 @@ class TestLcp:
         monkeypatch.setattr(dualascent, "PIVOTS_PER_ROW", 0)
         options = DualAscentOptions(k_max=500)
         rep = run_dual_ascent(prep, options)
-        lam_bar, iterations, _ = _ascent(rep.map, rep.eta, options)
+        lam_bar, iterations = _ascent(rep.map, rep.eta, options)
         assert rep.termination == "lcp_pivot_cap"
         assert rep.iterations == iterations
         assert np.array_equal(rep.lambda_bar, lam_bar)
@@ -779,14 +775,12 @@ class TestOptions:
                                        math.inf, -math.inf, "x", "0", None, [0.0], True])
     def test_tolerances_must_be_finite_and_nonnegative(self, name, value):
         # a NaN tolerance made report.json say the residual was within it
-        # while `ccgame solve` exited 2
-        with pytest.raises(DomainError, match=name):
+        # while `ccgame solve` exited 2; the tolerances are now fixed, and
+        # k_max and eta are the only options
+        with pytest.raises(TypeError, match=name):
             DualAscentOptions(**{name: value})
-
-    def test_tolerances_accept_zero_and_finite_reals(self):
-        for value in (0, 0.0, 1e-9, 2, np.float64(1e-6), 1e300):
-            options = DualAscentOptions(tol_feas=value, tol_slack=value)
-            assert options.tol_feas == options.tol_slack == value
+        assert getattr(DualAscentOptions(), name) == 1e-6
+        assert [f.name for f in dataclasses.fields(DualAscentOptions)] == ["k_max", "eta"]
 
 class TestDualFunction:
     def test_zero_multiplier_is_unconstrained_cost(self):
@@ -852,6 +846,6 @@ def test_unconstrained_run_returns_plain_equilibrium():
 def test_random_scenarios_solve_cleanly(random_scenarios):
     for s in random_scenarios:
         prep = prepare_game(validate_scenario(s))
-        rep = run_dual_ascent(prep, DualAscentOptions(k_max=400, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DualAscentOptions(k_max=400))
         assert np.all(rep.lambda_bar >= 0.0)
         assert np.isfinite(rep.dual_values).all()

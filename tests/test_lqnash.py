@@ -260,10 +260,10 @@ class TestBackwardRecursion:
         policy = FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam))
         us, _, traj = dense_game_inputs(prep.problem, prep.conset.lmat,
                                         prep.conset.c, lam)
-        mean_u = mean_inputs(prep.problem.dyn, policy)
+        mean_traj = integrate_expected(prep.problem.dyn, policy)
+        mean_u = mean_inputs(prep.problem.dyn, policy, mean_traj)
         assert np.allclose(mean_u[:, 0, 0], us[0], atol=1e-10)
-        assert np.allclose(integrate_expected(prep.problem.dyn, policy), traj,
-                           atol=1e-10)
+        assert np.allclose(mean_traj, traj, atol=1e-10)
 
     def test_riccati_matrices_symmetric_and_psd(self, mini_prep):
         P = riccati_matrices(mini_prep.problem)
@@ -652,8 +652,9 @@ class TestValueFunctionIdentity:
     def test_trajectory_evaluation_equals_value_function(self):
         # exercises P, zeta and the trace bookkeeping jointly
         cases = []
-        problem = assemble_problem(validate_scenario(coupled_two_agent_scenario()))
-        cases.append((problem, None, None))
+        prep = prepare_game(validate_scenario(coupled_two_agent_scenario()))
+        assert prep.M == 0
+        cases.append((prep.problem, prep.conset, np.zeros(0)))
         prep = prepare_game(validate_scenario(scalar_two_agent_instance()))
         cases.append((prep.problem, prep.conset, np.array([0.8])))
         prep = prepare_game(validate_scenario(coupled_constrained_instance()))

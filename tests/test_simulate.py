@@ -11,7 +11,7 @@ from ccgame.errors import (AllSeedsFailed, DomainError, FactorizationFailure,
 from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected
 from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
-from ccgame.simulate import (RolloutBatch, central_mpc, evaluate_safety,
+from ccgame.simulate import (GOAL_TOLERANCE, RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
 from ccgame.uncertainty import constraint_layout, propagate_covariance, row_table
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
@@ -413,7 +413,7 @@ class TestTravelTime:
 
     def test_never_reaching_is_flagged_at_horizon(self):
         problem = self._line_problem()
-        times, flagged = travel_time(problem, np.ones((1, problem.T + 1, 1)), tolerance=0.05)
+        times, flagged = travel_time(problem, np.ones((1, problem.T + 1, 1)))
         assert times[0] == pytest.approx(problem.T * problem.dt)
         assert flagged[0]
 
@@ -421,9 +421,9 @@ class TestTravelTime:
         problem = self._line_problem(dt=0.05, T=22)
         t_grid = np.arange(problem.T + 1) * problem.dt
         states = np.maximum(1.0 - t_grid, 0.0)[None, :, None]
-        times, flagged = travel_time(problem, states, tolerance=0.05)
+        times, flagged = travel_time(problem, states)
         assert not flagged[0]
-        assert 0.95 <= times[0] <= 1.0
+        assert 1.0 - GOAL_TOLERANCE <= times[0] <= 1.0
 
 
 class TestCentralMpc:
@@ -555,7 +555,7 @@ class TestCentralMpc:
         from ccgame.dualascent import prepare_game, run_dual_ascent
         from ccgame.scenarios import make_intersection_mini
         prep = prepare_game(validate_scenario(make_intersection_mini()))
-        rep = run_dual_ascent(prep, DAO(k_max=20000, tol_feas=0.0))
+        rep = run_dual_ascent(prep, DAO(k_max=20000))
         policy = FeedbackPolicy(K=rep.policy.K, alpha=rep.map.alpha(1.5 * rep.lambda_bar))
         traj = integrate_expected(prep.problem.dyn, policy)
         g = prep.conset.evaluate(traj)
