@@ -19,7 +19,8 @@ fallback ascent's, is alpha0 plus the columns lam is nonzero on
 (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that violates no row
 is the report, and the map runs no pass.  The full G is built only when L,
 the asymmetry, the fallback ascent or a dual value reads it: ``report.json``
-and the CLI's ``solve:`` line read L, a central-MPC replan none of them.  The
+and the CLI's ``solve:`` line read L, a central-MPC replan none of them, nor
+the report's mean trajectory and residuals, computed when first read.  The
 rows are read by ``evaluate`` and ``span``.
 
 The fixed point the paper's ascent approaches is the linear complementarity
@@ -81,7 +82,7 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
 
     The scenario's dynamics type picks the collision reference directions:
     a unicycle scenario's come from its nominal trajectory; a direct LTV
-    scenario has no nominal, so ``prepare_at_zero`` takes them from the
+    scenario has no nominal, so they come from the mean of the
     unconstrained (lam = 0) equilibrium, solved on the stage gains.
     """
     vs = validate_scenario(scenario)
@@ -94,19 +95,12 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
                             reference_means=problem.nominal_states)
     gains = lqnash.stage_gains(problem)
     policy0 = lqnash.backward_recursion(problem, gains=gains)
-    return prepare_at_zero(problem, cov, uncertainty.constraint_layout(problem, cov),
-                           gains, policy0, lqnash.integrate_expected(problem.dyn, policy0))
-
-
-def prepare_at_zero(problem, cov, fill, gains, policy0, mean0, psi=None) -> PreparedGame:
-    """The game whose collision reference is the nominal plus the mean
-    ``mean0`` of the lam = 0 policy ``policy0`` on ``gains``; ``fill`` is the
-    problem's ``uncertainty.constraint_layout``.  That equilibrium and the
-    zeta response ``psi`` are kept for the solve."""
+    mean0 = lqnash.integrate_expected(problem.dyn, policy0)
     reference = problem.nominal_states + mean0
-    return PreparedGame(problem=problem, cov=cov, conset=fill(reference),
+    return PreparedGame(problem=problem, cov=cov,
+                        conset=uncertainty.constraint_layout(problem, cov)(reference),
                         reference_means=_freeze(reference), gains=gains,
-                        equilibrium0=(policy0, mean0), psi=psi)
+                        equilibrium0=(policy0, mean0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +347,41 @@ class DualAscentOptions:
 class DualSolveReport:
     """The multiplier, the policy solved at it and the measured residuals.
 
-    eta (the fallback's step), lipschitz and the per-player dual values are
-    computed when first read."""
+    The policy's mean trajectory (at lam = 0 the map's mean0), g there and
+    the residuals, eta (the fallback's step), lipschitz and the per-player
+    dual values are computed when first read."""
 
     lambda_bar: np.ndarray
     policy: lqnash.FeedbackPolicy
-    mean_traj: np.ndarray
-    g_final: np.ndarray
-    feasibility_residual: float
-    complementarity: float
     iterations: int
     termination: str
     solve_seconds: float
     map: AffineGradientMap
     options: DualAscentOptions
     pivots: int = 0
-    natural_residual: float = 0.0   # ||lam - max(0, lam + g)||_inf
     map_columns: int = 0            # G columns computed before the report
+
+    @cached_property
+    def mean_traj(self):
+        return (lqnash.integrate_expected(self.map.problem.dyn, self.policy)
+                if np.any(self.lambda_bar) else self.map.mean0)
+
+    @cached_property
+    def g_final(self):
+        return self.map.conset.evaluate(self.mean_traj)
+
+    @cached_property
+    def feasibility_residual(self):
+        return float(max(np.max(self.g_final, initial=-np.inf), 0.0))
+
+    @cached_property
+    def complementarity(self):
+        return float(abs(self.lambda_bar @ self.g_final))
+
+    @cached_property
+    def natural_residual(self):     # ||lam - max(0, lam + g)||_inf
+        lam = self.lambda_bar
+        return float(np.max(np.abs(lam - np.maximum(0.0, lam + self.g_final)), initial=0.0))
 
     @cached_property
     def eta(self):
@@ -471,30 +483,20 @@ def run_dual_ascent(prepared: PreparedGame, options: DualAscentOptions | None = 
     options = options or DualAscentOptions()
     t_start = time.perf_counter()
     gmap = estimate_affine_map(prepared)
-    policy, traj = gmap.policy0, gmap.mean0
-    g_final, iterations = gmap.ctilde, 0
+    policy, iterations = gmap.policy0, 0
     lam_bar, pivots, termination = solve_lcp(gmap, gmap.ctilde)
     if lam_bar is None:
         lam_bar, iterations = _ascent(gmap, _resolve_eta(options, gmap),
                                       options, trace_writer)
     if np.any(lam_bar):
         policy = lqnash.FeedbackPolicy(K=gmap.gains.K, alpha=gmap.alpha(lam_bar))
-        traj = lqnash.integrate_expected(gmap.problem.dyn, policy)
-        g_final = gmap.conset.evaluate(traj)
-    residual = float(max(np.max(g_final, initial=-np.inf), 0.0))
-    comp = float(abs(lam_bar @ g_final))
-    natural = float(np.max(np.abs(lam_bar - np.maximum(0.0, lam_bar + g_final)),
-                           initial=0.0))
     report = DualSolveReport(
-        lambda_bar=lam_bar, policy=policy, mean_traj=traj, g_final=g_final,
-        feasibility_residual=residual, complementarity=comp,
-        iterations=iterations, termination=termination,
-        solve_seconds=time.perf_counter() - t_start,
-        map=gmap, options=options, pivots=pivots,
-        natural_residual=natural, map_columns=len(gmap.columns),
-    )
+        lambda_bar=lam_bar, policy=policy, iterations=iterations, termination=termination,
+        solve_seconds=time.perf_counter() - t_start, map=gmap, options=options,
+        pivots=pivots, map_columns=len(gmap.columns))
     if trace_writer is not None and termination == "lcp_solved":
-        trace_writer(pivots, residual, comp, gmap.dual_value(0, lam_bar), report.eta)
+        trace_writer(pivots, report.feasibility_residual, report.complementarity,
+                     gmap.dual_value(0, lam_bar), report.eta)
     return report
 
 

@@ -28,13 +28,16 @@ planner alone.  A slice keeps every constraint, one that has ended with no
 active time, so its rows are the table's after tau, shifted by tau, with
 their sources as they are.  A replan time's first replan computes its slice,
 z, box offsets and pair covariances, so that a bad risk allocation fails
-that replan alone.  A replan contracts its lam = 0 mean Phi x0 + d (the
-reference, at which g is the map's ctilde) and fills the collision rows; if
-a row is violated, it contracts the violated rows' alpha columns from its
-block of Psi, whose forward pass gives the LCP's columns and the policy at
-its solution (a further one runs only for a column the pivot reads beyond
-them; never the full G), and integrates that policy's mean.  No replan runs
-a zeta pass.  The plant steps its one state with ``lqnash.closed_loop_step``
+every episode's replan there and no other.  The episodes of a call advance
+in lockstep, and at a replan time one ``screen`` per SCREEN_BLOCK episodes
+contracts their lam = 0 means Phi x0 + d (the references, at which g is the
+map's ctilde), fills their collision rows and evaluates their ctilde, each
+stacked and bit for bit as at S = 1.  An episode that violates no row keeps
+the lam = 0 policy tail; one that does contracts the violated rows' alpha
+columns from its block of Psi, whose forward pass gives the LCP's columns
+and the policy at its solution (a further one runs only for a column the
+pivot reads beyond them; never the full G).  No replan runs a zeta pass or
+integrates a mean.  The plant steps each state with ``lqnash.closed_loop_step``
 on the aggregate's stacked inputs.
 """
 
@@ -47,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lqnash, uncertainty
-from .dualascent import DualAscentOptions, PreparedGame, prepare_at_zero, run_dual_ascent
+from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
 from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
 from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze, _integer
 
@@ -55,6 +58,7 @@ WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_norma
 PSD_TOL = 1e-10
 SAFETY_BLOCK = 256   # samples judged at once: a block of a batch's states stays in L2
 GOAL_TOLERANCE = 0.1   # distance to the goal position at which an agent has arrived
+SCREEN_BLOCK = 128   # MPC episodes screened at once: a block's rows are (SCREEN_BLOCK, M, n_x)
 
 
 def noise_factors(W):
@@ -305,10 +309,13 @@ class CentralPlanner:
         self.cov, self.transitions = (dict(zip(starts, by_tau)) for by_tau in passes)
         self.rows = uncertainty.row_table(self.agg)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0)
+        self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0, rows)
 
-    def prepare(self, tau, x0) -> PreparedGame:
-        """The game of a replan at tau from state x0."""
+    def screen(self, tau, x0s):
+        """Replans at tau from states x0s (S, n_x) before any solve: the lam = 0 policy,
+        whether each one's lam = 0 mean violates a row (S,), the DegenerateReference of
+        each one whose rows cannot be filled, and ``game(k)``, episode k's game.  Tau's
+        first screen builds its slice and its rows' layout."""
         if tau not in self.at_tau:
             t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
@@ -317,70 +324,104 @@ class CentralPlanner:
             rows = (t[first:] - tau, *(r[first:] for r in rest))
             policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
             self.at_tau[tau] = (sub, uncertainty.constraint_layout(sub, self.cov[tau], rows),
-                                self.gains.tail(tau), policy0)
+                                self.gains.tail(tau), policy0, rows[:2])
             self.shared_seconds += time.perf_counter() - t_start
-        sub, fill, gains, policy0 = self.at_tau[tau]
-        sub = replace(sub, dyn=replace(sub.dyn, x0=np.asarray(x0, dtype=float)))
+        sub, fill, gains, policy0, (steps, source) = self.at_tau[tau]
         Z = self.transitions[tau]
-        return prepare_at_zero(sub, self.cov[tau], fill, gains, policy0,
-                               Z[..., :-1] @ sub.dyn.x0 + Z[..., -1],
-                               self.psi[tau:, :, :, tau:])
+        means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
+        refs = sub.nominal_states + means
+        l, c, degenerate = fill(refs)
+        ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
+
+        def game(k):
+            return PreparedGame(
+                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), cov=self.cov[tau],
+                conset=uncertainty.AffineConstraintSet(t=steps, source=source, l=l[k], c=c[k],
+                                                       T=sub.T),
+                reference_means=_freeze(refs[k]), gains=gains, equilibrium0=(policy0, means[k]),
+                psi=self.psi[tau:, :, :, tau:])
+        return policy0, ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
+
+    def prepare(self, tau, x0) -> PreparedGame:
+        """The game of a replan at tau from state x0."""
+        *_, degenerate, game = self.screen(tau, np.asarray(x0, dtype=float)[None])
+        if degenerate:
+            raise degenerate[0]
+        return game(0)
 
 
 @dataclass
 class MpcRun:
-    states: np.ndarray         # (T+1, n_x) solver coordinates
-    inputs: np.ndarray         # (T, N, n_u)
-    failures: list             # (step, error message)
+    states: np.ndarray         # (S, T+1, n_x) solver coordinates
+    inputs: np.ndarray         # (S, T, N, n_u)
+    failures: list             # (sample index, step, error message)
     replans: int
     replans_with_active_rows: int   # replans whose multiplier is not 0
-    solve_seconds: float       # its whole replans
+    solve_seconds: float       # the wall time of its replans
     map_columns: int           # G columns its replans computed
 
 
-def central_mpc_run(planner: CentralPlanner, seed, sample_index=0,
+def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
                     options: DualAscentOptions | None = None) -> MpcRun:
-    """One noisy receding-horizon episode of the planner's aggregated single agent.
+    """Noisy receding-horizon episodes of the planner's aggregated single agent in
+    lockstep, one per noise stream index of ``sample_indices``.
 
-    Replans at the planner's replan times over the remaining (shrinking)
-    horizon; on a replan failure the previous plan keeps driving and the
-    failure is recorded with its step index.  The problem, the cadence, the
-    noise factors and what a call and a replan time compute once all come
-    from the planner; the module docstring says what a replan computes.
+    Episodes replan at the planner's replan times over the remaining (shrinking)
+    horizon, as the module docstring says.  On a replan failure the previous plan keeps
+    driving and the failure is recorded with its step; one in a screen's shared work is
+    each of its episodes'.  An episode whose replan at t = 0 fails ends, and the run
+    returns the episodes that complete.
     """
     options = options or DualAscentOptions(k_max=500)
     seed = _integer(seed, "seed", error=DomainError)
+    indices = list(sample_indices)
     problem, dyn = planner.problem, planner.problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
-    z = noise_stream(seed, sample_index).standard_normal((T, n_x))
-
-    states = np.zeros((T + 1, n_x))
-    inputs = np.zeros((T, N, problem.n_u))
-    states[0] = dyn.x0
-    plan = None
-    plan_offset = 0
+    z = np.stack([noise_stream(seed, s).standard_normal((T, n_x)) for s in indices])
+    states = np.zeros((len(indices), T + 1, n_x))
+    inputs = np.zeros((len(indices), T, N, problem.n_u))
+    states[:, 0] = dyn.x0
+    plans = [None] * len(indices)     # per episode: its policy and that policy's replan time
     failures = []
     replans = active = columns = 0
     solve_seconds = 0.0
     for t in range(T):
         if t % planner.replan_every == 0:
             t_start = time.perf_counter()
-            try:
-                report = run_dual_ascent(planner.prepare(t, states[t]), options)
-                plan, plan_offset = report.policy, t
-                replans += 1
-                active += bool(np.any(report.lambda_bar))
-                columns += report.map_columns
-                del report      # its rows and map would live through the next replan
-                solve_seconds += time.perf_counter() - t_start
-            except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
-                failures.append((t, f"{type(exc).__name__}: {exc}"))
-                if plan is None:
-                    raise
-        u, states[t + 1] = lqnash.closed_loop_step(
-            dyn.A[t], planner.agg.dyn.B[t, 0], plan.K[t - plan_offset],
-            plan.alpha[t - plan_offset], states[t], planner.factors[t], z[t])
-        inputs[t] = u.reshape(N, -1)
+            for k in range(len(plans)):
+                b = k % SCREEN_BLOCK
+                if b == 0:
+                    try:
+                        policy0, violated, errors, game = planner.screen(
+                            t, states[k:k + SCREEN_BLOCK, t])
+                    except (CCGameError, np.linalg.LinAlgError) as exc:   # each one's failure
+                        errors = dict.fromkeys(range(SCREEN_BLOCK), exc)
+                try:
+                    if b in errors:
+                        raise errors[b]
+                    if violated[b]:
+                        report = run_dual_ascent(game(b), options)
+                        plans[k] = report.policy, t
+                        active += bool(np.any(report.lambda_bar))
+                        columns += report.map_columns
+                        del report      # its rows and map would live through the next replan
+                    else:
+                        plans[k] = policy0, t
+                    replans += 1
+                except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
+                    failures.append((indices[k], t, f"{type(exc).__name__}: {exc}"))
+            game = None     # its block's rows would live through the next screen
+            solve_seconds += time.perf_counter() - t_start
+            if t == 0:      # an episode whose first replan failed ends
+                keep = [k for k, plan in enumerate(plans) if plan is not None]
+                states, inputs, z = states[keep], inputs[keep], z[keep]
+                plans, indices = [plans[k] for k in keep], [indices[k] for k in keep]
+        for k, (plan, tau) in enumerate(plans):
+            u, states[k, t + 1] = lqnash.closed_loop_step(
+                dyn.A[t], planner.agg.dyn.B[t, 0], plan.K[t - tau], plan.alpha[t - tau],
+                states[k, t], planner.factors[t], z[k, t])
+            inputs[k, t] = u.reshape(N, -1)
+    failures.sort(key=lambda f: f[:2])
     return MpcRun(states=states, inputs=inputs, failures=failures, replans=replans,
                   replans_with_active_rows=active, solve_seconds=solve_seconds,
                   map_columns=columns)
@@ -396,39 +437,30 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
 
     Episode s uses the same noise stream as rollout sample s, so game-policy
     and MPC statistics are paired across sample indices.  All episodes share
-    one CentralPlanner (see the module docstring for what a call, a replan
-    time and a replan compute).  A CCGameError or LinAlgError ends only its
-    own episode; if every episode ends so, raises AllSeedsFailed.  A bad
-    ``replan_every`` raises before any episode.
+    one CentralPlanner and advance in lockstep (``central_mpc_run``; the module
+    docstring says what a call, a replan time and a replan compute).  A
+    CCGameError or LinAlgError of a replan ends only its own episode, one of the
+    planner every episode; if every episode ends so, raises AllSeedsFailed.  A
+    bad ``replan_every`` raises before any episode.
     """
     S = _integer(samples, "samples", 1, DomainError)
     replan_every = _integer(replan_every, "replan_every", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
-    good = []
-    failures = []
-    planner = None
-    for s in range(S):
-        try:
-            planner = planner or CentralPlanner(problem, replan_every)
-            run = central_mpc_run(planner, seed, s, options)
-        except (CCGameError, np.linalg.LinAlgError) as exc:   # per-seed failure, recorded
-            failures.append((s, 0, f"{type(exc).__name__}: {exc}"))
-            continue
-        good.append(run)
-        failures.extend((s, step, msg) for step, msg in run.failures)
-    if not good:
-        raise AllSeedsFailed(f"all {S} MPC seeds failed; first: {failures[0][2]}")
-    states = np.stack([r.states for r in good])
-    inputs = np.stack([r.inputs for r in good])
-    costs = lqnash.realized_costs(problem, states, inputs)
-    batch = RolloutBatch(states=states, inputs=inputs, costs=costs,
+    try:
+        planner = CentralPlanner(problem, replan_every)
+    except (CCGameError, np.linalg.LinAlgError) as exc:   # every episode's failure
+        raise AllSeedsFailed(f"all {S} MPC seeds failed; first: "
+                             f"{type(exc).__name__}: {exc}") from None
+    run = central_mpc_run(planner, seed, range(S), options)
+    if not len(run.states):
+        raise AllSeedsFailed(f"all {S} MPC seeds failed; first: {run.failures[0][2]}")
+    costs = lqnash.realized_costs(problem, run.states, run.inputs)
+    batch = RolloutBatch(states=run.states, inputs=run.inputs, costs=costs,
                          seed=seed, method="central_mpc")
     # every completed episode planned at least once, at t = 0
-    replans = sum(r.replans for r in good)
-    return batch, failures, {
-        "comp_seconds_per_step": (planner.seconds + sum(r.solve_seconds for r in good))
-        / replans,
-        "replans": replans,
-        "replans_with_active_rows": sum(r.replans_with_active_rows for r in good),
-        "map_columns": sum(r.map_columns for r in good),
+    return batch, run.failures, {
+        "comp_seconds_per_step": (planner.seconds + run.solve_seconds) / run.replans,
+        "replans": run.replans,
+        "replans_with_active_rows": run.replans_with_active_rows,
+        "map_columns": run.map_columns,
         "planner_seconds": planner.shared_seconds}

@@ -134,7 +134,7 @@ def linearize_collision(dbar, sigma_pair, radius, C, z):
     pair covariances (..., d, d) give a (..., d) and c (...).
     """
     dbar = np.asarray(dbar, dtype=float)
-    off = np.max(np.abs(np.sqrt(np.maximum(_quadratic(dbar, C), 0.0)) - radius))
+    off = np.max(np.abs(np.sqrt(np.maximum(_quadratic(dbar, C), 0.0)) - radius), initial=0.0)
     if off > 1e-9 * max(1.0, radius):
         raise ValueError(f"reference direction is {off} off ||dbar||_C = {radius}")
     a = 2.0 * (C @ dbar[..., :, None])[..., 0]
@@ -210,7 +210,9 @@ def constraint_layout(problem: GameProblem, cov, rows=None):
     """The part of ``assemble_constraints`` no reference enters: z, the box rows and,
     per collision constraint, its rows and pair covariances gathered from Sigma ``cov``
     (T+1, n_x, n_x), for ``rows`` (default ``row_table``).  Returns ``fill(reference_means)``,
-    which writes the rows' l and c, the collision rows in one batched pass per constraint."""
+    which writes the rows' l and c, the collision rows in one batched pass per constraint.
+    A stack (S, T+1, n_x) of references gives l (S, M, n_x), c (S, M) and, by stack index,
+    the DegenerateReference that entry's own fill raises; its rows are left unwritten."""
     T, n_x, specs = problem.T, problem.n_x, problem.constraints
     slices, nominal = problem.agent_slices, problem.nominal_states
     t, source, q, sign, bound = row_table(problem) if rows is None else rows
@@ -230,21 +232,33 @@ def constraint_layout(problem: GameProblem, cov, rows=None):
             sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
             collisions.append((spec, sl_i, sl_j, m, t[m], nominal[t[m]][:, :, None], sigma))
 
-    def fill(reference_means) -> AffineConstraintSet:
-        l, c = np.zeros((M, n_x)), np.zeros(M)
-        l[box, box_q] = box_sign
-        c[box] = box_c
-        reference_means = np.asarray(reference_means, dtype=float)
+    def fill(reference_means):
+        refs = np.asarray(reference_means, dtype=float).reshape(-1, T + 1, n_x)
+        l, c = np.zeros((len(refs), M, n_x)), np.zeros((len(refs), M))
+        l[:, box, box_q] = box_sign
+        c[:, box] = box_c
+        degenerate = {}
         for spec, sl_i, sl_j, m, steps, nominal_t, sigma in collisions:
-            delta = reference_means[steps, sl_i] - reference_means[steps, sl_j]
+            delta = refs[:, steps, sl_i] - refs[:, steps, sl_j]
+            ok = slice(None)
             try:
                 dbar = reference_direction(delta, spec.C, spec.radius)
-            except DegenerateReference as exc:
-                raise DegenerateReference(*spec.pair, int(steps[exc.t]), exc.separation) from None
+            except DegenerateReference:     # each stack entry's first, then the rest's rows
+                norm_c = np.sqrt(np.maximum(_quadratic(delta, spec.C), 0.0))[..., 0]
+                bad = norm_c < DEGENERATE_SEPARATION
+                for s, k in zip(*np.nonzero(bad)):
+                    degenerate.setdefault(int(s), DegenerateReference(
+                        *spec.pair, int(steps[k]), norm_c[s, k]))
+                ok = np.flatnonzero(~bad.any(axis=1))[:, None]
+                dbar = reference_direction(delta[ok[:, 0]], spec.C, spec.radius)
             a, offset = linearize_collision(dbar, sigma, spec.radius, spec.C, z)
-            l[m, sl_i], l[m, sl_j] = -a, a
-            c[m] = offset + (l[m][:, None, :] @ nominal_t)[:, 0, 0]    # one row's dot each
-        return AffineConstraintSet(t=t, source=source, l=l, c=c, T=T)
+            l[ok, m, sl_i], l[ok, m, sl_j] = -a, a
+            c[ok, m] = offset + (l[ok, m][..., None, :] @ nominal_t)[..., 0, 0]   # a row's dot each
+        if np.ndim(reference_means) == 3:
+            return l, c, degenerate
+        if degenerate:
+            raise degenerate[0]
+        return AffineConstraintSet(t=t, source=source, l=l[0], c=c[0], T=T)
     return fill
 
 

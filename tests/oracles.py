@@ -30,20 +30,23 @@ splice that swaps one player's response in, the solve at a given lam (one
 full sweep, whose linear term adds one row's 0.5 lam_m l_m at a time) and the
 dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
 solve computes them, where the preparer has none), the dual function they
-drive, a Monte Carlo probe of one collision row, and a loader for the
-bundled scenarios.
+drive, a central-MPC episode that prepares and solves every replan on its
+own, a Monte Carlo probe of one collision row, and a loader for the bundled
+scenarios.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from ccgame import lqnash, scenarios
-from ccgame.dualascent import PreparedGame
+from ccgame.dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
 from ccgame.errors import DegenerateReference
 from ccgame.lqnash import FeedbackPolicy, _check_rcond
 from ccgame.model import GameProblem, Scenario, load_scenario
+from ccgame.simulate import noise_stream
 from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_normal_cdf
 
 
@@ -787,6 +790,40 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
     combined = replace_player(base_policy, i, K_i, a_i)
     return lqnash.evaluate_lagrangian(prepared.problem, combined,
                                       lam, prepared.conset)[i]
+
+
+def episode_mpc(planner, seed, s, withhold=False):
+    """Central-MPC episode s replanned alone, every replan (lam = 0 ones too)
+    prepared by ``planner.prepare`` and solved by ``run_dual_ascent`` at the
+    ``ccgame mpc`` budget: the reference for the lockstep call, which solves
+    only the replans whose lam = 0 mean violates a row.  With ``withhold`` a
+    replan's prepared lam = 0 equilibrium is dropped, so that its solve runs
+    that equilibrium on the tail of the planner's gains and integrates its
+    mean.  Returns (states, inputs, replans, replans with lam != 0, columns)."""
+    problem, dyn = planner.problem, planner.problem.dyn
+    T, N, n_x = problem.T, problem.N, problem.n_x
+    options = DualAscentOptions(k_max=500)
+    z = noise_stream(seed, s).standard_normal((T, n_x))
+    states, inputs = np.zeros((T + 1, n_x)), np.zeros((T, N, problem.n_u))
+    states[0] = dyn.x0
+    replans = active = columns = 0
+    for t in range(T):
+        if t % planner.replan_every == 0:
+            prepared = planner.prepare(t, states[t])
+            if withhold:
+                assert np.array_equal(prepared.equilibrium0[0].alpha, lqnash.backward_recursion(
+                    prepared.problem, gains=prepared.gains).alpha)
+                prepared = replace(prepared, equilibrium0=None)
+            report = run_dual_ascent(prepared, options)
+            plan, tau = report.policy, t
+            replans += 1
+            active += bool(np.any(report.lambda_bar))
+            columns += report.map_columns
+        u, states[t + 1] = lqnash.closed_loop_step(
+            dyn.A[t], planner.agg.dyn.B[t, 0], plan.K[t - tau], plan.alpha[t - tau],
+            states[t], planner.factors[t], z[t])
+        inputs[t] = u.reshape(N, -1)
+    return states, inputs, replans, active, columns
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,10 @@ class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
         # one gain recursion with an rcond check per stage, the lam = 0
         # equilibrium (a zeta pass and its mean trajectory) unless prepared,
-        # the map's column passes and the final mean trajectory: the policy
-        # at a multiplier is alpha0 plus its columns, one more pass computing
-        # those not cached; the dual values cost one evaluation when read,
-        # once.  An LTV game (no nominal) runs its gain recursion and lam = 0
+        # and the map's column passes: the policy at a multiplier is alpha0
+        # plus its columns, one more pass computing those not cached; its
+        # mean trajectory and the dual values cost one integration and one
+        # evaluation when first read, once.  An LTV game (no nominal) runs its gain recursion and lam = 0
         # equilibrium in prepare_game, for the reference, and the solve
         # reuses both; where that equilibrium violates no row (the
         # unconstrained game) it is the solution, and the solve runs no zeta
@@ -161,7 +161,7 @@ class TestSweepCount:
                 "_check_rcond": in_solve * prep.problem.T,
                 "_zeta_sweep": in_solve + passes + full,
                 "affine_response": passes + full, "full_map": full,
-                "integrate_expected": in_solve + int(np.any(rep.lambda_bar))}), rep.termination
+                "integrate_expected": in_solve}), rep.termination
             assert rep.map_columns == columns == len(rep.map.columns)
             # the report's L reads the full G: one more full map, unless built
             lqnash_calls.clear()
@@ -169,6 +169,7 @@ class TestSweepCount:
             rep.to_dict()
             assert +lqnash_calls == +Counter({
                 "affine_response": 1 - full, "full_map": 1 - full, "_zeta_sweep": 1 - full,
+                "integrate_expected": int(np.any(rep.lambda_bar)),
                 "evaluate_cost": 1, "closed_loop_covariance": 1})
             assert rep.to_dict()["map_columns"] == columns
         assert rep.termination == "lcp_infeasible" and preps[2].M == columns
@@ -241,10 +242,10 @@ class TestColumnMap:
         # test_simulate's TestResponseRoute); the map on each planner slice
         # without it runs the pass route, which this pins bit for bit
         planner = simulate.CentralPlanner(problem)
-        run = simulate.central_mpc_run(planner, 5)
+        run = simulate.central_mpc_run(planner, 5, [0])
         rng = np.random.default_rng(3)
         for tau in range(problem.T):
-            prep = dataclasses.replace(planner.prepare(tau, run.states[tau]), psi=None)
+            prep = dataclasses.replace(planner.prepare(tau, run.states[0, tau]), psi=None)
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
@@ -295,7 +296,7 @@ class TestColumnMap:
         starts.clear()
         planner = simulate.CentralPlanner(problem)
         assert starts == [None, None]
-        run = simulate.central_mpc_run(planner, 5)
+        run = simulate.central_mpc_run(planner, 5, [0])
         assert not run.failures
         assert len(solved) == len(COUPLED_FEASIBLE_SEEDS) + run.replans_with_active_rows
         assert replans == [[]] * run.replans_with_active_rows
@@ -451,7 +452,7 @@ class TestColumnPolicy:
         monkeypatch.setattr(simulate, "run_dual_ascent", checking)
         planner = simulate.CentralPlanner(problem)
         for seed in (0, 5, 42):
-            run = simulate.central_mpc_run(planner, seed)
+            run = simulate.central_mpc_run(planner, seed, [0])
             assert not run.failures and run.replans_with_active_rows > 0, seed
 
 

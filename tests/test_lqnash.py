@@ -222,7 +222,7 @@ class TestGainsOnce:
         assert report.termination == "lcp_infeasible" and report.iterations == 200
         solves = len(widths)
         mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
-        simulate.central_mpc_run(simulate.CentralPlanner(mini), 5)
+        simulate.central_mpc_run(simulate.CentralPlanner(mini), 5, [0])
         assert 750 in widths[:solves] and len(widths) > solves
         assert min(widths) >= 2, widths
 

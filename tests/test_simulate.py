@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ccgame import simulate
 from ccgame.dualascent import DualAscentOptions, solve_scenario
 from ccgame.errors import (AllSeedsFailed, DomainError, FactorizationFailure,
                            SingularStageSystem)
-from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected
+from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected, realized_costs
 from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
 from ccgame.simulate import (GOAL_TOLERANCE, RolloutBatch, central_mpc, evaluate_safety,
@@ -466,9 +467,9 @@ class TestCentralMpc:
                               [1e-4], [np.array([[1.0]])], [np.array([[1.0]])],
                               [np.array([1.0])], [con], eps=0.6)
         problem = assemble_problem(validate_scenario(s))
-        run = simulate.central_mpc_run(simulate.CentralPlanner(problem), seed=0)
-        assert [step for step, _ in run.failures] == [2] and run.replans == 3
-        assert run.failures[0][1].startswith("BadProbability")
+        run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 0, [0])
+        assert [(s, step) for s, step, _ in run.failures] == [(0, 2)] and run.replans == 3
+        assert run.failures[0][2].startswith("BadProbability")
         assert np.all(np.isfinite(run.states))
         batch, failures, totals = central_mpc(problem, seed=0, samples=2)
         assert batch.samples == 2 and totals["replans"] == 6
@@ -585,19 +586,20 @@ class TestCentralMpc:
         # is a contraction of its state, and only where a row is violated (a
         # of them) it runs the map's one pass, whose alpha columns (the
         # violated rows', all that the pivot reads here) come from Psi and
-        # give the policy at the pivot's multiplier, and that policy's mean
-        # trajectory; no final solve's zeta pass, no full map and no
+        # give the policy at the pivot's multiplier; no mean trajectory of
+        # that policy, no final solve's zeta pass, no full map and no
         # diagnostic that only a report reads (3 zeta passes and 7 means
-        # with a zeta pass per active replan and an integrated reference mean)
+        # with a zeta pass per active replan and an integrated reference
+        # mean; 2 means, the active policies', before the report's mean was
+        # computed when first read)
         count_replan_work(monkeypatch, lqnash_calls)
-        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 4), seed=3)
+        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 4), 3, [0])
         assert not run.failures
         assert run.replans == -(-mini_problem.T // 4) == 5
         a = lqnash_calls.pop("pivoting")
         assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 2, "integrate_expected": 2,
-                                "affine_response": a}
+                                "_zeta_sweep": 2, "affine_response": a}
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
@@ -605,12 +607,13 @@ class TestCentralMpc:
         # one lam = 0 pass, one zeta response Psi and one horizon pass (every
         # replan time's covariance) per call, and per replan whose lam = 0
         # mean violates a row the map's one pass with the 18 columns of the
-        # violated rows, whose alphas come from Psi and give the policy too,
-        # and that policy's mean; no full map and no integrated lam = 0 mean
-        # (14 zeta passes and 53 means with a zeta pass per such replan; 27
-        # passes with a final solve's; 81 when every replan ran the full map;
-        # 120 passes, 40 covariances before that; 20 covariances, one per
-        # replan time, before the horizon pass)
+        # violated rows, whose alphas come from Psi and give the policy too;
+        # no full map and no integrated mean (14 zeta passes and 53 means
+        # with a zeta pass per such replan; 27 passes with a final solve's;
+        # 81 when every replan ran the full map; 120 passes, 40 covariances
+        # before that; 20 covariances, one per replan time, before the
+        # horizon pass; 13 means, the active policies', before the report's
+        # mean was computed when first read)
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
@@ -634,7 +637,7 @@ class TestCentralMpc:
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
         assert lqnash_calls["_zeta_sweep"] == 2
-        assert lqnash_calls["integrate_expected"] == a == 13
+        assert lqnash_calls["integrate_expected"] == 0 and a == 13
         assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["horizon_pass"] == 1
@@ -643,48 +646,48 @@ class TestCentralMpc:
     @pytest.mark.parametrize("name, seeds, episodes",
                              [("intersection-mini", (0, 7, 42), 2),
                               ("intersection", (5,), 1)])
-    def test_zero_multiplier_replans_equal_the_full_path(self, monkeypatch, lqnash_calls,
+    def test_zero_multiplier_replans_equal_the_full_path(self, lqnash_calls,
                                                          name, seeds, episodes):
-        # withholding the planner's lam = 0 equilibrium makes every replan
-        # solve it on the tail of the planner's gains, which is the
-        # planner's alpha0 tail bit for bit, and integrate its mean; the
-        # planner contracts that mean from x0 instead, so the episodes agree
-        # to 1e-13 of max(1, |withheld|), with the same replans, active
-        # replans and columns.  An active replan runs the map's one pass,
-        # with the columns of the rows it violates, and a pass per pivot
-        # read of a column not among them (one, on intersection at seed 5),
-        # never the full map
+        # the lockstep call solves only the replans whose lam = 0 mean
+        # violates a row and keeps the planner's lam = 0 policy tail at the
+        # others.  The full path (oracles.episode_mpc) prepares and solves
+        # every replan of an episode on its own: bit for bit the lockstep
+        # episode; with the prepared lam = 0 equilibrium withheld, each
+        # solve runs it on the tail of the planner's gains, which is the
+        # planner's alpha0 tail bit for bit, and integrates its mean, where
+        # the planner contracts it from x0, so the episodes agree to 1e-13
+        # of max(1, |withheld|).  Both have the same replans, active replans
+        # and columns.  An active replan runs the map's one pass, with the
+        # columns of the rows it violates, and a pass per pivot read of a
+        # column not among them (one, on intersection at seed 5), never the
+        # full map
         from ccgame import scenarios
         from ccgame.model import load_scenario
+        from oracles import episode_mpc
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
         passes = {"intersection-mini": (14, 15, 13), "intersection": (16,)}[name]
-        runs = []
-        for seed in seeds:
+        for seed, want in zip(seeds, passes):
             lqnash_calls.clear()
-            runs.append(central_mpc(problem, seed, episodes)
-                        + (lqnash_calls["affine_response"], lqnash_calls["full_map"]))
-        prepare = simulate.CentralPlanner.prepare
-
-        def withheld(self, tau, x0):
-            prep = prepare(self, tau, x0)
-            assert np.array_equal(prep.equilibrium0[0].alpha, backward_recursion(
-                prep.problem, gains=prep.gains).alpha)
-            return replace(prep, equilibrium0=None)
-
-        monkeypatch.setattr(simulate.CentralPlanner, "prepare", withheld)
-        for seed, want, (batch, failures, totals, maps, full_maps) in zip(seeds, passes, runs):
-            full, full_failures, full_totals = central_mpc(problem, seed, episodes)
-            assert failures == full_failures == []
+            batch, failures, totals = central_mpc(problem, seed, episodes)
+            maps, full_maps = lqnash_calls["affine_response"], lqnash_calls["full_map"]
+            assert failures == []
             assert 0 < totals["replans_with_active_rows"] <= maps < totals["replans"]
             assert maps == want and full_maps == 0
-            assert full_totals["map_columns"] == totals["map_columns"]
-            assert (full_totals["replans"], full_totals["replans_with_active_rows"]) \
-                == (totals["replans"], totals["replans_with_active_rows"])
-            for field in ("states", "inputs", "costs"):
-                ref = getattr(full, field)
-                assert np.max(np.abs(getattr(batch, field) - ref)) <= 1e-13 * max(
-                    1.0, np.max(np.abs(ref))), field
+            planner = simulate.CentralPlanner(problem)
+            for withhold in (False, True):
+                full = [episode_mpc(planner, seed, s, withhold) for s in range(episodes)]
+                assert [sum(counts) for counts in zip(*(f[2:] for f in full))] == [
+                    totals["replans"], totals["replans_with_active_rows"],
+                    totals["map_columns"]]
+                states, inputs = (np.stack([f[k] for f in full]) for k in (0, 1))
+                costs = realized_costs(problem, states, inputs)
+                for field, ref in (("states", states), ("inputs", inputs), ("costs", costs)):
+                    got = getattr(batch, field)
+                    if not withhold:
+                        assert got.tobytes() == ref.tobytes(), field
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * max(
+                        1.0, np.max(np.abs(ref))), field
 
     @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
     def test_an_episode_does_not_depend_on_the_call(self, name):
@@ -697,14 +700,14 @@ class TestCentralMpc:
         batch, failures, _ = central_mpc(problem, 7, 3)
         assert not failures
         for s in range(3):
-            run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 7, sample_index=s)
-            assert batch.states[s].tobytes() == run.states.tobytes(), s
-            assert batch.inputs[s].tobytes() == run.inputs.tobytes(), s
+            run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 7, [s])
+            assert batch.states[s].tobytes() == run.states[0].tobytes(), s
+            assert batch.inputs[s].tobytes() == run.inputs[0].tobytes(), s
 
     def test_planner_failure_is_its_seeds_failure(self, monkeypatch, mini_problem):
-        # the gains are computed once per call, by the first seed whose
-        # planner builds; a seed whose planner fails fails at step 0, as when
-        # every episode computed its own gains
+        # the planner is built once per call, before its episodes advance
+        # together: a planner that fails fails every episode of the call, and
+        # the next call builds its own
         from ccgame import lqnash
         real = lqnash.stage_gains
         calls = {"n": 0}
@@ -717,10 +720,12 @@ class TestCentralMpc:
 
         msg = f"SingularStageSystem: {SingularStageSystem(3, 0.0)}"
         monkeypatch.setattr(lqnash, "stage_gains", singular_once)
+        with pytest.raises(AllSeedsFailed) as info:
+            central_mpc(mini_problem, seed=5, samples=3, options=DualAscentOptions(k_max=100))
+        assert str(info.value) == f"all 3 MPC seeds failed; first: {msg}" and calls["n"] == 1
         batch, failures, _ = central_mpc(mini_problem, seed=5, samples=3,
                                          options=DualAscentOptions(k_max=100))
-        assert failures == [(0, 0, msg)]
-        assert batch.samples == 2 and calls["n"] == 2
+        assert not failures and batch.samples == 3 and calls["n"] == 2
 
         def singular(problem):
             raise SingularStageSystem(3, 0.0)
@@ -731,8 +736,10 @@ class TestCentralMpc:
         assert str(info.value) == f"all 2 MPC seeds failed; first: {msg}"
 
     def test_comp_time_covers_the_whole_replan(self, mini_problem, monkeypatch):
-        # the per-step figure also counts slicing, the reference solve and
-        # constraint assembly, which no report's solve_seconds includes
+        # the per-step figure also counts slicing, every episode's screen (its
+        # reference mean and rows) and the preparation of the games that are
+        # solved, which no report's solve_seconds includes; only a replan
+        # whose lam = 0 mean violates a row is solved
         reports = []
         real = simulate.run_dual_ascent
 
@@ -741,15 +748,17 @@ class TestCentralMpc:
             return reports[-1]
 
         monkeypatch.setattr(simulate, "run_dual_ascent", recording)
-        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 2), seed=3)
-        assert not run.failures and len(reports) == run.replans
+        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 2), 3, [0])
+        assert not run.failures and 0 < len(reports) == run.replans_with_active_rows
+        assert len(reports) < run.replans
         assert run.solve_seconds > sum(r.solve_seconds for r in reports)
         reports.clear()
         _, failures, totals = central_mpc(mini_problem, seed=3, samples=2,
                                           replan_every=2)
-        assert not failures and len(reports) == 2 * run.replans
-        assert (totals["comp_seconds_per_step"]
-                >= sum(r.solve_seconds for r in reports) / len(reports))
+        assert not failures and totals["replans"] == 2 * run.replans
+        # the constructor and every replan's own time, beyond the shared work
+        assert (totals["comp_seconds_per_step"] * totals["replans"]
+                > totals["planner_seconds"] + sum(r.solve_seconds for r in reports))
 
     def test_aggregation_preserves_cost_structure(self, mini_problem):
         agg = simulate.aggregate_problem(mini_problem)
@@ -769,6 +778,113 @@ class TestCentralMpc:
             for i in range(mini_problem.N))
         agg_y = (y - agg.ref[0, t]) @ agg.Q[0, t] @ (y - agg.ref[0, t])
         assert (total - agg_val) == pytest.approx(total_y - agg_y, abs=1e-9)
+
+
+class TestLockstep:
+    """The episodes of a central-MPC call advance together, and only a replan
+    whose lam = 0 mean violates a row is solved.  Episode s is bit for bit
+    its own S = 1 call (the determinism contract)."""
+
+    @pytest.mark.parametrize("replan_every", [1, 3])
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
+    def test_an_episode_is_its_own_one_episode_call(self, name, replan_every):
+        from ccgame import scenarios
+        from ccgame.model import load_scenario
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        batch, failures, totals = central_mpc(problem, 777, 100, replan_every)
+        assert not failures and batch.samples == 100
+        for s in (0, 57, 99):
+            run = simulate.central_mpc_run(simulate.CentralPlanner(problem, replan_every),
+                                           777, [s])
+            assert run.states.shape[0] == 1 and not run.failures
+            assert run.states[0].tobytes() == batch.states[s].tobytes(), s
+            assert run.inputs[0].tobytes() == batch.inputs[s].tobytes(), s
+        if (name, replan_every) == ("intersection", 1):    # the manifest's counts
+            assert (totals["replans"], totals["replans_with_active_rows"],
+                    totals["map_columns"]) == (5000, 1341, 7157)
+
+    def test_the_screen_block_changes_no_result(self, monkeypatch, mini_problem):
+        want = central_mpc(mini_problem, 3, 20)
+        monkeypatch.setattr(simulate, "SCREEN_BLOCK", 7)
+        got = central_mpc(mini_problem, 3, 20)
+        for field in ("states", "inputs", "costs"):
+            assert getattr(got[0], field).tobytes() == getattr(want[0], field).tobytes()
+        assert got[1] == want[1] == []
+        assert {k: v for k, v in got[2].items() if "seconds" not in k} == {
+            k: v for k, v in want[2].items() if "seconds" not in k}
+
+    def test_only_a_replan_that_violates_a_row_is_solved(self, monkeypatch, lqnash_calls,
+                                                         mini_problem):
+        # run_dual_ascent runs once per replan whose lam = 0 mean violates a
+        # row of its game, as each episode's planner.prepare gives it, and a
+        # replan integrates no mean and evaluates no cost
+        solved = []
+        real = simulate.run_dual_ascent
+
+        def recording(prepared, options=None, **kw):
+            solved.append(prepared.conset.evaluate(prepared.equilibrium0[1]))
+            return real(prepared, options, **kw)
+
+        monkeypatch.setattr(simulate, "run_dual_ascent", recording)
+        batch, failures, totals = central_mpc(mini_problem, 3, 4, replan_every=2)
+        assert not failures
+        assert lqnash_calls["integrate_expected"] == 0
+        assert lqnash_calls["evaluate_cost"] == lqnash_calls["closed_loop_covariance"] == 0
+        assert all(np.any(g > 0) for g in solved)
+        planner = simulate.CentralPlanner(mini_problem, 2)
+        violated = 0
+        for x in batch.states:
+            for tau in range(0, mini_problem.T, 2):
+                prepared = planner.prepare(tau, x[tau])
+                violated += bool(np.any(prepared.conset.evaluate(prepared.equilibrium0[1]) > 0))
+        assert 0 < len(solved) == violated < totals["replans"]
+
+    @staticmethod
+    def _two_scalar_agents(x0, T=6):
+        """Two unit scalar agents from x0, both drawn to 0, a 0.1 keep-out at every step."""
+        con = CollisionSpec(pair=(0, 1), radius=0.1, C=np.array([[1.0]]),
+                            active_times=tuple(range(1, T + 1)))
+        one = np.array([[1.0]])
+        return assemble_problem(validate_scenario(make_ltv_scenario(
+            [1, 1], T, [one, one], [one, one], x0, [1e-2, 1e-2],
+            [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [one, one],
+            [np.zeros(2), np.zeros(2)], [con])))
+
+    def test_a_degenerate_reference_fails_its_own_episode(self, monkeypatch):
+        # episode 1's first noise draw puts both agents at one point at
+        # t = 1, so that its lam = 0 means coincide: its replan at 1 alone
+        # fails, its plan from 0 drives on, and the other episodes are bit
+        # for bit their own S = 1 runs.  Coincident starts end every episode
+        problem = self._two_scalar_agents([1.0, -1.0])
+        planner = simulate.CentralPlanner(problem)
+        u0 = simulate.central_mpc_run(planner, 0, [0]).inputs[0, 0]
+        step = problem.dyn.A[0] @ problem.dyn.x0 + planner.agg.dyn.B[0, 0] @ u0.ravel()
+        z0 = np.linalg.solve(planner.factors[0], [step[1] - step[0], 0.0])
+        real = simulate.noise_stream
+
+        def stream(seed, s):
+            if s != 1:
+                return real(seed, s)
+            z = real(seed, s).standard_normal((problem.T, problem.n_x))
+            z[0] = z0
+            return SimpleNamespace(standard_normal=lambda shape: z)
+
+        monkeypatch.setattr(simulate, "noise_stream", stream)
+        batch, failures, totals = central_mpc(problem, 0, 3)
+        assert [(s, step) for s, step, _ in failures] == [(1, 1)]
+        assert failures[0][2].startswith("DegenerateReference: agents (0,1) nominally coincident")
+        assert batch.samples == 3 and np.all(np.isfinite(batch.states))
+        assert totals["replans"] == 3 * problem.T - 1
+        assert abs(batch.states[1, 1, 0] - batch.states[1, 1, 1]) < 1e-12
+        for s in range(3):
+            run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 0, [s])
+            assert run.failures == [f for f in failures if f[0] == s]
+            assert run.states[0].tobytes() == batch.states[s].tobytes(), s
+            assert run.inputs[0].tobytes() == batch.inputs[s].tobytes(), s
+        with pytest.raises(AllSeedsFailed, match=r"^all 3 MPC seeds failed; first: "
+                                                 r"DegenerateReference: agents \(0,1\)"):
+            central_mpc(self._two_scalar_agents([0.5, 0.5]), 0, 3)
 
 
 @pytest.fixture(scope="module")
@@ -805,13 +921,13 @@ class TestHorizonPass:
     def test_every_replan_time_equals_its_own_slice(self, planner_games, replan_every):
         for name, problem in planner_games:
             planner = simulate.CentralPlanner(problem, replan_every)
-            run = simulate.central_mpc_run(planner, 4)
+            states = simulate.central_mpc_run(planner, 4, [0]).states[0]
             starts = list(range(0, problem.T, replan_every))
             assert sorted(planner.at_tau) == list(planner.cov) == starts, name
             for tau in planner.at_tau:
-                reference = planner.prepare(tau, run.states[tau]).reference_means
+                reference = planner.prepare(tau, states[tau]).reference_means
                 cov, Z, fill = planner.cov[tau], planner.transitions[tau], planner.at_tau[tau][1]
-                sub = simulate.slice_problem(planner.agg, tau, run.states[tau])
+                sub = simulate.slice_problem(planner.agg, tau, states[tau])
                 sub_cov = propagate_covariance(sub.dyn)
                 Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
                 for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
@@ -856,11 +972,11 @@ class TestResponseRoute:
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
         planner = simulate.CentralPlanner(problem)
-        run = simulate.central_mpc_run(planner, 5)
+        run = simulate.central_mpc_run(planner, 5, [0])
         assert not run.failures and run.replans_with_active_rows > 0
         rng = np.random.default_rng(8)
         for tau in range(problem.T):
-            prep = planner.prepare(tau, run.states[tau])
+            prep = planner.prepare(tau, run.states[0, tau])
             sub, conset, gains = prep.problem, prep.conset, prep.gains
             policy0, mean0 = prep.equilibrium0
             self._close(mean0, integrate_expected(sub.dyn, policy0))
@@ -898,7 +1014,7 @@ class TestIntegerArguments:
             "mpc-replan_every": lambda v: central_mpc(problem, 0, 1, replan_every=v),
             "mpc-seed": lambda v: central_mpc(problem, v, 1),
             "planner-replan_every": lambda v: simulate.CentralPlanner(problem, v),
-            "mpc-run-seed": lambda v: simulate.central_mpc_run(planner, v),
+            "mpc-run-seed": lambda v: simulate.central_mpc_run(planner, v, [0]),
             "k_max": lambda v: DualAscentOptions(k_max=v),
             "relinearize": lambda v: solve_scenario(scenario, relinearize=v),
         }
