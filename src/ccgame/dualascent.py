@@ -54,20 +54,19 @@ import numpy as np
 from . import lqnash, uncertainty
 from .errors import DomainError, StepSizeUnavailable
 from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
-                    validate_scenario, _freeze, _integer)
+                    validate_scenario, _integer)
 
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """Problem, open-loop covariance schedule (an array) and reformulated
-    constraints; ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
-    policy and its solver-coordinate mean) and ``psi`` (the zeta response,
-    for the map's alpha columns), when given, are reused by the solve."""
+    """Problem, open-loop covariance schedule (an array) and the rows reformulated at
+    the nominal (plus ``equilibrium0``'s mean, when given); ``gains`` (the stage gains),
+    ``equilibrium0`` (the lam = 0 policy and its solver-coordinate mean) and ``psi`` (the
+    zeta response, for the map's alpha columns), when given, are reused by the solve."""
 
     problem: GameProblem
     cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
     conset: uncertainty.AffineConstraintSet
-    reference_means: np.ndarray   # (T+1, n_x) absolute, used for d-bar directions
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
     psi: np.ndarray | None = field(default=None, repr=False)   # (T, N, n_u, T, n_x)
@@ -89,18 +88,13 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
     problem = assemble_problem(vs, nominal_inputs=nominal_inputs)
     cov = uncertainty.propagate_covariance(problem.dyn)
     if isinstance(vs.dynamics, UnicycleDynamicsSpec):
-        return PreparedGame(problem=problem, cov=cov,
-                            conset=uncertainty.assemble_constraints(
-                                problem, cov, problem.nominal_states),
-                            reference_means=problem.nominal_states)
+        return PreparedGame(problem=problem, cov=cov, conset=uncertainty.assemble_constraints(
+            problem, cov, problem.nominal_states))
     gains = lqnash.stage_gains(problem)
     policy0 = lqnash.backward_recursion(problem, gains=gains)
     mean0 = lqnash.integrate_expected(problem.dyn, policy0)
-    reference = problem.nominal_states + mean0
-    return PreparedGame(problem=problem, cov=cov,
-                        conset=uncertainty.constraint_layout(problem, cov)(reference),
-                        reference_means=_freeze(reference), gains=gains,
-                        equilibrium0=(policy0, mean0))
+    return PreparedGame(problem=problem, cov=cov, conset=uncertainty.assemble_constraints(
+        problem, cov, problem.nominal_states + mean0), gains=gains, equilibrium0=(policy0, mean0))
 
 
 # ---------------------------------------------------------------------------

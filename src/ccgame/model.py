@@ -674,7 +674,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     not a number where one belongs (``_check_numbers``), raises SchemaError."""
     try:
         return _parse_scenario(doc)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"scenario: malformed document "
                           f"({type(exc).__name__}: {exc})") from exc
 

@@ -37,8 +37,8 @@ the lam = 0 policy tail; one that does contracts the violated rows' alpha
 columns from its block of Psi, whose forward pass gives the LCP's columns
 and the policy at its solution (a further one runs only for a column the
 pivot reads beyond them; never the full G).  No replan runs a zeta pass or
-integrates a mean.  The plant steps each state with ``lqnash.closed_loop_step``
-on the aggregate's stacked inputs.
+integrates a mean, and a DegenerateReference names the episode's step.  The plant
+steps each state with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ import numpy as np
 
 from . import lqnash, uncertainty
 from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
-from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
+from .errors import (AllSeedsFailed, CCGameError, DegenerateReference, DomainError,
+                     FactorizationFailure)
 from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze, _integer
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
@@ -314,8 +315,8 @@ class CentralPlanner:
     def screen(self, tau, x0s):
         """Replans at tau from states x0s (S, n_x) before any solve: the lam = 0 policy,
         whether each one's lam = 0 mean violates a row (S,), the DegenerateReference of
-        each one whose rows cannot be filled, and ``game(k)``, episode k's game.  Tau's
-        first screen builds its slice and its rows' layout."""
+        each one whose rows cannot be filled (at its step tau + t), and ``game(k)``,
+        episode k's game.  Tau's first screen builds its slice and its rows' layout."""
         if tau not in self.at_tau:
             t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
@@ -329,8 +330,9 @@ class CentralPlanner:
         sub, fill, gains, policy0, (steps, source) = self.at_tau[tau]
         Z = self.transitions[tau]
         means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
-        refs = sub.nominal_states + means
-        l, c, degenerate = fill(refs)
+        l, c, degenerate = fill(sub.nominal_states + means)
+        degenerate = {k: DegenerateReference(*e.pair, tau + e.t, e.separation)   # episode's step
+                      for k, e in degenerate.items()}
         ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
 
         def game(k):
@@ -338,16 +340,8 @@ class CentralPlanner:
                 problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), cov=self.cov[tau],
                 conset=uncertainty.AffineConstraintSet(t=steps, source=source, l=l[k], c=c[k],
                                                        T=sub.T),
-                reference_means=_freeze(refs[k]), gains=gains, equilibrium0=(policy0, means[k]),
-                psi=self.psi[tau:, :, :, tau:])
+                gains=gains, equilibrium0=(policy0, means[k]), psi=self.psi[tau:, :, :, tau:])
         return policy0, ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
-
-    def prepare(self, tau, x0) -> PreparedGame:
-        """The game of a replan at tau from state x0."""
-        *_, degenerate, game = self.screen(tau, np.asarray(x0, dtype=float)[None])
-        if degenerate:
-            raise degenerate[0]
-        return game(0)
 
 
 @dataclass

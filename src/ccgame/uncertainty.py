@@ -15,12 +15,13 @@ percentage points of the normal distribution", Applied Statistics 37, 1988).
 The split is uniform, so every one of the M rows gets ``eps_row = epsilon / M``
 and one z serves every row of an assembly.  A mean trajectory satisfying
 every row satisfies the original joint chance constraint under the Gaussian
-noise model.  A covariance schedule is a read-only array Sigma
-(T+1, n_x, n_x), and each collision constraint's rows are built for all of
-its steps in one batched pass.  A row reads one step and at most two agents,
-so the rows are one compact table (``AffineConstraintSet``) that the solver
-reads through two operations, ``evaluate`` and ``span``, never as a dense
-(T n_x, M) matrix.
+noise model.  A covariance schedule is a read-only array Sigma (T+1, n_x, n_x).
+``constraint_layout``'s fill writes the rows at a stack of references, each collision
+constraint's in one batched pass, and returns each reference's DegenerateReference (first
+constraint, then first step), which ``assemble_constraints``, the one-game entry point,
+raises.  A row reads one step and at most two agents, so the rows are one compact table
+(``AffineConstraintSet``) that the solver reads through ``evaluate`` and ``span``, never
+as a dense (T n_x, M) matrix.
 """
 
 from __future__ import annotations
@@ -113,17 +114,6 @@ def _quadratic(x, C):
     return (x[..., None, :] @ C @ x[..., :, None])[..., 0]
 
 
-def reference_direction(delta, C, radius):
-    """Radial projection of nominal separations (..., d) onto ||dbar||_C = R; a
-    degenerate one raises DegenerateReference with t its flat index in the stack."""
-    delta = np.asarray(delta, dtype=float)
-    norm_c = np.sqrt(np.maximum(_quadratic(delta, C), 0.0))
-    bad = np.flatnonzero(norm_c < DEGENERATE_SEPARATION)
-    if bad.size:
-        raise DegenerateReference(-1, -1, int(bad[0]), norm_c.flat[bad[0]])
-    return radius * delta / norm_c
-
-
 def linearize_collision(dbar, sigma_pair, radius, C, z):
     """Affine inner approximation of P(||d||^2_C >= R^2) >= 1 - eps_row,
     with z = inverse_normal_cdf(1 - eps_row).
@@ -206,16 +196,17 @@ def row_table(problem: GameProblem):
     return (t, col_source[col], *np.concatenate([np.zeros((0, 3)), *columns])[col].T)
 
 
-def constraint_layout(problem: GameProblem, cov, rows=None):
+def constraint_layout(problem: GameProblem, cov, rows):
     """The part of ``assemble_constraints`` no reference enters: z, the box rows and,
     per collision constraint, its rows and pair covariances gathered from Sigma ``cov``
-    (T+1, n_x, n_x), for ``rows`` (default ``row_table``).  Returns ``fill(reference_means)``,
-    which writes the rows' l and c, the collision rows in one batched pass per constraint.
-    A stack (S, T+1, n_x) of references gives l (S, M, n_x), c (S, M) and, by stack index,
-    the DegenerateReference that entry's own fill raises; its rows are left unwritten."""
-    T, n_x, specs = problem.T, problem.n_x, problem.constraints
+    (T+1, n_x, n_x), for ``rows`` (a ``row_table``).  Returns ``fill(refs)``: the rows' l
+    (S, M, n_x) and c (S, M) at a stack (S, T+1, n_x) of references, the collision rows in
+    one batched pass per constraint, and, by stack index, the DegenerateReference (first
+    constraint, then first step) of each entry that it cannot fill, whose rows of such a
+    constraint it leaves unwritten."""
+    n_x, specs = problem.n_x, problem.constraints
     slices, nominal = problem.agent_slices, problem.nominal_states
-    t, source, q, sign, bound = row_table(problem) if rows is None else rows
+    t, source, q, sign, bound = rows
     M = len(t)
     eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
     z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then
@@ -232,41 +223,38 @@ def constraint_layout(problem: GameProblem, cov, rows=None):
             sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
             collisions.append((spec, sl_i, sl_j, m, t[m], nominal[t[m]][:, :, None], sigma))
 
-    def fill(reference_means):
-        refs = np.asarray(reference_means, dtype=float).reshape(-1, T + 1, n_x)
+    def fill(refs):
         l, c = np.zeros((len(refs), M, n_x)), np.zeros((len(refs), M))
         l[:, box, box_q] = box_sign
         c[:, box] = box_c
         degenerate = {}
         for spec, sl_i, sl_j, m, steps, nominal_t, sigma in collisions:
             delta = refs[:, steps, sl_i] - refs[:, steps, sl_j]
-            ok = slice(None)
-            try:
-                dbar = reference_direction(delta, spec.C, spec.radius)
-            except DegenerateReference:     # each stack entry's first, then the rest's rows
-                norm_c = np.sqrt(np.maximum(_quadratic(delta, spec.C), 0.0))[..., 0]
-                bad = norm_c < DEGENERATE_SEPARATION
-                for s, k in zip(*np.nonzero(bad)):
-                    degenerate.setdefault(int(s), DegenerateReference(
-                        *spec.pair, int(steps[k]), norm_c[s, k]))
-                ok = np.flatnonzero(~bad.any(axis=1))[:, None]
-                dbar = reference_direction(delta[ok[:, 0]], spec.C, spec.radius)
+            norm_c = np.sqrt(np.maximum(_quadratic(delta, spec.C), 0.0))
+            bad = norm_c[..., 0] < DEGENERATE_SEPARATION
+            for s, k in zip(*np.nonzero(bad)):      # each entry's first
+                degenerate.setdefault(int(s), DegenerateReference(
+                    *spec.pair, int(steps[k]), norm_c[s, k, 0]))
+            ok = np.flatnonzero(~bad.any(axis=1))[:, None]     # the others' rows
+            dbar = spec.radius * delta[ok[:, 0]] / norm_c[ok[:, 0]]    # on ||dbar||_C = R
             a, offset = linearize_collision(dbar, sigma, spec.radius, spec.C, z)
             l[ok, m, sl_i], l[ok, m, sl_j] = -a, a
             c[ok, m] = offset + (l[ok, m][..., None, :] @ nominal_t)[..., 0, 0]   # a row's dot each
-        if np.ndim(reference_means) == 3:
-            return l, c, degenerate
-        if degenerate:
-            raise degenerate[0]
-        return AffineConstraintSet(t=t, source=source, l=l[0], c=c[0], T=T)
+        return l, c, degenerate
     return fill
 
 
 def assemble_constraints(problem: GameProblem, cov, reference_means) -> AffineConstraintSet:
-    """The rows at the absolute-coordinate means ``reference_means`` (T+1, n_x),
-    which give the collision reference directions.  Rows are built in absolute
+    """One game's rows at the absolute-coordinate means ``reference_means`` (T+1, n_x),
+    which give the collision reference directions: ``constraint_layout``'s fill at a
+    stack of one, whose DegenerateReference it raises.  Rows are built in absolute
     coordinates and their offsets folded against the problem's nominal, so they
     apply to solver-coordinate expected states: a box row l = sign e_q (sign +1
     for an upper bound, -1 for a lower) has the offset
     ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``."""
-    return constraint_layout(problem, cov)(reference_means)
+    rows = row_table(problem)
+    l, c, degenerate = constraint_layout(problem, cov, rows)(
+        np.asarray(reference_means, dtype=float)[None])
+    if degenerate:
+        raise degenerate[0]
+    return AffineConstraintSet(t=rows[0], source=rows[1], l=l[0], c=c[0], T=problem.T)

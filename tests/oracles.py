@@ -30,9 +30,10 @@ splice that swaps one player's response in, the solve at a given lam (one
 full sweep, whose linear term adds one row's 0.5 lam_m l_m at a time) and the
 dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
 solve computes them, where the preparer has none), the dual function they
-drive, a central-MPC episode that prepares and solves every replan on its
-own, a Monte Carlo probe of one collision row, and a loader for the bundled
-scenarios.
+drive, one replan's game from the planner's screen of its one state, the
+reference a prepared game's collision rows were built at, a central-MPC
+episode that prepares and solves every replan on its own, a Monte Carlo
+probe of one collision row, and a loader for the bundled scenarios.
 """
 
 import math
@@ -423,8 +424,8 @@ def dense_affine_response(problem: GameProblem, conset, gains):
 
 
 def row_reference_direction(delta, C, radius):
-    """One row of ``uncertainty.reference_direction``: radial projection of the
-    nominal separation onto ||dbar||_C = R."""
+    """One row of the reference directions ``uncertainty.constraint_layout``'s fill
+    projects: the nominal separation radially onto ||dbar||_C = R."""
     delta = np.asarray(delta, dtype=float)
     norm_c = math.sqrt(max(float(delta @ C @ delta), 0.0))
     if norm_c < DEGENERATE_SEPARATION:
@@ -792,9 +793,26 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
                                       lam, prepared.conset)[i]
 
 
+def planner_game(planner, tau, x0) -> PreparedGame:
+    """The game of a central-MPC replan at tau from state x0: the planner's
+    screen of the one state, whose DegenerateReference it raises."""
+    *_, degenerate, game = planner.screen(tau, np.asarray(x0, dtype=float)[None])
+    if degenerate:
+        raise degenerate[0]
+    return game(0)
+
+
+def game_reference(prepared: PreparedGame):
+    """The absolute means a prepared game's collision rows were built at: the
+    nominal plus its lam = 0 mean, or the nominal itself (not the nominal plus
+    0, so that no zero changes its sign) when it holds no lam = 0 equilibrium."""
+    nominal = prepared.problem.nominal_states
+    return nominal if prepared.equilibrium0 is None else nominal + prepared.equilibrium0[1]
+
+
 def episode_mpc(planner, seed, s, withhold=False):
     """Central-MPC episode s replanned alone, every replan (lam = 0 ones too)
-    prepared by ``planner.prepare`` and solved by ``run_dual_ascent`` at the
+    prepared by ``planner_game`` and solved by ``run_dual_ascent`` at the
     ``ccgame mpc`` budget: the reference for the lockstep call, which solves
     only the replans whose lam = 0 mean violates a row.  With ``withhold`` a
     replan's prepared lam = 0 equilibrium is dropped, so that its solve runs
@@ -809,7 +827,7 @@ def episode_mpc(planner, seed, s, withhold=False):
     replans = active = columns = 0
     for t in range(T):
         if t % planner.replan_every == 0:
-            prepared = planner.prepare(t, states[t])
+            prepared = planner_game(planner, t, states[t])
             if withhold:
                 assert np.array_equal(prepared.equilibrium0[0].alpha, lqnash.backward_recursion(
                     prepared.problem, gains=prepared.gains).alpha)

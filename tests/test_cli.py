@@ -146,9 +146,15 @@ class TestSolve:
         # a plain list is the diagonal form; {"diag": [...]} is no noise form
         (lambda d: d["dynamics"].update(noise={"diag": [1e-5] * 8}), "utf-8",
          "SchemaError: dynamics.noise: unknown key(s) ['diag']"),
+        # a dynamics or a constraint that is not an object
+        (lambda d: d.update(dynamics=[1]), "utf-8", "SchemaError"),
+        (lambda d: d.update(dynamics=5), "utf-8", "SchemaError"),
+        (lambda d: d.update(constraints=[1]), "utf-8", "SchemaError"),
+        (lambda d: d.update(constraints={"a": 1}), "utf-8", "SchemaError"),
     ], ids=["agents", "R", "pair", "utf-16", "horizon-fraction", "agents-fraction",
             "seed-fraction", "pair-fraction", "box-agent-negative", "box-agent-bool",
-            "active-times-fraction", "active-times-float", "noise-diag"])
+            "active-times-fraction", "active-times-float", "noise-diag", "dynamics-list",
+            "dynamics-number", "constraint-number", "constraints-object"])
     def test_malformed_scenario_values_exit_one(self, tmp_path, capsys, edit,
                                                 encoding, error):
         doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())

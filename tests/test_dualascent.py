@@ -16,10 +16,11 @@ from ccgame.lqnash import (FeedbackPolicy, affine_response, backward_recursion,
                            evaluate_cost, evaluate_lagrangian, integrate_expected)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
+from ccgame.uncertainty import assemble_constraints
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import averaged_ascent, dense_kkt_single_row, dual_function, solve_at
+from oracles import averaged_ascent, dense_kkt_single_row, dual_function, planner_game, solve_at
 
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
@@ -245,7 +246,7 @@ class TestColumnMap:
         run = simulate.central_mpc_run(planner, 5, [0])
         rng = np.random.default_rng(3)
         for tau in range(problem.T):
-            prep = dataclasses.replace(planner.prepare(tau, run.states[0, tau]), psi=None)
+            prep = dataclasses.replace(planner_game(planner, tau, run.states[0, tau]), psi=None)
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
@@ -335,8 +336,13 @@ class TestDynamicsType:
         # mean is far enough from zero (0.016) that "nominal + lam = 0 mean"
         # would move the reference
         prep, _ = dualascent.solve_scenario(mini_scenario, relinearize=1)
-        assert prep.reference_means.tobytes() == prep.problem.nominal_states.tobytes()
-        assert np.max(np.abs(estimate_affine_map(prep).mean0)) >= 1e-3
+        nominal, mean0 = prep.problem.nominal_states, estimate_affine_map(prep).mean0
+        assert prep.equilibrium0 is None and np.max(np.abs(mean0)) >= 1e-3
+        at_nominal = assemble_constraints(prep.problem, prep.cov, nominal)
+        at_mean = assemble_constraints(prep.problem, prep.cov, nominal + mean0)
+        assert prep.conset.l.tobytes() == at_nominal.l.tobytes()
+        assert prep.conset.c.tobytes() == at_nominal.c.tobytes()
+        assert prep.conset.l.tobytes() != at_mean.l.tobytes()
 
 
 def _bits(value):

@@ -14,10 +14,11 @@ from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
 from ccgame.simulate import (GOAL_TOLERANCE, RolloutBatch, central_mpc, evaluate_safety,
                              noise_factors, rollout, travel_time, wilson_interval)
-from ccgame.uncertainty import constraint_layout, propagate_covariance, row_table
+from ccgame.uncertainty import assemble_constraints, propagate_covariance, row_table
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
-from oracles import eigen_factors, loop_rollout, mean_map, recursion_rollout, row_violations
+from oracles import (eigen_factors, game_reference, loop_rollout, mean_map, planner_game,
+                     recursion_rollout, row_violations)
 
 
 def zero_noise(problem):
@@ -836,7 +837,7 @@ class TestLockstep:
         violated = 0
         for x in batch.states:
             for tau in range(0, mini_problem.T, 2):
-                prepared = planner.prepare(tau, x[tau])
+                prepared = planner_game(planner, tau, x[tau])
                 violated += bool(np.any(prepared.conset.evaluate(prepared.equilibrium0[1]) > 0))
         assert 0 < len(solved) == violated < totals["replans"]
 
@@ -850,6 +851,16 @@ class TestLockstep:
             [1, 1], T, [one, one], [one, one], x0, [1e-2, 1e-2],
             [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [one, one],
             [np.zeros(2), np.zeros(2)], [con])))
+
+    def test_a_replans_degenerate_reference_names_the_episodes_step(self):
+        # agents that coincide at tau coincide at every later step, and the first
+        # row of a slice is at its step 1: the error names step tau + 1 of the episode
+        planner = simulate.CentralPlanner(self._two_scalar_agents([1.0, -1.0]))
+        for tau in (0, 2, 4):
+            *_, degenerate, _ = planner.screen(tau, np.array([[0.3, 0.3], [0.3, -0.3]]))
+            assert list(degenerate) == [0], tau
+            assert (degenerate[0].pair, degenerate[0].t) == ((0, 1), tau + 1)
+            assert f"nominally coincident at t={tau + 1} " in str(degenerate[0])
 
     def test_a_degenerate_reference_fails_its_own_episode(self, monkeypatch):
         # episode 1's first noise draw puts both agents at one point at
@@ -925,19 +936,20 @@ class TestHorizonPass:
             starts = list(range(0, problem.T, replan_every))
             assert sorted(planner.at_tau) == list(planner.cov) == starts, name
             for tau in planner.at_tau:
-                reference = planner.prepare(tau, states[tau]).reference_means
-                cov, Z, fill = planner.cov[tau], planner.transitions[tau], planner.at_tau[tau][1]
+                reference = game_reference(planner_game(planner, tau, states[tau]))
+                cov, Z = planner.cov[tau], planner.transitions[tau]
+                fill, (steps, source) = planner.at_tau[tau][1], planner.at_tau[tau][4]
                 sub = simulate.slice_problem(planner.agg, tau, states[tau])
                 sub_cov = propagate_covariance(sub.dyn)
                 Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
                 for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
                     assert got.shape == want.shape, (name, tau)
                     assert got.tobytes() == want.tobytes(), (name, tau)
-                got, want = fill(reference), constraint_layout(sub, sub_cov)(reference)
-                assert got.T == want.T, (name, tau)
-                for key in ("t", "source", "l", "c"):
-                    assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), (
-                        name, tau, key)
+                (l,), (c,), degenerate = fill(reference[None])
+                want = assemble_constraints(sub, sub_cov, reference)
+                assert not degenerate and want.T == problem.T - tau, (name, tau)
+                for key, got in (("t", steps), ("source", source), ("l", l), ("c", c)):
+                    assert got.tobytes() == getattr(want, key).tobytes(), (name, tau, key)
 
     def test_a_slice_keeps_every_constraint(self, planner_games):
         # the mid-horizon game's first constraint, a box, ends at T // 2
@@ -976,7 +988,7 @@ class TestResponseRoute:
         assert not run.failures and run.replans_with_active_rows > 0
         rng = np.random.default_rng(8)
         for tau in range(problem.T):
-            prep = planner.prepare(tau, run.states[0, tau])
+            prep = planner_game(planner, tau, run.states[0, tau])
             sub, conset, gains = prep.problem, prep.conset, prep.gains
             policy0, mean0 = prep.equilibrium0
             self._close(mean0, integrate_expected(sub.dyn, policy0))

@@ -283,3 +283,35 @@ def test_every_public_function_and_class_in_src_is_read():
                 read.update(name for name in names if name != own)
     unread = [entry for entry in public if entry.split(": ")[1] not in read]
     assert not unread, f"public names that src/ reads nowhere: {unread}"
+
+
+def test_every_public_member_of_a_public_class_in_src_is_read():
+    # a public method, property or dataclass field of a public class in
+    # src/ccgame is read by a src/ module (as an attribute or an identifier
+    # string), or README.md names it in a code span: a member is often a
+    # common word, so prose does not document it.  A member that only tests/
+    # or perfbench/ reads is an API that the library does not use or document
+    read = {word for span in re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text(
+        encoding="utf-8")) for word in re.findall(r"\w+", span)}
+    members = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append(f"{path.name}: {top.name}.{name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update([node.value] if node.value.isidentifier() else [])
+    unread = [entry for entry in members if entry.rsplit(".", 1)[1] not in read]
+    assert not unread, f"public members that src/ reads nowhere: {unread}"

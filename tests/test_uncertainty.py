@@ -13,14 +13,14 @@ from ccgame.model import (BoxSpec, CollisionSpec, Scenario, assemble_problem,
                           load_scenario, validate_scenario)
 from ccgame.uncertainty import (allocate_risk, assemble_constraints,
                                 inverse_normal_cdf, linearize_collision,
-                                propagate_covariance, reference_direction)
+                                propagate_covariance)
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
 from oracles import (bisect_normal_quantile, conservativeness_probe,
-                     dense_affine_response, loop_assemble_constraints, pair_difference_cov,
-                     row_linearize_collision, row_reference_direction,
-                     series_normal_cdf)
+                     dense_affine_response, game_reference, loop_assemble_constraints,
+                     pair_difference_cov, planner_game, row_linearize_collision,
+                     row_reference_direction, series_normal_cdf)
 
 # frozen with the series-CDF bisection oracle (tests/oracles.py)
 Z_950000 = 1.6448536269514449
@@ -160,15 +160,74 @@ class TestCollisionRow:
         backoff = c - 2 * radius**2
         assert backoff == pytest.approx(Z_999800 * 2 * radius * sigma, rel=1e-9)
 
+    @staticmethod
+    def _game(d, specs, N=2, T=3):
+        """N agents of d states each and zero nominal, with the constraints ``specs``."""
+        n_x, eye = N * d, np.eye(d)
+        return assemble_problem(validate_scenario(make_ltv_scenario(
+            [d] * N, T, [eye] * N, [np.ones((d, 1))] * N, np.zeros(n_x),
+            np.full(n_x, 1e-2), [np.eye(n_x)] * N, [np.eye(1)] * N, [np.zeros(n_x)] * N,
+            specs)))
+
     def test_reference_direction_scaling_and_degeneracy(self):
-        d = reference_direction([3.0, 4.0], np.eye(2), 2.0)
-        assert math.hypot(*d) == pytest.approx(2.0)
-        with pytest.raises(DegenerateReference):
-            reference_direction([1e-12, 0.0], np.eye(2), 1.0)
-        # a stack names its first degenerate row
+        # a row's a = 2 C dbar, with dbar the separation projected onto ||dbar||_C = R
+        con = CollisionSpec(pair=(0, 1), radius=2.0, C=self.C2, active_times=(1, 2, 3))
+        problem = self._game(2, [con])
+        cov = np.zeros((4, 4, 4))
+        reference = np.zeros((4, 4))
+        reference[1:, :2] = [3.0, 4.0]
+        conset = assemble_constraints(problem, cov, reference)
+        dbar = conset.l[:, 2:] / 2.0
+        assert np.allclose(dbar, [1.2, 1.6], rtol=0, atol=1e-15)
+        assert all(math.hypot(*row) == pytest.approx(2.0) for row in dbar)
+        assert np.array_equal(conset.l[:, :2], -conset.l[:, 2:])
+        assert np.array_equal(conset.c, np.full(3, 8.0))     # 2 R^2, no backoff at Sigma = 0
+        reference[1, 0] = 1e-12
+        reference[1, 1] = 0.0
         with pytest.raises(DegenerateReference) as err:
-            reference_direction([[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]], np.eye(2), 1.0)
-        assert err.value.t == 1 and err.value.separation == 1e-12
+            assemble_constraints(problem, cov, reference)
+        assert err.value.pair == (0, 1) and err.value.t == 1
+        # the game names its first degenerate step, with its pair and separation
+        reference[1:, :2] = [[1.0, 0.0], [0.0, 1e-12], [0.0, 0.0]]
+        with pytest.raises(DegenerateReference) as err:
+            assemble_constraints(problem, cov, reference)
+        assert err.value.pair == (0, 1) and err.value.t == 2
+        assert err.value.separation == 1e-12
+
+    def test_a_stack_names_each_entrys_first_constraint_then_first_step(self):
+        # three agents 1 apart on a line, keep-outs on pairs (0,1) and (1,2): entry 1
+        # has (0,1) coincident at t = 3, entry 2 at t = 2 and 3, and entry 3 has (1,2)
+        # coincident at t = 1 and (0,1) at t = 3, so that it names (0,1) at t = 3
+        cons = [CollisionSpec(pair=pair, radius=0.5, C=self.C2, active_times=(1, 2, 3))
+                for pair in ((0, 1), (1, 2))]
+        problem = self._game(2, cons, N=3)
+        cov = propagate_covariance(problem.dyn)
+        refs = np.zeros((4, 4, 6))
+        refs[:, :, 2], refs[:, :, 4] = 1.0, 2.0
+        refs[1, 3, 2] = 0.0
+        refs[2, 2:, 2] = 0.0
+        refs[3, 3, 2] = 0.0
+        refs[3, 1, 4] = 1.0
+        rows = uncertainty.row_table(problem)
+        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows)(refs)
+        assert sorted(degenerate) == [1, 2, 3]
+        assert [(degenerate[s].pair, degenerate[s].t) for s in (1, 2, 3)] == [
+            ((0, 1), 3), ((0, 1), 2), ((0, 1), 3)]
+        assert degenerate[3].separation == 0.0
+        # a degenerate entry's rows of that constraint are left unwritten, its others not
+        unwritten = {1: [0], 2: [0], 3: [0, 1]}
+        for s in range(4):
+            if s in degenerate:
+                with pytest.raises(DegenerateReference) as err:
+                    assemble_constraints(problem, cov, refs[s])
+                assert (err.value.pair, err.value.t) == (degenerate[s].pair, degenerate[s].t)
+                for k in (0, 1):
+                    rows_k = rows[1] == k
+                    assert np.any(l[s, rows_k]) != (k in unwritten[s]), (s, k)
+                    assert np.any(c[s, rows_k]) != (k in unwritten[s]), (s, k)
+            else:
+                want = assemble_constraints(problem, cov, refs[s])
+                assert l[s].tobytes() == want.l.tobytes() and c[s].tobytes() == want.c.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_stacks_match_the_per_row_oracle_bit_for_bit(self, d):
@@ -180,15 +239,34 @@ class TestCollisionRow:
             sigma = w @ np.swapaxes(w, -1, -2)
             delta = rng.normal(size=shape + (d,))
             radius, z = float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 4.0))
-            dbar = reference_direction(delta, C, radius)
+            dbar = np.array([row_reference_direction(delta[k], C, radius)
+                             for k in np.ndindex(*shape)]).reshape(delta.shape)
             a, c = linearize_collision(dbar, sigma, radius, C, z)
-            assert dbar.shape == a.shape == delta.shape and np.shape(c) == shape
+            assert a.shape == delta.shape and np.shape(c) == shape
             for k in np.ndindex(*shape):
-                dbar_k = row_reference_direction(delta[k], C, radius)
-                a_k, c_k = row_linearize_collision(dbar_k, sigma[k], radius, C, z)
-                assert dbar[k].tobytes() == dbar_k.tobytes()
+                a_k, c_k = row_linearize_collision(dbar[k], sigma[k], radius, C, z)
                 assert a[k].tobytes() == a_k.tobytes()
                 assert np.float64(c[k]).tobytes() == np.float64(c_k).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_filled_stacks_match_the_per_row_oracle_bit_for_bit(self, d):
+        # the fill of a stack of references (its projection, its rows) is the
+        # single loop on the per-row helpers at each reference, byte for byte
+        rng = np.random.default_rng(50 + d)
+        m = rng.normal(size=(d, d))
+        con = CollisionSpec(pair=(1, 0), radius=float(rng.uniform(0.2, 2.0)),
+                            C=m @ m.T + 0.1 * np.eye(d), active_times=(1, 2, 4, 5))
+        problem = self._game(d, [con], T=5)
+        w = rng.normal(size=(6, 2 * d, 2 * d))
+        cov = w @ np.swapaxes(w, -1, -2)
+        refs = rng.normal(size=(7, 6, 2 * d))
+        rows = uncertainty.row_table(problem)
+        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows)(refs)
+        assert not degenerate and l.shape == (7, 4, 2 * d) and c.shape == (7, 4)
+        for s in range(7):
+            want = loop_assemble_constraints(problem, cov, refs[s])
+            assert l[s].tobytes() == want.l.tobytes(), s
+            assert c[s].tobytes() == want.c.tobytes(), s
 
 
 def _box_row(coord, side, bound, sigma_qq, eps_row, n_x):
@@ -302,13 +380,12 @@ class TestAssembly:
         problem = assemble_problem(validate_scenario(
             Scenario(**{**s.__dict__, "constraints": (con,)})))
         cov = propagate_covariance(problem.dyn)
-        layout = uncertainty.constraint_layout(problem, cov)
         for t_star in range(1, problem.T + 1):
             reference = np.zeros((problem.T + 1, 2))
             reference[:, 1] = 1.0
             reference[t_star, 1] = 0.0
             with pytest.raises(DegenerateReference) as err:
-                layout(reference)
+                assemble_constraints(problem, cov, reference)
             assert err.value.pair == (0, 1) and err.value.t == t_star
 
 
@@ -316,7 +393,7 @@ class TestAssembly:
 def mpc_subgame(mini_prep):
     """The game a central-MPC replan at t = 5 of intersection-mini prepares."""
     planner = simulate.CentralPlanner(mini_prep.problem)
-    return planner.prepare(5, np.zeros(mini_prep.problem.n_x))
+    return planner_game(planner, 5, np.zeros(mini_prep.problem.n_x))
 
 
 def _assert_same_bytes(got, want):
@@ -331,6 +408,7 @@ def _rebuilt(prep):
     place among the rows of that (step, source), at z = Phi^-1(1 - eps / M);
     a collision row's reference direction comes from the prepared means."""
     problem, conset, cov = prep.problem, prep.conset, prep.cov
+    reference = game_reference(prep)
     z = inverse_normal_cdf(1.0 - problem.risk_epsilon / prep.M)
     l, c = np.zeros_like(conset.l), np.zeros_like(conset.c)
     for m, (t, k) in enumerate(zip(conset.t.tolist(), conset.source.tolist())):
@@ -345,7 +423,7 @@ def _rebuilt(prep):
                     + sign * nominal[q])
         else:
             sl_i, sl_j = (problem.agent_slices[a] for a in spec.pair)
-            ref = prep.reference_means[t]
+            ref = reference[t]
             dbar = row_reference_direction(ref[sl_i] - ref[sl_j], spec.C, spec.radius)
             a = 2.0 * (spec.C @ dbar)
             sigma_pair = pair_difference_cov(Sigma, sl_i, sl_j)
@@ -376,7 +454,7 @@ class TestOnePassAssembly:
         for prep in (mini_prep, mpc_subgame):
             assert prep.M >= 1
             calls.update(quantile=0, rows=0)
-            conset = assemble_constraints(prep.problem, prep.cov, prep.reference_means)
+            conset = assemble_constraints(prep.problem, prep.cov, game_reference(prep))
             assert conset.M == prep.M
             assert calls["quantile"] == 1
             assert calls["rows"] == sum(spec.kind == "box"
@@ -384,16 +462,16 @@ class TestOnePassAssembly:
 
     def test_one_helper_call_per_collision_constraint(self, monkeypatch,
                                                       intersection_prep):
-        # 3 collision constraints over 50 steps: 3 calls of each helper, not 150
-        calls = {"reference_direction": 0, "linearize_collision": 0}
+        # 3 collision constraints over 50 steps: 3 calls of the helper, not 150
+        calls = {"linearize_collision": 0}
         for name in calls:
             def counted(*args, _real=getattr(uncertainty, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(uncertainty, name, counted)
         prep = intersection_prep
-        conset = assemble_constraints(prep.problem, prep.cov, prep.reference_means)
-        assert calls == {"reference_direction": 3, "linearize_collision": 3}
+        conset = assemble_constraints(prep.problem, prep.cov, game_reference(prep))
+        assert calls == {"linearize_collision": 3}
         kinds = [prep.problem.constraints[k].kind for k in conset.source]
         assert kinds.count("collision") == 150
         _assert_same_bytes(conset, prep.conset)
@@ -419,7 +497,7 @@ class TestSplitAssembly:
         for prep in (mini_prep, intersection_prep, coupled, mpc_subgame):
             assert prep.M >= 1
             _assert_same_bytes(prep.conset, loop_assemble_constraints(
-                prep.problem, prep.cov, prep.reference_means))
+                prep.problem, prep.cov, game_reference(prep)))
 
     def test_replan_from_the_shared_layout_equals_a_fresh_assembly(self, mini_prep):
         # the second replan at tau fills the layout the first one built; the
@@ -432,17 +510,17 @@ class TestSplitAssembly:
         x0 = mini_prep.problem.dyn.x0
         rng = np.random.default_rng(2)
         for tau in (0, 7, 19):
-            planner.prepare(tau, x0)
+            planner_game(planner, tau, x0)
             x = x0 + 0.05 * rng.normal(size=x0.shape)
-            prep = planner.prepare(tau, x)
+            prep = planner_game(planner, tau, x)
             sub = simulate.slice_problem(planner.agg, tau, x)
             policy0 = lqnash.backward_recursion(sub)
             reference = sub.nominal_states + lqnash.integrate_expected(sub.dyn, policy0)
-            assert np.max(np.abs(prep.reference_means - reference)) <= 1e-13 * max(
+            assert np.max(np.abs(game_reference(prep) - reference)) <= 1e-13 * max(
                 1.0, np.max(np.abs(reference)))
             assert np.array_equal(prep.problem.dyn.x0, x)
             fresh = assemble_constraints(sub, propagate_covariance(sub.dyn),
-                                         prep.reference_means)
+                                         game_reference(prep))
             _assert_same_bytes(prep.conset, fresh)
 
 
@@ -529,7 +607,7 @@ class TestCompactOperations:
 
     def test_lmat_equals_the_single_loop_byte_for_byte(self, preps):
         for prep in preps:
-            want = loop_assemble_constraints(prep.problem, prep.cov, prep.reference_means)
+            want = loop_assemble_constraints(prep.problem, prep.cov, game_reference(prep))
             assert prep.conset.lmat.tobytes() == want.lmat.tobytes()
             assert prep.conset.lmat.shape == (prep.problem.T * prep.problem.n_x, prep.M)
 
