@@ -3,7 +3,7 @@
 Every command writes its artifacts plus a run manifest into --out.  Exit
 codes: 0 success, 1 invalid input (malformed arguments too) or solver
 failure, 2 completed with warnings (solve ended with residuals above
-tolerance, or some MPC seed failed).
+tolerance, or an MPC replan failed).
 
 This module owns every artifact format it writes or reads back (policy.json,
 trace.csv, stats.csv, report.csv and the trajectory dumps); the solver and
@@ -100,9 +100,7 @@ def cmd_solve(args):
           f"feasibility residual {report.feasibility_residual:.3e}, "
           f"complementarity {report.complementarity:.3e}, "
           f"eta {report.eta:.3e}, L {report.lipschitz:.3e}")
-    ok = (report.feasibility_residual <= options.tol_feas
-          and report.complementarity <= options.tol_slack)
-    return 0 if ok else 2
+    return 2 if report.residual_above_tolerance else 0
 
 
 def _load_policy(path):

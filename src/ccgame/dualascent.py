@@ -325,7 +325,7 @@ CONSECUTIVE = 10           # iterations within tolerance before stopping
 class DualAscentOptions:
     k_max: int = 2000               # budget of the ascent the pivot falls back to
     eta: object = "auto"            # "auto" -> STEP_FRACTION / L, or a float > 0
-    # the ascent's stop, residual_above_tolerance and the CLI's exit code
+    # the ascent's stop and the report's residual_above_tolerance (the CLI's exit code 2)
     tol_feas: ClassVar[float] = 1e-6
     tol_slack: ClassVar[float] = 1e-6
 
@@ -343,7 +343,8 @@ class DualSolveReport:
 
     The policy's mean trajectory (at lam = 0 the map's mean0), g there and
     the residuals, eta (the fallback's step), lipschitz and the per-player
-    dual values are computed when first read."""
+    dual values are computed when first read.  ``residual_above_tolerance``, report.json's
+    flag and the CLI's exit code 2, is feasibility or complementarity above its tolerance."""
 
     lambda_bar: np.ndarray
     policy: lqnash.FeedbackPolicy
@@ -371,6 +372,11 @@ class DualSolveReport:
     @cached_property
     def complementarity(self):
         return float(abs(self.lambda_bar @ self.g_final))
+
+    @property
+    def residual_above_tolerance(self):
+        return not (self.feasibility_residual <= self.options.tol_feas
+                    and self.complementarity <= self.options.tol_slack)
 
     @cached_property
     def natural_residual(self):     # ||lam - max(0, lam + g)||_inf
@@ -410,8 +416,7 @@ class DualSolveReport:
             # flagged, not interpreted: residual stalled above tolerance can
             # mean slow averaging or an instance without a strictly feasible
             # policy, which cannot be distinguished at runtime
-            "residual_above_tolerance": bool(
-                self.feasibility_residual > self.options.tol_feas),
+            "residual_above_tolerance": self.residual_above_tolerance,
         }
 
 

@@ -58,7 +58,7 @@ class DegenerateReference(CCGameError):
         self.t = t
         self.separation = float(separation)
         super().__init__(
-            f"agents ({i},{j}) nominally coincident at t={t} "
+            f"agents ({i},{j}) coincide or overflow in the reference at t={t} "
             f"(weighted separation {separation:.3e}); cannot pick a reference direction"
         )
 

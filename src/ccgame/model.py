@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BadProbability,
     DimensionMismatch,
+    DomainError,
     NotPositiveDefinite,
     ScenarioValidationError,
     SchemaError,
@@ -232,14 +233,20 @@ def _integer(value, name, least=None, error=SchemaError):
 
 def _check_definite(v, mats, tol, name, first=0):
     """Report the first matrix of ``mats`` (n, n) or (T, n, n) whose symmetric
-    part has an eigenvalue below ``tol``; a stack names the offending step,
+    part is not finite (it overflows, under ``validate_scenario``'s errstate) or
+    else has an eigenvalue below ``tol``; a stack names the offending step,
     counting from ``first``."""
-    lam = np.linalg.eigvalsh((mats + np.swapaxes(mats, -1, -2)) / 2.0)[..., 0]
+    def field(k):
+        return name if mats.ndim == 2 else f"{name}[{k + first}]"
+    sym = (mats + np.swapaxes(mats, -1, -2)) / 2.0
+    if not np.isfinite(sym).all():
+        k = int(np.argmin(np.isfinite(sym).all(axis=(-2, -1))))
+        v.append(DimensionMismatch(field(k), "a finite symmetric part", "one that is not"))
+        return
+    lam = np.linalg.eigvalsh(sym)[..., 0]
     bad = np.flatnonzero(lam < tol)
     if bad.size:
-        k = int(bad[0])
-        v.append(NotPositiveDefinite(name if mats.ndim == 2 else f"{name}[{k + first}]",
-                                     lam.flat[k]))
+        v.append(NotPositiveDefinite(field(int(bad[0])), lam.flat[bad[0]]))
 
 
 def _check_dims(v, s: Scenario):
@@ -339,8 +346,9 @@ def _check_constraints(v, s: Scenario):
                 v.append(DimensionMismatch(f"constraints[{k}].C", (d, d), con.C.shape))
                 continue
             _check_definite(v, con.C, -TOL_PSD, f"constraints[{k}].C")
-            if not (con.radius > 0):
-                v.append(DimensionMismatch(f"constraints[{k}].radius", "> 0", con.radius))
+            if not (con.radius > 0 and math.isfinite(con.radius * con.radius)):
+                v.append(DimensionMismatch(f"constraints[{k}].radius",
+                                           "> 0 with a finite square", con.radius))
 
 
 def _scenario_n_u(s: Scenario):
@@ -361,16 +369,17 @@ def validate_scenario(s) -> ValidatedScenario:
         return s
     v = []
     _check_dims(v, s)
-    if not v:
-        if isinstance(s.dynamics, LtvGameDynamics):
-            _check_ltv(v, s.dynamics, s)
-        elif isinstance(s.dynamics, UnicycleDynamicsSpec):
-            _check_unicycle(v, s.dynamics, s)
-        else:
-            v.append(DimensionMismatch("dynamics", "LtvGameDynamics or UnicycleDynamicsSpec",
-                                       type(s.dynamics).__name__))
-        _check_costs(v, s)
-        _check_constraints(v, s)
+    with np.errstate(over="ignore"):    # an overflow is a violation, not a warning
+        if not v:
+            if isinstance(s.dynamics, LtvGameDynamics):
+                _check_ltv(v, s.dynamics, s)
+            elif isinstance(s.dynamics, UnicycleDynamicsSpec):
+                _check_unicycle(v, s.dynamics, s)
+            else:
+                v.append(DimensionMismatch("dynamics", "LtvGameDynamics or UnicycleDynamicsSpec",
+                                           type(s.dynamics).__name__))
+            _check_costs(v, s)
+            _check_constraints(v, s)
     if v:
         raise ScenarioValidationError(v)
     return ValidatedScenario(s)
@@ -495,9 +504,13 @@ def assemble_problem(vs, nominal_inputs=None) -> GameProblem:
         nominal_inputs = np.asarray(nominal_inputs, dtype=float)
         if nominal_inputs.shape != (N, T, 2):
             raise DimensionMismatch("nominal_inputs", (N, T, 2), nominal_inputs.shape)
-        nominal = linearize.nominal_rollout(s.dynamics.initial_states,
-                                            nominal_inputs, s.dt)
-        dyn = linearize.linearize_unicycle(nominal, s.dt, s.dynamics.W)
+        with np.errstate(over="ignore", invalid="ignore"):     # checked below
+            nominal = linearize.nominal_rollout(s.dynamics.initial_states,
+                                                nominal_inputs, s.dt)
+            dyn = linearize.linearize_unicycle(nominal, s.dt, s.dynamics.W)
+        if not (np.isfinite(nominal).all() and np.isfinite(dyn.A).all()):   # B is dt
+            raise DomainError(f"nominal trajectory: its states or linearization are not "
+                              f"finite (dt = {s.dt})")
         nominal_states = nominal.reshape(T + 1, n_x)
         nominal_inputs_abs = np.transpose(nominal_inputs, (1, 0, 2))
         # deviation coordinates: references shift by the nominal trajectory

@@ -23,22 +23,24 @@ cadence, and its constructor computes once the aggregate, its noise factors,
 its stage gains, its lam = 0 policy, whose tail at tau is the reference
 policy of a replan at tau, the zeta response Psi, its row table, and, in one
 pass over the horizon, each replan time's open-loop covariance and that
-policy's transition products [Phi | d].  An episode reads all of it from the
-planner alone.  A slice keeps every constraint, one that has ended with no
-active time, so its rows are the table's after tau, shifted by tau, with
-their sources as they are.  A replan time's first replan computes its slice,
-z, box offsets and pair covariances, so that a bad risk allocation fails
-every episode's replan there and no other.  The episodes of a call advance
-in lockstep, and at a replan time one ``screen`` per SCREEN_BLOCK episodes
-contracts their lam = 0 means Phi x0 + d (the references, at which g is the
-map's ctilde), fills their collision rows and evaluates their ctilde, each
-stacked and bit for bit as at S = 1.  An episode that violates no row keeps
-the lam = 0 policy tail; one that does contracts the violated rows' alpha
-columns from its block of Psi, whose forward pass gives the LCP's columns
-and the policy at its solution (a further one runs only for a column the
-pivot reads beyond them; never the full G).  No replan runs a zeta pass or
-integrates a mean, and a DegenerateReference names the episode's step.  The plant
-steps each state with ``lqnash.closed_loop_step`` on the aggregate's stacked inputs.
+policy's transition products [Phi | d].  A slice keeps every constraint, one
+that has ended with no active time, so its rows are the table's after tau,
+shifted by tau, with their sources as they are.  A replan time's first replan
+computes its slice, z, box offsets and pair covariances, so that a bad risk
+allocation fails every episode's replan there and no other.  The episodes of
+a call advance in lockstep, and at a replan time one ``screen`` per
+SCREEN_BLOCK episodes contracts their lam = 0 means Phi x0 + d (the
+references, at which g is the map's ctilde), fills their collision rows and
+evaluates their ctilde, each stacked and bit for bit as at S = 1; every
+episode starts at x0, so t = 0 is screened and solved once.  An episode that
+violates no row takes the lam = 0 alpha tail; one that does contracts the
+violated rows' alpha columns from its block of Psi, whose forward pass gives
+the LCP's columns and the policy at its solution (a further one runs only
+for a column the pivot reads beyond them; never the full G).  No replan runs
+a zeta pass or integrates a mean, and a DegenerateReference names the
+episode's step.  A replan's gains are the planner's tail whatever its lam or
+x0, so a plan is its alpha, written from its replan time on, and the plant
+steps each state on the planner's gains (``lqnash.closed_loop_step``).
 """
 
 from __future__ import annotations
@@ -313,10 +315,11 @@ class CentralPlanner:
         self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0, rows)
 
     def screen(self, tau, x0s):
-        """Replans at tau from states x0s (S, n_x) before any solve: the lam = 0 policy,
-        whether each one's lam = 0 mean violates a row (S,), the DegenerateReference of
-        each one whose rows cannot be filled (at its step tau + t), and ``game(k)``,
-        episode k's game.  Tau's first screen builds its slice and its rows' layout."""
+        """Replans at tau from states x0s (S, n_x) before any solve: whether each one's
+        lam = 0 mean violates a row (S,), the DegenerateReference of each one whose rows
+        cannot be filled (at its step tau + t), and ``game(k)``, episode k's game.  One
+        that violates no row takes ``alpha0[tau:]``.  Tau's first screen builds its
+        slice and its rows' layout."""
         if tau not in self.at_tau:
             t_start = time.perf_counter()
             sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
@@ -341,14 +344,14 @@ class CentralPlanner:
                 conset=uncertainty.AffineConstraintSet(t=steps, source=source, l=l[k], c=c[k],
                                                        T=sub.T),
                 gains=gains, equilibrium0=(policy0, means[k]), psi=self.psi[tau:, :, :, tau:])
-        return policy0, ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
+        return ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
 
 
 @dataclass
 class MpcRun:
     states: np.ndarray         # (S, T+1, n_x) solver coordinates
     inputs: np.ndarray         # (S, T, N, n_u)
-    failures: list             # (sample index, step, error message)
+    failures: list             # (sample index, step, error message) of failed replans
     replans: int
     replans_with_active_rows: int   # replans whose multiplier is not 0
     solve_seconds: float       # the wall time of its replans
@@ -361,58 +364,56 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     lockstep, one per noise stream index of ``sample_indices``.
 
     Episodes replan at the planner's replan times over the remaining (shrinking)
-    horizon, as the module docstring says.  On a replan failure the previous plan keeps
-    driving and the failure is recorded with its step; one in a screen's shared work is
-    each of its episodes'.  An episode whose replan at t = 0 fails ends, and the run
-    returns the episodes that complete.
+    horizon, as the module docstring says.  The replan at t = 0, every episode's, is
+    solved once and counted once per episode, and its failure raises.  On a later
+    replan failure the previous plan keeps driving and the failure is recorded with
+    its step; one in a screen's shared work is each of its episodes'.
     """
     options = options or DualAscentOptions(k_max=500)
     seed = _integer(seed, "seed", error=DomainError)
     indices = list(sample_indices)
-    problem, dyn = planner.problem, planner.problem.dyn
+    problem, dyn, S = planner.problem, planner.problem.dyn, len(indices)
     T, N, n_x = problem.T, problem.N, problem.n_x
     z = np.stack([noise_stream(seed, s).standard_normal((T, n_x)) for s in indices])
-    states = np.zeros((len(indices), T + 1, n_x))
-    inputs = np.zeros((len(indices), T, N, problem.n_u))
+    states, inputs = np.zeros((S, T + 1, n_x)), np.zeros((S, T, N, problem.n_u))
     states[:, 0] = dyn.x0
-    plans = [None] * len(indices)     # per episode: its policy and that policy's replan time
+    alphas = np.empty((S, *planner.alpha0.shape))   # the plans: affine terms on gains.K
     failures = []
-    replans = active = columns = 0
-    solve_seconds = 0.0
+
+    def replan(k, t, screened, b):   # episode(s) k from t by entry b: (active, columns)
+        violated, errors, game = screened
+        if b in errors:
+            raise errors[b]
+        if not violated[b]:
+            alphas[k, t:] = planner.alpha0[t:]
+            return 0, 0
+        report = run_dual_ascent(game(b), options)
+        alphas[k, t:] = report.policy.alpha
+        return bool(np.any(report.lambda_bar)), report.map_columns
+
+    t_start = time.perf_counter()
+    active, columns = (S * n for n in replan(slice(None), 0, planner.screen(0, dyn.x0[None]), 0))
+    replans, solve_seconds = S, time.perf_counter() - t_start
     for t in range(T):
-        if t % planner.replan_every == 0:
+        if t and t % planner.replan_every == 0:
             t_start = time.perf_counter()
-            for k in range(len(plans)):
+            for k in range(S):
                 b = k % SCREEN_BLOCK
                 if b == 0:
                     try:
-                        policy0, violated, errors, game = planner.screen(
-                            t, states[k:k + SCREEN_BLOCK, t])
+                        screened = planner.screen(t, states[k:k + SCREEN_BLOCK, t])
                     except (CCGameError, np.linalg.LinAlgError) as exc:   # each one's failure
-                        errors = dict.fromkeys(range(SCREEN_BLOCK), exc)
+                        screened = None, dict.fromkeys(range(SCREEN_BLOCK), exc), None
                 try:
-                    if b in errors:
-                        raise errors[b]
-                    if violated[b]:
-                        report = run_dual_ascent(game(b), options)
-                        plans[k] = report.policy, t
-                        active += bool(np.any(report.lambda_bar))
-                        columns += report.map_columns
-                        del report      # its rows and map would live through the next replan
-                    else:
-                        plans[k] = policy0, t
-                    replans += 1
+                    a, c = replan(k, t, screened, b)
+                    replans, active, columns = replans + 1, active + a, columns + c
                 except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
                     failures.append((indices[k], t, f"{type(exc).__name__}: {exc}"))
-            game = None     # its block's rows would live through the next screen
+            screened = None     # its block's rows would live through the next screen
             solve_seconds += time.perf_counter() - t_start
-            if t == 0:      # an episode whose first replan failed ends
-                keep = [k for k, plan in enumerate(plans) if plan is not None]
-                states, inputs, z = states[keep], inputs[keep], z[keep]
-                plans, indices = [plans[k] for k in keep], [indices[k] for k in keep]
-        for k, (plan, tau) in enumerate(plans):
+        for k in range(S):
             u, states[k, t + 1] = lqnash.closed_loop_step(
-                dyn.A[t], planner.agg.dyn.B[t, 0], plan.K[t - tau], plan.alpha[t - tau],
+                dyn.A[t], planner.agg.dyn.B[t, 0], planner.gains.K[t], alphas[k, t],
                 states[k, t], planner.factors[t], z[k, t])
             inputs[k, t] = u.reshape(N, -1)
     failures.sort(key=lambda f: f[:2])
@@ -424,8 +425,8 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
 def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
                 options: DualAscentOptions | None = None):
     """Seeded batch of MPC episodes; returns (RolloutBatch, failures, totals):
-    the completed episodes' ``comp_seconds_per_step`` (seconds per replan,
-    the planner's constructor counted once),
+    the episodes' ``comp_seconds_per_step`` (seconds per replan, the planner's
+    constructor counted once),
     ``replans``, ``replans_with_active_rows`` (lam != 0), ``map_columns``
     (G columns computed) and the planner's ``planner_seconds`` (shared work).
 
@@ -433,25 +434,23 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     and MPC statistics are paired across sample indices.  All episodes share
     one CentralPlanner and advance in lockstep (``central_mpc_run``; the module
     docstring says what a call, a replan time and a replan compute).  A
-    CCGameError or LinAlgError of a replan ends only its own episode, one of the
-    planner every episode; if every episode ends so, raises AllSeedsFailed.  A
-    bad ``replan_every`` raises before any episode.
+    CCGameError or LinAlgError of a later replan is recorded in ``failures`` and
+    its episode's previous plan drives on; one of the planner or of the shared
+    start at t = 0 is every episode's and raises AllSeedsFailed.  A bad
+    ``replan_every`` raises before any episode.
     """
     S = _integer(samples, "samples", 1, DomainError)
     replan_every = _integer(replan_every, "replan_every", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
-    try:
+    try:    # the planner's failure or the shared start's is every episode's
         planner = CentralPlanner(problem, replan_every)
-    except (CCGameError, np.linalg.LinAlgError) as exc:   # every episode's failure
+        run = central_mpc_run(planner, seed, range(S), options)
+    except (CCGameError, np.linalg.LinAlgError) as exc:
         raise AllSeedsFailed(f"all {S} MPC seeds failed; first: "
                              f"{type(exc).__name__}: {exc}") from None
-    run = central_mpc_run(planner, seed, range(S), options)
-    if not len(run.states):
-        raise AllSeedsFailed(f"all {S} MPC seeds failed; first: {run.failures[0][2]}")
     costs = lqnash.realized_costs(problem, run.states, run.inputs)
     batch = RolloutBatch(states=run.states, inputs=run.inputs, costs=costs,
                          seed=seed, method="central_mpc")
-    # every completed episode planned at least once, at t = 0
     return batch, run.failures, {
         "comp_seconds_per_step": (planner.seconds + run.solve_seconds) / run.replans,
         "replans": run.replans,

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgame import scenarios
-from ccgame.errors import (BadProbability, DimensionMismatch, NotPositiveDefinite,
-                           ScenarioValidationError, SchemaError)
+from ccgame.errors import (BadProbability, DimensionMismatch, DomainError,
+                           NotPositiveDefinite, ScenarioValidationError, SchemaError)
 from ccgame.model import (BoxSpec, LtvGameDynamics, Scenario,
                           assemble_problem, load_scenario,
                           save_scenario, scenario_from_dict, scenario_to_dict,
@@ -161,6 +161,24 @@ def test_problem_nominal_folding(mini_scenario):
     T = problem.T
     goal0 = mini_scenario.costs[0].ref[T - 1][:4]
     assert np.allclose(problem.ref[0, T, :4] + problem.nominal_states[T, :4], goal0)
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("noise", 1e308, "W"), ("noise", -1e308, "W"), ("R", 1e308, "costs[0].R[3]"),
+    ("radius", 1e200, "constraints[0].radius"), ("radius", 1e308, "constraints[0].radius")])
+def test_a_number_that_overflows_is_a_violation_of_its_field(field, value, name):
+    # (M + M')/2 of a 1e308 entry and the square of a 1e200 radius overflow: a
+    # violation that names the field, not a LAPACK error or an OverflowError later
+    with pytest.raises(ScenarioValidationError) as err:
+        validate_scenario(scenario_from_dict(mini_doc_with(field, value)))
+    assert [(type(v), v.field) for v in err.value.violations] == [(DimensionMismatch, name)]
+
+
+def test_a_nominal_that_is_not_finite_is_a_domain_error(mini_scenario):
+    # a 1e-320 step makes the default nominal input (v* - v) / dt infinite
+    s = Scenario(**{**mini_scenario.__dict__, "dt": 1e-320})
+    with pytest.raises(DomainError, match="nominal trajectory"):
+        assemble_problem(validate_scenario(s))
 
 
 @pytest.mark.parametrize("value", NOT_NUMBERS)

@@ -7,8 +7,8 @@ import pytest
 
 from ccgame import simulate
 from ccgame.dualascent import DualAscentOptions, solve_scenario
-from ccgame.errors import (AllSeedsFailed, DomainError, FactorizationFailure,
-                           SingularStageSystem)
+from ccgame.errors import (AllSeedsFailed, DegenerateReference, DomainError,
+                           FactorizationFailure, SingularStageSystem)
 from ccgame.lqnash import FeedbackPolicy, backward_recursion, integrate_expected, realized_costs
 from ccgame.model import (BoxSpec, CollisionSpec, LtvGameDynamics, Scenario,
                           assemble_problem, validate_scenario)
@@ -614,7 +614,8 @@ class TestCentralMpc:
         # 81 when every replan ran the full map; 120 passes, 40 covariances
         # before that; 20 covariances, one per replan time, before the
         # horizon pass; 13 means, the active policies', before the report's
-        # mean was computed when first read)
+        # mean was computed when first read).  The start is every episode's:
+        # solved once, counted twice
         from ccgame import uncertainty
         count_replan_work(monkeypatch, lqnash_calls)
         for module, name in ((simulate, "aggregate_problem"),
@@ -632,13 +633,13 @@ class TestCentralMpc:
                                           replan_every=1)
         assert not failures and T == 20
         a = lqnash_calls["pivoting"]
-        assert totals["replans"] == 2 * T and totals["replans_with_active_rows"] == a
+        assert totals["replans"] == 2 * T and totals["replans_with_active_rows"] == a + 1
         assert totals["map_columns"] == 18
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
         assert lqnash_calls["_zeta_sweep"] == 2
-        assert lqnash_calls["integrate_expected"] == 0 and a == 13
+        assert lqnash_calls["integrate_expected"] == 0 and a == 12
         assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["horizon_pass"] == 1
@@ -653,11 +654,12 @@ class TestCentralMpc:
         # violates a row and keeps the planner's lam = 0 policy tail at the
         # others.  The full path (oracles.episode_mpc) prepares and solves
         # every replan of an episode on its own: bit for bit the lockstep
-        # episode; with the prepared lam = 0 equilibrium withheld, each
-        # solve runs it on the tail of the planner's gains, which is the
-        # planner's alpha0 tail bit for bit, and integrates its mean, where
-        # the planner contracts it from x0, so the episodes agree to 1e-13
-        # of max(1, |withheld|).  Both have the same replans, active replans
+        # episode, whose shared start, active on every seed here, is solved
+        # once and counted once per episode; with the prepared lam = 0
+        # equilibrium withheld, each solve runs it on the tail of the
+        # planner's gains, which is the planner's alpha0 tail bit for bit,
+        # and integrates its mean, where the planner contracts it from x0, so
+        # the episodes agree to 1e-13 of max(1, |withheld|).  Both have the same replans, active replans
         # and columns.  An active replan runs the map's one pass, with the
         # columns of the rows it violates, and a pass per pivot read of a
         # column not among them (one, on intersection at seed 5), never the
@@ -667,14 +669,14 @@ class TestCentralMpc:
         from oracles import episode_mpc
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
-        passes = {"intersection-mini": (14, 15, 13), "intersection": (16,)}[name]
-        for seed, want in zip(seeds, passes):
+        counts = {"intersection-mini": ((14, 13), (15, 14), (13, 12)),
+                  "intersection": ((15, 16),)}[name]    # (active replans, map passes)
+        for seed, want in zip(seeds, counts):
             lqnash_calls.clear()
             batch, failures, totals = central_mpc(problem, seed, episodes)
             maps, full_maps = lqnash_calls["affine_response"], lqnash_calls["full_map"]
-            assert failures == []
-            assert 0 < totals["replans_with_active_rows"] <= maps < totals["replans"]
-            assert maps == want and full_maps == 0
+            assert failures == [] and totals["replans"] == episodes * problem.T
+            assert (totals["replans_with_active_rows"], maps) == want and full_maps == 0
             planner = simulate.CentralPlanner(problem)
             for withhold in (False, True):
                 full = [episode_mpc(planner, seed, s, withhold) for s in range(episodes)]
@@ -818,8 +820,9 @@ class TestLockstep:
     def test_only_a_replan_that_violates_a_row_is_solved(self, monkeypatch, lqnash_calls,
                                                          mini_problem):
         # run_dual_ascent runs once per replan whose lam = 0 mean violates a
-        # row of its game, as each episode's planner.prepare gives it, and a
-        # replan integrates no mean and evaluates no cost
+        # row of its game, as each episode's planner_game gives it, the
+        # shared start once for all 4 episodes, and a replan integrates no
+        # mean and evaluates no cost
         solved = []
         real = simulate.run_dual_ascent
 
@@ -834,12 +837,34 @@ class TestLockstep:
         assert lqnash_calls["evaluate_cost"] == lqnash_calls["closed_loop_covariance"] == 0
         assert all(np.any(g > 0) for g in solved)
         planner = simulate.CentralPlanner(mini_problem, 2)
-        violated = 0
+        violated = []
         for x in batch.states:
             for tau in range(0, mini_problem.T, 2):
                 prepared = planner_game(planner, tau, x[tau])
-                violated += bool(np.any(prepared.conset.evaluate(prepared.equilibrium0[1]) > 0))
-        assert 0 < len(solved) == violated < totals["replans"]
+                violated.append(np.any(prepared.conset.evaluate(prepared.equilibrium0[1]) > 0))
+        assert violated[0] and sum(violated) == 14 and totals["replans"] == 40
+        assert len(solved) == 14 - 3
+
+    def test_the_shared_start_is_solved_once(self, monkeypatch, mini_problem):
+        # every episode starts at x0, whose lam = 0 mean violates a row here: the
+        # replan at t = 0 is solved once for all 5 episodes and counted once per
+        # episode, and each episode's first input is the one-episode call's
+        starts = []
+        real = simulate.run_dual_ascent
+
+        def recording(prepared, options=None, **kw):
+            starts.append(prepared.problem.T == mini_problem.T)
+            return real(prepared, options, **kw)
+
+        planner = simulate.CentralPlanner(mini_problem)
+        start = planner_game(planner, 0, mini_problem.dyn.x0)
+        assert np.any(start.conset.evaluate(start.equilibrium0[1]) > 0)
+        one = simulate.central_mpc_run(planner, 3, [0])
+        monkeypatch.setattr(simulate, "run_dual_ascent", recording)
+        run = simulate.central_mpc_run(planner, 3, range(5))
+        assert not run.failures and sum(starts) == 1 and run.replans == 5 * mini_problem.T
+        for s in range(5):
+            assert run.inputs[s, 0].tobytes() == one.inputs[0, 0].tobytes(), s
 
     @staticmethod
     def _two_scalar_agents(x0, T=6):
@@ -860,13 +885,13 @@ class TestLockstep:
             *_, degenerate, _ = planner.screen(tau, np.array([[0.3, 0.3], [0.3, -0.3]]))
             assert list(degenerate) == [0], tau
             assert (degenerate[0].pair, degenerate[0].t) == ((0, 1), tau + 1)
-            assert f"nominally coincident at t={tau + 1} " in str(degenerate[0])
+            assert f"in the reference at t={tau + 1} " in str(degenerate[0])
 
     def test_a_degenerate_reference_fails_its_own_episode(self, monkeypatch):
         # episode 1's first noise draw puts both agents at one point at
         # t = 1, so that its lam = 0 means coincide: its replan at 1 alone
         # fails, its plan from 0 drives on, and the other episodes are bit
-        # for bit their own S = 1 runs.  Coincident starts end every episode
+        # for bit their own S = 1 runs.  A coincident start fails the call
         problem = self._two_scalar_agents([1.0, -1.0])
         planner = simulate.CentralPlanner(problem)
         u0 = simulate.central_mpc_run(planner, 0, [0]).inputs[0, 0]
@@ -884,7 +909,7 @@ class TestLockstep:
         monkeypatch.setattr(simulate, "noise_stream", stream)
         batch, failures, totals = central_mpc(problem, 0, 3)
         assert [(s, step) for s, step, _ in failures] == [(1, 1)]
-        assert failures[0][2].startswith("DegenerateReference: agents (0,1) nominally coincident")
+        assert failures[0][2].startswith("DegenerateReference: agents (0,1) coincide or overflow")
         assert batch.samples == 3 and np.all(np.isfinite(batch.states))
         assert totals["replans"] == 3 * problem.T - 1
         assert abs(batch.states[1, 1, 0] - batch.states[1, 1, 1]) < 1e-12
@@ -893,9 +918,12 @@ class TestLockstep:
             assert run.failures == [f for f in failures if f[0] == s]
             assert run.states[0].tobytes() == batch.states[s].tobytes(), s
             assert run.inputs[0].tobytes() == batch.inputs[s].tobytes(), s
+        coincident = self._two_scalar_agents([0.5, 0.5])
         with pytest.raises(AllSeedsFailed, match=r"^all 3 MPC seeds failed; first: "
                                                  r"DegenerateReference: agents \(0,1\)"):
-            central_mpc(self._two_scalar_agents([0.5, 0.5]), 0, 3)
+            central_mpc(coincident, 0, 3)
+        with pytest.raises(DegenerateReference):    # the shared start raises, once
+            simulate.central_mpc_run(simulate.CentralPlanner(coincident), 0, range(3))
 
 
 @pytest.fixture(scope="module")

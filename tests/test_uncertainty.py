@@ -194,6 +194,26 @@ class TestCollisionRow:
         assert err.value.pair == (0, 1) and err.value.t == 2
         assert err.value.separation == 1e-12
 
+    def test_a_separation_whose_norm_is_not_finite_is_unusable(self):
+        # a squared separation that overflows (1e200) or a NaN reference gives no
+        # direction: the fill names that entry's step as it names a coincident one,
+        # without a warning, and fills the other entries as alone
+        con = CollisionSpec(pair=(0, 1), radius=2.0, C=self.C2, active_times=(1, 2, 3))
+        problem = self._game(2, [con])
+        cov = np.zeros((4, 4, 4))
+        refs = np.zeros((3, 4, 4))
+        refs[:, 1:, :2] = [3.0, 4.0]
+        refs[1, 2, 0] = 1e200
+        refs[2, 3, 1] = np.nan
+        l, c, degenerate = uncertainty.constraint_layout(
+            problem, cov, uncertainty.row_table(problem))(refs)
+        assert [(s, e.pair, e.t) for s, e in sorted(degenerate.items())] == [
+            (1, (0, 1), 2), (2, (0, 1), 3)]
+        assert degenerate[1].separation == math.inf and math.isnan(degenerate[2].separation)
+        assert "in the reference at t=2 (weighted separation inf)" in str(degenerate[1])
+        want = assemble_constraints(problem, cov, refs[0])
+        assert l[0].tobytes() == want.l.tobytes() and c[0].tobytes() == want.c.tobytes()
+
     def test_a_stack_names_each_entrys_first_constraint_then_first_step(self):
         # three agents 1 apart on a line, keep-outs on pairs (0,1) and (1,2): entry 1
         # has (0,1) coincident at t = 3, entry 2 at t = 2 and 3, and entry 3 has (1,2)
