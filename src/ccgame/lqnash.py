@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularStageSystem
+from .errors import DomainError, SingularStageSystem
 from .model import GameProblem, _freeze
 from .uncertainty import covariance_step, horizon_pass
 
@@ -95,8 +95,14 @@ class FeedbackPolicy:
 
 
 def _check_rcond(S, t):
-    """Raise SingularStageSystem when the stage system S is near-singular."""
-    sv = np.linalg.svd(S, compute_uv=False)
+    """Raise SingularStageSystem when the stage system S is near-singular, and
+    DomainError when it is not finite (LAPACK's SVD then fails)."""
+    try:
+        sv = np.linalg.svd(S, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if np.isfinite(S).all():
+            raise
+        raise DomainError(f"stage {t}: the joint gain system overflows") from None
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if rcond < RCOND_MIN:
         raise SingularStageSystem(t, rcond)
@@ -141,22 +147,23 @@ def stage_gains(problem: GameProblem) -> StageGains:
     F = np.zeros((T, n_x, n_x))
     S = np.zeros((T, N * n_u, N * n_u))
     KtR = np.zeros((T, N, n_x, n_u))
-    for t in range(T - 1, -1, -1):
-        A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-        BtP = B.transpose(0, 2, 1) @ P[t + 1]
-        blocks = BtP[:, None] @ B                       # (i, j): B^i' P^i B^j
-        blocks[np.diag_indices(N)] += R
-        S[t] = blocks.transpose(0, 2, 1, 3).reshape(N * n_u, N * n_u)
-        _check_rcond(S[t], t)
-        # a zero column keeps the right-hand side at two columns or more, as
-        # in the zeta pass: LAPACK solves a single column (n_x = 1) by another
-        # route, and K's last bits would differ
-        rhs = np.concatenate([(BtP @ A).reshape(N * n_u, n_x), np.zeros((N * n_u, 1))], axis=1)
-        K[t] = np.linalg.solve(S[t], rhs)[:, :n_x].reshape(N, n_u, n_x)
-        F[t] = closed_loop_matrix(A, B, K[t])
-        KtR[t] = K[t].transpose(0, 2, 1) @ R
-        Pn = F[t].T @ P[t + 1] @ F[t] + KtR[t] @ K[t] + problem.Q[:, t]
-        P[t] = (Pn + Pn.transpose(0, 2, 1)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails its stage's check
+        for t in range(T - 1, -1, -1):
+            A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
+            BtP = B.transpose(0, 2, 1) @ P[t + 1]
+            blocks = BtP[:, None] @ B                       # (i, j): B^i' P^i B^j
+            blocks[np.diag_indices(N)] += R
+            S[t] = blocks.transpose(0, 2, 1, 3).reshape(N * n_u, N * n_u)
+            _check_rcond(S[t], t)
+            # a zero column keeps the right-hand side at two columns or more, as
+            # in the zeta pass: LAPACK solves a single column (n_x = 1) by another
+            # route, and K's last bits would differ
+            rhs = np.concatenate([(BtP @ A).reshape(N * n_u, n_x), np.zeros((N * n_u, 1))], axis=1)
+            K[t] = np.linalg.solve(S[t], rhs)[:, :n_x].reshape(N, n_u, n_x)
+            F[t] = closed_loop_matrix(A, B, K[t])
+            KtR[t] = K[t].transpose(0, 2, 1) @ R
+            Pn = F[t].T @ P[t + 1] @ F[t] + KtR[t] @ K[t] + problem.Q[:, t]
+            P[t] = (Pn + Pn.transpose(0, 2, 1)) / 2.0
     return StageGains(K=K, F=F, P=P, S=S, KtR=KtR)
 
 

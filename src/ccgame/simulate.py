@@ -18,28 +18,28 @@ support, whose quadratic form ``lqnash.quadratic_sums`` sums in the order of
 the einsum it replaced (see the ``lqnash`` docstring); costs go through the
 same kernel.
 
-A central-MPC call's ``CentralPlanner`` holds its problem and replan
-cadence, and its constructor computes once the aggregate, its noise factors,
-its stage gains, its lam = 0 policy, whose tail at tau is the reference
-policy of a replan at tau, the zeta response Psi, its row table, and, in one
-pass over the horizon, each replan time's open-loop covariance and that
-policy's transition products [Phi | d].  A slice keeps every constraint, one
-that has ended with no active time, so its rows are the table's after tau,
-shifted by tau, with their sources as they are.  A replan time's first replan
-computes its slice, z, box offsets and pair covariances, so that a bad risk
-allocation fails every episode's replan there and no other.  The episodes of
-a call advance in lockstep, and at a replan time one ``screen`` per
-SCREEN_BLOCK episodes contracts their lam = 0 means Phi x0 + d (the
-references, at which g is the map's ctilde), fills their collision rows and
-evaluates their ctilde, each stacked and bit for bit as at S = 1; every
-episode starts at x0, so t = 0 is screened and solved once.  An episode that
-violates no row takes the lam = 0 alpha tail; one that does contracts the
-violated rows' alpha columns from its block of Psi, whose forward pass gives
-the LCP's columns and the policy at its solution (a further one runs only
-for a column the pivot reads beyond them; never the full G).  No replan runs
-a zeta pass or integrates a mean, and a DegenerateReference names the
-episode's step.  A replan's gains are the planner's tail whatever its lam or
-x0, so a plan is its alpha, written from its replan time on, and the plant
+A central-MPC call's ``CentralPlanner`` holds its problem and replan cadence,
+and its constructor computes once the aggregate, its noise factors, its stage
+gains, its lam = 0 policy, whose tail at tau is the reference policy of a
+replan at tau, the zeta response Psi, its row table, in one pass over the
+horizon each replan time's open-loop covariance and that policy's transition
+products [Phi | d], and in one pass over their rows every replan time's
+layout.  A slice keeps every constraint, one that has ended with no active
+time, so its rows are the table's after tau, shifted by tau, with their
+sources as they are; tau's first game builds it and its gains and lam = 0
+policy tails.  A bad risk allocation fails every episode's replan at its
+replan time and no other.  The episodes of a call advance in lockstep, and at
+a replan time one ``screen`` per SCREEN_BLOCK episodes contracts their lam = 0
+means Phi x0 + d (the references, at which g is the map's ctilde), fills their
+collision rows and evaluates their ctilde, each stacked and bit for bit as at
+S = 1; every episode starts at x0, so t = 0 is screened and solved once.  An
+episode that violates no row takes the lam = 0 alpha tail; one that does
+contracts the violated rows' alpha columns from its block of Psi, whose
+forward pass gives the LCP's columns and the policy at its solution (a further
+one runs only for a column the pivot reads beyond them; never the full G).  No
+replan runs a zeta pass or integrates a mean, and a DegenerateReference names
+the episode's step.  A replan's gains are the planner's tail whatever its lam
+or x0, so a plan is its alpha, written from its replan time on, and the plant
 steps each state on the planner's gains (``lqnash.closed_loop_step``).
 """
 
@@ -126,6 +126,8 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     states[:, 0] = dyn.x0
     stream = noise_stream(seed, 0)
     state = stream.bit_generator.state     # unread: a zero counter and an empty buffer
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()     # Python ints set a state faster than arrays
     key = state["state"]["key"]
     for s in range(S):
         key[1] = s
@@ -237,12 +239,14 @@ def evaluate_safety(batch: RolloutBatch, problem: GameProblem) -> SafetyStats:
     violations = int(np.sum(bad))
     lo, hi = wilson_interval(violations, S)
     total = batch.costs.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        cost = float(np.mean(total)), float(np.std(total, ddof=1)) if S > 1 else 0.0
+    if not np.isfinite(cost).all():
+        raise DomainError(f"cost statistics overflow (mean {cost[0]}, std {cost[1]})")
     return SafetyStats(
         method=batch.method, samples=S, seed=batch.seed,
         violations=violations, rate=violations / S,
-        wilson_lo=lo, wilson_hi=hi,
-        cost_mean=float(np.mean(total)),
-        cost_std=float(np.std(total, ddof=1)) if S > 1 else 0.0,
+        wilson_lo=lo, wilson_hi=hi, cost_mean=cost[0], cost_std=cost[1],
         travel_mean_s=float(np.mean(times)),
         travel_flagged=int(np.sum(flagged)),
     )
@@ -307,38 +311,38 @@ class CentralPlanner:
             Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
             return Z
         starts = range(0, T, self.replan_every)
-        passes = uncertainty.horizon_pass(T, starts, uncertainty.covariance_step(dyn.A, dyn.W),
-                                          (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
-        self.cov, self.transitions = (dict(zip(starts, by_tau)) for by_tau in passes)
+        (cov, by_tau), (_, products) = uncertainty.horizon_pass(
+            T, starts, uncertainty.covariance_step(dyn.A, dyn.W),
+            (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
+        self.cov, self.transitions = dict(zip(starts, by_tau)), dict(zip(starts, products))
         self.rows = uncertainty.row_table(self.agg)
+        self.fill = uncertainty.constraint_layout(self.agg, cov, self.rows, starts)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, the fill of its rows, gains, policy0, rows)
+        self.at_tau = {}    # tau -> (x0-less slice, gains, policy0), on its first game
 
     def screen(self, tau, x0s):
         """Replans at tau from states x0s (S, n_x) before any solve: whether each one's
         lam = 0 mean violates a row (S,), the DegenerateReference of each one whose rows
         cannot be filled (at its step tau + t), and ``game(k)``, episode k's game.  One
-        that violates no row takes ``alpha0[tau:]``.  Tau's first screen builds its
-        slice and its rows' layout."""
-        if tau not in self.at_tau:
-            t_start = time.perf_counter()
-            sub = slice_problem(self.agg, tau, np.zeros(self.agg.n_x))
-            t, *rest = self.rows    # the slice's rows: those after tau, shifted
-            first = np.searchsorted(t, tau, side="right")
-            rows = (t[first:] - tau, *(r[first:] for r in rest))
-            policy0 = lqnash.FeedbackPolicy(K=self.gains.K[tau:], alpha=self.alpha0[tau:])
-            self.at_tau[tau] = (sub, uncertainty.constraint_layout(sub, self.cov[tau], rows),
-                                self.gains.tail(tau), policy0, rows[:2])
-            self.shared_seconds += time.perf_counter() - t_start
-        sub, fill, gains, policy0, (steps, source) = self.at_tau[tau]
+        that violates no row takes ``alpha0[tau:]``.  Tau's first game builds its slice."""
+        t, source = self.rows[:2]   # the slice's rows: those after tau, shifted
+        first = np.searchsorted(t, tau, side="right")
+        steps, source = t[first:] - tau, source[first:]
         Z = self.transitions[tau]
         means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
-        l, c, degenerate = fill(sub.nominal_states + means)
+        l, c, degenerate = self.fill(tau, self.agg.nominal_states[tau:] + means)
         degenerate = {k: DegenerateReference(*e.pair, tau + e.t, e.separation)   # episode's step
                       for k, e in degenerate.items()}
         ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
 
         def game(k):
+            if tau not in self.at_tau:
+                t_start = time.perf_counter()
+                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)),
+                                    self.gains.tail(tau), lqnash.FeedbackPolicy(
+                                        K=self.gains.K[tau:], alpha=self.alpha0[tau:]))
+                self.shared_seconds += time.perf_counter() - t_start
+            sub, gains, policy0 = self.at_tau[tau]
             return PreparedGame(
                 problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), cov=self.cov[tau],
                 conset=uncertainty.AffineConstraintSet(t=steps, source=source, l=l[k], c=c[k],

@@ -16,10 +16,11 @@ The split is uniform, so every one of the M rows gets ``eps_row = epsilon / M``
 and one z serves every row of an assembly.  A mean trajectory satisfying
 every row satisfies the original joint chance constraint under the Gaussian
 noise model.  A covariance schedule is a read-only array Sigma (T+1, n_x, n_x).
-``constraint_layout``'s fill writes the rows at a stack of references, each collision
-constraint's in one batched pass, and returns each reference's DegenerateReference (first
-constraint, then first step), which ``assemble_constraints``, the one-game entry point,
-raises.  A row reads one step and at most two agents, so the rows are one compact table
+``constraint_layout`` lays out the slices from any number of starts in one pass; its fill
+writes one start's rows at a stack of references, each collision constraint's in one
+batched pass, and returns each reference's DegenerateReference (first constraint, then
+first step), which ``assemble_constraints``, the one-game entry point, raises.  A row
+reads one step and at most two agents, so the rows are one compact table
 (``AffineConstraintSet``) that the solver reads through ``evaluate`` and ``span``, never
 as a dense (T n_x, M) matrix.
 """
@@ -59,8 +60,8 @@ def inverse_normal_cdf(p):
 def horizon_pass(T, starts, *recursions):
     """Recursions (X0, step) from each start tau in ``starts`` (ascending), X[0] = X0
     and X[k+1] = step(tau + k, X[k]), in one pass over steps t < T on the stack of the
-    running starts: per recursion, views of one read-only buffer.  One that overflows
-    raises DomainError."""
+    running starts: per recursion, one read-only buffer of the starts' T + 1 - tau steps
+    laid end to end, and its views of them.  One that overflows raises DomainError."""
     starts = np.asarray(starts, dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(T + 1 - starts)))
     at = offsets[:-1] - starts + np.arange(T + 1)[:, None]   # start i's row at step t
@@ -75,7 +76,7 @@ def horizon_pass(T, starts, *recursions):
                 buf[dst] = step(t, buf[src])
     if not all(np.isfinite(buf).all() for buf in out):
         raise DomainError("the covariance or transition products overflow over the horizon")
-    return [np.split(_freeze(buf), offsets[1:-1]) for buf in out]
+    return [(buf, np.split(buf, offsets[1:-1])) for buf in map(_freeze, out)]
 
 
 def covariance_step(F, W):
@@ -196,40 +197,52 @@ def row_table(problem: GameProblem):
     return (t, col_source[col], *np.concatenate([np.zeros((0, 3)), *columns])[col].T)
 
 
-def constraint_layout(problem: GameProblem, cov, rows):
-    """The part of ``assemble_constraints`` no reference enters: z, the box rows and,
-    per collision constraint, its rows and pair covariances gathered from Sigma ``cov``
-    (T+1, n_x, n_x), for ``rows`` (a ``row_table``).  Returns ``fill(refs)``: the rows' l
-    (S, M, n_x) and c (S, M) at a stack (S, T+1, n_x) of references, the collision rows in
-    one batched pass per constraint, and, by stack index, the DegenerateReference (first
+def constraint_layout(problem: GameProblem, cov, rows, starts):
+    """The part of ``assemble_constraints`` no reference enters, for the slice of ``problem``
+    from each start tau in ``starts`` (ascending), in one pass over (start, row): its rows
+    are those of ``rows`` (a ``row_table``) after tau, shifted by tau, read at its segment
+    of ``cov``, a ``horizon_pass`` buffer from ``starts`` (of which only the box variances
+    and collision pair blocks are gathered).  Returns ``fill(tau, refs)``: start tau's rows'
+    l (S, M, n_x) and c (S, M) at a stack (S, T+1-tau, n_x) of references, at tau's own z
+    (its allocation error raises), and, by stack index, the DegenerateReference (first
     constraint, then first step) of each entry that it cannot fill, because a separation's
     C-norm is below DEGENERATE_SEPARATION or not finite; it leaves that entry's rows of
     such a constraint unwritten."""
     n_x, specs = problem.n_x, problem.constraints
     slices, nominal = problem.agent_slices, problem.nominal_states
     t, source, q, sign, bound = rows
-    M = len(t)
-    eps_row = allocate_risk(problem.risk_epsilon, M) if M else None
-    z = inverse_normal_cdf(1.0 - eps_row) if M else 0.0    # no row reads it then
-    box = np.flatnonzero(~np.isnan(sign))
-    box_t, box_q, box_sign = t[box], q[box].astype(np.intp), sign[box]
-    box_c = (-box_sign * bound[box] + z * np.sqrt(np.maximum(cov[box_t, box_q, box_q], 0.0))
-             + box_sign * nominal[box_t, box_q])
-    collisions = []     # per collision spec with rows: its rows m, their steps and covariances
+    starts = np.asarray(starts, dtype=np.intp)
+    owner, row = np.nonzero(t > starts[:, None])     # the (start, row) pairs, by start
+    seg = np.searchsorted(owner, np.arange(len(starts) + 1))   # start i's: seg[i]:seg[i+1]
+    step, source = t[row] - starts[owner], source[row]         # a pair's step in its slice
+    at = (np.cumsum(problem.T + 1 - starts) - problem.T - 1)[owner] + t[row]   # its Sigma
+    box = np.flatnonzero(~np.isnan(sign[row]))
+    box_row = row[box]
+    box_q, box_sign = q[box_row].astype(np.intp), sign[box_row]
+    box_c = (-box_sign * bound[box_row], np.sqrt(np.maximum(cov[at[box], box_q, box_q], 0.0)),
+             box_sign * nominal[t[box_row], box_q])   # c = [0] + z [1] + [2], in that order
+    collisions = []     # per collision spec with rows: its pairs' rows, steps and covariances
     for k, spec in enumerate(specs):
-        m = np.flatnonzero(source == k)
-        if spec.kind == "collision" and m.size:
+        p = np.flatnonzero(source == k)
+        if spec.kind == "collision" and p.size:
             sl_i, sl_j = (slices[a] for a in spec.pair)
-            S = cov[t[m]]
-            sigma = S[:, sl_i, sl_i] + S[:, sl_j, sl_j] - S[:, sl_i, sl_j] - S[:, sl_j, sl_i]
-            collisions.append((spec, sl_i, sl_j, m, t[m], nominal[t[m]][:, :, None], sigma))
+            S_i, S_j = cov[at[p], sl_i], cov[at[p], sl_j]
+            sigma = S_i[..., sl_i] + S_j[..., sl_j] - S_i[..., sl_j] - S_j[..., sl_i]
+            collisions.append((spec, sl_i, sl_j, np.searchsorted(p, seg).tolist(), p,
+                               step[p], nominal[t[row[p]]][:, :, None], sigma))
+    index, seg, box_at = starts.tolist(), seg.tolist(), np.searchsorted(box, seg).tolist()
 
-    def fill(refs):
+    def fill(tau, refs):
+        i = index.index(tau)
+        lo, M, b = seg[i], seg[i + 1] - seg[i], slice(box_at[i], box_at[i + 1])
+        z = inverse_normal_cdf(1.0 - allocate_risk(problem.risk_epsilon, M)) if M else 0.0
         l, c = np.zeros((len(refs), M, n_x)), np.zeros((len(refs), M))
-        l[:, box, box_q] = box_sign
-        c[:, box] = box_c
+        l[:, box[b] - lo, box_q[b]] = box_sign[b]
+        c[:, box[b] - lo] = box_c[0][b] + z * box_c[1][b] + box_c[2][b]
         degenerate = {}
-        for spec, sl_i, sl_j, m, steps, nominal_t, sigma in collisions:
+        for spec, sl_i, sl_j, bounds, *pairs in collisions:
+            m, steps, nominal_t, sigma = (a[bounds[i]:bounds[i + 1]] for a in pairs)
+            m = m - lo
             with np.errstate(over="ignore", invalid="ignore"):   # a non-finite norm is bad
                 delta = refs[:, steps, sl_i] - refs[:, steps, sl_j]
                 norm_c = np.sqrt(np.maximum(_quadratic(delta, spec.C), 0.0))
@@ -248,15 +261,15 @@ def constraint_layout(problem: GameProblem, cov, rows):
 
 def assemble_constraints(problem: GameProblem, cov, reference_means) -> AffineConstraintSet:
     """One game's rows at the absolute-coordinate means ``reference_means`` (T+1, n_x),
-    which give the collision reference directions: ``constraint_layout``'s fill at a
-    stack of one, whose DegenerateReference it raises.  Rows are built in absolute
-    coordinates and their offsets folded against the problem's nominal, so they
-    apply to solver-coordinate expected states: a box row l = sign e_q (sign +1
-    for an upper bound, -1 for a lower) has the offset
+    which give the collision reference directions: ``constraint_layout``'s one-start
+    case (tau = 0) filled at a stack of one, whose DegenerateReference it raises.  Rows
+    are built in absolute coordinates and their offsets folded against the problem's
+    nominal, so they apply to solver-coordinate expected states: a box row l = sign e_q
+    (sign +1 for an upper bound, -1 for a lower) has the offset
     ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``."""
     rows = row_table(problem)
-    l, c, degenerate = constraint_layout(problem, cov, rows)(
-        np.asarray(reference_means, dtype=float)[None])
+    l, c, degenerate = constraint_layout(problem, cov, rows, [0])(
+        0, np.asarray(reference_means, dtype=float)[None])
     if degenerate:
         raise degenerate[0]
     return AffineConstraintSet(t=rows[0], source=rows[1], l=l[0], c=c[0], T=problem.T)

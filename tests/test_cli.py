@@ -196,8 +196,8 @@ class TestSolve:
                                                                            capsys):
         # each float of the bundled file (the first entry of a list of numbers;
         # not agents, horizon or seed, whose size numpy would try to allocate)
-        # at 1e308, -1e308, 1e200 and 1e-320: no traceback and no RuntimeWarning,
-        # and an exit 1 prints an error line
+        # at 1e308, -1e308, 1e200 and 1e-320, solved and run as a 2-episode MPC:
+        # no traceback and no RuntimeWarning, and an exit 1 prints an error line
         doc = json.loads(scenarios.bundled_path("intersection-mini").read_text())
 
         def floats(node, path=()):
@@ -221,15 +221,17 @@ class TestSolve:
                     parent = parent[key]
                 parent[leaf[-1]] = value
                 path.write_text(json.dumps(edited))
-                try:
-                    rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
-                    err = capsys.readouterr().err
-                    if rc not in (0, 1, 2) or (rc == 1 and not err.startswith("error: ")):
-                        bad.append((leaf, value, rc, err))
-                except Exception as exc:    # noqa: BLE001 -- every escape is a finding
-                    bad.append((leaf, value, type(exc).__name__, str(exc)))
-                runs += 1
-        assert runs == 12 * 4 and bad == []
+                for command in (["solve"], ["mpc", "--samples", "2"]):
+                    try:
+                        rc = main([*command, "--scenario", str(path),
+                                   "--out", str(tmp_path / "o")])
+                        err = capsys.readouterr().err
+                        if rc not in (0, 1, 2) or (rc == 1 and not err.startswith("error: ")):
+                            bad.append((command[0], leaf, value, rc, err))
+                    except Exception as exc:    # noqa: BLE001 -- every escape is a finding
+                        bad.append((command[0], leaf, value, type(exc).__name__, str(exc)))
+                    runs += 1
+        assert runs == 2 * 12 * 4 and bad == []
 
     @pytest.mark.parametrize("value", NOT_NUMBERS)
     @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
@@ -567,9 +569,9 @@ class TestMpc:
         assert (manifest["replans_with_active_rows"], len(pivoting)) == (13, 12)
 
     def test_manifest_times_the_shared_work(self, tmp_path):
-        # the gains, the lam = 0 pass, Psi and each replan time's slice,
-        # covariance, layout and transition products, which the replans'
-        # own times include
+        # the gains, the lam = 0 pass, Psi, every replan time's covariance,
+        # transition products and layout, and the slice of each replan time
+        # where a replan solves, which the replans' own times include
         rc = main(["mpc", "--scenario", str(scenarios.bundled_path("intersection-mini")),
                    "--samples", "2", "--seed", "3", "--out", str(tmp_path / "m")])
         assert rc == 0

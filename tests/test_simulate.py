@@ -845,6 +845,29 @@ class TestLockstep:
         assert violated[0] and sum(violated) == 14 and totals["replans"] == 40
         assert len(solved) == 14 - 3
 
+    def test_a_replan_time_is_sliced_only_where_a_game_is_built(self, monkeypatch,
+                                                                  mini_problem):
+        # the planner lays out every replan time's rows in its constructor, and a
+        # replan time's first game slices the problem: an intersection-mini call
+        # slices once per replan time at which some episode solves, and at no other
+        sliced, solved = [], []
+        real_slice, real_solve = simulate.slice_problem, simulate.run_dual_ascent
+
+        def slicing(problem, tau, x0):
+            sliced.append(tau)
+            return real_slice(problem, tau, x0)
+
+        def solving(prepared, options=None, **kw):
+            solved.append(mini_problem.T - prepared.problem.T)
+            return real_solve(prepared, options, **kw)
+
+        monkeypatch.setattr(simulate, "slice_problem", slicing)
+        monkeypatch.setattr(simulate, "run_dual_ascent", solving)
+        _, failures, totals = central_mpc(mini_problem, 3, 4)
+        assert not failures and totals["replans"] == 4 * mini_problem.T
+        assert sorted(sliced) == sorted(set(solved))
+        assert len(solved) > len(sliced) and 0 < len(sliced) < mini_problem.T
+
     def test_the_shared_start_is_solved_once(self, monkeypatch, mini_problem):
         # every episode starts at x0, whose lam = 0 mean violates a row here: the
         # replan at t = 0 is solved once for all 5 episodes and counted once per
@@ -962,18 +985,18 @@ class TestHorizonPass:
             planner = simulate.CentralPlanner(problem, replan_every)
             states = simulate.central_mpc_run(planner, 4, [0]).states[0]
             starts = list(range(0, problem.T, replan_every))
-            assert sorted(planner.at_tau) == list(planner.cov) == starts, name
-            for tau in planner.at_tau:
-                reference = game_reference(planner_game(planner, tau, states[tau]))
+            assert list(planner.cov) == list(planner.transitions) == starts, name
+            for tau in starts:
+                prep = planner_game(planner, tau, states[tau])
+                reference, steps, source = game_reference(prep), prep.conset.t, prep.conset.source
                 cov, Z = planner.cov[tau], planner.transitions[tau]
-                fill, (steps, source) = planner.at_tau[tau][1], planner.at_tau[tau][4]
                 sub = simulate.slice_problem(planner.agg, tau, states[tau])
                 sub_cov = propagate_covariance(sub.dyn)
                 Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
                 for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
                     assert got.shape == want.shape, (name, tau)
                     assert got.tobytes() == want.tobytes(), (name, tau)
-                (l,), (c,), degenerate = fill(reference[None])
+                (l,), (c,), degenerate = planner.fill(tau, reference[None])
                 want = assemble_constraints(sub, sub_cov, reference)
                 assert not degenerate and want.T == problem.T - tau, (name, tau)
                 for key, got in (("t", steps), ("source", source), ("l", l), ("c", c)):

@@ -206,7 +206,7 @@ class TestCollisionRow:
         refs[1, 2, 0] = 1e200
         refs[2, 3, 1] = np.nan
         l, c, degenerate = uncertainty.constraint_layout(
-            problem, cov, uncertainty.row_table(problem))(refs)
+            problem, cov, uncertainty.row_table(problem), [0])(0, refs)
         assert [(s, e.pair, e.t) for s, e in sorted(degenerate.items())] == [
             (1, (0, 1), 2), (2, (0, 1), 3)]
         assert degenerate[1].separation == math.inf and math.isnan(degenerate[2].separation)
@@ -229,7 +229,7 @@ class TestCollisionRow:
         refs[3, 3, 2] = 0.0
         refs[3, 1, 4] = 1.0
         rows = uncertainty.row_table(problem)
-        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows)(refs)
+        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows, [0])(0, refs)
         assert sorted(degenerate) == [1, 2, 3]
         assert [(degenerate[s].pair, degenerate[s].t) for s in (1, 2, 3)] == [
             ((0, 1), 3), ((0, 1), 2), ((0, 1), 3)]
@@ -281,7 +281,7 @@ class TestCollisionRow:
         cov = w @ np.swapaxes(w, -1, -2)
         refs = rng.normal(size=(7, 6, 2 * d))
         rows = uncertainty.row_table(problem)
-        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows)(refs)
+        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows, [0])(0, refs)
         assert not degenerate and l.shape == (7, 4, 2 * d) and c.shape == (7, 4)
         for s in range(7):
             want = loop_assemble_constraints(problem, cov, refs[s])
