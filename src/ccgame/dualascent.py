@@ -59,13 +59,11 @@ from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """Problem, open-loop covariance schedule (an array) and the rows reformulated at
-    the nominal (plus ``equilibrium0``'s mean, when given); ``gains`` (the stage gains),
-    ``equilibrium0`` (the lam = 0 policy and its solver-coordinate mean) and ``psi`` (the
-    zeta response, for the map's alpha columns), when given, are reused by the solve."""
+    """Problem and the rows reformulated at the nominal (plus ``equilibrium0``'s mean, if
+    given); the solve reuses ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
+    policy and its solver-coordinate mean) and ``psi`` (the zeta response), if given."""
 
     problem: GameProblem
-    cov: np.ndarray               # (T+1, n_x, n_x) read-only open-loop Sigma
     conset: uncertainty.AffineConstraintSet
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
@@ -88,12 +86,12 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
     problem = assemble_problem(vs, nominal_inputs=nominal_inputs)
     cov = uncertainty.propagate_covariance(problem.dyn)
     if isinstance(vs.dynamics, UnicycleDynamicsSpec):
-        return PreparedGame(problem=problem, cov=cov, conset=uncertainty.assemble_constraints(
+        return PreparedGame(problem=problem, conset=uncertainty.assemble_constraints(
             problem, cov, problem.nominal_states))
     gains = lqnash.stage_gains(problem)
     policy0 = lqnash.backward_recursion(problem, gains=gains)
     mean0 = lqnash.integrate_expected(problem.dyn, policy0)
-    return PreparedGame(problem=problem, cov=cov, conset=uncertainty.assemble_constraints(
+    return PreparedGame(problem=problem, conset=uncertainty.assemble_constraints(
         problem, cov, problem.nominal_states + mean0), gains=gains, equilibrium0=(policy0, mean0))
 
 
@@ -209,8 +207,8 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     has them (an LTV solve, a replan), else solved here (a unicycle solve).
     ctilde is g at that start's mean, column m of G is g at the m-th unit
     multiplier minus ctilde, exact by affinity.  One pass here computes the
-    columns of the rows violated at lam = 0: the most violated first, which
-    Lemke's pivot reads first, then the rest ascending."""
+    columns of the rows violated at lam = 0, ascending; a column's bits do not
+    depend on its place in the pass."""
     problem = prepared.problem
     gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
     equilibrium = prepared.equilibrium0
@@ -223,8 +221,7 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
                              prepared.psi)
     violated = np.flatnonzero(gmap.ctilde > 0).tolist()
     if violated:
-        first = int(np.argmax(gmap.ctilde))
-        gmap._pass([first] + [m for m in violated if m != first])
+        gmap._pass(violated)
     return gmap
 
 

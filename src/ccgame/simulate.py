@@ -21,13 +21,12 @@ same kernel.
 A central-MPC call's ``CentralPlanner`` holds its problem and replan cadence,
 and its constructor computes once the aggregate, its noise factors, its stage
 gains, its lam = 0 policy, whose tail at tau is the reference policy of a
-replan at tau, the zeta response Psi, its row table, in one pass over the
-horizon each replan time's open-loop covariance and that policy's transition
-products [Phi | d], and in one pass over their rows every replan time's
-layout.  A slice keeps every constraint, one that has ended with no active
-time, so its rows are the table's after tau, shifted by tau, with their
-sources as they are; tau's first game builds it and its gains and lam = 0
-policy tails.  A bad risk allocation fails every episode's replan at its
+replan at tau, the zeta response Psi, in one pass over the horizon each replan
+time's open-loop covariance and that policy's transition products [Phi | d],
+and from that covariance, which it then drops, every replan time's row layout
+(``uncertainty.constraint_layout``).  A slice keeps every constraint, one that
+has ended with no active time; tau's first game builds it and its gains and
+lam = 0 policy tails.  A bad risk allocation fails every episode's replan at its
 replan time and no other.  The episodes of a call advance in lockstep, and at
 a replan time one ``screen`` per SCREEN_BLOCK episodes contracts their lam = 0
 means Phi x0 + d (the references, at which g is the map's ctilde), fills their
@@ -53,8 +52,7 @@ import numpy as np
 
 from . import lqnash, uncertainty
 from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
-from .errors import (AllSeedsFailed, CCGameError, DegenerateReference, DomainError,
-                     FactorizationFailure)
+from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
 from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze, _integer
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
@@ -101,6 +99,17 @@ class RolloutBatch:
         return self.states.shape[0]
 
 
+def _sample_arrays(problem: GameProblem, S):
+    """S samples' states (S, T+1, n_x), written at x0 only, and inputs (S, T, N, n_u)."""
+    T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
+    try:    # numpy raises ValueError for an array too big to index
+        states, inputs = np.empty((S, T + 1, n_x)), np.empty((S, T, N, n_u))
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"samples: {S} rollouts cannot be allocated ({exc})") from None
+    states[:, 0] = problem.dyn.x0
+    return states, inputs
+
+
 def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
             samples) -> RolloutBatch:
     """S independent seeded rollouts of the feedback policy under the noise model.
@@ -112,18 +121,13 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     generator draws them all, re-keyed in place: its unread state with key[1] = s.
     """
     dyn = problem.dyn
-    T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
+    T, n_x = problem.T, problem.n_x
     S = _integer(samples, "samples", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
     factors = noise_factors(dyn.W)
     xbar = lqnash.integrate_expected(dyn, policy)
     ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1, 1)
-
-    try:    # numpy raises ValueError for an array too big to index
-        states, inputs = np.empty((S, T + 1, n_x)), np.empty((S, T, N, n_u))
-    except (ValueError, MemoryError) as exc:
-        raise DomainError(f"samples: {S} rollouts cannot be allocated ({exc})") from None
-    states[:, 0] = dyn.x0
+    states, inputs = _sample_arrays(problem, S)
     stream = noise_stream(seed, 0)
     state = stream.bit_generator.state     # unread: a zero counter and an empty buffer
     state["state"] = {k: v.tolist() for k, v in state["state"].items()}
@@ -283,7 +287,7 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
         R[0, :, i * n_u:(i + 1) * n_u, i * n_u:(i + 1) * n_u] = problem.R[i]
     Q = problem.Q.sum(axis=0, keepdims=True)
     ref = np.zeros((1, T + 1, n_x))
-    for t in range(1, T + 1):
+    for t in 1 + np.flatnonzero(Q[0, 1:].any(axis=(1, 2))):   # steps Q weighs; others' stay +0
         rhs = np.einsum("iab,ib->a", problem.Q[:, t], problem.ref[:, t])
         ref[0, t] = np.linalg.lstsq(Q[0, t], rhs, rcond=None)[0]
     return replace(problem, dyn=replace(dyn, B=B), Q=Q, R=R, ref=ref,
@@ -291,9 +295,9 @@ def aggregate_problem(problem: GameProblem) -> GameProblem:
 
 
 class CentralPlanner:
-    """A central-MPC call's problem, its replan times 0, replan_every, ... and
-    what its episodes share.  ``seconds`` times the constructor's work;
-    ``shared_seconds`` times all the work the replans share."""
+    """A call's problem, its replan times 0, replan_every, ... and what its episodes share,
+    but no row table or covariance: ``fill`` gives a replan time's rows.  ``seconds``
+    times the constructor's work; ``shared_seconds`` all the work the replans share."""
 
     def __init__(self, problem: GameProblem, replan_every=1):
         self.problem = problem
@@ -311,28 +315,23 @@ class CentralPlanner:
             Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
             return Z
         starts = range(0, T, self.replan_every)
-        (cov, by_tau), (_, products) = uncertainty.horizon_pass(
+        (cov, _), (_, products) = uncertainty.horizon_pass(
             T, starts, uncertainty.covariance_step(dyn.A, dyn.W),
             (np.eye(self.agg.n_x, self.agg.n_x + 1), transitions))
-        self.cov, self.transitions = dict(zip(starts, by_tau)), dict(zip(starts, products))
-        self.rows = uncertainty.row_table(self.agg)
-        self.fill = uncertainty.constraint_layout(self.agg, cov, self.rows, starts)
+        self.transitions = dict(zip(starts, products))
+        self.fill = uncertainty.constraint_layout(self.agg, cov, starts)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
         self.at_tau = {}    # tau -> (x0-less slice, gains, policy0), on its first game
 
     def screen(self, tau, x0s):
         """Replans at tau from states x0s (S, n_x) before any solve: whether each one's
         lam = 0 mean violates a row (S,), the DegenerateReference of each one whose rows
-        cannot be filled (at its step tau + t), and ``game(k)``, episode k's game.  One
-        that violates no row takes ``alpha0[tau:]``.  Tau's first game builds its slice."""
-        t, source = self.rows[:2]   # the slice's rows: those after tau, shifted
-        first = np.searchsorted(t, tau, side="right")
-        steps, source = t[first:] - tau, source[first:]
+        cannot be filled (the fill names its step tau + t), and ``game(k)``, episode k's
+        game, whose rows are the fill's.  One that violates no row takes ``alpha0[tau:]``.
+        Tau's first game builds its slice."""
         Z = self.transitions[tau]
         means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
-        l, c, degenerate = self.fill(tau, self.agg.nominal_states[tau:] + means)
-        degenerate = {k: DegenerateReference(*e.pair, tau + e.t, e.separation)   # episode's step
-                      for k, e in degenerate.items()}
+        steps, source, l, c, degenerate = self.fill(tau, self.agg.nominal_states[tau:] + means)
         ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
 
         def game(k):
@@ -344,9 +343,8 @@ class CentralPlanner:
                 self.shared_seconds += time.perf_counter() - t_start
             sub, gains, policy0 = self.at_tau[tau]
             return PreparedGame(
-                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), cov=self.cov[tau],
-                conset=uncertainty.AffineConstraintSet(t=steps, source=source, l=l[k], c=c[k],
-                                                       T=sub.T),
+                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])),
+                conset=uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T),
                 gains=gains, equilibrium0=(policy0, means[k]), psi=self.psi[tau:, :, :, tau:])
         return ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
 
@@ -375,12 +373,11 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     """
     options = options or DualAscentOptions(k_max=500)
     seed = _integer(seed, "seed", error=DomainError)
-    indices = list(sample_indices)
-    problem, dyn, S = planner.problem, planner.problem.dyn, len(indices)
+    problem, dyn, S = planner.problem, planner.problem.dyn, len(sample_indices)
     T, N, n_x = problem.T, problem.N, problem.n_x
+    states, inputs = _sample_arrays(problem, S)
+    indices = list(sample_indices)
     z = np.stack([noise_stream(seed, s).standard_normal((T, n_x)) for s in indices])
-    states, inputs = np.zeros((S, T + 1, n_x)), np.zeros((S, T, N, problem.n_u))
-    states[:, 0] = dyn.x0
     alphas = np.empty((S, *planner.alpha0.shape))   # the plans: affine terms on gains.K
     failures = []
 
@@ -441,11 +438,12 @@ def central_mpc(problem: GameProblem, seed, samples, replan_every=1,
     CCGameError or LinAlgError of a later replan is recorded in ``failures`` and
     its episode's previous plan drives on; one of the planner or of the shared
     start at t = 0 is every episode's and raises AllSeedsFailed.  A bad
-    ``replan_every`` raises before any episode.
+    ``replan_every`` or ``samples`` raises before any episode.
     """
     S = _integer(samples, "samples", 1, DomainError)
     replan_every = _integer(replan_every, "replan_every", 1, DomainError)
     seed = _integer(seed, "seed", error=DomainError)
+    _sample_arrays(problem, S)    # raised here, not as every episode's failure
     try:    # the planner's failure or the shared start's is every episode's
         planner = CentralPlanner(problem, replan_every)
         run = central_mpc_run(planner, seed, range(S), options)

@@ -16,10 +16,10 @@ The split is uniform, so every one of the M rows gets ``eps_row = epsilon / M``
 and one z serves every row of an assembly.  A mean trajectory satisfying
 every row satisfies the original joint chance constraint under the Gaussian
 noise model.  A covariance schedule is a read-only array Sigma (T+1, n_x, n_x).
-``constraint_layout`` lays out the slices from any number of starts in one pass; its fill
-writes one start's rows at a stack of references, each collision constraint's in one
-batched pass, and returns each reference's DegenerateReference (first constraint, then
-first step), which ``assemble_constraints``, the one-game entry point, raises.  A row
+``constraint_layout`` owns a start's rows: it lays out the slices from any number of
+starts in one pass, and its fill returns one start's rows whole at a stack of references
+(steps, sources, l and c) and each reference's DegenerateReference (first constraint, then
+first step, named at the problem's step), which ``assemble_constraints`` raises. A row
 reads one step and at most two agents, so the rows are one compact table
 (``AffineConstraintSet``) that the solver reads through ``evaluate`` and ``span``, never
 as a dense (T n_x, M) matrix.
@@ -197,20 +197,19 @@ def row_table(problem: GameProblem):
     return (t, col_source[col], *np.concatenate([np.zeros((0, 3)), *columns])[col].T)
 
 
-def constraint_layout(problem: GameProblem, cov, rows, starts):
+def constraint_layout(problem: GameProblem, cov, starts):
     """The part of ``assemble_constraints`` no reference enters, for the slice of ``problem``
-    from each start tau in ``starts`` (ascending), in one pass over (start, row): its rows
-    are those of ``rows`` (a ``row_table``) after tau, shifted by tau, read at its segment
-    of ``cov``, a ``horizon_pass`` buffer from ``starts`` (of which only the box variances
-    and collision pair blocks are gathered).  Returns ``fill(tau, refs)``: start tau's rows'
-    l (S, M, n_x) and c (S, M) at a stack (S, T+1-tau, n_x) of references, at tau's own z
-    (its allocation error raises), and, by stack index, the DegenerateReference (first
-    constraint, then first step) of each entry that it cannot fill, because a separation's
-    C-norm is below DEGENERATE_SEPARATION or not finite; it leaves that entry's rows of
-    such a constraint unwritten."""
+    from each start tau in ``starts`` (ascending), in one pass over (start, row): the rows
+    of its ``row_table`` after tau, shifted by tau, read at the start's segment of ``cov``
+    (a ``horizon_pass`` buffer from ``starts``, gathered at box variances and pair blocks).
+    ``fill(tau, refs)`` returns start tau's rows whole at a stack (S, T+1-tau, n_x) of
+    references: steps t and sources (M,), l (S, M, n_x) and c (S, M) at tau's own z (its
+    allocation error raises), and by stack index the DegenerateReference (first constraint,
+    then first step tau + t) of each entry with a separation whose C-norm is below
+    DEGENERATE_SEPARATION or not finite, whose rows of that constraint stay unwritten."""
     n_x, specs = problem.n_x, problem.constraints
     slices, nominal = problem.agent_slices, problem.nominal_states
-    t, source, q, sign, bound = rows
+    t, source, q, sign, bound = row_table(problem)
     starts = np.asarray(starts, dtype=np.intp)
     owner, row = np.nonzero(t > starts[:, None])     # the (start, row) pairs, by start
     seg = np.searchsorted(owner, np.arange(len(starts) + 1))   # start i's: seg[i]:seg[i+1]
@@ -249,27 +248,26 @@ def constraint_layout(problem: GameProblem, cov, rows, starts):
             bad = ~(np.isfinite(norm_c[..., 0]) & (norm_c[..., 0] >= DEGENERATE_SEPARATION))
             for s, k in zip(*np.nonzero(bad)):      # each entry's first
                 degenerate.setdefault(int(s), DegenerateReference(
-                    *spec.pair, int(steps[k]), norm_c[s, k, 0]))
+                    *spec.pair, tau + int(steps[k]), norm_c[s, k, 0]))
             ok = np.flatnonzero(~bad.any(axis=1))[:, None]     # the others' rows
             dbar = spec.radius * delta[ok[:, 0]] / norm_c[ok[:, 0]]    # on ||dbar||_C = R
             a, offset = linearize_collision(dbar, sigma, spec.radius, spec.C, z)
             l[ok, m, sl_i], l[ok, m, sl_j] = -a, a
             c[ok, m] = offset + (l[ok, m][..., None, :] @ nominal_t)[..., 0, 0]   # a row's dot each
-        return l, c, degenerate
+        return step[lo:lo + M], source[lo:lo + M], l, c, degenerate
     return fill
 
 
 def assemble_constraints(problem: GameProblem, cov, reference_means) -> AffineConstraintSet:
     """One game's rows at the absolute-coordinate means ``reference_means`` (T+1, n_x),
-    which give the collision reference directions: ``constraint_layout``'s one-start
-    case (tau = 0) filled at a stack of one, whose DegenerateReference it raises.  Rows
+    which give the collision reference directions: the fill of ``constraint_layout``'s
+    one-start case (tau = 0) at a stack of one, whose DegenerateReference it raises.  Rows
     are built in absolute coordinates and their offsets folded against the problem's
     nominal, so they apply to solver-coordinate expected states: a box row l = sign e_q
     (sign +1 for an upper bound, -1 for a lower) has the offset
     ``-sign bound + z sqrt(Sigma_qq) + sign nominal_q``."""
-    rows = row_table(problem)
-    l, c, degenerate = constraint_layout(problem, cov, rows, [0])(
+    t, source, l, c, degenerate = constraint_layout(problem, cov, [0])(
         0, np.asarray(reference_means, dtype=float)[None])
     if degenerate:
         raise degenerate[0]
-    return AffineConstraintSet(t=rows[0], source=rows[1], l=l[0], c=c[0], T=problem.T)
+    return AffineConstraintSet(t=t, source=source, l=l[0], c=c[0], T=problem.T)

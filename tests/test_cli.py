@@ -403,17 +403,20 @@ class TestRollout:
         err = capsys.readouterr().err
         assert err.startswith("error: DomainError: samples")
 
-    def test_unallocatable_samples_exit_one(self, tmp_path, capsys):
-        # numpy refuses 10**18 samples' arrays before allocating any memory
+    @pytest.mark.parametrize("samples", [10**12, 10**20])
+    @pytest.mark.parametrize("command", ["rollout", "mpc"])
+    def test_unallocatable_samples_exit_one(self, tmp_path, capsys, command, samples):
+        # numpy refuses both counts' arrays before touching any memory; mpc
+        # allocates its episodes' before it lists their indices or draws noise
         src = str(scenarios.bundled_path("intersection-mini"))
-        policy = self._solve(src, tmp_path)
+        policy = ["--policy", self._solve(src, tmp_path)] if command == "rollout" else []
         capsys.readouterr()
-        rc = main(["rollout", "--scenario", src, "--policy", policy,
-                   "--samples", str(10**18), "--out", str(tmp_path / "r")])
+        rc = main([command, "--scenario", src, *policy, "--samples", str(samples),
+                   "--out", str(tmp_path / "r")])
         assert rc == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: DomainError: samples")
-        assert not (tmp_path / "r" / "stats.csv").exists()
+        assert "Traceback" not in err and not (tmp_path / "r" / "stats.csv").exists()
 
     @pytest.mark.parametrize("edit, error, encoding", [
         (lambda d: d.pop("K"), "SchemaError", "utf-8"),

@@ -16,7 +16,7 @@ from ccgame.lqnash import (FeedbackPolicy, affine_response, backward_recursion,
                            evaluate_cost, evaluate_lagrangian, integrate_expected)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
-from ccgame.uncertainty import assemble_constraints
+from ccgame.uncertainty import assemble_constraints, propagate_covariance
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
@@ -338,8 +338,9 @@ class TestDynamicsType:
         prep, _ = dualascent.solve_scenario(mini_scenario, relinearize=1)
         nominal, mean0 = prep.problem.nominal_states, estimate_affine_map(prep).mean0
         assert prep.equilibrium0 is None and np.max(np.abs(mean0)) >= 1e-3
-        at_nominal = assemble_constraints(prep.problem, prep.cov, nominal)
-        at_mean = assemble_constraints(prep.problem, prep.cov, nominal + mean0)
+        cov = propagate_covariance(prep.problem.dyn)
+        at_nominal = assemble_constraints(prep.problem, cov, nominal)
+        at_mean = assemble_constraints(prep.problem, cov, nominal + mean0)
         assert prep.conset.l.tobytes() == at_nominal.l.tobytes()
         assert prep.conset.c.tobytes() == at_nominal.c.tobytes()
         assert prep.conset.l.tobytes() != at_mean.l.tobytes()

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccgame import simulate
+from ccgame import simulate, uncertainty
 from ccgame.dualascent import DualAscentOptions, solve_scenario
 from ccgame.errors import (AllSeedsFailed, DegenerateReference, DomainError,
                            FactorizationFailure, SingularStageSystem)
@@ -445,6 +445,19 @@ class TestCentralMpc:
         batch, failures, _ = central_mpc(problem, seed=0, samples=1)
         assert not failures
         assert np.max(np.abs(batch.states[0] - optimum)) < 1e-9
+
+    def test_the_aggregate_reference_is_the_per_step_lstsq_loop(self, mini_problem,
+                                                              intersection_prep):
+        # a step the summed Q does not weigh (all but T on both bundled games) keeps
+        # its reference at +0.0, the bytes lstsq gives there
+        for problem in (mini_problem, intersection_prep.problem):
+            agg = simulate.aggregate_problem(problem)
+            want = np.zeros_like(agg.ref)
+            for t in range(1, problem.T + 1):
+                rhs = np.einsum("iab,ib->a", problem.Q[:, t], problem.ref[:, t])
+                want[0, t] = np.linalg.lstsq(agg.Q[0, t], rhs, rcond=None)[0]
+            assert agg.ref.tobytes() == want.tobytes()
+            assert np.flatnonzero(agg.Q[0].any(axis=(1, 2))).tolist() == [problem.T]
 
     def test_single_agent_mpc_equals_policy_rollout(self):
         s = scalar_single_agent_instance(T=4, bound=50.0)  # inactive bound
@@ -977,7 +990,8 @@ def planner_games():
 
 class TestHorizonPass:
     """The planner's one pass over the horizon gives every replan time the
-    covariance, transition products and rows of its own slice, bit for bit."""
+    covariance, transition products and rows of its own slice, bit for bit;
+    the planner keeps the products and the layout, not the covariance."""
 
     @pytest.mark.parametrize("replan_every", [1, 3])
     def test_every_replan_time_equals_its_own_slice(self, planner_games, replan_every):
@@ -985,21 +999,25 @@ class TestHorizonPass:
             planner = simulate.CentralPlanner(problem, replan_every)
             states = simulate.central_mpc_run(planner, 4, [0]).states[0]
             starts = list(range(0, problem.T, replan_every))
-            assert list(planner.cov) == list(planner.transitions) == starts, name
-            for tau in starts:
+            assert list(planner.transitions) == starts, name
+            assert not {"cov", "rows"} & set(vars(planner)), name
+            dyn = planner.agg.dyn
+            (_, covs), = uncertainty.horizon_pass(
+                problem.T, starts, uncertainty.covariance_step(dyn.A, dyn.W))
+            for tau, cov in zip(starts, covs):
                 prep = planner_game(planner, tau, states[tau])
-                reference, steps, source = game_reference(prep), prep.conset.t, prep.conset.source
-                cov, Z = planner.cov[tau], planner.transitions[tau]
+                reference, Z = game_reference(prep), planner.transitions[tau]
                 sub = simulate.slice_problem(planner.agg, tau, states[tau])
                 sub_cov = propagate_covariance(sub.dyn)
                 Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
                 for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
                     assert got.shape == want.shape, (name, tau)
                     assert got.tobytes() == want.tobytes(), (name, tau)
-                (l,), (c,), degenerate = planner.fill(tau, reference[None])
+                steps, source, (l,), (c,), degenerate = planner.fill(tau, reference[None])
                 want = assemble_constraints(sub, sub_cov, reference)
                 assert not degenerate and want.T == problem.T - tau, (name, tau)
-                for key, got in (("t", steps), ("source", source), ("l", l), ("c", c)):
+                for key, got in (("t", steps), ("source", source), ("l", l), ("c", c),
+                                 ("t", prep.conset.t), ("source", prep.conset.source)):
                     assert got.tobytes() == getattr(want, key).tobytes(), (name, tau, key)
 
     def test_a_slice_keeps_every_constraint(self, planner_games):

@@ -98,7 +98,7 @@ class TestCovariancePropagation:
 
     def test_recursion_residual_invariant(self, mini_prep):
         dyn = mini_prep.problem.dyn
-        cov = mini_prep.cov
+        cov = propagate_covariance(dyn)
         for t in range(dyn.T):
             res = cov[t + 1] - (dyn.A[t] @ cov[t] @ dyn.A[t].T + dyn.W[t])
             assert np.max(np.abs(res)) < 1e-12
@@ -205,8 +205,7 @@ class TestCollisionRow:
         refs[:, 1:, :2] = [3.0, 4.0]
         refs[1, 2, 0] = 1e200
         refs[2, 3, 1] = np.nan
-        l, c, degenerate = uncertainty.constraint_layout(
-            problem, cov, uncertainty.row_table(problem), [0])(0, refs)
+        *_, l, c, degenerate = uncertainty.constraint_layout(problem, cov, [0])(0, refs)
         assert [(s, e.pair, e.t) for s, e in sorted(degenerate.items())] == [
             (1, (0, 1), 2), (2, (0, 1), 3)]
         assert degenerate[1].separation == math.inf and math.isnan(degenerate[2].separation)
@@ -228,8 +227,7 @@ class TestCollisionRow:
         refs[2, 2:, 2] = 0.0
         refs[3, 3, 2] = 0.0
         refs[3, 1, 4] = 1.0
-        rows = uncertainty.row_table(problem)
-        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows, [0])(0, refs)
+        _, source, l, c, degenerate = uncertainty.constraint_layout(problem, cov, [0])(0, refs)
         assert sorted(degenerate) == [1, 2, 3]
         assert [(degenerate[s].pair, degenerate[s].t) for s in (1, 2, 3)] == [
             ((0, 1), 3), ((0, 1), 2), ((0, 1), 3)]
@@ -242,12 +240,36 @@ class TestCollisionRow:
                     assemble_constraints(problem, cov, refs[s])
                 assert (err.value.pair, err.value.t) == (degenerate[s].pair, degenerate[s].t)
                 for k in (0, 1):
-                    rows_k = rows[1] == k
+                    rows_k = source == k
                     assert np.any(l[s, rows_k]) != (k in unwritten[s]), (s, k)
                     assert np.any(c[s, rows_k]) != (k in unwritten[s]), (s, k)
             else:
                 want = assemble_constraints(problem, cov, refs[s])
                 assert l[s].tobytes() == want.l.tobytes() and c[s].tobytes() == want.c.tobytes()
+
+    def test_a_later_start_returns_its_slices_rows_and_names_the_problems_step(self):
+        # from each start tau the fill returns the rows of the slice from tau, as
+        # row_table numbers them there, and names an entry coincident at the slice's
+        # last step at the problem's step T
+        box = BoxSpec(x_min=np.full(4, np.nan), x_max=np.array([10.0, np.nan, np.nan, 5.0]),
+                      active_times=(1, 3))
+        con = CollisionSpec(pair=(0, 1), radius=0.5, C=self.C2, active_times=(2, 3))
+        problem = self._game(2, [con, box])
+        starts = [0, 1, 2]
+        (cov, _), = uncertainty.horizon_pass(
+            problem.T, starts, uncertainty.covariance_step(problem.dyn.A, problem.dyn.W))
+        fill = uncertainty.constraint_layout(problem, cov, starts)
+        for tau in starts:
+            refs = np.zeros((2, problem.T + 1 - tau, 4))
+            refs[:, :, :2] = 1.0
+            refs[1, -1, :2] = 0.0
+            steps, source, _, _, degenerate = fill(tau, refs)
+            want = uncertainty.row_table(simulate.slice_problem(problem, tau, problem.dyn.x0))
+            assert steps.tobytes() == want[0].tobytes(), tau
+            assert source.tobytes() == want[1].tobytes(), tau
+            assert list(degenerate) == [1], tau
+            assert (degenerate[1].pair, degenerate[1].t) == ((0, 1), problem.T), tau
+        assert steps.tolist() == [1, 1, 1] and source.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_stacks_match_the_per_row_oracle_bit_for_bit(self, d):
@@ -280,8 +302,7 @@ class TestCollisionRow:
         w = rng.normal(size=(6, 2 * d, 2 * d))
         cov = w @ np.swapaxes(w, -1, -2)
         refs = rng.normal(size=(7, 6, 2 * d))
-        rows = uncertainty.row_table(problem)
-        l, c, degenerate = uncertainty.constraint_layout(problem, cov, rows, [0])(0, refs)
+        *_, l, c, degenerate = uncertainty.constraint_layout(problem, cov, [0])(0, refs)
         assert not degenerate and l.shape == (7, 4, 2 * d) and c.shape == (7, 4)
         for s in range(7):
             want = loop_assemble_constraints(problem, cov, refs[s])
@@ -427,7 +448,8 @@ def _rebuilt(prep):
     """l and c rebuilt row by row from each row's step, its source and its
     place among the rows of that (step, source), at z = Phi^-1(1 - eps / M);
     a collision row's reference direction comes from the prepared means."""
-    problem, conset, cov = prep.problem, prep.conset, prep.cov
+    problem, conset = prep.problem, prep.conset
+    cov = propagate_covariance(problem.dyn)
     reference = game_reference(prep)
     z = inverse_normal_cdf(1.0 - problem.risk_epsilon / prep.M)
     l, c = np.zeros_like(conset.l), np.zeros_like(conset.c)
@@ -473,8 +495,9 @@ class TestOnePassAssembly:
         monkeypatch.setattr(BoxSpec, "rows", rows)
         for prep in (mini_prep, mpc_subgame):
             assert prep.M >= 1
+            cov = propagate_covariance(prep.problem.dyn)
             calls.update(quantile=0, rows=0)
-            conset = assemble_constraints(prep.problem, prep.cov, game_reference(prep))
+            conset = assemble_constraints(prep.problem, cov, game_reference(prep))
             assert conset.M == prep.M
             assert calls["quantile"] == 1
             assert calls["rows"] == sum(spec.kind == "box"
@@ -490,7 +513,8 @@ class TestOnePassAssembly:
                 return _real(*args)
             monkeypatch.setattr(uncertainty, name, counted)
         prep = intersection_prep
-        conset = assemble_constraints(prep.problem, prep.cov, game_reference(prep))
+        conset = assemble_constraints(prep.problem, propagate_covariance(prep.problem.dyn),
+                                      game_reference(prep))
         assert calls == {"linearize_collision": 3}
         kinds = [prep.problem.constraints[k].kind for k in conset.source]
         assert kinds.count("collision") == 150
@@ -517,7 +541,7 @@ class TestSplitAssembly:
         for prep in (mini_prep, intersection_prep, coupled, mpc_subgame):
             assert prep.M >= 1
             _assert_same_bytes(prep.conset, loop_assemble_constraints(
-                prep.problem, prep.cov, game_reference(prep)))
+                prep.problem, propagate_covariance(prep.problem.dyn), game_reference(prep)))
 
     def test_replan_from_the_shared_layout_equals_a_fresh_assembly(self, mini_prep):
         # the second replan at tau fills the layout the first one built; the
@@ -627,7 +651,8 @@ class TestCompactOperations:
 
     def test_lmat_equals_the_single_loop_byte_for_byte(self, preps):
         for prep in preps:
-            want = loop_assemble_constraints(prep.problem, prep.cov, game_reference(prep))
+            want = loop_assemble_constraints(prep.problem, propagate_covariance(prep.problem.dyn),
+                                             game_reference(prep))
             assert prep.conset.lmat.tobytes() == want.lmat.tobytes()
             assert prep.conset.lmat.shape == (prep.problem.T * prep.problem.n_x, prep.M)
 
