@@ -14,7 +14,9 @@ pass there computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
 in a pass of its own.  A pass is a zeta pass, or the forward pass of the
 alpha columns contracted from a prepared zeta response ``psi`` (a central-MPC
-replan's block of its call's Psi).  The policy at any lam, the pivot's or the
+replan's block of its call's Psi); a replan's game arrives with its violated
+rows' columns (``PreparedGame.columns``), from its replan time's one stacked
+pass, and the map runs no pass for them.  The policy at any lam, the pivot's or the
 fallback ascent's, is alpha0 plus the columns lam is nonzero on
 (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that violates no row
 is the report, and the map runs no pass.  The full G is built only when L,
@@ -61,13 +63,15 @@ from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
 class PreparedGame:
     """Problem and the rows reformulated at the nominal (plus ``equilibrium0``'s mean, if
     given); the solve reuses ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
-    policy and its solver-coordinate mean) and ``psi`` (the zeta response), if given."""
+    policy and its solver-coordinate mean), ``psi`` (the zeta response) and ``columns``
+    (G's and alpha's columns of the rows it violates at lam = 0, a replan's), if given."""
 
     problem: GameProblem
     conset: uncertainty.AffineConstraintSet
     gains: lqnash.StageGains | None = field(default=None, repr=False)
     equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
     psi: np.ndarray | None = field(default=None, repr=False)   # (T, N, n_u, T, n_x)
+    columns: dict | None = field(default=None, repr=False)     # j -> (G[:, j], alpha_j)
 
     @property
     def M(self):
@@ -125,7 +129,8 @@ class AffineGradientMap:
     def _pass(self, columns):
         """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
         cols = range(self.conset.M) if columns is None else columns
-        a = None if self.psi is None else lqnash.response_alphas(self.psi, self.conset, cols)
+        a = None if self.psi is None else lqnash.response_alphas(
+            self.psi, self.conset.t[cols], self.conset.l[cols])
         G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns, a)
         self.columns.update(zip(cols, G.T))
         if columns is not None:     # the full pass's alphas would live as long as G
@@ -207,8 +212,8 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     has them (an LTV solve, a replan), else solved here (a unicycle solve).
     ctilde is g at that start's mean, column m of G is g at the m-th unit
     multiplier minus ctilde, exact by affinity.  One pass here computes the
-    columns of the rows violated at lam = 0, ascending; a column's bits do not
-    depend on its place in the pass."""
+    columns of the rows violated at lam = 0 that the game does not hold,
+    ascending; a column's bits do not depend on its place in the pass."""
     problem = prepared.problem
     gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
     equilibrium = prepared.equilibrium0
@@ -219,7 +224,9 @@ def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     gmap = AffineGradientMap(problem, prepared.conset, gains,
                              prepared.conset.evaluate(mean0), policy0, mean0,
                              prepared.psi)
-    violated = np.flatnonzero(gmap.ctilde > 0).tolist()
+    for j, (G_j, alpha_j) in (prepared.columns or {}).items():
+        gmap.columns[j], gmap.alphas[j] = G_j, alpha_j
+    violated = [j for j in np.flatnonzero(gmap.ctilde > 0).tolist() if j not in gmap.columns]
     if violated:
         gmap._pass(violated)
     return gmap

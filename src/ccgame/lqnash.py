@@ -25,19 +25,23 @@ for a linear term with m columns, one zeta column per column:
 step t_m for multiplier m), whose rows of the linear part of the map lam ->
 g follow by one forward pass, the rows of each step (``span``) read as their
 mean X_t is formed; column j's affine terms are alpha's response to
-multiplier j (see ``dualascent``).  As zeta is linear in the linear term,
-a central-MPC replan contracts its columns (``response_alphas``) from the
-response Psi to a unit term at each (step, coordinate), computed once
-(``zeta_response``), and its lam = 0 mean is Phi x0 + d (``simulate.CentralPlanner``).
-A column's bits do not depend on the other columns of its pass: a 1-column
-solve or 1-row product goes down another BLAS route, so a zero column pads
-a single one (``_zeta_sweep`` does so itself, as do the gains' solve and
-``affine_response``'s forward pass), and ``_gemm`` doubles a 1-row matrix.  The tests keep the single full sweep
-these replace and a single-player best-response sweep (``tests/oracles.py``)
-as references.
+multiplier j (see ``dualascent``).  As zeta is linear in the linear term, a
+central-MPC call computes in one pass the response Psi to a unit term at
+each (step, coordinate) and alpha0 (``zeta_response``); at a replan time the
+violated columns of every episode are contracted from Psi at once
+(``response_alphas``), and one forward pass, stacked by episode (its rows l,
+which alone differ, and its columns), gives them all; a replan's lam = 0 mean
+is Phi x0 + d (``simulate.CentralPlanner``).  A column's bits do not depend
+on the other columns of its pass: a 1-column solve or 1-row product goes
+down another BLAS route, so a zero column pads a single one (``_zeta_sweep``
+does so itself, as does the gains' solve), ``affine_response`` zero-pads its
+entries to a common width of two or more, and ``_gemm`` doubles a 1-row
+matrix.  The tests keep the single full sweep these replace and a
+single-player best-response sweep (``tests/oracles.py``) as references.
 
-``closed_loop_step`` steps one state on the agent-stacked [B^1 .. B^N],
-which ``integrate_expected`` stacks once per call.  ``closed_loop_matrix``
+``closed_loop_step`` steps one state, or a stack of them each as alone, on
+the agent-stacked [B^1 .. B^N], which ``integrate_expected`` stacks once per
+call.  ``closed_loop_matrix``
 gives the gain sweep, the closed-loop covariance and the rollouts, whose
 deviations from the mean ``fixed_order_sums`` steps, F_t = A_t - sum_i
 B^i_t K^i_t.
@@ -64,6 +68,7 @@ bundled scenario reaches that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -221,14 +226,15 @@ def backward_recursion(problem: GameProblem, gains=None):
 
 
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
-    """Step one state x (n_x,): u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t.
+    """Step one state x (n_x,) or a stack (S, n_x), alpha_t and z_t per state:
+    u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t, a matvec per state each.
 
     B_t (n_x, N n_u) is the agent-stacked [B^1_t .. B^N_t], so sum_i B^i_t u^i
     is one matvec; u is shaped as alpha_t."""
-    u = -(K_t @ x) - alpha_t
-    x_next = A_t @ x + B_t @ u.ravel()
+    u = -(K_t @ x[..., None, :, None])[..., 0] - alpha_t
+    x_next = (A_t @ x[..., None] + B_t @ u.reshape(*x.shape[:-1], -1, 1))[..., 0]
     if L_t is not None:
-        x_next += L_t @ z_t
+        x_next += (L_t @ z_t[..., None])[..., 0]
     return u, x_next
 
 
@@ -332,7 +338,7 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam, conse
             + float(np.asarray(lam) @ conset.evaluate(mean_traj)))
 
 
-def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
+def affine_response(problem: GameProblem, conset, gains, columns=None, a=None, l=None):
     """The linear part of the exact affine map lam -> g at the equilibrium:
     the G columns ``columns`` (default all M) from one zeta pass on ``gains``.
 
@@ -343,20 +349,25 @@ def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
     g(lam) = G lam + ctilde and alpha(lam) = alpha0 + sum_c lam_c alphas[c],
     ctilde and alpha0 being the lam = 0 equilibrium's g and alpha.  The sweep
     starts at the columns' latest step, above which their zeta is exactly 0.
-    Given their affine terms ``a`` (T, N, n_u, k), only the forward pass
-    runs, on two columns or more (see the module docstring).
+    Given their affine terms ``a`` (T, N, n_u, k), only the forward pass runs;
+    given ``l`` (E, M, n_x), E entries' rows on ``conset``'s steps, with each
+    one's ``columns`` (maybe none) and their ``a`` side by side, one pass (one
+    F_t and one B product per step over every column, one stacked product of
+    the rows, padded as the module docstring says) gives each (G, alphas).
     """
     dyn = problem.dyn
     N, T, n_x = problem.N, problem.T, problem.n_x
-    M = conset.M
-    k = M if columns is None else len(columns)
+    M, stacked = conset.M, l is not None
+    entries = columns if stacked else [range(M) if columns is None else columns]
+    l = l if stacked else conset.l[None]
+    k = [len(cols) for cols in entries]
     if a is None:
-        # each entry's column, grouped by step once; a step without one adds
-        # the same zero term
-        cols = np.arange(M) if columns is None else np.asarray(columns, dtype=np.intp)
+        # each column of the one entry, grouped by step once; a step without
+        # one adds the same zero term
+        cols = np.asarray(entries[0], dtype=np.intp)
         steps = conset.t[cols]
         hits = {t: np.flatnonzero(steps == t) for t in set(steps.tolist())}
-        zero = np.zeros((N, n_x, k))
+        zero = np.zeros((N, n_x, k[0]))
 
         def linear_term(t):
             if t not in hits:
@@ -366,38 +377,51 @@ def affine_response(problem: GameProblem, conset, gains, columns=None, a=None):
             return C
 
         a = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
-    if k == 1:      # the forward pass's products keep two columns too
-        a = np.concatenate([a, np.zeros_like(a)], axis=-1)
+    # live entries (with columns; the one entry, always) side by side, zero-padded to a
+    # width >= 2: a's column c sits at at[c]
+    live, width, ends = np.flatnonzero(k) if stacked else [0], max(2, *k), list(accumulate(k))
+    rank, padded = [r - 1 for r in accumulate(n > 0 for n in k)], a
+    if width * len(live) != ends[-1]:
+        at = np.arange(ends[-1]) + np.repeat(np.multiply(rank, width) - ends + k, k)
+        padded = np.zeros((*a.shape[:-1], width * len(live)))
+        padded[..., at] = a
 
-    # forward sweep of the mean trajectory's linear part X_t; the rows of
-    # step t read X_t as it is formed
-    X = np.zeros((n_x, a.shape[-1]))
-    gmap = np.empty((M, a.shape[-1]))
+    # forward sweep of the mean trajectory's linear part X_t; the rows of step t
+    # read X_t as it is formed, each live entry's into its G, stacked if two or more
+    X = np.zeros((n_x, padded.shape[-1]))
+    gmap = np.empty((len(live), M, width))
+    pick = slice(None) if len(live) == len(l) else live
     for t in range(T):
-        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], a[t])
+        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], padded[t])
         rows = conset.span(t + 1)
-        gmap[rows] = _gemm(conset.l[rows], X)
-    return gmap[:, :k], np.moveaxis(a[..., :k], -1, 0)
+        if len(live) > 1:
+            gmap[:, rows] = _gemm(l[pick, rows], X.reshape(n_x, -1, width).transpose(1, 0, 2))
+        else:
+            gmap[0, rows] = _gemm(l[live[0], rows], X)
+    out = [(gmap[r, :, :n], np.moveaxis(a[..., e - n:e], -1, 0)) for r, e, n in zip(rank, ends, k)]
+    return out if stacked else out[0]
 
 
 def zeta_response(problem: GameProblem, gains):
-    """Psi (T, N, n_u, T, n_x): the affine terms' response to a unit half linear
-    term at each (step 1..T, coordinate), one zeta pass of T n_x columns; the
-    slice at tau (``gains.tail(tau)``) has Psi[tau:, :, :, tau:] as its own."""
+    """(Psi, alpha0) by one zeta pass of T n_x + 1 columns: Psi (T, N, n_u, T, n_x), the
+    response to a unit half linear term at each (step 1..T, coordinate), and alpha0 from the
+    goal column, ``backward_recursion``'s bit for bit; tau's slice has Psi[tau:, :, :, tau:]."""
     N, T, n_x = problem.N, problem.T, problem.n_x
+    s = stage_linear_terms(problem)
 
     def linear_term(t):     # step 0 has no row
         C = np.zeros((N, n_x, T, n_x))
         C[:, :, t - 1] = np.eye(n_x) * (t > 0)
-        return C.reshape(N, n_x, T * n_x)
+        return np.concatenate([C.reshape(N, n_x, T * n_x), s[:, t, :, None]], axis=2)
 
-    return _zeta_sweep(problem, gains, linear_term).reshape(T, N, -1, T, n_x)
+    a = _zeta_sweep(problem, gains, linear_term)
+    return a[..., :-1].reshape(T, N, -1, T, n_x), a[..., -1]
 
 
-def response_alphas(psi, conset, columns):
-    """(T, N, n_u, k) affine terms of the rows ``columns`` from their problem's
-    Psi: column j is 0.5 sum_q l_j[q] Psi[..., t_j - 1, q], summed in q order
-    elementwise, so that its bits do not depend on the other columns."""
-    block = psi[:, :, :, conset.t[columns] - 1]      # (T, N, n_u, k, n_x)
-    half = 0.5 * conset.l[columns]
-    return sum(block[..., q] * half[:, q] for q in range(half.shape[1]))
+def response_alphas(psi, steps, l):
+    """(T, N, n_u, k) affine terms of k rows at ``steps`` with coefficients ``l``
+    (k, n_x) from their problem's Psi: column j is 0.5 sum_q l_j[q] Psi[...,
+    t_j - 1, q], summed in q order elementwise, so that its bits do not depend
+    on the other columns."""
+    half = 0.5 * l
+    return sum(psi[:, :, :, steps - 1, q] * half[:, q] for q in range(half.shape[1]))

@@ -20,8 +20,9 @@ same kernel.
 
 A central-MPC call's ``CentralPlanner`` holds its problem and replan cadence,
 and its constructor computes once the aggregate, its noise factors, its stage
-gains, its lam = 0 policy, whose tail at tau is the reference policy of a
-replan at tau, the zeta response Psi, in one pass over the horizon each replan
+gains, in one zeta pass the zeta response Psi and the lam = 0 policy's affine
+terms, whose tail at tau is the reference policy of a replan at tau, in one
+pass over the horizon each replan
 time's open-loop covariance and that policy's transition products [Phi | d],
 and from that covariance, which it then drops, every replan time's row layout
 (``uncertainty.constraint_layout``).  A slice keeps every constraint, one that
@@ -32,14 +33,16 @@ a replan time one ``screen`` per SCREEN_BLOCK episodes contracts their lam = 0
 means Phi x0 + d (the references, at which g is the map's ctilde), fills their
 collision rows and evaluates their ctilde, each stacked and bit for bit as at
 S = 1; every episode starts at x0, so t = 0 is screened and solved once.  An
-episode that violates no row takes the lam = 0 alpha tail; one that does
-contracts the violated rows' alpha columns from its block of Psi, whose
-forward pass gives the LCP's columns and the policy at its solution (a further
-one runs only for a column the pivot reads beyond them; never the full G).  No
-replan runs a zeta pass or integrates a mean, and a DegenerateReference names
-the episode's step.  A replan's gains are the planner's tail whatever its lam
-or x0, so a plan is its alpha, written from its replan time on, and the plant
-steps each state on the planner's gains (``lqnash.closed_loop_step``).
+episode that violates no row takes the lam = 0 alpha tail.  For those that do,
+the block's first game contracts all their violated rows' alpha columns from
+its block of Psi and runs one forward pass stacked by episode, which gives
+each one's LCP columns, held by its game, and its policy at its solution (a
+further pass runs only for a column the pivot reads beyond them; never the
+full G).  No replan runs a zeta pass or integrates a mean, and a
+DegenerateReference names the episode's step.  A replan's gains are the
+planner's tail whatever its lam or x0, so a plan is its alpha, written from its
+replan time on, and the plant steps every episode's state at once on the
+planner's gains, each as alone (``lqnash.closed_loop_step``).
 """
 
 from __future__ import annotations
@@ -306,8 +309,7 @@ class CentralPlanner:
         self.agg = aggregate_problem(problem)
         t_start = time.perf_counter()
         self.gains = lqnash.stage_gains(self.agg)
-        self.alpha0 = lqnash.backward_recursion(self.agg, gains=self.gains).alpha
-        self.psi = lqnash.zeta_response(self.agg, self.gains)
+        self.psi, self.alpha0 = lqnash.zeta_response(self.agg, self.gains)
         dyn, T = self.agg.dyn, self.agg.T
 
         def transitions(t, Z):   # [Phi | d] from [I | 0]: F_t [Phi | d] - [0 | B_t alpha0_t]
@@ -328,11 +330,13 @@ class CentralPlanner:
         lam = 0 mean violates a row (S,), the DegenerateReference of each one whose rows
         cannot be filled (the fill names its step tau + t), and ``game(k)``, episode k's
         game, whose rows are the fill's.  One that violates no row takes ``alpha0[tau:]``.
-        Tau's first game builds its slice."""
+        Tau's first game builds its slice, and the first game with a row above 0 one
+        ``affine_response`` pass of all the episodes' such columns, which their games hold."""
         Z = self.transitions[tau]
         means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
         steps, source, l, c, degenerate = self.fill(tau, self.agg.nominal_states[tau:] + means)
         ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
+        hot, psi, passed = ctilde > 0.0, self.psi[tau:, :, :, tau:], {}   # hot: rows above 0
 
         def game(k):
             if tau not in self.at_tau:
@@ -342,10 +346,16 @@ class CentralPlanner:
                                         K=self.gains.K[tau:], alpha=self.alpha0[tau:]))
                 self.shared_seconds += time.perf_counter() - t_start
             sub, gains, policy0 = self.at_tau[tau]
+            conset = uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T)
+            if hot[k].any() and not passed:     # the block's one pass, at its first solve
+                entries = [np.flatnonzero(h).tolist() for h in hot]     # side by side: hot's order
+                a = lqnash.response_alphas(psi, steps[np.nonzero(hot)[1]], l[hot])
+                out = lqnash.affine_response(sub, conset, gains, entries, a, l=l)
+                passed.update(enumerate(dict(zip(cols, zip(G.T, alphas)))
+                                        for cols, (G, alphas) in zip(entries, out)))
             return PreparedGame(
-                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])),
-                conset=uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T),
-                gains=gains, equilibrium0=(policy0, means[k]), psi=self.psi[tau:, :, :, tau:])
+                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), conset=conset,
+                gains=gains, equilibrium0=(policy0, means[k]), psi=psi, columns=passed.get(k))
         return ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
 
 
@@ -373,7 +383,14 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     """
     options = options or DualAscentOptions(k_max=500)
     seed = _integer(seed, "seed", error=DomainError)
-    problem, dyn, S = planner.problem, planner.problem.dyn, len(sample_indices)
+    try:    # len() overflows past 2**63 - 1
+        S = len(sample_indices)
+    except OverflowError:
+        S = 0
+    if S == 0:
+        raise DomainError(f"sample_indices: expected 1 to 2**63 - 1 indices, "
+                          f"got {sample_indices!r}")
+    problem, dyn = planner.problem, planner.problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
     states, inputs = _sample_arrays(problem, S)
     indices = list(sample_indices)
@@ -412,11 +429,10 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
                     failures.append((indices[k], t, f"{type(exc).__name__}: {exc}"))
             screened = None     # its block's rows would live through the next screen
             solve_seconds += time.perf_counter() - t_start
-        for k in range(S):
-            u, states[k, t + 1] = lqnash.closed_loop_step(
-                dyn.A[t], planner.agg.dyn.B[t, 0], planner.gains.K[t], alphas[k, t],
-                states[k, t], planner.factors[t], z[k, t])
-            inputs[k, t] = u.reshape(N, -1)
+        u, states[:, t + 1] = lqnash.closed_loop_step(
+            dyn.A[t], planner.agg.dyn.B[t, 0], planner.gains.K[t], alphas[:, t],
+            states[:, t], planner.factors[t], z[:, t])
+        inputs[:, t] = u.reshape(S, N, -1)
     failures.sort(key=lambda f: f[:2])
     return MpcRun(states=states, inputs=inputs, failures=failures, replans=replans,
                   replans_with_active_rows=active, solve_seconds=solve_seconds,

@@ -22,7 +22,7 @@ sums each sample's deviation from the mean in Python floats is the
 bit-for-bit reference for the batched rollout, and a rollout on the
 closed-loop recursion x+ = A x + B u + L z its reference to rounding.  The
 closed-loop step on a batch of states, one BLAS call per row, is the
-bit-for-bit reference for the library's one-row step.
+bit-for-bit reference for the library's step of one state or a stack.
 
 The last sections hold references that the acceptance criteria call and the
 library itself never does: a single-player best-response sweep, the policy
@@ -810,14 +810,17 @@ def game_reference(prepared: PreparedGame):
     return nominal if prepared.equilibrium0 is None else nominal + prepared.equilibrium0[1]
 
 
-def episode_mpc(planner, seed, s, withhold=False):
+def episode_mpc(planner, seed, s, withhold=False, maps=None):
     """Central-MPC episode s replanned alone, every replan (lam = 0 ones too)
     prepared by ``planner_game`` and solved by ``run_dual_ascent`` at the
     ``ccgame mpc`` budget: the reference for the lockstep call, which solves
-    only the replans whose lam = 0 mean violates a row.  With ``withhold`` a
-    replan's prepared lam = 0 equilibrium is dropped, so that its solve runs
-    that equilibrium on the tail of the planner's gains and integrates its
-    mean.  Returns (states, inputs, replans, replans with lam != 0, columns)."""
+    only the replans whose lam = 0 mean violates a row.  A replan's game drops
+    the columns of its screen's pass, so that its map runs its own pass.  With
+    ``withhold`` a replan's prepared lam = 0 equilibrium is dropped, so that
+    its solve runs that equilibrium on the tail of the planner's gains and
+    integrates its mean.  ``maps``, if given, maps each replan's (tau, state
+    bytes) to its solve's map.  Returns (states, inputs, replans, replans with
+    lam != 0, columns)."""
     problem, dyn = planner.problem, planner.problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
     options = DualAscentOptions(k_max=500)
@@ -827,13 +830,15 @@ def episode_mpc(planner, seed, s, withhold=False):
     replans = active = columns = 0
     for t in range(T):
         if t % planner.replan_every == 0:
-            prepared = planner_game(planner, t, states[t])
+            prepared = replace(planner_game(planner, t, states[t]), columns=None)
             if withhold:
                 assert np.array_equal(prepared.equilibrium0[0].alpha, lqnash.backward_recursion(
                     prepared.problem, gains=prepared.gains).alpha)
                 prepared = replace(prepared, equilibrium0=None)
             report = run_dual_ascent(prepared, options)
             plan, tau = report.policy, t
+            if maps is not None:
+                maps[t, states[t].tobytes()] = report.map
             replans += 1
             active += bool(np.any(report.lambda_bar))
             columns += report.map_columns

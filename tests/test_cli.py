@@ -572,7 +572,7 @@ class TestMpc:
         assert (manifest["replans_with_active_rows"], len(pivoting)) == (13, 12)
 
     def test_manifest_times_the_shared_work(self, tmp_path):
-        # the gains, the lam = 0 pass, Psi, every replan time's covariance,
+        # the gains, one zeta pass for Psi and the lam = 0 terms, every replan time's covariance,
         # transition products and layout, and the slice of each replan time
         # where a replan solves, which the replans' own times include
         rc = main(["mpc", "--scenario", str(scenarios.bundled_path("intersection-mini")),

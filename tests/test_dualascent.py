@@ -246,7 +246,8 @@ class TestColumnMap:
         run = simulate.central_mpc_run(planner, 5, [0])
         rng = np.random.default_rng(3)
         for tau in range(problem.T):
-            prep = dataclasses.replace(planner_game(planner, tau, run.states[0, tau]), psi=None)
+            prep = dataclasses.replace(planner_game(planner, tau, run.states[0, tau]),
+                                       psi=None, columns=None)
             self._check(prep, None if sample is None else rng.choice(prep.M, sample))
 
 
@@ -258,8 +259,9 @@ class TestColumnMap:
         # run only for a column the pivot reads beyond them, which none of
         # these solves does.  An LTV solve's pass is a zeta pass that starts
         # at their latest step; a replan's takes its alpha columns from the
-        # call's Psi, whose one zeta pass (from T) the planner's constructor
-        # runs after the lam = 0 pass
+        # call's Psi, which the planner's constructor computes in one zeta
+        # pass (from T) with the lam = 0 affine terms, and arrives with them,
+        # from its screen's pass
         from ccgame import lqnash, scenarios, simulate
         from ccgame.model import assemble_problem, load_scenario
         starts = []
@@ -296,7 +298,7 @@ class TestColumnMap:
             load_scenario(str(scenarios.bundled_path("intersection-mini")))))
         starts.clear()
         planner = simulate.CentralPlanner(problem)
-        assert starts == [None, None]
+        assert starts == [None]
         run = simulate.central_mpc_run(planner, 5, [0])
         assert not run.failures
         assert len(solved) == len(COUPLED_FEASIBLE_SEEDS) + run.replans_with_active_rows

@@ -325,8 +325,8 @@ def _stacked_inputs(B_t):
 
 
 class TestClosedLoopStep:
-    """The step sums B^i_t u^i by one matvec on the agent-stacked input matrix.
-    Where every state row of it has at most one nonzero coefficient, as on the
+    """The step sums B^i_t u^i by one matvec on the agent-stacked input matrix,
+    and steps each state of a stack bit for bit as alone.  Where every state row of it has at most one nonzero coefficient, as on the
     bundled scenarios and their central-MPC aggregate, that sum has one term
     and equals the einsum it replaced bit for bit; so their rollouts cannot move."""
 
@@ -391,6 +391,8 @@ class TestClosedLoopStep:
             A = dyn.A[t]
             assert stacked[t].tobytes() == _stacked_inputs(dyn.B[t]).tobytes()
             u_batch, x_batch = batched_closed_loop_step(A, dyn.B[t], K[t], alpha[t], x, L, z)
+            u_stack, x_stack = closed_loop_step(A, stacked[t], K[t], alpha[t], x, L, z)
+            assert _bits(u_stack) == _bits(u_batch) and _bits(x_stack) == _bits(x_batch)
             for s in range(len(x)):
                 u, x_next = closed_loop_step(A, stacked[t], K[t], alpha[t], x[s],
                                              L, None if z is None else z[s])
@@ -412,6 +414,12 @@ class TestClosedLoopStep:
         for s in range(3):
             u, x_next = closed_loop_step(A, _stacked_inputs(B), K, alpha, x[s], L, z[s])
             assert _bits(u) == _bits(u_batch[s]) and _bits(x_next) == _bits(x_batch[s])
+        # the library's stack, alpha per state as a central-MPC call's plans
+        alphas = rng.normal(size=(3, N, n_u))
+        u_stack, x_stack = closed_loop_step(A, _stacked_inputs(B), K, alphas, x, L, z)
+        for s in range(3):
+            u, x_next = closed_loop_step(A, _stacked_inputs(B), K, alphas[s], x[s], L, z[s])
+            assert _bits(u) == _bits(u_stack[s]) and _bits(x_next) == _bits(x_stack[s])
 
 
 class TestFixedOrderSums:

@@ -594,18 +594,19 @@ class TestCentralMpc:
     def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls,
                                        monkeypatch):
         # an episode's own planner: one gain recursion, one rcond check per
-        # stage and one lam = 0 zeta pass, whose tail is every replan's
-        # reference policy, and the zeta response Psi in one zeta pass, both
-        # in its constructor; a replan's reference mean
+        # stage and one zeta pass, in its constructor, for the zeta response
+        # Psi and the lam = 0 affine terms, whose tail is every replan's
+        # reference policy; a replan's reference mean
         # is a contraction of its state, and only where a row is violated (a
-        # of them) it runs the map's one pass, whose alpha columns (the
-        # violated rows', all that the pivot reads here) come from Psi and
-        # give the policy at the pivot's multiplier; no mean trajectory of
-        # that policy, no final solve's zeta pass, no full map and no
-        # diagnostic that only a report reads (3 zeta passes and 7 means
-        # with a zeta pass per active replan and an integrated reference
-        # mean; 2 means, the active policies', before the report's mean was
-        # computed when first read)
+        # of them) its replan time's screen runs one pass (one per replan
+        # time that solves; 2 here, one per solve before), whose alpha
+        # columns (the violated rows', all that the pivot reads here) come
+        # from Psi and give the policy at the pivot's multiplier; no mean
+        # trajectory of that policy, no final solve's zeta pass, no full map
+        # and no diagnostic that only a report reads (2 zeta passes, the
+        # lam = 0 one apart; 3 zeta passes and 7 means with a zeta pass per
+        # active replan and an integrated reference mean; 2 means, the active
+        # policies', before the report's mean was computed when first read)
         count_replan_work(monkeypatch, lqnash_calls)
         run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem, 4), 3, [0])
         assert not run.failures
@@ -613,16 +614,19 @@ class TestCentralMpc:
         a = lqnash_calls.pop("pivoting")
         assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
         assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
-                                "_zeta_sweep": 2, "affine_response": a}
+                                "_zeta_sweep": 1, "affine_response": 2}
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
         # 2 episodes of T = 20 replans: one aggregate, one gain recursion,
-        # one lam = 0 pass, one zeta response Psi and one horizon pass (every
-        # replan time's covariance) per call, and per replan whose lam = 0
-        # mean violates a row the map's one pass with the 18 columns of the
-        # violated rows, whose alphas come from Psi and give the policy too;
-        # no full map and no integrated mean (14 zeta passes and 53 means
+        # one zeta pass for the zeta response Psi and the lam = 0 affine
+        # terms, and one horizon pass (every replan time's covariance) per
+        # call, and per replan time at which some episode's lam = 0 mean
+        # violates a row (7, for 12 such replans) one stacked pass with the
+        # 18 columns of the violated rows, whose alphas come from Psi and
+        # give the policy too; no full map and no integrated mean (2 zeta
+        # passes, the lam = 0 one apart, and 12 map passes, one per such
+        # replan; 14 zeta passes and 53 means
         # with a zeta pass per such replan; 27 passes with a final solve's;
         # 81 when every replan ran the full map; 120 passes, 40 covariances
         # before that; 20 covariances, one per replan time, before the
@@ -651,9 +655,9 @@ class TestCentralMpc:
         assert lqnash_calls["aggregate_problem"] == 1
         assert lqnash_calls["stage_gains"] == 1
         assert lqnash_calls["_check_rcond"] == T
-        assert lqnash_calls["_zeta_sweep"] == 2
+        assert lqnash_calls["_zeta_sweep"] == 1
         assert lqnash_calls["integrate_expected"] == 0 and a == 12
-        assert lqnash_calls["affine_response"] == a and lqnash_calls["full_map"] == 0
+        assert lqnash_calls["affine_response"] == 7 and lqnash_calls["full_map"] == 0
         assert lqnash_calls["eigvalsh"] == 0
         assert lqnash_calls["horizon_pass"] == 1
         assert lqnash_calls["propagate_covariance"] == 0
@@ -673,8 +677,9 @@ class TestCentralMpc:
         # planner's gains, which is the planner's alpha0 tail bit for bit,
         # and integrates its mean, where the planner contracts it from x0, so
         # the episodes agree to 1e-13 of max(1, |withheld|).  Both have the same replans, active replans
-        # and columns.  An active replan runs the map's one pass, with the
-        # columns of the rows it violates, and a pass per pivot read of a
+        # and columns.  A replan time at which an episode's lam = 0 mean
+        # violates rows runs one pass, with every such episode's columns of
+        # the rows it violates, and a replan a pass per pivot read of a
         # column not among them (one, on intersection at seed 5), never the
         # full map
         from ccgame import scenarios
@@ -682,8 +687,9 @@ class TestCentralMpc:
         from oracles import episode_mpc
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
-        counts = {"intersection-mini": ((14, 13), (15, 14), (13, 12)),
-                  "intersection": ((15, 16),)}[name]    # (active replans, map passes)
+        # (active replans, map passes); with a pass per solve, mini's were 13, 14, 12
+        counts = {"intersection-mini": ((14, 8), (15, 8), (13, 7)),
+                  "intersection": ((15, 16),)}[name]
         for seed, want in zip(seeds, counts):
             lqnash_calls.clear()
             batch, failures, totals = central_mpc(problem, seed, episodes)
@@ -902,6 +908,72 @@ class TestLockstep:
         for s in range(5):
             assert run.inputs[s, 0].tobytes() == one.inputs[0, 0].tobytes(), s
 
+    @pytest.mark.parametrize("name", ["intersection-mini", "intersection"])
+    def test_a_replan_times_one_pass_gives_each_game_its_own_columns(self, monkeypatch,
+                                                                    name):
+        # a replan time's screen runs one pass over the violated columns of all its
+        # solving episodes: every solve's map, its G and alpha columns and any a
+        # pivot read beyond them, is byte for byte the map of the episode's own
+        # solve in oracles.episode_mpc, whose game runs its own pass, at S = 1 and
+        # S = 100.  Some replan time stacks an episode of one violated column
+        # (padded to two) beside another solving episode
+        from ccgame import lqnash, scenarios
+        from ccgame.model import load_scenario
+        from oracles import episode_mpc
+        problem = assemble_problem(validate_scenario(
+            load_scenario(str(scenarios.bundled_path(name)))))
+        planner = simulate.CentralPlanner(problem)
+        want = {}
+        for s in range(100):
+            episode_mpc(planner, 777, s, maps=want)
+        solves, widths = [], []
+        real_solve, real_pass = simulate.run_dual_ascent, lqnash.affine_response
+
+        def solving(prepared, options=None, **kw):
+            report = real_solve(prepared, options, **kw)
+            tau = problem.T - prepared.problem.T
+            solves.append((tau, prepared.problem.dyn.x0.tobytes(), report.map))
+            return report
+
+        def stacking(*args, **kw):
+            if kw.get("l") is not None:
+                widths.append([len(cols) for cols in args[3]])
+            return real_pass(*args, **kw)
+
+        monkeypatch.setattr(simulate, "run_dual_ascent", solving)
+        monkeypatch.setattr(lqnash, "affine_response", stacking)
+        for indices in ([0], [57], [99], range(100)):
+            solves.clear()
+            run = simulate.central_mpc_run(simulate.CentralPlanner(problem), 777, indices)
+            assert not run.failures and solves
+            for tau, x0, gmap in solves:
+                ref = want[tau, x0]
+                assert sorted(gmap.columns) == sorted(ref.columns), (indices, tau)
+                assert sorted(gmap.alphas) == sorted(ref.alphas), (indices, tau)
+                for j in ref.columns:
+                    assert gmap.columns[j].tobytes() == ref.columns[j].tobytes(), (tau, j)
+                for j in ref.alphas:
+                    assert gmap.alphas[j].tobytes() == ref.alphas[j].tobytes(), (tau, j)
+        assert any(len(k) > 1 and 1 in k for k in widths)
+
+    def test_a_failed_stacked_pass_is_each_solving_episodes_failure(self, monkeypatch,
+                                                                    mini_problem):
+        # the pass that a replan time's violating episodes share raises in the game of
+        # each of them, whose replan fails alone; the others replan as usual
+        from ccgame import lqnash
+        real, solving = lqnash.affine_response, []
+
+        def failing(*args, l=None, **kw):
+            if l is not None and args[0].T == mini_problem.T - 6:     # at tau = 6
+                solving.append([s for s, cols in enumerate(args[3]) if cols])
+                raise np.linalg.LinAlgError("the stacked pass")
+            return real(*args, l=l, **kw)
+
+        monkeypatch.setattr(lqnash, "affine_response", failing)
+        run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem), 3, range(4))
+        assert 1 < len(solving[0]) < 4 and solving == [solving[0]] * len(solving[0])
+        assert run.failures == [(s, 6, "LinAlgError: the stacked pass") for s in solving[0]]
+
     @staticmethod
     def _two_scalar_agents(x0, T=6):
         """Two unit scalar agents from x0, both drawn to 0, a 0.1 keep-out at every step."""
@@ -1066,13 +1138,15 @@ class TestResponseRoute:
             G, alphas = lqnash.affine_response(sub, conset, gains)
             columns = np.arange(prep.M)
             G_psi, alphas_psi = lqnash.affine_response(
-                sub, conset, gains, columns, lqnash.response_alphas(prep.psi, conset, columns))
+                sub, conset, gains, columns,
+                lqnash.response_alphas(prep.psi, conset.t[columns], conset.l[columns]))
             self._close(G_psi, G)
             self._close(alphas_psi, alphas)
             # a column's bits do not depend on the columns computed with it
             for j in columns if alone is None else rng.choice(prep.M, alone):
-                G_j, alpha_j = lqnash.affine_response(sub, conset, gains, [j],
-                                                      lqnash.response_alphas(prep.psi, conset, [j]))
+                G_j, alpha_j = lqnash.affine_response(
+                    sub, conset, gains, [j],
+                    lqnash.response_alphas(prep.psi, conset.t[[j]], conset.l[[j]]))
                 assert G_j[:, 0].tobytes() == G_psi[:, j].tobytes(), (tau, j)
                 assert alpha_j[0].tobytes() == alphas_psi[j].tobytes(), (tau, j)
 
@@ -1109,6 +1183,28 @@ class TestIntegerArguments:
     def test_a_non_integer_raises(self, call, value):
         with pytest.raises(DomainError):
             self.calls()[call](value)
+
+    @staticmethod
+    def _no_work(monkeypatch):
+        """A planner whose call fails if it allocates an episode or draws noise."""
+        planner = simulate.CentralPlanner(
+            assemble_problem(validate_scenario(scalar_single_agent_instance(T=3))))
+        for name in ("_sample_arrays", "noise_stream"):
+            monkeypatch.setattr(simulate, name, lambda *a: pytest.fail("work began"))
+        return planner
+
+    def test_indices_past_ssize_t_raise_before_any_work(self, monkeypatch):
+        # len() of a range of 10**20 indices overflows (OverflowError before)
+        planner = self._no_work(monkeypatch)
+        with pytest.raises(DomainError, match=r"^sample_indices: expected 1 to 2\*\*63 - 1"):
+            simulate.central_mpc_run(planner, 0, range(10**20))
+
+    @pytest.mark.parametrize("indices", [range(0), []], ids=["range", "list"])
+    def test_no_indices_raise_before_any_work(self, monkeypatch, indices):
+        # numpy's "need at least one array to stack" before
+        planner = self._no_work(monkeypatch)
+        with pytest.raises(DomainError, match=r"^sample_indices: expected 1 to 2\*\*63 - 1"):
+            simulate.central_mpc_run(planner, 0, indices)
 
     @pytest.mark.parametrize("call", ["planner-replan_every", "mpc-replan_every"])
     def test_a_zero_cadence_raises(self, call):

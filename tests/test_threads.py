@@ -1,6 +1,8 @@
 """The determinism contract across BLAS thread counts: the bundled ``solve``,
 ``rollout`` and ``mpc`` artifacts (``test_golden.artifacts``) are the same
-with one OpenBLAS thread and with two.
+with one OpenBLAS thread and with two, and so are the states and inputs of a
+many-episode central-MPC call, whose stacked column passes are hundreds of
+columns wide.
 
 Three diagnostics are exempt.  L (``lipschitz``), the step ``eta`` drawn
 from it and ``asymmetry`` read the full G through ``np.linalg.norm`` (a
@@ -25,17 +27,23 @@ ROOT = Path(__file__).resolve().parents[1]
 THREAD_DEPENDENT = ("lipschitz", "eta", "asymmetry")
 
 
-def _artifacts(name, out, threads):
-    """Digests and counts of ``test_golden.artifacts`` run in a subprocess
-    with ``threads`` OpenBLAS threads, the files written under ``out``."""
+def _run(threads, code, *args):
+    """The JSON that ``code`` prints, run in a subprocess with ``threads``
+    OpenBLAS threads."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
                                           os.environ.get("PYTHONPATH", "")])}
-    code = ("import json, sys, test_golden; "
-            "json.dump(test_golden.artifacts(sys.argv[1], sys.argv[2]), sys.stdout)")
-    run = subprocess.run([sys.executable, "-c", code, name, str(out)], env=env,
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          check=True, capture_output=True, text=True, cwd=ROOT, timeout=600)
     return json.loads(run.stdout)
+
+
+def _artifacts(name, out, threads):
+    """Digests and counts of ``test_golden.artifacts`` with ``threads``
+    OpenBLAS threads, the files written under ``out``."""
+    return _run(threads, "import json, sys, test_golden; "
+                "json.dump(test_golden.artifacts(sys.argv[1], sys.argv[2]), sys.stdout)",
+                name, str(out))
 
 
 def _report(out):
@@ -59,3 +67,17 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(name, tmp_path):
         assert got[one][key] == got[two][key], key
     assert _report(one) == _report(two)
     assert _trace(one) == _trace(two)
+
+
+def test_a_many_episode_mpc_call_does_not_depend_on_the_blas_thread_count():
+    # 128 intersection-mini episodes at seed 777, one screen block: a replan
+    # time's one pass carries every solving episode's columns, up to 384
+    code = ("import hashlib, json, sys; from ccgame import scenarios, simulate; "
+            "from ccgame.model import assemble_problem, validate_scenario; "
+            "problem = assemble_problem(validate_scenario(scenarios.make_intersection_mini())); "
+            "batch, failures, totals = simulate.central_mpc(problem, 777, 128); "
+            "json.dump([hashlib.sha256(batch.states.tobytes()).hexdigest(), "
+            "hashlib.sha256(batch.inputs.tobytes()).hexdigest(), len(failures), "
+            "totals['replans_with_active_rows']], sys.stdout)")
+    one, two = _run(1, code), _run(2, code)
+    assert one == two and one[2] == 0 and one[3] > 128
