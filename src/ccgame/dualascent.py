@@ -12,18 +12,18 @@ at that equilibrium's mean and alpha0 its affine term, so the map holds only
 its linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
 pass there computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
-in a pass of its own.  A pass is a zeta pass, or the forward pass of the
-alpha columns contracted from a prepared zeta response ``psi`` (a central-MPC
-replan's block of its call's Psi); a replan's game arrives with its violated
-rows' columns (``PreparedGame.columns``), from its replan time's one stacked
-pass, and the map runs no pass for them.  The policy at any lam, the pivot's or the
-fallback ascent's, is alpha0 plus the columns lam is nonzero on
-(``AffineGradientMap.alpha``).  A lam = 0 equilibrium that violates no row
-is the report, and the map runs no pass.  The full G is built only when L,
-the asymmetry, the fallback ascent or a dual value reads it: ``report.json``
-and the CLI's ``solve:`` line read L, a central-MPC replan none of them, nor
-the report's mean trajectory and residuals, computed when first read.  The
-rows are read by ``evaluate`` and ``span``.
+in a pass of its own.  A pass takes its alpha columns from a zeta pass, or
+contracts them from a prepared zeta response ``psi`` (a central-MPC replan's
+block of its call's Psi), and runs one forward pass; a replan's game arrives
+with its violated rows' columns (``PreparedGame.columns``), from its replan
+time's one stacked pass, and the map runs no pass for them.  The policy at
+any lam, the pivot's or the fallback ascent's, is alpha0 plus the columns
+lam is nonzero on (``AffineGradientMap.alpha``).  A lam = 0 equilibrium that
+violates no row is the report, and the map runs no pass.  The full G is
+built only when L, the asymmetry, the fallback ascent or a dual value reads
+it: ``report.json`` and the CLI's ``solve:`` line read L, a central-MPC
+replan none of them, nor the report's mean trajectory and residuals,
+computed when first read.  The rows are read by ``evaluate`` and ``span``.
 
 The fixed point the paper's ascent approaches is the linear complementarity
 problem (LCP) lam >= 0, g(lam) <= 0, lam'g(lam) = 0.  A multiplier shared by
@@ -109,7 +109,7 @@ class AffineGradientMap:
     ctilde, policy0 and mean0 are the lam = 0 equilibrium's g, policy and
     mean, which ``estimate_affine_map`` resolves.  A column missing from the
     cache ``columns`` (and ``alphas``, its affine-term response, contracted
-    from ``psi`` when given) comes in an ``affine_response`` pass of its own.
+    from ``psi`` when given) comes in a pass of its own (``_pass``).
     ``alpha(lam)`` is the policy's affine term at lam.  G itself, which L =
     ||G||_2, asymmetry = ||G - G'||_F / ||G||_F, the fallback ascent and the
     dual values read, is the full pass.  dual0[i] = D^i(0) is policy0's
@@ -127,11 +127,14 @@ class AffineGradientMap:
     alphas: dict = field(default_factory=dict, init=False, repr=False)    # j -> alpha_j
 
     def _pass(self, columns):
-        """One ``affine_response`` pass over ``columns`` (None: all M), cached."""
+        """One pass over ``columns`` (None: all M), cached, their affine terms from
+        ``psi`` when given, else by a zeta pass: the one place that picks them."""
         cols = range(self.conset.M) if columns is None else columns
-        a = None if self.psi is None else lqnash.response_alphas(
-            self.psi, self.conset.t[cols], self.conset.l[cols])
-        G, alphas = lqnash.affine_response(self.problem, self.conset, self.gains, columns, a)
+        steps, l = self.conset.t[cols], self.conset.l[cols]
+        a = (lqnash.column_alphas(self.problem, self.gains, steps, l) if self.psi is None
+             else lqnash.response_alphas(self.psi, steps, l))
+        [(G, alphas)] = lqnash.affine_response(self.problem, self.conset, self.gains, [cols],
+                                               a, self.conset.l[None])
         self.columns.update(zip(cols, G.T))
         if columns is not None:     # the full pass's alphas would live as long as G
             self.alphas.update(zip(columns, alphas))

@@ -21,21 +21,21 @@ returns K, F, P and S_t.  A shrinking-horizon replan at tau uses its
 ``tail(tau)``.  ``_zeta_sweep`` then computes the affine terms on those gains
 for a linear term with m columns, one zeta column per column:
 ``backward_recursion`` runs it with the goal references' one column ``s_t``
-(alpha0), and ``affine_response`` with chosen columns of G (``0.5 l_m`` at
-step t_m for multiplier m), whose rows of the linear part of the map lam ->
-g follow by one forward pass, the rows of each step (``span``) read as their
-mean X_t is formed; column j's affine terms are alpha's response to
+(alpha0), and ``column_alphas`` with chosen columns of G (``0.5 l_m`` at step
+t_m for multiplier m); column j's affine terms are alpha's response to
 multiplier j (see ``dualascent``).  As zeta is linear in the linear term, a
 central-MPC call computes in one pass the response Psi to a unit term at
-each (step, coordinate) and alpha0 (``zeta_response``); at a replan time the
-violated columns of every episode are contracted from Psi at once
-(``response_alphas``), and one forward pass, stacked by episode (its rows l,
-which alone differ, and its columns), gives them all; a replan's lam = 0 mean
-is Phi x0 + d (``simulate.CentralPlanner``).  A column's bits do not depend
-on the other columns of its pass: a 1-column solve or 1-row product goes
-down another BLAS route, so a zero column pads a single one (``_zeta_sweep``
-does so itself, as does the gains' solve), ``affine_response`` zero-pads its
-entries to a common width of two or more, and ``_gemm`` doubles a 1-row
+each (step, coordinate) and alpha0 (``zeta_response``), and contracts a
+replan's columns from it (``response_alphas``).  From either, the rows of the
+linear part of the map lam -> g follow by ``affine_response``'s one forward
+pass, the rows of each step (``span``) read as their mean X_t is formed, for
+E entries at once: a solve's one, or at a replan time every violating
+episode, whose rows l alone differ; a replan's lam = 0 mean is Phi x0 + d
+(``simulate.CentralPlanner``).  A column's bits do not depend on the other
+columns of its pass: a 1-column solve or 1-row product goes down another BLAS
+route, so a zero column pads a single one (``_zeta_sweep`` does so itself, as
+does the gains' solve), ``affine_response`` pads each entry to a common width
+of two or more with its own last column, and ``_gemm`` doubles a 1-row
 matrix.  The tests keep the single full sweep these replace and a
 single-player best-response sweep (``tests/oracles.py``) as references.
 
@@ -231,10 +231,10 @@ def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
 
     B_t (n_x, N n_u) is the agent-stacked [B^1_t .. B^N_t], so sum_i B^i_t u^i
     is one matvec; u is shaped as alpha_t."""
-    u = -(K_t @ x[..., None, :, None])[..., 0] - alpha_t
-    x_next = (A_t @ x[..., None] + B_t @ u.reshape(*x.shape[:-1], -1, 1))[..., 0]
+    u = -np.matvec(K_t, x[..., None, :]) - alpha_t
+    x_next = np.matvec(A_t, x) + np.matvec(B_t, u.reshape(*x.shape[:-1], -1))
     if L_t is not None:
-        x_next += (L_t @ z_t[..., None])[..., 0]
+        x_next += np.matvec(L_t, z_t)
     return u, x_next
 
 
@@ -338,68 +338,57 @@ def evaluate_lagrangian(problem: GameProblem, policy: FeedbackPolicy, lam, conse
             + float(np.asarray(lam) @ conset.evaluate(mean_traj)))
 
 
-def affine_response(problem: GameProblem, conset, gains, columns=None, a=None, l=None):
-    """The linear part of the exact affine map lam -> g at the equilibrium:
-    the G columns ``columns`` (default all M) from one zeta pass on ``gains``.
+def affine_response(problem: GameProblem, conset, gains, columns, a, l):
+    """The linear part of the exact affine map lam -> g at the equilibrium, for E >= 1
+    entries in one forward pass on ``gains``: entry e has rows ``l[e]`` (M, n_x) on
+    ``conset``'s steps and G columns ``columns[e]`` (maybe none), whose affine terms
+    lie side by side in ``a`` (T, N, n_u, k_1 + .. + k_E).
 
-    The stage gains do not depend on lam, and zeta (hence alpha and the mean
-    trajectory) is affine in it, so a pass whose linear term carries 0.5 l_m
-    at step t_m for multiplier m gives exactly what unit-probe solves would
-    measure less their lam = 0 part.  Returns (G[:, columns], alphas):
-    g(lam) = G lam + ctilde and alpha(lam) = alpha0 + sum_c lam_c alphas[c],
-    ctilde and alpha0 being the lam = 0 equilibrium's g and alpha.  The sweep
-    starts at the columns' latest step, above which their zeta is exactly 0.
-    Given their affine terms ``a`` (T, N, n_u, k), only the forward pass runs;
-    given ``l`` (E, M, n_x), E entries' rows on ``conset``'s steps, with each
-    one's ``columns`` (maybe none) and their ``a`` side by side, one pass (one
-    F_t and one B product per step over every column, one stacked product of
-    the rows, padded as the module docstring says) gives each (G, alphas).
-    """
-    dyn = problem.dyn
-    N, T, n_x = problem.N, problem.T, problem.n_x
-    M, stacked = conset.M, l is not None
-    entries = columns if stacked else [range(M) if columns is None else columns]
-    l = l if stacked else conset.l[None]
-    k = [len(cols) for cols in entries]
-    if a is None:
-        # each column of the one entry, grouped by step once; a step without
-        # one adds the same zero term
-        cols = np.asarray(entries[0], dtype=np.intp)
-        steps = conset.t[cols]
-        hits = {t: np.flatnonzero(steps == t) for t in set(steps.tolist())}
-        zero = np.zeros((N, n_x, k[0]))
+    On the fixed gains zeta (hence alpha and the mean trajectory) is affine in lam,
+    so the mean's linear part X_t, driven by the columns' affine terms, gives exactly
+    what unit-probe solves would measure less their lam = 0 part.  Returns one
+    (G[:, columns[e]], alphas) per entry: g(lam) = G lam + ctilde and alpha(lam) =
+    alpha0 + sum_c lam_c alphas[c], ctilde and alpha0 being the lam = 0 equilibrium's.
+    Each step runs one F_t and one B product over every column and one stacked
+    product of the rows of the entries with columns, each padded to a common width
+    of two or more with its own last column (see the module docstring)."""
+    T, n_x, M = problem.T, problem.n_x, conset.M
+    k = [len(cols) for cols in columns]
+    width, ends, live = max(2, *k), list(accumulate(k)), np.flatnonzero(k)
+    at = [e - n + min(j, n - 1) for e, n in zip(ends, k) if n for j in range(width)]
+    padded = a if len(at) == a.shape[-1] else a[..., at]     # live entries, padded
 
-        def linear_term(t):
-            if t not in hits:
-                return zero
-            C = np.zeros_like(zero)
-            C[:, :, hits[t]] = 0.5 * conset.l[cols[hits[t]]].T
-            return C
-
-        a = _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
-    # live entries (with columns; the one entry, always) side by side, zero-padded to a
-    # width >= 2: a's column c sits at at[c]
-    live, width, ends = np.flatnonzero(k) if stacked else [0], max(2, *k), list(accumulate(k))
-    rank, padded = [r - 1 for r in accumulate(n > 0 for n in k)], a
-    if width * len(live) != ends[-1]:
-        at = np.arange(ends[-1]) + np.repeat(np.multiply(rank, width) - ends + k, k)
-        padded = np.zeros((*a.shape[:-1], width * len(live)))
-        padded[..., at] = a
-
-    # forward sweep of the mean trajectory's linear part X_t; the rows of step t
-    # read X_t as it is formed, each live entry's into its G, stacked if two or more
-    X = np.zeros((n_x, padded.shape[-1]))
+    # forward sweep of the mean trajectory's linear part X_t, in place under its view by
+    # entry; the rows of step t read X_t, a view of l's when the live entries are adjacent
+    X = np.zeros((n_x, len(at)))
+    by_entry = X.reshape(n_x, -1, width).transpose(1, 0, 2)
     gmap = np.empty((len(live), M, width))
-    pick = slice(None) if len(live) == len(l) else live
+    pick = slice(live[0], live[-1] + 1) if len(live) and live[-1] - live[0] < len(live) else live
     for t in range(T):
-        X = gains.F[t] @ X - np.einsum("iab,ibm->am", dyn.B[t], padded[t])
+        np.subtract(gains.F[t] @ X, np.einsum("iab,ibm->am", problem.dyn.B[t], padded[t]), out=X)
         rows = conset.span(t + 1)
-        if len(live) > 1:
-            gmap[:, rows] = _gemm(l[pick, rows], X.reshape(n_x, -1, width).transpose(1, 0, 2))
-        else:
-            gmap[0, rows] = _gemm(l[live[0], rows], X)
-    out = [(gmap[r, :, :n], np.moveaxis(a[..., e - n:e], -1, 0)) for r, e, n in zip(rank, ends, k)]
-    return out if stacked else out[0]
+        gmap[:, rows] = _gemm(l[pick, rows], by_entry)
+    G = iter(gmap)
+    return [(next(G)[:, :n] if n else np.empty((M, 0)), a[..., e - n:e].transpose(3, 0, 1, 2))
+            for e, n in zip(ends, k)]
+
+
+def column_alphas(problem: GameProblem, gains, steps, l):
+    """(T, N, n_u, k) affine terms of k rows at ``steps`` with coefficients ``l``
+    (k, n_x), by one zeta pass on ``gains`` with a linear term 0.5 l_j at step t_j
+    for column j.  It starts at their latest step, above which their zeta is
+    exactly 0; a step without a row adds the same zero term."""
+    hits = {t: np.flatnonzero(steps == t) for t in set(steps.tolist())}
+    zero = np.zeros((problem.N, problem.n_x, len(steps)))
+
+    def linear_term(t):
+        if t not in hits:
+            return zero
+        C = np.zeros_like(zero)
+        C[:, :, hits[t]] = 0.5 * l[hits[t]].T
+        return C
+
+    return _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
 
 
 def zeta_response(problem: GameProblem, gains):
@@ -419,9 +408,9 @@ def zeta_response(problem: GameProblem, gains):
 
 
 def response_alphas(psi, steps, l):
-    """(T, N, n_u, k) affine terms of k rows at ``steps`` with coefficients ``l``
-    (k, n_x) from their problem's Psi: column j is 0.5 sum_q l_j[q] Psi[...,
-    t_j - 1, q], summed in q order elementwise, so that its bits do not depend
-    on the other columns."""
+    """``column_alphas``' (T, N, n_u, k) affine terms of k rows at ``steps`` with
+    coefficients ``l`` (k, n_x), from their problem's Psi: column j is 0.5 sum_q
+    l_j[q] Psi[..., t_j - 1, q], summed in q order elementwise, so that its bits
+    do not depend on the other columns (they are the zeta pass's to rounding)."""
     half = 0.5 * l
     return sum(psi[:, :, :, steps - 1, q] * half[:, q] for q in range(half.shape[1]))

@@ -350,7 +350,7 @@ class CentralPlanner:
             if hot[k].any() and not passed:     # the block's one pass, at its first solve
                 entries = [np.flatnonzero(h).tolist() for h in hot]     # side by side: hot's order
                 a = lqnash.response_alphas(psi, steps[np.nonzero(hot)[1]], l[hot])
-                out = lqnash.affine_response(sub, conset, gains, entries, a, l=l)
+                out = lqnash.affine_response(sub, conset, gains, entries, a, l)
                 passed.update(enumerate(dict(zip(cols, zip(G.T, alphas)))
                                         for cols, (G, alphas) in zip(entries, out)))
             return PreparedGame(

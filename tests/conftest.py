@@ -246,15 +246,15 @@ def intersection_report(intersection_prep):
 def lqnash_calls(monkeypatch):
     """A Counter of the calls to lqnash's gain recursion, its rcond checks,
     zeta passes, dual map, mean integration, closed-loop covariance and
-    expected cost, by function name; the dual map's full-width passes (all
-    of G's columns) are counted once more as "full_map"."""
+    expected cost, by function name; the dual map's full-width passes (one
+    entry, ``range(M)``: all of G's columns) are counted once more as "full_map"."""
     from ccgame import lqnash
     calls = Counter()
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "affine_response" and kwargs.get("columns", (*args, None)[3]) is None:
+            if name == "affine_response" and args[3] == [range(args[1].M)]:
                 calls["full_map"] += 1
             return real(*args, **kwargs)
         return wrapper

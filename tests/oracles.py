@@ -30,7 +30,8 @@ splice that swaps one player's response in, the solve at a given lam (one
 full sweep, whose linear term adds one row's 0.5 lam_m l_m at a time) and the
 dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
 solve computes them, where the preparer has none), the dual function they
-drive, one replan's game from the planner's screen of its one state, the
+drive, one replan's game from the planner's screen of its one state, a pass
+of chosen columns as the map computes it (without its cache), the
 reference a prepared game's collision rows were built at, a central-MPC
 episode that prepares and solves every replan on its own, a Monte Carlo
 probe of one collision row, and a loader for the bundled scenarios.
@@ -800,6 +801,17 @@ def planner_game(planner, tau, x0) -> PreparedGame:
     if degenerate:
         raise degenerate[0]
     return game(0)
+
+
+def column_pass(problem: GameProblem, conset, gains, columns=None, psi=None):
+    """(G[:, columns], alphas) of ``columns`` (default all M) as the map's pass
+    computes them: affine terms contracted from ``psi`` when given, else by
+    ``lqnash.column_alphas``, then one one-entry ``lqnash.affine_response``."""
+    cols = range(conset.M) if columns is None else columns
+    steps, l = conset.t[cols], conset.l[cols]
+    a = (lqnash.column_alphas(problem, gains, steps, l) if psi is None
+         else lqnash.response_alphas(psi, steps, l))
+    return lqnash.affine_response(problem, conset, gains, [cols], a, conset.l[None])[0]
 
 
 def game_reference(prepared: PreparedGame):

@@ -12,15 +12,16 @@ from ccgame.dualascent import (DualAscentOptions, dual_step,
                                estimate_affine_map, prepare_game,
                                run_dual_ascent, solve_lcp, _ascent)
 from ccgame.errors import DomainError, StepSizeUnavailable
-from ccgame.lqnash import (FeedbackPolicy, affine_response, backward_recursion,
-                           evaluate_cost, evaluate_lagrangian, integrate_expected)
+from ccgame.lqnash import (FeedbackPolicy, backward_recursion, evaluate_cost,
+                           evaluate_lagrangian, integrate_expected)
 from ccgame.model import (BoxSpec, CostSpec, Scenario, UnicycleDynamicsSpec,
                           validate_scenario)
 from ccgame.uncertainty import assemble_constraints, propagate_covariance
 from conftest import (coupled_constrained_instance, double_integrator_instance,
                       make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance, scalar_two_agent_instance)
-from oracles import averaged_ascent, dense_kkt_single_row, dual_function, planner_game, solve_at
+from oracles import (averaged_ascent, column_pass, dense_kkt_single_row, dual_function,
+                     planner_game, solve_at)
 
 # the seeds k = 2..17 of random_small_scenario(default_rng(k)) whose LCP has a
 # solution; on 2, 6, 11, 13 and 14 no lam >= 0 gives g <= 0
@@ -178,17 +179,17 @@ class TestSweepCount:
 
 class TestColumnMap:
     """The column map against the full pass: every column (of G and alpha)
-    that a map or a pass of chosen columns computes equals ``affine_response``'s
-    full pass, and the map's ctilde and policy0 are the lam = 0 equilibrium's
-    g and policy, bit for bit: the preparer's where it has one, else the
-    solve of the stage gains here."""
+    that a map or a pass of chosen columns computes equals the full pass
+    (``oracles.column_pass``), and the map's ctilde and policy0 are the lam = 0
+    equilibrium's g and policy, bit for bit: the preparer's where it has one,
+    else the solve of the stage gains here."""
 
     @staticmethod
     def _check(prep, sample=None):
         problem, conset = prep.problem, prep.conset
         gmap = estimate_affine_map(prep)
         gains = gmap.gains
-        G, alphas = affine_response(problem, conset, gains)
+        G, alphas = column_pass(problem, conset, gains)
         policy0 = backward_recursion(problem, gains=gains)
         if prep.equilibrium0 is None:
             mean0 = integrate_expected(problem.dyn, policy0)
@@ -210,7 +211,7 @@ class TestColumnMap:
             assert np.array_equal(gmap[:, j], G[:, j]), j
             assert np.array_equal(gmap.alphas[j], alphas[j]), j
             # one column alone, padded to two
-            alone = affine_response(problem, conset, gains, [j])
+            alone = column_pass(problem, conset, gains, [j])
             assert np.array_equal(alone[0][:, 0], G[:, j]), j
             assert np.array_equal(alone[1][0], alphas[j]), j
         assert "G" not in vars(gmap)

@@ -9,14 +9,15 @@ from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
                            evaluate_lagrangian, fixed_order_sums, integrate_expected,
                            mean_inputs, quadratic_sums, realized_costs, stage_gains)
-from ccgame.model import GameProblem, LtvGameDynamics, assemble_problem, validate_scenario
+from ccgame.model import (GameProblem, LtvGameDynamics, Scenario, assemble_problem,
+                          validate_scenario)
 from ccgame.dualascent import (DualAscentOptions, estimate_affine_map, prepare_game,
                                run_dual_ascent)
 from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (_riccati_sweep, batched_closed_loop_step, best_response,
+from oracles import (_riccati_sweep, batched_closed_loop_step, best_response, column_pass,
                      dense_best_response, dense_game_inputs, loop_quadratic_sums,
                      lqr_oracle, replace_player, stage_linear_terms,
                      sweep_affine_response, sweep_backward_recursion)
@@ -144,7 +145,7 @@ class TestGainsOnce:
                 want = sweep_backward_recursion(problem, conset, lam)
                 assert np.array_equal(got.K, want.K)
                 assert np.array_equal(got.alpha, want.alpha)
-            G, alphas = affine_response(problem, conset, stage_gains(problem))
+            G, alphas = column_pass(problem, conset, stage_gains(problem))
             G_ref, alphas_ref, ctilde_ref, policy0_ref = sweep_affine_response(problem,
                                                                                conset)
             assert np.array_equal(G, G_ref)
@@ -225,6 +226,51 @@ class TestGainsOnce:
         simulate.central_mpc_run(simulate.CentralPlanner(mini), 5, [0])
         assert 750 in widths[:solves] and len(widths) > solves
         assert min(widths) >= 2, widths
+
+
+class TestStackedPass:
+    """``affine_response``'s entries do not see each other: on random entry widths
+    (0, 1, 2 and more columns, in random order), each entry's G and alphas are its
+    own one-entry pass's byte for byte, and pads of other finite values leave every
+    live column's bytes as they were."""
+
+    def test_each_entry_is_its_own_pass(self, mini_prep):
+        rng = np.random.default_rng(38)
+        unconstrained = scalar_single_agent_instance()
+        unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
+        games = [mini_prep] + [prepare_game(validate_scenario(s)) for s in (
+            unconstrained, *(random_small_scenario(np.random.default_rng(k)) for k in range(4)))]
+        assert games[1].M == 0
+        for prep in games:
+            problem, conset, M = prep.problem, prep.conset, prep.M
+            gains = stage_gains(problem)
+            shape = (problem.T, problem.N, problem.n_u)
+            # all entries empty (the M = 0 full pass among them), then random widths
+            cases = [[0], [0, 0, 0]] + [rng.choice([0, 1, 1, 2, 3, 5], rng.integers(1, 6))
+                                        .tolist() for _ in range(12 if M else 0)]
+            for k in cases:
+                columns = [rng.choice(M, n).tolist() if n else [] for n in k]
+                l = rng.normal(size=(len(k), M, problem.n_x))
+                a = rng.normal(size=(*shape, sum(k)))
+                out = affine_response(problem, conset, gains, columns, a, l)
+                ends, width = np.cumsum(k), max(2, *k)
+                for e, (n, (G, alphas)) in enumerate(zip(k, out)):
+                    assert G.shape == (M, n) and alphas.shape == (n, *shape), k
+                    [(G_e, alphas_e)] = affine_response(problem, conset, gains, [columns[e]],
+                                                        a[..., ends[e] - n:ends[e]], l[e][None])
+                    assert G.tobytes() == G_e.tobytes(), (k, e)
+                    assert alphas.tobytes() == alphas_e.tobytes(), (k, e)
+                # every live entry at the common width, its pads random: no pass pads
+                pads = [width - n if n else 0 for n in k]
+                a_pads = np.concatenate([np.concatenate(
+                    [a[..., end - n:end], 1e3 * rng.normal(size=(*shape, p))], axis=-1)
+                    for end, n, p in zip(ends, k, pads)], axis=-1)
+                wide = affine_response(problem, conset, gains,
+                                       [cols + [0] * p for cols, p in zip(columns, pads)],
+                                       a_pads, l)
+                for n, (G, alphas), (G_w, alphas_w) in zip(k, out, wide):
+                    assert G_w[:, :n].tobytes() == G.tobytes(), k
+                    assert alphas_w[:n].tobytes() == alphas.tobytes(), k
 
 
 class TestBackwardRecursion:

@@ -17,8 +17,8 @@ from ccgame.simulate import (GOAL_TOLERANCE, RolloutBatch, central_mpc, evaluate
 from ccgame.uncertainty import assemble_constraints, propagate_covariance, row_table
 from conftest import (dense_input_scenario, make_ltv_scenario, random_small_scenario,
                       scalar_single_agent_instance)
-from oracles import (eigen_factors, game_reference, loop_rollout, mean_map, planner_game,
-                     recursion_rollout, row_violations)
+from oracles import (column_pass, eigen_factors, game_reference, loop_rollout, mean_map,
+                     planner_game, recursion_rollout, row_violations)
 
 
 def zero_noise(problem):
@@ -935,10 +935,9 @@ class TestLockstep:
             solves.append((tau, prepared.problem.dyn.x0.tobytes(), report.map))
             return report
 
-        def stacking(*args, **kw):
-            if kw.get("l") is not None:
-                widths.append([len(cols) for cols in args[3]])
-            return real_pass(*args, **kw)
+        def stacking(*args):
+            widths.append([len(cols) for cols in args[3]])
+            return real_pass(*args)
 
         monkeypatch.setattr(simulate, "run_dual_ascent", solving)
         monkeypatch.setattr(lqnash, "affine_response", stacking)
@@ -963,11 +962,11 @@ class TestLockstep:
         from ccgame import lqnash
         real, solving = lqnash.affine_response, []
 
-        def failing(*args, l=None, **kw):
-            if l is not None and args[0].T == mini_problem.T - 6:     # at tau = 6
+        def failing(*args):
+            if len(args[3]) > 1 and args[0].T == mini_problem.T - 6:     # at tau = 6
                 solving.append([s for s, cols in enumerate(args[3]) if cols])
                 raise np.linalg.LinAlgError("the stacked pass")
-            return real(*args, l=l, **kw)
+            return real(*args)
 
         monkeypatch.setattr(lqnash, "affine_response", failing)
         run = simulate.central_mpc_run(simulate.CentralPlanner(mini_problem), 3, range(4))
@@ -1120,7 +1119,7 @@ class TestResponseRoute:
     @pytest.mark.parametrize("name, alone", [("intersection-mini", None),
                                              ("intersection", 4)])
     def test_every_replan_of_an_episode(self, name, alone):
-        from ccgame import lqnash, scenarios
+        from ccgame import scenarios
         from ccgame.model import load_scenario
         problem = assemble_problem(validate_scenario(
             load_scenario(str(scenarios.bundled_path(name)))))
@@ -1135,18 +1134,14 @@ class TestResponseRoute:
             self._close(mean0, integrate_expected(sub.dyn, policy0))
             if prep.M == 0:
                 continue
-            G, alphas = lqnash.affine_response(sub, conset, gains)
+            G, alphas = column_pass(sub, conset, gains)
             columns = np.arange(prep.M)
-            G_psi, alphas_psi = lqnash.affine_response(
-                sub, conset, gains, columns,
-                lqnash.response_alphas(prep.psi, conset.t[columns], conset.l[columns]))
+            G_psi, alphas_psi = column_pass(sub, conset, gains, columns, prep.psi)
             self._close(G_psi, G)
             self._close(alphas_psi, alphas)
             # a column's bits do not depend on the columns computed with it
             for j in columns if alone is None else rng.choice(prep.M, alone):
-                G_j, alpha_j = lqnash.affine_response(
-                    sub, conset, gains, [j],
-                    lqnash.response_alphas(prep.psi, conset.t[[j]], conset.l[[j]]))
+                G_j, alpha_j = column_pass(sub, conset, gains, [j], prep.psi)
                 assert G_j[:, 0].tobytes() == G_psi[:, j].tobytes(), (tau, j)
                 assert alpha_j[0].tobytes() == alphas_psi[j].tobytes(), (tau, j)
 

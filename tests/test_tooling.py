@@ -7,7 +7,7 @@ files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
 example must run as written, and the library has no unused import, no
 private name, no public function or class that neither the library reads
-nor the README names, and no name that only NumPy 2.0 and later have."""
+nor the README names, and no line over 100 characters."""
 
 import ast
 import hashlib
@@ -228,6 +228,14 @@ def test_src_has_no_unused_imports_or_private_names():
                            if d.startswith("_") and not d.startswith("__") and d not in reads]
     assert not unused, f"unused imports: {unused}"
     assert not unread, f"private names read nowhere: {unread}"
+
+
+def test_src_lines_fit_in_100_characters():
+    # the library's size is counted in lines, so a line may not grow to save one
+    long = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert not long, f"lines over 100 characters: {long}"
 
 
 def test_only_the_cli_model_and_scenarios_touch_files():

@@ -17,7 +17,7 @@ from ccgame.uncertainty import (allocate_risk, assemble_constraints,
 from conftest import (coupled_constrained_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (bisect_normal_quantile, conservativeness_probe,
+from oracles import (bisect_normal_quantile, column_pass, conservativeness_probe,
                      dense_affine_response, game_reference, loop_assemble_constraints,
                      pair_difference_cov, planner_game, row_linearize_collision,
                      row_reference_direction, series_normal_cdf)
@@ -673,7 +673,7 @@ class TestCompactOperations:
             problem, conset = prep.problem, prep.conset
             n_x = problem.n_x
             gains = lqnash.stage_gains(problem)
-            G, _ = lqnash.affine_response(problem, conset, gains)
+            G, _ = column_pass(problem, conset, gains)
             G_d, ctilde_d, policy0_d, xstack = dense_affine_response(problem, conset, gains)
             policy0 = lqnash.backward_recursion(problem, gains=gains)
             ctilde = conset.evaluate(lqnash.integrate_expected(problem.dyn, policy0))
