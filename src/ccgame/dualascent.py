@@ -6,10 +6,11 @@ trajectory.  Stage gains do not depend on lam, so g and the policy's affine
 term are exactly affine in it, g(lam) = G lam + ctilde and alpha(lam) =
 alpha0 + sum_j lam_j alpha_j, and the solve works on this map instead of
 re-solving the game at every step.  ``estimate_affine_map`` owns a solve's
-start: the stage gains and the lam = 0 equilibrium, the preparer's
-(``PreparedGame.gains``, ``equilibrium0``) or solved there once.  ctilde is g
-at that equilibrium's mean and alpha0 its affine term, so the map holds only
-its linear part, read by column.  The pivot reads G only as ``G[:, j]``; one
+start: the stage gains, whose one sweep gives the lam = 0 affine terms too,
+and the lam = 0 equilibrium, the preparer's (``PreparedGame.gains``,
+``equilibrium0``) or solved there once.  ctilde is g at that equilibrium's
+mean and alpha0 its affine term, so the map holds only its linear part, read
+by column.  The pivot reads G only as ``G[:, j]``; one
 pass there computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
 in a pass of its own.  A pass takes its alpha columns from a zeta pass, or

@@ -15,36 +15,37 @@ so the per-stage linear coefficient entering the zeta recursion is half the
 gradient of the stage cost's linear part (the rows of step t contribute
 ``0.5 sum lam_m l_m`` and a goal reference contributes ``-Q^i_t r^i_t``).
 
-The sweep runs in two steps.  ``stage_gains`` depends on neither lam, x0 nor
-the references: it builds every stage system S_t once, checks its rcond, and
-returns K, F, P and S_t.  A shrinking-horizon replan at tau uses its
-``tail(tau)``.  ``_zeta_sweep`` then computes the affine terms on those gains
-for a linear term with m columns, one zeta column per column:
-``backward_recursion`` runs it with the goal references' one column ``s_t``
-(alpha0), and ``column_alphas`` with chosen columns of G (``0.5 l_m`` at step
-t_m for multiplier m); column j's affine terms are alpha's response to
-multiplier j (see ``dualascent``).  As zeta is linear in the linear term, a
-central-MPC call computes in one pass the response Psi to a unit term at
-each (step, coordinate) and alpha0 (``zeta_response``), and contracts a
-replan's columns from it (``response_alphas``).  From either, the rows of the
-linear part of the map lam -> g follow by ``affine_response``'s one forward
-pass, the rows of each step (``span``) read as their mean X_t is formed, for
-E entries at once: a solve's one, or at a replan time every violating
-episode, whose rows l alone differ; a replan's lam = 0 mean is Phi x0 + d
+One backward sweep, ``_zeta_sweep``, is the only Riccati recursion; zeta
+carries one column per column of an m-column linear term.  Given no gains it
+builds each S_t, solves [B'P A | Ya] at once for K_t and the affine terms, and
+then checks every S_t in one stacked SVD (``_check_rcond``).  ``stage_gains``
+runs it with the goal column s_t, for K, F, P, S_t and the lam = 0 affine
+terms alpha0 (``backward_recursion``'s policy), none of which depends on lam
+or x0 (a replan at tau reads their ``tail(tau)``); ``zeta_response`` adds a
+unit term at each (step, coordinate), whose response Psi gives a central-MPC
+replan's columns (``response_alphas``).  On fixed gains it solves S_t against
+Ya alone: ``column_alphas`` runs it with chosen columns of G (``0.5 l_m`` at
+step t_m for multiplier m; see ``dualascent``).  From either,
+``affine_response``'s one forward pass gives the rows of the linear part of
+the map lam -> g, each step's rows (``span``) read as their mean X_t is formed,
+for E entries at once: a solve's one, or every violating episode at a replan
+time, whose rows l alone differ; a replan's lam = 0 mean is Phi x0 + d
 (``simulate.CentralPlanner``).  A column's bits do not depend on the other
 columns of its pass: a 1-column solve or 1-row product goes down another BLAS
-route, so a zero column pads a single one (``_zeta_sweep`` does so itself, as
-does the gains' solve), ``affine_response`` pads each entry to a common width
-of two or more with its own last column, and ``_gemm`` doubles a 1-row
-matrix.  The tests keep the single full sweep these replace and a
-single-player best-response sweep (``tests/oracles.py``) as references.
+route, so a zero column pads a single one (``_zeta_sweep`` does so itself),
+``affine_response`` pads each entry to a common width of two or more with its
+own last column, and ``_gemm`` doubles a 1-row matrix.  The sums over agents
+(the sweep's F_t and B a_t, the forward pass's B a_t) are 2-D einsums on the
+agent-stacked [B^1 .. B^N], whose bits are the per-agent sums' only on
+contiguous operands (K_t and a_t reshaped, never a strided slice of a solve).
+The tests keep the full sweep, the per-stage rcond check and a single-player
+best-response sweep (``tests/oracles.py``) as references.
 
 ``closed_loop_step`` steps one state, or a stack of them each as alone, on
 the agent-stacked [B^1 .. B^N], which ``integrate_expected`` stacks once per
-call.  ``closed_loop_matrix``
-gives the gain sweep, the closed-loop covariance and the rollouts, whose
-deviations from the mean ``fixed_order_sums`` steps, F_t = A_t - sum_i
-B^i_t K^i_t.
+call.  ``closed_loop_matrix`` gives the closed-loop covariance and the
+rollouts, whose deviations from the mean ``fixed_order_sums`` steps,
+F_t = A_t - sum_i B^i_t K^i_t, the sweep's F_t bit for bit.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -99,103 +100,107 @@ class FeedbackPolicy:
         return self.K.shape[1]
 
 
-def _check_rcond(S, t):
-    """Raise SingularStageSystem when the stage system S is near-singular, and
-    DomainError when it is not finite (LAPACK's SVD then fails)."""
+def _check_rcond(S, start=0):
+    """Raise SingularStageSystem at the latest stage t >= start whose S[t] is near-singular,
+    or DomainError if it is not finite, as checks from t = T-1 down would: one stacked SVD,
+    and one per stage only where LAPACK fails (on a NaN; inf alone gives NaN, rcond 0)."""
     try:
-        sv = np.linalg.svd(S, compute_uv=False)
-    except np.linalg.LinAlgError:
-        if np.isfinite(S).all():
+        sv = np.linalg.svd(S[start:], compute_uv=False)
+    except np.linalg.LinAlgError:     # (on a NaN) stage by stage, latest first
+        for t in range(len(S) - 1, start, -1):
+            _check_rcond(S[:t + 1], t)
+        if np.isfinite(S[start]).all():
             raise
-        raise DomainError(f"stage {t}: the joint gain system overflows") from None
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < RCOND_MIN:
-        raise SingularStageSystem(t, rcond)
+        raise DomainError(f"stage {start}: the joint gain system overflows") from None
+    rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    bad = np.flatnonzero(rcond < RCOND_MIN)
+    if bad.size:
+        raise SingularStageSystem(start + int(bad[-1]), float(rcond[bad[-1]]))
 
 
 @dataclass(frozen=True)
 class StageGains:
-    """The lam-, x0- and reference-independent part of the coupled sweep.
-
-    K (T, N, n_u, n_x), the closed loop F (T, n_x, n_x), P (T+1, N, n_x, n_x),
-    the stage systems S (T, N n_u, N n_u) and KtR[t, i] = K[t, i]' R^i_t
-    (T, N, n_x, n_u); a zeta pass solves S_t against Ya.
-    """
+    """The lam- and x0-independent part of the sweep: K (T, N, n_u, n_x), the closed
+    loop F (T, n_x, n_x), P (T+1, N, n_x, n_x), the stage systems S (T, N n_u, N n_u),
+    KtR[t, i] = K[t, i]' R^i_t (T, N, n_x, n_u), which a zeta pass on them reads, and
+    the goal references' lam = 0 affine terms alpha0 (T, N, n_u)."""
 
     K: np.ndarray
     F: np.ndarray
     P: np.ndarray
     S: np.ndarray
     KtR: np.ndarray
+    alpha0: np.ndarray
 
     def __post_init__(self):
-        for name in ("K", "F", "P", "S", "KtR"):
+        for name in ("K", "F", "P", "S", "KtR", "alpha0"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def tail(self, tau):
-        """The gains of the problem sliced at time tau (``simulate.slice_problem``).
-
-        Stages t >= tau see the same P_{t+1}, so everything but P[0] is the
-        slice's own; P[0] keeps Q at tau, which the slice zeroes.  No zeta pass
-        reads P[0]."""
-        return StageGains(K=self.K[tau:], F=self.F[tau:], P=self.P[tau:],
-                          S=self.S[tau:], KtR=self.KtR[tau:])
+        """The gains of the problem sliced at time tau (``simulate.slice_problem``): stages
+        t >= tau see the same P_{t+1} and zeta_{t+1}, so all but P[0] is the slice's own;
+        P[0] keeps Q at tau, which the slice zeroes, and no zeta pass reads it."""
+        return StageGains(K=self.K[tau:], F=self.F[tau:], P=self.P[tau:], S=self.S[tau:],
+                          KtR=self.KtR[tau:], alpha0=self.alpha0[tau:])
 
 
 def stage_gains(problem: GameProblem) -> StageGains:
-    """Coupled Riccati recursion t = T-1..0 for the gains, one rcond check per stage."""
-    dyn = problem.dyn
-    N, T, n_x, n_u = problem.N, problem.T, problem.n_x, problem.n_u
-    P = np.zeros((T + 1, N, n_x, n_x))
-    P[T] = problem.Q[:, T]
-    K = np.zeros((T, N, n_u, n_x))
-    F = np.zeros((T, n_x, n_x))
-    S = np.zeros((T, N * n_u, N * n_u))
-    KtR = np.zeros((T, N, n_x, n_u))
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails its stage's check
-        for t in range(T - 1, -1, -1):
-            A, B, R = dyn.A[t], dyn.B[t], problem.R[:, t]
-            BtP = B.transpose(0, 2, 1) @ P[t + 1]
-            blocks = BtP[:, None] @ B                       # (i, j): B^i' P^i B^j
-            blocks[np.diag_indices(N)] += R
-            S[t] = blocks.transpose(0, 2, 1, 3).reshape(N * n_u, N * n_u)
-            _check_rcond(S[t], t)
-            # a zero column keeps the right-hand side at two columns or more, as
-            # in the zeta pass: LAPACK solves a single column (n_x = 1) by another
-            # route, and K's last bits would differ
-            rhs = np.concatenate([(BtP @ A).reshape(N * n_u, n_x), np.zeros((N * n_u, 1))], axis=1)
-            K[t] = np.linalg.solve(S[t], rhs)[:, :n_x].reshape(N, n_u, n_x)
-            F[t] = closed_loop_matrix(A, B, K[t])
-            KtR[t] = K[t].transpose(0, 2, 1) @ R
-            Pn = F[t].T @ P[t + 1] @ F[t] + KtR[t] @ K[t] + problem.Q[:, t]
-            P[t] = (Pn + Pn.transpose(0, 2, 1)) / 2.0
-    return StageGains(K=K, F=F, P=P, S=S, KtR=KtR)
+    """The problem's stage gains and alpha0: the one sweep with the goal column."""
+    s = stage_linear_terms(problem)
+    return _zeta_sweep(problem, None, lambda t: s[:, t, :, None])[0]
 
 
-def _zeta_sweep(problem: GameProblem, gains: StageGains, linear_term, start=None):
-    """Affine terms a (T, N, n_u, m) for an m-column linear term on fixed gains.
+def _zeta_sweep(problem: GameProblem, gains, linear_term, start=None):
+    """The one backward Riccati sweep: affine terms a (T, N, n_u, m) of an m-column
+    linear term on ``gains``; given None, (gains, a), the gains built on the way.
 
-    ``linear_term(t)`` returns the (N, n_x, m) half linear coefficients of
-    stage t; zeta carries one column per column of it, and only the current
-    zeta is kept.  Each stage solves S_t against Ya, all players at once; a
-    zero column pads a 1-column term, so that a column's bits never depend on
-    the others (see the module docstring), and only the m columns return.
-    The sweep starts at ``start`` (default T); a is 0 after it.
+    ``linear_term(t)`` returns stage t's (N, n_x, m) half linear coefficients;
+    only the current zeta is kept.  A stage solves S_t against Ya, all players
+    at once, or, building, [B'P A | Ya] for K_t too; the built gains' alpha0 is
+    the last column's.  A zero column pads a 1-column term (see the module
+    docstring).  The sweep starts at ``start`` (default T); a is 0 after it.
     """
-    N, T, n_u = problem.N, problem.T, problem.n_u
+    dyn, N, T, n_x, n_u = problem.dyn, problem.N, problem.T, problem.n_x, problem.n_u
     start = T if start is None else start
     zeta = linear_term(start)
     m = zeta.shape[2]
-    if m == 1:
-        zeta = np.concatenate([zeta, np.zeros_like(zeta)], axis=2)
+    zeta = np.concatenate([zeta, np.zeros_like(zeta)], axis=2) if m == 1 else zeta
     a = np.zeros((T, N, n_u, zeta.shape[2]))
-    for t in range(start - 1, -1, -1):
-        B, F = problem.dyn.B[t], gains.F[t]
-        Ya = _gemm(B.transpose(0, 2, 1), zeta).reshape(N * n_u, -1)
-        a[t] = np.linalg.solve(gains.S[t], Ya).reshape(N, n_u, -1)
-        Ba = np.einsum("iab,ibm->am", B, a[t])
-        zeta = F.T @ (zeta - gains.P[t + 1] @ Ba) + _gemm(gains.KtR[t], a[t])
-        zeta[..., :m] += linear_term(t)
+    B = _agent_stacked(dyn)
+    if gains is None:
+        K, F, KtR = np.zeros((T, N, n_u, n_x)), np.zeros((T, n_x, n_x)), np.zeros((T, N, n_x, n_u))
+        P, S = np.zeros((T + 1, N, n_x, n_x)), np.zeros((T, N * n_u, N * n_u))
+        P[T] = problem.Q[:, T]
+    else:
+        K, F, P, S, KtR = gains.K, gains.F, gains.P, gains.S, gains.KtR
+    with np.errstate(over="ignore", invalid="ignore"):   # a stage's overflow fails the check
+        for t in range(start - 1, -1, -1):
+            Bt = dyn.B[t].transpose(0, 2, 1)     # (N, n_u, n_x)
+            Ya = _gemm(Bt, zeta).reshape(N * n_u, -1)
+            if gains is None:
+                BtP, R = Bt @ P[t + 1], problem.R[:, t]
+                blocks = BtP[:, None] @ dyn.B[t]                # (i, j): B^i' P^i B^j
+                blocks[np.diag_indices(N)] += R
+                S[t] = blocks.transpose(0, 2, 1, 3).reshape(N * n_u, N * n_u)
+                try:
+                    sol = np.linalg.solve(S[t], np.concatenate(
+                        [(BtP @ dyn.A[t]).reshape(N * n_u, n_x), Ya], axis=1))
+                except np.linalg.LinAlgError:   # exactly singular: the check names the stage
+                    _check_rcond(S, t)
+                    raise
+                K[t], a[t] = sol[:, :n_x].reshape(N, n_u, n_x), sol[:, n_x:].reshape(N, n_u, -1)
+                F[t] = dyn.A[t] - np.einsum("ak,kc->ac", B[t], K[t].reshape(N * n_u, n_x))
+                KtR[t] = K[t].transpose(0, 2, 1) @ R
+                Pn = F[t].T @ P[t + 1] @ F[t] + KtR[t] @ K[t] + problem.Q[:, t]
+                P[t] = (Pn + Pn.transpose(0, 2, 1)) / 2.0
+            else:
+                a[t] = np.linalg.solve(S[t], Ya).reshape(N, n_u, -1)
+            Ba = np.einsum("ak,km->am", B[t], a[t].reshape(N * n_u, -1))
+            zeta = F[t].T @ (zeta - P[t + 1] @ Ba) + _gemm(KtR[t], a[t])
+            zeta[..., :m] += linear_term(t)
+        if gains is None:
+            _check_rcond(S)
+            return StageGains(K=K, F=F, P=P, S=S, KtR=KtR, alpha0=a[..., m - 1]), a[..., :m]
     return a[..., :m]
 
 
@@ -207,22 +212,21 @@ def _gemm(A, X):
     return A @ X
 
 
+def _agent_stacked(dyn):
+    """[B^1_t .. B^N_t] (T, n_x, N n_u), contiguous (see the module docstring)."""
+    return np.ascontiguousarray(dyn.B.transpose(0, 2, 1, 3).reshape(dyn.T, dyn.n_x, -1))
+
+
 def stage_linear_terms(problem: GameProblem):
     """Half linear coefficients s[i, t] = -Q^i_t r^i_t of the goal references."""
     return -np.einsum("itab,itb->ita", problem.Q, problem.ref)
 
 
 def backward_recursion(problem: GameProblem, gains=None):
-    """The lam = 0 feedback NE policy: a zeta pass with the goal-reference
-    column on the problem's gains (computed here when not given).
-
-    With zero references the affine terms vanish and the policy is the
-    unconstrained LQ-game equilibrium.
-    """
+    """The lam = 0 feedback NE policy: K and alpha0 of the problem's gains (computed
+    here when not given); with zero references, the unconstrained LQ-game equilibrium."""
     gains = stage_gains(problem) if gains is None else gains
-    s = stage_linear_terms(problem)
-    a = _zeta_sweep(problem, gains, lambda t: s[:, t, :, None])
-    return FeedbackPolicy(K=gains.K, alpha=a[..., 0])
+    return FeedbackPolicy(K=gains.K, alpha=gains.alpha0)
 
 
 def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
@@ -242,7 +246,7 @@ def integrate_expected(dyn, policy: FeedbackPolicy):
     """Mean closed-loop trajectory (T+1, n_x): the zero-noise integration."""
     xs = np.zeros((dyn.T + 1, dyn.n_x))
     xs[0] = dyn.x0
-    B = dyn.B.transpose(0, 2, 1, 3).reshape(dyn.T, dyn.n_x, -1)   # [B^1 .. B^N]
+    B = _agent_stacked(dyn)
     for t in range(dyn.T):
         _, xs[t + 1] = closed_loop_step(dyn.A[t], B[t], policy.K[t], policy.alpha[t], xs[t])
     return xs
@@ -356,7 +360,9 @@ def affine_response(problem: GameProblem, conset, gains, columns, a, l):
     k = [len(cols) for cols in columns]
     width, ends, live = max(2, *k), list(accumulate(k)), np.flatnonzero(k)
     at = [e - n + min(j, n - 1) for e, n in zip(ends, k) if n for j in range(width)]
-    padded = a if len(at) == a.shape[-1] else a[..., at]     # live entries, padded
+    B = _agent_stacked(problem.dyn)     # and the live entries, padded, as (T, N n_u, .)
+    padded = np.ascontiguousarray(a if len(at) == a.shape[-1] else a[..., at]).reshape(
+        T, B.shape[2], -1)
 
     # forward sweep of the mean trajectory's linear part X_t, in place under its view by
     # entry; the rows of step t read X_t, a view of l's when the live entries are adjacent
@@ -365,7 +371,7 @@ def affine_response(problem: GameProblem, conset, gains, columns, a, l):
     gmap = np.empty((len(live), M, width))
     pick = slice(live[0], live[-1] + 1) if len(live) and live[-1] - live[0] < len(live) else live
     for t in range(T):
-        np.subtract(gains.F[t] @ X, np.einsum("iab,ibm->am", problem.dyn.B[t], padded[t]), out=X)
+        np.subtract(gains.F[t] @ X, np.einsum("ak,km->am", B[t], padded[t]), out=X)
         rows = conset.span(t + 1)
         gmap[:, rows] = _gemm(l[pick, rows], by_entry)
     G = iter(gmap)
@@ -391,10 +397,11 @@ def column_alphas(problem: GameProblem, gains, steps, l):
     return _zeta_sweep(problem, gains, linear_term, max(steps, default=0))
 
 
-def zeta_response(problem: GameProblem, gains):
-    """(Psi, alpha0) by one zeta pass of T n_x + 1 columns: Psi (T, N, n_u, T, n_x), the
-    response to a unit half linear term at each (step 1..T, coordinate), and alpha0 from the
-    goal column, ``backward_recursion``'s bit for bit; tau's slice has Psi[tau:, :, :, tau:]."""
+def zeta_response(problem: GameProblem):
+    """(gains, Psi) by the one sweep with T n_x + 1 columns: Psi (T, N, n_u, T, n_x), the
+    response to a unit half linear term at each (step 1..T, coordinate), and the gains,
+    alpha0 from the goal column, ``stage_gains``' bit for bit; tau's slice has
+    Psi[tau:, :, :, tau:]."""
     N, T, n_x = problem.N, problem.T, problem.n_x
     s = stage_linear_terms(problem)
 
@@ -403,8 +410,8 @@ def zeta_response(problem: GameProblem, gains):
         C[:, :, t - 1] = np.eye(n_x) * (t > 0)
         return np.concatenate([C.reshape(N, n_x, T * n_x), s[:, t, :, None]], axis=2)
 
-    a = _zeta_sweep(problem, gains, linear_term)
-    return a[..., :-1].reshape(T, N, -1, T, n_x), a[..., -1]
+    gains, a = _zeta_sweep(problem, None, linear_term)
+    return gains, a[..., :-1].reshape(T, N, -1, T, n_x)
 
 
 def response_alphas(psi, steps, l):

@@ -19,11 +19,11 @@ the einsum it replaced (see the ``lqnash`` docstring); costs go through the
 same kernel.
 
 A central-MPC call's ``CentralPlanner`` holds its problem and replan cadence,
-and its constructor computes once the aggregate, its noise factors, its stage
-gains, in one zeta pass the zeta response Psi and the lam = 0 policy's affine
-terms, whose tail at tau is the reference policy of a replan at tau, in one
-pass over the horizon each replan
-time's open-loop covariance and that policy's transition products [Phi | d],
+and its constructor computes once the aggregate, its noise factors, in one
+sweep (``lqnash.zeta_response``) its stage gains with the lam = 0 policy's
+affine terms, whose tail at tau is the reference policy of a replan at tau,
+and the zeta response Psi, in one pass over the horizon each replan time's
+open-loop covariance and that policy's transition products [Phi | d],
 and from that covariance, which it then drops, every replan time's row layout
 (``uncertainty.constraint_layout``).  A slice keeps every constraint, one that
 has ended with no active time; tau's first game builds it and its gains and
@@ -308,13 +308,12 @@ class CentralPlanner:
         self.factors = noise_factors(problem.dyn.W)
         self.agg = aggregate_problem(problem)
         t_start = time.perf_counter()
-        self.gains = lqnash.stage_gains(self.agg)
-        self.psi, self.alpha0 = lqnash.zeta_response(self.agg, self.gains)
+        self.gains, self.psi = lqnash.zeta_response(self.agg)
         dyn, T = self.agg.dyn, self.agg.T
 
         def transitions(t, Z):   # [Phi | d] from [I | 0]: F_t [Phi | d] - [0 | B_t alpha0_t]
             Z = self.gains.F[t] @ Z
-            Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.alpha0[t])
+            Z[..., -1] -= np.einsum("iab,ib->a", dyn.B[t], self.gains.alpha0[t])
             return Z
         starts = range(0, T, self.replan_every)
         (cov, _), (_, products) = uncertainty.horizon_pass(
@@ -341,9 +340,9 @@ class CentralPlanner:
         def game(k):
             if tau not in self.at_tau:
                 t_start = time.perf_counter()
-                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)),
-                                    self.gains.tail(tau), lqnash.FeedbackPolicy(
-                                        K=self.gains.K[tau:], alpha=self.alpha0[tau:]))
+                gains = self.gains.tail(tau)
+                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)), gains,
+                                    lqnash.FeedbackPolicy(gains.K, gains.alpha0))
                 self.shared_seconds += time.perf_counter() - t_start
             sub, gains, policy0 = self.at_tau[tau]
             conset = uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T)
@@ -395,7 +394,7 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     states, inputs = _sample_arrays(problem, S)
     indices = list(sample_indices)
     z = np.stack([noise_stream(seed, s).standard_normal((T, n_x)) for s in indices])
-    alphas = np.empty((S, *planner.alpha0.shape))   # the plans: affine terms on gains.K
+    alphas = np.empty((S, *planner.gains.alpha0.shape))   # the plans: affine terms on gains.K
     failures = []
 
     def replan(k, t, screened, b):   # episode(s) k from t by entry b: (active, columns)
@@ -403,7 +402,7 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
         if b in errors:
             raise errors[b]
         if not violated[b]:
-            alphas[k, t:] = planner.alpha0[t:]
+            alphas[k, t:] = planner.gains.alpha0[t:]
             return 0, 0
         report = run_dual_ascent(game(b), options)
         alphas[k, t:] = report.policy.alpha

@@ -244,8 +244,9 @@ def intersection_report(intersection_prep):
 
 @pytest.fixture()
 def lqnash_calls(monkeypatch):
-    """A Counter of the calls to lqnash's gain recursion, its rcond checks,
-    zeta passes, dual map, mean integration, closed-loop covariance and
+    """A Counter of the calls to lqnash's gain sweep and zeta response (each
+    one backward sweep that builds the gains), its stacked rcond checks, every
+    backward sweep, the dual map, mean integration, closed-loop covariance and
     expected cost, by function name; the dual map's full-width passes (one
     entry, ``range(M)``: all of G's columns) are counted once more as "full_map"."""
     from ccgame import lqnash
@@ -259,7 +260,7 @@ def lqnash_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("stage_gains", "_check_rcond", "_zeta_sweep", "affine_response",
+    for name in ("stage_gains", "zeta_response", "_check_rcond", "_zeta_sweep", "affine_response",
                  "integrate_expected", "closed_loop_covariance", "evaluate_cost"):
         monkeypatch.setattr(lqnash, name, counting(name, getattr(lqnash, name)))
     return calls

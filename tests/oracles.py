@@ -6,7 +6,8 @@ textbook Riccati recursion, a series-based normal CDF (a continued
 fraction in its tails) with bisection inversion, finite-difference
 Jacobians and a bare averaged projected ascent.
 The full coupled sweep, which rebuilds and solves every stage system in
-each pass, is the bit-for-bit reference for the gains-once path, and the
+each pass, is the bit-for-bit reference for the gains-once path, its
+one-stage rcond check the reference for the stacked check, and the
 single-loop row assembly, on per-row copies of the collision-row helpers,
 is the bit-for-bit reference for the split and batched one (layout, then
 collision rows at a reference, one stacked pass per constraint).  A slice's
@@ -45,8 +46,8 @@ import numpy as np
 
 from ccgame import lqnash, scenarios
 from ccgame.dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
-from ccgame.errors import DegenerateReference
-from ccgame.lqnash import FeedbackPolicy, _check_rcond
+from ccgame.errors import DegenerateReference, DomainError, SingularStageSystem
+from ccgame.lqnash import RCOND_MIN, FeedbackPolicy
 from ccgame.model import GameProblem, Scenario, load_scenario
 from ccgame.simulate import noise_stream
 from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_normal_cdf
@@ -274,6 +275,21 @@ def lqr_oracle(A_seq, B_seq, Q_seq, R_seq, W_seq, x0):
 # Full coupled Riccati sweep: gains and affine terms in every pass
 
 
+def check_stage_rcond(S, t):
+    """One stage system's own rcond check, the reference for the stacked check
+    (``lqnash._check_rcond``): SingularStageSystem when S is near-singular,
+    DomainError when it is not finite (LAPACK's SVD then fails)."""
+    try:
+        sv = np.linalg.svd(S, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if np.isfinite(S).all():
+            raise
+        raise DomainError(f"stage {t}: the joint gain system overflows") from None
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise SingularStageSystem(t, rcond)
+
+
 def stage_linear_terms(problem: GameProblem, conset=None, lam=None):
     """Half linear coefficients s[i, t] = 0.5 sum_{t_m = t} lam_m l_m - Q^i_t r^i_t,
     adding each row m with lam_m != 0 on its own."""
@@ -308,7 +324,7 @@ def _stage_solve(P_next, zeta_next, A, B, R, t=0):
             if i == j:
                 blk = blk + R[i]
             S[i * n_u:(i + 1) * n_u, j * n_u:(j + 1) * n_u] = blk
-    _check_rcond(S, t)
+    check_stage_rcond(S, t)
     YK = np.concatenate([B[i].T @ P_next[i] @ A for i in range(N)], axis=0)
     Ya = np.concatenate([_gemm_route(B[i].T, zeta_next[i]) for i in range(N)], axis=0)
     sol = np.linalg.solve(S, np.concatenate([YK, Ya], axis=1))
@@ -752,7 +768,7 @@ def best_response(problem: GameProblem, policy: FeedbackPolicy, i,
         drift = -sum((B[j] @ policy.alpha[t, j] for j in others), np.zeros(n_x))
         Bi, R = B[i], problem.R[i, t]
         S = R + Bi.T @ P @ Bi
-        _check_rcond(S, t)
+        check_stage_rcond(S, t)
         K_i[t] = np.linalg.solve(S, Bi.T @ P @ Atil)
         a_i[t] = np.linalg.solve(S, Bi.T @ (P @ drift + zeta))
         F = Atil - Bi @ K_i[t]

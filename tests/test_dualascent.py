@@ -126,16 +126,16 @@ class TestAffineMap:
 
 class TestSweepCount:
     def test_solve_sweeps_twice(self, mini_prep, lqnash_calls):
-        # one gain recursion with an rcond check per stage, the lam = 0
-        # equilibrium (a zeta pass and its mean trajectory) unless prepared,
-        # and the map's column passes: the policy at a multiplier is alpha0
-        # plus its columns, one more pass computing those not cached; its
-        # mean trajectory and the dual values cost one integration and one
-        # evaluation when first read, once.  An LTV game (no nominal) runs its gain recursion and lam = 0
-        # equilibrium in prepare_game, for the reference, and the solve
-        # reuses both; where that equilibrium violates no row (the
-        # unconstrained game) it is the solution, and the solve runs no zeta
-        # pass and no integration
+        # one sweep for the gains and alpha0 with one stacked rcond check,
+        # the lam = 0 equilibrium (alpha0's policy and its mean trajectory)
+        # unless prepared, and the map's column passes: the policy at a
+        # multiplier is alpha0 plus its columns, one more pass computing
+        # those not cached; its mean trajectory and the dual values cost one
+        # integration and one evaluation when first read, once.  An LTV game
+        # (no nominal) runs its gain sweep and lam = 0 equilibrium in
+        # prepare_game, for the reference, and the solve reuses both; where
+        # that equilibrium violates no row (the unconstrained game) it is the
+        # solution, and the solve runs no zeta pass and no integration
         unconstrained = scalar_single_agent_instance()
         unconstrained = Scenario(**{**unconstrained.__dict__, "constraints": ()})
         ray = random_small_scenario(np.random.default_rng(2))
@@ -143,7 +143,7 @@ class TestSweepCount:
         for s in (unconstrained, ray):
             lqnash_calls.clear()
             preps.append(prepare_game(validate_scenario(s)))
-            assert lqnash_calls == {"stage_gains": 1, "_check_rcond": preps[-1].problem.T,
+            assert lqnash_calls == {"stage_gains": 1, "_check_rcond": 1,
                                     "_zeta_sweep": 1, "integrate_expected": 1}
         assert preps[1].M == 0
         assert mini_prep.gains is None and preps[1].gains is not None
@@ -160,7 +160,7 @@ class TestSweepCount:
             assert (prep.equilibrium0 is None) == bool(in_solve)
             assert +lqnash_calls == +Counter({
                 "stage_gains": in_solve,
-                "_check_rcond": in_solve * prep.problem.T,
+                "_check_rcond": in_solve,
                 "_zeta_sweep": in_solve + passes + full,
                 "affine_response": passes + full, "full_map": full,
                 "integrate_expected": in_solve}), rep.termination
@@ -360,10 +360,11 @@ class TestZeroMultiplierSolve:
 
     @pytest.mark.parametrize("coupled", (False, True))
     def test_short_circuit_equals_the_full_path(self, coupled, lqnash_calls):
-        # the withheld path adds the lam = 0 zeta pass and its mean
-        # trajectory, and nothing else: the map's passes, the multiplier, the
-        # policy, its mean and g are the prepared path's bit for bit
-        lam0 = Counter({"_zeta_sweep": 1, "integrate_expected": 1})
+        # the withheld path adds the lam = 0 mean trajectory, alpha0 being
+        # the prepared gains', and nothing else: the map's passes, the
+        # multiplier, the policy, its mean and g are the prepared path's bit
+        # for bit
+        lam0 = Counter({"integrate_expected": 1})
         zero, asymmetry = [], []
         for k in range(40):
             prep = prepare_game(validate_scenario(

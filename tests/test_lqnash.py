@@ -1,14 +1,18 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgame import lqnash, scenarios, simulate
-from ccgame.errors import SingularStageSystem
-from ccgame.lqnash import (FeedbackPolicy, _zeta_sweep, affine_response,
+from ccgame.errors import DomainError, SingularStageSystem
+from ccgame.lqnash import (FeedbackPolicy, _check_rcond, _zeta_sweep, affine_response,
                            backward_recursion, closed_loop_step, evaluate_cost,
                            evaluate_lagrangian, fixed_order_sums, integrate_expected,
-                           mean_inputs, quadratic_sums, realized_costs, stage_gains)
+                           mean_inputs, quadratic_sums, realized_costs, stage_gains,
+                           zeta_response)
 from ccgame.model import (GameProblem, LtvGameDynamics, Scenario, assemble_problem,
                           validate_scenario)
 from ccgame.dualascent import (DualAscentOptions, estimate_affine_map, prepare_game,
@@ -17,7 +21,8 @@ from conftest import (coupled_constrained_instance, coupled_two_agent_scenario,
                       dense_input_scenario, double_integrator_instance, make_ltv_scenario,
                       random_small_scenario, scalar_single_agent_instance,
                       scalar_two_agent_instance)
-from oracles import (_riccati_sweep, batched_closed_loop_step, best_response, column_pass,
+from oracles import (_riccati_sweep, batched_closed_loop_step, best_response,
+                     check_stage_rcond, column_pass,
                      dense_best_response, dense_game_inputs, loop_quadratic_sums,
                      lqr_oracle, replace_player, stage_linear_terms,
                      sweep_affine_response, sweep_backward_recursion)
@@ -87,6 +92,80 @@ class TestStageGains:
         assert info.value.t == 7
 
 
+def outcome(call):
+    """(class, stage, message) of the error ``call()`` raises, under warnings as
+    errors, or None when it raises none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except Exception as e:
+            return type(e), getattr(e, "t", None), str(e)
+    return None
+
+
+class TestStackedCheck:
+    """``_check_rcond``'s one stacked SVD fails as the one-stage check run from
+    t = T-1 down (``oracles.check_stage_rcond``) does: the same class, stage
+    and message."""
+
+    @staticmethod
+    def per_stage(S, start=0):
+        for t in range(len(S) - 1, start - 1, -1):
+            check_stage_rcond(S[t], t)
+
+    def test_crafted_stacks(self):
+        rng = np.random.default_rng(39)
+        L = rng.normal(size=(6, 3, 3))
+        fine = L @ L.transpose(0, 2, 1) + np.eye(3)
+        rank2 = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        bad = {"singular": rank2, "near": np.diag([1.0, 1.0, 1e-13]),
+               "inf": np.diag([np.inf, 1.0, 1.0]), "nan": np.diag([np.nan, 1.0, 1.0])}
+        # (stages set to a bad system, the class and stage that must be named)
+        cases = [({}, None, None),
+                 ({3: "singular"}, SingularStageSystem, 3),
+                 ({3: "near"}, SingularStageSystem, 3),
+                 ({1: "singular", 4: "near"}, SingularStageSystem, 4),
+                 ({2: "inf"}, SingularStageSystem, 2),
+                 ({2: "nan"}, DomainError, None),
+                 ({4: "nan", 2: "singular"}, DomainError, None),
+                 ({4: "singular", 2: "nan"}, SingularStageSystem, 4),
+                 ({4: "inf", 2: "singular"}, SingularStageSystem, 4),
+                 ({4: "singular", 2: "inf"}, SingularStageSystem, 4),
+                 ({5: "nan", 0: "nan"}, DomainError, None)]
+        for stages, cls, t in cases:
+            S = fine.copy()
+            for u, name in stages.items():
+                S[u] = bad[name]
+            for start in range(len(S)):
+                got = outcome(lambda: _check_rcond(S, start))
+                assert got == outcome(lambda: self.per_stage(S, start)), (stages, start)
+            got = outcome(lambda: _check_rcond(S))
+            assert (got[:2] if got else None) == ((cls, t) if cls else None), stages
+        assert outcome(lambda: _check_rcond(S)) == (
+            DomainError, None, "stage 5: the joint gain system overflows")
+        S[5] = bad["inf"]
+        assert outcome(lambda: _check_rcond(S)) == (
+            SingularStageSystem, 5, str(SingularStageSystem(5, 0.0)))
+
+    @pytest.mark.parametrize("B3, R3", [(0.0, 0.0), (1.0, 1e-15), (1e200, 1.0), (np.nan, 1.0)],
+                             ids=["zero", "near", "inf", "nan"])
+    def test_stage_3_of_8_fails_as_the_full_sweep_does(self, B3, R3):
+        # at stage 3 of 8: S_3 = 0, which the solve fails on; S_3 = p [1 1; 1 1]
+        # + diag(0, 1e-15), which it solves into large gains below; S_3 = inf,
+        # and NaN.  The error names stage 3, as the full sweep's per-stage
+        # check does, and no RuntimeWarning escapes
+        T = 8
+        B, R = np.ones((T, 1, 1, 2)), np.ones((1, T, 2, 2)) + np.eye(2)
+        B[3], R[0, 3] = B3, np.diag([0.0, R3])
+        problem = lq_game(np.ones((T, 1, 1)), B, np.ones((1, T + 1, 1, 1)), R)
+        got = outcome(lambda: stage_gains(problem))
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: _riccati_sweep(problem, lambda t: np.zeros((1, 1, 2))))
+        assert got == want and got[:2] in ((SingularStageSystem, 3), (DomainError, None))
+        assert "stage 3" in got[2]
+
+
 class TestGainsOnce:
     """The gains-once path against the full sweep it replaced
     (``oracles._riccati_sweep``), bit for bit."""
@@ -118,6 +197,33 @@ class TestGainsOnce:
             assert np.array_equal(gains.F, F), shape
             assert np.array_equal(gains.P, P), shape
             assert np.array_equal(_zeta_sweep(problem, gains, lambda t: C[t]), a), shape
+
+    def test_alpha0_and_the_zeta_response_equal_the_full_sweep_on_wide_shapes(self):
+        # the gains' solves [B'P A | Ya] give alpha0 and Psi the full sweep's
+        # bits, here with references drawn at random; the zeta response's
+        # gains are stage_gains' bit for bit
+        for k, (problem, _) in enumerate(self.wide_games()):
+            ref = np.random.default_rng(1000 + k).normal(size=problem.ref.shape)
+            problem = replace(problem, ref=ref)
+            N, T, n_x = problem.N, problem.T, problem.n_x
+            s = stage_linear_terms(problem)
+            goal = np.stack([s, np.zeros_like(s)], axis=-1)
+            shape = (N, problem.n_u, n_x, T)
+            gains = stage_gains(problem)
+            a = _riccati_sweep(problem, lambda t: goal[:, t])[1]
+            assert np.array_equal(gains.alpha0, a[..., 0]), shape
+
+            def linear_term(t):
+                C = np.zeros((N, n_x, T, n_x))
+                C[:, :, t - 1] = np.eye(n_x) * (t > 0)
+                return np.concatenate([C.reshape(N, n_x, T * n_x), s[:, t, :, None]], axis=2)
+
+            a = _riccati_sweep(problem, linear_term)[1]
+            response, psi = zeta_response(problem)
+            assert psi.tobytes() == a[..., :-1].reshape(T, N, -1, T, n_x).tobytes(), shape
+            assert np.array_equal(response.alpha0, a[..., -1]), shape
+            for name in ("K", "F", "P", "S", "KtR", "alpha0"):
+                assert np.array_equal(getattr(response, name), getattr(gains, name)), shape
 
     def test_a_one_column_zeta_pass_equals_a_padded_one(self):
         # the sweep pads a single column itself, so its bits are those of
@@ -171,7 +277,7 @@ class TestGainsOnce:
                 x = rng.normal(size=problem.n_x)
                 tail = full.tail(tau)
                 own = stage_gains(simulate.slice_problem(problem, tau, x))
-                for name in ("K", "F", "S", "KtR"):
+                for name in ("K", "F", "S", "KtR", "alpha0"):
                     assert np.array_equal(getattr(tail, name), getattr(own, name)), \
                         (name, tau)
                 assert np.array_equal(tail.P[1:], own.P[1:]), tau
@@ -197,20 +303,21 @@ class TestGainsOnce:
     def test_every_zeta_pass_has_two_columns_or_more(self, monkeypatch):
         # a 1-column solve takes another LAPACK route and moves a column's
         # last bits, so every stage solve of a zeta pass has two right-hand
-        # sides or more: the bundled solves with their report's full G, the
-        # ray game's fallback ascent and a central-MPC episode
+        # sides or more, and one that builds the gains, [B'P A | Ya], n_x + 2
+        # or more (3 or more): the bundled solves with their report's full G,
+        # the ray game's fallback ascent and a central-MPC episode
         widths, inside = [], []
         solve, sweep = np.linalg.solve, lqnash._zeta_sweep
 
         def recording_solve(S, b):
             if inside:
-                widths.append(b.shape[-1])
+                widths.append((inside[-1], b.shape[-1]))
             return solve(S, b)
 
-        def recording_sweep(*args, **kwargs):
-            inside.append(True)
+        def recording_sweep(problem, gains, *args, **kwargs):
+            inside.append(problem.n_x if gains is None else 0)    # n_x if building
             try:
-                return sweep(*args, **kwargs)
+                return sweep(problem, gains, *args, **kwargs)
             finally:
                 inside.pop()
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
@@ -224,8 +331,10 @@ class TestGainsOnce:
         solves = len(widths)
         mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
         simulate.central_mpc_run(simulate.CentralPlanner(mini), 5, [0])
-        assert 750 in widths[:solves] and len(widths) > solves
-        assert min(widths) >= 2, widths
+        assert (0, 750) in widths[:solves] and len(widths) > solves
+        assert {n > 0 for n, _ in widths[:solves]} == {True, False}     # both kinds
+        assert all(n > 0 for n, _ in widths[solves:])     # the planner's one sweep
+        assert all(w >= n + 2 >= 2 and w >= 2 + (n > 0) for n, w in widths), widths
 
 
 class TestStackedPass:
@@ -419,7 +528,7 @@ class TestClosedLoopStep:
         mini = assemble_problem(validate_scenario(scenarios.make_intersection_mini()))
         planner = simulate.CentralPlanner(mini)
         out["aggregate-mini"] = (mini.dyn, planner.agg.dyn.B[:, 0], planner.gains.K,
-                                 planner.alpha0, planner.factors)
+                                 planner.gains.alpha0, planner.factors)
         return out
 
     @pytest.mark.parametrize("name", ["intersection-mini", "intersection",

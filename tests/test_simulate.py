@@ -593,18 +593,19 @@ class TestCentralMpc:
 
     def test_replan_sweeps_three_times(self, mini_problem, lqnash_calls,
                                        monkeypatch):
-        # an episode's own planner: one gain recursion, one rcond check per
-        # stage and one zeta pass, in its constructor, for the zeta response
-        # Psi and the lam = 0 affine terms, whose tail is every replan's
-        # reference policy; a replan's reference mean
+        # an episode's own planner: one zeta response, its one sweep and one
+        # stacked rcond check, in its constructor, for the gains, the zeta
+        # response Psi and the lam = 0 affine terms, whose tail is every
+        # replan's reference policy; a replan's reference mean
         # is a contraction of its state, and only where a row is violated (a
         # of them) its replan time's screen runs one pass (one per replan
         # time that solves; 2 here, one per solve before), whose alpha
         # columns (the violated rows', all that the pivot reads here) come
         # from Psi and give the policy at the pivot's multiplier; no mean
         # trajectory of that policy, no final solve's zeta pass, no full map
-        # and no diagnostic that only a report reads (2 zeta passes, the
-        # lam = 0 one apart; 3 zeta passes and 7 means with a zeta pass per
+        # and no diagnostic that only a report reads (a gain recursion with T
+        # rcond checks beside the zeta pass before the sweep was one; 2 zeta
+        # passes, the lam = 0 one apart; 3 zeta passes and 7 means with a zeta pass per
         # active replan and an integrated reference mean; 2 means, the active
         # policies', before the report's mean was computed when first read)
         count_replan_work(monkeypatch, lqnash_calls)
@@ -613,19 +614,21 @@ class TestCentralMpc:
         assert run.replans == -(-mini_problem.T // 4) == 5
         a = lqnash_calls.pop("pivoting")
         assert run.replans_with_active_rows == a == 2 and run.map_columns == 4
-        assert lqnash_calls == {"stage_gains": 1, "_check_rcond": mini_problem.T,
+        assert lqnash_calls == {"zeta_response": 1, "_check_rcond": 1,
                                 "_zeta_sweep": 1, "affine_response": 2}
 
     def test_episodes_share_the_call_and_replan_time_work(self, mini_problem,
                                                            lqnash_calls, monkeypatch):
-        # 2 episodes of T = 20 replans: one aggregate, one gain recursion,
-        # one zeta pass for the zeta response Psi and the lam = 0 affine
-        # terms, and one horizon pass (every replan time's covariance) per
+        # 2 episodes of T = 20 replans: one aggregate, one zeta response (one
+        # sweep, one stacked rcond check) for the gains, Psi and the lam = 0
+        # affine terms, and one horizon pass (every replan time's covariance) per
         # call, and per replan time at which some episode's lam = 0 mean
         # violates a row (7, for 12 such replans) one stacked pass with the
         # 18 columns of the violated rows, whose alphas come from Psi and
-        # give the policy too; no full map and no integrated mean (2 zeta
-        # passes, the lam = 0 one apart, and 12 map passes, one per such
+        # give the policy too; no full map and no integrated mean (a gain
+        # recursion with T rcond checks beside the zeta pass before the sweep
+        # was one; 2 zeta passes, the lam = 0 one apart, and 12 map passes,
+        # one per such
         # replan; 14 zeta passes and 53 means
         # with a zeta pass per such replan; 27 passes with a final solve's;
         # 81 when every replan ran the full map; 120 passes, 40 covariances
@@ -653,8 +656,8 @@ class TestCentralMpc:
         assert totals["replans"] == 2 * T and totals["replans_with_active_rows"] == a + 1
         assert totals["map_columns"] == 18
         assert lqnash_calls["aggregate_problem"] == 1
-        assert lqnash_calls["stage_gains"] == 1
-        assert lqnash_calls["_check_rcond"] == T
+        assert lqnash_calls["zeta_response"] == 1 and lqnash_calls["stage_gains"] == 0
+        assert lqnash_calls["_check_rcond"] == 1
         assert lqnash_calls["_zeta_sweep"] == 1
         assert lqnash_calls["integrate_expected"] == 0 and a == 12
         assert lqnash_calls["affine_response"] == 7 and lqnash_calls["full_map"] == 0
@@ -731,7 +734,7 @@ class TestCentralMpc:
         # together: a planner that fails fails every episode of the call, and
         # the next call builds its own
         from ccgame import lqnash
-        real = lqnash.stage_gains
+        real = lqnash.zeta_response
         calls = {"n": 0}
 
         def singular_once(problem):
@@ -741,7 +744,7 @@ class TestCentralMpc:
             return real(problem)
 
         msg = f"SingularStageSystem: {SingularStageSystem(3, 0.0)}"
-        monkeypatch.setattr(lqnash, "stage_gains", singular_once)
+        monkeypatch.setattr(lqnash, "zeta_response", singular_once)
         with pytest.raises(AllSeedsFailed) as info:
             central_mpc(mini_problem, seed=5, samples=3, options=DualAscentOptions(k_max=100))
         assert str(info.value) == f"all 3 MPC seeds failed; first: {msg}" and calls["n"] == 1
@@ -752,7 +755,7 @@ class TestCentralMpc:
         def singular(problem):
             raise SingularStageSystem(3, 0.0)
 
-        monkeypatch.setattr(lqnash, "stage_gains", singular)
+        monkeypatch.setattr(lqnash, "zeta_response", singular)
         with pytest.raises(AllSeedsFailed) as info:
             central_mpc(mini_problem, seed=5, samples=2)
         assert str(info.value) == f"all 2 MPC seeds failed; first: {msg}"
@@ -1080,7 +1083,7 @@ class TestHorizonPass:
                 reference, Z = game_reference(prep), planner.transitions[tau]
                 sub = simulate.slice_problem(planner.agg, tau, states[tau])
                 sub_cov = propagate_covariance(sub.dyn)
-                Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.alpha0[tau:])
+                Phi, d = mean_map(sub.dyn, planner.gains.F[tau:], planner.gains.alpha0[tau:])
                 for got, want in ((cov, sub_cov), (Z[..., :-1], Phi), (Z[..., -1], d)):
                     assert got.shape == want.shape, (name, tau)
                     assert got.tobytes() == want.tobytes(), (name, tau)
