@@ -7,9 +7,10 @@ term are exactly affine in it, g(lam) = G lam + ctilde and alpha(lam) =
 alpha0 + sum_j lam_j alpha_j, and the solve works on this map instead of
 re-solving the game at every step.  ``estimate_affine_map`` owns a solve's
 start: the stage gains, whose one sweep gives the lam = 0 affine terms too,
-and the lam = 0 equilibrium, the preparer's (``PreparedGame.gains``,
-``equilibrium0``) or solved there once.  ctilde is g at that equilibrium's
-mean and alpha0 its affine term, so the map holds only its linear part, read
+the preparer's (``PreparedGame.gains``) or solved there once, and the
+lam = 0 equilibrium, their K and alpha0 with its mean, the preparer's
+(``mean0``) or integrated there once.  ctilde is g at that mean and alpha0
+the policy's affine term, so the map holds only its linear part, read
 by column.  The pivot reads G only as ``G[:, j]``; one
 pass there computes the columns (of G and alpha) of every row violated at
 lam = 0, before the pivot's first read, and a column not yet computed comes
@@ -62,15 +63,15 @@ from .model import (GameProblem, UnicycleDynamicsSpec, assemble_problem,
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """Problem and the rows reformulated at the nominal (plus ``equilibrium0``'s mean, if
-    given); the solve reuses ``gains`` (the stage gains), ``equilibrium0`` (the lam = 0
-    policy and its solver-coordinate mean), ``psi`` (the zeta response) and ``columns``
-    (G's and alpha's columns of the rows it violates at lam = 0, a replan's), if given."""
+    """Problem and the rows reformulated at the nominal (plus ``mean0``, if given); the
+    solve reuses ``gains`` (the stage gains), ``mean0`` (the solver-coordinate mean of
+    their lam = 0 policy), ``psi`` (the zeta response) and ``columns`` (G's and alpha's
+    columns of the rows it violates at lam = 0, a replan's), if given."""
 
     problem: GameProblem
     conset: uncertainty.AffineConstraintSet
     gains: lqnash.StageGains | None = field(default=None, repr=False)
-    equilibrium0: tuple | None = field(default=None, repr=False)   # (policy, mean)
+    mean0: np.ndarray | None = field(default=None, repr=False)   # (T+1, n_x)
     psi: np.ndarray | None = field(default=None, repr=False)   # (T, N, n_u, T, n_x)
     columns: dict | None = field(default=None, repr=False)     # j -> (G[:, j], alpha_j)
 
@@ -94,10 +95,9 @@ def prepare_game(scenario, nominal_inputs=None) -> PreparedGame:
         return PreparedGame(problem=problem, conset=uncertainty.assemble_constraints(
             problem, cov, problem.nominal_states))
     gains = lqnash.stage_gains(problem)
-    policy0 = lqnash.backward_recursion(problem, gains=gains)
-    mean0 = lqnash.integrate_expected(problem.dyn, policy0)
+    mean0 = lqnash.integrate_expected(problem.dyn, lqnash.backward_recursion(problem, gains))
     return PreparedGame(problem=problem, conset=uncertainty.assemble_constraints(
-        problem, cov, problem.nominal_states + mean0), gains=gains, equilibrium0=(policy0, mean0))
+        problem, cov, problem.nominal_states + mean0), gains=gains, mean0=mean0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +212,17 @@ def _spectral_norm(G):
 
 def estimate_affine_map(prepared: PreparedGame) -> AffineGradientMap:
     """The map (G, ctilde) of ``prepared``, and the one place a solve's lam = 0
-    start is resolved: the preparer's ``gains`` and ``equilibrium0`` when it
-    has them (an LTV solve, a replan), else solved here (a unicycle solve).
-    ctilde is g at that start's mean, column m of G is g at the m-th unit
-    multiplier minus ctilde, exact by affinity.  One pass here computes the
-    columns of the rows violated at lam = 0 that the game does not hold,
-    ascending; a column's bits do not depend on its place in the pass."""
+    start is resolved: the preparer's ``gains`` and ``mean0`` when it has them
+    (an LTV solve, a replan), else solved here (a unicycle solve); its policy is
+    the gains' K and alpha0.  ctilde is g at that start's mean, column m of G is
+    g at the m-th unit multiplier minus ctilde, exact by affinity.  One pass
+    here computes the columns of the rows violated at lam = 0 that the game does
+    not hold, ascending; a column's bits do not depend on its place in the pass."""
     problem = prepared.problem
     gains = lqnash.stage_gains(problem) if prepared.gains is None else prepared.gains
-    equilibrium = prepared.equilibrium0
-    if equilibrium is None:
-        policy0 = lqnash.backward_recursion(problem, gains=gains)
-        equilibrium = policy0, lqnash.integrate_expected(problem.dyn, policy0)
-    policy0, mean0 = equilibrium
+    policy0 = lqnash.backward_recursion(problem, gains)
+    mean0 = (lqnash.integrate_expected(problem.dyn, policy0) if prepared.mean0 is None
+             else prepared.mean0)
     gmap = AffineGradientMap(problem, prepared.conset, gains,
                              prepared.conset.evaluate(mean0), policy0, mean0,
                              prepared.psi)

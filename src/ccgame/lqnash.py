@@ -234,7 +234,8 @@ def closed_loop_step(A_t, B_t, K_t, alpha_t, x, L_t=None, z_t=None):
     u = -K_t x - alpha_t, x+ = (A_t x + B_t u) + L_t z_t, a matvec per state each.
 
     B_t (n_x, N n_u) is the agent-stacked [B^1_t .. B^N_t], so sum_i B^i_t u^i
-    is one matvec; u is shaped as alpha_t."""
+    is one matvec; u is shaped as alpha_t.  The bits depend on x's strides, since
+    matvec picks its route by stride: so the MPC batch that it steps is sample-major."""
     u = -np.matvec(K_t, x[..., None, :]) - alpha_t
     x_next = np.matvec(A_t, x) + np.matvec(B_t, u.reshape(*x.shape[:-1], -1))
     if L_t is not None:

@@ -1,22 +1,24 @@
 """Seeded Monte Carlo rollouts, safety statistics and the central-MPC baseline,
 returned as values: the CLI writes their files.
 
-Noise is drawn from counter-based Philox streams keyed by (seed, sample
-index).  A rollout is the expected trajectory plus each sample's deviation
-from it, stepped by ``lqnash.fixed_order_sums`` with no BLAS call, so sample
-s is bit-identical no matter how many samples are run, and zero noise keeps
-the deviation at +0.  Safety is judged on realized states against the
-original quadratic/box predicates, never the affine surrogates.  A predicate
-counts as violated unless it holds, so a NaN it reads is a violation.  The
-mask and the travel times are computed on blocks of SAFETY_BLOCK samples, so
-that each gather reads a cache-sized slice of the sample-major batch, not the
-whole of it; a sample's entries read only its own states, so no result depends
-on the block size.  Within a block they add the nominal only at the entries
-they gather (no absolute copy): per box spec, its constrained coordinates at
-its active times and, per collision spec, the two agents' coordinates in C's
-support, whose quadratic form ``lqnash.quadratic_sums`` sums in the order of
-the einsum it replaced (see the ``lqnash`` docstring); costs go through the
-same kernel.
+Noise is drawn from counter-based Philox streams keyed by (seed, sample index),
+into a buffer of DRAW_BLOCK samples copied into a rollout's sample-last memory,
+(T+1, n_x, S) states and (T, N n_u, S) inputs seen as (S, ...) views, where the
+step that reads a row overwrites it.  A rollout is the expected trajectory plus
+each sample's deviation from it, stepped row by row by
+``lqnash.fixed_order_sums`` with no BLAS call, so sample s is bit-identical no
+matter how many samples are run, and zero noise keeps the deviation at +0.
+Safety is judged on realized states against the original quadratic/box
+predicates, never the affine surrogates.  A predicate counts as violated unless
+it holds, so a NaN it reads is a violation.  The mask and the travel times are
+computed on blocks of SAFETY_BLOCK samples, so that each gather reads a
+cache-sized slice of each row of the batch, not the whole of it; a sample's
+entries read only its own states, so no result depends on the block size or
+layout.  Within a block they add the nominal only at the entries they gather
+(no absolute copy): per box spec, its constrained coordinates at its active
+times and, per collision spec, the two agents' coordinates in C's support,
+whose quadratic form ``lqnash.quadratic_sums`` sums in the order of the einsum
+it replaced (see the ``lqnash`` docstring); costs go through the same kernel.
 
 A central-MPC call's ``CentralPlanner`` holds its problem and replan cadence,
 and its constructor computes once the aggregate, its noise factors, in one
@@ -56,11 +58,12 @@ import numpy as np
 from . import lqnash, uncertainty
 from .dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
 from .errors import AllSeedsFailed, CCGameError, DomainError, FactorizationFailure
-from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _freeze, _integer
+from .model import BoxSpec, CollisionSpec, GameProblem, LtvGameDynamics, _integer
 
 WILSON_Z = 1.959963984540054   # 97.5 % quantile to 16 digits, not inverse_normal_cdf(0.975)
 PSD_TOL = 1e-10
 SAFETY_BLOCK = 256   # samples judged at once: a block of a batch's states stays in L2
+DRAW_BLOCK = 16      # samples whose noise is drawn into one buffer, then copied sample-last
 GOAL_TOLERANCE = 0.1   # distance to the goal position at which an agent has arrived
 SCREEN_BLOCK = 128   # MPC episodes screened at once: a block's rows are (SCREEN_BLOCK, M, n_x)
 
@@ -85,7 +88,8 @@ def noise_stream(seed, sample_index):
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Closed-loop sample trajectories in solver coordinates."""
+    """Closed-loop sample trajectories in solver coordinates, held as read-only views
+    of the arrays given, in their layout: a rollout's states and inputs view sample-last memory."""
 
     states: np.ndarray   # (S, T+1, n_x)
     inputs: np.ndarray   # (S, T, N, n_u)
@@ -93,20 +97,23 @@ class RolloutBatch:
     seed: int
     method: str = "lqg_game"
 
-    def __post_init__(self):
+    def __post_init__(self):    # read-only views in the given layout: no copy
         for name in ("states", "inputs", "costs"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
+            getattr(self, name).setflags(write=False)
 
     @property
     def samples(self):
         return self.states.shape[0]
 
 
-def _sample_arrays(problem: GameProblem, S):
-    """S samples' states (S, T+1, n_x), written at x0 only, and inputs (S, T, N, n_u)."""
+def _sample_arrays(problem: GameProblem, S, sample_last=False):
+    """S samples' states (S, T+1, n_x), written at x0 only, and inputs (S, T, N, n_u);
+    with ``sample_last``, views of (T+1, n_x, S) and (T, N, n_u, S) memory."""
     T, N, n_x, n_u = problem.T, problem.N, problem.n_x, problem.n_u
     try:    # numpy raises ValueError for an array too big to index
-        states, inputs = np.empty((S, T + 1, n_x)), np.empty((S, T, N, n_u))
+        states, inputs = (np.moveaxis(np.empty(shape[1:] + shape[:1]), -1, 0) if sample_last
+                          else np.empty(shape) for shape in ((S, T + 1, n_x), (S, T, N, n_u)))
     except (ValueError, MemoryError) as exc:
         raise DomainError(f"samples: {S} rollouts cannot be allocated ({exc})") from None
     states[:, 0] = problem.dyn.x0
@@ -119,8 +126,8 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
 
     Sample s is x = xbar + e and u = ubar - K e: the expected trajectory and
     its inputs plus a deviation e_{t+1} = F_t e_t + L_t z_t from e_0 = 0, whose
-    z, from the Philox stream keyed by (seed, s), is drawn into states[s, 1:]
-    and overwritten by the step that reads it (see the module docstring); one
+    z, from the Philox stream keyed by (seed, s), goes via a block buffer into
+    states[s, 1:] and is overwritten by the step that reads it (module docstring); one
     generator draws them all, re-keyed in place: its unread state with key[1] = s.
     """
     dyn = problem.dyn
@@ -130,25 +137,27 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
     factors = noise_factors(dyn.W)
     xbar = lqnash.integrate_expected(dyn, policy)
     ubar = lqnash.mean_inputs(dyn, policy, xbar).reshape(T, -1, 1)
-    states, inputs = _sample_arrays(problem, S)
+    states, inputs = _sample_arrays(problem, S, sample_last=True)
     stream = noise_stream(seed, 0)
     state = stream.bit_generator.state     # unread: a zero counter and an empty buffer
     state["state"] = {k: v.tolist() for k, v in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()     # Python ints set a state faster than arrays
     key = state["state"]["key"]
-    for s in range(S):
-        key[1] = s
-        stream.bit_generator.state = state
-        stream.standard_normal(out=states[s, 1:])
+    draws = np.empty((min(S, DRAW_BLOCK), T, n_x))     # out= must be C-contiguous
+    for lo in range(0, S, len(draws)):
+        for s in range(lo, min(lo + len(draws), S)):
+            key[1] = s
+            stream.bit_generator.state = state
+            stream.standard_normal(out=draws[s - lo])
+        states[lo:lo + len(draws), 1:] = draws[:S - lo]
     e = np.zeros((n_x, S))
     for t in range(T):
         F = lqnash.closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t])
         Ke = lqnash.fixed_order_sums((policy.K[t].reshape(-1, n_x), e))
         np.subtract(ubar[t], Ke, out=inputs.reshape(S, T, -1)[:, t].T)
-        z = np.ascontiguousarray(states[:, t + 1].T)    # read once per nonzero of L_t
-        e = lqnash.fixed_order_sums((F, e), (factors[t], z))
+        e = lqnash.fixed_order_sums((F, e), (factors[t], states[:, t + 1].T))
         np.add(xbar[t + 1, :, None], e, out=states[:, t + 1].T)
-    del e, z, Ke    # they would live through the costs' temporaries
+    del draws, e, Ke    # they would live through the costs' temporaries
     costs = lqnash.realized_costs(problem, states, inputs)
     return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=seed)
 
@@ -322,7 +331,7 @@ class CentralPlanner:
         self.transitions = dict(zip(starts, products))
         self.fill = uncertainty.constraint_layout(self.agg, cov, starts)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, gains, policy0), on its first game
+        self.at_tau = {}    # tau -> (x0-less slice, gains), on its first game
 
     def screen(self, tau, x0s):
         """Replans at tau from states x0s (S, n_x) before any solve: whether each one's
@@ -340,11 +349,10 @@ class CentralPlanner:
         def game(k):
             if tau not in self.at_tau:
                 t_start = time.perf_counter()
-                gains = self.gains.tail(tau)
-                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)), gains,
-                                    lqnash.FeedbackPolicy(gains.K, gains.alpha0))
+                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)),
+                                    self.gains.tail(tau))
                 self.shared_seconds += time.perf_counter() - t_start
-            sub, gains, policy0 = self.at_tau[tau]
+            sub, gains = self.at_tau[tau]
             conset = uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T)
             if hot[k].any() and not passed:     # the block's one pass, at its first solve
                 entries = [np.flatnonzero(h).tolist() for h in hot]     # side by side: hot's order
@@ -354,7 +362,7 @@ class CentralPlanner:
                                         for cols, (G, alphas) in zip(entries, out)))
             return PreparedGame(
                 problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), conset=conset,
-                gains=gains, equilibrium0=(policy0, means[k]), psi=psi, columns=passed.get(k))
+                gains=gains, mean0=means[k], psi=psi, columns=passed.get(k))
         return ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
 
 

@@ -833,9 +833,9 @@ def column_pass(problem: GameProblem, conset, gains, columns=None, psi=None):
 def game_reference(prepared: PreparedGame):
     """The absolute means a prepared game's collision rows were built at: the
     nominal plus its lam = 0 mean, or the nominal itself (not the nominal plus
-    0, so that no zero changes its sign) when it holds no lam = 0 equilibrium."""
+    0, so that no zero changes its sign) when it holds no lam = 0 mean."""
     nominal = prepared.problem.nominal_states
-    return nominal if prepared.equilibrium0 is None else nominal + prepared.equilibrium0[1]
+    return nominal if prepared.mean0 is None else nominal + prepared.mean0
 
 
 def episode_mpc(planner, seed, s, withhold=False, maps=None):
@@ -844,11 +844,10 @@ def episode_mpc(planner, seed, s, withhold=False, maps=None):
     ``ccgame mpc`` budget: the reference for the lockstep call, which solves
     only the replans whose lam = 0 mean violates a row.  A replan's game drops
     the columns of its screen's pass, so that its map runs its own pass.  With
-    ``withhold`` a replan's prepared lam = 0 equilibrium is dropped, so that
-    its solve runs that equilibrium on the tail of the planner's gains and
-    integrates its mean.  ``maps``, if given, maps each replan's (tau, state
-    bytes) to its solve's map.  Returns (states, inputs, replans, replans with
-    lam != 0, columns)."""
+    ``withhold`` a replan's prepared lam = 0 mean is dropped, so that its
+    solve integrates it on the tail of the planner's gains.  ``maps``, if
+    given, maps each replan's (tau, state bytes) to its solve's map.  Returns
+    (states, inputs, replans, replans with lam != 0, columns)."""
     problem, dyn = planner.problem, planner.problem.dyn
     T, N, n_x = problem.T, problem.N, problem.n_x
     options = DualAscentOptions(k_max=500)
@@ -860,9 +859,9 @@ def episode_mpc(planner, seed, s, withhold=False, maps=None):
         if t % planner.replan_every == 0:
             prepared = replace(planner_game(planner, t, states[t]), columns=None)
             if withhold:
-                assert np.array_equal(prepared.equilibrium0[0].alpha, lqnash.backward_recursion(
-                    prepared.problem, gains=prepared.gains).alpha)
-                prepared = replace(prepared, equilibrium0=None)
+                assert np.array_equal(prepared.gains.alpha0, lqnash.backward_recursion(
+                    prepared.problem).alpha)
+                prepared = replace(prepared, mean0=None)
             report = run_dual_ascent(prepared, options)
             plan, tau = report.policy, t
             if maps is not None:

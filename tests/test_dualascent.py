@@ -157,7 +157,7 @@ class TestSweepCount:
             lqnash_calls.clear()
             rep = run_dual_ascent(prep, DualAscentOptions(k_max=200))
             in_solve = int(prep.gains is None)
-            assert (prep.equilibrium0 is None) == bool(in_solve)
+            assert (prep.mean0 is None) == bool(in_solve)
             assert +lqnash_calls == +Counter({
                 "stage_gains": in_solve,
                 "_check_rcond": in_solve,
@@ -181,8 +181,8 @@ class TestColumnMap:
     """The column map against the full pass: every column (of G and alpha)
     that a map or a pass of chosen columns computes equals the full pass
     (``oracles.column_pass``), and the map's ctilde and policy0 are the lam = 0
-    equilibrium's g and policy, bit for bit: the preparer's where it has one,
-    else the solve of the stage gains here."""
+    equilibrium's g and policy, bit for bit: the policy of the stage gains,
+    at the preparer's mean where it has one, else the mean integrated here."""
 
     @staticmethod
     def _check(prep, sample=None):
@@ -191,13 +191,14 @@ class TestColumnMap:
         gains = gmap.gains
         G, alphas = column_pass(problem, conset, gains)
         policy0 = backward_recursion(problem, gains=gains)
-        if prep.equilibrium0 is None:
+        if prep.mean0 is None:
             mean0 = integrate_expected(problem.dyn, policy0)
         else:
             # a replan's mean is contracted (Phi x0 + d), not integrated, and
-            # differs from an integrated one in the last bits
-            assert np.array_equal(prep.equilibrium0[0].alpha, policy0.alpha)
-            policy0, mean0 = prep.equilibrium0
+            # differs from an integrated one in the last bits; its gains are
+            # the sweep of its own problem
+            assert np.array_equal(backward_recursion(problem).alpha, policy0.alpha)
+            mean0 = prep.mean0
         assert gmap.ctilde.tobytes() == conset.evaluate(mean0).tobytes()
         assert gmap.mean0.tobytes() == mean0.tobytes()
         assert gmap.policy0.alpha.tobytes() == policy0.alpha.tobytes()
@@ -277,7 +278,7 @@ class TestColumnMap:
         def solve(prepared, options=None, **kw):
             starts.clear()
             rep = real_solve(prepared, options, **kw)
-            g0 = prepared.conset.evaluate(prepared.equilibrium0[1])
+            g0 = prepared.conset.evaluate(prepared.mean0)
             violated = np.flatnonzero(g0 > 0)
             assert np.any(rep.lambda_bar) == bool(violated.size)
             if violated.size:
@@ -323,7 +324,7 @@ class TestDynamicsType:
             state_dims=(4,)))
         prep = prepare_game(at_rest)
         assert not np.any(prep.problem.nominal_states)
-        assert prep.equilibrium0 is None and prep.gains is None
+        assert prep.mean0 is None and prep.gains is None
         rounds = Counter()
 
         def counting(*args, **kwargs):
@@ -340,7 +341,7 @@ class TestDynamicsType:
         # would move the reference
         prep, _ = dualascent.solve_scenario(mini_scenario, relinearize=1)
         nominal, mean0 = prep.problem.nominal_states, estimate_affine_map(prep).mean0
-        assert prep.equilibrium0 is None and np.max(np.abs(mean0)) >= 1e-3
+        assert prep.mean0 is None and np.max(np.abs(mean0)) >= 1e-3
         cov = propagate_covariance(prep.problem.dyn)
         at_nominal = assemble_constraints(prep.problem, cov, nominal)
         at_mean = assemble_constraints(prep.problem, cov, nominal + mean0)
@@ -369,12 +370,12 @@ class TestZeroMultiplierSolve:
         for k in range(40):
             prep = prepare_game(validate_scenario(
                 random_small_scenario(np.random.default_rng(k), coupled=coupled)))
-            assert prep.equilibrium0 is not None
+            assert prep.mean0 is not None
             # the same game with every row slackened so that lam = 0 solves it
-            g0 = prep.conset.evaluate(prep.equilibrium0[1])
+            g0 = prep.conset.evaluate(prep.mean0)
             slack = dataclasses.replace(prep.conset, c=prep.conset.c - g0.max() - 1.0)
             for game in (prep, dataclasses.replace(prep, conset=slack)):
-                withheld = dataclasses.replace(game, equilibrium0=None)
+                withheld = dataclasses.replace(game, mean0=None)
                 lqnash_calls.clear()
                 rep = run_dual_ascent(game, DualAscentOptions(k_max=200))
                 calls = +lqnash_calls
@@ -548,11 +549,11 @@ class TestLazyDiagnostics:
     def test_a_short_circuited_map_keeps_its_gains_until_read(self):
         prep = prepare_game(validate_scenario(random_small_scenario(
             np.random.default_rng(0))))
-        g0 = prep.conset.evaluate(prep.equilibrium0[1])
+        g0 = prep.conset.evaluate(prep.mean0)
         slack = dataclasses.replace(prep, conset=dataclasses.replace(
             prep.conset, c=prep.conset.c - g0.max() - 1.0))
         rep = run_dual_ascent(slack)
-        full = run_dual_ascent(dataclasses.replace(slack, equilibrium0=None))
+        full = run_dual_ascent(dataclasses.replace(slack, mean0=None))
         assert not np.any(rep.lambda_bar) and rep.map.gains is prep.gains
         assert rep.lipschitz == full.lipschitz
         assert rep.map.G.tobytes() == full.map.G.tobytes()

@@ -93,7 +93,8 @@ class TestRollout:
 
     @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent",
                                           "dense-input"])
-    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("samples", [1, simulate.DRAW_BLOCK - 1, simulate.DRAW_BLOCK,
+                                         simulate.DRAW_BLOCK + 1, 255, 256, 257, 600])
     def test_batched_rollout_matches_sample_loop(self, loop_reference, scenario,
                                                  samples):
         # any sample whose bits depended on the batch size or on its place in
@@ -103,6 +104,24 @@ class TestRollout:
         assert np.array_equal(batch.states, states[:samples])
         assert np.array_equal(batch.inputs, inputs[:samples])
         assert np.array_equal(batch.costs, costs[:samples])
+
+    @pytest.mark.parametrize("game", ["intersection-mini", "coupled"])
+    def test_draw_block_changes_no_bit(self, monkeypatch, mini_problem, game):
+        # each sample's noise is drawn into a block buffer, then copied into
+        # the sample-last batch; blocks of 1, 7 and all S samples, with a
+        # partial last block or none, must give the default block's bytes
+        problem = mini_problem if game == "intersection-mini" else assemble_problem(
+            validate_scenario(random_small_scenario(np.random.default_rng(5), coupled=True)))
+        policy = backward_recursion(problem)
+        S = 2 * simulate.DRAW_BLOCK + 3
+
+        def batch_bytes():
+            batch = rollout(problem, policy, seed=11, samples=S)
+            return [a.tobytes() for a in (batch.states, batch.inputs, batch.costs)]
+        reference = batch_bytes()
+        for block in (1, 7, S):
+            monkeypatch.setattr(simulate, "DRAW_BLOCK", block)
+            assert batch_bytes() == reference, block
 
     @pytest.mark.parametrize("scenario", ["intersection-mini", "ltv-3-agent",
                                           "dense-input"])
@@ -397,6 +416,40 @@ def test_safety_memory_is_a_block_not_the_batch(intersection_prep, intersection_
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("name, off_plan", [("mini", 0.5), ("intersection", 3.0)])
+def test_judges_do_not_depend_on_the_layout(request, name, off_plan):
+    # a rollout's arrays are views of sample-last memory; their sample-major
+    # copies must give the same safety, blocks and costs, on a policy pushed
+    # off its plan so that some samples violate
+    prep = request.getfixturevalue(f"{name}_prep")
+    policy = request.getfixturevalue(f"{name}_report").policy
+    problem = prep.problem
+    batch = rollout(problem, replace(policy, alpha=off_plan * policy.alpha), 3, samples=600)
+    copy = replace(batch, states=np.ascontiguousarray(batch.states),
+                   inputs=np.ascontiguousarray(batch.inputs))
+    assert not batch.states.flags.c_contiguous and copy.states.flags.c_contiguous
+    stats = evaluate_safety(batch, problem)
+    assert repr(stats) == repr(evaluate_safety(copy, problem))
+    assert 0 < stats.violations < batch.samples
+    for got, want in zip(simulate._judge(problem, batch.states),
+                         simulate._judge(problem, copy.states)):
+        assert got.tobytes() == want.tobytes()
+    assert (realized_costs(problem, batch.states, batch.inputs).tobytes()
+            == realized_costs(problem, copy.states, copy.inputs).tobytes())
+
+
+def test_batch_keeps_the_arrays_it_is_given():
+    # no copy (a sample-major copy of a rollout's states would be 9.8 MB on
+    # intersection), and read-only views that leave the given arrays writable
+    given = (np.moveaxis(np.zeros((4, 2, 3)), -1, 0), np.zeros((3, 3, 1, 2)), np.zeros((3, 1)))
+    batch = RolloutBatch(*given, seed=0)
+    for got, array in zip((batch.states, batch.inputs, batch.costs), given):
+        assert np.shares_memory(got, array) and got.strides == array.strides
+        assert array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[(0,) * got.ndim] = 1.0
 
 
 class TestTravelTime:
@@ -849,7 +902,7 @@ class TestLockstep:
         real = simulate.run_dual_ascent
 
         def recording(prepared, options=None, **kw):
-            solved.append(prepared.conset.evaluate(prepared.equilibrium0[1]))
+            solved.append(prepared.conset.evaluate(prepared.mean0))
             return real(prepared, options, **kw)
 
         monkeypatch.setattr(simulate, "run_dual_ascent", recording)
@@ -863,7 +916,7 @@ class TestLockstep:
         for x in batch.states:
             for tau in range(0, mini_problem.T, 2):
                 prepared = planner_game(planner, tau, x[tau])
-                violated.append(np.any(prepared.conset.evaluate(prepared.equilibrium0[1]) > 0))
+                violated.append(np.any(prepared.conset.evaluate(prepared.mean0) > 0))
         assert violated[0] and sum(violated) == 14 and totals["replans"] == 40
         assert len(solved) == 14 - 3
 
@@ -903,7 +956,7 @@ class TestLockstep:
 
         planner = simulate.CentralPlanner(mini_problem)
         start = planner_game(planner, 0, mini_problem.dyn.x0)
-        assert np.any(start.conset.evaluate(start.equilibrium0[1]) > 0)
+        assert np.any(start.conset.evaluate(start.mean0) > 0)
         one = simulate.central_mpc_run(planner, 3, [0])
         monkeypatch.setattr(simulate, "run_dual_ascent", recording)
         run = simulate.central_mpc_run(planner, 3, range(5))
@@ -1133,8 +1186,7 @@ class TestResponseRoute:
         for tau in range(problem.T):
             prep = planner_game(planner, tau, run.states[0, tau])
             sub, conset, gains = prep.problem, prep.conset, prep.gains
-            policy0, mean0 = prep.equilibrium0
-            self._close(mean0, integrate_expected(sub.dyn, policy0))
+            self._close(prep.mean0, integrate_expected(sub.dyn, backward_recursion(sub, gains)))
             if prep.M == 0:
                 continue
             G, alphas = column_pass(sub, conset, gains)
