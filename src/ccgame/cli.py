@@ -217,15 +217,18 @@ def _read_stats(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != STATS_HEADER:
-                raise ValueError(f"schema mismatch, header {reader.fieldnames}")
+            if reader.fieldnames != STATS_HEADER:   # input is echoed cut to 20 characters
+                raise ValueError(f"schema mismatch, header {reader.fieldnames!r:.20}")
             rows = list(reader)
         for row in rows:
             if None in row or None in row.values():
                 raise ValueError("a row does not have one cell per header column")
             for key in ("cost_mean", "travel_mean_s", "collision_rate"):
-                float(row[key])
-    except ValueError as exc:       # UnicodeDecodeError is one too
+                try:
+                    float(row[key])
+                except ValueError:
+                    raise ValueError(f"{key}: not a number: {row[key]!r:.20}") from None
+    except (ValueError, csv.Error) as exc:       # UnicodeDecodeError is a ValueError
         raise SchemaError(f"{path}: {exc}") from exc
     return rows
 

@@ -44,8 +44,8 @@ best-response sweep (``tests/oracles.py``) as references.
 ``closed_loop_step`` steps one state, or a stack of them each as alone, on
 the agent-stacked [B^1 .. B^N], which ``integrate_expected`` stacks once per
 call.  ``closed_loop_matrix`` gives the closed-loop covariance and the
-rollouts, whose deviations from the mean ``fixed_order_sums`` steps,
-F_t = A_t - sum_i B^i_t K^i_t, the sweep's F_t bit for bit.
+rollouts, whose deviations from the mean ``fixed_order_sums`` steps, the
+stacked F_t = A_t - sum_i B^i_t K^i_t of a policy, the sweep's F bit for bit.
 
 Expected cost = the cost of the mean trajectory plus the trace terms of the
 closed-loop covariance; ``evaluate_cost`` gives it for all players at once,
@@ -259,15 +259,14 @@ def mean_inputs(dyn, policy: FeedbackPolicy, mean_traj):
                      for t in range(dyn.T)])
 
 
-def closed_loop_matrix(A_t, B_t, K_t):
-    """F_t = A_t - sum_i B^i_t K^i_t for B_t (N, n_x, n_u) and K_t (N, n_u, n_x)."""
-    return A_t - np.einsum("iab,ibc->ac", B_t, K_t)
+def closed_loop_matrix(dyn, K):
+    """F (T, n_x, n_x), F_t = A_t - sum_i B^i_t K^i_t, of gains K (T, N, n_u, n_x)."""
+    return dyn.A - np.einsum("tiab,tibc->tac", dyn.B, K)
 
 
 def closed_loop_covariance(dyn, policy: FeedbackPolicy):
     """Sigma-hat recursion under the feedback loop: S+ = F S F' + W."""
-    F = np.stack([closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t]) for t in range(dyn.T)])
-    return horizon_pass(dyn.T, [0], covariance_step(F, dyn.W))[0][0]
+    return horizon_pass(dyn.T, [0], covariance_step(closed_loop_matrix(dyn, policy.K), dyn.W))[0][0]
 
 
 def quadratic_sums(x, M):

@@ -28,15 +28,15 @@ and the zeta response Psi, in one pass over the horizon each replan time's
 open-loop covariance and that policy's transition products [Phi | d],
 and from that covariance, which it then drops, every replan time's row layout
 (``uncertainty.constraint_layout``).  A slice keeps every constraint, one that
-has ended with no active time; tau's first game builds it and its gains and
-lam = 0 policy tails.  A bad risk allocation fails every episode's replan at its
+has ended with no active time; tau's first solve builds it and its gains'
+tail.  A bad risk allocation fails every episode's replan at its
 replan time and no other.  The episodes of a call advance in lockstep, and at
-a replan time one ``screen`` per SCREEN_BLOCK episodes contracts their lam = 0
+a replan time one ``plan`` call per SCREEN_BLOCK episodes contracts their lam = 0
 means Phi x0 + d (the references, at which g is the map's ctilde), fills their
 collision rows and evaluates their ctilde, each stacked and bit for bit as at
-S = 1; every episode starts at x0, so t = 0 is screened and solved once.  An
+S = 1; every episode starts at x0, so t = 0 is planned and solved once.  An
 episode that violates no row takes the lam = 0 alpha tail.  For those that do,
-the block's first game contracts all their violated rows' alpha columns from
+the block's first solve contracts all their violated rows' alpha columns from
 its block of Psi and runs one forward pass stacked by episode, which gives
 each one's LCP columns, held by its game, and its policy at its solution (a
 further pass runs only for a column the pivot reads beyond them; never the
@@ -65,7 +65,7 @@ PSD_TOL = 1e-10
 SAFETY_BLOCK = 256   # samples judged at once: a block of a batch's states stays in L2
 DRAW_BLOCK = 16      # samples whose noise is drawn into one buffer, then copied sample-last
 GOAL_TOLERANCE = 0.1   # distance to the goal position at which an agent has arrived
-SCREEN_BLOCK = 128   # MPC episodes screened at once: a block's rows are (SCREEN_BLOCK, M, n_x)
+SCREEN_BLOCK = 128   # MPC episodes planned at once: a block's rows are (SCREEN_BLOCK, M, n_x)
 
 
 def noise_factors(W):
@@ -150,14 +150,13 @@ def rollout(problem: GameProblem, policy: lqnash.FeedbackPolicy, seed,
             stream.bit_generator.state = state
             stream.standard_normal(out=draws[s - lo])
         states[lo:lo + len(draws), 1:] = draws[:S - lo]
-    e = np.zeros((n_x, S))
+    e, F = np.zeros((n_x, S)), lqnash.closed_loop_matrix(dyn, policy.K)
     for t in range(T):
-        F = lqnash.closed_loop_matrix(dyn.A[t], dyn.B[t], policy.K[t])
         Ke = lqnash.fixed_order_sums((policy.K[t].reshape(-1, n_x), e))
         np.subtract(ubar[t], Ke, out=inputs.reshape(S, T, -1)[:, t].T)
-        e = lqnash.fixed_order_sums((F, e), (factors[t], states[:, t + 1].T))
+        e = lqnash.fixed_order_sums((F[t], e), (factors[t], states[:, t + 1].T))
         np.add(xbar[t + 1, :, None], e, out=states[:, t + 1].T)
-    del draws, e, Ke    # they would live through the costs' temporaries
+    del draws, e, Ke, F     # they would live through the costs' temporaries
     costs = lqnash.realized_costs(problem, states, inputs)
     return RolloutBatch(states=states, inputs=inputs, costs=costs, seed=seed)
 
@@ -331,39 +330,50 @@ class CentralPlanner:
         self.transitions = dict(zip(starts, products))
         self.fill = uncertainty.constraint_layout(self.agg, cov, starts)
         self.seconds = self.shared_seconds = time.perf_counter() - t_start
-        self.at_tau = {}    # tau -> (x0-less slice, gains), on its first game
+        self.at_tau = {}    # tau -> (x0-less slice, gains), on its first solve
 
-    def screen(self, tau, x0s):
-        """Replans at tau from states x0s (S, n_x) before any solve: whether each one's
-        lam = 0 mean violates a row (S,), the DegenerateReference of each one whose rows
-        cannot be filled (the fill names its step tau + t), and ``game(k)``, episode k's
-        game, whose rows are the fill's.  One that violates no row takes ``alpha0[tau:]``.
-        Tau's first game builds its slice, and the first game with a row above 0 one
-        ``affine_response`` pass of all the episodes' such columns, which their games hold."""
-        Z = self.transitions[tau]
-        means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
-        steps, source, l, c, degenerate = self.fill(tau, self.agg.nominal_states[tau:] + means)
-        ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
-        hot, psi, passed = ctilde > 0.0, self.psi[tau:, :, :, tau:], {}   # hot: rows above 0
-
-        def game(k):
-            if tau not in self.at_tau:
-                t_start = time.perf_counter()
-                self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)),
-                                    self.gains.tail(tau))
-                self.shared_seconds += time.perf_counter() - t_start
-            sub, gains = self.at_tau[tau]
-            conset = uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T)
-            if hot[k].any() and not passed:     # the block's one pass, at its first solve
-                entries = [np.flatnonzero(h).tolist() for h in hot]     # side by side: hot's order
-                a = lqnash.response_alphas(psi, steps[np.nonzero(hot)[1]], l[hot])
-                out = lqnash.affine_response(sub, conset, gains, entries, a, l)
-                passed.update(enumerate(dict(zip(cols, zip(G.T, alphas)))
-                                        for cols, (G, alphas) in zip(entries, out)))
-            return PreparedGame(
-                problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), conset=conset,
-                gains=gains, mean0=means[k], psi=psi, columns=passed.get(k))
-        return ~np.all(ctilde <= 0.0, axis=1), degenerate, game   # a NaN violates
+    def plan(self, tau, x0s, options):
+        """The replans at tau from states x0s (S, n_x): ({k: (alpha from tau, lam != 0,
+        map columns)}, {k: error}), from their lam = 0 means, rows and ctilde, each stacked.
+        One that violates no row takes ``gains.alpha0[tau:]``, another ``run_dual_ascent``'s
+        policy: tau's first solve builds its slice, and the first with a row above 0 one
+        ``affine_response`` pass of all such columns, which their games hold.  A CCGameError
+        or LinAlgError of the shared work is each one's, one of a solve (or of the pass) its
+        own, and a DegenerateReference names the episode's step tau + t."""
+        try:
+            Z = self.transitions[tau]
+            means = (Z[None, ..., :-1] @ x0s[:, None, :, None])[..., 0] + Z[..., -1]
+            steps, source, l, c, errors = self.fill(tau, self.agg.nominal_states[tau:] + means)
+            ctilde = np.einsum("smi,smi->sm", l, means[:, steps]) + c
+        except (CCGameError, np.linalg.LinAlgError) as exc:   # each one's failure
+            return {}, dict.fromkeys(range(len(x0s)), exc)
+        hot, psi, held = ctilde > 0.0, self.psi[tau:, :, :, tau:], []   # hot: rows above 0
+        violated = ~np.all(ctilde <= 0.0, axis=1)   # a NaN violates
+        plans = {k: (self.gains.alpha0[tau:], False, 0) for k in range(len(x0s))
+                 if not violated[k] and k not in errors}
+        for k in (k for k in range(len(x0s)) if violated[k] and k not in errors):
+            try:
+                if tau not in self.at_tau:
+                    t_start = time.perf_counter()
+                    self.at_tau[tau] = (slice_problem(self.agg, tau, np.zeros(self.agg.n_x)),
+                                        self.gains.tail(tau))
+                    self.shared_seconds += time.perf_counter() - t_start
+                sub, gains = self.at_tau[tau]
+                conset = uncertainty.AffineConstraintSet(steps, source, l[k], c[k], sub.T)
+                if hot[k].any() and not held:     # the block's one pass, at its first solve
+                    entries = [np.flatnonzero(h).tolist() for h in hot]     # in hot's order
+                    a = lqnash.response_alphas(psi, steps[np.nonzero(hot)[1]], l[hot])
+                    out = lqnash.affine_response(sub, conset, gains, entries, a, l)
+                    held = [dict(zip(cols, zip(G.T, alphas)))
+                            for cols, (G, alphas) in zip(entries, out)]
+                report = run_dual_ascent(PreparedGame(
+                    problem=replace(sub, dyn=replace(sub.dyn, x0=x0s[k])), conset=conset,
+                    gains=gains, mean0=means[k], psi=psi, columns=held[k] if held else None),
+                    options)
+                plans[k] = report.policy.alpha, bool(np.any(report.lambda_bar)), report.map_columns
+            except (CCGameError, np.linalg.LinAlgError) as exc:
+                errors[k] = exc.with_traceback(None)    # its frames would keep the rows alive
+        return plans, errors
 
 
 @dataclass
@@ -386,7 +396,7 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     horizon, as the module docstring says.  The replan at t = 0, every episode's, is
     solved once and counted once per episode, and its failure raises.  On a later
     replan failure the previous plan keeps driving and the failure is recorded with
-    its step; one in a screen's shared work is each of its episodes'.
+    its step; one in a ``plan`` call's shared work is each of its episodes'.
     """
     options = options or DualAscentOptions(k_max=500)
     seed = _integer(seed, "seed", error=DomainError)
@@ -405,36 +415,23 @@ def central_mpc_run(planner: CentralPlanner, seed, sample_indices,
     alphas = np.empty((S, *planner.gains.alpha0.shape))   # the plans: affine terms on gains.K
     failures = []
 
-    def replan(k, t, screened, b):   # episode(s) k from t by entry b: (active, columns)
-        violated, errors, game = screened
-        if b in errors:
-            raise errors[b]
-        if not violated[b]:
-            alphas[k, t:] = planner.gains.alpha0[t:]
-            return 0, 0
-        report = run_dual_ascent(game(b), options)
-        alphas[k, t:] = report.policy.alpha
-        return bool(np.any(report.lambda_bar)), report.map_columns
-
     t_start = time.perf_counter()
-    active, columns = (S * n for n in replan(slice(None), 0, planner.screen(0, dyn.x0[None]), 0))
-    replans, solve_seconds = S, time.perf_counter() - t_start
+    plans, errors = planner.plan(0, dyn.x0[None], options)
+    if errors:
+        raise errors[0]
+    alphas[:], active, columns = plans[0]
+    replans, active, columns = S, S * active, S * columns
+    solve_seconds = time.perf_counter() - t_start
     for t in range(T):
         if t and t % planner.replan_every == 0:
             t_start = time.perf_counter()
-            for k in range(S):
-                b = k % SCREEN_BLOCK
-                if b == 0:
-                    try:
-                        screened = planner.screen(t, states[k:k + SCREEN_BLOCK, t])
-                    except (CCGameError, np.linalg.LinAlgError) as exc:   # each one's failure
-                        screened = None, dict.fromkeys(range(SCREEN_BLOCK), exc), None
-                try:
-                    a, c = replan(k, t, screened, b)
+            for lo in range(0, S, SCREEN_BLOCK):
+                plans, errors = planner.plan(t, states[lo:lo + SCREEN_BLOCK, t], options)
+                for k, (alpha, a, c) in plans.items():
+                    alphas[lo + k, t:] = alpha
                     replans, active, columns = replans + 1, active + a, columns + c
-                except (CCGameError, np.linalg.LinAlgError) as exc:   # recorded and survived
-                    failures.append((indices[k], t, f"{type(exc).__name__}: {exc}"))
-            screened = None     # its block's rows would live through the next screen
+                failures += [(indices[lo + k], t, f"{type(exc).__name__}: {exc}")
+                             for k, exc in errors.items()]
             solve_seconds += time.perf_counter() - t_start
         u, states[:, t + 1] = lqnash.closed_loop_step(
             dyn.A[t], planner.agg.dyn.B[t, 0], planner.gains.K[t], alphas[:, t],

@@ -31,7 +31,7 @@ splice that swaps one player's response in, the solve at a given lam (one
 full sweep, whose linear term adds one row's 0.5 lam_m l_m at a time) and the
 dual map on a prepared game's gains and lam = 0 equilibrium (computed, as a
 solve computes them, where the preparer has none), the dual function they
-drive, one replan's game from the planner's screen of its one state, a pass
+drive, one replan's game built from the planner's parts, a pass
 of chosen columns as the map computes it (without its cache), the
 reference a prepared game's collision rows were built at, a central-MPC
 episode that prepares and solves every replan on its own, a Monte Carlo
@@ -49,8 +49,9 @@ from ccgame.dualascent import DualAscentOptions, PreparedGame, run_dual_ascent
 from ccgame.errors import DegenerateReference, DomainError, SingularStageSystem
 from ccgame.lqnash import RCOND_MIN, FeedbackPolicy
 from ccgame.model import GameProblem, Scenario, load_scenario
-from ccgame.simulate import noise_stream
-from ccgame.uncertainty import DEGENERATE_SEPARATION, allocate_risk, inverse_normal_cdf
+from ccgame.simulate import noise_stream, slice_problem
+from ccgame.uncertainty import (DEGENERATE_SEPARATION, AffineConstraintSet, allocate_risk,
+                                inverse_normal_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +812,22 @@ def dual_function(prepared: PreparedGame, lam, i, others_from=None):
 
 
 def planner_game(planner, tau, x0) -> PreparedGame:
-    """The game of a central-MPC replan at tau from state x0: the planner's
-    screen of the one state, whose DegenerateReference it raises."""
-    *_, degenerate, game = planner.screen(tau, np.asarray(x0, dtype=float)[None])
+    """The game of a central-MPC replan at tau from state x0, built from the
+    planner's parts: the lam = 0 mean Phi x0 + d from tau's transition
+    products, the rows its fill lays at the nominal plus that mean (whose
+    DegenerateReference it raises), the slice at tau with the tail of the
+    gains, and the block of Psi from tau.  It holds no columns."""
+    x0 = np.asarray(x0, dtype=float)
+    Z = planner.transitions[tau]
+    mean0 = (Z[None, ..., :-1] @ x0[None, None, :, None])[0, ..., 0] + Z[..., -1]
+    steps, source, l, c, degenerate = planner.fill(
+        tau, (planner.agg.nominal_states[tau:] + mean0)[None])
     if degenerate:
         raise degenerate[0]
-    return game(0)
+    sub = slice_problem(planner.agg, tau, x0)
+    return PreparedGame(problem=sub, conset=AffineConstraintSet(steps, source, l[0], c[0], sub.T),
+                        gains=planner.gains.tail(tau), mean0=mean0,
+                        psi=planner.psi[tau:, :, :, tau:])
 
 
 def column_pass(problem: GameProblem, conset, gains, columns=None, psi=None):
@@ -842,8 +853,8 @@ def episode_mpc(planner, seed, s, withhold=False, maps=None):
     """Central-MPC episode s replanned alone, every replan (lam = 0 ones too)
     prepared by ``planner_game`` and solved by ``run_dual_ascent`` at the
     ``ccgame mpc`` budget: the reference for the lockstep call, which solves
-    only the replans whose lam = 0 mean violates a row.  A replan's game drops
-    the columns of its screen's pass, so that its map runs its own pass.  With
+    only the replans whose lam = 0 mean violates a row.  A replan's game holds
+    no columns, so that its map runs its own pass.  With
     ``withhold`` a replan's prepared lam = 0 mean is dropped, so that its
     solve integrates it on the tail of the planner's gains.  ``maps``, if
     given, maps each replan's (tau, state bytes) to its solve's map.  Returns
@@ -857,7 +868,7 @@ def episode_mpc(planner, seed, s, withhold=False, maps=None):
     replans = active = columns = 0
     for t in range(T):
         if t % planner.replan_every == 0:
-            prepared = replace(planner_game(planner, t, states[t]), columns=None)
+            prepared = planner_game(planner, t, states[t])
             if withhold:
                 assert np.array_equal(prepared.gains.alpha0, lqnash.backward_recursion(
                     prepared.problem).alpha)

@@ -732,6 +732,28 @@ class TestReport:
         assert err.startswith("error: SchemaError")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("what", ["policy", "long-cell", "over-field-limit"])
+    def test_a_report_error_line_echoes_a_bounded_input(self, tmp_path, capsys, what):
+        # a one-line policy.json read as a stats file, whose header is every
+        # cell of it, a 5,000-character cost_mean cell, and a cell past the csv
+        # module's field limit: each exits 1 with one error line that names
+        # the file and echoes at most 20 characters of the input
+        if what == "policy":
+            main(["solve", "--scenario", str(scenarios.bundled_path("intersection-mini")),
+                  "--out", str(tmp_path / "s")])
+            path = tmp_path / "s" / "policy.json"
+            assert len(path.read_text().splitlines()) == 1
+        else:
+            path = tmp_path / "stats.csv"
+            cell = "x" * (5000 if what == "long-cell" else 200_000)
+            path.write_text(",".join(STATS_HEADER) + f"\nlqg_game,10,0,{cell},0.5,4.0,0.0,0.0,0.3\n")
+        capsys.readouterr()
+        rc = main(["report", str(path), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: SchemaError: {path}: ")
+        assert len(err) <= len(f"error: SchemaError: {path}: ") + 80
+
     def test_missing_file_exits_one(self, tmp_path):
         rc = main(["report", str(tmp_path / "nope.csv")])
         assert rc == 1

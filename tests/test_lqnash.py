@@ -479,6 +479,41 @@ def _stacked_inputs(B_t):
     return B_t.transpose(1, 0, 2).reshape(B_t.shape[1], -1)
 
 
+class TestClosedLoopMatrix:
+    """A policy's stacked F, one einsum over the horizon, equals the per-step
+    F_t = A_t - sum_i B^i_t K^i_t (the einsum it replaced at each step) and the
+    sweep's F byte for byte: on the stage gains of both bundled games and of
+    200 random games (T <= 5, N <= 4, n_x <= 8, n_u <= 3), and on random K."""
+
+    @staticmethod
+    def _per_step(dyn, K):
+        return np.stack([dyn.A[t] - np.einsum("iab,ibc->ac", dyn.B[t], K[t])
+                         for t in range(dyn.T)])
+
+    def _check(self, problem, K=None):
+        gains = stage_gains(problem)
+        for K_ in (gains.K,) if K is None else (gains.K, K):
+            F = lqnash.closed_loop_matrix(problem.dyn, K_)
+            assert F.shape == gains.F.shape
+            assert _bits(F) == _bits(self._per_step(problem.dyn, K_))
+        assert _bits(lqnash.closed_loop_matrix(problem.dyn, gains.K)) == _bits(gains.F)
+
+    @pytest.mark.parametrize("make", [scenarios.make_intersection_mini,
+                                      scenarios.make_intersection])
+    def test_bundled_games(self, make):
+        self._check(assemble_problem(validate_scenario(make())))
+
+    def test_random_games(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            T, N, n, m = (int(v) for v in rng.integers(1, [6, 5, 9, 4]))
+            Q = rng.normal(size=(N, T + 1, n, n))
+            R = rng.normal(size=(N, T, m, m))
+            problem = lq_game(rng.normal(size=(T, n, n)), rng.normal(size=(T, N, n, m)),
+                              Q @ Q.swapaxes(-1, -2), R @ R.swapaxes(-1, -2) + np.eye(m))
+            self._check(problem, rng.normal(size=(T, N, m, n)))
+
+
 class TestClosedLoopStep:
     """The step sums B^i_t u^i by one matvec on the agent-stacked input matrix,
     and steps each state of a stack bit for bit as alone.  Where every state row of it has at most one nonzero coefficient, as on the

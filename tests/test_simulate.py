@@ -1045,7 +1045,8 @@ class TestLockstep:
         # row of a slice is at its step 1: the error names step tau + 1 of the episode
         planner = simulate.CentralPlanner(self._two_scalar_agents([1.0, -1.0]))
         for tau in (0, 2, 4):
-            *_, degenerate, _ = planner.screen(tau, np.array([[0.3, 0.3], [0.3, -0.3]]))
+            _, degenerate = planner.plan(tau, np.array([[0.3, 0.3], [0.3, -0.3]]),
+                                         DualAscentOptions(k_max=500))
             assert list(degenerate) == [0], tau
             assert (degenerate[0].pair, degenerate[0].t) == ((0, 1), tau + 1)
             assert f"in the reference at t={tau + 1} " in str(degenerate[0])

@@ -5,7 +5,8 @@ rollout and MPC round must read their results, the traced memory peaks of a
 prepare, a solve, a rollout and an MPC call stay under their guards, the bundled scenario
 files must be what their builders write and expand to the full-form files
 they replaced, the README's scenario example must load and its library
-example must run as written, and the library has no unused import, no
+example must run as written, every `module.name` code span in the README
+must resolve on the library, and the library has no unused import, no
 private name, no public function or class that neither the library reads
 nor the README names, and no line over 100 characters."""
 
@@ -193,6 +194,25 @@ def test_readme_library_example_runs(capsys):
     rate, wilson_hi, residual = map(float, capsys.readouterr().out.split())
     assert 0.0 <= rate <= wilson_hi <= 1.0
     assert 0.0 <= residual <= 1e-6
+
+
+def test_readme_module_references_resolve():
+    # a code span that starts `module.name` or `module.name.member`, on a
+    # module of the library and called or not, names an attribute that
+    # ccgame.<module> has: a renamed or deleted name leaves no stale span
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                    flags=re.S)
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    calls = (re.fullmatch(r"(\w+)((?:\.\w+){1,2})(?:\(.*\))?", span, re.S)
+             for span in re.findall(r"`([^`]*)`", readme))
+    spans = [m.groups() for m in calls if m and m.group(1) in modules]
+    missing = []
+    for module, path in spans:
+        target = importlib.import_module(f"ccgame.{module}")
+        for name in path[1:].split("."):
+            target = getattr(target, name, None)
+        missing += [f"{module}{path}"] if target is None else []
+    assert len(spans) >= 9 and not missing, f"README spans that do not resolve: {missing}"
 
 
 def test_src_has_no_unused_imports_or_private_names():
